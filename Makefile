@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint repolint build test race cover equiv smoke fuzz fuzz-smoke bench bench-report clean
+.PHONY: ci vet lint repolint build test race cover equiv smoke fuzz fuzz-smoke bench bench-report loc clean
 
-ci: lint build race equiv cover fuzz-smoke smoke bench-report
+ci: lint build race equiv cover fuzz-smoke smoke bench-report loc
 
 vet:
 	$(GO) vet ./...
@@ -67,13 +67,15 @@ smoke: build
 	./scripts/smoke.sh
 
 # Short runs of every fuzz target (trace reader, METR-3 columnar decoder,
-# parallel file reader, LZ codec, pcap reader, packet parser, ingest frame
-# decoder, checkpoint decoder, tsq query parser).
+# parallel file reader, pushdown scan incl. torn tails, LZ codec, pcap
+# reader, packet parser, ingest frame decoder, checkpoint decoder, tsq query
+# parser).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzMETR3Decoder -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzReadFileParallel -fuzztime=$(FUZZTIME) ./internal/trace/
+	$(GO) test -run=NONE -fuzz=FuzzScanFile -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/lz/
 	$(GO) test -run=NONE -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) ./internal/lz/
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/pcapio/
@@ -100,6 +102,12 @@ bench-report:
 	-BENCHTIME=1x COUNT=1 APPLY_BENCHTIME=1x APPLY_COUNT=1 \
 	  TRACE_BENCHTIME=1x TRACE_COUNT=1 \
 	  ./scripts/bench.sh -no-compare /tmp/netenergy_bench_ci.json
+
+# Non-test, non-generated Go lines per package against a base commit
+# (LOC_BASE, default: the merge-base with main) — the figure ROADMAP's
+# "least code" aim is read from.
+loc:
+	@./scripts/loc.sh $(LOC_BASE)
 
 clean:
 	rm -rf bin

@@ -152,6 +152,12 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Registered before anything listens: a SIGTERM that arrives the moment
+	// the listen line is printed (a supervisor, a test harness) must find a
+	// handler and drain, not the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+
 	srv := ingest.NewServer(cfg)
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "ingestd:", err)
@@ -180,8 +186,6 @@ func main() {
 		}
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("ingestd: draining...")
 

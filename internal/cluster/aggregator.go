@@ -637,9 +637,14 @@ func (a *Aggregator) Mux() http.Handler {
 	return mux
 }
 
+// writeJSON encodes before it answers, so a value the encoder refuses (a
+// non-finite float) is a 500 carrying the error, not a 200 with no body.
 func writeJSON(w http.ResponseWriter, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away
+	w.Write(append(b, '\n')) //nolint:errcheck // client went away
 }

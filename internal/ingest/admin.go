@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -64,8 +65,8 @@ func HeadlineOf(res *analysis.StreamResult, devices int, records int64) LiveHead
 		BackgroundFraction:  res.Ledger.BackgroundFraction(),
 		FirstMinuteFraction: res.FirstMinuteFraction(0.8),
 		Fig6FirstMinute:     f6.FirstMinute,
-		Fig6Spike5m:         f6.Spike5m,
-		Fig6Spike10m:        f6.Spike10m,
+		Fig6Spike5m:         finiteOrZero(f6.Spike5m),
+		Fig6Spike10m:        finiteOrZero(f6.Spike10m),
 		DecodeErrors:        res.DecodeErrors,
 		SpanStartUS:         int64(res.Span[0]),
 		SpanEndUS:           int64(res.Span[1]),
@@ -76,6 +77,17 @@ func HeadlineOf(res *analysis.StreamResult, devices int, records int64) LiveHead
 		h.ScreenOffByteShare = float64(res.OffBytes) / float64(total)
 	}
 	return h
+}
+
+// finiteOrZero is the headline's rule for a ratio with a zero denominator:
+// no evidence reads as 0. The spike scores are such ratios: over an all-zero
+// neighbourhood periodic.SpikeScore says +Inf — right for a report,
+// unencodable as JSON — and a node with a few thousand records has one.
+func finiteOrZero(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0
+	}
+	return v
 }
 
 // Headline evaluates the live headline over the current Snapshot.
@@ -262,9 +274,14 @@ func (s *Server) adminMux() http.Handler {
 // store's own payload cap plus header slack.
 const maxTransferBytes = checkpoint.MaxPayload + 64
 
+// writeJSON encodes before it answers, so a value the encoder refuses (a
+// non-finite float) is a 500 carrying the error, not a 200 with no body.
 func writeJSON(w http.ResponseWriter, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away
+	w.Write(append(b, '\n')) //nolint:errcheck // client went away
 }

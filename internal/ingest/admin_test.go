@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -126,5 +128,39 @@ func TestAdminCheckpointDisabled(t *testing.T) {
 	url := fmt.Sprintf("http://%s/checkpoint", s.AdminAddr())
 	if code := adminPost(t, url, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("POST /checkpoint without durability: %d, want 503", code)
+	}
+}
+
+// TestHeadlineSmallNode: a node holding little data has headline ratios
+// with nothing under them. The device and record count are the smallest
+// synthgen case where that happens — the 5-minute spike score's
+// neighbourhood is all zero and the score +Inf, which the JSON encoder
+// refuses — and /headline used to answer that with 200 and an empty body.
+func TestHeadlineSmallNode(t *testing.T) {
+	s := startServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 2})
+	defer s.Shutdown(context.Background()) //nolint:errcheck
+	dt := synthgen.GenerateDevice(synthgen.Small(2, 2), 1)
+	dt.Records = dt.Records[:1800]
+	if f6 := newBenchAccumulator(dt, 1800).Snapshot().SinceForeground(); !math.IsInf(f6.Spike5m, 1) {
+		t.Fatalf("fixture lost its zero denominator: Spike5m = %v", f6.Spike5m)
+	}
+	streamTrace(t, s.Addr().String(), dt)
+
+	var h LiveHeadline
+	if code := adminGet(t, fmt.Sprintf("http://%s/headline", s.AdminAddr()), &h); code != http.StatusOK {
+		t.Fatalf("/headline: %d", code)
+	}
+	if h.Records != 1800 || h.TotalEnergyJ <= 0 || h.Fig6Spike5m != 0 {
+		t.Fatalf("headline = %+v, want 1800 records, energy, and a zero spike score", h)
+	}
+}
+
+// TestWriteJSONEncodeFailure: what the encoder refuses is a 500 with the
+// reason, whatever handler it came from.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, struct{ V float64 }{math.NaN()})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
+		t.Fatalf("status %d body %q, want 500 naming the NaN", rec.Code, rec.Body.String())
 	}
 }

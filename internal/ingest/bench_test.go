@@ -128,34 +128,36 @@ func TestFrameDecodeAllocFree(t *testing.T) {
 	}
 }
 
-// benchApplyShard returns a warmed shard and a cycling batch feeder: each
-// call hands the shard the next batchSize records of the trace at the
-// shard's current high-water sequence, so every record is accepted.
-func benchApplyShard(batchSize int) (*shard, func()) {
+// benchApplyShard returns a shard and a cycling batch feeder that mirrors
+// handleConn: each call takes a batch from the pool, fills it with the next
+// batchSize records of the trace at the shard's current high-water sequence
+// (so every record is accepted) and hands it to apply — shard.feed or
+// shard.applyBatch — which recycles it back into the pool.
+func benchApplyShard(batchSize int, apply func(*shard, *recordBatch)) func() {
 	dt := benchTrace()
 	sh := newShard(0, 1, batchOpts(), newCounters(), newDeviceRegistry(), nil)
 	pos := 0
 	batch := &recordBatch{device: dt.Device}
-	feed := func() {
+	return func() {
 		if pos+batchSize > len(dt.Records) {
 			pos = 0 // cycle; one time rewind per pass, state stays steady
 		}
+		cols := batchPool.Get().(*trace.RecordBatch)
+		cols.Reset()
+		for i := pos; i < pos+batchSize; i++ {
+			cols.Append(&dt.Records[i])
+		}
 		batch.firstSeq = sh.seqs[dt.Device]
-		batch.recs = dt.Records[pos : pos+batchSize]
+		batch.cols = cols
 		batch.enqueuedNS = time.Now().UnixNano()
-		sh.feed(batch)
+		apply(sh, batch)
 		pos += batchSize
 	}
-	return sh, feed
 }
 
-// BenchmarkApplyInstrumented is the shard apply path exactly as production
-// runs it: positional dedup, accumulator feed, per-device counters, and the
-// obs histograms (apply latency + batch size). The acceptance bar is 0
-// allocs/op and throughput within 3% of BenchmarkApplyBare.
-func BenchmarkApplyInstrumented(b *testing.B) {
+func benchApply(b *testing.B, apply func(*shard, *recordBatch)) {
 	const batchSize = 128
-	_, feed := benchApplyShard(batchSize)
+	feed := benchApplyShard(batchSize, apply)
 	feed() // warm: accumulator, registry entry, ledger day keys
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -165,64 +167,28 @@ func BenchmarkApplyInstrumented(b *testing.B) {
 	b.ReportMetric(float64(b.N)*batchSize/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkApplyBare is the uninstrumented floor: a line-for-line copy of
-// shard.feed with the histogram observations (and their time stamps)
-// removed, over the same batches — the baseline the ≤3% instrumentation
+// BenchmarkApplyInstrumented is the shard apply path exactly as production
+// runs it: pooled columnar batches through shard.feed — positional dedup,
+// FeedBatch, per-device counters, and the obs histograms (apply latency +
+// batch size). The acceptance bar is 0 allocs/op and throughput within 3%
+// of BenchmarkApplyBare.
+func BenchmarkApplyInstrumented(b *testing.B) { benchApply(b, (*shard).feed) }
+
+// BenchmarkApplyBare is the uninstrumented floor: the same batches through
+// shard.applyBatch, which is shard.feed minus the two histogram
+// observations and their time stamp — the baseline the ≤3% instrumentation
 // budget is measured against.
-func BenchmarkApplyBare(b *testing.B) {
-	const batchSize = 128
-	dt := benchTrace()
-	sh := newShard(0, 1, batchOpts(), newCounters(), newDeviceRegistry(), nil)
-	pos := 0
-	batch := &recordBatch{device: dt.Device}
-	feed := func() {
-		if pos+batchSize > len(dt.Records) {
-			pos = 0
-		}
-		batch.firstSeq = sh.seqs[dt.Device]
-		batch.recs = dt.Records[pos : pos+batchSize]
-		// shard.feed minus the two Observe calls and time.Now.
-		exp := sh.seqs[batch.device]
-		var acc *analysis.StreamAccumulator
-		dev := sh.reg.get(batch.device)
-		for i := range batch.recs {
-			seq := batch.firstSeq + int64(i)
-			if seq != exp {
-				sh.counters.duplicates.Add(1)
-				continue
-			}
-			if acc == nil {
-				if acc = sh.live[batch.device]; acc == nil {
-					acc = analysis.NewStreamAccumulator(batch.device, sh.opts)
-					sh.live[batch.device] = acc
-				}
-			}
-			acc.Feed(&batch.recs[i])
-			if sh.seg != nil {
-				sh.seg.appendRecord(batch.device, &batch.recs[i])
-			}
-			exp++
-			sh.counters.records.Add(1)
-			dev.records.Add(1)
-		}
-		sh.seqs[batch.device] = exp
-		pos += batchSize
-	}
-	feed()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feed()
-	}
-	b.ReportMetric(float64(b.N)*batchSize/b.Elapsed().Seconds(), "records/s")
-}
+func BenchmarkApplyBare(b *testing.B) { benchApply(b, (*shard).applyBatch) }
 
 // TestApplyAllocFree enforces the zero-allocation instrumentation policy:
 // in steady state the full instrumented apply path — histograms included —
 // performs no heap allocation per batch.
 func TestApplyAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool allocates under the race detector")
+	}
 	const batchSize = 128
-	_, feed := benchApplyShard(batchSize)
+	feed := benchApplyShard(batchSize, (*shard).feed)
 	for i := 0; i < 50; i++ { // settle maps, bins and ledger day keys
 		feed()
 	}

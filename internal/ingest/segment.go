@@ -106,45 +106,57 @@ func seedSegmentSeqs(dir string) (map[string]int, error) {
 
 const segmentExt = ".metr3"
 
-// appendBatch persists one accepted columnar batch.
+// appendBatch persists one accepted columnar batch by handing the writer
+// runs of it — no row is built — with the decisions of a record-at-a-time
+// append: a record that would violate the container's timestamp
+// monotonicity (a device clock that jumped backwards) is dropped from the
+// segment — and counted — rather than poisoning the writer (the live
+// accumulator still sees it), and the segment rolls after the first record
+// that leaves the file at or over maxBytes.
 func (st *segmentStore) appendBatch(device string, b *trace.RecordBatch) {
-	var rec trace.Record
-	for i := 0; i < b.Len(); i++ {
-		b.Record(i, &rec)
-		st.appendRecord(device, &rec)
-	}
-}
-
-// appendRecord persists one accepted record. Records that would violate
-// the container's timestamp monotonicity (a device clock that jumped
-// backwards) are dropped from the segment — and counted — rather than
-// poisoning the writer; the live accumulator still sees them.
-func (st *segmentStore) appendRecord(device string, r *trace.Record) {
-	if st.bad[device] {
-		return
-	}
 	sw := st.open[device]
-	if sw == nil {
-		var err error
-		if sw, err = st.openSegment(device, r.TS); err != nil {
+	var kept, dropped int64
+	for i, n := 0, b.Len(); i < n && !st.bad[device]; {
+		if sw == nil {
+			var err error
+			if sw, err = st.openSegment(device, b.TS[i]); err != nil {
+				st.disable(device, err)
+				continue
+			}
+		}
+		if sw.dirty && b.TS[i] < sw.last {
+			dropped++
+			i++
+			continue
+		}
+		// A run ends before the next backwards step, which the drop gate
+		// has to see. The file grows only when the writer cuts a block, and
+		// WriteBatch returns there, so the size check below runs after
+		// every record that could trip it — unless a Sync's cut already
+		// took the file over, and then this record is the segment's last.
+		j := i + 1
+		if !(st.maxBytes > 0 && sw.n >= st.maxBytes) {
+			for j < n && b.TS[j] >= b.TS[j-1] {
+				j++
+			}
+		}
+		run := b.Slice(i, j)
+		took, err := sw.w.WriteBatch(&run)
+		kept += int64(took)
+		if err != nil {
 			st.disable(device, err)
-			return
+			continue
+		}
+		i += took
+		sw.last = b.TS[i-1]
+		sw.dirty = true
+		if st.maxBytes > 0 && sw.n >= st.maxBytes {
+			st.seal(device)
+			sw = nil
 		}
 	}
-	if sw.dirty && r.TS < sw.last {
-		st.counters.segRecordsDropped.Add(1)
-		return
-	}
-	if err := sw.w.Write(r); err != nil {
-		st.disable(device, err)
-		return
-	}
-	sw.last = r.TS
-	sw.dirty = true
-	st.counters.segRecords.Add(1)
-	if st.maxBytes > 0 && sw.n >= st.maxBytes {
-		st.seal(device)
-	}
+	st.counters.segRecords.Add(kept)
+	st.counters.segRecordsDropped.Add(dropped)
 }
 
 func (st *segmentStore) openSegment(device string, start trace.Timestamp) (*segmentWriter, error) {

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -305,5 +306,112 @@ func TestSanitizeSegmentName(t *testing.T) {
 	s := sanitizeSegmentName(long)
 	if len(s) > 128 || s == sanitizeSegmentName(long+"y") {
 		t.Fatalf("long-name fallback broken: %q", s)
+	}
+}
+
+// TestSegmentStoreMatchesRecordAtATime: whatever the batching, appendBatch
+// leaves the files — byte for byte — and the counts that appending the
+// same records one at a time through ColumnWriter.Write leaves, with the
+// drop and roll decision taken after every record. The model below is that
+// record-at-a-time store, files in memory. Device clocks step backwards,
+// Syncs land between batches (so a Sync's cut can be what takes a file
+// over its limit), and one limit is smaller than the file header.
+func TestSegmentStoreMatchesRecordAtATime(t *testing.T) {
+	dt := synthgen.GenerateDevice(synthgen.Small(1, 2), 0)
+	recs := append([]trace.Record(nil), dt.Records[:6000]...)
+	backwards := map[int]bool{}
+	for i := 501; i < len(recs); i += 1000 {
+		recs[i].TS = recs[i-1].TS - 10_000_000
+		backwards[i] = true
+	}
+	recs[2502].TS, backwards[2502] = recs[2501].TS-1, true // two in a row
+
+	for _, tc := range []struct {
+		maxBytes int64
+		n        int
+	}{{1, 300}, {40 << 10, len(recs)}, {1 << 30, len(recs)}} {
+		recs := recs[:tc.n]
+		for _, chunk := range []int{1, 7, 128, len(recs)} {
+			// syncBefore reports whether a Sync lands ahead of record i. Not
+			// ahead of a backwards record: with nothing unsynced the drop gate
+			// is off and the writer refuses it, which disables the device.
+			syncBefore := func(i int) bool { return i > 0 && i%(13*chunk) == 0 && !backwards[i] }
+
+			var want [][]byte
+			var wantKept, wantDropped int64
+			var buf *bytes.Buffer
+			var w *trace.ColumnWriter
+			var last trace.Timestamp
+			dirty := false
+			for i := range recs {
+				if syncBefore(i) && w != nil && dirty {
+					if err := w.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					dirty = false
+				}
+				if w == nil {
+					buf = new(bytes.Buffer)
+					w, _ = trace.NewColumnWriter(buf, dt.Device, recs[i].TS)
+				}
+				if dirty && recs[i].TS < last {
+					wantDropped++
+					continue
+				}
+				if err := w.Write(&recs[i]); err != nil {
+					t.Fatal(err)
+				}
+				last, dirty = recs[i].TS, true
+				wantKept++
+				if int64(buf.Len()) >= tc.maxBytes {
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					want, w = append(want, buf.Bytes()), nil
+				}
+			}
+			if w != nil {
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, buf.Bytes())
+			}
+
+			dir := t.TempDir()
+			c := newCounters()
+			st := newSegmentStore(dir, tc.maxBytes, nil, c)
+			var b trace.RecordBatch
+			for lo := 0; lo < len(recs); lo += chunk {
+				if syncBefore(lo) {
+					if err := st.sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				b.Reset()
+				for i := lo; i < lo+chunk && i < len(recs); i++ {
+					b.Append(&recs[i])
+				}
+				st.appendBatch(dt.Device, &b)
+			}
+			st.closeAll()
+
+			name := fmt.Sprintf("maxBytes=%d chunk=%d", tc.maxBytes, chunk)
+			if k, d := c.segRecords.Load(), c.segRecordsDropped.Load(); k != wantKept || d != wantDropped || c.segErrors.Load() != 0 {
+				t.Fatalf("%s: kept %d dropped %d errors %d, want %d, %d, 0", name, k, d, c.segErrors.Load(), wantKept, wantDropped)
+			}
+			files := segmentFiles(t, dir)
+			if len(files) != len(want) {
+				t.Fatalf("%s: %d segment files, want %d", name, len(files), len(want))
+			}
+			for i, f := range files {
+				got, err := os.ReadFile(filepath.Join(dir, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Fatalf("%s: %s differs from the record-at-a-time file (%d vs %d bytes)", name, f, len(got), len(want[i]))
+				}
+			}
+		}
 	}
 }

@@ -263,6 +263,9 @@ func TestCRCSeversAndResumes(t *testing.T) {
 			frame[len(frame)-1] ^= 0xff // corrupt the CRC
 		}
 		if _, err := conn.Write(frame); err != nil {
+			if i > 1 {
+				break // the sever below can beat the remaining writes
+			}
 			t.Fatal(err)
 		}
 	}

@@ -49,15 +49,14 @@ func hash64(s string) uint64 {
 // batches contiguous accepted frames. enqueuedNS stamps the hand-off so the
 // shard can report queue latency (the backpressure gauge with a time axis).
 //
-// Exactly one of cols and recs is set. cols is the hot path: a pooled
-// columnar batch whose payload bytes live in its shared arena; the shard
-// returns it to batchPool after applying. recs is the row form kept for
-// the instrumentation benchmarks and any future non-columnar producer.
+// cols is a pooled columnar batch whose payload bytes live in its shared
+// arena; the shard returns it to batchPool after applying. The batch is the
+// only thing a shard applies and a segment stores: rows exist on the wire
+// side of the connection handler and nowhere after it.
 type recordBatch struct {
 	device     string
 	firstSeq   int64
 	cols       *trace.RecordBatch
-	recs       []trace.Record
 	enqueuedNS int64
 }
 
@@ -279,62 +278,35 @@ func (s *shard) retire(dev string) {
 	}
 }
 
-// feed applies a batch positionally: a record is accepted only when its
-// sequence number equals the device's high-water mark. Anything below is a
-// replay from a resumed or stale connection (dropped, counted); anything
-// above would be a gap the handler should have severed on and is dropped
-// the same way. First connection to deliver a given seq wins — duplicates
-// can never double-count energy.
+// feed is applyBatch plus its instrumentation. Per-batch (not per-record):
+// two histogram observations amortized over up to BatchSize records keeps
+// the apply path allocation-free and the overhead inside the noise floor
+// (BenchmarkApplyInstrumented vs BenchmarkApplyBare, which calls applyBatch
+// directly).
 //
 //repolint:noalloc
 func (s *shard) feed(b *recordBatch) {
-	// Per-batch (not per-record) instrumentation: two histogram
-	// observations amortized over up to BatchSize records keeps the apply
-	// path allocation-free and the overhead inside the noise floor.
 	if b.enqueuedNS > 0 {
 		s.counters.applySeconds.Observe(float64(time.Now().UnixNano()-b.enqueuedNS) / 1e9)
 	}
-	if b.cols != nil {
-		s.applyBatch(b)
-		return
-	}
-	s.counters.batchRecords.Observe(float64(len(b.recs)))
-	exp := s.seqs[b.device]
-	var acc *analysis.StreamAccumulator
-	dev := s.reg.get(b.device)
-	for i := range b.recs {
-		seq := b.firstSeq + int64(i)
-		if seq != exp {
-			s.counters.duplicates.Add(1)
-			continue
-		}
-		if acc == nil {
-			if acc = s.live[b.device]; acc == nil {
-				acc = analysis.NewStreamAccumulator(b.device, s.opts)
-				s.live[b.device] = acc
-			}
-		}
-		acc.Feed(&b.recs[i])
-		if s.seg != nil {
-			s.seg.appendRecord(b.device, &b.recs[i])
-		}
-		exp++
-		s.counters.records.Add(1)
-		dev.records.Add(1)
-	}
-	s.seqs[b.device] = exp
+	s.counters.batchRecords.Observe(float64(b.cols.Len()))
+	s.applyBatch(b)
 }
 
-// applyBatch is the columnar twin of the recs loop in feed: the handler
-// guarantees the batch is one contiguous run starting at firstSeq, so the
-// positional rule collapses to window arithmetic — everything before the
-// high-water mark is a replay, everything from it on feeds the accumulator
-// in one FeedBatch call. The batch goes back to batchPool afterwards.
+// applyBatch applies a batch positionally: a record is accepted only when
+// its sequence number equals the device's high-water mark. Anything below
+// is a replay from a resumed or stale connection (dropped, counted);
+// anything above would be a gap the handler should have severed on and is
+// dropped the same way. First connection to deliver a given seq wins —
+// duplicates can never double-count energy. The handler guarantees the
+// batch is one contiguous run starting at firstSeq, so the rule collapses
+// to window arithmetic — everything before the high-water mark is a
+// replay, everything from it on feeds the accumulator in one FeedBatch
+// call. The batch goes back to batchPool afterwards.
 //
 //repolint:noalloc
 func (s *shard) applyBatch(b *recordBatch) {
 	n := b.cols.Len()
-	s.counters.batchRecords.Observe(float64(n))
 	exp := s.seqs[b.device]
 	k := exp - b.firstSeq
 	if k < 0 || k >= int64(n) {

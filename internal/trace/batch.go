@@ -151,19 +151,17 @@ func (b *RecordBatch) Slice(lo, hi int) RecordBatch {
 	}
 }
 
-// BatchReader streams a trace file as RecordBatches. For METR-3
-// containers each batch is one decoded block served zero-copy; for the
-// row-oriented containers records are assembled into batches of
-// batchAssembleSize. The returned batch is only valid until the next
+// BatchReader streams a trace file as RecordBatches. For the blocked
+// containers each batch is one decoded block served zero-copy; for the v1
+// containers records are assembled into batches of batchAssembleSize. The returned batch is only valid until the next
 // call to Next.
 type BatchReader struct {
 	r     *Reader
 	owned RecordBatch
-	rec   Record
 }
 
-// batchAssembleSize is the batch length the row-format fallback
-// assembles; one METR-3 block holds records of roughly the same span.
+// batchAssembleSize is the batch length the v1 fallback assembles; one
+// METR-3 block holds records of roughly the same span.
 const batchAssembleSize = 4096
 
 // NewBatchReader sniffs the container and returns a batch-at-a-time
@@ -188,8 +186,8 @@ func (b *BatchReader) Format() Format { return b.r.Format() }
 // Next returns the next batch of records in file order, or io.EOF at a
 // clean end of stream.
 func (b *BatchReader) Next() (*RecordBatch, error) {
-	if b.r.col != nil {
-		return b.r.col.nextBatch()
+	if b.r.blocks != nil {
+		return b.r.blocks.nextBatch()
 	}
 	b.owned.Reset()
 	for b.owned.Len() < batchAssembleSize {

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -14,52 +13,65 @@ import (
 	"sync/atomic"
 )
 
-// The METR-2 blocked container:
+// The blocked containers, METR-2 and METR-3, are one frame grammar around a
+// format-specific block payload:
 //
-//	file     := "METR2\n" header block* index footer
-//	header   := deviceLen:uvarint device:bytes start:varint
-//	block    := 'B' ulen:uvarint clen:uvarint crc32c:uint32le
-//	            firstTS:varint lastTS:varint count:uvarint payload:clen-bytes
-//	payload  := DEFLATE(record*)
-//	record   := type:byte len:uvarint body:bytes       (body as in v1)
-//	index    := 'I' count:uvarint entry*
-//	entry    := offsetDelta:uvarint ulen:uvarint clen:uvarint
-//	            firstTS:varint lastTS:varint count:uvarint
-//	footer   := indexLen:uint64le indexCRC32C:uint32le "2RTEM\n"
+//	file    := magic header block* index footer
+//	magic   := "METR2\n" | "METR3\n"
+//	header  := deviceLen:uvarint device:bytes start:varint
+//	block   := 'B' ulen:uvarint clen:uvarint crc32c:uint32le
+//	           firstTS:varint lastTS:varint count:uvarint payload:clen-bytes
+//	index   := 'I' count:uvarint entry*
+//	entry   := offsetDelta:uvarint ulen:uvarint clen:uvarint
+//	           firstTS:varint lastTS:varint count:uvarint
+//	footer  := indexLen:uint64le indexCRC32C:uint32le ("2RTEM\n" | "3RTEM\n")
 //
 // Records are grouped into blocks of ~256 KiB uncompressed; each block is
-// DEFLATE-compressed independently, CRC32C-protected (Castagnoli, over the
-// compressed payload, so corruption is caught before inflating), and
+// compressed independently, CRC32C-protected (Castagnoli, over the
+// compressed payload, so corruption is caught before decompressing), and
 // carries its own first/last timestamp and record count. The timestamp
 // delta chain restarts at firstTS in every block, so blocks decode
 // independently of one another — the property the parallel reader exploits.
+// Per-record CRCs are dropped — the block CRC already covers every byte —
+// which is what makes the in-block record framing cheaper than v1's.
 //
 // The index repeats every block header plus its file offset
 // (delta-encoded), and the fixed-size footer names the index so a reader
 // holding an io.ReaderAt can seek straight to it. Streaming readers ignore
-// the index: blocks are self-describing, so NewReader decodes a METR-2
-// file front to back without seeking. Per-record CRCs are dropped — the
-// block CRC already covers every byte — which is what makes the in-block
-// record framing cheaper than v1's.
-
-var (
-	magicBlocked = []byte("METR2\n")
-	footerMagic  = []byte("2RTEM\n")
-)
+// the index: blocks are self-describing, so NewReader decodes a blocked
+// file front to back without seeking.
+//
+// This file is the frame layer and knows nothing of what a payload holds:
+// that is the codec's business — row frames under DEFLATE for METR-2
+// (rowblock.go), bit-packed columns under internal/lz for METR-3
+// (columnar.go) — and both codecs decode a block into a RecordBatch.
+//
+// Torn tail: a blocked file without a footer is a segment still being
+// written (a reader can land between cutBlock's two writes) or one a kill
+// left behind, and its last block may run past the end of the file. The
+// streaming iterator reports that as errTornBlock: ErrTruncated to
+// NewReader/ReadFile callers, a clean end after the last complete block to
+// ScanFile (see scanStream). A bad tag, a CRC mismatch or a malformed
+// header is corruption wherever it sits.
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
 	// targetBlockSize is the uncompressed payload size at which the writer
-	// cuts a block. 256 KiB keeps per-block DEFLATE dictionaries effective
-	// while leaving hundreds of blocks per device-file for the parallel
-	// reader to spread over workers (Guner & Kosar: transfer granularity is
-	// the dominant throughput/energy lever; this is the on-disk analogue).
+	// cuts a block. 256 KiB keeps per-block compression dictionaries
+	// effective while leaving hundreds of blocks per device-file for the
+	// parallel reader to spread over workers (Guner & Kosar: transfer
+	// granularity is the dominant throughput/energy lever; this is the
+	// on-disk analogue).
 	targetBlockSize = 256 << 10
 
 	// maxBlockLen is a sanity cap on both sides of a block, bounding
 	// allocation when reading crafted or corrupt headers.
 	maxBlockLen = 1 << 24
+
+	// maxBlockHeaderLen is the longest encoding of the post-tag block
+	// header: five varints and the CRC.
+	maxBlockHeaderLen = 5*binary.MaxVarintLen64 + 4
 
 	// footerLen is the fixed trailer: index length, index CRC32C, magic.
 	footerLen = 8 + 4 + 6
@@ -68,7 +80,48 @@ const (
 	indexTag = 'I'
 )
 
-// BlockInfo describes one block of a METR-2 file, as recorded in the
+// errTornBlock: a block's header or payload runs past the end of the stream.
+var errTornBlock = fmt.Errorf("%w (block runs past the end of the file)", ErrTruncated)
+
+// container is the format-specific part of a blocked file: its magics and
+// the decode half of its payload codec (the encode half, a blockEncoder,
+// carries per-writer state).
+type container struct {
+	format Format
+	magic  []byte
+	footer []byte
+
+	// decode decompresses the CRC-verified payload comp into raw (len ==
+	// h.ulen) and decodes it into dst, whose Blob aliases raw afterwards.
+	// It must reject anything that is not exactly h.count records ending
+	// at h.lastTS.
+	decode func(sc *blockScratch, comp, raw []byte, h blockHeader, dst *RecordBatch) error
+}
+
+var (
+	containerBlocked = &container{format: FormatBlocked,
+		magic: []byte("METR2\n"), footer: []byte("2RTEM\n"), decode: decodeRowBlock}
+	containerColumnar = &container{format: FormatColumnar,
+		magic: []byte("METR3\n"), footer: []byte("3RTEM\n"), decode: decodeColumnBlock}
+
+	magicBlocked        = containerBlocked.magic
+	footerMagic         = containerBlocked.footer
+	magicColumnar       = containerColumnar.magic
+	footerMagicColumnar = containerColumnar.footer
+)
+
+// containerOf returns the blocked container a file magic names, or nil.
+func containerOf(magic []byte) *container {
+	switch {
+	case bytes.Equal(magic, magicBlocked):
+		return containerBlocked
+	case bytes.Equal(magic, magicColumnar):
+		return containerColumnar
+	}
+	return nil
+}
+
+// BlockInfo describes one block of a blocked file, as recorded in the
 // footer index.
 type BlockInfo struct {
 	Offset    int64 // file offset of the block tag byte
@@ -77,199 +130,6 @@ type BlockInfo struct {
 	First     Timestamp
 	Last      Timestamp
 	Count     int // records in the block
-}
-
-// BlockWriter streams records into a METR-2 blocked container. It
-// satisfies the same Write/Flush/Count contract as Writer; Flush must be
-// the final call (it writes the last partial block, the index and the
-// footer).
-type BlockWriter struct {
-	w     io.Writer
-	off   int64
-	fw    *flate.Writer
-	comp  bytes.Buffer
-	raw   []byte // uncompressed record frames of the current block
-	hdr   []byte
-	first Timestamp
-	last  Timestamp
-	prev  Timestamp // last timestamp accepted across the whole file
-	n     int
-	count uint64
-	index []BlockInfo
-	err   error
-}
-
-// NewBlockWriter writes the METR-2 file header and returns a BlockWriter.
-func NewBlockWriter(w io.Writer, device string, start Timestamp) (*BlockWriter, error) {
-	if err := checkDeviceName(device); err != nil {
-		return nil, err
-	}
-	hdr := append([]byte(nil), magicBlocked...)
-	hdr = appendFileHeader(hdr, device, start)
-	if _, err := w.Write(hdr); err != nil {
-		return nil, err
-	}
-	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	return &BlockWriter{w: w, off: int64(len(hdr)), fw: fw,
-		raw: make([]byte, 0, targetBlockSize+4096)}, nil
-}
-
-// Count returns the number of records written so far.
-func (w *BlockWriter) Count() uint64 { return w.count }
-
-// Write encodes one record into the current block, cutting a block when
-// the uncompressed target size is reached. It returns the first error
-// encountered and is a no-op afterwards.
-func (w *BlockWriter) Write(r *Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	// Monotonicity gate: block headers record positional first/last
-	// timestamps, and range pushdown treats them as min/max when pruning
-	// blocks. A record older than its predecessor would fall outside its
-	// block's advertised range and silently vanish from windowed scans, so
-	// reject it here (equal timestamps are fine). w.last cannot serve as
-	// the reference: it doubles as the delta-encoding base and resets at
-	// each block start.
-	if w.count > 0 && r.TS < w.prev {
-		w.err = fmt.Errorf("trace: record %d (ts=%d) precedes ts=%d: %w",
-			w.count, r.TS, w.prev, ErrOutOfOrder)
-		return w.err
-	}
-	if w.n == 0 {
-		w.first = r.TS
-		w.last = r.TS
-	}
-	raw, err := w.appendFrame(w.raw, r)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	w.raw = raw
-	w.last = r.TS
-	w.prev = r.TS
-	w.n++
-	w.count++
-	if len(w.raw) >= targetBlockSize {
-		if err := w.cutBlock(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	return nil
-}
-
-// appendFrame appends one in-block record frame (type, len, body) to b.
-func (w *BlockWriter) appendFrame(b []byte, r *Record) ([]byte, error) {
-	body, err := appendBody(w.hdr[:0], r, w.last)
-	if err != nil {
-		return b, err
-	}
-	w.hdr = body // keep grown capacity
-	b = append(b, byte(r.Type))
-	b = binary.AppendUvarint(b, uint64(len(body)))
-	return append(b, body...), nil
-}
-
-// cutBlock compresses and writes the accumulated records as one block.
-func (w *BlockWriter) cutBlock() error {
-	if w.n == 0 {
-		return nil
-	}
-	w.comp.Reset()
-	w.fw.Reset(&w.comp)
-	if _, err := w.fw.Write(w.raw); err != nil {
-		return err
-	}
-	if err := w.fw.Close(); err != nil {
-		return err
-	}
-	payload := w.comp.Bytes()
-	crc := crc32.Checksum(payload, castagnoli)
-
-	hdr := append(w.hdr[:0], blockTag)
-	hdr = binary.AppendUvarint(hdr, uint64(len(w.raw)))
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc)
-	hdr = binary.AppendVarint(hdr, int64(w.first))
-	hdr = binary.AppendVarint(hdr, int64(w.last))
-	hdr = binary.AppendUvarint(hdr, uint64(w.n))
-	w.hdr = hdr
-	if _, err := w.w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(payload); err != nil {
-		return err
-	}
-	w.index = append(w.index, BlockInfo{Offset: w.off, CompLen: len(payload),
-		UncompLen: len(w.raw), First: w.first, Last: w.last, Count: w.n})
-	w.off += int64(len(hdr) + len(payload))
-	w.raw = w.raw[:0]
-	w.n = 0
-	return nil
-}
-
-// Flush writes the final partial block, the footer index and the trailer.
-// It must be the last call on the writer.
-func (w *BlockWriter) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.cutBlock(); err != nil {
-		w.err = err
-		return err
-	}
-	idx := appendBlockIndex(w.hdr[:0], w.index, footerMagic)
-	if _, err := w.w.Write(idx); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
-}
-
-// appendBlockIndex appends the footer index and trailer shared by the
-// blocked containers (METR-2 and METR-3); magic selects the trailer
-// magic and therefore the format.
-func appendBlockIndex(idx []byte, index []BlockInfo, magic []byte) []byte {
-	idx = append(idx, indexTag)
-	idx = binary.AppendUvarint(idx, uint64(len(index)))
-	prev := int64(0)
-	for _, b := range index {
-		idx = binary.AppendUvarint(idx, uint64(b.Offset-prev))
-		prev = b.Offset
-		idx = binary.AppendUvarint(idx, uint64(b.UncompLen))
-		idx = binary.AppendUvarint(idx, uint64(b.CompLen))
-		idx = binary.AppendVarint(idx, int64(b.First))
-		idx = binary.AppendVarint(idx, int64(b.Last))
-		idx = binary.AppendUvarint(idx, uint64(b.Count))
-	}
-	idx = binary.LittleEndian.AppendUint64(idx, uint64(len(idx)))
-	idx = binary.LittleEndian.AppendUint32(idx, crc32.Checksum(idx[:len(idx)-8], castagnoli))
-	return append(idx, magic...)
-}
-
-// blockDecoder is the streaming (non-seeking) METR-2 decoder behind
-// Reader.Next: it inflates one block at a time into a reused buffer and
-// serves records from it, allocation-free per record at steady state.
-type blockDecoder struct {
-	br      *bufio.Reader
-	fr      io.ReadCloser
-	compRd  *bytes.Reader
-	comp    []byte
-	raw     []byte
-	pos     int
-	left    int // records remaining in the current block
-	last    Timestamp
-	blkLast Timestamp
-	rec     Record
-	done    bool
-}
-
-func newBlockDecoder(br *bufio.Reader) *blockDecoder {
-	return &blockDecoder{br: br, compRd: bytes.NewReader(nil)}
 }
 
 // blockHeader is a parsed per-block header.
@@ -281,159 +141,405 @@ type blockHeader struct {
 	count      int
 }
 
-// readBlockHeader parses the post-tag block header fields.
-func readBlockHeader(br *bufio.Reader) (blockHeader, error) {
-	var h blockHeader
-	ulen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
+// varintErr classifies a failed binary.Uvarint/Varint: n == 0 means the
+// buffer ended inside the value, n < 0 that the value overflows 64 bits.
+func varintErr(n int) error {
+	if n == 0 {
+		return ErrTruncated
 	}
-	clen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
-	}
-	if ulen > maxBlockLen || clen > maxBlockLen {
-		return h, ErrCorrupt
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(br, crcb[:]); err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
-	}
-	first, err := binary.ReadVarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
-	}
-	last, err := binary.ReadVarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return h, mapReadErr(err, ErrTruncated, "reading block header")
-	}
-	// Every record frame is at least 2 bytes, and every uncompressed byte
-	// must belong to a declared record (trailing undeclared bytes are
-	// rejected after decoding, so a zero-count block cannot smuggle any).
-	if count > ulen/2+1 || (count == 0 && ulen != 0) {
-		return h, ErrCorrupt
-	}
-	// The writers enforce non-decreasing timestamps, so a header whose
-	// first exceeds its last was never produced by them — reject rather
-	// than let an inverted range corrupt pushdown decisions downstream.
-	if count > 0 && first > last {
-		return h, ErrCorrupt
-	}
-	h.ulen, h.clen, h.crc = int(ulen), int(clen), binary.LittleEndian.Uint32(crcb[:])
-	h.first, h.lastTS, h.count = Timestamp(first), Timestamp(last), int(count)
-	return h, nil
+	return ErrCorrupt
 }
 
-// inflateBlock verifies the CRC of comp and inflates it into raw (reusing
-// fr via flate.Resetter), returning exactly ulen bytes.
-func (d *blockDecoder) inflateBlock(h blockHeader) error {
-	if crc32.Checksum(d.comp[:h.clen], castagnoli) != h.crc {
+// parseBlockHeader parses a block header from b (starting after the tag
+// byte), returning the header and its encoded length. ErrTruncated means b
+// ended inside the header and nothing else.
+func parseBlockHeader(b []byte) (blockHeader, int, error) { return parseBlockFields(b, true) }
+
+// parseBlockFields parses and validates what a block header and the
+// block's index entry both carry — ulen, clen, firstTS, lastTS, count, and
+// between clen and firstTS the payload CRC that only the header has — so
+// the two can never disagree on what a sane block is.
+func parseBlockFields(b []byte, withCRC bool) (blockHeader, int, error) {
+	var h blockHeader
+	p := b
+	ulen, n := binary.Uvarint(p)
+	if n <= 0 {
+		return h, 0, varintErr(n)
+	}
+	p = p[n:]
+	clen, n := binary.Uvarint(p)
+	if n <= 0 {
+		return h, 0, varintErr(n)
+	}
+	p = p[n:]
+	if ulen > maxBlockLen || clen > maxBlockLen {
+		return h, 0, ErrCorrupt
+	}
+	if withCRC {
+		if len(p) < 4 {
+			return h, 0, ErrTruncated
+		}
+		h.crc = binary.LittleEndian.Uint32(p)
+		p = p[4:]
+	}
+	first, n := binary.Varint(p)
+	if n <= 0 {
+		return h, 0, varintErr(n)
+	}
+	p = p[n:]
+	last, n := binary.Varint(p)
+	if n <= 0 {
+		return h, 0, varintErr(n)
+	}
+	p = p[n:]
+	count, n := binary.Uvarint(p)
+	if n <= 0 {
+		return h, 0, varintErr(n)
+	}
+	p = p[n:]
+	// Every record is at least 2 uncompressed bytes, and every uncompressed
+	// byte must belong to a declared record (trailing undeclared bytes are
+	// rejected after decoding, so a zero-count block cannot smuggle any).
+	// Held for index entries too, otherwise a tiny file could declare
+	// arbitrary counts and drive unbounded allocations downstream.
+	if count > ulen/2+1 || (count == 0 && ulen != 0) {
+		return h, 0, ErrCorrupt
+	}
+	// The writer enforces non-decreasing timestamps, so a first that exceeds
+	// its last was never produced by it — reject rather than let an
+	// inverted range corrupt pushdown decisions downstream.
+	if count > 0 && first > last {
+		return h, 0, ErrCorrupt
+	}
+	h.ulen, h.clen = int(ulen), int(clen)
+	h.first, h.lastTS, h.count = Timestamp(first), Timestamp(last), int(count)
+	return h, len(b) - len(p), nil
+}
+
+// appendBlockFields is parseBlockFields' inverse: the block-describing
+// fields of b, with crc between clen and firstTS when withCRC.
+func appendBlockFields(dst []byte, b BlockInfo, crc uint32, withCRC bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(b.UncompLen))
+	dst = binary.AppendUvarint(dst, uint64(b.CompLen))
+	if withCRC {
+		dst = binary.LittleEndian.AppendUint32(dst, crc)
+	}
+	dst = binary.AppendVarint(dst, int64(b.First))
+	dst = binary.AppendVarint(dst, int64(b.Last))
+	return binary.AppendUvarint(dst, uint64(b.Count))
+}
+
+// blockScratch is what a block decode reuses from block to block: the
+// buffer the compressed bytes are read into, METR-2's DEFLATE reader and
+// METR-3's unpack scratch. The streaming iterator owns one; the indexed
+// readers draw theirs from blockScratchPool, which keeps the steady-state
+// decode loop free of per-block reader/buffer churn.
+type blockScratch struct {
+	buf    []byte
+	compRd *bytes.Reader
+	fr     io.ReadCloser
+	u64    []uint64
+	batch  RecordBatch // the block an indexed read decoded last
+}
+
+var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+// decodeBlock verifies comp against the header's CRC32C — before a byte of
+// it is decompressed — and hands it to the payload codec.
+func (c *container) decodeBlock(sc *blockScratch, h blockHeader, comp, raw []byte, dst *RecordBatch) error {
+	if crc32.Checksum(comp, castagnoli) != h.crc {
 		return ErrCorrupt
 	}
-	d.compRd.Reset(d.comp[:h.clen])
-	if d.fr == nil {
-		d.fr = flate.NewReader(d.compRd)
-	} else if err := d.fr.(flate.Resetter).Reset(d.compRd, nil); err != nil {
+	return c.decode(sc, comp, raw, h, dst)
+}
+
+// sliceCap resizes s to length n, reallocating only when capacity is
+// short.
+func sliceCap[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// blockEncoder is the encode half of a payload codec: it stages the
+// records of the block being built and compresses them when the writer
+// cuts.
+type blockEncoder interface {
+	// add stages r; addFrom stages record i of b without building a row.
+	// Both report whether the staged image has reached targetBlockSize.
+	add(r *Record) (full bool, err error)
+	addFrom(b *RecordBatch, i int) (full bool, err error)
+	// encode compresses the staged records into one payload (valid until
+	// the next call), returns its uncompressed length and starts afresh.
+	encode() (ulen int, comp []byte, err error)
+}
+
+// frameWriter is the writer both blocked containers share: file header,
+// admission gate, cut -> frame -> index entry, Sync, footer. It satisfies
+// RecordWriter; Flush must be the final call.
+type frameWriter struct {
+	w     io.Writer
+	c     *container
+	enc   blockEncoder
+	off   int64
+	hdr   []byte
+	first Timestamp // first timestamp of the block being staged
+	last  Timestamp // last timestamp accepted across the whole file
+	n     int       // records staged in the current block
+	count uint64
+	index []BlockInfo
+	err   error
+}
+
+func (w *frameWriter) init(out io.Writer, c *container, enc blockEncoder, device string, start Timestamp) error {
+	if err := checkDeviceName(device); err != nil {
 		return err
 	}
-	if cap(d.raw) < h.ulen {
-		d.raw = make([]byte, h.ulen)
+	hdr := appendFileHeader(append([]byte(nil), c.magic...), device, start)
+	if _, err := out.Write(hdr); err != nil {
+		return err
 	}
-	d.raw = d.raw[:h.ulen]
-	if _, err := io.ReadFull(d.fr, d.raw); err != nil {
-		return mapReadErr(err, ErrCorrupt, "inflating block")
+	*w = frameWriter{w: out, c: c, enc: enc, off: int64(len(hdr))}
+	return nil
+}
+
+// Count returns the number of records written so far.
+func (w *frameWriter) Count() uint64 { return w.count }
+
+// admit is the gate every record passes before it is staged.
+func (w *frameWriter) admit(typ RecordType, ts Timestamp) error {
+	if typ == RecInvalid || typ > RecScreen {
+		return fmt.Errorf("trace: cannot write record type %v", typ)
+	}
+	// Monotonicity gate: block headers record positional first/last
+	// timestamps, and range pushdown treats them as min/max when pruning
+	// blocks. A record older than its predecessor would fall outside its
+	// block's advertised range and silently vanish from windowed scans, so
+	// reject it here (equal timestamps are fine). w.last survives block
+	// cuts, unlike a codec's delta base, so it is the reference.
+	if w.count > 0 && ts < w.last {
+		return fmt.Errorf("trace: record %d (ts=%d) precedes ts=%d: %w",
+			w.count, ts, w.last, ErrOutOfOrder)
+	}
+	if w.n == 0 {
+		w.first = ts
 	}
 	return nil
 }
 
-// next returns the next record in file order, loading the next block when
-// the current one is exhausted.
-func (d *blockDecoder) next() (*Record, error) {
-	for d.left == 0 {
-		if d.done {
-			return nil, io.EOF
+// staged books a record the encoder has taken and cuts the block when the
+// encoder reports it full.
+func (w *frameWriter) staged(ts Timestamp, full bool) error {
+	w.last = ts
+	w.n++
+	w.count++
+	if full {
+		return w.cutBlock()
+	}
+	return nil
+}
+
+// Write appends one record to the current block, cutting a block when the
+// uncompressed target size is reached. It returns the first error
+// encountered and is a no-op afterwards.
+func (w *frameWriter) Write(r *Record) error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.err = w.admit(r.Type, r.TS); w.err != nil {
+		return w.err
+	}
+	full, err := w.enc.add(r)
+	if err == nil {
+		err = w.staged(r.TS, full)
+	}
+	w.err = err
+	return err
+}
+
+// WriteBatch is a Write loop over b — same blocks, same bytes, same error
+// at the same record — that builds no rows. b must be in the canonical
+// form Append produces. It returns how many records it took: all of them,
+// or fewer when one completed a block (so a caller that rolls files by
+// size, like the ingest segment store, decides between blocks) or failed;
+// callers loop until the batch is drained.
+func (w *frameWriter) WriteBatch(b *RecordBatch) (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	for i, ts := range b.TS {
+		if w.err = w.admit(b.Types[i], ts); w.err != nil {
+			return i, w.err
 		}
+		full, err := w.enc.addFrom(b, i)
+		if err == nil {
+			err = w.staged(ts, full)
+		}
+		if err != nil {
+			w.err = err
+			return i, err
+		}
+		if full {
+			return i + 1, nil
+		}
+	}
+	return b.Len(), nil
+}
+
+// cutBlock compresses the staged records and writes them as one block
+// frame.
+func (w *frameWriter) cutBlock() error {
+	if w.n == 0 {
+		return nil
+	}
+	ulen, comp, err := w.enc.encode()
+	if err != nil {
+		return err
+	}
+	b := BlockInfo{Offset: w.off, CompLen: len(comp), UncompLen: ulen,
+		First: w.first, Last: w.last, Count: w.n}
+	w.hdr = appendBlockFields(append(w.hdr[:0], blockTag), b, crc32.Checksum(comp, castagnoli), true)
+	if _, err := w.w.Write(w.hdr); err != nil {
+		return err
+	}
+	if _, err := w.w.Write(comp); err != nil {
+		return err
+	}
+	w.index = append(w.index, b)
+	w.off += int64(len(w.hdr) + len(comp))
+	w.n = 0
+	return nil
+}
+
+// Sync cuts the current partial block and writes it out, so a streaming
+// reader opening the file sees every record written so far. Unlike Flush
+// it writes no index or footer: the file stays unsealed and the writer
+// stays usable — the ingest segment store calls Sync before serving a
+// query over an in-progress segment, whose missing footer routes readers
+// onto the streaming (non-seeking) path.
+func (w *frameWriter) Sync() error {
+	if w.err == nil {
+		w.err = w.cutBlock()
+	}
+	return w.err
+}
+
+// Flush writes the final partial block, the footer index and the trailer.
+// It must be the last call on the writer.
+func (w *frameWriter) Flush() error {
+	if err := w.Sync(); err != nil {
+		return err
+	}
+	idx := append(w.hdr[:0], indexTag)
+	idx = binary.AppendUvarint(idx, uint64(len(w.index)))
+	prev := int64(0)
+	for _, b := range w.index {
+		idx = appendBlockFields(binary.AppendUvarint(idx, uint64(b.Offset-prev)), b, 0, false)
+		prev = b.Offset
+	}
+	idx = binary.LittleEndian.AppendUint64(idx, uint64(len(idx)))
+	idx = binary.LittleEndian.AppendUint32(idx, crc32.Checksum(idx[:len(idx)-8], castagnoli))
+	idx = append(idx, w.c.footer...)
+	_, w.err = w.w.Write(idx)
+	return w.err
+}
+
+// blockIter is the streaming (non-seeking) decoder of a blocked container,
+// behind Reader.Next and BatchReader.Next: it decodes one block at a time
+// into a reused RecordBatch and serves the batch, or records out of it,
+// allocation-free per record at steady state.
+type blockIter struct {
+	br    *bufio.Reader
+	c     *container
+	sc    blockScratch
+	raw   []byte
+	batch RecordBatch
+	idx   int // next record of batch that next serves
+	rec   Record
+}
+
+// load reads, verifies and decodes the next non-empty block into d.batch,
+// returning io.EOF at a clean end of file.
+func (d *blockIter) load() error {
+	for {
 		tag, err := d.br.ReadByte()
 		if err == io.EOF {
 			// Missing index: tolerated on the streaming path — the blocks
 			// themselves were all CRC-verified.
-			return nil, io.EOF
+			return io.EOF
 		}
 		if err != nil {
-			return nil, mapReadErr(err, ErrTruncated, "reading block tag")
+			return mapReadErr(err, ErrTruncated, "reading block tag")
 		}
 		if tag == indexTag {
 			// The streaming reader does not need the index; drain so the
-			// underlying reader is left at EOF like the v1 path.
-			d.done = true
+			// underlying reader is left at EOF like the v1 path (and every
+			// later call finds it there).
 			if _, err := io.Copy(io.Discard, d.br); err != nil && ioFailure(err) {
-				return nil, fmt.Errorf("trace: draining index: %w", err)
+				return fmt.Errorf("trace: draining index: %w", err)
 			}
-			return nil, io.EOF
+			return io.EOF
 		}
 		if tag != blockTag {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
-		h, err := readBlockHeader(d.br)
+		// A short Peek is the end of the stream; whether the header fits in
+		// what is left is for the parser to say.
+		hb, perr := d.br.Peek(maxBlockHeaderLen)
+		h, n, err := parseBlockHeader(hb)
+		if err == ErrTruncated {
+			return mapReadErr(perr, errTornBlock, "reading block header")
+		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if cap(d.comp) < h.clen {
-			d.comp = make([]byte, h.clen)
+		d.br.Discard(n) //nolint:errcheck // n bytes were just peeked
+		d.sc.buf = sliceCap(d.sc.buf, h.clen)
+		if _, err := io.ReadFull(d.br, d.sc.buf); err != nil {
+			return mapReadErr(err, errTornBlock, "reading block payload")
 		}
-		if _, err := io.ReadFull(d.br, d.comp[:h.clen]); err != nil {
-			return nil, mapReadErr(err, ErrTruncated, "reading block payload")
+		d.raw = sliceCap(d.raw, h.ulen)
+		if err := d.c.decodeBlock(&d.sc, h, d.sc.buf, d.raw, &d.batch); err != nil {
+			return err
 		}
-		if err := d.inflateBlock(h); err != nil {
-			return nil, err
+		d.idx = 0
+		if d.batch.Len() > 0 {
+			return nil
 		}
-		d.pos = 0
-		d.left = h.count
-		d.last = h.first
-		d.blkLast = h.lastTS
+		// Zero-count block: keep scanning.
 	}
-
-	rec, ts, n, err := decodeFrame(d.raw[d.pos:], d.last, &d.rec)
-	if err != nil {
-		return nil, err
-	}
-	d.pos += n
-	d.last = ts
-	d.left--
-	// The last record must land exactly on the block's declared end state:
-	// a timestamp mismatch or leftover undeclared bytes mean the block was
-	// crafted or mis-framed.
-	if d.left == 0 && (ts != d.blkLast || d.pos != len(d.raw)) {
-		return nil, ErrCorrupt
-	}
-	return rec, nil
 }
 
-// decodeFrame parses one in-block record frame (type, len, body) from b,
-// returning the record, its absolute timestamp and the frame length.
-func decodeFrame(b []byte, last Timestamp, rec *Record) (*Record, Timestamp, int, error) {
-	if len(b) == 0 {
-		return nil, 0, 0, ErrTruncated
+// next returns the next record in file order.
+func (d *blockIter) next() (*Record, error) {
+	if d.idx >= d.batch.Len() {
+		if err := d.load(); err != nil {
+			return nil, err
+		}
 	}
-	typ := RecordType(b[0])
-	blen, n := binary.Uvarint(b[1:])
-	if n <= 0 || blen > maxRecordLen {
-		return nil, 0, 0, ErrCorrupt
+	d.batch.Record(d.idx, &d.rec)
+	d.idx++
+	return &d.rec, nil
+}
+
+// nextBatch returns the next whole block as a RecordBatch, valid until
+// the following call.
+func (d *blockIter) nextBatch() (*RecordBatch, error) {
+	if err := d.load(); err != nil {
+		return nil, err
 	}
-	bodyStart := 1 + n
-	if uint64(len(b)-bodyStart) < blen {
-		return nil, 0, 0, ErrTruncated
-	}
-	body := b[bodyStart : bodyStart+int(blen)]
-	ts, err := decodeBody(typ, body, last, rec)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return rec, ts, bodyStart + int(blen), nil
+	d.idx = d.batch.Len()
+	return &d.batch, nil
+}
+
+// blockIndex is a sealed blocked file as its footer index describes it.
+type blockIndex struct {
+	c       *container
+	device  string
+	start   Timestamp
+	blocks  []BlockInfo
+	dataEnd int64 // offset of the index tag: where the last block ends
 }
 
 // ReadBlockIndex reads the footer index of a blocked container (METR-2
@@ -442,208 +548,142 @@ func decodeFrame(b []byte, last Timestamp, rec *Record) (*Record, Timestamp, int
 // or carries no (intact) footer — the caller should fall back to
 // streaming.
 func ReadBlockIndex(ra io.ReaderAt, size int64) (device string, start Timestamp, blocks []BlockInfo, ok bool, err error) {
-	device, start, blocks, _, ok, err = readBlockIndexFmt(ra, size)
-	return device, start, blocks, ok, err
+	ix, err := readBlockIndex(ra, size)
+	if err != nil || ix == nil {
+		return "", 0, nil, false, err
+	}
+	return ix.device, ix.start, ix.blocks, true, nil
 }
 
-// readBlockIndexFmt is ReadBlockIndex plus the sniffed container
-// format, which selects the per-block decoder on the parallel path.
-func readBlockIndexFmt(ra io.ReaderAt, size int64) (device string, start Timestamp, blocks []BlockInfo, format Format, ok bool, err error) {
+// readBlockIndex is ReadBlockIndex (a nil index for its ok=false) with the
+// rest an indexed read needs: the container and the data-end offset.
+func readBlockIndex(ra io.ReaderAt, size int64) (*blockIndex, error) {
 	var m [6]byte
-	if size < int64(len(magicBlocked))+footerLen {
-		return "", 0, nil, 0, false, nil
+	if size < int64(len(m))+footerLen {
+		return nil, nil
 	}
 	if _, err := ra.ReadAt(m[:], 0); err != nil {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: reading magic: %w", err)
+		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	var wantFooter []byte
-	switch {
-	case bytes.Equal(m[:], magicBlocked):
-		format, wantFooter = FormatBlocked, footerMagic
-	case bytes.Equal(m[:], magicColumnar):
-		format, wantFooter = FormatColumnar, footerMagicColumnar
-	default:
-		return "", 0, nil, 0, false, nil
+	c := containerOf(m[:])
+	if c == nil {
+		return nil, nil
 	}
 	var foot [footerLen]byte
 	if _, err := ra.ReadAt(foot[:], size-footerLen); err != nil {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: reading footer: %w", err)
+		return nil, fmt.Errorf("trace: reading footer: %w", err)
 	}
-	if !bytes.Equal(foot[12:], wantFooter) {
-		return "", 0, nil, 0, false, nil // truncated or still being written
+	if !bytes.Equal(foot[12:], c.footer) {
+		return nil, nil // truncated or still being written
 	}
 	idxLen := int64(binary.LittleEndian.Uint64(foot[:8]))
 	wantCRC := binary.LittleEndian.Uint32(foot[8:12])
 	if idxLen <= 0 || idxLen > size-footerLen || idxLen > maxBlockLen {
-		return "", 0, nil, 0, false, ErrCorrupt
+		return nil, ErrCorrupt
 	}
 	idx := make([]byte, idxLen)
 	if _, err := ra.ReadAt(idx, size-footerLen-idxLen); err != nil {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: reading index: %w", err)
+		return nil, fmt.Errorf("trace: reading index: %w", err)
 	}
 	if crc32.Checksum(idx, castagnoli) != wantCRC {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: index crc mismatch: %w", ErrCorrupt)
+		return nil, fmt.Errorf("trace: index crc mismatch: %w", ErrCorrupt)
 	}
 	if idx[0] != indexTag {
-		return "", 0, nil, 0, false, ErrCorrupt
+		return nil, ErrCorrupt
 	}
+	// Every field below comes from the (CRC-intact but possibly crafted)
+	// index, and sizes something downstream. Each entry is at least 6 bytes
+	// (six single-byte varints), so the index's own size bounds the entry
+	// count and the pre-allocation; entries pass the block header's own
+	// validation; and offsets must be strictly increasing within
+	// [1, dataEnd), dataEnd being the first byte past the last block (the
+	// index tag).
 	p := idx[1:]
-	readU := func() (uint64, bool) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, false
-		}
-		p = p[n:]
-		return v, true
+	count, n := binary.Uvarint(p)
+	if n <= 0 || count > uint64(idxLen)/6 {
+		return nil, ErrCorrupt
 	}
-	readS := func() (int64, bool) {
-		v, n := binary.Varint(p)
-		if n <= 0 {
-			return 0, false
-		}
-		p = p[n:]
-		return v, true
-	}
-	// Each index entry is at least 6 bytes (six single-byte varints), so the
-	// remaining index bytes bound the entry count — the pre-allocation below
-	// can never exceed the index's own size.
-	count, okc := readU()
-	if !okc || count > uint64(idxLen)/6 {
-		return "", 0, nil, 0, false, ErrCorrupt
-	}
-	// dataEnd is the first byte past the last block (the index tag). Every
-	// field below comes from the (CRC-intact but possibly crafted) index, so
-	// offsets must be strictly increasing within [1, dataEnd) and record
-	// counts must satisfy the same minimum-2-bytes-per-frame invariant the
-	// block headers enforce — otherwise a tiny file could declare arbitrary
-	// offsets/counts and drive unbounded allocations downstream.
-	dataEnd := size - footerLen - idxLen
-	blocks = make([]BlockInfo, 0, count)
+	p = p[n:]
+	ix := &blockIndex{c: c, dataEnd: size - footerLen - idxLen, blocks: make([]BlockInfo, 0, count)}
 	prev := int64(0)
 	prevLast := Timestamp(math.MinInt64)
 	for i := uint64(0); i < count; i++ {
-		od, ok1 := readU()
-		ul, ok2 := readU()
-		cl, ok3 := readU()
-		ft, ok4 := readS()
-		lt, ok5 := readS()
-		rc, ok6 := readU()
-		if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || !ok6 ||
-			ul > maxBlockLen || cl > maxBlockLen || rc > ul/2+1 {
-			return "", 0, nil, 0, false, ErrCorrupt
+		od, n := binary.Uvarint(p)
+		if n <= 0 {
+			return nil, ErrCorrupt
 		}
-		// Writers enforce non-decreasing timestamps, so first > last (or a
-		// block starting before its predecessor ended) is a crafted index;
+		h, m, err := parseBlockFields(p[n:], false)
+		if err != nil {
+			return nil, ErrCorrupt
+		}
+		p = p[n+m:]
+		// A block starting before its predecessor ended is a crafted index;
 		// pushdown pruning relies on these ranges being honest min/max.
-		if rc > 0 {
-			if ft > lt || Timestamp(ft) < prevLast {
-				return "", 0, nil, 0, false, ErrCorrupt
+		if h.count > 0 {
+			if h.first < prevLast {
+				return nil, ErrCorrupt
 			}
-			prevLast = Timestamp(lt)
+			prevLast = h.lastTS
 		}
-		if od == 0 || od >= uint64(dataEnd) || int64(od) > dataEnd-1-prev {
-			return "", 0, nil, 0, false, ErrCorrupt
+		if od == 0 || od >= uint64(ix.dataEnd) || int64(od) > ix.dataEnd-1-prev {
+			return nil, ErrCorrupt
 		}
 		prev += int64(od)
-		blocks = append(blocks, BlockInfo{Offset: prev, UncompLen: int(ul), CompLen: int(cl),
-			First: Timestamp(ft), Last: Timestamp(lt), Count: int(rc)})
+		ix.blocks = append(ix.blocks, BlockInfo{Offset: prev, UncompLen: h.ulen, CompLen: h.clen,
+			First: h.first, Last: h.lastTS, Count: h.count})
 	}
 
-	// Header: the first block (or the index, for an empty file) bounds it.
-	hdrEnd := size - footerLen - idxLen
-	if len(blocks) > 0 {
-		hdrEnd = blocks[0].Offset
+	// File header: the first block (or the index, for an empty file) bounds it.
+	hdrEnd := ix.dataEnd
+	if len(ix.blocks) > 0 {
+		hdrEnd = ix.blocks[0].Offset
 	}
-	hdr := make([]byte, hdrEnd)
-	if _, err := ra.ReadAt(hdr, 0); err != nil {
-		return "", 0, nil, 0, false, fmt.Errorf("trace: reading header: %w", err)
+	hdr := io.NewSectionReader(ra, int64(len(m)), hdrEnd-int64(len(m)))
+	var err error
+	if ix.device, ix.start, err = readFileHeader(bufio.NewReader(hdr)); err != nil {
+		return nil, err
 	}
-	r, err := newReader(bytes.NewReader(append(hdr, idx...)), 0)
+	return ix, nil
+}
+
+// openIndexed opens a trace file and reads its footer index; ix is nil
+// when the file has none and must be streamed instead.
+func openIndexed(path string) (*os.File, *blockIndex, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return "", 0, nil, 0, false, err
+		return nil, nil, err
 	}
-	return r.Device(), r.Start(), blocks, format, true, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	ix, err := readBlockIndex(f, st.Size())
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return f, ix, nil
 }
 
-// blockScratch is the pooled per-block decode state shared by the parallel
-// workers: the raw file-span buffer plus a reusable inflater. Pooling keeps
-// the steady-state decode loop free of per-block reader/buffer churn.
-type blockScratch struct {
-	buf    []byte
-	compRd *bytes.Reader
-	fr     io.ReadCloser
-}
-
-var blockScratchPool = sync.Pool{
-	New: func() any { return &blockScratch{compRd: bytes.NewReader(nil)} },
-}
-
-// parseBlockHeader parses a block header from b (starting after the tag
-// byte), returning the header and its encoded length.
-func parseBlockHeader(b []byte) (blockHeader, int, error) {
-	var h blockHeader
-	p := b
-	ulen, n1 := binary.Uvarint(p)
-	if n1 <= 0 {
-		return h, 0, ErrTruncated
+// readBlockAt reads block i through ra, verifies it — file span, tag,
+// header against its index entry, CRC32C — and decodes it into dst. raw is
+// the caller's buffer for the uncompressed payload, len ==
+// blocks[i].UncompLen; dst's Blob aliases it afterwards, so it must
+// outlive whatever is read out of dst.
+func (ix *blockIndex) readBlockAt(ra io.ReaderAt, i int, sc *blockScratch, raw []byte, dst *RecordBatch) error {
+	// Each block ends where the next begins; the last ends at the index.
+	b := ix.blocks[i]
+	next := ix.dataEnd
+	if i+1 < len(ix.blocks) {
+		next = ix.blocks[i+1].Offset
 	}
-	p = p[n1:]
-	clen, n2 := binary.Uvarint(p)
-	if n2 <= 0 {
-		return h, 0, ErrTruncated
-	}
-	p = p[n2:]
-	if ulen > maxBlockLen || clen > maxBlockLen {
-		return h, 0, ErrCorrupt
-	}
-	if len(p) < 4 {
-		return h, 0, ErrTruncated
-	}
-	crc := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	first, n3 := binary.Varint(p)
-	if n3 <= 0 {
-		return h, 0, ErrTruncated
-	}
-	p = p[n3:]
-	last, n4 := binary.Varint(p)
-	if n4 <= 0 {
-		return h, 0, ErrTruncated
-	}
-	p = p[n4:]
-	count, n5 := binary.Uvarint(p)
-	if n5 <= 0 {
-		return h, 0, ErrTruncated
-	}
-	p = p[n5:]
-	if count > ulen/2+1 || (count == 0 && ulen != 0) {
-		return h, 0, ErrCorrupt
-	}
-	// Same ordering invariant readBlockHeader enforces: an inverted
-	// first/last range cannot come from the monotonic writers.
-	if count > 0 && first > last {
-		return h, 0, ErrCorrupt
-	}
-	h.ulen, h.clen, h.crc = int(ulen), int(clen), crc
-	h.first, h.lastTS, h.count = Timestamp(first), Timestamp(last), int(count)
-	return h, len(b) - len(p), nil
-}
-
-// decodeBlockAt reads, verifies and fully decodes one indexed block from
-// ra into dst (which must have len == b.Count). Record payloads alias a
-// freshly inflated buffer owned by the results, so they stay valid
-// indefinitely (no per-record copy).
-func decodeBlockAt(ra io.ReaderAt, b BlockInfo, next int64, dst []Record) error {
 	span := next - b.Offset
 	if span <= 0 || span > maxBlockLen+64 {
 		return ErrCorrupt
 	}
-	sc := blockScratchPool.Get().(*blockScratch)
-	defer blockScratchPool.Put(sc)
-	if cap(sc.buf) < int(span) {
-		sc.buf = make([]byte, span)
-	}
-	buf := sc.buf[:span]
+	sc.buf = sliceCap(sc.buf, int(span))
+	buf := sc.buf
 	if _, err := ra.ReadAt(buf, b.Offset); err != nil {
 		return fmt.Errorf("trace: reading block at %d: %w", b.Offset, err)
 	}
@@ -660,47 +700,17 @@ func decodeBlockAt(ra io.ReaderAt, b BlockInfo, next int64, dst []Record) error 
 	if len(buf) < 1+hdrLen+h.clen {
 		return ErrTruncated
 	}
-	comp := buf[1+hdrLen : 1+hdrLen+h.clen]
-	if crc32.Checksum(comp, castagnoli) != h.crc {
-		return ErrCorrupt
-	}
-	sc.compRd.Reset(comp)
-	if sc.fr == nil {
-		sc.fr = flate.NewReader(sc.compRd)
-	} else if err := sc.fr.(flate.Resetter).Reset(sc.compRd, nil); err != nil {
-		return err
-	}
-	raw := make([]byte, h.ulen) // retained: record payloads alias it
-	if _, err := io.ReadFull(sc.fr, raw); err != nil {
-		return mapReadErr(err, ErrCorrupt, "inflating block")
-	}
-	if len(dst) != h.count {
-		return ErrCorrupt
-	}
-	last := h.first
-	pos := 0
-	for i := 0; i < h.count; i++ {
-		_, ts, n, err := decodeFrame(raw[pos:], last, &dst[i])
-		if err != nil {
-			return err
-		}
-		pos += n
-		last = ts
-	}
-	if last != h.lastTS || pos != len(raw) {
-		return ErrCorrupt
-	}
-	return nil
+	return ix.c.decodeBlock(sc, h, buf[1+hdrLen:1+hdrLen+h.clen], raw, dst)
 }
 
-// decodeArena holds the two large per-file buffers the parallel METR-3
-// reader fills: the record slice and the byte arena the decoded payloads
-// alias. Buffers are recycled through decodeArenaPool by
-// DeviceTrace.Recycle, which makes a steady-state decode loop (one file
-// after another, as core.OpenParallel runs it) allocation-free for the
-// dominant buffers. Reuse without re-zeroing is safe because every byte
-// of the arena and every record is fully written before the DeviceTrace
-// is returned: lz.Decompress fills each block window exactly, and block
+// decodeArena holds the two large per-file buffers the parallel reader
+// fills: the record slice and the byte arena the decoded payloads alias.
+// Buffers are recycled through decodeArenaPool by DeviceTrace.Recycle,
+// which makes a steady-state decode loop (one file after another, as
+// core.OpenParallel runs it) allocation-free for the dominant buffers.
+// Reuse without re-zeroing is safe because every record, and every arena
+// byte a record aliases, is written before the DeviceTrace is returned:
+// decompression fills each block window exactly, and block
 // materialisation assigns every record.
 type decodeArena struct {
 	recs  []Record
@@ -719,70 +729,31 @@ func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
 	if workers <= 1 {
 		return ReadFile(path)
 	}
-	f, err := os.Open(path)
+	f, ix, err := openIndexed(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	device, start, blocks, format, ok, err := readBlockIndexFmt(f, st.Size())
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+	if ix == nil {
 		return ReadAll(f)
 	}
+	blocks := ix.blocks
 
-	// Block spans: each block ends where the next begins; the last ends at
-	// the index.
-	idxOff := st.Size() // recomputed below from the footer
-	var foot [footerLen]byte
-	if _, err := f.ReadAt(foot[:], st.Size()-footerLen); err != nil {
-		return nil, err
-	}
-	idxOff = st.Size() - footerLen - int64(binary.LittleEndian.Uint64(foot[:8]))
-
-	// The index gives every block's record count up front, so all blocks
-	// decode straight into disjoint windows of one shared arena — workers
-	// never allocate result slices and there is no post-decode assembly
-	// copy. Record order is identical to sequential reading.
+	// The index gives every block's record count and uncompressed size up
+	// front, so all blocks decode straight into disjoint windows of one
+	// record slice and one byte arena (see decodeArena): two large
+	// allocations replace a pair per block, and there is no post-decode
+	// assembly copy.
 	offs := make([]int, len(blocks)+1)
+	uoffs := make([]int, len(blocks)+1)
 	for i, b := range blocks {
 		offs[i+1] = offs[i] + b.Count
+		uoffs[i+1] = uoffs[i] + b.UncompLen
 	}
-
-	// The columnar decoder also gets one shared byte arena, sliced into
-	// per-block windows sized from the index: each block decompresses
-	// straight into its window and the decoded payloads alias it, so one
-	// large allocation replaces a buffer per block. Both the arena and
-	// the record slice come from decodeArenaPool — every byte is
-	// overwritten before the trace is returned, so stale pool contents
-	// never escape.
-	var recs []Record
-	var arena []byte
-	var uoffs []int
-	var pooled *decodeArena
-	if format == FormatColumnar {
-		uoffs = make([]int, len(blocks)+1)
-		for i, b := range blocks {
-			uoffs[i+1] = uoffs[i] + b.UncompLen
-		}
-		pooled = decodeArenaPool.Get().(*decodeArena)
-		pooled.recs = sliceCap(pooled.recs, offs[len(blocks)])
-		pooled.arena = sliceCap(pooled.arena, uoffs[len(blocks)])
-		recs, arena = pooled.recs, pooled.arena
-	} else {
-		recs = make([]Record, offs[len(blocks)])
-	}
-	decodeAt := func(i int, next int64) error {
-		if format == FormatColumnar {
-			return decodeColumnBlockAt(f, blocks[i], next, recs[offs[i]:offs[i+1]], arena[uoffs[i]:uoffs[i+1]])
-		}
-		return decodeBlockAt(f, blocks[i], next, recs[offs[i]:offs[i+1]])
-	}
+	pooled := decodeArenaPool.Get().(*decodeArena)
+	pooled.recs = sliceCap(pooled.recs, offs[len(blocks)])
+	pooled.arena = sliceCap(pooled.arena, uoffs[len(blocks)])
+	recs, arena := pooled.recs, pooled.arena
 
 	errs := make([]error, len(blocks))
 	if workers > len(blocks) {
@@ -794,30 +765,31 @@ func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := blockScratchPool.Get().(*blockScratch)
+			defer blockScratchPool.Put(sc)
 			for {
 				i := int(nextBlock.Add(1)) - 1
 				if i >= len(blocks) {
 					return
 				}
-				next := idxOff
-				if i+1 < len(blocks) {
-					next = blocks[i+1].Offset
+				errs[i] = ix.readBlockAt(f, i, sc, arena[uoffs[i]:uoffs[i+1]], &sc.batch)
+				if errs[i] == nil {
+					for j, dst := 0, recs[offs[i]:offs[i+1]]; j < len(dst); j++ {
+						sc.batch.Record(j, &dst[j])
+					}
 				}
-				errs[i] = decodeAt(i, next)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			if pooled != nil {
-				decodeArenaPool.Put(pooled)
-			}
+			decodeArenaPool.Put(pooled)
 			return nil, err
 		}
 	}
 
-	dt := &DeviceTrace{Device: device, Start: start, Apps: NewAppTable(), Records: recs, pooled: pooled}
+	dt := &DeviceTrace{Device: ix.device, Start: ix.start, Apps: NewAppTable(), Records: recs, pooled: pooled}
 	for i := range recs {
 		if recs[i].Type == RecAppName {
 			dt.Apps.Register(recs[i].App, recs[i].AppName)

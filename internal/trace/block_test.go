@@ -5,8 +5,10 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -212,29 +214,108 @@ func TestBlockedTruncatedFooterStreamsAnyway(t *testing.T) {
 	}
 }
 
-func TestBlockedCorruptionDetected(t *testing.T) {
-	recs := genRecords(800)
-	data := writeBlocked(t, recs)
-	headerLen := len(magicBlocked) + 1 + len("device-b") + 2
-	for pos := headerLen; pos < len(data); pos += 997 {
-		mut := append([]byte(nil), data...)
-		mut[pos] ^= 0xff
-		r, err := NewReader(bytes.NewReader(mut))
+// blockCodecs is the table the frame-layer tests run over: what block.go
+// checks must hold whichever payload codec sits inside the frames.
+var blockCodecs = []struct {
+	format     Format
+	craftBlock func(raw []byte, count int, first, last Timestamp) []byte
+	craftIndex func(declaredCount uint64, entries []rawIndexEntry) []byte
+	// screenAt is the uncompressed payload of a block holding one
+	// RecScreen(on) record at the block's firstTS.
+	screenAt []byte
+}{
+	{FormatBlocked, craftBlockFile, craftIndexFile,
+		// type, bodyLen, body = tsDelta:varint(0) + on:byte
+		[]byte{byte(RecScreen), 0x02, 0x00, 0x01}},
+	{FormatColumnar, craftColumnFile, craftColumnIndexFile,
+		// types, flags, aux columns, then zero ts/app/len widths
+		[]byte{byte(RecScreen), 0x01, 0x00, 0x00, 0x00, 0x00}},
+}
+
+// readPaths are the three ways into a blocked file: the streaming iterator
+// and the two indexed readers. Each returns the records it delivered before
+// any error, payloads copied.
+var readPaths = []struct {
+	name string
+	read func(t *testing.T, data []byte) ([]Record, error)
+}{
+	{"stream", func(t *testing.T, data []byte) ([]Record, error) {
+		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
-			continue
+			return nil, err
 		}
-		seen := 0
+		var got []Record
 		for {
 			rec, err := r.Next()
+			if err == io.EOF {
+				return got, nil
+			}
 			if err != nil {
-				break // any clean error is acceptable; silence is not
+				return got, err
 			}
-			if !sameRecord(rec, &recs[seen]) {
-				// A corrupted block must never decode to wrong records: the
-				// CRC covers the whole payload.
-				t.Fatalf("flip at %d: record %d silently wrong", pos, seen)
-			}
-			seen++
+			cp := *rec
+			cp.Payload = append([]byte(nil), rec.Payload...)
+			got = append(got, cp)
+		}
+	}},
+	{"parallel", func(t *testing.T, data []byte) ([]Record, error) {
+		dt, err := ReadFileParallel(writeTemp(t, data), 4)
+		if err != nil {
+			return nil, err
+		}
+		return dt.Records, nil
+	}},
+	{"scan", func(t *testing.T, data []byte) ([]Record, error) {
+		var got []Record
+		_, err := ScanFile(writeTemp(t, data), ScanOptions{Range: TimeRange{From: math.MinInt64, To: math.MaxInt64}}, nil,
+			func(b *RecordBatch) error {
+				for i := 0; i < b.Len(); i++ {
+					var rec Record
+					b.Record(i, &rec)
+					rec.Payload = append([]byte(nil), rec.Payload...)
+					got = append(got, rec)
+				}
+				return nil
+			})
+		return got, err
+	}},
+}
+
+func writeTemp(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "u.metr")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestBlockedCorruptionDetected(t *testing.T) {
+	recs := genRecords(800)
+	dt := &DeviceTrace{Device: "device-b", Start: 1000, Records: recs}
+	for _, c := range blockCodecs {
+		var buf bytes.Buffer
+		if err := dt.SerializeFormat(&buf, c.format); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		headerLen := len(magicBlocked) + 1 + len("device-b") + 2
+		for _, p := range readPaths {
+			t.Run(c.format.String()+"/"+p.name, func(t *testing.T) {
+				for pos := headerLen; pos < len(data); pos += 997 {
+					mut := append([]byte(nil), data...)
+					mut[pos] ^= 0xff
+					// Any clean error is acceptable; silence is not: a
+					// corrupted block must never decode to wrong records —
+					// the CRC covers the whole payload.
+					got, _ := p.read(t, mut)
+					for i := range got {
+						if i >= len(recs) || !sameRecord(&got[i], &recs[i]) {
+							t.Fatalf("flip at %d: record %d silently wrong", pos, i)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -369,14 +450,23 @@ func TestBlockIndexRejectsCraftedEntries(t *testing.T) {
 			[]rawIndexEntry{{od: 5, ul: 16, cl: 16, rc: 1 << 50}}},
 		{"declared count exceeds index capacity", 1 << 40, nil},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			data := craftIndexFile(tc.count, tc.entries)
-			_, _, _, ok, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
-			if ok || !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("ok=%v err=%v, want ok=false ErrCorrupt", ok, err)
-			}
-		})
+	for _, c := range blockCodecs {
+		for _, tc := range cases {
+			t.Run(c.format.String()+"/"+tc.name, func(t *testing.T) {
+				data := c.craftIndex(tc.count, tc.entries)
+				_, _, _, ok, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+				if ok || !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("ok=%v err=%v, want ok=false ErrCorrupt", ok, err)
+				}
+				// The indexed readers must refuse the file, not fall back
+				// to streaming it.
+				for _, p := range readPaths[1:] {
+					if _, err := p.read(t, data); !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s: err=%v, want ErrCorrupt", p.name, err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -422,41 +512,20 @@ func craftBlockFile(raw []byte, count int, first, last Timestamp) []byte {
 // parallel path (and the same block without the trailing bytes must read
 // cleanly, proving the check is not over-strict).
 func TestBlockTrailingBytesRejected(t *testing.T) {
-	// One RecScreen record at ts=100: frame = type, bodyLen, body
-	// (body = tsDelta:varint(0) + on:byte).
-	frame := []byte{byte(RecScreen), 0x02, 0x00, 0x01}
-
-	readAllVia := func(t *testing.T, data []byte) error {
-		t.Helper()
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		for {
-			if _, err := r.Next(); err != nil {
-				if err == io.EOF {
-					return nil
+	for _, c := range blockCodecs {
+		clean := c.craftBlock(c.screenAt, 1, 100, 100)
+		dirty := c.craftBlock(append(append([]byte(nil), c.screenAt...), 0xAA, 0xBB), 1, 100, 100)
+		for _, p := range readPaths {
+			t.Run(c.format.String()+"/"+p.name, func(t *testing.T) {
+				got, err := p.read(t, clean)
+				if err != nil || len(got) != 1 || got[0].Type != RecScreen || got[0].TS != 100 || !got[0].ScreenOn {
+					t.Fatalf("clean crafted block: %v, err=%v", got, err)
 				}
-				return err
-			}
+				if _, err := p.read(t, dirty); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("err=%v, want ErrCorrupt", err)
+				}
+			})
 		}
-	}
-
-	clean := craftBlockFile(frame, 1, 100, 100)
-	if err := readAllVia(t, clean); err != nil {
-		t.Fatalf("clean crafted block: %v", err)
-	}
-
-	dirty := craftBlockFile(append(append([]byte(nil), frame...), 0xAA, 0xBB), 1, 100, 100)
-	if err := readAllVia(t, dirty); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("streaming: err=%v, want ErrCorrupt", err)
-	}
-	path := filepath.Join(t.TempDir(), "u.metr")
-	if err := os.WriteFile(path, dirty, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFileParallel(path, 4); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("parallel: err=%v, want ErrCorrupt", err)
 	}
 }
 
@@ -484,5 +553,172 @@ func TestBlockedDeviceNameBoundary(t *testing.T) {
 		if _, err := NewFormatWriter(io.Discard, format, past, 7); err == nil {
 			t.Fatalf("%v: writer accepted %d-byte name the reader would refuse", format, len(past))
 		}
+	}
+}
+
+// frameWriterAPI is what both blocked writers offer beyond RecordWriter.
+type frameWriterAPI interface {
+	RecordWriter
+	WriteBatch(*RecordBatch) (int, error)
+	Sync() error
+}
+
+// writeVia serialises recs into format through put, which is handed the
+// writer and returns the error that stopped it, if any; Flush follows a
+// clean run. It returns the bytes and how many records the writer counted.
+func writeVia(t *testing.T, format Format, put func(w frameWriterAPI) error) ([]byte, uint64, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	rw, err := NewFormatWriter(&buf, format, "device-b", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := rw.(frameWriterAPI)
+	if err := put(w); err != nil {
+		return buf.Bytes(), w.Count(), err
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), w.Count(), nil
+}
+
+// TestWriteBatchMatchesWriteLoop: batch append is Write without the rows —
+// whatever the chunking, the file is byte-identical to the one a Write loop
+// produces, and an out-of-order record stops both at the same record with
+// the same error.
+func TestWriteBatchMatchesWriteLoop(t *testing.T) {
+	recs := genRecords(5000) // several blocks, so chunks straddle cuts
+	bad := append(append([]Record(nil), recs[:3001]...), recs[3000:]...)
+	bad[3001].TS = bad[3000].TS - 1
+	for _, c := range blockCodecs {
+		for _, in := range []struct {
+			name string
+			recs []Record
+			want error
+		}{{"in-order", recs, nil}, {"out-of-order", bad, ErrOutOfOrder}} {
+			wantData, wantCount, err := writeVia(t, c.format, func(w frameWriterAPI) error {
+				for i := range in.recs {
+					if err := w.Write(&in.recs[i]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if !errors.Is(err, in.want) {
+				t.Fatalf("%v/%s: Write loop: %v", c.format, in.name, err)
+			}
+			for _, chunk := range []int{1, 7, 128, len(in.recs)} {
+				t.Run(fmt.Sprintf("%v/%s/chunk%d", c.format, in.name, chunk), func(t *testing.T) {
+					data, count, err := writeVia(t, c.format, func(w frameWriterAPI) error {
+						var b RecordBatch
+						for lo := 0; lo < len(in.recs); lo += chunk {
+							b.Reset()
+							for i := lo; i < lo+chunk && i < len(in.recs); i++ {
+								b.Append(&in.recs[i])
+							}
+							for rest := b; rest.Len() > 0; {
+								n, err := w.WriteBatch(&rest)
+								if err != nil {
+									return err
+								}
+								rest = rest.Slice(n, rest.Len())
+							}
+						}
+						return nil
+					})
+					if !errors.Is(err, in.want) {
+						t.Fatalf("err = %v, want %v", err, in.want)
+					}
+					if count != wantCount {
+						t.Fatalf("stopped at record %d, the Write loop at %d", count, wantCount)
+					}
+					if !bytes.Equal(data, wantData) {
+						t.Fatalf("%d bytes differ from the Write loop's %d", len(data), len(wantData))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestScanTornTail: a footerless file whose last block is torn — what a
+// reader sees between cutBlock's two writes, and what a kill leaves on
+// disk — scans cleanly up to the last complete block, at every byte the
+// tear can fall on, while NewReader still reports the truncation. Damage
+// ahead of the tail is still an error.
+func TestScanTornTail(t *testing.T) {
+	recs := genRecords(1500)
+	head, tail := recs[:1480], recs[1480:]
+	for _, c := range blockCodecs {
+		t.Run(c.format.String(), func(t *testing.T) {
+			var buf bytes.Buffer
+			rw, err := NewFormatWriter(&buf, c.format, "device-b", 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := rw.(frameWriterAPI)
+			for i := range head {
+				if err := w.Write(&head[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			lastBlock := buf.Len()
+			for i := range tail {
+				if err := w.Write(&tail[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Sync(); err != nil { // no Flush: the file stays unsealed
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
+			stream, scan := readPaths[0].read, readPaths[2].read
+
+			for cut := lastBlock; cut <= len(data); cut++ {
+				want := head
+				if cut == len(data) {
+					want = recs
+				}
+				got, err := scan(t, data[:cut])
+				if err != nil {
+					t.Fatalf("cut at %d of %d: ScanFile: %v", cut, len(data), err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("cut at %d of %d: ScanFile delivered %d records, want %d", cut, len(data), len(got), len(want))
+				}
+				for i := range got {
+					if !sameRecord(&got[i], &want[i]) {
+						t.Fatalf("cut at %d: record %d differs", cut, i)
+					}
+				}
+				// Anything short of the whole block, beyond its bare
+				// absence, is a truncated file to a plain reader.
+				_, err = stream(t, data[:cut])
+				if torn := cut > lastBlock && cut < len(data); torn != errors.Is(err, ErrTruncated) || (!torn && err != nil) {
+					t.Fatalf("cut at %d of %d: NewReader: %v", cut, len(data), err)
+				}
+			}
+
+			// Before the tail the torn-tail rule forgives nothing: a bad
+			// tag, a CRC mismatch, a malformed header.
+			firstBlock := len(magicBlocked) + 1 + len("device-b") + 2
+			for name, mutate := range map[string]func(d []byte){
+				"bad tag":      func(d []byte) { d[firstBlock] = 'X' },
+				"crc mismatch": func(d []byte) { d[lastBlock-1] ^= 0xff },
+				"malformed header": func(d []byte) {
+					d[firstBlock+1], d[firstBlock+2], d[firstBlock+3], d[firstBlock+4] = 0xff, 0xff, 0xff, 0x7f
+				},
+			} {
+				mut := append([]byte(nil), data[:len(data)-1]...)
+				mutate(mut)
+				if _, err := scan(t, mut); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s ahead of a torn tail: ScanFile: %v, want ErrCorrupt", name, err)
+				}
+			}
+		})
 	}
 }

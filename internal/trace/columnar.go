@@ -1,53 +1,34 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"math/bits"
-	"sync"
 
 	"netenergy/internal/lz"
 )
 
-// The METR-3 columnar container:
+// The METR-3 payload codec: a block's payload is its records as columns,
+// compressed with the dependency-free byte-oriented LZ codec.
 //
-//	file    := "METR3\n" header block* index footer
-//	header  := deviceLen:uvarint device:bytes start:varint
-//	block   := 'B' ulen:uvarint clen:uvarint crc32c:uint32le
-//	           firstTS:varint lastTS:varint count:uvarint payload:clen-bytes
 //	payload := LZ(columns)                                (internal/lz)
 //	columns := types:count-bytes flags:count-bytes aux:count-bytes
 //	           tsWidth:byte   tsDeltas:bitpacked          (zigzag of TS[i]-TS[i-1], anchored at firstTS)
 //	           appWidth:byte  apps:bitpacked
 //	           lenWidth:byte  lens:bitpacked              (payload / app-name byte counts)
 //	           blob:bytes                                 (concatenated payloads and names, sum(lens) bytes)
-//	index   := 'I' count:uvarint entry*                   (as METR-2)
-//	footer  := indexLen:uint64le indexCRC32C:uint32le "3RTEM\n"
 //
-// The block, index and footer skeleton is METR-2's exactly — same
-// header fields, same CRC32C over the compressed payload, same
-// delta-anchoring of timestamps at firstTS so blocks decode
-// independently — but the payload is column-oriented: one slice per
-// field, bitpacked where the values are narrow, compressed with the
-// dependency-free byte-oriented LZ codec instead of DEFLATE. A block
-// therefore decodes straight into a RecordBatch (the in-memory columnar
-// form) with no per-record varint walk, which is where the multi-GB/s
-// decode rate comes from; the flat Record view is materialised only at
-// the edges that still want rows.
+// The payload is column-oriented: one slice per field, bitpacked where the
+// values are narrow. A block therefore decodes straight into a RecordBatch
+// (the in-memory columnar form) with no per-record varint walk, which is
+// where the multi-GB/s decode rate comes from; the flat Record view is
+// materialised only at the edges that still want rows.
 //
 // Every field of a hostile block is validated against the block's own
 // declared ulen before any allocation is sized from it: column widths
 // are capped, the three byte columns and three packed columns must fit
 // inside ulen, and the blob must be exactly the declared lengths' sum.
 // Malformed blocks fail as ErrCorrupt, never panic or over-allocate.
-
-var (
-	magicColumnar       = []byte("METR3\n")
-	footerMagicColumnar = []byte("3RTEM\n")
-)
 
 // zigzagEnc maps a signed delta to an unsigned value with small
 // magnitudes staying small.
@@ -213,10 +194,7 @@ func decodeColumns(raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]u
 	if len(raw) < 3*n+3 {
 		return u64, ErrCorrupt
 	}
-	if cap(u64) < n {
-		u64 = make([]uint64, n)
-	}
-	u64 = u64[:n]
+	u64 = sliceCap(u64, n)
 	b.Types = sliceCap(b.Types, n)
 	b.TS = sliceCap(b.TS, n)
 	b.App = sliceCap(b.App, n)
@@ -239,17 +217,10 @@ func decodeColumns(raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]u
 	p += n
 
 	// Timestamp deltas.
-	w := uint(raw[p])
-	p++
-	if w > 64 {
+	p, ok := unpackColumn(raw, p, u64, 64)
+	if !ok {
 		return u64, ErrCorrupt
 	}
-	nb := (n*int(w) + 7) / 8
-	if len(raw)-p < nb {
-		return u64, ErrCorrupt
-	}
-	unpackBits(u64, raw[p:p+nb], w)
-	p += nb
 	prev := h.first
 	for i := 0; i < n; i++ {
 		prev += Timestamp(zigzagDec(u64[i]))
@@ -260,40 +231,18 @@ func decodeColumns(raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]u
 	}
 
 	// App IDs.
-	if len(raw)-p < 1 {
+	if p, ok = unpackColumn(raw, p, u64, 32); !ok {
 		return u64, ErrCorrupt
 	}
-	w = uint(raw[p])
-	p++
-	if w > 32 {
-		return u64, ErrCorrupt
-	}
-	nb = (n*int(w) + 7) / 8
-	if len(raw)-p < nb {
-		return u64, ErrCorrupt
-	}
-	unpackBits(u64, raw[p:p+nb], w)
-	p += nb
 	for i := 0; i < n; i++ {
 		b.App[i] = uint32(u64[i])
 	}
 
 	// Variable-length byte counts, validated per record type, then the
 	// blob itself, which must be exactly the declared lengths' sum.
-	if len(raw)-p < 1 {
+	if p, ok = unpackColumn(raw, p, u64, 32); !ok {
 		return u64, ErrCorrupt
 	}
-	w = uint(raw[p])
-	p++
-	if w > 32 {
-		return u64, ErrCorrupt
-	}
-	nb = (n*int(w) + 7) / 8
-	if len(raw)-p < nb {
-		return u64, ErrCorrupt
-	}
-	unpackBits(u64, raw[p:p+nb], w)
-	p += nb
 	var sum uint64
 	b.Off[0] = 0
 	for i := 0; i < n; i++ {
@@ -317,309 +266,76 @@ func decodeColumns(raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]u
 	return u64, nil
 }
 
-// sliceCap resizes s to length n, reallocating only when capacity is
-// short.
-func sliceCap[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// unpackColumn reads the packed column at raw[p:] — a width byte, at most
+// maxW, then len(u64) values of that width — into u64 and returns the
+// offset past it, or false when raw cannot hold what the width declares.
+func unpackColumn(raw []byte, p int, u64 []uint64, maxW uint) (int, bool) {
+	if len(raw)-p < 1 {
+		return 0, false
 	}
-	return s[:n]
+	w := uint(raw[p])
+	p++
+	nb := (len(u64)*int(w) + 7) / 8
+	if w > maxW || len(raw)-p < nb {
+		return 0, false
+	}
+	unpackBits(u64, raw[p:p+nb], w)
+	return p + nb, true
 }
 
-// ColumnWriter streams records into a METR-3 columnar container. It
-// satisfies the RecordWriter contract; Flush must be the final call.
-type ColumnWriter struct {
-	w     io.Writer
-	off   int64
-	batch RecordBatch
-	blob  int // Blob bytes at the start of the current batch (always 0)
-	raw   []byte
-	comp  []byte
-	hdr   []byte
-	u64   []uint64
-	lza   *lz.Appender
-	first Timestamp
-	last  Timestamp
-	count uint64
-	index []BlockInfo
-	err   error
-}
+// ColumnWriter streams records into a METR-3 columnar container.
+type ColumnWriter struct{ frameWriter }
 
 // NewColumnWriter writes the METR-3 file header and returns a
 // ColumnWriter.
 func NewColumnWriter(w io.Writer, device string, start Timestamp) (*ColumnWriter, error) {
-	if err := checkDeviceName(device); err != nil {
+	cw := new(ColumnWriter)
+	if err := cw.init(w, containerColumnar, &columnEncoder{lza: new(lz.Appender)}, device, start); err != nil {
 		return nil, err
 	}
-	hdr := append([]byte(nil), magicColumnar...)
-	hdr = appendFileHeader(hdr, device, start)
-	if _, err := w.Write(hdr); err != nil {
-		return nil, err
-	}
-	return &ColumnWriter{w: w, off: int64(len(hdr)), lza: new(lz.Appender)}, nil
+	return cw, nil
 }
 
-// Count returns the number of records written so far.
-func (w *ColumnWriter) Count() uint64 { return w.count }
-
-// Write appends one record to the current block, cutting a block when
-// the estimated uncompressed image reaches the target size. It returns
-// the first error encountered and is a no-op afterwards.
-func (w *ColumnWriter) Write(r *Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	if r.Type == RecInvalid || r.Type > RecScreen {
-		w.err = fmt.Errorf("trace: cannot write record type %v", r.Type)
-		return w.err
-	}
-	// Same monotonicity gate as BlockWriter.Write: pushdown scans treat
-	// the positional first/last block timestamps as min/max, so an
-	// out-of-order record would be silently skipped by windowed queries.
-	// w.last survives block cuts (unlike w.first), so it is the reference.
-	if w.count > 0 && r.TS < w.last {
-		w.err = fmt.Errorf("trace: record %d (ts=%d) precedes ts=%d: %w",
-			w.count, r.TS, w.last, ErrOutOfOrder)
-		return w.err
-	}
-	if w.batch.Len() == 0 {
-		w.first = r.TS
-	}
-	w.batch.Append(r)
-	w.last = r.TS
-	w.count++
-	// ~11 bytes/record covers the three byte columns plus typical packed
-	// timestamp/app/len widths; the blob dominates for packet-heavy data.
-	if len(w.batch.Blob)+11*w.batch.Len() >= targetBlockSize {
-		if err := w.cutBlock(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	return nil
-}
-
-// cutBlock encodes, compresses and writes the accumulated batch as one
-// block.
-func (w *ColumnWriter) cutBlock() error {
-	n := w.batch.Len()
-	if n == 0 {
-		return nil
-	}
-	w.raw, w.u64 = appendColumns(w.raw[:0], &w.batch, w.first, w.u64)
-	w.comp = w.lza.Compress(w.comp[:0], w.raw)
-	crc := crc32.Checksum(w.comp, castagnoli)
-
-	hdr := append(w.hdr[:0], blockTag)
-	hdr = binary.AppendUvarint(hdr, uint64(len(w.raw)))
-	hdr = binary.AppendUvarint(hdr, uint64(len(w.comp)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc)
-	hdr = binary.AppendVarint(hdr, int64(w.first))
-	hdr = binary.AppendVarint(hdr, int64(w.last))
-	hdr = binary.AppendUvarint(hdr, uint64(n))
-	w.hdr = hdr
-	if _, err := w.w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(w.comp); err != nil {
-		return err
-	}
-	w.index = append(w.index, BlockInfo{Offset: w.off, CompLen: len(w.comp),
-		UncompLen: len(w.raw), First: w.first, Last: w.last, Count: n})
-	w.off += int64(len(hdr) + len(w.comp))
-	w.batch.Reset()
-	return nil
-}
-
-// Flush writes the final partial block, the footer index and the
-// trailer. It must be the last call on the writer.
-func (w *ColumnWriter) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.cutBlock(); err != nil {
-		w.err = err
-		return err
-	}
-	idx := appendBlockIndex(w.hdr[:0], w.index, footerMagicColumnar)
-	if _, err := w.w.Write(idx); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
-}
-
-// Sync cuts the current partial block and writes it out, so a streaming
-// reader opening the file sees every record written so far. Unlike Flush
-// it writes no index or footer: the file stays unsealed and the writer
-// stays usable — the ingest segment store calls Sync before serving a
-// query over an in-progress segment, whose missing footer routes readers
-// onto the streaming (non-seeking) path.
-func (w *ColumnWriter) Sync() error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.cutBlock(); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
-}
-
-// columnDecoder is the streaming METR-3 decoder behind Reader.Next and
-// BatchReader.Next: it decompresses one block at a time into a reused
-// RecordBatch and serves records (or the whole batch) from it.
-type columnDecoder struct {
-	br    *bufio.Reader
-	comp  []byte
+// columnEncoder is the METR-3 blockEncoder: records are staged in a
+// RecordBatch, which is already the shape the payload stores.
+type columnEncoder struct {
+	batch RecordBatch
 	raw   []byte
+	comp  []byte
 	u64   []uint64
-	batch RecordBatch
-	idx   int
-	rec   Record
-	done  bool
+	lza   *lz.Appender
 }
 
-func newColumnDecoder(br *bufio.Reader) *columnDecoder {
-	return &columnDecoder{br: br}
+// full estimates the uncompressed image: ~11 bytes/record covers the three
+// byte columns plus typical packed timestamp/app/len widths; the blob
+// dominates for packet-heavy data.
+func (e *columnEncoder) full() bool {
+	return len(e.batch.Blob)+11*e.batch.Len() >= targetBlockSize
 }
 
-// loadBlock reads and decodes the next block into the batch, returning
-// io.EOF at a clean end of file.
-func (d *columnDecoder) loadBlock() error {
-	for {
-		if d.done {
-			return io.EOF
-		}
-		tag, err := d.br.ReadByte()
-		if err == io.EOF {
-			return io.EOF
-		}
-		if err != nil {
-			return mapReadErr(err, ErrTruncated, "reading block tag")
-		}
-		if tag == indexTag {
-			d.done = true
-			if _, err := io.Copy(io.Discard, d.br); err != nil && ioFailure(err) {
-				return fmt.Errorf("trace: draining index: %w", err)
-			}
-			return io.EOF
-		}
-		if tag != blockTag {
-			return ErrCorrupt
-		}
-		h, err := readBlockHeader(d.br)
-		if err != nil {
-			return err
-		}
-		if cap(d.comp) < h.clen {
-			d.comp = make([]byte, h.clen)
-		}
-		if _, err := io.ReadFull(d.br, d.comp[:h.clen]); err != nil {
-			return mapReadErr(err, ErrTruncated, "reading block payload")
-		}
-		if crc32.Checksum(d.comp[:h.clen], castagnoli) != h.crc {
-			return ErrCorrupt
-		}
-		if cap(d.raw) < h.ulen {
-			d.raw = make([]byte, h.ulen)
-		}
-		d.raw = d.raw[:h.ulen]
-		if err := lz.Decompress(d.raw, d.comp[:h.clen]); err != nil {
-			return ErrCorrupt
-		}
-		if d.u64, err = decodeColumns(d.raw, h, &d.batch, d.u64); err != nil {
-			return err
-		}
-		d.idx = 0
-		if d.batch.Len() > 0 {
-			return nil
-		}
-		// Zero-count block: keep scanning.
-	}
+func (e *columnEncoder) add(r *Record) (bool, error) {
+	e.batch.Append(r)
+	return e.full(), nil
 }
 
-// next returns the next record in file order.
-func (d *columnDecoder) next() (*Record, error) {
-	if d.idx >= d.batch.Len() {
-		if err := d.loadBlock(); err != nil {
-			return nil, err
-		}
-	}
-	d.batch.Record(d.idx, &d.rec)
-	d.idx++
-	return &d.rec, nil
+func (e *columnEncoder) addFrom(b *RecordBatch, i int) (bool, error) {
+	e.batch.AppendFrom(b, i)
+	return e.full(), nil
 }
 
-// nextBatch returns the next whole block as a RecordBatch, valid until
-// the following call.
-func (d *columnDecoder) nextBatch() (*RecordBatch, error) {
-	if err := d.loadBlock(); err != nil {
-		return nil, err
-	}
-	d.idx = d.batch.Len()
-	return &d.batch, nil
+func (e *columnEncoder) encode() (int, []byte, error) {
+	e.raw, e.u64 = appendColumns(e.raw[:0], &e.batch, e.batch.TS[0], e.u64)
+	e.comp = e.lza.Compress(e.comp[:0], e.raw)
+	e.batch.Reset()
+	return len(e.raw), e.comp, nil
 }
 
-// columnScratch is pooled per-block decode state for the parallel
-// reader: the batch whose columns are reused across blocks plus the
-// unpack scratch. The blob arena is not pooled — it aliases the
-// freshly-allocated raw buffer retained by the decoded records.
-type columnScratch struct {
-	batch RecordBatch
-	u64   []uint64
-}
-
-var columnScratchPool = sync.Pool{New: func() any { return new(columnScratch) }}
-
-// decodeColumnBlockAt reads, verifies and fully decodes one indexed
-// METR-3 block from ra into dst (len == b.Count). raw is the block's
-// disjoint window of the caller's decode arena, len == b.UncompLen;
-// record payloads alias it, so the arena must outlive the results.
-func decodeColumnBlockAt(ra io.ReaderAt, b BlockInfo, next int64, dst []Record, raw []byte) error {
-	span := next - b.Offset
-	if span <= 0 || span > maxBlockLen+64 {
-		return ErrCorrupt
-	}
-	sc := blockScratchPool.Get().(*blockScratch)
-	defer blockScratchPool.Put(sc)
-	if cap(sc.buf) < int(span) {
-		sc.buf = make([]byte, span)
-	}
-	buf := sc.buf[:span]
-	if _, err := ra.ReadAt(buf, b.Offset); err != nil {
-		return fmt.Errorf("trace: reading block at %d: %w", b.Offset, err)
-	}
-	if buf[0] != blockTag {
-		return ErrCorrupt
-	}
-	h, hdrLen, err := parseBlockHeader(buf[1:])
-	if err != nil {
-		return err
-	}
-	if h.clen != b.CompLen || h.ulen != b.UncompLen || h.count != b.Count {
-		return fmt.Errorf("trace: block header disagrees with index at offset %d: %w", b.Offset, ErrCorrupt)
-	}
-	if len(buf) < 1+hdrLen+h.clen {
-		return ErrTruncated
-	}
-	comp := buf[1+hdrLen : 1+hdrLen+h.clen]
-	if crc32.Checksum(comp, castagnoli) != h.crc {
-		return ErrCorrupt
-	}
-	if len(raw) != h.ulen || len(dst) != h.count {
-		return ErrCorrupt
-	}
+// decodeColumnBlock is the METR-3 container.decode.
+func decodeColumnBlock(sc *blockScratch, comp, raw []byte, h blockHeader, dst *RecordBatch) error {
 	if err := lz.Decompress(raw, comp); err != nil {
 		return ErrCorrupt
 	}
-	cs := columnScratchPool.Get().(*columnScratch)
-	defer columnScratchPool.Put(cs)
-	if cs.u64, err = decodeColumns(raw, h, &cs.batch, cs.u64); err != nil {
-		return err
-	}
-	for i := range dst {
-		cs.batch.Record(i, &dst[i])
-	}
-	return nil
+	var err error
+	sc.u64, err = decodeColumns(raw, h, dst, sc.u64)
+	return err
 }

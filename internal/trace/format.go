@@ -22,10 +22,10 @@ import (
 // The CRC32 (IEEE) covers the type byte and body, so a torn or corrupted
 // record is detected at read time rather than silently mis-parsed.
 //
-// Version 2 ("METR2") is the blocked container defined in block.go: the
-// same record bodies grouped into independently compressed, CRC-protected
-// blocks with a seekable footer index. NewReader accepts all three
-// containers transparently.
+// Versions 2 and 3 ("METR2", "METR3") are the blocked containers defined
+// in block.go: records grouped into independently compressed,
+// CRC-protected blocks with a seekable footer index. NewReader accepts all
+// four containers transparently.
 
 // Format errors.
 var (
@@ -394,8 +394,7 @@ type Reader struct {
 	format Format
 	buf    []byte
 	rec    Record
-	blk    *blockDecoder  // non-nil when reading a METR-2 container
-	col    *columnDecoder // non-nil when reading a METR-3 container
+	blocks *blockIter // non-nil when reading a blocked (METR-2/METR-3) container
 }
 
 // NewReader validates the header and returns a streaming Reader. All four
@@ -418,26 +417,17 @@ func newReader(r io.Reader, depth int) (*Reader, error) {
 				depth+1, maxContainerDepth, ErrCorrupt)
 		}
 		return newReader(flate.NewReader(br), depth+1)
-	case string(magicBlocked):
+	case string(magicBlocked), string(magicColumnar):
+		c := containerOf(m[:])
 		if depth > 0 {
-			return nil, fmt.Errorf("trace: blocked container inside a compressed container: %w", ErrCorrupt)
+			return nil, fmt.Errorf("trace: %s container inside a compressed container: %w", c.format, ErrCorrupt)
 		}
 		device, start, err := readFileHeader(br)
 		if err != nil {
 			return nil, err
 		}
-		return &Reader{device: device, start: start, format: FormatBlocked,
-			blk: newBlockDecoder(br)}, nil
-	case string(magicColumnar):
-		if depth > 0 {
-			return nil, fmt.Errorf("trace: columnar container inside a compressed container: %w", ErrCorrupt)
-		}
-		device, start, err := readFileHeader(br)
-		if err != nil {
-			return nil, err
-		}
-		return &Reader{device: device, start: start, format: FormatColumnar,
-			col: newColumnDecoder(br)}, nil
+		return &Reader{device: device, start: start, format: c.format,
+			blocks: &blockIter{br: br, c: c}}, nil
 	case string(magic):
 		device, start, err := readFileHeader(br)
 		if err != nil {
@@ -487,11 +477,8 @@ func (r *Reader) Format() Format { return r.format }
 // returned pointer and any Payload it carries are only valid until the next
 // call.
 func (r *Reader) Next() (*Record, error) {
-	if r.blk != nil {
-		return r.blk.next()
-	}
-	if r.col != nil {
-		return r.col.next()
+	if r.blocks != nil {
+		return r.blocks.next()
 	}
 	tb, err := r.r.ReadByte()
 	if err == io.EOF {

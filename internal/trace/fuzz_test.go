@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
 	"os"
@@ -243,6 +245,83 @@ func FuzzMETR3Decoder(f *testing.F) {
 					t.Fatalf("oversized batch payload accepted: %d", len(b.Bytes(j)))
 				}
 			}
+		}
+	})
+}
+
+// completeRecords walks data as a footerless blocked file, independently of
+// the streaming iterator, and returns how many records its leading run of
+// complete, CRC-valid blocks declares.
+func completeRecords(data []byte) int {
+	if len(data) < 6 || containerOf(data[:6]) == nil {
+		return 0
+	}
+	br := bufio.NewReader(bytes.NewReader(data[6:]))
+	if _, _, err := readFileHeader(br); err != nil {
+		return 0
+	}
+	p := data[len(data)-br.Buffered():]
+	total := 0
+	for len(p) > 0 && p[0] == blockTag {
+		h, n, err := parseBlockHeader(p[1:])
+		if err != nil || len(p) < 1+n+h.clen ||
+			crc32.Checksum(p[1+n:1+n+h.clen], castagnoli) != h.crc {
+			break
+		}
+		total += h.count
+		p = p[1+n+h.clen:]
+	}
+	return total
+}
+
+// FuzzScanFile feeds ScanFile arbitrary bytes with an arbitrary amount torn
+// off the end. It must never panic; on the streaming path it must succeed
+// exactly when the streaming reader does — except that a torn last block is
+// the end of the file to it — with the same records, and never deliver a
+// record of a block that is incomplete or fails its CRC.
+func FuzzScanFile(f *testing.F) {
+	for _, format := range []Format{FormatFlat, FormatBlocked, FormatColumnar} {
+		var buf bytes.Buffer
+		w, _ := NewFormatWriter(&buf, format, "dev", 1000)
+		w.Write(&Record{Type: RecAppName, TS: 1000, App: 0, AppName: "com.a"})
+		w.Write(&Record{Type: RecPacket, TS: 2000, App: 0, Dir: DirUp,
+			Net: NetCellular, State: StateService, Payload: []byte{0x45, 0, 0, 20}})
+		if s, ok := w.(interface{ Sync() error }); ok {
+			s.Sync() // two blocks, so a tear can leave one whole
+		}
+		w.Write(&Record{Type: RecScreen, TS: 3000, ScreenOn: true})
+		w.Flush()
+		f.Add(buf.Bytes(), uint16(0))
+		f.Add(buf.Bytes(), uint16(footerLen+3))  // unsealed
+		f.Add(buf.Bytes(), uint16(footerLen+20)) // unsealed, torn
+	}
+	f.Add([]byte{}, uint16(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, tear uint16) {
+		data = data[:len(data)-int(tear)%(len(data)+1)]
+		scan, stream := readPaths[2].read, readPaths[0].read
+		got, scanErr := scan(t, data)
+		if _, _, _, indexed, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data))); indexed || err != nil {
+			return // ScanFile went by the index, or refused it
+		}
+		want, streamErr := stream(t, data)
+		if errors.Is(streamErr, errTornBlock) {
+			streamErr = nil
+		}
+		if (scanErr == nil) != (streamErr == nil) {
+			t.Fatalf("ScanFile: %v, streaming reader: %v", scanErr, streamErr)
+		}
+		// A failed scan has delivered whole batches only, so a prefix.
+		if len(got) > len(want) || (scanErr == nil && len(got) != len(want)) {
+			t.Fatalf("ScanFile delivered %d records, streaming reader %d", len(got), len(want))
+		}
+		for i := range got {
+			if !sameRecord(&got[i], &want[i]) {
+				t.Fatalf("record %d differs from the streaming reader's", i)
+			}
+		}
+		if containerOf(data[:min(6, len(data))]) != nil && len(got) > completeRecords(data) {
+			t.Fatalf("%d records delivered, complete CRC-valid blocks hold %d", len(got), completeRecords(data))
 		}
 	})
 }

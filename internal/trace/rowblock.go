@@ -1,0 +1,132 @@
+package trace
+
+import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"io"
+)
+
+// The METR-2 payload codec: a block's payload is its records as v1-style
+// frames, DEFLATE-compressed.
+//
+//	payload := DEFLATE(record*)
+//	record  := type:byte len:uvarint body:bytes       (body as in v1)
+
+// BlockWriter streams records into a METR-2 blocked container.
+type BlockWriter struct{ frameWriter }
+
+// NewBlockWriter writes the METR-2 file header and returns a BlockWriter.
+func NewBlockWriter(w io.Writer, device string, start Timestamp) (*BlockWriter, error) {
+	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+	if err != nil {
+		return nil, err
+	}
+	enc := &rowEncoder{fw: fw, raw: make([]byte, 0, targetBlockSize+4096)}
+	bw := new(BlockWriter)
+	if err := bw.init(w, containerBlocked, enc, device, start); err != nil {
+		return nil, err
+	}
+	return bw, nil
+}
+
+// rowEncoder is the METR-2 blockEncoder.
+type rowEncoder struct {
+	fw   *flate.Writer
+	comp bytes.Buffer
+	raw  []byte // uncompressed record frames of the block being staged
+	body []byte
+	last Timestamp // delta base; restarts at each block's first record
+	rec  Record    // addFrom's row
+}
+
+func (e *rowEncoder) add(r *Record) (bool, error) {
+	if len(e.raw) == 0 {
+		e.last = r.TS
+	}
+	body, err := appendBody(e.body[:0], r, e.last)
+	if err != nil {
+		return false, err
+	}
+	e.body = body // keep grown capacity
+	e.raw = append(e.raw, byte(r.Type))
+	e.raw = binary.AppendUvarint(e.raw, uint64(len(body)))
+	e.raw = append(e.raw, body...)
+	e.last = r.TS
+	return len(e.raw) >= targetBlockSize, nil
+}
+
+func (e *rowEncoder) addFrom(b *RecordBatch, i int) (bool, error) {
+	b.Record(i, &e.rec)
+	return e.add(&e.rec)
+}
+
+func (e *rowEncoder) encode() (int, []byte, error) {
+	e.comp.Reset()
+	e.fw.Reset(&e.comp)
+	if _, err := e.fw.Write(e.raw); err != nil {
+		return 0, nil, err
+	}
+	if err := e.fw.Close(); err != nil {
+		return 0, nil, err
+	}
+	ulen := len(e.raw)
+	e.raw = e.raw[:0]
+	return ulen, e.comp.Bytes(), nil
+}
+
+// decodeRowBlock is the METR-2 container.decode: it inflates comp into raw
+// (reusing sc's DEFLATE reader via flate.Resetter) and walks the record
+// frames into dst.
+func decodeRowBlock(sc *blockScratch, comp, raw []byte, h blockHeader, dst *RecordBatch) error {
+	if sc.compRd == nil {
+		sc.compRd = bytes.NewReader(comp)
+		sc.fr = flate.NewReader(sc.compRd)
+	} else {
+		sc.compRd.Reset(comp)
+		if err := sc.fr.(flate.Resetter).Reset(sc.compRd, nil); err != nil {
+			return err
+		}
+	}
+	if _, err := io.ReadFull(sc.fr, raw); err != nil {
+		return mapReadErr(err, ErrCorrupt, "inflating block")
+	}
+	// dst's arena is raw itself: Append moves each payload (or app name)
+	// down to the front of raw. The write end never overtakes the read
+	// position, because every frame spends at least two header bytes ahead
+	// of the bytes it contributes.
+	dst.Reset()
+	dst.Blob = raw[:0:len(raw)]
+	var rec Record
+	last := h.first
+	pos := 0
+	for i := 0; i < h.count; i++ {
+		// One record frame: type, len, body.
+		b := raw[pos:]
+		if len(b) == 0 {
+			return ErrTruncated
+		}
+		blen, n := binary.Uvarint(b[1:])
+		if n <= 0 || blen > maxRecordLen {
+			return ErrCorrupt
+		}
+		if uint64(len(b)-1-n) < blen {
+			return ErrTruncated
+		}
+		end := 1 + n + int(blen)
+		ts, err := decodeBody(RecordType(b[0]), b[1+n:end], last, &rec)
+		if err != nil {
+			return err
+		}
+		dst.Append(&rec)
+		pos += end
+		last = ts
+	}
+	// The last record must land exactly on the block's declared end state:
+	// a timestamp mismatch or leftover undeclared bytes mean the block was
+	// crafted or mis-framed.
+	if last != h.lastTS || pos != len(raw) {
+		return ErrCorrupt
+	}
+	return nil
+}

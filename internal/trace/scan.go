@@ -2,14 +2,10 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
+	"errors"
 	"io"
 	"os"
 	"sort"
-
-	"netenergy/internal/lz"
 )
 
 // Range-pushdown scan over a single trace file: the footer index's
@@ -113,36 +109,27 @@ func (f appFilter) keep(b *RecordBatch, i int) bool {
 // duration of the call. It returns the device name from the file
 // header. stats may be nil.
 func ScanFile(path string, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) (string, error) {
-	f, err := os.Open(path)
+	f, ix, err := openIndexed(path)
 	if err != nil {
 		return "", err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return "", err
+	if stats == nil {
+		stats = new(ScanStats)
 	}
-	if stats != nil {
-		stats.Files++
-	}
-	device, _, blocks, format, ok, err := readBlockIndexFmt(f, st.Size())
-	if err != nil {
-		return device, err
-	}
-	if !ok {
+	stats.Files++
+	if ix == nil {
 		return scanStream(f, opt, stats, fn)
 	}
-	return device, scanIndexed(f, st.Size(), blocks, format, opt, stats, fn)
+	return ix.device, scanIndexed(f, ix, opt, stats, fn)
 }
 
 // scanStream is the no-index fallback: decode front to back, trim and
 // filter each batch. Flat v1 files and unsealed (in-progress) segments
 // land here — nothing can be skipped without an index, but the record
-// semantics are identical.
+// semantics are identical. f is still at offset 0: the index probe only
+// used ReadAt.
 func scanStream(f *os.File, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) (string, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return "", err
-	}
 	br, err := NewBatchReader(bufio.NewReaderSize(f, 256<<10))
 	if err != nil {
 		return "", err
@@ -151,7 +138,10 @@ func scanStream(f *os.File, opt ScanOptions, stats *ScanStats, fn func(*RecordBa
 	var scratch RecordBatch
 	for {
 		b, err := br.Next()
-		if err == io.EOF {
+		// A footerless blocked file is a segment still being written or one
+		// a kill left behind: its history ends at the last complete block,
+		// and a torn block after it is not an error (see block.go).
+		if err == io.EOF || errors.Is(err, errTornBlock) {
 			return br.Device(), nil
 		}
 		if err != nil {
@@ -164,106 +154,30 @@ func scanStream(f *os.File, opt ScanOptions, stats *ScanStats, fn func(*RecordBa
 }
 
 // scanIndexed prunes blocks via the footer index and decodes only the
-// survivors.
-func scanIndexed(f *os.File, size int64, blocks []BlockInfo, format Format, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) error {
-	// Each block ends where the next begins; the last ends at the index,
-	// whose offset the footer names.
-	var foot [footerLen]byte
-	if _, err := f.ReadAt(foot[:], size-footerLen); err != nil {
-		return err
-	}
-	idxOff := size - footerLen - int64(binary.LittleEndian.Uint64(foot[:8]))
-
+// survivors, each straight into columns so the app filter runs before any
+// Record is built.
+func scanIndexed(f *os.File, ix *blockIndex, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) error {
 	filter := newAppFilter(opt.Apps)
-	var scratch, out RecordBatch
+	sc := blockScratchPool.Get().(*blockScratch)
+	defer blockScratchPool.Put(sc)
+	var out RecordBatch
 	var raw []byte
-	var recs []Record
-	for i, b := range blocks {
-		if stats != nil {
-			stats.BlocksTotal++
-		}
+	for i, b := range ix.blocks {
+		stats.BlocksTotal++
 		if !opt.Range.overlapsBlock(b.First, b.Last) {
-			if stats != nil {
-				stats.BlocksSkipped++
-			}
+			stats.BlocksSkipped++
 			continue
 		}
-		if stats != nil {
-			stats.BlocksScanned++
+		stats.BlocksScanned++
+		raw = sliceCap(raw, b.UncompLen)
+		if err := ix.readBlockAt(f, i, sc, raw, &sc.batch); err != nil {
+			return err
 		}
-		next := idxOff
-		if i+1 < len(blocks) {
-			next = blocks[i+1].Offset
-		}
-		scratch.Reset()
-		if format == FormatColumnar {
-			var err error
-			raw, err = decodeColumnBatchAt(f, b, next, &scratch, raw)
-			if err != nil {
-				return err
-			}
-		} else {
-			recs = sliceCap(recs, b.Count)
-			if err := decodeBlockAt(f, b, next, recs); err != nil {
-				return err
-			}
-			for j := range recs {
-				scratch.Append(&recs[j])
-			}
-		}
-		if err := emitTrimmed(&scratch, opt.Range, filter, &out, stats, fn); err != nil {
+		if err := emitTrimmed(&sc.batch, opt.Range, filter, &out, stats, fn); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// decodeColumnBatchAt reads, verifies and decodes one indexed METR-3
-// block straight into dst's columns — the row-assembly-free sibling of
-// decodeColumnBlockAt, so the app filter can run before any Record is
-// built. raw is a reusable decompression buffer; the (possibly grown)
-// buffer is returned and dst's Blob aliases it until the next call.
-func decodeColumnBatchAt(ra io.ReaderAt, b BlockInfo, next int64, dst *RecordBatch, raw []byte) ([]byte, error) {
-	span := next - b.Offset
-	if span <= 0 || span > maxBlockLen+64 {
-		return raw, ErrCorrupt
-	}
-	sc := blockScratchPool.Get().(*blockScratch)
-	defer blockScratchPool.Put(sc)
-	if cap(sc.buf) < int(span) {
-		sc.buf = make([]byte, span)
-	}
-	buf := sc.buf[:span]
-	if _, err := ra.ReadAt(buf, b.Offset); err != nil {
-		return raw, fmt.Errorf("trace: reading block at %d: %w", b.Offset, err)
-	}
-	if buf[0] != blockTag {
-		return raw, ErrCorrupt
-	}
-	h, hdrLen, err := parseBlockHeader(buf[1:])
-	if err != nil {
-		return raw, err
-	}
-	if h.clen != b.CompLen || h.ulen != b.UncompLen || h.count != b.Count {
-		return raw, fmt.Errorf("trace: block header disagrees with index at offset %d: %w", b.Offset, ErrCorrupt)
-	}
-	if len(buf) < 1+hdrLen+h.clen {
-		return raw, ErrTruncated
-	}
-	comp := buf[1+hdrLen : 1+hdrLen+h.clen]
-	if crc32.Checksum(comp, castagnoli) != h.crc {
-		return raw, ErrCorrupt
-	}
-	raw = sliceCap(raw, h.ulen)
-	if err := lz.Decompress(raw, comp); err != nil {
-		return raw, ErrCorrupt
-	}
-	cs := columnScratchPool.Get().(*columnScratch)
-	defer columnScratchPool.Put(cs)
-	if cs.u64, err = decodeColumns(raw, h, dst, cs.u64); err != nil {
-		return raw, err
-	}
-	return raw, nil
 }
 
 // emitTrimmed trims b to the window by binary search on the sorted
@@ -272,9 +186,7 @@ func decodeColumnBatchAt(ra io.ReaderAt, b BlockInfo, next int64, dst *RecordBat
 // delivered as a zero-copy view), and hands the result to fn.
 func emitTrimmed(b *RecordBatch, r TimeRange, filter appFilter, out *RecordBatch, stats *ScanStats, fn func(*RecordBatch) error) error {
 	n := b.Len()
-	if stats != nil {
-		stats.RecordsScanned += int64(n)
-	}
+	stats.RecordsScanned += int64(n)
 	if n == 0 {
 		return nil
 	}
@@ -287,9 +199,7 @@ func emitTrimmed(b *RecordBatch, r TimeRange, filter appFilter, out *RecordBatch
 	}
 	if filter == nil {
 		view := b.Slice(lo, hi)
-		if stats != nil {
-			stats.RecordsMatched += int64(view.Len())
-		}
+		stats.RecordsMatched += int64(view.Len())
 		return fn(&view)
 	}
 	out.Reset()
@@ -301,8 +211,6 @@ func emitTrimmed(b *RecordBatch, r TimeRange, filter appFilter, out *RecordBatch
 	if out.Len() == 0 {
 		return nil
 	}
-	if stats != nil {
-		stats.RecordsMatched += int64(out.Len())
-	}
+	stats.RecordsMatched += int64(out.Len())
 	return fn(out)
 }

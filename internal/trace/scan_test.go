@@ -353,15 +353,14 @@ func TestScanUnsealedFile(t *testing.T) {
 // exceeds its lastTS cannot come from the monotonic writers and must
 // read as corrupt, in both the streaming and the seeking paths.
 func TestCorruptInvertedBlockRange(t *testing.T) {
-	data := craftColumnFile([]byte{byte(RecScreen), 0, 1, 0}, 1, 200, 100)
-	if _, err := ReadAll(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("streaming decode of inverted range: got %v, want ErrCorrupt", err)
-	}
-	path := filepath.Join(t.TempDir(), "inv.metr3")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFileParallel(path, 4); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("indexed decode of inverted range: got %v, want ErrCorrupt", err)
+	for _, c := range blockCodecs {
+		data := c.craftBlock(c.screenAt, 1, 200, 100)
+		for _, p := range readPaths {
+			t.Run(c.format.String()+"/"+p.name, func(t *testing.T) {
+				if _, err := p.read(t, data); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("decode of inverted range: got %v, want ErrCorrupt", err)
+				}
+			})
+		}
 	}
 }

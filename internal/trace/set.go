@@ -130,7 +130,8 @@ func ReadFile(path string) (*DeviceTrace, error) {
 }
 
 // RecordWriter is the shared contract of the container writers (Writer,
-// BlockWriter): stream records, then Flush exactly once to finish the file.
+// BlockWriter, ColumnWriter): stream records, then Flush exactly once to
+// finish the file.
 type RecordWriter interface {
 	Write(*Record) error
 	Flush() error
@@ -179,10 +180,6 @@ func (dt *DeviceTrace) SerializeFormat(w io.Writer, format Format) error {
 	if err != nil {
 		return err
 	}
-	return dt.writeRecords(tw)
-}
-
-func (dt *DeviceTrace) writeRecords(tw RecordWriter) error {
 	for i := range dt.Records {
 		if err := tw.Write(&dt.Records[i]); err != nil {
 			return err
@@ -192,29 +189,18 @@ func (dt *DeviceTrace) writeRecords(tw RecordWriter) error {
 }
 
 // DetectFileFormat sniffs the container format of a trace file from its
-// magic bytes without decoding it.
+// magic bytes and header without decoding any record.
 func DetectFileFormat(path string) (Format, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	var m [6]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return 0, mapReadErr(err, ErrBadMagic, "reading magic")
+	r, err := NewReader(f)
+	if err != nil {
+		return 0, err
 	}
-	switch string(m[:]) {
-	case string(magic):
-		return FormatFlat, nil
-	case string(magicFlat):
-		return FormatDeflate, nil
-	case string(magicBlocked):
-		return FormatBlocked, nil
-	case string(magicColumnar):
-		return FormatColumnar, nil
-	default:
-		return 0, ErrBadMagic
-	}
+	return r.Format(), nil
 }
 
 // Encode serialises the trace to a byte slice.

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# End-to-end ingest smoke test, six phases:
+# End-to-end ingest smoke test, seven phases:
 #   1. golden: batch and streamed analysis must still reproduce
 #      testdata/golden.json;
 #   1b. convert: a small generated fleet is rewritten METR-2 -> METR-3 ->
 #      flat with tracecat -convert; every container must report the same
 #      NDJSON record stream, proving the columnar codec round-trips through
 #      the CLI tooling, not just the library tests;
+#   1c. early-signal: SIGTERM the instant ingestd is listening must still
+#      drain and exit zero — the handler is installed before anything
+#      listens;
 #   2. clean: stream a 200-device synthetic fleet into a local ingestd and
 #      require zero dropped records and a clean SIGTERM drain (the final
 #      headline is kept as the cluster phase's reference);
@@ -72,6 +75,32 @@ run_phase() { # name, extra fleetsim flags...
   fi
   pid=
   echo "smoke: $name phase ok"
+}
+
+# run_early_signal: a supervisor that stops a node the moment it is up must
+# get a drain, not a kill. "Up" is the admin port accepting — the last thing
+# ingestd does before it prints its listen line — and the start is repeated
+# because the stretch a late handler leaves open is a fraction of a
+# millisecond (ten rounds caught the old ordering about five times in six).
+run_early_signal() {
+  local log="$WORK/early.log" round
+  for round in 1 2 3 4 5 6 7 8 9 10; do
+    rm -rf "$WORK/early-ckpt" "$WORK/early-seg"
+    ./bin/ingestd -listen "$ADDR" -admin "$ADMIN" \
+      -checkpoint-dir "$WORK/early-ckpt" -segment-dir "$WORK/early-seg" > "$log" 2>&1 &
+    pid=$!
+    until (exec 3<>"/dev/tcp/${ADMIN%:*}/${ADMIN##*:}") 2>/dev/null; do
+      kill -0 "$pid" 2>/dev/null || { cat "$log" >&2; echo "smoke: ingestd exited before listening" >&2; exit 1; }
+    done
+    kill -TERM "$pid"
+    if ! wait "$pid" || ! grep -q 'ingestd: drained 0 devices' "$log"; then
+      cat "$log" >&2
+      echo "smoke: SIGTERM as ingestd came up did not drain cleanly (round $round)" >&2
+      exit 1
+    fi
+    pid=
+  done
+  echo "smoke: early-signal phase ok"
 }
 
 # jfield extracts one numeric field from an indented JSON headline.
@@ -409,6 +438,7 @@ for f in "$gen_dir"/*.metr; do
 done
 echo "smoke: convert phase ok (metr2 -> metr3 -> flat round trip)"
 
+run_early_signal
 run_phase clean -headline-json "$WORK/ref.json"
 run_query
 run_phase chaos -chaos-drop 0.05 -chaos-corrupt 0.01 -chaos-seed 7 -deadline 5m
