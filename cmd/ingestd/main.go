@@ -17,7 +17,7 @@
 // With -segment-dir every accepted record is also appended to per-device
 // METR-3 segment files, and the admin /query endpoint answers windowed,
 // filtered time-series queries over that history (sealed segments plus
-// the live, still-open tail). See the tsq package and DESIGN.md §12.
+// the live, still-open tail). See the tsq package and DESIGN.md §11.
 //
 // With -checkpoint-dir the daemon periodically persists every device
 // stream's analysis state and sequence number; after a crash (SIGKILL,

@@ -532,7 +532,7 @@ type FleetQueryResult struct {
 // Queries read each node's local segment store, so unlike /headline the
 // answer covers only records that survived on disk where they were first
 // ingested: checkpoint handoff moves accumulator state, not segment
-// files (see DESIGN.md §12 for the exact guarantee).
+// files (see DESIGN.md §11 for the exact guarantee).
 func (a *Aggregator) QueryFleet(q tsq.Query) (FleetQueryResult, error) {
 	live := a.cfg.Prober.Live()
 	out := FleetQueryResult{Epoch: a.cfg.Prober.Epoch(), NodesLive: len(live), Nodes: []string{}}

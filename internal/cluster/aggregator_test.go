@@ -29,6 +29,10 @@ func startIngest(t testing.TB, cfg ingest.Config) *ingest.Server {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// Survivors a test never stops keep their checkpoint loops writing into
+	// its t.TempDir while cleanup removes it ("directory not empty"). Kill
+	// is idempotent and a no-op after Shutdown.
+	t.Cleanup(s.Kill)
 	return s
 }
 

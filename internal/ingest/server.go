@@ -162,20 +162,24 @@ type Server struct {
 	rates    rateTracker
 	started  time.Time
 
-	ckpt     *checkpoint.Store
-	ckptMu   sync.Mutex // serializes Save calls (ticker vs admin POST)
+	ckpt *checkpoint.Store
+	// ckptMu makes collecting the shards' state and writing it one critical
+	// section (shared with the fence's archive), so generations reach disk in
+	// the order their state was taken and a newer one never holds older
+	// state. Nothing a shard runs takes it, so waiting on shards under it
+	// cannot deadlock.
+	ckptMu   sync.Mutex
 	ckptStop chan struct{}
 	ckptDone chan struct{}
 	ckptOnce sync.Once
 
 	// incarnation uniquely names this process lifetime; it is stamped into
-	// every checkpoint's fence. restoredFence/restoredGen remember the fence
+	// every checkpoint's fence. restoredFence remembers the fence
 	// of the checkpoint this process restored at Start, so an aggregator
 	// fence probe can recognize state that was restored from an
 	// already-shipped file even when the tombstone write itself was lost.
 	incarnation   string
 	restoredFence checkpoint.Fence
-	restoredGen   uint64
 	fenced        atomic.Bool
 	finb          finBatcher
 
@@ -188,13 +192,14 @@ type Server struct {
 	retiredMu     sync.Mutex
 	mergedRetired map[uint32]struct{}
 
-	mu       sync.RWMutex // guards conns, drain, chClosed, final
-	conns    map[net.Conn]struct{}
-	drain    bool
-	chClosed bool
-	final    *analysis.StreamResult
-	handler  sync.WaitGroup
-	accept   sync.WaitGroup
+	mu      sync.RWMutex // guards conns and drain; never held across a shard send
+	conns   map[net.Conn]struct{}
+	drain   bool
+	handler sync.WaitGroup
+	accept  sync.WaitGroup
+	// stopOnce sends the shards their stop request; finish is Shutdown's
+	// one final checkpoint, which Kill spends on nothing.
+	stopOnce, finish sync.Once
 }
 
 // NewServer builds a Server; Start brings up the listeners.
@@ -264,6 +269,7 @@ func (s *Server) Events() *obs.EventLog { return s.counters.events }
 // the checkpoint loop and (if configured) the admin endpoint. It returns
 // once the server is accepting.
 func (s *Server) Start() error {
+	var recovered *restorePlan
 	if s.cfg.CheckpointDir != "" {
 		st, err := checkpoint.Open(s.cfg.CheckpointDir)
 		if err != nil {
@@ -302,16 +308,19 @@ func (s *Server) Start() error {
 			}
 		}
 
-		snap, gen, err := st.LoadLatest(s.validateSnapshot)
+		// The validator is the decoder: a structurally-valid file whose
+		// analysis state does not decode falls back to the previous
+		// generation instead of poisoning recovery, and the one that passes
+		// is already decoded.
+		snap, gen, err := st.LoadLatest(func(c *checkpoint.Snapshot) (err error) {
+			recovered, err = s.decodeSnapshot(c, nil)
+			return err
+		})
 		if err != nil {
 			return fmt.Errorf("ingest: load checkpoint: %w", err)
 		}
 		if snap != nil {
-			if err := s.restore(snap); err != nil {
-				return fmt.Errorf("ingest: restore checkpoint gen %d: %w", gen, err)
-			}
 			s.restoredFence = snap.Fence
-			s.restoredGen = gen
 			s.counters.ckptGen.Set(int64(gen))
 			s.counters.ckptUnixNano.Set(time.Now().UnixNano())
 			s.counters.events.Logf(obs.LevelInfo, "recovered checkpoint generation %d (%d devices)", gen, len(snap.Devices))
@@ -330,13 +339,22 @@ func (s *Server) Start() error {
 			return err
 		}
 		s.adminLn = aln
-		s.admin = &http.Server{Handler: s.adminMux()}
-		//repolint:allow goexit — external http.Server body; Shutdown/Kill close it via s.admin.Shutdown/Close, which makes Serve return
-		go s.admin.Serve(aln) //nolint:errcheck // closed via Shutdown
 	}
 	s.started = time.Now()
 	for _, sh := range s.shard {
 		go sh.run()
+	}
+	if recovered != nil {
+		// Own state comes back the way a handoff comes in. Nothing is being
+		// served yet, so every unit is ahead of an empty shard; counters are
+		// seeded from the sequence numbers on the way, so the observability
+		// surface survives the restart.
+		s.install(recovered, new(TransferResult))
+	}
+	if s.adminLn != nil {
+		s.admin = &http.Server{Handler: s.adminMux()}
+		//repolint:allow goexit — external http.Server body; Shutdown/Kill close it via s.admin.Shutdown/Close, which makes Serve return
+		go s.admin.Serve(s.adminLn) //nolint:errcheck // closed via Shutdown
 	}
 	if s.ckpt != nil {
 		s.ckptStop = make(chan struct{})
@@ -348,83 +366,103 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// validateSnapshot deep-decodes every opaque blob in a candidate checkpoint
-// so a structurally-valid file with undecodable analysis state falls back
-// to the previous generation instead of poisoning recovery.
-func (s *Server) validateSnapshot(snap *checkpoint.Snapshot) error {
-	for i := range snap.Devices {
-		d := &snap.Devices[i]
-		if d.Seq < 0 {
-			return fmt.Errorf("device %q: negative seq", d.Device)
-		}
-		if d.Acc != nil {
-			if _, err := analysis.RestoreStreamAccumulator(d.Acc, s.cfg.Opts); err != nil {
-				return fmt.Errorf("device %q: %w", d.Device, err)
-			}
-		}
-	}
-	if snap.Retired != nil {
-		if _, err := analysis.DecodeStreamResult(snap.Retired); err != nil {
-			return fmt.Errorf("retired aggregate: %w", err)
-		}
-	}
-	for i := range snap.Ledger {
-		r := &snap.Ledger[i]
-		if r.Seq < 0 {
-			return fmt.Errorf("retired device %q: negative seq", r.Device)
-		}
-		if _, err := analysis.DecodeStreamResult(r.Blob); err != nil {
-			return fmt.Errorf("retired device %q: %w", r.Device, err)
-		}
-	}
-	return nil
+// restorePlan is a checkpoint.Snapshot decoded for installation.
+type restorePlan struct {
+	units    [][]*install           // per shard of THIS server's ring
+	legacy   *analysis.StreamResult // the unattributed retired aggregate, if any
+	notOwned int                    // devices left out because own said no
 }
 
-// restore rebuilds shard state from a checkpoint. It runs before the shard
-// workers start, so it may touch shard maps directly. Devices are placed by
-// THIS server's ring — the shard count may differ from the process that
-// wrote the checkpoint — and the retired aggregate (placement-irrelevant:
-// it is only ever merged) goes to shard 0. Counters are seeded from the
-// sequence numbers so the observability surface survives the restart.
-func (s *Server) restore(snap *checkpoint.Snapshot) error {
-	for i := range snap.Devices {
-		d := &snap.Devices[i]
-		sh := s.shard[s.ring.shard(d.Device)]
-		sh.seqs[d.Device] = d.Seq
-		if d.Acc != nil {
-			acc, err := analysis.RestoreStreamAccumulator(d.Acc, s.cfg.Opts)
-			if err != nil {
-				return err
+// decodeSnapshot turns a snapshot into install units, one per device, placed
+// by THIS server's ring — the shard count may differ from the process that
+// wrote the file — and keeping only the devices own accepts (nil: all).
+// Every opaque blob is decoded and every sequence number checked here,
+// before anything is mutated: a snapshot either installs cleanly or is
+// refused whole, which also makes this the LoadLatest validator.
+func (s *Server) decodeSnapshot(snap *checkpoint.Snapshot, own func(device string) bool) (*restorePlan, error) {
+	p := &restorePlan{units: make([][]*install, len(s.shard))}
+	at := make(map[string]*install, len(snap.Ledger)+len(snap.Devices))
+	// unit returns device's unit with its high-water mark raised to seq. A
+	// device named twice keeps the later entry, which must be the further
+	// one: the ledger is read first, so a live section behind its own
+	// retirement — or a negative seq — is refused here.
+	unit := func(device string, seq int64) (*install, error) {
+		u := at[device]
+		if u == nil {
+			u = &install{device: device}
+			at[device] = u
+			if own != nil && !own(device) {
+				p.notOwned++ // still decoded: the file is judged whole
+			} else {
+				si := s.ring.shard(device)
+				p.units[si] = append(p.units[si], u)
 			}
-			sh.live[d.Device] = acc
 		}
-		s.counters.records.Add(d.Seq)
-		s.devices.get(d.Device).records.Add(d.Seq)
+		if seq < u.seq {
+			return nil, fmt.Errorf("device %q: seq %d is behind %d", device, seq, u.seq)
+		}
+		u.seq = seq
+		return u, nil
+	}
+	result := func(what string, blob []byte) (*analysis.StreamResult, error) {
+		res, err := analysis.DecodeStreamResult(blob)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", what, err)
+		}
+		return res, nil
 	}
 	for i := range snap.Ledger {
 		r := &snap.Ledger[i]
-		res, err := analysis.DecodeStreamResult(r.Blob)
+		u, err := unit(r.Device, r.Seq)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sh := s.shard[s.ring.shard(r.Device)]
-		sh.seqs[r.Device] = r.Seq
-		sh.ledger[r.Device] = &ledgerEntry{seq: r.Seq, crc: r.CRC, blob: append([]byte(nil), r.Blob...)}
-		sh.retired.Merge(res)
-		s.counters.records.Add(r.Seq)
-		s.devices.get(r.Device).records.Add(r.Seq)
+		if u.res, err = result("retired device "+strconv.Quote(r.Device), r.Blob); err != nil {
+			return nil, err
+		}
+		u.closed = &ledgerEntry{seq: r.Seq, crc: r.CRC, blob: append([]byte(nil), r.Blob...)}
+	}
+	for i := range snap.Devices {
+		d := &snap.Devices[i]
+		u, err := unit(d.Device, d.Seq)
+		if err != nil {
+			return nil, err
+		}
+		if u.acc = nil; d.Acc != nil {
+			if u.acc, err = analysis.RestoreStreamAccumulator(d.Acc, s.cfg.Opts); err != nil {
+				return nil, fmt.Errorf("device %q: %w", d.Device, err)
+			}
+		}
 	}
 	if snap.Retired != nil {
-		res, err := analysis.DecodeStreamResult(snap.Retired)
-		if err != nil {
-			return err
+		var err error
+		if p.legacy, err = result("retired aggregate", snap.Retired); err != nil {
+			return nil, err
 		}
-		// Unattributed (pre-ledger) finalized state: serve it and carry it
-		// forward as the legacy aggregate in future checkpoints.
-		s.shard[0].retired.Merge(res)
-		s.shard[0].retiredLegacy.Merge(res)
 	}
-	return nil
+	return p, nil
+}
+
+// install hands every shard its share of a decoded snapshot through the
+// mailbox and sums what they did with it; the legacy aggregate is
+// placement-irrelevant (it is only ever merged) and rides with shard 0's.
+// False means some shard had stopped: the node is draining, and what the
+// others installed is in its final checkpoint.
+func (s *Server) install(p *restorePlan, sum *TransferResult) bool {
+	reps := make([]TransferResult, len(s.shard))
+	ok := s.askShards(func(i int, sh *shard) {
+		var legacy *analysis.StreamResult
+		if i == 0 {
+			legacy = p.legacy
+		}
+		sh.install(p.units[i], legacy, &reps[i])
+	})
+	for _, rep := range reps {
+		sum.AcceptedDevices += rep.AcceptedDevices
+		sum.SkippedStale += rep.SkippedStale
+		sum.Records += rep.Records
+	}
+	return ok
 }
 
 // Addr returns the bound stream-listener address (useful with ":0").
@@ -532,21 +570,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	// Resume handshake: ask the owning shard for the device's accepted
-	// count; the ack tells the client where to (re)start. The enqueue is
-	// guarded like Snapshot's: Shutdown closes shard channels only under
-	// the write lock, after handlers exit.
+	// count; the ack tells the client where to (re)start.
 	sh := s.shard[s.ring.shard(device)]
-	seqc := make(chan int64, 1)
-	s.mu.RLock()
-	if s.drain {
-		s.mu.RUnlock()
+	var next int64
+	if !sh.ask(func() { next = sh.seqs[device] }) {
 		s.writeAckTimed(conn, ackDraining, 0) //nolint:errcheck
 		return
 	}
-	//repolint:allow lockhold — the send drains: shard.run never takes s.mu, and the enqueue must stay under RLock so Shutdown (write lock) cannot close sh.ch mid-send
-	sh.ch <- shardReq{seq: &seqReq{device: device, reply: seqc}}
-	s.mu.RUnlock()
-	next := <-seqc
 	if err := s.writeAckTimed(conn, ackOK, uint64(next)); err != nil {
 		return
 	}
@@ -566,6 +596,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	cols.Reset()
 	batchFirst := next
 
+	// flush is the one send that does not watch sh.done: the stop request
+	// is only sent once every handler has returned.
 	flush := func() {
 		if cols.Len() == 0 {
 			return
@@ -612,9 +644,15 @@ func (s *Server) handleConn(conn net.Conn) {
 			if rseq == next && dev.notePoison(rseq) >= poisonThreshold {
 				// The same head-of-line record failed on poisonThreshold
 				// consecutive connections: skip it or the stream wedges
-				// in a reconnect loop forever.
+				// in a reconnect loop forever. The record is lost (and
+				// counted): the explicit, bounded alternative.
 				flush()
-				sh.ch <- shardReq{skip: &skipReq{device: device, seq: rseq}}
+				sh.ask(func() {
+					if sh.seqs[device] == rseq {
+						sh.seqs[device] = rseq + 1
+						s.counters.recordsSkipped.Add(1)
+					}
+				})
 				dev.clearPoison()
 				s.counters.events.Logf(obs.LevelError, "poison record skipped: device %s seq %d", device, rseq)
 			}
@@ -668,10 +706,14 @@ func (s *Server) handleConn(conn net.Conn) {
 				sever("fin sequence mismatch")
 				return
 			}
+			// FIN closes the session; the reply is the device's accepted
+			// count, echoed to the client as the delivery receipt.
 			flush()
-			finc := make(chan int64, 1)
-			sh.ch <- shardReq{fin: &finReq{device: device, reply: finc}}
-			final := <-finc
+			var final int64
+			sh.ask(func() {
+				sh.retire(device)
+				final = sh.seqs[device]
+			})
 			if s.cfg.DurableFIN && s.ckpt != nil {
 				// Group commit: the FIN above is already applied by the
 				// shard, so joining the next checkpoint batch guarantees the
@@ -750,80 +792,63 @@ func (s *Server) handleConn(conn net.Conn) {
 			dev.clearPoison()
 			flushBytes()
 		}
-		if cols.Len() >= s.cfg.BatchSize {
+		// Hand off at BatchSize, and also when the next read would block:
+		// records held back for a batch that an idle device never fills
+		// would stay invisible to every reader until it speaks again.
+		if cols.Len() >= s.cfg.BatchSize || br.Buffered() == 0 {
 			flush()
 		}
 	}
 }
 
+// askShards is the one way the control plane reaches shard state: it runs
+// fn(i, shard i) on every shard's goroutine — concurrently across shards,
+// each call serialized with that shard's batches — and returns when all of
+// them are through. It reports false when some shard had already stopped
+// and so never ran its call.
+func (s *Server) askShards(fn func(i int, sh *shard)) bool {
+	ran := make([]<-chan struct{}, len(s.shard))
+	for i, sh := range s.shard {
+		ran[i] = sh.post(func() { fn(i, sh) })
+	}
+	all := true
+	for i, sh := range s.shard {
+		all = sh.wait(ran[i]) && all
+	}
+	return all
+}
+
 // Snapshot returns the live fleet-wide StreamResult: every shard's retired
 // aggregate merged with a tail-settled snapshot of every in-flight device
-// stream. After Shutdown it returns the final drained result.
+// stream. During and after a drain it keeps answering; once Shutdown has
+// returned it is the final drained result.
 func (s *Server) Snapshot() *analysis.StreamResult {
-	s.mu.RLock()
-	if s.final != nil {
-		defer s.mu.RUnlock()
-		return s.final.Clone()
-	}
-	if s.chClosed {
-		// Drain in progress: the queues are closed but the final merge is
-		// not published yet. Wait for the shards and read their retired
-		// aggregates directly (the done-channel close orders the reads).
-		s.mu.RUnlock()
-		agg := analysis.NewStreamResult("fleet")
-		for _, sh := range s.shard {
-			<-sh.done
-			agg.Merge(sh.retired)
-		}
-		return agg
-	}
-	// Enqueue all queries while holding the read lock (Shutdown closes the
-	// shard channels only under the write lock, after handlers exit); the
-	// replies are safe to collect outside it — a closing shard drains its
-	// queue, queries included, before exiting.
-	replies := make([]chan *analysis.StreamResult, len(s.shard))
-	for i, sh := range s.shard {
-		c := make(chan *analysis.StreamResult, 1)
-		replies[i] = c
-		//repolint:allow lockhold — the send drains: shard.run never takes s.mu, and the enqueue must stay under RLock so Shutdown (write lock) cannot close sh.ch mid-send
-		sh.ch <- shardReq{query: c}
-	}
-	s.mu.RUnlock()
-
+	parts := make([]*analysis.StreamResult, len(s.shard))
+	s.askShards(func(i int, sh *shard) { parts[i] = sh.snapshot() })
 	agg := analysis.NewStreamResult("fleet")
-	for _, c := range replies {
-		agg.Merge(<-c)
+	for i, sh := range s.shard {
+		if parts[i] == nil {
+			// The shard had stopped: every stream it held is finalized into
+			// retired, and the closed done channel askShards saw orders this
+			// read after the worker's last write.
+			parts[i] = sh.retired
+		}
+		agg.Merge(parts[i])
 	}
 	return agg
 }
 
 // SyncSegments asks every shard to flush its open segment files so a
 // reader (GET /query) sees the live tail up to the records applied
-// before the call. Same enqueue discipline as Snapshot.
+// before the call. A stopped shard has sealed its segments on the way out.
 func (s *Server) SyncSegments() error {
-	s.mu.RLock()
-	if s.final != nil || s.chClosed {
-		// Drained or draining: every segment is sealed (or about to be) by
-		// the shard exit path; nothing to sync.
-		s.mu.RUnlock()
-		return nil
-	}
-	replies := make([]chan error, len(s.shard))
-	for i, sh := range s.shard {
-		c := make(chan error, 1)
-		replies[i] = c
-		//repolint:allow lockhold — the send drains: shard.run never takes s.mu, and the enqueue must stay under RLock so Shutdown (write lock) cannot close sh.ch mid-send
-		sh.ch <- shardReq{segSync: c}
-	}
-	s.mu.RUnlock()
-
-	var first error
-	for _, c := range replies {
-		if err := <-c; err != nil && first == nil {
-			first = err
+	errs := make([]error, len(s.shard))
+	s.askShards(func(i int, sh *shard) {
+		if sh.seg != nil {
+			errs[i] = sh.seg.sync()
 		}
-	}
-	return first
+	})
+	return errors.Join(errs...)
 }
 
 // checkpointLoop persists shard state every CheckpointInterval until
@@ -996,38 +1021,71 @@ func (s *Server) fence(reason string, shippedGen uint64) {
 // checkpoint generation. It is safe to call concurrently with ingest (the
 // shards serialize their own state between batches) and is a no-op while
 // draining, fenced, or when durability is disabled.
-func (s *Server) SaveCheckpoint() error {
+func (s *Server) SaveCheckpoint() error { return s.saveCheckpoint(false) }
+
+var errDraining = errors.New("ingest: draining")
+
+func (s *Server) draining() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.drain
+}
+
+// saveCheckpoint is the one way a generation is written: every shard's
+// checkpoint(), assembled and saved under ckptMu. final is Shutdown's, taken
+// straight from the stopped shards.
+func (s *Server) saveCheckpoint(final bool) error {
 	if s.ckpt == nil {
 		return errors.New("ingest: checkpointing disabled")
 	}
+	if !final && s.draining() {
+		return errDraining
+	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	// Checked under ckptMu: a save that raced the fence transition must
+	// not write a fresh generation into the just-archived directory.
 	if s.fenced.Load() {
 		return errors.New("ingest: fenced")
 	}
-	s.mu.RLock()
-	if s.drain {
-		s.mu.RUnlock()
-		return errors.New("ingest: draining")
+	cks := make([]shardCkpt, len(s.shard))
+	collect := func(i int, sh *shard) { cks[i] = sh.checkpoint() }
+	if final {
+		for i, sh := range s.shard {
+			collect(i, sh)
+		}
+	} else if !s.askShards(collect) {
+		return errDraining
 	}
-	replies := make([]chan shardCkpt, len(s.shard))
-	for i, sh := range s.shard {
-		c := make(chan shardCkpt, 1)
-		replies[i] = c
-		//repolint:allow lockhold — the send drains: shard.run never takes s.mu, and the enqueue must stay under RLock so Shutdown (write lock) cannot close sh.ch mid-send
-		sh.ch <- shardReq{ckpt: c}
-	}
-	s.mu.RUnlock()
-
-	var snap checkpoint.Snapshot
+	snap := checkpoint.Snapshot{Fence: s.fenceStamp()}
 	retired := analysis.NewStreamResult("fleet")
-	for _, c := range replies {
-		ck := <-c
+	for _, ck := range cks {
 		snap.Devices = append(snap.Devices, ck.devices...)
 		snap.Ledger = append(snap.Ledger, ck.ledger...)
 		retired.Merge(ck.retired)
 	}
 	snap.Retired = retired.AppendBinary(nil)
-	snap.Fence = s.fenceStamp()
-	return s.writeCheckpoint(&snap)
+
+	t0 := time.Now()
+	_, gen, err := s.ckpt.Save(&snap)
+	s.counters.ckptSeconds.Observe(time.Since(t0).Seconds())
+	if err != nil {
+		s.counters.ckptErrors.Add(1)
+		s.counters.events.Logf(obs.LevelError, "checkpoint save failed: %v", err)
+		return err
+	}
+	s.counters.ckptGen.Set(int64(gen))
+	s.counters.ckptUnixNano.Set(time.Now().UnixNano())
+	size := int64(len(snap.Retired))
+	for i := range snap.Devices {
+		size += int64(len(snap.Devices[i].Acc) + len(snap.Devices[i].Device) + 16)
+	}
+	for i := range snap.Ledger {
+		size += int64(len(snap.Ledger[i].Blob) + len(snap.Ledger[i].Device) + 24)
+	}
+	s.counters.ckptBytes.Set(size)
+	s.counters.events.Logf(obs.LevelDebug, "checkpoint generation %d saved (%d devices)", gen, len(snap.Devices))
+	return nil
 }
 
 // TransferResult reports what a checkpoint handoff did on the receiving
@@ -1045,9 +1103,9 @@ type TransferResult struct {
 // the ownership-handoff receive path. Devices this node does not own (per
 // Route) are skipped — the same checkpoint is shipped to every survivor and
 // each keeps only its share, so no device is stranded and none lands twice.
-// Owned entries — live accumulators and retirement-ledger entries alike —
-// go through the shard queues and are applied under the positional rule
-// (incoming seq strictly ahead wins), which makes re-delivery idempotent
+// Owned devices go through the shard mailboxes exactly as this node's own
+// checkpoint does at Start, under shard.install's positional rule (incoming
+// high-water mark strictly ahead wins), which makes re-delivery idempotent
 // and safe to race with live re-streams from redirected clients; in
 // particular a device that was finalized on the dead node AND fully
 // re-streamed here dedups to exactly-once via its ledger seq. The legacy
@@ -1058,156 +1116,51 @@ type TransferResult struct {
 // racing an aggregator death-handoff) merges it once.
 //
 // Every opaque blob is decoded before any state is mutated: a transfer
-// either applies cleanly or severs with no effect.
+// either applies cleanly or severs with no effect. The one exception is a
+// transfer racing this node's own drain, which may reach some shards and
+// not others and reports draining: what landed is in the final checkpoint,
+// and re-delivery — here or to whoever inherits it — is idempotent.
 func (s *Server) RestoreTransfer(snap *checkpoint.Snapshot, includeRetired bool) (TransferResult, error) {
 	res := TransferResult{NodeID: s.cfg.NodeID}
-	groups := make(map[int]*restoreReq)
-	for i := range snap.Devices {
-		d := &snap.Devices[i]
-		if s.cfg.Route != nil {
-			if _, self := s.cfg.Route(d.Device); !self {
-				res.SkippedNotOwned++
-				continue
-			}
-		}
-		var acc *analysis.StreamAccumulator
-		if d.Acc != nil {
-			a, err := analysis.RestoreStreamAccumulator(d.Acc, s.cfg.Opts)
-			if err != nil {
-				return TransferResult{NodeID: s.cfg.NodeID}, fmt.Errorf("ingest: transfer device %q: %w", d.Device, err)
-			}
-			acc = a
-		}
-		si := s.ring.shard(d.Device)
-		g := groups[si]
-		if g == nil {
-			g = &restoreReq{}
-			groups[si] = g
-		}
-		g.entries = append(g.entries, transferEntry{device: d.Device, seq: d.Seq, acc: acc})
+	if s.draining() {
+		return res, errDraining
 	}
-	for i := range snap.Ledger {
-		r := &snap.Ledger[i]
-		if s.cfg.Route != nil {
-			if _, self := s.cfg.Route(r.Device); !self {
-				res.SkippedNotOwned++
-				continue
-			}
+	var own func(string) bool
+	if s.cfg.Route != nil {
+		own = func(device string) bool {
+			_, self := s.cfg.Route(device)
+			return self
 		}
-		decoded, err := analysis.DecodeStreamResult(r.Blob)
-		if err != nil {
-			return TransferResult{NodeID: s.cfg.NodeID}, fmt.Errorf("ingest: transfer retired device %q: %w", r.Device, err)
-		}
-		si := s.ring.shard(r.Device)
-		g := groups[si]
-		if g == nil {
-			g = &restoreReq{}
-			groups[si] = g
-		}
-		g.ledger = append(g.ledger, retiredTransfer{
-			device: r.Device, seq: r.Seq, crc: r.CRC,
-			blob: append([]byte(nil), r.Blob...), res: decoded,
-		})
 	}
-	var retiredCRC uint32
-	if includeRetired && snap.Retired != nil {
-		retired, err := analysis.DecodeStreamResult(snap.Retired)
-		if err != nil {
-			return TransferResult{NodeID: s.cfg.NodeID}, fmt.Errorf("ingest: transfer retired aggregate: %w", err)
-		}
-		retiredCRC = crc32.ChecksumIEEE(snap.Retired)
+	plan, err := s.decodeSnapshot(snap, own)
+	if err != nil {
+		return res, fmt.Errorf("ingest: transfer: %w", err)
+	}
+	if !includeRetired {
+		plan.legacy = nil
+	} else if plan.legacy != nil {
+		crc := crc32.ChecksumIEEE(snap.Retired)
 		s.retiredMu.Lock()
-		_, dup := s.mergedRetired[retiredCRC]
-		if !dup {
+		if _, dup := s.mergedRetired[crc]; dup {
+			plan.legacy = nil
+		} else {
 			if s.mergedRetired == nil {
 				s.mergedRetired = map[uint32]struct{}{}
 			}
-			s.mergedRetired[retiredCRC] = struct{}{}
+			s.mergedRetired[crc] = struct{}{}
 		}
 		s.retiredMu.Unlock()
-		if !dup {
-			// The retired aggregate is placement-irrelevant (it is only
-			// ever merged); attach it to shard 0's request.
-			g := groups[0]
-			if g == nil {
-				g = &restoreReq{}
-				groups[0] = g
-			}
-			g.retired = retired
-			res.RetiredMerged = true
-		}
 	}
-	// Enqueue under the read lock (Shutdown closes shard channels only
-	// under the write lock, after handlers exit); collect outside it — a
-	// closing shard drains its queue before exiting.
-	type pending struct {
-		sh    *shard
-		req   *restoreReq
-		reply chan transferReply
+	if !s.install(plan, &res) {
+		return TransferResult{NodeID: s.cfg.NodeID}, errDraining
 	}
-	pend := make([]pending, 0, len(groups))
-	for si, g := range groups {
-		c := make(chan transferReply, 1)
-		g.reply = c
-		pend = append(pend, pending{sh: s.shard[si], req: g, reply: c})
-	}
-	s.mu.RLock()
-	if s.drain {
-		s.mu.RUnlock()
-		if res.RetiredMerged {
-			// Nothing was applied: forget the claim so a retry can merge.
-			s.retiredMu.Lock()
-			delete(s.mergedRetired, retiredCRC)
-			s.retiredMu.Unlock()
-		}
-		return TransferResult{NodeID: s.cfg.NodeID}, errors.New("ingest: draining")
-	}
-	for _, p := range pend {
-		//repolint:allow lockhold — the send drains: shard.run never takes s.mu, and the enqueue must stay under RLock so Shutdown (write lock) cannot close sh.ch mid-send
-		p.sh.ch <- shardReq{restore: p.req}
-	}
-	s.mu.RUnlock()
-	for _, p := range pend {
-		rep := <-p.reply
-		res.AcceptedDevices += rep.accepted
-		res.SkippedStale += rep.stale
-		res.Records += rep.records
-	}
+	res.SkippedNotOwned = plan.notOwned
+	res.RetiredMerged = plan.legacy != nil
 	s.counters.transfers.Add(1)
 	s.counters.transferDevices.Add(int64(res.AcceptedDevices))
 	s.counters.events.Logf(obs.LevelInfo, "transfer adopted %d devices / %d records (%d stale, %d not owned, retired=%v)",
 		res.AcceptedDevices, res.Records, res.SkippedStale, res.SkippedNotOwned, res.RetiredMerged)
 	return res, nil
-}
-
-func (s *Server) writeCheckpoint(snap *checkpoint.Snapshot) error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	// Re-checked under ckptMu: a save that raced the fence transition must
-	// not write a fresh generation into the just-archived directory.
-	if s.fenced.Load() {
-		return errors.New("ingest: fenced")
-	}
-	t0 := time.Now()
-	_, gen, err := s.ckpt.Save(snap)
-	s.counters.ckptSeconds.Observe(time.Since(t0).Seconds())
-	if err != nil {
-		s.counters.ckptErrors.Add(1)
-		s.counters.events.Logf(obs.LevelError, "checkpoint save failed: %v", err)
-		return err
-	}
-	s.counters.ckptGen.Set(int64(gen))
-	s.counters.ckptUnixNano.Set(time.Now().UnixNano())
-	var size int64
-	for i := range snap.Devices {
-		size += int64(len(snap.Devices[i].Acc) + len(snap.Devices[i].Device) + 16)
-	}
-	for i := range snap.Ledger {
-		size += int64(len(snap.Ledger[i].Blob) + len(snap.Ledger[i].Device) + 24)
-	}
-	s.counters.ckptBytes.Set(size + int64(len(snap.Retired)))
-	s.counters.events.Logf(obs.LevelDebug, "checkpoint generation %d saved (%d devices)", gen, len(snap.Devices))
-	return nil
 }
 
 // Stats assembles the observability snapshot.
@@ -1271,23 +1224,18 @@ func (s *Server) DeviceRecords(device string) int64 {
 	return 0
 }
 
-// Shutdown drains the server: stop checkpointing, stop accepting, sever
-// every connection (the handlers flush their partial batches on the way
-// out), close the shard queues and wait for them to drain and finalise all
-// live streams. The returned StreamResult is the final fleet aggregate over
-// every record the server accepted; it remains available via Snapshot. With
-// durability enabled a final checkpoint is written so a subsequent Start
-// sees the fully-finalized state.
-func (s *Server) Shutdown(ctx context.Context) (*analysis.StreamResult, error) {
+// stop is the one stop sequence, Shutdown's and Kill's alike: stop
+// checkpointing, stop accepting, sever every connection (the handlers flush
+// their partial batches on the way out), and once the last handler is gone
+// send each shard its stop request and wait for the workers to apply what
+// is queued ahead of it and finalise their live streams. Every step is
+// idempotent, so a call that gave up when ctx expired is finished by the
+// next one.
+func (s *Server) stop(ctx context.Context) error {
 	s.stopCheckpointLoop()
 	s.mu.Lock()
-	if s.drain {
-		final := s.final
-		s.mu.Unlock()
-		if final == nil {
-			return nil, fmt.Errorf("ingest: shutdown already in progress")
-		}
-		return final.Clone(), nil
+	if !s.drain {
+		s.counters.events.Logf(obs.LevelInfo, "drain started")
 	}
 	s.drain = true
 	s.ln.Close()
@@ -1295,94 +1243,55 @@ func (s *Server) Shutdown(ctx context.Context) (*analysis.StreamResult, error) {
 		conn.Close()
 	}
 	s.mu.Unlock()
-	s.counters.events.Logf(obs.LevelInfo, "drain started")
 
 	s.accept.Wait()
 	if err := waitCtx(ctx, &s.handler); err != nil {
-		return nil, err
+		return err
 	}
-	s.mu.Lock()
-	s.chClosed = true
-	for _, sh := range s.shard {
-		close(sh.ch)
-	}
-	s.mu.Unlock()
-	agg := analysis.NewStreamResult("fleet")
-	var snap checkpoint.Snapshot
-	legacy := analysis.NewStreamResult("fleet")
+	s.stopOnce.Do(func() {
+		for _, sh := range s.shard {
+			sh.ch <- shardReq{}
+		}
+	})
 	for _, sh := range s.shard {
 		select {
 		case <-sh.done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		agg.Merge(sh.retired)
-		// The worker has exited; its maps are safe to read. Every device is
-		// finalized now: each carries a ledger entry with its final result,
-		// except skip-advanced or v1-restored devices, which keep bare seqs
-		// with their contribution in the legacy aggregate.
-		if s.ckpt != nil {
-			for dev, seq := range sh.seqs {
-				if sh.ledger[dev] == nil {
-					snap.Devices = append(snap.Devices, checkpoint.DeviceState{Device: dev, Seq: seq})
-				}
-			}
-			for dev, e := range sh.ledger {
-				snap.Ledger = append(snap.Ledger, checkpoint.RetiredRecord{
-					Device: dev, Seq: e.seq, CRC: e.crc, Blob: e.blob,
-				})
-			}
-			legacy.Merge(sh.retiredLegacy)
+			return ctx.Err()
 		}
 	}
+	return nil
+}
 
-	s.mu.Lock()
-	s.final = agg
-	s.mu.Unlock()
-	s.counters.events.Logf(obs.LevelInfo, "drain complete: %d records over %d devices",
-		s.counters.records.Load(), s.devices.len())
-
-	if s.ckpt != nil && !s.fenced.Load() {
-		snap.Retired = legacy.AppendBinary(nil)
-		snap.Fence = s.fenceStamp()
-		s.writeCheckpoint(&snap) //nolint:errcheck // counted in ckptErrors
+// Shutdown drains the server (see stop). The returned StreamResult is the
+// final fleet aggregate over every record the server accepted; it remains
+// available via Snapshot. With durability enabled a final checkpoint is
+// written so a subsequent Start sees the fully-finalized state. If ctx
+// expires mid-drain the error is returned and a later call completes it.
+func (s *Server) Shutdown(ctx context.Context) (*analysis.StreamResult, error) {
+	if err := s.stop(ctx); err != nil {
+		return nil, err
 	}
+	s.finish.Do(func() {
+		s.counters.events.Logf(obs.LevelInfo, "drain complete: %d records over %d devices",
+			s.counters.records.Load(), s.devices.len())
+		s.saveCheckpoint(true) //nolint:errcheck // counted in ckptErrors; a no-op without durability
+	})
 	if s.admin != nil {
 		s.admin.Shutdown(ctx) //nolint:errcheck // best effort
 	}
-	return agg.Clone(), nil
+	return s.Snapshot(), nil
 }
 
 // Kill simulates a crash for recovery testing: it stops the server abruptly
-// without finalizing streams, publishing a result, or writing a final
-// checkpoint. Whatever the periodic checkpoint loop last persisted is all a
-// subsequent Start will see — exactly the fail-stop model. (In-process
-// goroutines are still joined so tests under -race stay clean; the data
-// loss is real, the goroutine leak is not.)
+// without publishing a result or writing a final checkpoint, now or in a
+// later Shutdown. Whatever the periodic checkpoint loop last persisted is
+// all a subsequent Start will see — exactly the fail-stop model.
+// (In-process goroutines are still joined so tests under -race stay clean;
+// the data loss is real, the goroutine leak is not.) Idempotent.
 func (s *Server) Kill() {
-	s.stopCheckpointLoop()
-	s.mu.Lock()
-	if s.drain {
-		s.mu.Unlock()
-		return
-	}
-	s.drain = true
-	s.ln.Close()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.accept.Wait()
-	s.handler.Wait()
-	s.mu.Lock()
-	s.chClosed = true
-	for _, sh := range s.shard {
-		close(sh.ch)
-	}
-	s.mu.Unlock()
-	for _, sh := range s.shard {
-		<-sh.done
-	}
+	s.finish.Do(func() {})
+	s.stop(context.Background()) //nolint:errcheck // only fails with its context
 	if s.admin != nil {
 		s.admin.Close() //nolint:errcheck // crash simulation
 	}

@@ -27,6 +27,10 @@ func startServer(t *testing.T, cfg Config) *Server {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// Kill is idempotent and a no-op after Shutdown: a test that forgets (or
+	// fails before) its own stop must not leave a checkpoint loop writing
+	// into a t.TempDir that is being removed.
+	t.Cleanup(s.Kill)
 	return s
 }
 

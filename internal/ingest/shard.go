@@ -10,6 +10,7 @@ import (
 	"netenergy/internal/analysis"
 	"netenergy/internal/energy"
 	"netenergy/internal/ingest/checkpoint"
+	"netenergy/internal/obs"
 	"netenergy/internal/trace"
 )
 
@@ -66,30 +67,6 @@ type recordBatch struct {
 // arenas instead of allocating per record.
 var batchPool = sync.Pool{New: func() any { return new(trace.RecordBatch) }}
 
-// finReq asks the shard to finalize a device stream; the reply is the
-// device's accepted-record count, which the handler echoes to the client
-// as the FIN acknowledgement.
-type finReq struct {
-	device string
-	reply  chan<- int64
-}
-
-// seqReq asks for a device's resume point (its accepted-record count); sent
-// during the handshake so the ack can tell the client where to resume.
-type seqReq struct {
-	device string
-	reply  chan<- int64
-}
-
-// skipReq advances a device's sequence past a poison record — one that
-// repeatedly fails to decode — so the stream is not wedged forever. The
-// record is lost (and counted), which is the explicit, bounded alternative
-// to an unbounded reconnect loop.
-type skipReq struct {
-	device string
-	seq    int64
-}
-
 // shardCkpt is one shard's contribution to a checkpoint: the durable state
 // of every live device it owns, one ledger entry per finalized device, and
 // a clone of its legacy (unattributed) retired aggregate — state restored
@@ -100,77 +77,48 @@ type shardCkpt struct {
 	retired *analysis.StreamResult
 }
 
-// ledgerEntry is a shard's record of one finalized device: the sequence its
-// stream closed at and the device's serialized final StreamResult. The blob
-// is what a handoff receiver merges; the seq is what makes that merge dedup
-// positionally like any live entry.
+// ledgerEntry is a shard's record of one device's closed sessions: the
+// sequence the latest of them closed at and the serialized StreamResult of
+// all of them merged. A FIN closes a session, not a device — a device that
+// streams again and FINs again extends its entry (retire), it never replaces
+// it. The blob is what a handoff receiver merges; the seq is what makes that
+// merge dedup positionally like any live entry.
 type ledgerEntry struct {
 	seq  int64
 	crc  uint32
 	blob []byte
 }
 
-// retiredTransfer is one ledger entry adopted from a checkpoint handoff,
-// with the blob decoded by the server (decode-before-mutate) so the shard
-// worker only merges.
-type retiredTransfer struct {
+// install is one device's checkpointed state on its way into a shard — the
+// unit every snapshot is decoded into (Server.decodeSnapshot), whether it
+// arrives at Start or by handoff. A device named in both sections of a
+// snapshot is one unit: the sessions it had closed, then the live increment
+// since them, under one high-water mark.
+type install struct {
 	device string
-	seq    int64
-	crc    uint32
-	blob   []byte
-	res    *analysis.StreamResult
+	seq    int64                       // accepted-record high-water mark
+	closed *ledgerEntry                // closed sessions, nil when there are none
+	res    *analysis.StreamResult      // closed.blob decoded (decode-before-mutate)
+	acc    *analysis.StreamAccumulator // records closed.seq..seq; nil when no session is open
 }
 
-// transferEntry is one device's state adopted from a checkpoint handoff:
-// its accepted-record high-water mark and, for a stream that was still live
-// on the dead node, its decoded accumulator (nil for finalized devices,
-// whose contribution rides in the transfer's retired aggregate).
-type transferEntry struct {
-	device string
-	seq    int64
-	acc    *analysis.StreamAccumulator
-}
-
-// restoreReq installs transferred device state into a running shard. Unlike
-// checkpoint restore at Start (single-threaded, before the worker runs),
-// this races with live ingest, so it goes through the queue like everything
-// else and the worker applies it with the same positional rule: an incoming
-// seq wins only if it is strictly ahead of what this shard has accepted.
-type restoreReq struct {
-	entries []transferEntry
-	// ledger carries the transfer's per-device retirement entries owned by
-	// this shard; each is adopted with the same strictly-ahead rule as a
-	// live entry, so a device that was re-streamed in full locally (the
-	// lost-FIN-ack scenario) dedups to exactly-once.
-	ledger  []retiredTransfer
-	retired *analysis.StreamResult // legacy aggregate, merged once; nil on all but one request
-	reply   chan<- transferReply
-}
-
-// transferReply reports what a shard did with a restoreReq.
-type transferReply struct {
-	accepted int   // entries adopted (incoming seq ahead of local)
-	stale    int   // entries dropped (local state already at or past seq)
-	records  int64 // record-count delta added to the accepted totals
-}
-
-// shardReq is one message on a shard's queue. Exactly one field is set.
+// shardReq is one message in a shard's mailbox: a pooled batch to apply, or
+// a function to run on the shard goroutine — every control-plane question
+// (resume point, FIN, snapshot, checkpoint, segment sync, install) is such a
+// function, posted through post/ask. The zero message is the stop request.
 type shardReq struct {
-	batch   *recordBatch
-	fin     *finReq
-	seq     *seqReq
-	skip    *skipReq
-	restore *restoreReq
-	query   chan<- *analysis.StreamResult // snapshot-merge request
-	segSync chan<- error                  // flush open segments for a reader
-	ckpt    chan<- shardCkpt
+	batch *recordBatch
+	do    func()
 }
 
 // shard owns a disjoint subset of devices. All state is confined to the
 // shard goroutine; the bounded channel is both the hand-off and the
 // backpressure mechanism (a full queue blocks the connection handler,
 // which in turn stops reading and lets TCP flow control push back on the
-// device).
+// device). The channel is never closed: the worker exits on the stop
+// request and closes done, which is what every sender other than a
+// connection handler selects against (handlers have all exited by the time
+// the stop request is sent), so no send needs a lock to be safe.
 type shard struct {
 	id   int
 	ch   chan shardReq
@@ -182,12 +130,11 @@ type shard struct {
 	// Goroutine-confined state. seqs is the per-device accepted-record
 	// high-water mark: the authoritative dedup/resume point, retained even
 	// after a device finalizes so a replayed FIN or late duplicate stays
-	// idempotent. It is only written here (and during single-threaded
-	// checkpoint restore, before the worker starts). retired is the serving
-	// aggregate (everything finalized, however it arrived); ledger holds the
-	// per-device attribution behind it; retiredLegacy is the slice of retired
-	// that has no attribution (v1 restores, legacy-blob transfers) and is
-	// what checkpoints re-emit as the blind aggregate.
+	// idempotent. retired is the serving aggregate (everything finalized,
+	// however it arrived); ledger holds the per-device attribution behind
+	// it; retiredLegacy is the slice of retired that has no attribution (v1
+	// restores, legacy-blob transfers) and is what checkpoints re-emit as
+	// the blind aggregate.
 	live          map[string]*analysis.StreamAccumulator
 	seqs          map[string]int64
 	retired       *analysis.StreamResult
@@ -198,6 +145,8 @@ type shard struct {
 	// segment files (goroutine-confined like the rest of the state).
 	seg *segmentStore
 
+	// done is closed when the worker has exited; the state above is frozen
+	// from then on and may be read by anyone who has seen it closed.
 	done chan struct{}
 }
 
@@ -218,59 +167,100 @@ func newShard(id, queueDepth int, opts energy.Options, c *counters, reg *deviceR
 	}
 }
 
-// run is the shard worker loop. It exits when the channel is closed, after
-// draining everything still queued and finalising every live device — the
-// graceful-shutdown guarantee that no accepted record is dropped.
+// run is the shard worker loop. It exits on the stop request, which the
+// drain sends once every connection handler is gone: everything accepted is
+// ahead of it in the queue and has been applied, and every live device is
+// finalised on the way out — the graceful-shutdown guarantee that no
+// accepted record is dropped.
 func (s *shard) run() {
 	defer close(s.done)
-	for req := range s.ch {
+	for {
+		req := <-s.ch
 		switch {
 		case req.batch != nil:
 			s.feed(req.batch)
-		case req.fin != nil:
-			s.retire(req.fin.device)
-			req.fin.reply <- s.seqs[req.fin.device]
-		case req.seq != nil:
-			req.seq.reply <- s.seqs[req.seq.device]
-		case req.skip != nil:
-			if s.seqs[req.skip.device] == req.skip.seq {
-				s.seqs[req.skip.device] = req.skip.seq + 1
-				s.counters.recordsSkipped.Add(1)
+		case req.do != nil:
+			req.do()
+		default:
+			for dev := range s.live {
+				s.retire(dev)
 			}
-		case req.restore != nil:
-			req.restore.reply <- s.adopt(req.restore)
-		case req.query != nil:
-			req.query <- s.snapshot()
-		case req.segSync != nil:
 			if s.seg != nil {
-				req.segSync <- s.seg.sync()
-			} else {
-				req.segSync <- nil
+				s.seg.closeAll()
 			}
-		case req.ckpt != nil:
-			req.ckpt <- s.checkpoint()
+			return
 		}
-	}
-	for dev := range s.live {
-		s.retire(dev)
-	}
-	if s.seg != nil {
-		s.seg.closeAll()
 	}
 }
 
-// retire finalizes a live device stream: its result is merged into the
+// post enqueues fn for the shard goroutine, where it runs between batches
+// with the shard's state to itself. The returned channel is closed once fn
+// has run; it is nil when the shard has already stopped.
+func (s *shard) post(fn func()) <-chan struct{} {
+	select {
+	case <-s.done: // checked first: a stopped shard's queue still has room
+		return nil
+	default:
+	}
+	ran := make(chan struct{})
+	select {
+	case s.ch <- shardReq{do: func() { fn(); close(ran) }}:
+		return ran
+	case <-s.done:
+		return nil
+	}
+}
+
+// wait blocks until a posted function has run, or the shard has stopped
+// without running it (false): it was posted behind the stop request, or
+// never posted (a nil ran blocks, leaving done).
+func (s *shard) wait(ran <-chan struct{}) bool {
+	select {
+	case <-ran:
+		return true
+	case <-s.done:
+	}
+	select {
+	case <-ran: // ran before the stop; both were ready
+		return true
+	default:
+		return false
+	}
+}
+
+// ask runs fn on the shard goroutine and waits for it. False means the
+// shard has stopped and fn never ran.
+func (s *shard) ask(fn func()) bool { return s.wait(s.post(fn)) }
+
+// retire closes a live device's session: its result is merged into the
 // serving aggregate and recorded in the retirement ledger under the
-// device's final sequence number. Idempotent — a re-sent FIN for an
-// already-finalized device is a no-op.
+// device's sequence number. A device that had closed sessions before
+// extends its entry — the entry stays the whole of what retired holds for
+// the device, which is what a restart or a handoff rebuilds it from.
+// Idempotent — a re-sent FIN with no session open is a no-op.
 func (s *shard) retire(dev string) {
 	acc := s.live[dev]
 	if acc == nil {
 		return
 	}
+	var closed *analysis.StreamResult
+	if e := s.ledger[dev]; e != nil {
+		// e.blob was encoded right here or decoded once on its way in, so
+		// this cannot fail; if it does, the session stays open (and
+		// checkpointed as live) rather than the closed ones being forgotten.
+		var err error
+		if closed, err = analysis.DecodeStreamResult(e.blob); err != nil {
+			s.counters.events.Logf(obs.LevelError, "device %s not retired: its ledger entry is unreadable: %v", dev, err)
+			return
+		}
+	}
 	res := acc.Finish()
-	blob := res.AppendBinary(nil)
 	s.retired.Merge(res)
+	if closed != nil {
+		closed.Merge(res)
+		res = closed
+	}
+	blob := res.AppendBinary(nil)
 	s.ledger[dev] = &ledgerEntry{seq: s.seqs[dev], crc: crc32.ChecksumIEEE(blob), blob: blob}
 	delete(s.live, dev)
 	if s.seg != nil {
@@ -337,71 +327,50 @@ func (s *shard) applyBatch(b *recordBatch) {
 	batchPool.Put(b.cols)
 }
 
-// adopt applies a checkpoint handoff to the shard's live state. Each entry
-// replaces local state only when its seq is strictly ahead — an accumulator
-// at seq k is bit-determined by records 0..k-1, so whichever side has seen
-// more of the (append-only, positionally-deduped) stream holds a superset
-// of the other and replacement never loses accepted records. Entries at or
-// behind the local high-water mark are stale replays of state this shard
-// already has (or has surpassed via client retransmission) and are dropped,
-// which makes re-delivering the same transfer idempotent.
-func (s *shard) adopt(r *restoreReq) transferReply {
-	var rep transferReply
-	for _, e := range r.entries {
-		cur := s.seqs[e.device]
-		if e.seq <= cur {
-			rep.stale++
+// install puts checkpointed state into the shard — at Start and on handoff
+// alike, always on the shard goroutine, so it may race live ingest. One
+// positional rule decides every unit: it replaces local state only when its
+// high-water mark is strictly ahead. State at seq k is bit-determined by
+// records 0..k-1, so whichever side has seen more of the (append-only,
+// positionally-deduped) stream holds a superset of the other and replacement
+// never loses accepted records; a unit at or behind the local mark is a
+// replay of what this shard already has (or has surpassed via client
+// retransmission) and is dropped, which makes re-delivery idempotent.
+//
+// Sessions already closed here cannot be taken back out of retired, so a
+// unit that is ahead extends them only when it closed the very same ones
+// (equal ledger seq: its live increment is then the whole difference);
+// otherwise the first retirement wins, the unit is dropped and the device
+// resumes from the local mark. Record counters move by the seq delta, so
+// nothing is counted twice however often a device is named.
+func (s *shard) install(units []*install, legacy *analysis.StreamResult, res *TransferResult) {
+	for _, u := range units {
+		cur, closed := s.seqs[u.device], s.ledger[u.device]
+		if u.seq <= cur || (closed != nil && (u.closed == nil || u.closed.seq != closed.seq)) {
+			res.SkippedStale++
 			continue
 		}
-		if e.acc != nil {
-			s.live[e.device] = e.acc
+		if closed == nil && u.closed != nil {
+			s.retired.Merge(u.res)
+			s.ledger[u.device] = u.closed
+		}
+		// Whatever this shard accumulated live is a strict subset of the
+		// unit; it is superseded, not merged.
+		if u.acc != nil {
+			s.live[u.device] = u.acc
 		} else {
-			// Finalized on the dead node: its result arrives in the
-			// transfer's retired aggregate, so any partial re-stream this
-			// shard accumulated is superseded and discarded.
-			delete(s.live, e.device)
+			delete(s.live, u.device)
 		}
-		delta := e.seq - cur
-		s.seqs[e.device] = e.seq
-		s.counters.records.Add(delta)
-		s.reg.get(e.device).records.Add(delta)
-		rep.accepted++
-		rep.records += delta
+		s.seqs[u.device] = u.seq
+		s.counters.records.Add(u.seq - cur)
+		s.reg.get(u.device).records.Add(u.seq - cur)
+		res.AcceptedDevices++
+		res.Records += u.seq - cur
 	}
-	for i := range r.ledger {
-		e := &r.ledger[i]
-		if s.ledger[e.device] != nil {
-			// Retirement is terminal: this shard already holds the device's
-			// finalized contribution (first retirement wins), so the entry is
-			// a replay — the re-streamed-then-handed-off double-count window.
-			rep.stale++
-			continue
-		}
-		cur := s.seqs[e.device]
-		if e.seq <= cur {
-			// The device's records were all re-delivered here live (and will
-			// retire locally when its session FINs); merging the blob on top
-			// would double-count them.
-			rep.stale++
-			continue
-		}
-		s.retired.Merge(e.res)
-		s.ledger[e.device] = &ledgerEntry{seq: e.seq, crc: e.crc, blob: e.blob}
-		// Any partial local re-stream is a strict subset of the finalized
-		// blob; discard it.
-		delete(s.live, e.device)
-		delta := e.seq - cur
-		s.seqs[e.device] = e.seq
-		s.counters.records.Add(delta)
-		s.reg.get(e.device).records.Add(delta)
-		rep.accepted++
-		rep.records += delta
+	if legacy != nil {
+		s.retired.Merge(legacy)
+		s.retiredLegacy.Merge(legacy)
 	}
-	if r.retired != nil {
-		s.retired.Merge(r.retired)
-		s.retiredLegacy.Merge(r.retired)
-	}
-	return rep
 }
 
 // snapshot merges the retired aggregate with a Snapshot of every live

@@ -17,10 +17,10 @@ import (
 //
 //   - it selects on (or receives from) a done/stop/quit channel or
 //     ctx.Done(),
-//   - it ranges over a channel, terminating when the producer closes it
-//     (the shard-worker shape: `for req := range sh.ch`),
-//   - it signals a sync.WaitGroup via wg.Done(), tying it to a Wait in
-//     Close/drain,
+//   - it ranges over a channel, terminating when the producer closes it,
+//   - it signals a sync.WaitGroup via wg.Done(), or closes a done channel
+//     (the shard-worker shape: `defer close(s.done)`), tying it to the
+//     Wait or receive in Close/drain,
 //   - it is loop-free: a run-to-completion helper that ends when its calls
 //     return (the errc <- srv.ListenAndServe() shape).
 //
@@ -157,7 +157,7 @@ func goroutineUntied(pass *Pass, body *ast.BlockStmt) string {
 				tied = true
 				return false
 			}
-			if isWaitGroupDone(pass, n) {
+			if isWaitGroupDone(pass, n) || isShutdownClose(pass, n) {
 				tied = true
 				return false
 			}
@@ -195,6 +195,18 @@ func isShutdownChan(pass *Pass, e ast.Expr) bool {
 		return shutdownNameRE.MatchString(e.Sel.Name)
 	}
 	return false
+}
+
+// isShutdownClose matches close(ch) on a shutdown-named channel: the
+// goroutine announcing its own exit to whoever waits on ch, which is what
+// wg.Done() is with one waiter-visible bit instead of a counter.
+func isShutdownClose(pass *Pass, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "close" || len(call.Args) != 1 {
+		return false
+	}
+	_, builtin := pass.TypesInfo.Uses[id].(*types.Builtin)
+	return builtin && isShutdownChan(pass, call.Args[0])
 }
 
 // isCtxDoneCall matches ctx.Done() for any context.Context receiver.

@@ -78,6 +78,22 @@ func (s *server) handle() {
 	}()
 }
 
+// mailbox is the shard-worker shape: the loop ends on a stop message the
+// analyzer cannot see, but the goroutine closes a done channel on the way
+// out, which is what the drain waits on.
+func (s *server) mailbox() {
+	go func() {
+		defer close(s.stop)
+		for {
+			v := <-s.ch
+			if v == 0 {
+				return
+			}
+			use(v)
+		}
+	}()
+}
+
 // notify is loop-free: it runs to completion when its statements finish.
 func (s *server) notify() {
 	go func() {

@@ -8,12 +8,17 @@
 # counted as it stands, uncommitted edits included.
 #
 #   scripts/loc.sh [base]    base defaults to the merge-base of HEAD and
-#                            main, which on main itself is HEAD: pass HEAD~1
-#                            there once the work is committed.
+#                            main. On main itself that is HEAD, which with
+#                            a clean tree compares the commit to itself, so
+#                            there it falls back to HEAD~1: the last PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 base=${1:-$(git merge-base HEAD main)}
+if [ $# -eq 0 ] && [ "$(git rev-parse "$base")" = "$(git rev-parse HEAD)" ] &&
+  [ -z "$(git status --porcelain)" ] && git rev-parse -q --verify HEAD~1 >/dev/null; then
+  base=HEAD~1
+fi
 old=$(mktemp -d)
 trap 'rm -rf "$old"' EXIT
 git archive "$base" | tar -x -C "$old"
