@@ -16,10 +16,13 @@ vet:
 # lockhold — see DESIGN.md "Statically enforced invariants") driven through
 # go vet's -vettool protocol, so per-package results are cached in the build
 # cache like any other vet run. `make lint` is a strict superset of
-# `make vet`. The human-readable vet pass gates the build; the -json pass
-# archives the full finding set — suppressed findings and their
-# justifications included — to bin/repolint_findings.json for CI to track.
+# `make vet`, and fails on any file `gofmt -l` names. The human-readable vet
+# pass gates the build; the -json pass archives the full finding set —
+# suppressed findings and their justifications included — to
+# bin/repolint_findings.json for CI to track.
 lint: vet repolint
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+	  echo "gofmt -l names:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) vet -vettool=$(abspath bin/repolint) ./...
 	@bin/repolint -json ./... > bin/repolint_findings.json
 	@echo "lint: findings archived to bin/repolint_findings.json"

@@ -34,8 +34,7 @@ func main() {
 		seed     = flag.Uint64("seed", 20151028, "master random seed")
 		ndjson   = flag.Bool("ndjson", false, "also write .ndjson sidecars")
 		profiles = flag.String("profiles", "", "JSON file defining the app population (default: built-ins)")
-		compress = flag.Bool("compress", false, "write DEFLATE-compressed traces (auto-detected on read)")
-		format   = flag.String("format", "", "container format: flat, deflate, metr2 or metr3 (default flat; overrides -compress)")
+		format   = flag.String("format", "flat", "container format (auto-detected on read): "+trace.FormatNames())
 		dump     = flag.Bool("dump-profiles", false, "print the built-in case-study profiles as JSON and exit")
 	)
 	flag.Parse()
@@ -52,14 +51,10 @@ func main() {
 	cfg.Users = *users
 	cfg.Days = *days
 	cfg.Seed = *seed
-	cfg.Compress = *compress
-	if *format != "" {
-		f, err := trace.ParseFormat(*format)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gentrace:", err)
-			os.Exit(2)
-		}
-		cfg.Format = f
+	var err error
+	if cfg.Format, err = trace.ParseFormat(*format); err != nil {
+		fmt.Fprintln(os.Stderr, "gentrace:", err)
+		os.Exit(2)
 	}
 	if *profiles != "" {
 		f, err := os.Open(*profiles)

@@ -63,7 +63,6 @@ import (
 
 	"netenergy/internal/cluster"
 	"netenergy/internal/ingest"
-	"netenergy/internal/ingest/checkpoint"
 )
 
 func main() {
@@ -217,22 +216,14 @@ func main() {
 	}
 }
 
-// shipDrainCheckpoint delivers this node's latest checkpoint to every live
-// peer (self excluded), retrying transient failures, and on success leaves
-// a tombstone in its own checkpoint dir: the shipped state now lives on
-// the peers, so a later restart from this dir must archive it rather than
-// resurrect records the fleet already counts elsewhere.
+// shipDrainCheckpoint hands this node's final checkpoint to every live peer
+// (self excluded) through the one handoff sender, cluster.ShipDir, which
+// also leaves the tombstone. Unlike the aggregator this sender runs once:
+// the tombstone fences the whole directory from the first peer that
+// answers, so a peer that never did is left to the aggregator's handoff of
+// the same directory once this node is seen dead (a per-device tombstone,
+// which would let a partial drain be resumed, is a different issue).
 func shipDrainCheckpoint(prober *cluster.Prober, self cluster.Member, dir string) {
-	store, err := checkpoint.Open(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ingestd: drain handoff:", err)
-		return
-	}
-	file, gen, err := store.LoadLatestRaw()
-	if err != nil || file == nil {
-		fmt.Fprintln(os.Stderr, "ingestd: drain handoff: no valid checkpoint to ship")
-		return
-	}
 	var peers []cluster.Member
 	for _, m := range prober.Live() {
 		if m.ID != self.ID {
@@ -243,7 +234,7 @@ func shipDrainCheckpoint(prober *cluster.Prober, self cluster.Member, dir string
 		fmt.Fprintln(os.Stderr, "ingestd: drain handoff: no live peers")
 		return
 	}
-	results, err := cluster.ShipCheckpointRetry(nil, file, peers, cluster.ShipPolicy{
+	h, err := cluster.ShipDir(nil, self.ID, dir, peers, cluster.ShipPolicy{
 		Attempts: 3,
 		OnAttempt: func(member string, attempt int, err error) {
 			fmt.Fprintf(os.Stderr, "ingestd: drain handoff -> %s attempt %d: %v\n", member, attempt, err)
@@ -252,23 +243,9 @@ func shipDrainCheckpoint(prober *cluster.Prober, self cluster.Member, dir string
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ingestd: drain handoff:", err)
 	}
-	var adopted int
-	for _, r := range results {
-		adopted += r.AcceptedDevices
-	}
-	fmt.Printf("ingestd: drain handoff shipped checkpoint gen %d to %d peers (%d device states adopted)\n",
-		gen, len(results), adopted)
-	if len(results) == 0 {
+	if h.Tombstone == nil {
 		return
 	}
-	tomb := checkpoint.Tombstone{Node: self.ID, Generation: gen, UnixNano: time.Now().UnixNano()}
-	if snap, derr := checkpoint.DecodeFile(file); derr == nil {
-		tomb.Incarnation = snap.Fence.Incarnation
-		tomb.Epoch = snap.Fence.Epoch
-	}
-	if err := checkpoint.WriteTombstone(dir, tomb); err != nil {
-		fmt.Fprintln(os.Stderr, "ingestd: drain handoff: tombstone write failed:", err)
-		return
-	}
-	fmt.Printf("ingestd: tombstone written (gen %d); a restart from %s archives the shipped state and rejoins fresh\n", gen, dir)
+	fmt.Printf("ingestd: drain handoff shipped checkpoint gen %d to %d of %d peers (%d device states adopted); a restart from %s archives it behind the tombstone and rejoins fresh\n",
+		h.Generation, h.Answered, len(peers), h.Adopted, dir)
 }

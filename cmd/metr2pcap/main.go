@@ -28,11 +28,11 @@ import (
 
 func main() {
 	var (
-		in    = flag.String("in", "", "input file (required)")
-		out   = flag.String("out", "", "output file (required)")
+		in     = flag.String("in", "", "input file (required)")
+		out    = flag.String("out", "", "output file (required)")
 		all    = flag.Bool("all", false, "export all interfaces, not just cellular")
 		imprt  = flag.Bool("import", false, "convert pcap -> METR instead of METR -> pcap")
-		format = flag.String("format", "flat", "container written by -import: flat, deflate or metr2")
+		format = flag.String("format", "flat", "container written by -import: "+trace.FormatNames())
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {

@@ -26,12 +26,12 @@ import (
 
 func main() {
 	var (
-		path   = flag.String("trace", "", "METR trace file (required)")
-		head   = flag.Int("head", 0, "print the first N records")
-		appPkg = flag.String("app", "", "restrict -head output to one app package")
+		path    = flag.String("trace", "", "METR trace file (required)")
+		head    = flag.Int("head", 0, "print the first N records")
+		appPkg  = flag.String("app", "", "restrict -head output to one app package")
 		ndjson  = flag.Bool("ndjson", false, "dump the whole trace as NDJSON to stdout")
 		convert = flag.String("convert", "", "rewrite the trace into this file using -format")
-		format  = flag.String("format", "", "target container for -convert: flat, deflate, metr2 or metr3")
+		format  = flag.String("format", "", "target container for -convert: "+trace.FormatNames())
 	)
 	flag.Parse()
 	if *path == "" {

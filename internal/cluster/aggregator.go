@@ -85,7 +85,7 @@ type FleetHeadline struct {
 // incremental state — so a cycle observed after the fleet settles is exact
 // regardless of what churn happened before it. The aggregator also owns
 // the handoff trigger: when the prober declares a member dead, its last
-// checkpoint file is shipped to the survivors (see ShipCheckpoint).
+// checkpoint file is shipped to the survivors (see ShipDir).
 type Aggregator struct {
 	cfg    AggregatorConfig
 	client *http.Client
@@ -114,9 +114,9 @@ type Aggregator struct {
 	have     bool
 	prevLive map[string]bool
 
-	// pendingHandoffs tracks dead members whose checkpoint has not been
-	// shipped yet: a handoff that fails outright (unreadable dir, every
-	// survivor unreachable) is retried each cycle while the member stays
+	// pendingHandoffs tracks dead members whose checkpoint has not reached
+	// every survivor yet: a handoff that fails (unreadable dir, a survivor
+	// that never answered) is retried each cycle while the member stays
 	// dead, instead of being lost with the one-shot death transition. Only
 	// touched from the pull cycle goroutine.
 	pendingHandoffs map[string]bool
@@ -400,8 +400,8 @@ func postFence(client *http.Client, m Member, req ingest.FenceRequest) (ingest.F
 
 // checkHandoff diffs the live set against the previous cycle, queues every
 // newly-dead member, and ships the checkpoint of every queued member to
-// the survivors — a handoff that fails outright stays queued and is
-// retried next cycle while the member remains dead. Only called from the
+// the survivors — a member stays queued, and is shipped again to all of
+// them next cycle, until every survivor has answered. Only called from the
 // pull cycle (single goroutine); prevLive and the queues need no lock.
 func (a *Aggregator) checkHandoff(live []Member) {
 	cur := make(map[string]bool, len(live))
@@ -420,10 +420,11 @@ func (a *Aggregator) checkHandoff(live []Member) {
 	}
 	for id := range a.pendingHandoffs {
 		if cur[id] {
-			// Back alive before anything shipped: the survivors hold none
-			// of its state, so no handoff and no fence are owed.
+			// Back alive and unfenced: either nothing was shipped, so no
+			// handoff is owed, or it restarted past its tombstone and the
+			// state left to ship is in its archive, out of reach from here.
 			delete(a.pendingHandoffs, id)
-			a.events.Logf(obs.LevelInfo, "member %s rejoined before its handoff shipped; dropped", id)
+			a.events.Logf(obs.LevelInfo, "member %s rejoined before its handoff completed; dropped", id)
 			continue
 		}
 		if a.handoff(id, live) {
@@ -433,8 +434,12 @@ func (a *Aggregator) checkHandoff(live []Member) {
 }
 
 // handoff ships a dead member's latest checkpoint to the survivors. It
-// returns false when nothing entered the fleet and the attempt should be
-// retried next cycle.
+// returns false while some survivor has not answered: finished sessions
+// have no client left to retransmit them, so a survivor that sat out every
+// attempt would otherwise never get the devices it now owns. Shipping again
+// next cycle is safe because a receiver installs positionally — those that
+// answered before report the devices stale and change nothing. The fence is
+// owed from the first partial success, not the last.
 func (a *Aggregator) handoff(deadID string, survivors []Member) bool {
 	dir := a.cfg.HandoffDirs[deadID]
 	if dir == "" {
@@ -447,29 +452,7 @@ func (a *Aggregator) handoff(deadID string, survivors []Member) bool {
 		a.events.Logf(obs.LevelError, "member %s died with no survivors to hand off to", deadID)
 		return false
 	}
-	st, err := checkpoint.Open(dir)
-	if err != nil {
-		a.handoffErrors.Inc()
-		a.events.Logf(obs.LevelError, "handoff %s: open checkpoint dir: %v", deadID, err)
-		return false
-	}
-	file, gen, err := st.LoadLatestRaw()
-	if err != nil || file == nil {
-		a.handoffErrors.Inc()
-		a.events.Logf(obs.LevelError, "handoff %s: no valid checkpoint in %s: %v", deadID, dir, err)
-		return false
-	}
-	// Decode up front: the fence stamp below needs the snapshot's
-	// incarnation, and a checkpoint we cannot decode should not be
-	// shipped anywhere. Abandoning the attempt keeps the member queued
-	// so the next cycle retries (shipping is content-CRC idempotent).
-	snap, err := checkpoint.DecodeFile(file)
-	if err != nil {
-		a.handoffErrors.Inc()
-		a.events.Logf(obs.LevelError, "handoff %s: decode checkpoint gen %d: %v", deadID, gen, err)
-		return false
-	}
-	results, err := ShipCheckpointRetry(a.client, file, survivors, ShipPolicy{
+	h, err := ShipDir(a.client, deadID, dir, survivors, ShipPolicy{
 		Attempts: a.cfg.HandoffAttempts,
 		OnAttempt: func(member string, attempt int, err error) {
 			a.handoffRetries.Inc()
@@ -478,34 +461,19 @@ func (a *Aggregator) handoff(deadID string, survivors []Member) bool {
 	})
 	if err != nil {
 		a.handoffErrors.Inc()
-		a.events.Logf(obs.LevelError, "handoff %s gen %d: %v", deadID, gen, err)
+		a.events.Logf(obs.LevelError, "handoff %s gen %d: %v", deadID, h.Generation, err)
 	}
-	var adopted int
-	for _, r := range results {
-		adopted += r.AcceptedDevices
+	if h.Tombstone == nil {
+		return false // nothing entered the fleet: no fence is owed yet
 	}
 	a.handoffs.Inc()
-	a.events.Logf(obs.LevelInfo, "handoff %s gen %d: %d survivors adopted %d devices",
-		deadID, gen, len(results), adopted)
-
-	if len(results) == 0 && err != nil {
-		// Nothing entered the fleet: no fence is owed yet, and the caller
-		// keeps the member queued so next cycle re-ships.
-		return false
-	}
-	// Shipped state is now (at least partially) owned by the survivors.
-	// Record the fence — on disk, so the dead process archives itself at
-	// restart, and in memory, so a live zombie of the shipped incarnation
-	// is fenced before it can re-enter a merge.
-	tomb := checkpoint.Tombstone{
-		Node: deadID, Generation: gen, UnixNano: time.Now().UnixNano(),
-		Incarnation: snap.Fence.Incarnation, Epoch: snap.Fence.Epoch,
-	}
-	if werr := checkpoint.WriteTombstone(dir, tomb); werr != nil {
-		a.events.Logf(obs.LevelError, "handoff %s: tombstone write failed: %v", deadID, werr)
-	}
-	a.tombstones[deadID] = tomb
-	return true
+	a.events.Logf(obs.LevelInfo, "handoff %s gen %d: %d of %d survivors adopted %d devices",
+		deadID, h.Generation, h.Answered, len(survivors), h.Adopted)
+	// Beside the tombstone on disk, which makes the dead process archive
+	// itself at restart, remember the fence in memory, so a live zombie of
+	// the shipped incarnation is fenced before it can re-enter a merge.
+	a.tombstones[deadID] = *h.Tombstone
+	return h.Answered == len(survivors)
 }
 
 // FleetQueryResult is the aggregator's /query document: the merged
@@ -613,7 +581,7 @@ func (a *Aggregator) Mux() http.Handler {
 			http.Error(w, "no merge cycle completed yet", http.StatusServiceUnavailable)
 			return
 		}
-		writeJSON(w, h)
+		ingest.WriteJSON(w, h)
 	})
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
 		q, err := tsq.ParseQuery(r.URL.Query(), time.Now())
@@ -626,25 +594,13 @@ func (a *Aggregator) Mux() http.Handler {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		writeJSON(w, res)
+		ingest.WriteJSON(w, res)
 	})
 	mux.HandleFunc("/nodes", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, struct {
+		ingest.WriteJSON(w, struct {
 			Epoch uint64       `json:"epoch"`
 			Nodes []NodeStatus `json:"nodes"`
 		}{a.cfg.Prober.Epoch(), a.cfg.Prober.Status()})
 	})
 	return mux
-}
-
-// writeJSON encodes before it answers, so a value the encoder refuses (a
-// non-finite float) is a 500 carrying the error, not a 200 with no body.
-func writeJSON(w http.ResponseWriter, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n')) //nolint:errcheck // client went away
 }

@@ -87,10 +87,11 @@ func BenchmarkShipCheckpointRetry(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	file, _, err := st.LoadLatestRaw()
-	if err != nil || file == nil {
+	ck, err := st.LoadLatest(nil)
+	if err != nil || ck == nil {
 		b.Fatalf("no checkpoint to ship: %v", err)
 	}
+	file := ck.File
 
 	var calls atomic.Int64
 	proxy := httputil.NewSingleHostReverseProxy(&url.URL{

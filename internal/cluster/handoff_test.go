@@ -1,7 +1,14 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"io"
 	"math"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +17,7 @@ import (
 	"netenergy/internal/analysis"
 	"netenergy/internal/energy"
 	"netenergy/internal/ingest"
+	"netenergy/internal/ingest/checkpoint"
 	"netenergy/internal/synthgen"
 	"netenergy/internal/trace"
 )
@@ -225,3 +233,166 @@ func TestClusterHandoffKillNode(t *testing.T) {
 }
 
 func nodeID(i int) string { return "n" + string(rune('1'+i)) }
+
+// flakyTransfers is an admin-plane transport that answers 503 to /transfer
+// posts for the host in down, and keeps every other /transfer reply.
+type flakyTransfers struct {
+	down atomic.Pointer[string]
+
+	mu      sync.Mutex
+	replies map[string][]ingest.TransferResult // by host
+}
+
+func (f *flakyTransfers) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/transfer" {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	if down := f.down.Load(); down != nil && *down == req.URL.Host {
+		return &http.Response{
+			StatusCode: http.StatusServiceUnavailable, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader("injected")), Request: req,
+		}, nil
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var tr ingest.TransferResult
+	if err := json.Unmarshal(body, &tr); err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	f.replies[req.URL.Host] = append(f.replies[req.URL.Host], tr)
+	f.mu.Unlock()
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// TestPartialHandoffIsRetried: survivor B answers 503 to every transfer
+// attempt of the cycle in which the dead member's checkpoint is first
+// shipped. The sessions in it are closed — no client is left to retransmit
+// them — so unless the aggregator ships again, the devices B now owns are
+// gone. It must: the next cycle B adopts its share, A (which answered the
+// first time) reports its share stale and changes nothing, a third cycle
+// ships nothing, and the fleet headline equals the batch pipeline.
+func TestPartialHandoffIsRetried(t *testing.T) {
+	deadDir := t.TempDir()
+	dead := startIngest(t, ingest.Config{
+		NodeID: "n1", Shards: 2, CheckpointDir: deadDir, CheckpointInterval: time.Hour,
+	})
+	// The survivors split the devices by a fixed table rather than a ring
+	// over their (random) addresses, so each owns half on every run.
+	dts := synthgen.GenerateInMemory(synthgen.Small(6, 1))
+	owner := map[string]string{}
+	for i, dt := range dts {
+		owner[dt.Device] = []string{"n2", "n3"}[i%2]
+	}
+	survivor := func(id string) *ingest.Server {
+		return startIngest(t, ingest.Config{NodeID: id, Shards: 2, Route: func(device string) (string, bool) {
+			return "elsewhere:9", owner[device] == id
+		}})
+	}
+	a, b := survivor("n2"), survivor("n3")
+	share := map[*ingest.Server]int{a: len(dts) / 2, b: len(dts) / 2}
+	var sent int64
+	for _, dt := range dts {
+		streamAll(t, dead.Addr().String(), dt) // FIN: a closed session
+		sent += int64(len(dt.Records))
+	}
+	if err := dead.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	members := []Member{
+		{ID: "n1", Stream: dead.Addr().String(), Admin: dead.AdminAddr().String()},
+		{ID: "n2", Stream: a.Addr().String(), Admin: a.AdminAddr().String()},
+		{ID: "n3", Stream: b.Addr().String(), Admin: b.AdminAddr().String()},
+	}
+	prober := NewProber(ProberConfig{Members: members, Interval: 10 * time.Millisecond, FailThreshold: 2})
+	prober.Start()
+	defer prober.Stop()
+	transfers := &flakyTransfers{replies: map[string][]ingest.TransferResult{}}
+	agg := NewAggregator(AggregatorConfig{
+		Prober: prober, HandoffDirs: map[string]string{"n1": deadDir},
+		HandoffAttempts: 2, Transport: transfers,
+	})
+	agg.PullOnce() // baseline: everyone alive
+	dead.Kill()
+	waitFor(t, 10*time.Second, "n1 declared dead", func() bool { return len(prober.Live()) == 2 })
+
+	transfers.down.Store(&members[2].Admin)
+	agg.PullOnce() // cycle 1: A answers, B sits out both attempts
+	if got := a.Stats(false); got.Devices != share[a] || got.Transfers != 1 {
+		t.Fatalf("after cycle 1 A holds %d devices (%d transfers), want its %d", got.Devices, got.Transfers, share[a])
+	}
+	if got := b.Stats(false); got.Devices != 0 {
+		t.Fatalf("after cycle 1 B holds %d devices through a 503", got.Devices)
+	}
+	if tomb, err := checkpoint.LoadTombstone(deadDir); err != nil || tomb == nil {
+		t.Fatalf("no tombstone after the first partial success: %v", err)
+	}
+	aAfter1 := a.Headline()
+
+	transfers.down.Store(nil)
+	agg.PullOnce() // cycle 2: shipped to both again
+	if got := b.Stats(false); got.Devices != share[b] || got.Transfers != 1 {
+		t.Errorf("after cycle 2 B holds %d devices (%d transfers), want its %d", got.Devices, got.Transfers, share[b])
+	}
+	transfers.mu.Lock()
+	aReplies := transfers.replies[members[1].Admin]
+	transfers.mu.Unlock()
+	if len(aReplies) != 2 || aReplies[1].AcceptedDevices != 0 || aReplies[1].Records != 0 || aReplies[1].SkippedStale != share[a] {
+		t.Errorf("A's replies %+v: want the second to report its %d devices stale", aReplies, share[a])
+	}
+	if got := a.Headline(); got != aAfter1 {
+		t.Errorf("re-delivery changed A:\n got %+v\nwant %+v", got, aAfter1)
+	}
+
+	h := agg.PullOnce() // cycle 3: nothing left to ship
+	if got := a.Stats(false).Transfers + b.Stats(false).Transfers; got != 3 {
+		t.Errorf("%d transfers landed in all, want 3: the handoff was shipped again after every survivor had answered", got)
+	}
+	m := scrapeAgg(t, agg)
+	if m["aggregator_handoffs_total"] != 2 || m["aggregator_handoff_errors_total"] != 1 || m["aggregator_handoff_retries_total"] != 1 {
+		t.Errorf("handoffs %v, errors %v, retries %v; want 2, 1, 1",
+			m["aggregator_handoffs_total"], m["aggregator_handoff_errors_total"], m["aggregator_handoff_retries_total"])
+	}
+
+	devs, err := analysis.LoadAll(dts, energy.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := analysis.ComputeHeadline(devs)
+	if h.Records != sent || h.Devices != len(dts) {
+		t.Errorf("fleet holds %d devices / %d records, sent %d / %d", h.Devices, h.Records, len(dts), sent)
+	}
+	if d := math.Abs(h.TotalEnergyJ - want.TotalEnergyJ); d > 1e-6*(1+want.TotalEnergyJ) {
+		t.Errorf("total energy: fleet %v vs batch %v", h.TotalEnergyJ, want.TotalEnergyJ)
+	}
+}
+
+// TestRefusedCheckpointIsNotRetried: a survivor answers a checkpoint in a
+// format it refuses (payload v1 here) with 400, which is the file's fault,
+// so one attempt per survivor is all it gets however many the policy allows.
+func TestRefusedCheckpointIsNotRetried(t *testing.T) {
+	survivor := startIngest(t, ingest.Config{NodeID: "s1", Shards: 1})
+	v1 := []byte{1, 0, 0} // version, no devices, no aggregate
+	file := binary.LittleEndian.AppendUint32([]byte("NECKPT1\n"), crc32.ChecksumIEEE(v1))
+	file = append(binary.AppendUvarint(file, uint64(len(v1))), v1...)
+
+	retries := 0
+	results, err := ShipCheckpointRetry(nil, file,
+		[]Member{{ID: "s1", Admin: survivor.AdminAddr().String()}},
+		ShipPolicy{Attempts: 5, OnAttempt: func(string, int, error) { retries++ }})
+	if err == nil || len(results) != 0 || !strings.Contains(err.Error(), "status 400") {
+		t.Fatalf("results %+v, err %v; want a 400", results, err)
+	}
+	if st := survivor.Stats(false); retries != 0 || st.TransferErrors != 1 {
+		t.Errorf("%d retries, %d transfer errors on the survivor; want 0 and 1", retries, st.TransferErrors)
+	}
+}

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"io"
 	"math"
@@ -113,12 +114,14 @@ func (s *Server) Headline() LiveHeadline {
 //	                           pull surface), with X-Node-ID, X-Devices,
 //	                           X-Records and X-Snapshot-CRC32 headers
 //	POST /transfer          -> adopt a checkpoint handoff; the body is
-//	                           complete checkpoint-file bytes, CRC-verified
-//	                           before any state changes (?skip_retired=1
-//	                           skips the legacy retired aggregate so only
-//	                           one survivor merges it; retirement-ledger
-//	                           entries are ownership-routed per device and
-//	                           unaffected); replies TransferResult
+//	                           complete checkpoint-file bytes, verified and
+//	                           decoded whole before any state changes: 400
+//	                           when the file is corrupt or in a format this
+//	                           build refuses (the same bytes would bounce
+//	                           again), 503 while draining (retry); every
+//	                           device is ownership-routed and positionally
+//	                           deduplicated, so re-delivery is harmless;
+//	                           replies TransferResult
 //	POST /fence             -> FenceRequest JSON; if the incarnation names
 //	                           this process it archives its checkpoint dir
 //	                           behind a tombstone and stops serving streams
@@ -146,7 +149,7 @@ func (s *Server) adminMux() http.Handler {
 			max = v
 		}
 		min := obs.ParseLevel(r.URL.Query().Get("level"))
-		writeJSON(w, struct {
+		WriteJSON(w, struct {
 			Total  uint64      `json:"total"`
 			Events []obs.Event `json:"events"`
 		}{s.counters.events.Total(), s.counters.events.Recent(max, min)})
@@ -159,10 +162,10 @@ func (s *Server) adminMux() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Stats(r.URL.Query().Get("devices") != ""))
+		WriteJSON(w, s.Stats(r.URL.Query().Get("devices") != ""))
 	})
 	mux.HandleFunc("/headline", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Headline())
+		WriteJSON(w, s.Headline())
 	})
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.SegmentDir == "" {
@@ -188,7 +191,7 @@ func (s *Server) adminMux() http.Handler {
 		res.Node = s.cfg.NodeID
 		s.counters.queries.Add(1)
 		s.counters.queryBlocksSkipped.Add(int64(res.Scan.BlocksSkipped))
-		writeJSON(w, res)
+		WriteJSON(w, res)
 	})
 	mux.HandleFunc("/device", func(w http.ResponseWriter, r *http.Request) {
 		id := r.URL.Query().Get("id")
@@ -201,7 +204,7 @@ func (s *Server) adminMux() http.Handler {
 			http.Error(w, "unknown device", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, d.snapshot())
+		WriteJSON(w, d.snapshot())
 	})
 	mux.HandleFunc("/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -212,7 +215,7 @@ func (s *Server) adminMux() http.Handler {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		writeJSON(w, s.Stats(false).Checkpoint)
+		WriteJSON(w, s.Stats(false).Checkpoint)
 	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		b := s.Snapshot().AppendBinary(nil)
@@ -246,14 +249,18 @@ func (s *Server) adminMux() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		res, err := s.RestoreTransfer(snap, r.URL.Query().Get("skip_retired") == "")
+		res, err := s.RestoreTransfer(snap)
 		if err != nil {
 			s.counters.transferErrors.Add(1)
 			s.counters.events.Logf(obs.LevelError, "transfer failed: %v", err)
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			status := http.StatusBadRequest // the file is at fault
+			if errors.Is(err, errDraining) {
+				status = http.StatusServiceUnavailable
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
-		writeJSON(w, res)
+		WriteJSON(w, res)
 	})
 	mux.HandleFunc("/fence", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -265,7 +272,7 @@ func (s *Server) adminMux() http.Handler {
 			http.Error(w, "fence body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, s.HandleFence(req))
+		WriteJSON(w, s.HandleFence(req))
 	})
 	return mux
 }
@@ -274,9 +281,10 @@ func (s *Server) adminMux() http.Handler {
 // store's own payload cap plus header slack.
 const maxTransferBytes = checkpoint.MaxPayload + 64
 
-// writeJSON encodes before it answers, so a value the encoder refuses (a
-// non-finite float) is a 500 carrying the error, not a 200 with no body.
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers an admin request with v as indented JSON. It encodes
+// before it answers, so a value the encoder refuses (a non-finite float) is
+// a 500 carrying the error, not a 200 with no body.
+func WriteJSON(w http.ResponseWriter, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

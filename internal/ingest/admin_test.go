@@ -159,7 +159,7 @@ func TestHeadlineSmallNode(t *testing.T) {
 // reason, whatever handler it came from.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, struct{ V float64 }{math.NaN()})
+	WriteJSON(rec, struct{ V float64 }{math.NaN()})
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
 		t.Fatalf("status %d body %q, want 500 naming the NaN", rec.Code, rec.Body.String())
 	}

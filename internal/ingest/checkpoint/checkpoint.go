@@ -14,6 +14,12 @@
 //   - The two most recent generations are retained. A corrupt or torn
 //     newest generation falls back to the previous one, so a crash *during*
 //     a checkpoint write costs at most one checkpoint interval of progress.
+//   - There is one format. A file in a format this build does not restore —
+//     payload v1, or a v2 file holding closed sessions in the unattributed
+//     aggregate that preceded the per-device ledger — is ErrUnsupported,
+//     which is never fallen back from: LoadLatest fails naming the file,
+//     because an older generation, or an empty start, would silently drop
+//     what the refused one holds.
 //   - Generation numbers are monotonic across restarts (the store scans the
 //     directory on open), so a recovered daemon never overwrites history it
 //     might still need.
@@ -38,25 +44,23 @@ import (
 // Container format:
 //
 //	file    := magic crc32le payloadLen:uvarint payload
-//	payload := version:byte body
-//	body v1 := nDevices:uvarint device* hasRetired:byte [retiredBlob]
-//	body v2 := <v1 body> nLedger:uvarint ledger* fence
-//	device  := devLen:uvarint dev:bytes seq:uvarint hasAcc:byte [accLen:uvarint acc:bytes]
-//	ledger  := devLen:uvarint dev:bytes seq:uvarint crc32le:4 blobLen:uvarint blob:bytes
+//	payload := version:byte(2) nDevices:uvarint device* legacy
+//	           nLedger:uvarint ledger* fence
+//	device  := devLen:uvarint dev:bytes seq:uvarint hasAcc:byte [blob]
+//	legacy  := 0x00 | 0x01 blob
+//	ledger  := devLen:uvarint dev:bytes seq:uvarint crc32le:4 blob
 //	fence   := epoch:uvarint incLen:uvarint inc:bytes
 //	blob    := len:uvarint bytes
 //
-// A v2 file is a v1 file with the version byte bumped and the retirement
-// ledger + fence appended: the decoder sniffs the version byte, so
-// pre-ledger (v1) files restore forever, while v2-only state degrades to
-// "no ledger, no fence" — exactly the PR-6 semantics those files were
-// written under.
+// legacy is where builds before the ledger kept every closed session as one
+// unattributed aggregate. Encode always writes 0x00; Decode hands a blob it
+// finds there to the caller as Snapshot.Legacy, who must refuse the file
+// (ErrUnsupported) unless the blob is the aggregate of nothing, which is
+// what the builds between the ledger's arrival and this one wrote.
 var fileMagic = []byte("NECKPT1\n")
 
 const (
-	payloadV1      = 1
-	payloadV2      = 2
-	payloadVersion = payloadV2
+	payloadVersion = 2
 	// maxIncarnation caps the fence incarnation-string length.
 	maxIncarnation = 256
 	// MaxPayload caps a checkpoint payload (1 GiB); a length field beyond it
@@ -78,13 +82,16 @@ var (
 	// ErrTorn means the file ended before the declared payload length — a
 	// write was interrupted mid-stream.
 	ErrTorn = errors.New("checkpoint: torn write")
+	// ErrUnsupported means the file is intact but in a format this build
+	// refuses to restore. Unlike the two above it is not a reason to fall
+	// back: whatever the file holds would be lost without anyone noticing.
+	ErrUnsupported = errors.New("checkpoint: unsupported format")
 )
 
 // DeviceState is one device's durable state: how many records the server
 // has incorporated (the resume/dedup sequence number) and, for devices with
 // an in-flight stream, the serialized analysis accumulator. Acc is nil for
-// devices whose stream has been finalized (their contribution lives in the
-// retired aggregate).
+// devices with no session open (their closed sessions are in the ledger).
 type DeviceState struct {
 	Device string
 	Seq    int64
@@ -118,17 +125,15 @@ type Fence struct {
 // Snapshot is one checkpoint's logical content.
 type Snapshot struct {
 	Devices []DeviceState
-	// Retired is the serialized merged StreamResult of finalized device
-	// streams that have no per-device ledger attribution: state restored
-	// from pre-ledger (v1) checkpoints or adopted from legacy transfers.
-	// Nil when there is no such state.
-	Retired []byte
-	// Ledger holds one RetiredRecord per finalized device (v2 files only;
-	// nil after decoding a v1 file).
+	// Ledger holds one RetiredRecord per device with closed sessions.
 	Ledger []RetiredRecord
-	// Fence stamps the writing process and cluster epoch (zero value on v1
-	// files and standalone nodes).
+	// Fence stamps the writing process and cluster epoch (epoch 0 on
+	// standalone nodes).
 	Fence Fence
+	// Legacy is the file's unattributed retired aggregate, set by Decode
+	// when an older build wrote one and ignored by Encode (see the format
+	// comment for what the reader owes it).
+	Legacy []byte
 }
 
 // Encode serializes a snapshot payload (without the file header). Ledger
@@ -143,7 +148,7 @@ func Encode(s *Snapshot) []byte {
 		n += len(s.Ledger[i].Device) + len(s.Ledger[i].Blob) + 24
 	}
 	sort.Slice(s.Ledger, func(i, j int) bool { return s.Ledger[i].Device < s.Ledger[j].Device })
-	b := make([]byte, 0, n+len(s.Retired))
+	b := make([]byte, 0, n)
 	b = append(b, payloadVersion)
 	b = binary.AppendUvarint(b, uint64(len(s.Devices)))
 	for i := range s.Devices {
@@ -159,13 +164,7 @@ func Encode(s *Snapshot) []byte {
 			b = append(b, d.Acc...)
 		}
 	}
-	if s.Retired == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-		b = binary.AppendUvarint(b, uint64(len(s.Retired)))
-		b = append(b, s.Retired...)
-	}
+	b = append(b, 0) // legacy: never written
 	b = binary.AppendUvarint(b, uint64(len(s.Ledger)))
 	for i := range s.Ledger {
 		r := &s.Ledger[i]
@@ -203,10 +202,42 @@ func Decode(b []byte) (*Snapshot, error) {
 		return out, true
 	}
 
-	if len(cur) < 1 || (cur[0] != payloadV1 && cur[0] != payloadV2) {
+	// blob reads `len bytes`.
+	blob := func() ([]byte, bool) {
+		n, ok := uvarint()
+		if !ok || n > MaxPayload {
+			return nil, false
+		}
+		return take(n)
+	}
+	// entry reads the `devLen dev seq` prefix of a device or ledger entry.
+	entry := func() (dev string, seq int64, ok bool) {
+		n, ok := uvarint()
+		if !ok || n == 0 || n > maxDeviceID {
+			return "", 0, false
+		}
+		d, ok := take(n)
+		if !ok {
+			return "", 0, false
+		}
+		q, ok := uvarint()
+		return string(d), int64(q), ok
+	}
+	// flag reads a 0/1 presence byte.
+	flag := func() (set, ok bool) {
+		f, ok := take(1)
+		return ok && f[0] == 1, ok && f[0] <= 1
+	}
+
+	if len(cur) < 1 {
 		return nil, ErrCorrupt
 	}
-	version := cur[0]
+	if cur[0] == 1 {
+		return nil, fmt.Errorf("%w: payload v1, which predates the per-device retirement ledger", ErrUnsupported)
+	}
+	if cur[0] != payloadVersion {
+		return nil, ErrCorrupt
+	}
 	cur = cur[1:]
 	nDev, ok := uvarint()
 	if !ok || nDev > maxDevices {
@@ -214,107 +245,63 @@ func Decode(b []byte) (*Snapshot, error) {
 	}
 	s := &Snapshot{}
 	for i := uint64(0); i < nDev; i++ {
-		dlen, ok := uvarint()
-		if !ok || dlen == 0 || dlen > maxDeviceID {
-			return nil, ErrCorrupt
-		}
-		dev, ok := take(dlen)
+		dev, seq, ok := entry()
 		if !ok {
 			return nil, ErrCorrupt
 		}
-		seq, ok := uvarint()
+		d := DeviceState{Device: dev, Seq: seq}
+		hasAcc, ok := flag()
 		if !ok {
 			return nil, ErrCorrupt
 		}
-		d := DeviceState{Device: string(dev), Seq: int64(seq)}
-		flag, ok := take(1)
-		if !ok || flag[0] > 1 {
-			return nil, ErrCorrupt
-		}
-		if flag[0] == 1 {
-			alen, ok := uvarint()
-			if !ok || alen > MaxPayload {
+		if hasAcc {
+			if d.Acc, ok = blob(); !ok {
 				return nil, ErrCorrupt
 			}
-			acc, ok := take(alen)
-			if !ok {
-				return nil, ErrCorrupt
-			}
-			d.Acc = acc
 		}
 		s.Devices = append(s.Devices, d)
 	}
-	flag, ok := take(1)
-	if !ok || flag[0] > 1 {
+	hasLegacy, ok := flag()
+	if !ok {
 		return nil, ErrCorrupt
 	}
-	if flag[0] == 1 {
-		rlen, ok := uvarint()
-		if !ok || rlen > MaxPayload {
+	if hasLegacy {
+		if s.Legacy, ok = blob(); !ok {
 			return nil, ErrCorrupt
 		}
-		ret, ok := take(rlen)
-		if !ok {
-			return nil, ErrCorrupt
-		}
-		s.Retired = ret
 	}
-	if version >= payloadV2 {
-		nLedger, ok := uvarint()
-		if !ok || nLedger > maxDevices {
-			return nil, ErrCorrupt
-		}
-		for i := uint64(0); i < nLedger; i++ {
-			dlen, ok := uvarint()
-			if !ok || dlen == 0 || dlen > maxDeviceID {
-				return nil, ErrCorrupt
-			}
-			dev, ok := take(dlen)
-			if !ok {
-				return nil, ErrCorrupt
-			}
-			seq, ok := uvarint()
-			if !ok {
-				return nil, ErrCorrupt
-			}
-			crcb, ok := take(4)
-			if !ok {
-				return nil, ErrCorrupt
-			}
-			blen, ok := uvarint()
-			if !ok || blen > MaxPayload {
-				return nil, ErrCorrupt
-			}
-			blob, ok := take(blen)
-			if !ok {
-				return nil, ErrCorrupt
-			}
-			r := RetiredRecord{
-				Device: string(dev), Seq: int64(seq),
-				CRC: binary.LittleEndian.Uint32(crcb), Blob: blob,
-			}
-			if crc32.ChecksumIEEE(r.Blob) != r.CRC {
-				return nil, ErrCorrupt
-			}
-			s.Ledger = append(s.Ledger, r)
-		}
-		epoch, ok := uvarint()
-		if !ok {
-			return nil, ErrCorrupt
-		}
-		ilen, ok := uvarint()
-		if !ok || ilen > maxIncarnation {
-			return nil, ErrCorrupt
-		}
-		inc, ok := take(ilen)
-		if !ok {
-			return nil, ErrCorrupt
-		}
-		s.Fence = Fence{Epoch: epoch, Incarnation: string(inc)}
-	}
-	if len(cur) != 0 {
+	nLedger, ok := uvarint()
+	if !ok || nLedger > maxDevices {
 		return nil, ErrCorrupt
 	}
+	for i := uint64(0); i < nLedger; i++ {
+		dev, seq, ok := entry()
+		if !ok {
+			return nil, ErrCorrupt
+		}
+		crcb, ok := take(4)
+		if !ok {
+			return nil, ErrCorrupt
+		}
+		r := RetiredRecord{Device: dev, Seq: seq, CRC: binary.LittleEndian.Uint32(crcb)}
+		if r.Blob, ok = blob(); !ok || crc32.ChecksumIEEE(r.Blob) != r.CRC {
+			return nil, ErrCorrupt
+		}
+		s.Ledger = append(s.Ledger, r)
+	}
+	epoch, ok := uvarint()
+	if !ok {
+		return nil, ErrCorrupt
+	}
+	ilen, ok := uvarint()
+	if !ok || ilen > maxIncarnation {
+		return nil, ErrCorrupt
+	}
+	inc, ok := take(ilen)
+	if !ok || len(cur) != 0 {
+		return nil, ErrCorrupt
+	}
+	s.Fence = Fence{Epoch: epoch, Incarnation: string(inc)}
 	return s, nil
 }
 
@@ -369,9 +356,9 @@ func (s *Store) generations() []uint64 {
 
 // EncodeFile serializes a snapshot as complete checkpoint-file bytes
 // (header + CRC + payload) — exactly what Save writes to disk. The cluster
-// tier ships these bytes over the wire during ownership handoff; the
-// receiver verifies them with DecodeFile, so a transfer enjoys the same
-// torn/corrupt detection as a crash recovery.
+// tier ships such bytes (LoadLatest's File) over the wire during ownership
+// handoff; the receiver verifies them with DecodeFile, so a transfer enjoys
+// the same torn/corrupt detection as a crash recovery.
 func EncodeFile(snap *Snapshot) ([]byte, error) {
 	payload := Encode(snap)
 	if len(payload) > MaxPayload {
@@ -433,15 +420,6 @@ func syncDir(dir string) {
 	}
 }
 
-// LoadFile reads and validates one checkpoint file.
-func LoadFile(path string) (*Snapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeFile(b)
-}
-
 // DecodeFile parses and validates complete checkpoint-file bytes: magic,
 // CRC, declared payload length, then the payload structure. It is the
 // receive-side verification for checkpoint handoff over the wire.
@@ -475,26 +453,6 @@ func DecodeFile(b []byte) (*Snapshot, error) {
 	return Decode(payload)
 }
 
-// LoadLatestRaw returns the raw file bytes of the newest generation that
-// passes container validation, along with its generation number — the
-// handoff source: the exact bytes a dead node last persisted, ready to ship
-// to the surviving owners. It returns (nil, 0, nil) when no valid
-// checkpoint exists.
-func (s *Store) LoadLatestRaw() ([]byte, uint64, error) {
-	gens := s.generations()
-	for i := len(gens) - 1; i >= 0; i-- {
-		b, err := os.ReadFile(genPath(s.dir, gens[i]))
-		if err != nil {
-			continue
-		}
-		if _, err := DecodeFile(b); err != nil {
-			continue
-		}
-		return b, gens[i], nil
-	}
-	return nil, 0, nil
-}
-
 // TombstoneName is the marker file the aggregator (or a draining node)
 // writes into a checkpoint directory after the newest generation has been
 // shipped to survivors. A restarting node that finds a tombstone covering
@@ -502,12 +460,12 @@ func (s *Store) LoadLatestRaw() ([]byte, uint64, error) {
 // archive, not restore.
 const TombstoneName = "handoff.tomb"
 
-// Tombstone records one completed handoff of a checkpoint directory.
+// Tombstone records a handoff of a checkpoint directory: some survivor holds
+// part of its state.
 type Tombstone struct {
 	// Node is the member ID whose state was shipped.
 	Node string `json:"node"`
-	// Incarnation is the fence incarnation of the shipped checkpoint file
-	// (empty for pre-fence v1 files).
+	// Incarnation is the fence incarnation of the shipped checkpoint file.
 	Incarnation string `json:"incarnation"`
 	// Generation is the checkpoint generation that was shipped. Any
 	// generation <= this is covered by the handoff; a strictly newer
@@ -597,23 +555,48 @@ func (s *Store) ArchiveShipped(t *Tombstone) (string, error) {
 	return sub, nil
 }
 
+// Loaded is one generation as LoadLatest found it: its number, the exact
+// bytes on disk — what a handoff ships, so the receiver checks the CRC the
+// dead node wrote — and their decoded content (which aliases File).
+type Loaded struct {
+	Gen  uint64
+	File []byte
+	Snap *Snapshot
+}
+
 // LoadLatest returns the newest generation that passes both the container
-// checks and the caller's validate function (nil to skip). Invalid or torn
-// generations are skipped — this is the fall-back-on-corruption path. It
-// returns (nil, 0, nil) when no valid checkpoint exists.
-func (s *Store) LoadLatest(validate func(*Snapshot) error) (*Snapshot, uint64, error) {
+// checks and the caller's validate function (nil to skip). Unreadable, torn
+// or corrupt generations, and ones validate rejects, are skipped — this is
+// the fall-back-on-corruption path. A generation that is ErrUnsupported, by
+// the decoder's judgement or validate's, is not: it ends the search with an
+// error naming the file (see the package comment). It returns (nil, nil)
+// when no valid checkpoint exists.
+func (s *Store) LoadLatest(validate func(*Snapshot) error) (*Loaded, error) {
 	gens := s.generations()
 	for i := len(gens) - 1; i >= 0; i-- {
-		snap, err := LoadFile(genPath(s.dir, gens[i]))
+		path := genPath(s.dir, gens[i])
+		file, snap, err := loadFile(path, validate)
+		if errors.Is(err, ErrUnsupported) {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
 		if err != nil {
 			continue
 		}
-		if validate != nil {
-			if err := validate(snap); err != nil {
-				continue
-			}
-		}
-		return snap, gens[i], nil
+		return &Loaded{Gen: gens[i], File: file, Snap: snap}, nil
 	}
-	return nil, 0, nil
+	return nil, nil
+}
+
+// loadFile reads one generation, checks container and payload, and asks the
+// caller's validator (nil to skip) about what they hold.
+func loadFile(path string, validate func(*Snapshot) error) ([]byte, *Snapshot, error) {
+	file, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	snap, err := DecodeFile(file)
+	if err != nil || validate == nil {
+		return file, snap, err
+	}
+	return file, snap, validate(snap)
 }

@@ -3,10 +3,13 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -17,7 +20,6 @@ func sampleSnapshot() *Snapshot {
 			{Device: "u001", Seq: 99, Acc: nil}, // retired: seq only
 			{Device: "u002", Seq: 0, Acc: []byte{}},
 		},
-		Retired: []byte{9, 8, 7},
 	}
 }
 
@@ -40,8 +42,8 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 			t.Errorf("device %d: got %+v want %+v", i, g, w)
 		}
 	}
-	if !bytes.Equal(got.Retired, want.Retired) {
-		t.Errorf("retired mismatch")
+	if got.Legacy != nil {
+		t.Errorf("decoded a legacy aggregate nobody wrote: %v", got.Legacy)
 	}
 
 	empty := &Snapshot{}
@@ -49,7 +51,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Devices) != 0 || got.Retired != nil {
+	if len(got.Devices) != 0 || got.Legacy != nil {
 		t.Errorf("empty snapshot roundtrip: %+v", got)
 	}
 }
@@ -77,12 +79,15 @@ func TestSaveLoadGenerations(t *testing.T) {
 		t.Fatalf("retained %d generations, want %d", len(gens), keepGenerations)
 	}
 
-	snap, gen, err := st.LoadLatest(nil)
-	if err != nil || snap == nil {
-		t.Fatalf("LoadLatest: %v %v", snap, err)
+	ck, err := st.LoadLatest(nil)
+	if err != nil || ck == nil {
+		t.Fatalf("LoadLatest: %v %v", ck, err)
 	}
-	if gen != 5 || snap.Devices[0].Seq != 5 {
-		t.Fatalf("loaded gen %d seq %d", gen, snap.Devices[0].Seq)
+	if ck.Gen != 5 || ck.Snap.Devices[0].Seq != 5 {
+		t.Fatalf("loaded gen %d seq %d", ck.Gen, ck.Snap.Devices[0].Seq)
+	}
+	if onDisk, err := os.ReadFile(genPath(dir, 5)); err != nil || !bytes.Equal(ck.File, onDisk) {
+		t.Fatalf("File is not the generation's bytes (%v)", err)
 	}
 
 	// Reopen (simulated restart): generation counter must continue, not
@@ -130,12 +135,12 @@ func TestCorruptFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			snap, gen, err := st.LoadLatest(nil)
-			if err != nil || snap == nil {
-				t.Fatalf("LoadLatest after corruption: %v %v", snap, err)
+			ck, err := st.LoadLatest(nil)
+			if err != nil || ck == nil {
+				t.Fatalf("LoadLatest after corruption: %v %v", ck, err)
 			}
-			if gen != 1 || snap.Devices[0].Seq != 1 {
-				t.Fatalf("fell back to gen %d seq %d, want gen 1 seq 1", gen, snap.Devices[0].Seq)
+			if ck.Gen != 1 || ck.Snap.Devices[0].Seq != 1 {
+				t.Fatalf("fell back to gen %d seq %d, want gen 1 seq 1", ck.Gen, ck.Snap.Devices[0].Seq)
 			}
 		})
 	}
@@ -148,14 +153,14 @@ func TestValidateRejection(t *testing.T) {
 	st, _ := Open(dir)
 	st.Save(&Snapshot{Devices: []DeviceState{{Device: "ok", Seq: 1}}})  //nolint:errcheck
 	st.Save(&Snapshot{Devices: []DeviceState{{Device: "bad", Seq: 2}}}) //nolint:errcheck
-	snap, gen, err := st.LoadLatest(func(s *Snapshot) error {
+	ck, err := st.LoadLatest(func(s *Snapshot) error {
 		if s.Devices[0].Device == "bad" {
 			return ErrCorrupt
 		}
 		return nil
 	})
-	if err != nil || snap == nil || gen != 1 {
-		t.Fatalf("validator fallback failed: gen=%d snap=%v err=%v", gen, snap, err)
+	if err != nil || ck == nil || ck.Gen != 1 {
+		t.Fatalf("validator fallback failed: %+v err=%v", ck, err)
 	}
 }
 
@@ -165,9 +170,8 @@ func TestNoCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, gen, err := st.LoadLatest(nil)
-	if snap != nil || gen != 0 || err != nil {
-		t.Fatalf("expected empty load, got %v %d %v", snap, gen, err)
+	if ck, err := st.LoadLatest(nil); ck != nil || err != nil {
+		t.Fatalf("expected empty load, got %v %v", ck, err)
 	}
 }
 
@@ -205,64 +209,120 @@ func mustDecode(t *testing.T, b []byte) *Snapshot {
 	return s
 }
 
-// encodeV1 hand-builds a pre-ledger (v1) payload: the exact bytes a PR-6
-// binary would have written. Kept independent of Encode so the
-// forward-compat contract is pinned against the wire layout, not against
-// whatever the current encoder happens to emit.
-func encodeV1(s *Snapshot) []byte {
-	b := []byte{payloadV1}
-	b = binary.AppendUvarint(b, uint64(len(s.Devices)))
-	for i := range s.Devices {
-		d := &s.Devices[i]
-		b = binary.AppendUvarint(b, uint64(len(d.Device)))
-		b = append(b, d.Device...)
-		b = binary.AppendUvarint(b, uint64(d.Seq))
-		if d.Acc == nil {
-			b = append(b, 0)
-		} else {
-			b = append(b, 1)
-			b = binary.AppendUvarint(b, uint64(len(d.Acc)))
-			b = append(b, d.Acc...)
-		}
-	}
-	if s.Retired == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-		b = binary.AppendUvarint(b, uint64(len(s.Retired)))
-		b = append(b, s.Retired...)
-	}
-	return b
+// withLegacy re-encodes s the way the builds before this one did: the
+// legacy slot holds blob instead of 0x00. It finds the slot by encoding the
+// device section alone, which Encode ends with four zero bytes (legacy,
+// nLedger, epoch, incLen).
+func withLegacy(s *Snapshot, blob []byte) []byte {
+	full := Encode(s)
+	devices := Encode(&Snapshot{Devices: s.Devices})
+	slot := len(devices) - 4
+	b := append(bytes.Clone(full[:slot]), 1)
+	b = binary.AppendUvarint(b, uint64(len(blob)))
+	b = append(b, blob...)
+	return append(b, full[slot+1:]...)
 }
 
-// TestDecodeV1ForwardCompat: old (pre-ledger) payloads must decode through
-// the new version-sniffing decoder with no ledger and a zero fence, and
-// trailing bytes after a v1 body must still be rejected (a truncated v2
-// body must never pass as a valid v1 one).
-func TestDecodeV1ForwardCompat(t *testing.T) {
+// fileOf wraps a payload in the file container.
+func fileOf(payload []byte) []byte {
+	b := append([]byte(nil), fileMagic...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	return append(b, payload...)
+}
+
+// TestLegacySlot: a file from a build that still wrote the unattributed
+// aggregate decodes with the blob handed over as Legacy and everything else
+// intact — what to make of it is the restorer's call — and re-encodes with
+// the slot empty.
+func TestLegacySlot(t *testing.T) {
 	want := sampleSnapshot()
-	raw := encodeV1(want)
-	got, err := Decode(raw)
+	want.Ledger = []RetiredRecord{{Device: "u001", Seq: 99, CRC: crc32.ChecksumIEEE([]byte{7}), Blob: []byte{7}}}
+	want.Fence = Fence{Epoch: 4, Incarnation: "n1.2.3"}
+	got, err := DecodeFile(fileOf(withLegacy(want, []byte{9, 8, 7})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Devices) != len(want.Devices) || !bytes.Equal(got.Retired, want.Retired) {
-		t.Fatalf("v1 decode: %+v", got)
+	if !bytes.Equal(got.Legacy, []byte{9, 8, 7}) {
+		t.Fatalf("Legacy = %v", got.Legacy)
 	}
-	if got.Ledger != nil || got.Fence != (Fence{}) {
-		t.Fatalf("v1 decode invented v2 state: ledger=%v fence=%+v", got.Ledger, got.Fence)
+	if len(got.Devices) != len(want.Devices) || len(got.Ledger) != 1 || got.Fence != want.Fence {
+		t.Fatalf("decoded around the legacy slot: %+v", got)
 	}
-	if _, err := Decode(append(bytes.Clone(raw), 0x01)); err == nil {
-		t.Error("v1 body with trailing bytes accepted")
+	if again := mustDecode(t, Encode(got)); again.Legacy != nil {
+		t.Error("Encode wrote the legacy slot")
+	}
+	for cut := 1; cut < 8; cut++ { // truncated inside the slot
+		b := withLegacy(&Snapshot{}, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		if _, err := Decode(b[:len(b)-3-cut]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("cut %d: %v, want ErrCorrupt", cut, err)
+		}
+	}
+}
+
+// TestUnsupportedIsNotFallenBackFrom replaces TestDecodeV1ForwardCompat: a
+// payload-v1 file (a v2 body cut before the ledger, version byte 1) is
+// ErrUnsupported rather than restored, and LoadLatest — which skips a
+// corrupt newest generation — fails on an unsupported one, naming the file,
+// whether the decoder or the caller's validator says so.
+func TestUnsupportedIsNotFallenBackFrom(t *testing.T) {
+	v1 := Encode(sampleSnapshot())
+	v1 = v1[:len(v1)-3] // drop nLedger and the fence
+	v1[0] = 1
+	if _, err := Decode(v1); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("v1 payload: %v, want ErrUnsupported", err)
 	}
 
-	// And through the full file container, as a restart would see it.
-	full := append([]byte(nil), fileMagic...)
-	full = binary.LittleEndian.AppendUint32(full, crc32.ChecksumIEEE(raw))
-	full = binary.AppendUvarint(full, uint64(len(raw)))
-	full = append(full, raw...)
-	if _, err := DecodeFile(full); err != nil {
-		t.Fatalf("v1 file rejected by new decoder: %v", err)
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Save(&Snapshot{Devices: []DeviceState{{Device: "older", Seq: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	newest := genPath(dir, 2)
+	if err := os.WriteFile(newest, fileOf(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := st.LoadLatest(nil); ck != nil || !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), newest) {
+		t.Fatalf("v1 newest generation: %+v, %v; want ErrUnsupported naming %s", ck, err, newest)
+	}
+
+	if st, err = Open(dir); err != nil { // sees generation 2
+		t.Fatal(err)
+	}
+	if _, _, err := st.Save(&Snapshot{Devices: []DeviceState{{Device: "refused", Seq: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := st.LoadLatest(func(*Snapshot) error { return fmt.Errorf("%w: says the validator", ErrUnsupported) })
+	if ck != nil || !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), genPath(dir, 3)) {
+		t.Fatalf("validator-refused generation: %+v, %v", ck, err)
+	}
+}
+
+// TestParentWrittenFile: testdata/parent-v2.ck was written by the commit
+// before the aggregate was removed (ingestd after a 14-device fleetsim run:
+// 8 sessions closed, 6 open). It must keep decoding, with its empty
+// aggregate surfaced as Legacy; internal/ingest restores it to its pinned
+// headline.
+func TestParentWrittenFile(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "parent-v2.ck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open int
+	for _, d := range snap.Devices {
+		if d.Acc != nil {
+			open++
+		}
+	}
+	if len(snap.Ledger) != 8 || open != 6 || snap.Legacy == nil || snap.Fence.Incarnation == "" {
+		t.Fatalf("ledger %d, open sessions %d, legacy %d bytes, fence %+v", len(snap.Ledger), open, len(snap.Legacy), snap.Fence)
 	}
 }
 
@@ -305,8 +365,7 @@ func TestLedgerRoundtrip(t *testing.T) {
 
 	// Truncation anywhere in the ledger/fence tail must be rejected.
 	full := Encode(snap)
-	v1len := len(encodeV1(&Snapshot{Devices: snap.Devices}))
-	for cut := v1len; cut < len(full); cut++ {
+	for cut := len(Encode(&Snapshot{Devices: snap.Devices})) - 3; cut < len(full); cut++ {
 		if _, err := Decode(full[:cut]); err == nil {
 			t.Fatalf("truncated at %d/%d accepted", cut, len(full))
 		}
@@ -353,8 +412,8 @@ func TestTombstone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, gen, err := st.LoadLatest(nil); snap != nil || gen != 0 || err != nil {
-		t.Fatalf("store not empty after archive: %v %d %v", snap, gen, err)
+	if ck, err := st.LoadLatest(nil); ck != nil || err != nil {
+		t.Fatalf("store not empty after archive: %v %v", ck, err)
 	}
 	if tomb, err := LoadTombstone(dir); tomb != nil || err != nil {
 		t.Fatalf("tombstone not archived: %v %v", tomb, err)

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"hash/crc32"
 	"os"
 	"testing"
@@ -37,7 +38,6 @@ func FuzzCheckpointDecoder(f *testing.F) {
 			{Device: "u000", Seq: 3, Acc: acc.AppendState(nil)},
 			{Device: "u001", Seq: 17},
 		},
-		Retired: retBlob,
 		Ledger: []RetiredRecord{
 			{Device: "u001", Seq: 17, CRC: crc32.ChecksumIEEE(retBlob), Blob: retBlob},
 		},
@@ -47,15 +47,15 @@ func FuzzCheckpointDecoder(f *testing.F) {
 	hdr := append([]byte(nil), fileMagic...)
 	f.Add(append(hdr, payload...)) // wrong header shape: exercises torn/corrupt paths
 	f.Add(payload)
+	f.Add(withLegacy(snap, retBlob)) // as written before the aggregate went
+	v1 := bytes.Clone(payload[:len(payload)-10])
+	v1[0] = 1
+	f.Add(v1)
 	f.Add([]byte("NECKPT1\n"))
 	f.Add([]byte{})
-	// A v2 payload truncated inside the ledger section: the decoder must
-	// reject it as corrupt, never fall back to reading it as a v1 body.
-	v1len := len(Encode(&Snapshot{Devices: snap.Devices, Retired: snap.Retired})) - len(retBlob) - 16
-	if v1len < 1 {
-		v1len = 1
-	}
-	f.Add(payload[:v1len+(len(payload)-v1len)/2])
+	// A payload truncated inside the ledger section.
+	ledgerAt := len(Encode(&Snapshot{Devices: snap.Devices})) - 3
+	f.Add(payload[:ledgerAt+(len(payload)-ledgerAt)/2])
 	// And one truncated mid-fence (last few bytes gone).
 	f.Add(payload[:len(payload)-3])
 
@@ -96,8 +96,8 @@ func FuzzCheckpointDecoder(f *testing.F) {
 				a.Feed(&r)
 			}
 		}
-		if snap.Retired != nil {
-			analysis.DecodeStreamResult(snap.Retired) //nolint:errcheck // must not panic
+		if snap.Legacy != nil {
+			analysis.DecodeStreamResult(snap.Legacy) //nolint:errcheck // must not panic
 		}
 		for _, r := range snap.Ledger {
 			analysis.DecodeStreamResult(r.Blob) //nolint:errcheck // must not panic

@@ -2,20 +2,18 @@ package ingest
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"time"
 
 	"netenergy/internal/trace"
 )
 
-// defaultMaxBatch is how many records a Client packs into one batch frame
+// maxBatch is how many records a Client packs into one batch frame
 // before emitting it. Large enough to amortize the frame header, CRC and
 // per-frame decode work; small enough that a paced device's partial batch
 // (flushed before every sleep) still reflects real-time delivery.
-const defaultMaxBatch = 64
+const maxBatch = 64
 
 // maxBatchBytes flushes a pending batch early when its encoded records
 // grow large (pathological payloads), keeping batch frames well under
@@ -34,24 +32,17 @@ const ackTimeout = 30 * time.Second
 // Client is dead, and the caller reconnects and resumes from the server's
 // acknowledged sequence number. Session (session.go) wraps that loop.
 type Client struct {
-	conn  net.Conn
-	bw    *bufio.Writer
-	br    *bufio.Reader
-	enc   *trace.RecordEncoder
-	frame []byte
-	seq   int64
+	conn net.Conn
+	bw   *bufio.Writer
+	br   *bufio.Reader
+	enc  *trace.RecordEncoder
+	seq  int64
 
-	// Batch assembly: Send accumulates length-prefixed record bodies in
-	// pending and emits one batch frame (body 0x06 count records...) per
+	// Send accumulates records in batch and emits one batch frame per
 	// maxBatch records, amortizing the frame header, CRC and buffer write.
 	// Flush and Close emit any partial batch first, so no record is ever
 	// held back across a flush boundary.
-	pending      []byte
-	body         []byte
-	crcb         [4]byte
-	pendingCount int
-	pendingSeq   int64
-	maxBatch     int
+	batch batchWriter
 
 	// ResumeSeq is the sequence number the server acknowledged at the
 	// handshake: the seq of the first record it expects on this connection.
@@ -111,9 +102,9 @@ func NewClient(conn net.Conn, device string, start trace.Timestamp, lastSeq int6
 	return &Client{
 		conn: conn, bw: bw, br: br,
 		enc:       trace.NewRecordEncoder(start),
+		batch:     batchWriter{w: bw},
 		seq:       resume,
 		ResumeSeq: resume,
-		maxBatch:  defaultMaxBatch,
 	}, nil
 }
 
@@ -129,61 +120,21 @@ func (c *Client) Send(r *trace.Record) error {
 	if err != nil {
 		return err
 	}
-	if c.pendingCount == 0 {
-		c.pendingSeq = c.seq
-	}
-	c.pending = binary.AppendUvarint(c.pending, uint64(len(body)))
-	c.pending = append(c.pending, body...)
-	c.pendingCount++
+	c.batch.add(c.seq, body)
 	c.seq++
 	c.Records++
-	if c.pendingCount >= c.maxBatch || len(c.pending) >= maxBatchBytes {
+	if c.batch.count >= maxBatch || len(c.batch.records) >= maxBatchBytes {
 		return c.emitBatch()
 	}
 	return nil
 }
 
-// emitBatch frames the pending records as one batch frame and streams it
-// head, records, CRC straight into the write buffer — the record bytes are
-// copied once (into bufio), not assembled through intermediate buffers.
-// The frame's seq names the first record; record j in the body carries
-// pendingSeq+j.
+// emitBatch puts the pending records on the wire (into the write buffer) as
+// one batch frame.
 func (c *Client) emitBatch() error {
-	if c.pendingCount == 0 {
-		return nil
-	}
-	bodyLen := 1 + uvarintLen(uint64(c.pendingCount)) + len(c.pending)
-	c.body = c.body[:0]
-	c.body = binary.AppendUvarint(c.body, uint64(c.pendingSeq))
-	c.body = binary.AppendUvarint(c.body, uint64(bodyLen))
-	c.body = append(c.body, batchByte)
-	c.body = binary.AppendUvarint(c.body, uint64(c.pendingCount))
-	crc := crc32.ChecksumIEEE(c.body)
-	crc = crc32.Update(crc, crc32.IEEETable, c.pending)
-	if _, err := c.bw.Write(c.body); err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(c.pending); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(c.crcb[:], crc)
-	if _, err := c.bw.Write(c.crcb[:]); err != nil {
-		return err
-	}
-	c.Bytes += int64(len(c.body) + len(c.pending) + 4)
-	c.pending = c.pending[:0]
-	c.pendingCount = 0
-	return nil
-}
-
-// uvarintLen returns the encoded size of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	n, err := c.batch.flush()
+	c.Bytes += int64(n)
+	return err
 }
 
 // Flush emits the partial batch and pushes buffered frames to the
@@ -205,8 +156,7 @@ func (c *Client) Close() error {
 		c.conn.Close()
 		return err
 	}
-	c.frame = appendFrame(c.frame[:0], c.seq, []byte{finByte})
-	if _, err := c.bw.Write(c.frame); err != nil {
+	if _, err := c.bw.Write(appendFrame(nil, c.seq, []byte{finByte})); err != nil {
 		c.conn.Close()
 		return err
 	}

@@ -158,9 +158,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 // TestTransferRoundTrip is the handoff receive-path contract: a checkpoint
 // file shipped to a fresh node must reproduce the origin's state bit-for-bit
 // (live accumulators, sequence numbers, the retirement ledger), re-delivery
-// must be a stale no-op, ?skip_retired=1 must withhold only the legacy
-// unattributed aggregate — ledger-held finalized energy is ownership-routed
-// and survives it — and a node that owns none of the devices must adopt
+// must be a stale no-op, and a node that owns none of the devices must adopt
 // nothing.
 func TestTransferRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -200,27 +198,18 @@ func TestTransferRoundTrip(t *testing.T) {
 	if err := a.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, gen, err := store.LoadLatestRaw()
-	if err != nil || file == nil {
-		t.Fatalf("no raw checkpoint (gen %d): %v", gen, err)
-	}
+	ck := latestCheckpoint(t, dir)
+	file := ck.File
 
 	// Full transfer into B: state must match A.
 	b := startServer(t, Config{Shards: 3, AdminAddr: "127.0.0.1:0", NodeID: "nb", QueueDepth: 16, BatchSize: 4})
 	defer b.Kill()
-	res := postTransfer(t, b, file, false)
+	res := postTransfer(t, b, file)
 	if res.NodeID != "nb" {
 		t.Errorf("transfer node_id = %q", res.NodeID)
 	}
 	if res.AcceptedDevices != len(dts) || res.SkippedStale != 0 || res.SkippedNotOwned != 0 {
 		t.Fatalf("transfer result %+v, want %d devices accepted", res, len(dts))
-	}
-	if !res.RetiredMerged {
-		t.Error("retired aggregate not merged on the primary survivor")
 	}
 	if res.Records != sent {
 		t.Fatalf("transfer records %d, want %d", res.Records, sent)
@@ -240,34 +229,12 @@ func TestTransferRoundTrip(t *testing.T) {
 
 	// Re-delivery (the aggregator retries, or a drain handoff races the
 	// aggregator's): every entry is stale, nothing changes.
-	res2 := postTransfer(t, b, file, false)
+	res2 := postTransfer(t, b, file)
 	if res2.AcceptedDevices != 0 || res2.SkippedStale != len(dts) || res2.Records != 0 {
 		t.Fatalf("re-delivery result %+v, want all-stale no-op", res2)
 	}
-	if res2.RetiredMerged {
-		t.Error("re-delivered retired aggregate merged twice")
-	}
 	if got := b.Headline(); got.Records != hb.Records || math.Abs(got.TotalEnergyJ-hb.TotalEnergyJ) > 1e-9*(1+hb.TotalEnergyJ) {
 		t.Error("re-delivered transfer changed state")
-	}
-
-	// skip_retired withholds only the legacy unattributed aggregate.
-	// Finalized devices ride the retirement ledger, which is ownership-routed
-	// per device exactly like live state, so a survivor that owns everything
-	// reconstructs the full energy even under skip_retired=1 — the v1 "whole
-	// aggregate to one blessed survivor" split no longer loses attribution.
-	c := startServer(t, Config{Shards: 2, AdminAddr: "127.0.0.1:0", NodeID: "nc", QueueDepth: 16, BatchSize: 4})
-	defer c.Kill()
-	res3 := postTransfer(t, c, file, true)
-	if res3.RetiredMerged {
-		t.Error("skip_retired=1 still merged the legacy retired aggregate")
-	}
-	if res3.Records != sent {
-		t.Fatalf("skip_retired records %d, want %d (seq bookkeeping is unconditional)", res3.Records, sent)
-	}
-	hc := c.Headline()
-	if d := math.Abs(hc.TotalEnergyJ - hb.TotalEnergyJ); d > 1e-9*(1+hb.TotalEnergyJ) {
-		t.Errorf("ledger-held energy lost under skip_retired: C %v, full transfer %v", hc.TotalEnergyJ, hb.TotalEnergyJ)
 	}
 
 	// A node that owns none of the devices adopts nothing.
@@ -276,16 +243,12 @@ func TestTransferRoundTrip(t *testing.T) {
 		Route: func(device string) (string, bool) { return "elsewhere:9", false },
 	})
 	defer d.Kill()
-	snap, err := checkpoint.DecodeFile(file)
+	res3, err := d.RestoreTransfer(ck.Snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res4, err := d.RestoreTransfer(snap, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res4.AcceptedDevices != 0 || res4.SkippedNotOwned != len(dts) {
-		t.Fatalf("non-owner result %+v, want everything skipped", res4)
+	if res3.AcceptedDevices != 0 || res3.SkippedNotOwned != len(dts) {
+		t.Fatalf("non-owner result %+v, want everything skipped", res3)
 	}
 }
 
@@ -305,14 +268,7 @@ func TestRetiredLedgerDedup(t *testing.T) {
 	if err := a.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, _, err := store.LoadLatestRaw()
-	if err != nil || file == nil {
-		t.Fatal("no checkpoint")
-	}
+	file := latestCheckpoint(t, dir).File
 	want := a.Headline().TotalEnergyJ
 	if want <= 0 {
 		t.Fatal("reference energy is zero; test is vacuous")
@@ -334,7 +290,7 @@ func TestRetiredLedgerDedup(t *testing.T) {
 	b := startServer(t, Config{Shards: 1, AdminAddr: "127.0.0.1:0", QueueDepth: 16, BatchSize: 4})
 	defer b.Kill()
 	streamTrace(t, b.Addr().String(), dt)
-	res := postTransfer(t, b, file, false)
+	res := postTransfer(t, b, file)
 	if res.AcceptedDevices != 0 || res.SkippedStale != 1 || res.Records != 0 {
 		t.Fatalf("handoff after local retire: %+v, want one stale entry", res)
 	}
@@ -362,7 +318,7 @@ func TestRetiredLedgerDedup(t *testing.T) {
 	for c.DeviceRecords(dt.Device) < int64(cut) && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	res2 := postTransfer(t, c, file, false)
+	res2 := postTransfer(t, c, file)
 	if res2.AcceptedDevices != 1 || res2.Records != n-int64(cut) {
 		t.Fatalf("handoff over partial re-stream: %+v, want adopted with %d-record delta", res2, n-int64(cut))
 	}
@@ -373,7 +329,7 @@ func TestRetiredLedgerDedup(t *testing.T) {
 	// device.
 	d := startServer(t, Config{Shards: 1, AdminAddr: "127.0.0.1:0", QueueDepth: 16, BatchSize: 4})
 	defer d.Kill()
-	res3 := postTransfer(t, d, file, false)
+	res3 := postTransfer(t, d, file)
 	if res3.AcceptedDevices != 1 || res3.Records != n {
 		t.Fatalf("handoff to fresh node: %+v", res3)
 	}
@@ -407,14 +363,7 @@ func TestTransferRejectsCorruptFile(t *testing.T) {
 	if err := a.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, _, err := store.LoadLatestRaw()
-	if err != nil || file == nil {
-		t.Fatal("no checkpoint")
-	}
+	file := latestCheckpoint(t, dir).File
 	file[len(file)-1] ^= 0x40
 
 	b := startServer(t, Config{Shards: 1, AdminAddr: "127.0.0.1:0", QueueDepth: 8, BatchSize: 4})
@@ -436,13 +385,23 @@ func TestTransferRejectsCorruptFile(t *testing.T) {
 	}
 }
 
-func postTransfer(t *testing.T, s *Server, file []byte, skipRetired bool) TransferResult {
+// latestCheckpoint loads the newest generation in dir.
+func latestCheckpoint(t *testing.T, dir string) *checkpoint.Loaded {
 	t.Helper()
-	url := "http://" + s.AdminAddr().String() + "/transfer"
-	if skipRetired {
-		url += "?skip_retired=1"
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(file))
+	ck, err := store.LoadLatest(nil)
+	if err != nil || ck == nil {
+		t.Fatalf("no checkpoint in %s: %v", dir, err)
+	}
+	return ck
+}
+
+func postTransfer(t *testing.T, s *Server, file []byte) TransferResult {
+	t.Helper()
+	resp, err := http.Post("http://"+s.AdminAddr().String()+"/transfer", "application/octet-stream", bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}

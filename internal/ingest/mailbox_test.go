@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"netenergy/internal/analysis"
-	"netenergy/internal/ingest/checkpoint"
 	"netenergy/internal/synthgen"
 )
 
@@ -59,21 +58,14 @@ func hammerWhileStopping(t *testing.T, stop func(*Server)) *Server {
 	if err := donor.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.Open(donorDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _, err := store.LoadLatest(nil)
-	if err != nil || snap == nil {
-		t.Fatalf("donor checkpoint: %v", err)
-	}
+	snap := latestCheckpoint(t, donorDir).Snap
 
 	s := startServer(t, Config{
 		Shards: 3, QueueDepth: 4, BatchSize: 8,
 		CheckpointDir: t.TempDir(), CheckpointInterval: time.Hour,
 		SegmentDir: t.TempDir(),
 	})
-	if res, err := s.RestoreTransfer(snap, true); err != nil || res.AcceptedDevices != 1 {
+	if res, err := s.RestoreTransfer(snap); err != nil || res.AcceptedDevices != 1 {
 		t.Fatalf("transfer before the stop: %+v, %v", res, err)
 	}
 	want := analysis.NewStreamResult("fleet")
@@ -105,7 +97,7 @@ func hammerWhileStopping(t *testing.T, stop func(*Server)) *Server {
 	hammer(func(int) { s.SyncSegments() })   //nolint:errcheck // must return, may refuse
 	hammer(func(int) { s.SaveCheckpoint() }) //nolint:errcheck
 	hammer(func(int) {
-		if res, err := s.RestoreTransfer(snap, true); err == nil && res.AcceptedDevices != 0 {
+		if res, err := s.RestoreTransfer(snap); err == nil && res.AcceptedDevices != 0 {
 			t.Errorf("re-delivered transfer adopted again: %+v", res)
 		}
 	})
@@ -135,7 +127,7 @@ func hammerWhileStopping(t *testing.T, stop func(*Server)) *Server {
 	if err := s.SaveCheckpoint(); err == nil {
 		t.Error("SaveCheckpoint on a stopped server succeeded")
 	}
-	if _, err := s.RestoreTransfer(snap, true); err == nil {
+	if _, err := s.RestoreTransfer(snap); err == nil {
 		t.Error("RestoreTransfer on a stopped server succeeded")
 	}
 	if got := s.Stats(false).Records; got != acked {

@@ -26,22 +26,29 @@
 //	                                  reconnect there (cluster mode only)
 //	frame    := seq:uvarint bodyLen:uvarint body:bytes crc:uint32le
 //	            crc covers the seq and bodyLen varints and the body
-//	body     := type:byte record-body     (trace.RecordEncoder), or
-//	            0x06 count:uvarint (recLen:uvarint record)* — a batch of
-//	            count consecutive records (each encoded exactly like a
-//	            single-record body, the timestamp delta chain running
-//	            through them), with the frame seq naming the first record;
-//	            record j carries seq+j. One length prefix, one CRC and one
-//	            syscall amortize over the whole batch, which is what lifts
-//	            ingest from ~1M to multi-M records/s. Or the
-//	            single byte 0x00: end-of-stream (FIN) — the server finalizes
-//	            the device stream and acks with status 0 / final seq
+//	body     := FIN | batch — a body that is neither is a framing error
+//	            and severs the connection
+//	FIN      := 0x00 — end of stream, seq = the next record's: the server
+//	            closes the device's session and acks with status 0 / final
+//	            seq
+//	batch    := 0x06 count:uvarint (recLen:uvarint record)*
+//	            count (1..65536) consecutive records with the frame seq
+//	            naming the first; record j carries seq+j. One length prefix,
+//	            one CRC and one syscall amortize over the whole batch, which
+//	            is what lifts ingest from ~1M to multi-M records/s.
+//	record   := type:byte record-body     (trace.RecordEncoder)
 //
-// The frame body is byte-identical to the CRC-covered region of a METR file
+// A record is byte-identical to the CRC-covered region of a METR file
 // record, and record timestamps are delta-encoded per connection exactly as
-// in a METR file — a device stream is a METR trace re-framed for the wire.
+// in a METR file, the chain running through batch boundaries — a device
+// stream is a METR trace re-framed for the wire.
 //
-// A CRC or record-decode failure severs the connection: the timestamp delta
+// This file is the only code that knows the grammar above: batchWriter
+// encodes batches (the Client and every test that needs a frame go through
+// it), appendFrame frames a FIN, frameReader and batchBody decode for the
+// connection handler.
+//
+// A CRC, framing or record-decode failure severs the connection: the timestamp delta
 // chain is broken past the bad frame, so the only sound recovery is for the
 // client to reconnect and resume from the server's acknowledged sequence
 // number, which retransmits the damaged record. (v1 kept the connection and
@@ -129,14 +136,16 @@ const (
 	maxDeviceID = 4096
 )
 
-// finByte is the reserved record-type byte (trace.RecInvalid) whose
-// single-byte frame body marks a clean end of stream.
-const finByte = 0x00
-
-// batchByte marks a frame body holding a batch of records. It sits above
-// every real record-type byte (trace.RecAppName..RecScreen are 1..5), so a
-// body's first byte distinguishes FIN, single record and batch.
-const batchByte = 0x06
+// The two frame bodies, told apart by their first byte. Both values lie
+// outside the record types (trace.RecAppName..RecScreen are 1..5), so a body
+// that starts with a record type — a bare record, which is not a frame — is
+// refused rather than misread.
+const (
+	// finByte (trace.RecInvalid) is the whole body of an end-of-stream frame.
+	finByte = 0x00
+	// batchByte opens a batch body.
+	batchByte = 0x06
+)
 
 // maxBatchRecords caps the record count a batch body may declare; with the
 // MaxFrame body cap it bounds what a hostile count can make the server do.
@@ -290,6 +299,117 @@ func appendFrame(dst []byte, seq int64, body []byte) []byte {
 	var crcb [4]byte
 	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(dst[head:]))
 	return append(dst, crcb[:]...)
+}
+
+// batchWriter is the one encoder of the batch grammar. add collects
+// length-prefixed records; flush frames them as one batch and streams head,
+// records, CRC straight into w — the record bytes are copied once (into the
+// connection's bufio.Writer), not assembled through a frame buffer.
+type batchWriter struct {
+	w       io.Writer
+	seq     int64 // of the first pending record
+	count   int
+	records []byte // count x (recLen:uvarint record)
+	scratch []byte // the frame head, then the CRC trailer
+}
+
+// add appends one encoded record carrying sequence number seq to the pending
+// batch; the caller keeps the records of one batch consecutive.
+func (b *batchWriter) add(seq int64, record []byte) {
+	if b.count == 0 {
+		b.seq = seq
+	}
+	b.records = binary.AppendUvarint(b.records, uint64(len(record)))
+	b.records = append(b.records, record...)
+	b.count++
+}
+
+// flush writes the pending records as one batch frame and returns the bytes
+// it put on the wire; with nothing pending it writes nothing.
+func (b *batchWriter) flush() (int, error) {
+	if b.count == 0 {
+		return 0, nil
+	}
+	var count [binary.MaxVarintLen64]byte
+	cn := binary.PutUvarint(count[:], uint64(b.count))
+	head := binary.AppendUvarint(b.scratch[:0], uint64(b.seq))
+	head = binary.AppendUvarint(head, uint64(1+cn+len(b.records))) // bodyLen
+	head = append(append(head, batchByte), count[:cn]...)
+	crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, b.records)
+	n := len(head) + len(b.records) + 4
+	if _, err := b.w.Write(head); err != nil {
+		return 0, err
+	}
+	if _, err := b.w.Write(b.records); err != nil {
+		return 0, err
+	}
+	b.scratch = binary.LittleEndian.AppendUint32(head[:0], crc)
+	if _, err := b.w.Write(b.scratch); err != nil {
+		return 0, err
+	}
+	b.records, b.count = b.records[:0], 0
+	return n, nil
+}
+
+// batchBody iterates the records of a batch frame body, the one decoder of
+// the batch grammar: every length is checked against the bytes that are
+// there before it is used.
+//
+//	b := openBatch(body)
+//	for b.next() { use b.record }
+//	if b.err != nil { sever }
+type batchBody struct {
+	rest   []byte
+	left   int    // records not yet returned
+	record []byte // the current record, aliasing the frame body
+	err    error  // why next returned false early; nil at a clean end
+}
+
+// Batch-body framing errors.
+var (
+	errNotBatch      = errors.New("body is neither FIN nor a batch")
+	errBatchHeader   = errors.New("malformed batch header")
+	errBatchRecord   = errors.New("malformed batch record")
+	errBatchTrailing = errors.New("trailing bytes after batch")
+)
+
+// openBatch checks a frame body's batch header. A body that is not a batch,
+// or declares no records or more than maxBatchRecords, yields an iterator
+// that is already at its error.
+func openBatch(body []byte) batchBody {
+	if len(body) == 0 || body[0] != batchByte {
+		return batchBody{err: errNotBatch}
+	}
+	count, n := binary.Uvarint(body[1:])
+	if n <= 0 || count == 0 || count > maxBatchRecords {
+		return batchBody{err: errBatchHeader}
+	}
+	return batchBody{rest: body[1+n:], left: int(count)}
+}
+
+// next advances to the next record. It returns false at the end of the
+// batch — clean only if the declared count used up the body exactly — and at
+// a record whose length prefix is malformed or runs past the body.
+//
+//repolint:noalloc
+func (b *batchBody) next() bool {
+	if b.err != nil {
+		return false
+	}
+	if b.left == 0 {
+		if len(b.rest) != 0 {
+			b.err = errBatchTrailing
+		}
+		return false
+	}
+	rl, n := binary.Uvarint(b.rest)
+	if n <= 0 || rl > uint64(len(b.rest)-n) {
+		b.err = errBatchRecord
+		return false
+	}
+	b.record, b.rest = b.rest[n:n+int(rl)], b.rest[n+int(rl):]
+	b.left--
+	return true
 }
 
 // frameReader reads frames from a buffered stream, reusing one body buffer.

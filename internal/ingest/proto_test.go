@@ -23,8 +23,22 @@ func sampleRecords() []trace.Record {
 	}
 }
 
-// TestProtoRoundtrip drives the client encoder against the server-side
-// frame reader and record decoder directly.
+// batchFrame returns one batch frame carrying the encoded records from seq
+// on — how every test that needs frame bytes gets them, through the one
+// writer of the grammar.
+func batchFrame(seq int64, records ...[]byte) []byte {
+	var buf bytes.Buffer
+	w := batchWriter{w: &buf}
+	for i, r := range records {
+		w.add(seq+int64(i), r)
+	}
+	w.flush() //nolint:errcheck // a bytes.Buffer does not fail
+	return buf.Bytes()
+}
+
+// TestProtoRoundtrip drives the batch writer against the server-side frame
+// reader, batch iterator and record decoder directly: one record a frame,
+// then the rest in one.
 func TestProtoRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeHello(&buf, "u07", 500, 42); err != nil {
@@ -32,13 +46,16 @@ func TestProtoRoundtrip(t *testing.T) {
 	}
 	enc := trace.NewRecordEncoder(500)
 	recs := sampleRecords()
+	var bodies [][]byte
 	for i := range recs {
 		body, err := enc.Encode(&recs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(appendFrame(nil, int64(42+i), body))
+		bodies = append(bodies, bytes.Clone(body))
 	}
+	buf.Write(batchFrame(42, bodies[0]))
+	buf.Write(batchFrame(43, bodies[1:]...))
 	buf.Write(appendFrame(nil, int64(42+len(recs)), []byte{finByte}))
 
 	br := bufio.NewReader(&buf)
@@ -51,27 +68,37 @@ func TestProtoRoundtrip(t *testing.T) {
 	}
 	dec := trace.NewRecordDecoder(start)
 	fr := newFrameReader(br)
-	for i := range recs {
+	i := 0
+	for _, wantSeq := range []int64{42, 43} {
 		seq, body, err := fr.next()
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			t.Fatalf("frame at record %d: %v", i, err)
 		}
-		if seq != int64(42+i) {
-			t.Fatalf("frame %d: seq = %d, want %d", i, seq, 42+i)
+		if seq != wantSeq {
+			t.Fatalf("frame at record %d: seq = %d, want %d", i, seq, wantSeq)
 		}
 		if isFin(body) {
-			t.Fatalf("frame %d misread as FIN", i)
+			t.Fatalf("frame at record %d misread as FIN", i)
 		}
-		got, err := dec.Decode(body)
-		if err != nil {
-			t.Fatalf("decode %d: %v", i, err)
+		batch := openBatch(body)
+		for ; batch.next(); i++ {
+			got, err := dec.Decode(batch.record)
+			if err != nil {
+				t.Fatalf("decode %d: %v", i, err)
+			}
+			want := recs[i]
+			if got.Type != want.Type || got.TS != want.TS || got.App != want.App ||
+				got.State != want.State || got.ScreenOn != want.ScreenOn ||
+				got.AppName != want.AppName || !bytes.Equal(got.Payload, want.Payload) {
+				t.Errorf("record %d: got %v want %v", i, got, want)
+			}
 		}
-		want := recs[i]
-		if got.Type != want.Type || got.TS != want.TS || got.App != want.App ||
-			got.State != want.State || got.ScreenOn != want.ScreenOn ||
-			got.AppName != want.AppName || !bytes.Equal(got.Payload, want.Payload) {
-			t.Errorf("record %d: got %v want %v", i, got, want)
+		if batch.err != nil {
+			t.Fatalf("batch at record %d: %v", i, batch.err)
 		}
+	}
+	if i != len(recs) {
+		t.Fatalf("decoded %d records, sent %d", i, len(recs))
 	}
 	seq, body, err := fr.next()
 	if err != nil || !isFin(body) || seq != int64(42+len(recs)) {
@@ -150,7 +177,7 @@ func TestFrameCRCDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames = append(frames, appendFrame(nil, int64(i), body))
+		frames = append(frames, batchFrame(int64(i), body))
 	}
 
 	for _, tc := range []struct {

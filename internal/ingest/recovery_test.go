@@ -342,7 +342,7 @@ func TestDedupNonCompliantClient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames = append(frames, appendFrame(nil, int64(i), body))
+		frames = append(frames, batchFrame(int64(i), body))
 	}
 	// 0, 1, 2, replay of 1, 3, FIN.
 	for _, f := range [][]byte{frames[0], frames[1], frames[2], frames[1], frames[3]} {

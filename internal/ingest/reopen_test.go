@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"netenergy/internal/ingest/checkpoint"
 	"netenergy/internal/synthgen"
 	"netenergy/internal/trace"
 )
@@ -139,21 +138,10 @@ func TestReopenedDeviceSurvivesTransfer(t *testing.T) {
 	if err := a.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, _, err := store.LoadLatestRaw()
-	if err != nil || file == nil {
-		t.Fatalf("no checkpoint on disk: %v", err)
-	}
-	snap, err := checkpoint.DecodeFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := latestCheckpoint(t, dir).Snap
 
 	b := startServer(t, Config{Shards: 5})
-	res, err := b.RestoreTransfer(snap, true)
+	res, err := b.RestoreTransfer(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +150,7 @@ func TestReopenedDeviceSurvivesTransfer(t *testing.T) {
 	}
 	sameHeadline(t, "transfer", b.Headline(), want)
 
-	res, err = b.RestoreTransfer(snap, true)
+	res, err = b.RestoreTransfer(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,10 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
@@ -183,15 +182,6 @@ type Server struct {
 	fenced        atomic.Bool
 	finb          finBatcher
 
-	// retiredMu guards mergedRetired: the content CRCs of retired
-	// aggregates this node has already merged via RestoreTransfer. A drain
-	// handoff and an aggregator death-handoff can legitimately ship the
-	// same checkpoint file; the per-device positional rule makes that
-	// harmless, but the retired blob is a blind merge, so re-delivery must
-	// be deduplicated by content or finalized energy double-counts.
-	retiredMu     sync.Mutex
-	mergedRetired map[uint32]struct{}
-
 	mu      sync.RWMutex // guards conns and drain; never held across a shard send
 	conns   map[net.Conn]struct{}
 	drain   bool
@@ -311,19 +301,21 @@ func (s *Server) Start() error {
 		// The validator is the decoder: a structurally-valid file whose
 		// analysis state does not decode falls back to the previous
 		// generation instead of poisoning recovery, and the one that passes
-		// is already decoded.
-		snap, gen, err := st.LoadLatest(func(c *checkpoint.Snapshot) (err error) {
+		// is already decoded. A generation in a format this build refuses is
+		// an error, not a fallback: starting from an older one, or empty,
+		// would silently drop what it holds.
+		ck, err := st.LoadLatest(func(c *checkpoint.Snapshot) (err error) {
 			recovered, err = s.decodeSnapshot(c, nil)
 			return err
 		})
 		if err != nil {
 			return fmt.Errorf("ingest: load checkpoint: %w", err)
 		}
-		if snap != nil {
-			s.restoredFence = snap.Fence
-			s.counters.ckptGen.Set(int64(gen))
+		if ck != nil {
+			s.restoredFence = ck.Snap.Fence
+			s.counters.ckptGen.Set(int64(ck.Gen))
 			s.counters.ckptUnixNano.Set(time.Now().UnixNano())
-			s.counters.events.Logf(obs.LevelInfo, "recovered checkpoint generation %d (%d devices)", gen, len(snap.Devices))
+			s.counters.events.Logf(obs.LevelInfo, "recovered checkpoint generation %d (%d devices)", ck.Gen, len(ck.Snap.Devices))
 		}
 	}
 
@@ -368,18 +360,28 @@ func (s *Server) Start() error {
 
 // restorePlan is a checkpoint.Snapshot decoded for installation.
 type restorePlan struct {
-	units    [][]*install           // per shard of THIS server's ring
-	legacy   *analysis.StreamResult // the unattributed retired aggregate, if any
-	notOwned int                    // devices left out because own said no
+	units    [][]*install // per shard of THIS server's ring
+	notOwned int          // devices left out because own said no
 }
+
+// emptyAggregate is what every checkpoint written between the retirement
+// ledger's arrival and the aggregate's removal carries in the legacy slot:
+// the aggregate of no sessions.
+var emptyAggregate = analysis.NewStreamResult("fleet").AppendBinary(nil)
 
 // decodeSnapshot turns a snapshot into install units, one per device, placed
 // by THIS server's ring — the shard count may differ from the process that
 // wrote the file — and keeping only the devices own accepts (nil: all).
 // Every opaque blob is decoded and every sequence number checked here,
 // before anything is mutated: a snapshot either installs cleanly or is
-// refused whole, which also makes this the LoadLatest validator.
+// refused whole, which also makes this the LoadLatest validator. Closed
+// sessions install from the ledger only, where a sequence number makes the
+// merge idempotent: a file that holds some in the unattributed aggregate of
+// older builds is refused as unsupported.
 func (s *Server) decodeSnapshot(snap *checkpoint.Snapshot, own func(device string) bool) (*restorePlan, error) {
+	if snap.Legacy != nil && !bytes.Equal(snap.Legacy, emptyAggregate) {
+		return nil, fmt.Errorf("%w: it holds closed sessions in an unattributed retired aggregate (%d bytes), which cannot be merged exactly once", checkpoint.ErrUnsupported, len(snap.Legacy))
+	}
 	p := &restorePlan{units: make([][]*install, len(s.shard))}
 	at := make(map[string]*install, len(snap.Ledger)+len(snap.Devices))
 	// unit returns device's unit with its high-water mark raised to seq. A
@@ -404,21 +406,14 @@ func (s *Server) decodeSnapshot(snap *checkpoint.Snapshot, own func(device strin
 		u.seq = seq
 		return u, nil
 	}
-	result := func(what string, blob []byte) (*analysis.StreamResult, error) {
-		res, err := analysis.DecodeStreamResult(blob)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
-		}
-		return res, nil
-	}
 	for i := range snap.Ledger {
 		r := &snap.Ledger[i]
 		u, err := unit(r.Device, r.Seq)
 		if err != nil {
 			return nil, err
 		}
-		if u.res, err = result("retired device "+strconv.Quote(r.Device), r.Blob); err != nil {
-			return nil, err
+		if u.res, err = analysis.DecodeStreamResult(r.Blob); err != nil {
+			return nil, fmt.Errorf("retired device %q: %w", r.Device, err)
 		}
 		u.closed = &ledgerEntry{seq: r.Seq, crc: r.CRC, blob: append([]byte(nil), r.Blob...)}
 	}
@@ -434,29 +429,16 @@ func (s *Server) decodeSnapshot(snap *checkpoint.Snapshot, own func(device strin
 			}
 		}
 	}
-	if snap.Retired != nil {
-		var err error
-		if p.legacy, err = result("retired aggregate", snap.Retired); err != nil {
-			return nil, err
-		}
-	}
 	return p, nil
 }
 
 // install hands every shard its share of a decoded snapshot through the
-// mailbox and sums what they did with it; the legacy aggregate is
-// placement-irrelevant (it is only ever merged) and rides with shard 0's.
-// False means some shard had stopped: the node is draining, and what the
-// others installed is in its final checkpoint.
+// mailbox and sums what they did with it. False means some shard had
+// stopped: the node is draining, and what the others installed is in its
+// final checkpoint.
 func (s *Server) install(p *restorePlan, sum *TransferResult) bool {
 	reps := make([]TransferResult, len(s.shard))
-	ok := s.askShards(func(i int, sh *shard) {
-		var legacy *analysis.StreamResult
-		if i == 0 {
-			legacy = p.legacy
-		}
-		sh.install(p.units[i], legacy, &reps[i])
-	})
+	ok := s.askShards(func(i int, sh *shard) { sh.install(p.units[i], &reps[i]) })
 	for _, rep := range reps {
 		sum.AcceptedDevices += rep.AcceptedDevices
 		sum.SkippedStale += rep.SkippedStale
@@ -738,51 +720,23 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 
+		// Not FIN, so a batch: record j carries seq+j, and the run being
+		// contiguous, the accept/duplicate split is positional. Records are
+		// applied as they parse, so what preceded a malformed one is kept.
 		t0 := time.Now()
-		if len(body) > 0 && body[0] == batchByte {
-			// Batch body: count, then count length-prefixed records where
-			// record j carries seq+j. The run is contiguous, so the
-			// accept/duplicate split falls out of the same positional rule
-			// as single-record frames.
-			payload := body[1:]
-			count, un := binary.Uvarint(payload)
-			if un <= 0 || count == 0 || count > maxBatchRecords {
-				s.counters.frameErrors.Add(1)
-				sever("malformed batch header")
-				return
-			}
-			payload = payload[un:]
-			ok := true
-			for j := int64(0); j < int64(count); j++ {
-				rl, rn := binary.Uvarint(payload)
-				if rn <= 0 || rl > uint64(len(payload)-rn) {
-					s.counters.frameErrors.Add(1)
-					sever("malformed batch record")
-					ok = false
-					break
-				}
-				rbody := payload[rn : rn+int(rl)]
-				payload = payload[rn+int(rl):]
-				if !applyRecord(seq+j, rbody) {
-					ok = false
-					break
-				}
-			}
-			s.counters.frameSeconds.Observe(time.Since(t0).Seconds())
-			if !ok {
-				return
-			}
-			if len(payload) != 0 {
-				s.counters.frameErrors.Add(1)
-				sever("trailing bytes after batch")
-				return
-			}
-		} else {
-			ok := applyRecord(seq, body)
-			s.counters.frameSeconds.Observe(time.Since(t0).Seconds())
-			if !ok {
-				return
-			}
+		batch := openBatch(body)
+		applied := true
+		for j := int64(0); applied && batch.next(); j++ {
+			applied = applyRecord(seq+j, batch.record)
+		}
+		s.counters.frameSeconds.Observe(time.Since(t0).Seconds())
+		if !applied {
+			return
+		}
+		if batch.err != nil {
+			s.counters.frameErrors.Add(1)
+			sever("framing error: " + batch.err.Error())
+			return
 		}
 		if pendBytes != 0 {
 			// At least one record accepted this frame, so any head-of-line
@@ -1048,7 +1002,7 @@ func (s *Server) saveCheckpoint(final bool) error {
 	if s.fenced.Load() {
 		return errors.New("ingest: fenced")
 	}
-	cks := make([]shardCkpt, len(s.shard))
+	cks := make([]checkpoint.Snapshot, len(s.shard))
 	collect := func(i int, sh *shard) { cks[i] = sh.checkpoint() }
 	if final {
 		for i, sh := range s.shard {
@@ -1058,13 +1012,10 @@ func (s *Server) saveCheckpoint(final bool) error {
 		return errDraining
 	}
 	snap := checkpoint.Snapshot{Fence: s.fenceStamp()}
-	retired := analysis.NewStreamResult("fleet")
 	for _, ck := range cks {
-		snap.Devices = append(snap.Devices, ck.devices...)
-		snap.Ledger = append(snap.Ledger, ck.ledger...)
-		retired.Merge(ck.retired)
+		snap.Devices = append(snap.Devices, ck.Devices...)
+		snap.Ledger = append(snap.Ledger, ck.Ledger...)
 	}
-	snap.Retired = retired.AppendBinary(nil)
 
 	t0 := time.Now()
 	_, gen, err := s.ckpt.Save(&snap)
@@ -1076,7 +1027,7 @@ func (s *Server) saveCheckpoint(final bool) error {
 	}
 	s.counters.ckptGen.Set(int64(gen))
 	s.counters.ckptUnixNano.Set(time.Now().UnixNano())
-	size := int64(len(snap.Retired))
+	var size int64
 	for i := range snap.Devices {
 		size += int64(len(snap.Devices[i].Acc) + len(snap.Devices[i].Device) + 16)
 	}
@@ -1096,7 +1047,6 @@ type TransferResult struct {
 	Records         int64  `json:"records"`
 	SkippedStale    int    `json:"skipped_stale"`
 	SkippedNotOwned int    `json:"skipped_not_owned"`
-	RetiredMerged   bool   `json:"retired_merged"`
 }
 
 // RestoreTransfer adopts a dead node's checkpoint into this running server:
@@ -1108,19 +1058,18 @@ type TransferResult struct {
 // high-water mark strictly ahead wins), which makes re-delivery idempotent
 // and safe to race with live re-streams from redirected clients; in
 // particular a device that was finalized on the dead node AND fully
-// re-streamed here dedups to exactly-once via its ledger seq. The legacy
-// (unattributed) retired aggregate is merged only when includeRetired is
-// set — exactly one survivor per handoff may receive it, or its finalized
-// energy would double-count fleet-wide — and is further deduplicated by
-// content CRC, so re-delivery of the same checkpoint file (a drain handoff
-// racing an aggregator death-handoff) merges it once.
+// re-streamed here dedups to exactly-once via its ledger seq. Nothing in a
+// snapshot is merged without a sequence number, so any number of deliveries
+// of the same file, to any set of survivors, in any order, and across a
+// restart of the receiver, count every record once.
 //
 // Every opaque blob is decoded before any state is mutated: a transfer
-// either applies cleanly or severs with no effect. The one exception is a
-// transfer racing this node's own drain, which may reach some shards and
-// not others and reports draining: what landed is in the final checkpoint,
-// and re-delivery — here or to whoever inherits it — is idempotent.
-func (s *Server) RestoreTransfer(snap *checkpoint.Snapshot, includeRetired bool) (TransferResult, error) {
+// either applies cleanly or is refused with no effect. The one exception is
+// a transfer racing this node's own drain, which may reach some shards and
+// not others and reports draining — the one failure worth retrying: what
+// landed is in the final checkpoint, and re-delivery — here or to whoever
+// inherits it — is idempotent.
+func (s *Server) RestoreTransfer(snap *checkpoint.Snapshot) (TransferResult, error) {
 	res := TransferResult{NodeID: s.cfg.NodeID}
 	if s.draining() {
 		return res, errDraining
@@ -1136,30 +1085,14 @@ func (s *Server) RestoreTransfer(snap *checkpoint.Snapshot, includeRetired bool)
 	if err != nil {
 		return res, fmt.Errorf("ingest: transfer: %w", err)
 	}
-	if !includeRetired {
-		plan.legacy = nil
-	} else if plan.legacy != nil {
-		crc := crc32.ChecksumIEEE(snap.Retired)
-		s.retiredMu.Lock()
-		if _, dup := s.mergedRetired[crc]; dup {
-			plan.legacy = nil
-		} else {
-			if s.mergedRetired == nil {
-				s.mergedRetired = map[uint32]struct{}{}
-			}
-			s.mergedRetired[crc] = struct{}{}
-		}
-		s.retiredMu.Unlock()
-	}
 	if !s.install(plan, &res) {
 		return TransferResult{NodeID: s.cfg.NodeID}, errDraining
 	}
 	res.SkippedNotOwned = plan.notOwned
-	res.RetiredMerged = plan.legacy != nil
 	s.counters.transfers.Add(1)
 	s.counters.transferDevices.Add(int64(res.AcceptedDevices))
-	s.counters.events.Logf(obs.LevelInfo, "transfer adopted %d devices / %d records (%d stale, %d not owned, retired=%v)",
-		res.AcceptedDevices, res.Records, res.SkippedStale, res.SkippedNotOwned, res.RetiredMerged)
+	s.counters.events.Logf(obs.LevelInfo, "transfer adopted %d devices / %d records (%d stale, %d not owned)",
+		res.AcceptedDevices, res.Records, res.SkippedStale, res.SkippedNotOwned)
 	return res, nil
 }
 

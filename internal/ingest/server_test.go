@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -235,6 +236,54 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestMalformedBodySevers sends, each on its own connection, the frame
+// bodies that break the `FIN | batch` grammar. Every one is a framing error:
+// counted once in ingest_frame_errors_total, the connection severed, the
+// records that parsed before the fault kept (the resume point says so) and
+// nothing counted as a decode error. All but the last two did exactly this
+// before the single-record frame was removed; a bare record used to be
+// accepted, and an empty body used to be a decode error.
+func TestMalformedBodySevers(t *testing.T) {
+	rec := sampleRecords()[0]
+	record, err := trace.NewRecordEncoder(0).Encode(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range malformedBodies(bytes.Clone(record)) {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServer(t, Config{Shards: 1, QueueDepth: 4, BatchSize: 4})
+			conn, err := net.Dial("tcp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := writeHello(conn, "dev-m", 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(appendFrame(nil, 0, tc.body)); err != nil {
+				t.Fatal(err)
+			}
+			// The server says nothing after the hello ack and severs: EOF.
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+			if _, err := io.Copy(io.Discard, conn); err != nil {
+				t.Fatalf("connection not severed: %v", err)
+			}
+			c := s.counters
+			if fe, sv, de := c.frameErrors.Load(), c.severs.Load(), c.decodeErrors.Load(); fe != 1 || sv != 1 || de != 0 {
+				t.Errorf("frame errors %d, severs %d, decode errors %d; want 1, 1, 0", fe, sv, de)
+			}
+			cl, err := Dial(s.Addr().String(), "dev-m", 0, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.CloseAbort() //nolint:errcheck
+			if cl.ResumeSeq != tc.accepted {
+				t.Errorf("resume seq %d, want %d", cl.ResumeSeq, tc.accepted)
+			}
+		})
+	}
+}
+
 // TestCRCSeversAndResumes sends a corrupted frame between good ones: the
 // server must count it, sever the connection (the timestamp chain past the
 // bad frame cannot be trusted), and hand the accepted prefix back as the
@@ -262,7 +311,7 @@ func TestCRCSeversAndResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame := appendFrame(nil, int64(i), body)
+		frame := batchFrame(int64(i), body)
 		if i == 1 {
 			frame[len(frame)-1] ^= 0xff // corrupt the CRC
 		}

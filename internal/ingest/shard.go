@@ -67,16 +67,6 @@ type recordBatch struct {
 // arenas instead of allocating per record.
 var batchPool = sync.Pool{New: func() any { return new(trace.RecordBatch) }}
 
-// shardCkpt is one shard's contribution to a checkpoint: the durable state
-// of every live device it owns, one ledger entry per finalized device, and
-// a clone of its legacy (unattributed) retired aggregate — state restored
-// from pre-ledger checkpoints, which has no per-device breakdown.
-type shardCkpt struct {
-	devices []checkpoint.DeviceState
-	ledger  []checkpoint.RetiredRecord
-	retired *analysis.StreamResult
-}
-
 // ledgerEntry is a shard's record of one device's closed sessions: the
 // sequence the latest of them closed at and the serialized StreamResult of
 // all of them merged. A FIN closes a session, not a device — a device that
@@ -130,16 +120,13 @@ type shard struct {
 	// Goroutine-confined state. seqs is the per-device accepted-record
 	// high-water mark: the authoritative dedup/resume point, retained even
 	// after a device finalizes so a replayed FIN or late duplicate stays
-	// idempotent. retired is the serving aggregate (everything finalized,
-	// however it arrived); ledger holds the per-device attribution behind
-	// it; retiredLegacy is the slice of retired that has no attribution (v1
-	// restores, legacy-blob transfers) and is what checkpoints re-emit as
-	// the blind aggregate.
-	live          map[string]*analysis.StreamAccumulator
-	seqs          map[string]int64
-	retired       *analysis.StreamResult
-	retiredLegacy *analysis.StreamResult
-	ledger        map[string]*ledgerEntry
+	// idempotent. retired is the serving aggregate of every closed session;
+	// ledger is the same state per device, the only form in which it is
+	// checkpointed or handed off, so retired is always the merge of ledger.
+	live    map[string]*analysis.StreamAccumulator
+	seqs    map[string]int64
+	retired *analysis.StreamResult
+	ledger  map[string]*ledgerEntry
 
 	// seg, when non-nil, persists accepted records as queryable METR-3
 	// segment files (goroutine-confined like the rest of the state).
@@ -152,18 +139,17 @@ type shard struct {
 
 func newShard(id, queueDepth int, opts energy.Options, c *counters, reg *deviceRegistry, seg *segmentStore) *shard {
 	return &shard{
-		id:            id,
-		ch:            make(chan shardReq, queueDepth),
-		opts:          opts,
-		counters:      c,
-		reg:           reg,
-		live:          map[string]*analysis.StreamAccumulator{},
-		seqs:          map[string]int64{},
-		retired:       analysis.NewStreamResult("fleet"),
-		retiredLegacy: analysis.NewStreamResult("fleet"),
-		ledger:        map[string]*ledgerEntry{},
-		seg:           seg,
-		done:          make(chan struct{}),
+		id:       id,
+		ch:       make(chan shardReq, queueDepth),
+		opts:     opts,
+		counters: c,
+		reg:      reg,
+		live:     map[string]*analysis.StreamAccumulator{},
+		seqs:     map[string]int64{},
+		retired:  analysis.NewStreamResult("fleet"),
+		ledger:   map[string]*ledgerEntry{},
+		seg:      seg,
+		done:     make(chan struct{}),
 	}
 }
 
@@ -343,7 +329,7 @@ func (s *shard) applyBatch(b *recordBatch) {
 // otherwise the first retirement wins, the unit is dropped and the device
 // resumes from the local mark. Record counters move by the seq delta, so
 // nothing is counted twice however often a device is named.
-func (s *shard) install(units []*install, legacy *analysis.StreamResult, res *TransferResult) {
+func (s *shard) install(units []*install, res *TransferResult) {
 	for _, u := range units {
 		cur, closed := s.seqs[u.device], s.ledger[u.device]
 		if u.seq <= cur || (closed != nil && (u.closed == nil || u.closed.seq != closed.seq)) {
@@ -367,10 +353,6 @@ func (s *shard) install(units []*install, legacy *analysis.StreamResult, res *Tr
 		res.AcceptedDevices++
 		res.Records += u.seq - cur
 	}
-	if legacy != nil {
-		s.retired.Merge(legacy)
-		s.retiredLegacy.Merge(legacy)
-	}
 }
 
 // snapshot merges the retired aggregate with a Snapshot of every live
@@ -383,25 +365,23 @@ func (s *shard) snapshot() *analysis.StreamResult {
 	return agg
 }
 
-// checkpoint serializes the shard's durable state: live accumulators with
-// their sequence numbers, one ledger entry per finalized device, bare
-// sequence numbers for devices in neither set (skip-advanced or
-// v1-restored finals), and a clone of the legacy unattributed aggregate
-// (the server merges and encodes those).
-func (s *shard) checkpoint() shardCkpt {
-	ck := shardCkpt{retired: s.retiredLegacy.Clone()}
+// checkpoint serializes the shard's durable state, its share of a snapshot:
+// live accumulators with their sequence numbers, one ledger entry per device
+// with closed sessions, and bare sequence numbers for devices in neither set
+// (poison-skipped before their first accepted record).
+func (s *shard) checkpoint() (ck checkpoint.Snapshot) {
 	for dev, acc := range s.live {
-		ck.devices = append(ck.devices, checkpoint.DeviceState{
+		ck.Devices = append(ck.Devices, checkpoint.DeviceState{
 			Device: dev, Seq: s.seqs[dev], Acc: acc.AppendState(nil),
 		})
 	}
 	for dev, seq := range s.seqs {
 		if s.live[dev] == nil && s.ledger[dev] == nil {
-			ck.devices = append(ck.devices, checkpoint.DeviceState{Device: dev, Seq: seq})
+			ck.Devices = append(ck.Devices, checkpoint.DeviceState{Device: dev, Seq: seq})
 		}
 	}
 	for dev, e := range s.ledger {
-		ck.ledger = append(ck.ledger, checkpoint.RetiredRecord{
+		ck.Ledger = append(ck.Ledger, checkpoint.RetiredRecord{
 			Device: dev, Seq: e.seq, CRC: e.crc, Blob: e.blob,
 		})
 	}

@@ -200,7 +200,7 @@ func TestConfigEnd(t *testing.T) {
 func TestCompressedFleetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := smallCfg()
-	cfg.Compress = true
+	cfg.Format = trace.FormatDeflate
 	fleet, err := GenerateFleet(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +236,6 @@ func TestBlockedFleetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Format = trace.FormatBlocked
-	if cfg.ContainerFormat() != trace.FormatBlocked {
-		t.Fatalf("ContainerFormat = %v", cfg.ContainerFormat())
-	}
 	fleet, err := GenerateFleet(cfg, blkDir)
 	if err != nil {
 		t.Fatal(err)
@@ -263,23 +260,6 @@ func TestBlockedFleetRoundTrip(t *testing.T) {
 			!bytes.Equal(a.Payload, b.Payload) {
 			t.Fatalf("record %d differs: %v vs %v", i, a, b)
 		}
-	}
-}
-
-// TestContainerFormatLegacyCompress: the legacy Compress switch still
-// selects deflate when Format is unset.
-func TestContainerFormatLegacyCompress(t *testing.T) {
-	var cfg Config
-	if cfg.ContainerFormat() != trace.FormatFlat {
-		t.Errorf("zero config -> %v, want flat", cfg.ContainerFormat())
-	}
-	cfg.Compress = true
-	if cfg.ContainerFormat() != trace.FormatDeflate {
-		t.Errorf("Compress -> %v, want deflate", cfg.ContainerFormat())
-	}
-	cfg.Format = trace.FormatBlocked
-	if cfg.ContainerFormat() != trace.FormatBlocked {
-		t.Errorf("Format overrides Compress: got %v", cfg.ContainerFormat())
 	}
 }
 

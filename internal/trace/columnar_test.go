@@ -304,3 +304,38 @@ func TestColumnDecodeAllocFree(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", dst.Len(), src.Len())
 	}
 }
+
+// A writer's encoder comes from a pool and goes back to it at Flush: what a
+// writer produces must not depend on what the buffers held before, and a
+// flushed writer must refuse further use rather than share them.
+func TestColumnWriterEncoderReuse(t *testing.T) {
+	big, small := genRecords(12000), genRecords(300)
+	want := writeColumnar(t, "dev-b", small[0].TS, small)
+	writeColumnar(t, "dev-a", big[0].TS, big) // leaves grown, once-full buffers behind
+	if got := writeColumnar(t, "dev-b", small[0].TS, small); !bytes.Equal(got, want) {
+		t.Fatal("a writer's bytes depend on the encoder's previous use")
+	}
+
+	w, err := NewColumnWriter(io.Discard, "dev-c", small[0].TS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(&small[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(&small[1]); err == nil {
+		t.Error("Write after Flush succeeded")
+	}
+	if err := w.Sync(); err == nil {
+		t.Error("Sync after Flush succeeded")
+	}
+	if err := w.Flush(); err == nil {
+		t.Error("second Flush succeeded")
+	}
+	if w.Count() != 1 {
+		t.Errorf("count %d after a refused write, want 1", w.Count())
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 )
 
 // The METR binary format, version 1:
@@ -91,6 +92,20 @@ func (f Format) String() string {
 	}
 }
 
+// Formats lists every container format, oldest first.
+var Formats = [...]Format{FormatFlat, FormatDeflate, FormatBlocked, FormatColumnar}
+
+// FormatNames spells out Formats ("flat, deflate, metr2 or metr3") for the
+// -format flags' help and ParseFormat's error, so neither can fall behind
+// the list.
+func FormatNames() string {
+	names := make([]string, len(Formats))
+	for i, f := range Formats {
+		names[i] = f.String()
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+}
+
 // ParseFormat parses a format name as used by the -format command flags.
 func ParseFormat(s string) (Format, error) {
 	switch s {
@@ -103,7 +118,7 @@ func ParseFormat(s string) (Format, error) {
 	case "metr3", "columnar", "v3":
 		return FormatColumnar, nil
 	default:
-		return 0, fmt.Errorf("trace: unknown format %q (want flat, deflate, metr2 or metr3)", s)
+		return 0, fmt.Errorf("trace: unknown format %q (want %s)", s, FormatNames())
 	}
 }
 
