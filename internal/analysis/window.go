@@ -24,14 +24,22 @@ type WindowedAccumulator struct {
 	device string
 	opts   energy.Options
 	width  trace.Timestamp
-	accs   map[trace.Timestamp]*StreamAccumulator
+	accs   map[trace.Timestamp]*windowAcc
+}
+
+// windowAcc is one window's accumulator and how many records it was fed.
+type windowAcc struct {
+	*StreamAccumulator
+	records int64
 }
 
 // WindowResult pairs a window's start (its covered span is
-// [Start, Start+width)) with the finished per-window stream result.
+// [Start, Start+width)) with the finished per-window stream result and
+// the number of records that went into it.
 type WindowResult struct {
-	Start trace.Timestamp
-	Res   *StreamResult
+	Start   trace.Timestamp
+	Records int64
+	Res     *StreamResult
 }
 
 // NewWindowedAccumulator returns an accumulator splitting the device's
@@ -44,39 +52,42 @@ func NewWindowedAccumulator(device string, width trace.Timestamp, opts energy.Op
 		device: device,
 		opts:   opts,
 		width:  width,
-		accs:   map[trace.Timestamp]*StreamAccumulator{},
+		accs:   map[trace.Timestamp]*windowAcc{},
 	}
 }
 
-// windowStart maps a timestamp to its window's start. Epoch alignment
-// (floor division, correct for negative timestamps too) keeps window
-// boundaries identical across devices and nodes, so per-window results
-// merge without re-bucketing.
-func (w *WindowedAccumulator) windowStart(ts trace.Timestamp) trace.Timestamp {
-	if w.width == 0 {
+// WindowStart maps a timestamp to the start of its window of the given
+// width (0 = the one unbounded window, which starts at 0). Epoch
+// alignment (floor division, correct for negative timestamps too) keeps
+// window boundaries identical across devices and nodes, so per-window
+// results merge without re-bucketing.
+func WindowStart(ts, width trace.Timestamp) trace.Timestamp {
+	if width == 0 {
 		return 0
 	}
-	k := ts / w.width
-	if ts%w.width < 0 {
+	k := ts / width
+	if ts%width < 0 {
 		k--
 	}
-	return k * w.width
+	return k * width
 }
 
-// acc returns (creating on first use) the accumulator owning ts.
-func (w *WindowedAccumulator) acc(ts trace.Timestamp) *StreamAccumulator {
-	start := w.windowStart(ts)
+// acc returns (creating on first use) the accumulator owning ts, charged
+// with n more records.
+func (w *WindowedAccumulator) acc(ts trace.Timestamp, n int) *StreamAccumulator {
+	start := WindowStart(ts, w.width)
 	a := w.accs[start]
 	if a == nil {
-		a = NewStreamAccumulator(w.device, w.opts)
+		a = &windowAcc{StreamAccumulator: NewStreamAccumulator(w.device, w.opts)}
 		w.accs[start] = a
 	}
-	return a
+	a.records += int64(n)
+	return a.StreamAccumulator
 }
 
 // Feed routes one record to its window's accumulator.
 func (w *WindowedAccumulator) Feed(rec *trace.Record) {
-	w.acc(rec.TS).Feed(rec)
+	w.acc(rec.TS, 1).Feed(rec)
 }
 
 // FeedBatch routes a batch, splitting it at window boundaries. Records
@@ -88,19 +99,18 @@ func (w *WindowedAccumulator) FeedBatch(b *trace.RecordBatch) {
 		return
 	}
 	if w.width == 0 {
-		w.acc(b.TS[0]).FeedBatch(b)
+		w.acc(b.TS[0], n).FeedBatch(b)
 		return
 	}
 	lo := 0
 	for lo < n {
-		start := w.windowStart(b.TS[lo])
-		end := start + w.width
+		end := WindowStart(b.TS[lo], w.width) + w.width
 		hi := lo + 1
 		for hi < n && b.TS[hi] < end {
 			hi++
 		}
 		view := b.Slice(lo, hi)
-		w.acc(b.TS[lo]).FeedBatch(&view)
+		w.acc(b.TS[lo], hi-lo).FeedBatch(&view)
 		lo = hi
 	}
 }
@@ -117,7 +127,8 @@ func (w *WindowedAccumulator) Finish() []WindowResult {
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	out := make([]WindowResult, 0, len(starts))
 	for _, start := range starts {
-		out = append(out, WindowResult{Start: start, Res: w.accs[start].Finish()})
+		a := w.accs[start]
+		out = append(out, WindowResult{Start: start, Records: a.records, Res: a.Finish()})
 	}
 	return out
 }

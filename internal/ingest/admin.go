@@ -182,7 +182,7 @@ func (s *Server) adminMux() http.Handler {
 		// this request arrived; sync errors only cost tail freshness (the
 		// affected device's persistence is already disabled and counted).
 		s.SyncSegments() //nolint:errcheck // counted in segErrors
-		res, err := tsq.Engine{Opts: s.cfg.Opts}.QueryDir(s.cfg.SegmentDir, q)
+		res, err := tsq.Engine{Opts: s.cfg.Opts, Memo: s.memo}.QueryDir(s.cfg.SegmentDir, q)
 		if err != nil {
 			s.counters.queryErrors.Add(1)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -191,6 +191,8 @@ func (s *Server) adminMux() http.Handler {
 		res.Node = s.cfg.NodeID
 		s.counters.queries.Add(1)
 		s.counters.queryBlocksSkipped.Add(int64(res.Scan.BlocksSkipped))
+		s.counters.queryWindowsMemoised.Add(int64(res.Scan.WindowsMemoised))
+		s.counters.queryMemoBytes.Set(s.memo.Bytes())
 		WriteJSON(w, res)
 	})
 	mux.HandleFunc("/device", func(w http.ResponseWriter, r *http.Request) {

@@ -62,6 +62,10 @@ type counters struct {
 	queries            *obs.Counter // GET /query requests served
 	queryErrors        *obs.Counter // GET /query requests rejected or failed
 	queryBlocksSkipped *obs.Counter // blocks pruned by the seek index across queries
+	// The query memo (tsq.Memo): settled device-windows answered without a
+	// scan, and the heap the memo held after the last query.
+	queryWindowsMemoised *obs.Counter
+	queryMemoBytes       *obs.Gauge
 
 	// Hot-path distributions. frameSeconds is the per-frame record-decode
 	// latency; applySeconds is the enqueue→apply latency through a shard
@@ -122,6 +126,9 @@ func newCounters() *counters {
 		queries:            reg.Counter("ingest_queries_total", "GET /query requests served"),
 		queryErrors:        reg.Counter("ingest_query_errors_total", "GET /query requests rejected or failed"),
 		queryBlocksSkipped: reg.Counter("ingest_query_blocks_skipped_total", "blocks pruned by the segment seek index across queries"),
+
+		queryWindowsMemoised: reg.Counter("ingest_query_windows_memoised_total", "settled device-windows answered from the query memo instead of a scan"),
+		queryMemoBytes:       reg.Gauge("ingest_query_memo_bytes", "estimated heap held by the query memo after the last query"),
 
 		frameSeconds:     reg.Histogram("ingest_frame_decode_seconds", "per-frame record decode latency", obs.DurationBuckets()),
 		applySeconds:     reg.Histogram("ingest_apply_latency_seconds", "shard enqueue-to-apply latency per batch", obs.DurationBuckets()),

@@ -3,10 +3,12 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,6 +98,83 @@ func TestQueryEndpointMatchesHeadline(t *testing.T) {
 	// The pushdown counter metric is exported.
 	if got := metricValue(t, base, "ingest_query_blocks_skipped_total"); got == 0 {
 		t.Fatal("ingest_query_blocks_skipped_total not incremented")
+	}
+}
+
+// TestQueryTwiceAnswersTheSame: the second identical GET /query is served
+// from the memo and, the scan block aside, is the first one's body — and
+// the scan-everything engine's — both before and after another device's
+// session lands and seals beside the memoised history.
+func TestQueryTwiceAnswersTheSame(t *testing.T) {
+	dir := t.TempDir()
+	dts := synthgen.GenerateInMemory(synthgen.Small(3, 2))
+	s := startServer(t, Config{
+		AdminAddr: "127.0.0.1:0", Shards: 2, QueueDepth: 16, BatchSize: 32,
+		SegmentDir: dir, SegmentMaxBytes: 64 << 10,
+	})
+	defer s.Shutdown(context.Background()) //nolint:errcheck
+	base := "http://" + s.AdminAddr().String()
+	for _, dt := range dts[:2] {
+		streamTrace(t, addrOf(s), dt)
+	}
+	var head LiveHeadline
+	if code := adminGet(t, base+"/headline", &head); code != http.StatusOK {
+		t.Fatalf("/headline: %d", code)
+	}
+	const day = 86_400_000_000
+	raw := fmt.Sprintf("from=%d&to=%d&window=hour&topn=5", head.SpanStartUS-day, head.SpanEndUS+2*day)
+	vals, err := url.ParseQuery(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := tsq.ParseQuery(vals, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(res *tsq.Result) string {
+		c := *res
+		c.Node, c.Scan = "", tsq.ScanStats{}
+		b, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	askTwice := func(when string) tsq.Result {
+		t.Helper()
+		var first, second tsq.Result
+		for _, res := range []*tsq.Result{&first, &second} {
+			if code := adminGet(t, base+"/query?"+raw, res); code != http.StatusOK {
+				t.Fatalf("%s: /query: %d", when, code)
+			}
+		}
+		if body(&first) != body(&second) {
+			t.Fatalf("%s: second answer differs:\n%s\nfirst was\n%s", when, body(&second), body(&first))
+		}
+		if second.Scan.WindowsMemoised == 0 || second.Scan.RecordsScanned != 0 {
+			t.Fatalf("%s: second answer over sealed history was scanned: %+v", when, second.Scan)
+		}
+		offline, err := tsq.Engine{Opts: s.cfg.Opts}.QueryDir(dir, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body(offline) != body(&second) {
+			t.Fatalf("%s: memoised answer differs from a scan:\n%s\nscan says\n%s", when, body(&second), body(offline))
+		}
+		return second
+	}
+	before := askTwice("two devices")
+	if got := metricValue(t, base, "ingest_query_windows_memoised_total"); got != float64(before.Scan.WindowsMemoised) {
+		t.Fatalf("ingest_query_windows_memoised_total = %g after serving %d", got, before.Scan.WindowsMemoised)
+	}
+	if got := metricValue(t, base, "ingest_query_memo_bytes"); got == 0 {
+		t.Fatal("ingest_query_memo_bytes is 0 with windows memoised")
+	}
+
+	streamTrace(t, addrOf(s), dts[2])
+	after := askTwice("three devices")
+	if want := before.Records + int64(len(dts[2].Records)); after.Records != want || after.Devices != 3 {
+		t.Fatalf("after the third device: %d records of %d devices, want %d of 3", after.Records, after.Devices, want)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"netenergy/internal/ingest/checkpoint"
 	"netenergy/internal/obs"
 	"netenergy/internal/trace"
+	"netenergy/internal/tsq"
 )
 
 // Config tunes an ingest Server. Zero values select production defaults.
@@ -161,6 +162,10 @@ type Server struct {
 	rates    rateTracker
 	started  time.Time
 
+	// memo keeps /query's settled windows between requests; it is the only
+	// state a query leaves behind, and nothing on the ingest path sees it.
+	memo *tsq.Memo
+
 	ckpt *checkpoint.Store
 	// ckptMu makes collecting the shards' state and writing it one critical
 	// section (shared with the fence's archive), so generations reach disk in
@@ -204,6 +209,7 @@ func NewServer(cfg Config) *Server {
 		ring:     newRing(cfg.Shards),
 		counters: newCounters(),
 		devices:  newDeviceRegistry(),
+		memo:     tsq.NewMemo(),
 		conns:    map[net.Conn]struct{}{},
 		// PID + wall clock make the incarnation unique across restarts of
 		// the same node ID; it only ever needs to be distinct, not ordered.

@@ -239,7 +239,13 @@ type blockScratch struct {
 	compRd *bytes.Reader
 	fr     io.ReadCloser
 	u64    []uint64
-	batch  RecordBatch // the block an indexed read decoded last
+	// raw is the uncompressed payload of the block a scan or the streaming
+	// iterator decoded last, and batch that block: batch's Blob aliases raw,
+	// so both are overwritten by the next decode — whatever a caller keeps
+	// of a delivered batch (an app name, say) it must copy. The parallel
+	// reader decodes into its own arena and leaves raw alone.
+	raw   []byte
+	batch RecordBatch
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
@@ -450,16 +456,14 @@ func (w *frameWriter) Flush() error {
 // into a reused RecordBatch and serves the batch, or records out of it,
 // allocation-free per record at steady state.
 type blockIter struct {
-	br    *bufio.Reader
-	c     *container
-	sc    blockScratch
-	raw   []byte
-	batch RecordBatch
-	idx   int // next record of batch that next serves
-	rec   Record
+	br  *bufio.Reader
+	c   *container
+	sc  blockScratch
+	idx int // next record of sc.batch that next serves
+	rec Record
 }
 
-// load reads, verifies and decodes the next non-empty block into d.batch,
+// load reads, verifies and decodes the next non-empty block into d.sc.batch,
 // returning io.EOF at a clean end of file.
 func (d *blockIter) load() error {
 	for {
@@ -499,12 +503,12 @@ func (d *blockIter) load() error {
 		if _, err := io.ReadFull(d.br, d.sc.buf); err != nil {
 			return mapReadErr(err, errTornBlock, "reading block payload")
 		}
-		d.raw = sliceCap(d.raw, h.ulen)
-		if err := d.c.decodeBlock(&d.sc, h, d.sc.buf, d.raw, &d.batch); err != nil {
+		d.sc.raw = sliceCap(d.sc.raw, h.ulen)
+		if err := d.c.decodeBlock(&d.sc, h, d.sc.buf, d.sc.raw, &d.sc.batch); err != nil {
 			return err
 		}
 		d.idx = 0
-		if d.batch.Len() > 0 {
+		if d.sc.batch.Len() > 0 {
 			return nil
 		}
 		// Zero-count block: keep scanning.
@@ -513,12 +517,12 @@ func (d *blockIter) load() error {
 
 // next returns the next record in file order.
 func (d *blockIter) next() (*Record, error) {
-	if d.idx >= d.batch.Len() {
+	if d.idx >= d.sc.batch.Len() {
 		if err := d.load(); err != nil {
 			return nil, err
 		}
 	}
-	d.batch.Record(d.idx, &d.rec)
+	d.sc.batch.Record(d.idx, &d.rec)
 	d.idx++
 	return &d.rec, nil
 }
@@ -529,8 +533,8 @@ func (d *blockIter) nextBatch() (*RecordBatch, error) {
 	if err := d.load(); err != nil {
 		return nil, err
 	}
-	d.idx = d.batch.Len()
-	return &d.batch, nil
+	d.idx = d.sc.batch.Len()
+	return &d.sc.batch, nil
 }
 
 // blockIndex is a sealed blocked file as its footer index describes it.

@@ -161,7 +161,6 @@ func scanIndexed(f *os.File, ix *blockIndex, opt ScanOptions, stats *ScanStats, 
 	sc := blockScratchPool.Get().(*blockScratch)
 	defer blockScratchPool.Put(sc)
 	var out RecordBatch
-	var raw []byte
 	for i, b := range ix.blocks {
 		stats.BlocksTotal++
 		if !opt.Range.overlapsBlock(b.First, b.Last) {
@@ -169,8 +168,8 @@ func scanIndexed(f *os.File, ix *blockIndex, opt ScanOptions, stats *ScanStats, 
 			continue
 		}
 		stats.BlocksScanned++
-		raw = sliceCap(raw, b.UncompLen)
-		if err := ix.readBlockAt(f, i, sc, raw, &sc.batch); err != nil {
+		sc.raw = sliceCap(sc.raw, b.UncompLen)
+		if err := ix.readBlockAt(f, i, sc, sc.raw, &sc.batch); err != nil {
 			return err
 		}
 		if err := emitTrimmed(&sc.batch, opt.Range, filter, &out, stats, fn); err != nil {

@@ -35,16 +35,31 @@ func benchFixture(b *testing.B) (string, [2]trace.Timestamp) {
 	return benchDir.dir, benchDir.span
 }
 
-// BenchmarkQueryWindow is the query hot path the bench trajectory gate
-// watches: an hour-windowed whole-span query over the fixture, reporting
-// query_p50_ms (median per-query wall time). A regression here means the
-// pushdown scan, the columnar filter, or the rollup merge got slower.
+// BenchmarkQueryWindow is the cold wide query: an hour-windowed
+// whole-span query over the fixture with nothing memoised, so every
+// window is decoded and accumulated — what cmd/tsq and a node's first
+// look at a stretch of history pay. Reports query_p50_ms (median
+// per-query wall time) and allocations.
 func BenchmarkQueryWindow(b *testing.B) {
+	benchQueryWindow(b, Engine{Opts: energy.DefaultOptions()})
+}
+
+// BenchmarkQueryWindowWarm is the same query on an engine whose Memo
+// already holds every settled window: only the two windows the range
+// cuts are scanned, the rest is lookup and fold.
+func BenchmarkQueryWindowWarm(b *testing.B) {
+	benchQueryWindow(b, Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()})
+}
+
+func benchQueryWindow(b *testing.B, eng Engine) {
 	dir, span := benchFixture(b)
-	eng := Engine{Opts: energy.DefaultOptions()}
 	q := Query{From: span[0], To: span[1] + 1, Window: trace.Timestamp(3600 * 1e6), TopN: 10}
+	if _, err := eng.QueryDir(dir, q); err != nil { // fills the Memo, if there is one
+		b.Fatal(err)
+	}
 
 	durs := make([]time.Duration, 0, b.N)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()

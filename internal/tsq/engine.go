@@ -2,6 +2,7 @@ package tsq
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,9 +14,15 @@ import (
 )
 
 // Engine executes queries over segment directories. The zero value is
-// ready to use with default energy options.
+// ready to use with default energy options and scans every window of
+// every query.
 type Engine struct {
 	Opts energy.Options
+
+	// Memo, when set, serves settled windows without a scan. A
+	// long-lived process that answers the same history repeatedly
+	// (ingestd) owns one; one-shot callers have no use for it.
+	Memo *Memo
 }
 
 // QueryDir runs q over every segment file in dir (non-recursive),
@@ -62,120 +69,341 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 		WindowUS: int64(q.Window),
 	}
 
-	// Pass 1: group files by device (header peek only — no block reads),
-	// ordered by (start timestamp, path) within a device.
-	type fileInfo struct {
-		path  string
-		start trace.Timestamp
-	}
-	byDevice := map[string][]fileInfo{}
+	// Pass 1: group files by device. Each file is opened once, for its
+	// header and its index (or, unsealed, its first block).
+	byDevice := map[string][]segment{}
 	var devices []string
 	for _, path := range paths {
-		device, start, err := peekHeader(path)
+		seg, err := statSegment(path)
 		if err != nil {
 			return nil, fmt.Errorf("tsq: %s: %w", path, err)
 		}
-		if _, ok := byDevice[device]; !ok {
-			devices = append(devices, device)
+		if _, ok := byDevice[seg.device]; !ok {
+			devices = append(devices, seg.device)
 		}
-		byDevice[device] = append(byDevice[device], fileInfo{path: path, start: start})
+		byDevice[seg.device] = append(byDevice[seg.device], seg)
 	}
 	sort.Strings(devices)
 
-	// Pass 2: scan each device's files in order through a windowed
-	// accumulator; in-window batches arrive trimmed and app-filtered
-	// straight off the columns.
-	opt := trace.ScanOptions{Range: q.Range(), Apps: q.Apps}
-	names := map[uint32]string{}
+	// Pass 2: every device's windows, folded in device-then-window order —
+	// the order the float sums are defined in, whether a window was
+	// scanned just now or memoised by an earlier query.
 	var stats trace.ScanStats
+	memoised := 0
+	params := e.memoParams(q)
+	f := newFold(res)
+	names := map[uint32]string{}
 	for _, device := range devices {
-		files := byDevice[device]
-		sort.Slice(files, func(i, j int) bool {
-			if files[i].start != files[j].start {
-				return files[i].start < files[j].start
+		parts, hits, err := e.deviceWindows(device, byDevice[device], q, params, &stats)
+		if err != nil {
+			return nil, err
+		}
+		memoised += hits
+		before := res.Records
+		for _, p := range parts {
+			if p.records == 0 {
+				continue
 			}
-			return files[i].path < files[j].path
-		})
-		acc := analysis.NewWindowedAccumulator(device, q.Window, e.Opts)
-		before := stats.RecordsMatched
-		for _, fi := range files {
-			if _, err := trace.ScanFile(fi.path, opt, &stats, func(b *trace.RecordBatch) error {
-				harvestNames(b, names)
-				acc.FeedBatch(b)
-				return nil
-			}); err != nil {
-				return nil, fmt.Errorf("tsq: %s: %w", fi.path, err)
+			res.Records += p.records
+			res.TotalEnergyJ += p.energy
+			res.TotalBytes += p.bytes
+			f.addApps(p.rows)
+			if q.Window > 0 {
+				f.addWindow(WindowRow{
+					StartUS: int64(p.start),
+					EndUS:   int64(p.start + q.Window),
+					EnergyJ: p.energy,
+					Bytes:   p.bytes,
+					Apps:    p.rows,
+				})
+			}
+			// Only names registered inside the query range are visible —
+			// resolution is best-effort, rows without one carry the
+			// numeric ID alone — and the last registration wins.
+			for _, r := range p.names {
+				names[r.app] = r.name
 			}
 		}
-		if stats.RecordsMatched == before {
-			continue // nothing in range on this device
-		}
-		res.Devices++
-		for _, win := range acc.Finish() {
-			addWindow(res, q, win)
+		if res.Records > before {
+			res.Devices++
 		}
 	}
-	res.Records = stats.RecordsMatched
 	res.Scan = statsOf(stats)
+	res.Scan.WindowsMemoised = memoised
 	fillNames(res, names)
 	res.Finalize(q.TopN)
 	return res, nil
 }
 
-// peekHeader reads just the file header (magic, device, start), never a
-// block.
-func peekHeader(path string) (string, trace.Timestamp, error) {
+// segment is what pass 1 keeps of one file: what orders it among its
+// device's files, which windows its records can fall in, and — sealed —
+// the identity a memoised window names it by.
+type segment struct {
+	path   string
+	device string
+	start  trace.Timestamp // from the header
+	sealed bool            // has a footer index, so will never change
+	blocks int
+
+	// Every record lies in [first, last]. A sealed file's bounds are its
+	// index's. An unsealed file may still grow, so its last is the
+	// maximum; its first is its first record's timestamp where the
+	// container keeps records in time order, and the minimum otherwise.
+	first, last trace.Timestamp
+
+	// size and mtime are those of the descriptor the index was read
+	// through: a stat of the path could describe a file sealed since.
+	size, mtime int64
+}
+
+// overlaps reports whether the file can hold a record inside r.
+func (s *segment) overlaps(r trace.TimeRange) bool {
+	return s.first < r.To && s.last >= r.From
+}
+
+func statSegment(path string) (segment, error) {
+	seg := segment{path: path, first: math.MinInt64, last: math.MaxInt64}
 	f, err := os.Open(path)
 	if err != nil {
-		return "", 0, err
+		return seg, err
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
+	st, err := f.Stat()
 	if err != nil {
-		return "", 0, err
+		return seg, err
 	}
-	return r.Device(), r.Start(), nil
-}
-
-// harvestNames collects app-name registrations from a scanned batch.
-// Only names inside the query window are visible — resolution is
-// best-effort and rows without one carry the numeric ID alone.
-func harvestNames(b *trace.RecordBatch, names map[uint32]string) {
-	for i, typ := range b.Types {
-		if typ == trace.RecAppName {
-			names[b.App[i]] = string(b.Bytes(i))
+	device, start, blocks, sealed, err := trace.ReadBlockIndex(f, st.Size())
+	if err != nil {
+		return seg, err
+	}
+	if sealed {
+		seg.device, seg.start, seg.sealed, seg.blocks = device, start, true, len(blocks)
+		seg.size, seg.mtime = st.Size(), st.ModTime().UnixNano()
+		seg.first, seg.last = math.MaxInt64, math.MinInt64
+		for _, b := range blocks {
+			if b.Count > 0 {
+				seg.first, seg.last = min(seg.first, b.First), max(seg.last, b.Last)
+			}
+		}
+		return seg, nil
+	}
+	// The index probe only used ReadAt: f is still at offset 0.
+	br, err := trace.NewBatchReader(f)
+	if err != nil {
+		return seg, err
+	}
+	seg.device, seg.start = br.Device(), br.Start()
+	if br.Format() >= trace.FormatBlocked {
+		// Blocked writers reject a record older than its predecessor, so the
+		// first one bounds the file from below. A file with no whole block
+		// yet keeps the minimum: the scan will see whatever it has by then.
+		if b, err := br.Next(); err == nil && b.Len() > 0 {
+			seg.first = b.TS[0]
 		}
 	}
+	return seg, nil
 }
 
-// addWindow folds one device-window stream result into the aggregate.
+// memoParams is what, besides its files, a partial of q depends on — the
+// half of a memo key all of q's windows share — or "" when q's windows
+// cannot be memoised: no Memo, no windows, or an app filter.
+func (e Engine) memoParams(q Query) string {
+	if e.Memo == nil || q.Window <= 0 || len(q.Apps) > 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d %+v", q.Window, e.Opts)
+}
+
+// settled is one settled window of a device (see Memo).
+type settled struct {
+	start trace.Timestamp
+	files string // memoKey.files: the identities of its contributing files
+	part  *partial
+}
+
+// settledWindows lists, in time order, the windows of a windowed q that
+// are settled for a device with these files. It gives up — nothing is
+// settled — when the files would touch more windows than a query may ask
+// for.
+func settledWindows(segs []segment, q Query) []settled {
+	w := q.Window
+	lo := analysis.WindowStart(q.From+w-1, w)
+	hi := analysis.WindowStart(q.To, w)
+	for i := range segs {
+		if !segs[i].sealed {
+			if segs[i].first == math.MinInt64 {
+				return nil
+			}
+			hi = min(hi, analysis.WindowStart(segs[i].first, w))
+		}
+	}
+	// One touch per (window, sealed file that can hold a record of it),
+	// sorted by window and then replay order: the run of touches sharing
+	// a start is that window's contributor set.
+	type touch struct {
+		start trace.Timestamp
+		seg   int
+	}
+	var touches []touch
+	for i := range segs {
+		if !segs[i].sealed || segs[i].first > segs[i].last {
+			continue
+		}
+		a := max(lo, analysis.WindowStart(segs[i].first, w))
+		b := min(hi-w, analysis.WindowStart(segs[i].last, w))
+		if a > b {
+			continue
+		}
+		if (b-a)/w >= trace.Timestamp(maxQueryWindows-len(touches)) {
+			return nil
+		}
+		for s := a; s <= b; s += w {
+			touches = append(touches, touch{s, i})
+		}
+	}
+	sort.SliceStable(touches, func(i, j int) bool { return touches[i].start < touches[j].start })
+	ids := make([]string, len(segs))
+	var out []settled
+	for i := 0; i < len(touches); {
+		j := i
+		var files string
+		for ; j < len(touches) && touches[j].start == touches[i].start; j++ {
+			s := touches[j].seg
+			if ids[s] == "" {
+				ids[s] = fmt.Sprintf("%s\x00%d\x00%d\x00", segs[s].path, segs[s].size, segs[s].mtime)
+			}
+			if j == i {
+				files = ids[s] // the common case shares one string per file
+			} else {
+				files += ids[s]
+			}
+		}
+		out = append(out, settled{start: touches[i].start, files: files})
+		i = j
+	}
+	return out
+}
+
+// deviceWindows returns one device's finished windows over q, in window
+// order, and how many of them the Memo answered. Settled windows the
+// Memo holds are served from it; the rest of the range — runs of windows
+// it does not hold, windows the range cuts, windows an unsealed file
+// reaches, or (params == "") simply everything — is scanned, each run
+// restricted to its span by the block pushdown, and what a run settles
+// is memoised on the way out.
+func (e Engine) deviceWindows(device string, segs []segment, q Query, params string, stats *trace.ScanStats) (parts []*partial, hits int, err error) {
+	// Replay order within a device: (start timestamp, path).
+	sort.Slice(segs, func(i, j int) bool {
+		if segs[i].start != segs[j].start {
+			return segs[i].start < segs[j].start
+		}
+		return segs[i].path < segs[j].path
+	})
+
+	// Cut the memoised windows out of [From, To): runs is what is left,
+	// misses the settled windows the runs will compute.
+	var misses []settled
+	var runs []trace.TimeRange
+	cur := q.From
+	if params != "" {
+		misses = settledWindows(segs, q)
+		e.Memo.lookup(params, misses)
+		known := misses
+		misses = misses[:0]
+		for _, k := range known {
+			if k.part == nil {
+				misses = append(misses, k)
+				continue
+			}
+			parts = append(parts, k.part)
+			if k.part.records > 0 {
+				hits++
+			}
+			if k.start > cur {
+				runs = append(runs, trace.TimeRange{From: cur, To: k.start})
+			}
+			cur = k.start + q.Window
+		}
+	}
+	if cur < q.To {
+		runs = append(runs, trace.TimeRange{From: cur, To: q.To})
+	}
+
+	// Each window lies in one run, so one accumulator takes them all: a
+	// window's records reach it file by file in replay order, as they
+	// would from a single scan of the whole range.
+	acc := analysis.NewWindowedAccumulator(device, q.Window, e.Opts)
+	names := map[trace.Timestamp][]appName{} // by window start
+	scanned := make([]bool, len(segs))
+	for _, run := range runs {
+		opt := trace.ScanOptions{Range: run, Apps: q.Apps}
+		for i := range segs {
+			if !segs[i].overlaps(run) {
+				continue
+			}
+			scanned[i] = true
+			if _, err := trace.ScanFile(segs[i].path, opt, stats, func(b *trace.RecordBatch) error {
+				for j, typ := range b.Types {
+					if typ == trace.RecAppName {
+						// The batch is the scan's buffer: the name is copied.
+						start := analysis.WindowStart(b.TS[j], q.Window)
+						names[start] = append(names[start], appName{b.App[j], string(b.Bytes(j))})
+					}
+				}
+				acc.FeedBatch(b)
+				return nil
+			}); err != nil {
+				return nil, 0, fmt.Errorf("tsq: %s: %w", segs[i].path, err)
+			}
+		}
+	}
+	// A sealed file no run opened still had its index examined, in pass 1;
+	// its blocks count as pruned where the query range itself misses it.
+	for i := range segs {
+		if !scanned[i] {
+			stats.BlocksTotal += segs[i].blocks
+			if !segs[i].overlaps(q.Range()) {
+				stats.BlocksSkipped += segs[i].blocks
+			}
+		}
+	}
+
+	fresh := make(map[trace.Timestamp]*partial, len(misses))
+	for _, win := range acc.Finish() {
+		p := newPartial(win)
+		p.names = names[p.start]
+		fresh[p.start] = p
+		parts = append(parts, p)
+	}
+	if len(misses) > 0 {
+		for i := range misses {
+			if misses[i].part = fresh[misses[i].start]; misses[i].part == nil {
+				misses[i].part = &partial{start: misses[i].start} // settled, and empty
+			}
+		}
+		e.Memo.store(params, misses)
+	}
+	sort.Slice(parts, func(i, j int) bool { return parts[i].start < parts[j].start })
+	return parts, hits, nil
+}
+
+// newPartial reduces a finished window to what a result keeps of it.
 // Energy is the attributed total (idle floor excluded), matching the
 // ingest headline's total_energy_j definition so the two are directly
 // comparable.
-func addWindow(res *Result, q Query, win analysis.WindowResult) {
+func newPartial(win analysis.WindowResult) *partial {
 	led := win.Res.Ledger
-	rows := make([]AppRow, 0, len(led.ByApp))
-	//repolint:ordered collection order is irrelevant: rows are sorted in Finalize before use
+	p := &partial{start: win.Start, records: win.Records, energy: led.Total, rows: make([]AppRow, 0, len(led.ByApp))}
+	//repolint:ordered collection order is irrelevant: rows merge by app ID and are sorted in Finalize before use
 	for app, e := range led.ByApp {
-		rows = append(rows, AppRow{App: app, EnergyJ: e, Bytes: led.BytesByApp[app]})
+		b := led.BytesByApp[app]
+		p.rows = append(p.rows, AppRow{App: app, EnergyJ: e, Bytes: b})
 	}
-	var bytes int64
 	//repolint:ordered summation into a single scalar is order-insensitive for int64
 	for _, b := range led.BytesByApp {
-		bytes += b
+		p.bytes += b
 	}
-	res.TotalEnergyJ += led.Total
-	res.TotalBytes += bytes
-	res.Apps = mergeAppRows(res.Apps, rows)
-	if q.Window > 0 {
-		res.Windows = mergeWindows(res.Windows, []WindowRow{{
-			StartUS: int64(win.Start),
-			EndUS:   int64(win.Start + q.Window),
-			EnergyJ: led.Total,
-			Bytes:   bytes,
-			Apps:    append([]AppRow(nil), rows...),
-		}})
-	}
+	return p
 }
 
 // fillNames labels rows from the harvested name table.

@@ -394,7 +394,7 @@ func traceSpan(traces []*trace.DeviceTrace) [2]trace.Timestamp {
 	return span
 }
 
-func mustJSON(t *testing.T, v any) string {
+func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {

@@ -1,0 +1,371 @@
+package tsq
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"netenergy/internal/energy"
+	"netenergy/internal/synthgen"
+	"netenergy/internal/trace"
+)
+
+const (
+	hourUS = trace.Timestamp(3600 * 1e6)
+	dayUS  = 24 * hourUS
+)
+
+// answer is a result's JSON with the scan block blanked: the memo changes
+// how an answer is found, never the answer.
+func answer(t testing.TB, res *Result) string {
+	t.Helper()
+	c := *res
+	c.Scan = ScanStats{}
+	return mustJSON(t, &c)
+}
+
+// mustQuery answers q from dir, failing the test on error.
+func mustQuery(t testing.TB, eng Engine, dir string, q Query) *Result {
+	t.Helper()
+	res, err := eng.QueryDir(dir, q)
+	if err != nil {
+		t.Fatalf("%+v: %v", q, err)
+	}
+	return res
+}
+
+// sameAsScan holds a memo engine's answer to the zero-value engine's.
+func sameAsScan(t testing.TB, memo Engine, dir string, q Query, when string) *Result {
+	t.Helper()
+	want := answer(t, mustQuery(t, Engine{Opts: memo.Opts}, dir, q))
+	res := mustQuery(t, memo, dir, q)
+	if got := answer(t, res); got != want {
+		t.Fatalf("%s: [%d,%d) window %d topn %d: memo engine answers\n%s\nscan answers\n%s",
+			when, q.From, q.To, q.Window, q.TopN, got, want)
+	}
+	return res
+}
+
+// memoQueries is the shape of every equivalence test: whole-span windows
+// of three widths, a range cutting a window at each end, a range far
+// wider than the data, a top-N cut, and the two shapes the memo must
+// leave alone (unwindowed, app-filtered).
+func memoQueries(span [2]trace.Timestamp) []Query {
+	from, to := span[0], span[1]+1
+	quarter := (to - from) / 4
+	return []Query{
+		{From: from, To: to, Window: hourUS},
+		{From: from, To: to, Window: dayUS},
+		{From: from, To: to, Window: 15 * 60 * 1e6},
+		{From: from + quarter + 17, To: to - quarter - 23, Window: hourUS},
+		{From: math.MinInt64 / 4, To: math.MaxInt64 / 4, Window: dayUS},
+		{From: from, To: to, Window: hourUS, TopN: 3},
+		{From: from, To: to},
+		{From: from, To: to, Window: hourUS, Apps: []uint32{0, 2}},
+	}
+}
+
+// TestMemoMatchesScan: cold, warm and after eviction, a memo engine's
+// answer is the scan's, byte for byte; and once warm, windows come from
+// the memo and fully covered sealed data is not decoded at all.
+func TestMemoMatchesScan(t *testing.T) {
+	dir, traces := writeSegmentDir(t, 2, 2)
+	span := traceSpan(traces)
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	for i, q := range memoQueries(span) {
+		cold := sameAsScan(t, eng, dir, q, "cold")
+		warm := sameAsScan(t, eng, dir, q, "warm")
+		memoisable := q.Window > 0 && len(q.Apps) == 0
+		// Only the first query is sure to start cold: a later one may find
+		// windows of its width already there.
+		if i == 0 && (cold.Scan.WindowsMemoised != 0 || warm.Scan.RecordsScanned >= cold.Scan.RecordsScanned) {
+			t.Fatalf("first query: cold scan %+v, warm %+v", cold.Scan, warm.Scan)
+		}
+		if memoisable && (warm.Scan.WindowsMemoised == 0 || warm.Scan.RecordsScanned > cold.Scan.RecordsScanned) {
+			t.Fatalf("[%d,%d) window %d: warm scan %+v, cold %+v", q.From, q.To, q.Window, warm.Scan, cold.Scan)
+		}
+		if !memoisable && warm.Scan.WindowsMemoised != 0 {
+			t.Fatalf("unwindowed or filtered query served from the memo: %+v", warm.Scan)
+		}
+		if q.From < span[0]-dayUS && warm.Scan.RecordsScanned != 0 {
+			t.Fatalf("warm query over fully covered sealed data still decoded records: %+v", warm.Scan)
+		}
+	}
+	// Evict everything (the next store finds itself over budget), then
+	// ask again: recomputed, same answers.
+	eng.Memo.budget = 0
+	mustQuery(t, eng, dir, Query{From: span[0], To: span[1] + 1, Window: 2 * hourUS})
+	if got := eng.Memo.Bytes(); got != 0 {
+		t.Fatalf("memo holds %d bytes over a zero budget", got)
+	}
+	eng.Memo.budget = memoBudget
+	for _, q := range memoQueries(span) {
+		sameAsScan(t, eng, dir, q, "after eviction")
+	}
+}
+
+// TestMemoBudget: the memo never holds more than its budget, what goes
+// first is the least recently used file's windows, and the next query
+// recomputes them to the same answer.
+func TestMemoBudget(t *testing.T) {
+	dir, traces := writeSegmentDir(t, 3, 3)
+	span := traceSpan(traces)
+	q := Query{From: span[0], To: span[1] + 1, Window: hourUS}
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	want := answer(t, mustQuery(t, eng, dir, q))
+	whole := eng.Memo.Bytes()
+	sets := len(eng.Memo.entries)
+	if sets < 6 || whole == 0 {
+		t.Fatalf("fixture memoised %d contributor sets in %d bytes", sets, whole)
+	}
+	oldest := eng.Memo.lru.Back().Value.(*memoEntry).key
+
+	// Room for about half: storing past it evicts from the cold end.
+	eng.Memo = NewMemo()
+	eng.Memo.budget = whole / 2
+	if got := answer(t, mustQuery(t, eng, dir, q)); got != want {
+		t.Fatalf("answer changed under a half budget:\n%s\nwant\n%s", got, want)
+	}
+	if got := eng.Memo.Bytes(); got > eng.Memo.budget {
+		t.Fatalf("memo holds %d bytes, budget %d", got, eng.Memo.budget)
+	}
+	if n := len(eng.Memo.entries); n == 0 || n >= sets {
+		t.Fatalf("half budget keeps %d of %d contributor sets", n, sets)
+	}
+	if _, held := eng.Memo.entries[oldest]; held {
+		t.Fatal("the least recently used file's windows survived eviction")
+	}
+	again := mustQuery(t, eng, dir, q)
+	if got := answer(t, again); got != want {
+		t.Fatalf("answer changed after eviction:\n%s\nwant\n%s", got, want)
+	}
+	if again.Scan.RecordsScanned == 0 {
+		t.Fatal("evicted windows were answered without a rescan")
+	}
+}
+
+// shifted copies recs with every timestamp moved by delta.
+func shifted(recs []trace.Record, delta trace.Timestamp) []trace.Record {
+	out := append([]trace.Record(nil), recs...)
+	for i := range out {
+		out[i].TS += delta
+	}
+	return out
+}
+
+// TestMemoNegativeTimestamps: windows before the epoch align by floor
+// division; the memo's window arithmetic must agree with the
+// accumulator's on both sides of zero.
+func TestMemoNegativeTimestamps(t *testing.T) {
+	dir := t.TempDir()
+	dt := synthgen.GenerateDevice(synthgen.Small(1, 2), 0)
+	mid := dt.Records[len(dt.Records)/2].TS
+	recs := shifted(dt.Records, -mid-hourUS/3)
+	half := len(recs) / 2
+	writeSegment(t, filepath.Join(dir, "neg-0000.metr3"), "neg", recs[0].TS, recs[:half])
+	writeSegment(t, filepath.Join(dir, "neg-0001.metr3"), "neg", recs[half].TS, recs[half:])
+	if recs[0].TS >= 0 || recs[len(recs)-1].TS <= 0 {
+		t.Fatalf("fixture does not straddle the epoch: [%d, %d]", recs[0].TS, recs[len(recs)-1].TS)
+	}
+	span := [2]trace.Timestamp{recs[0].TS, recs[len(recs)-1].TS}
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	for _, q := range memoQueries(span) {
+		sameAsScan(t, eng, dir, q, "cold")
+		sameAsScan(t, eng, dir, q, "warm")
+	}
+}
+
+// TestMemoOverlappingFiles: a device that streams again after FIN leaves
+// files that overlap in time, so a window can replay records of several
+// files, in file order — its partial belongs to that set of files, not
+// to any one of them.
+func TestMemoOverlappingFiles(t *testing.T) {
+	dir := t.TempDir()
+	dt := synthgen.GenerateDevice(synthgen.Small(1, 2), 0)
+	n := len(dt.Records)
+	writeSegment(t, filepath.Join(dir, "again-0000.metr3"), dt.Device, dt.Records[0].TS, dt.Records[:2*n/3])
+	writeSegment(t, filepath.Join(dir, "again-0001.metr3"), dt.Device, dt.Records[n/3].TS, dt.Records[n/3:])
+	span := traceSpan([]*trace.DeviceTrace{dt})
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	for _, q := range memoQueries(span) {
+		sameAsScan(t, eng, dir, q, "cold")
+		sameAsScan(t, eng, dir, q, "warm")
+	}
+	// Dropping either file changes who contributes to the windows they
+	// shared: those are recomputed, the survivor's own are not.
+	q := Query{From: span[0], To: span[1] + 1, Window: hourUS}
+	second := filepath.Join(dir, "again-0001.metr3")
+	if err := os.Remove(second); err != nil {
+		t.Fatal(err)
+	}
+	res := sameAsScan(t, eng, dir, q, "after the second file is gone")
+	if res.Scan.WindowsMemoised == 0 || res.Scan.RecordsScanned == 0 {
+		t.Fatalf("expected part memo, part rescan: %+v", res.Scan)
+	}
+	writeSegment(t, second, dt.Device, dt.Records[n/3].TS, dt.Records[n/3:])
+	if err := os.Remove(filepath.Join(dir, "again-0000.metr3")); err != nil {
+		t.Fatal(err)
+	}
+	sameAsScan(t, eng, dir, q, "after the first file is gone")
+}
+
+// TestMemoLiveTail follows one device through a segment's life: its last
+// file is unsealed and growing, then seals, then the device rolls to a
+// new file. Windows the tail can reach are scanned every time; the
+// history before it is memoised throughout.
+func TestMemoLiveTail(t *testing.T) {
+	dir := t.TempDir()
+	dt := synthgen.GenerateDevice(synthgen.Small(1, 4), 0)
+	n := len(dt.Records)
+	// The sealed file ends, and the tail first shows and then grows, all
+	// inside one hour: that window keeps changing while sealed data is
+	// all a stat can see of it.
+	a, b := n/2, n/2
+	for hour := dt.Records[n/2].TS / hourUS; dt.Records[a-1].TS/hourUS == hour; a-- {
+	}
+	for hour := dt.Records[n/2].TS / hourUS; dt.Records[b].TS/hourUS == hour; b++ {
+	}
+	if b-a < 6 {
+		t.Fatalf("fixture hour holds only records [%d,%d)", a, b)
+	}
+	cut := [...]int{a + (b-a)/3, a + 2*(b-a)/3, 3 * n / 4, n}
+	writeSegment(t, filepath.Join(dir, "live-0000.metr3"), dt.Device, dt.Records[0].TS, dt.Records[:cut[0]])
+
+	f, err := os.Create(filepath.Join(dir, "live-0001.metr3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := trace.NewColumnWriter(f, dt.Device, dt.Records[cut[0]].TS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow := func(lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if err := w.Write(&dt.Records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	q := Query{From: dt.Records[0].TS, To: dt.Records[n-1].TS + 1, Window: hourUS}
+	check := func(when string) *Result {
+		t.Helper()
+		sameAsScan(t, eng, dir, q, when+", cold")
+		return sameAsScan(t, eng, dir, q, when+", warm")
+	}
+
+	grow(cut[0], cut[1])
+	tail := check("unsealed tail")
+	if tail.Scan.WindowsMemoised == 0 {
+		t.Fatalf("history before an unsealed tail was not memoised: %+v", tail.Scan)
+	}
+	if tail.Scan.RecordsScanned < int64(cut[1]-cut[0]) {
+		t.Fatalf("the unsealed tail was not scanned: %+v", tail.Scan)
+	}
+	grow(cut[1], cut[2])
+	grown := check("grown tail")
+	if grown.Records <= tail.Records {
+		t.Fatalf("grown tail added no records: %d then %d", tail.Records, grown.Records)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := check("sealed tail")
+	if sealed.Scan.WindowsMemoised <= grown.Scan.WindowsMemoised {
+		t.Fatalf("sealing the tail settled no windows: %d then %d memoised",
+			grown.Scan.WindowsMemoised, sealed.Scan.WindowsMemoised)
+	}
+	writeSegment(t, filepath.Join(dir, "live-0002.metr3"), dt.Device, dt.Records[cut[2]].TS, dt.Records[cut[2]:])
+	rolled := check("rolled")
+	if rolled.Records != int64(n) {
+		t.Fatalf("rolled device answers %d records, wrote %d", rolled.Records, n)
+	}
+}
+
+// TestMemoFileReplaced: a memoised window is keyed by its files'
+// identities, so a file deleted by retention or rewritten under its old
+// name cannot be answered from what the old bytes produced.
+func TestMemoFileReplaced(t *testing.T) {
+	dir, traces := writeSegmentDir(t, 2, 2)
+	span := traceSpan(traces)
+	q := Query{From: span[0], To: span[1] + 1, Window: hourUS}
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	before := sameAsScan(t, eng, dir, q, "cold")
+
+	victim := traces[0]
+	first := filepath.Join(dir, victim.Device+"-0000.metr3")
+	if err := os.Remove(first); err != nil {
+		t.Fatal(err)
+	}
+	gone := sameAsScan(t, eng, dir, q, "file deleted")
+	if gone.Records >= before.Records {
+		t.Fatalf("deleting a file lost no records: %d then %d", before.Records, gone.Records)
+	}
+
+	// Same name, a third of the records it used to hold.
+	half := len(victim.Records) / 2
+	writeSegment(t, first, victim.Device, victim.Start, victim.Records[:half/3])
+	replaced := sameAsScan(t, eng, dir, q, "file replaced")
+	if replaced.Records <= gone.Records || replaced.Records >= before.Records {
+		t.Fatalf("records: whole %d, deleted %d, replaced %d", before.Records, gone.Records, replaced.Records)
+	}
+	sameAsScan(t, eng, dir, q, "file replaced, warm")
+}
+
+// TestMemoConcurrentQueries: one memo under identical and differing
+// queries at once (run with -race): every answer is the scan's.
+func TestMemoConcurrentQueries(t *testing.T) {
+	dir, traces := writeSegmentDir(t, 2, 1)
+	span := traceSpan(traces)
+	queries := memoQueries(span)
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = answer(t, mustQuery(t, Engine{Opts: energy.DefaultOptions()}, dir, q))
+	}
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	eng.Memo.budget = 24 << 10 // small enough that stores evict while others look up
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for k := range queries {
+					i := (k + g/2) % len(queries) // goroutines pair up on the same query
+					res, err := eng.QueryDir(dir, queries[i])
+					if err != nil {
+						errs <- err
+						return
+					}
+					c := *res
+					c.Scan = ScanStats{}
+					got, err := json.Marshal(&c)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if string(got) != want[i] {
+						errs <- fmt.Errorf("goroutine %d query %d: got\n%s\nwant\n%s", g, i, got, want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

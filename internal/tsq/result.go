@@ -36,6 +36,10 @@ type ScanStats struct {
 	BlocksScanned  int   `json:"blocks_scanned"`
 	RecordsScanned int64 `json:"records_scanned"`
 	RecordsMatched int64 `json:"records_matched"`
+	// WindowsMemoised counts the device-windows answered from the engine's
+	// Memo rather than from blocks: with it, a result whose blocks_scanned
+	// is 0 still says where its records came from.
+	WindowsMemoised int `json:"windows_memoised,omitempty"`
 }
 
 func statsOf(s trace.ScanStats) ScanStats {
@@ -56,6 +60,7 @@ func (s *ScanStats) add(o ScanStats) {
 	s.BlocksScanned += o.BlocksScanned
 	s.RecordsScanned += o.RecordsScanned
 	s.RecordsMatched += o.RecordsMatched
+	s.WindowsMemoised += o.WindowsMemoised
 }
 
 // Result is one query's answer. Rows are sorted by energy descending
@@ -104,8 +109,11 @@ func (r *Result) Merge(other *Result) {
 	r.Records += other.Records
 	r.TotalEnergyJ += other.TotalEnergyJ
 	r.TotalBytes += other.TotalBytes
-	r.Apps = mergeAppRows(r.Apps, other.Apps)
-	r.Windows = mergeWindows(r.Windows, other.Windows)
+	f := newFold(r)
+	f.addApps(other.Apps)
+	for _, w := range other.Windows {
+		f.addWindow(w)
+	}
 	r.Downsampled = r.Downsampled || other.Downsampled
 	r.Scan.add(other.Scan)
 }
@@ -133,46 +141,70 @@ func sortTruncApps(rows []AppRow, topn int) []AppRow {
 	return rows
 }
 
-func mergeAppRows(a, b []AppRow) []AppRow {
-	if len(b) == 0 {
-		return a
-	}
-	byID := make(map[uint32]int, len(a))
-	for i := range a {
-		byID[a[i].App] = i
-	}
-	for _, row := range b {
-		if i, ok := byID[row.App]; ok {
-			a[i].EnergyJ += row.EnergyJ
-			a[i].Bytes += row.Bytes
-			if a[i].Name == "" {
-				a[i].Name = row.Name
-			}
-		} else {
-			byID[row.App] = len(a)
-			a = append(a, row)
-		}
-	}
-	return a
+// fold adds app and window rows into a Result by app ID and window
+// start. It keeps its indexes from one add to the next, so folding the
+// ~800 device-windows of a wide query is linear in the rows added, and
+// it adds in the order it is called in, so the float sums of a query
+// are those of its device-then-window order whoever produced the rows.
+// While a fold is in use, nothing else may add rows to its Result.
+type fold struct {
+	res     *Result
+	apps    map[uint32]int   // app ID -> index in res.Apps
+	wins    map[int64]int    // window start -> index in res.Windows
+	winApps []map[uint32]int // per res.Windows entry: app ID -> index in its Apps
 }
 
-func mergeWindows(a, b []WindowRow) []WindowRow {
-	if len(b) == 0 {
-		return a
+// newFold indexes the rows r already holds.
+func newFold(r *Result) *fold {
+	f := &fold{res: r, apps: indexApps(r.Apps), wins: make(map[int64]int, len(r.Windows))}
+	for i := range r.Windows {
+		f.wins[r.Windows[i].StartUS] = i
+		f.winApps = append(f.winApps, indexApps(r.Windows[i].Apps))
 	}
-	byStart := make(map[int64]int, len(a))
-	for i := range a {
-		byStart[a[i].StartUS] = i
+	return f
+}
+
+func indexApps(rows []AppRow) map[uint32]int {
+	idx := make(map[uint32]int, len(rows))
+	for i := range rows {
+		idx[rows[i].App] = i
 	}
-	for _, w := range b {
-		if i, ok := byStart[w.StartUS]; ok {
-			a[i].EnergyJ += w.EnergyJ
-			a[i].Bytes += w.Bytes
-			a[i].Apps = mergeAppRows(a[i].Apps, w.Apps)
+	return idx
+}
+
+// addRows merges rows into dst by app ID; rows is only read, never kept.
+func addRows(dst []AppRow, idx map[uint32]int, rows []AppRow) []AppRow {
+	for _, row := range rows {
+		if i, ok := idx[row.App]; ok {
+			dst[i].EnergyJ += row.EnergyJ
+			dst[i].Bytes += row.Bytes
+			if dst[i].Name == "" {
+				dst[i].Name = row.Name
+			}
 		} else {
-			byStart[w.StartUS] = len(a)
-			a = append(a, w)
+			idx[row.App] = len(dst)
+			dst = append(dst, row)
 		}
 	}
-	return a
+	return dst
+}
+
+// addApps merges rows into the result's whole-range app table.
+func (f *fold) addApps(rows []AppRow) {
+	f.res.Apps = addRows(f.res.Apps, f.apps, rows)
+}
+
+// addWindow merges w into the result's window of the same start.
+func (f *fold) addWindow(w WindowRow) {
+	i, ok := f.wins[w.StartUS]
+	if !ok {
+		i = len(f.res.Windows)
+		f.wins[w.StartUS] = i
+		f.winApps = append(f.winApps, make(map[uint32]int, len(w.Apps)))
+		f.res.Windows = append(f.res.Windows, WindowRow{StartUS: w.StartUS, EndUS: w.EndUS})
+	}
+	row := &f.res.Windows[i]
+	row.EnergyJ += w.EnergyJ
+	row.Bytes += w.Bytes
+	row.Apps = addRows(row.Apps, f.winApps[i], w.Apps)
 }

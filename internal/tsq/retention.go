@@ -79,21 +79,15 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 			continue
 		}
 		path := filepath.Join(dir, ent.Name())
-		last, sealed, err := segmentLast(path)
-		if err != nil || !sealed || last >= cutoff {
-			if err == nil {
-				rep.FilesKept++
-			}
-			continue // unsealed, too new, or not a segment at all
+		seg, err := statSegment(path)
+		if err != nil || !seg.sealed || seg.first > seg.last || seg.last >= cutoff {
+			rep.FilesKept++
+			continue // not a segment at all, unsealed, empty, or too new
 		}
-		device, _, err := peekHeader(path)
-		if err != nil {
-			return rep, err
+		if _, ok := byDevice[seg.device]; !ok {
+			devices = append(devices, seg.device)
 		}
-		if _, ok := byDevice[device]; !ok {
-			devices = append(devices, device)
-		}
-		byDevice[device] = append(byDevice[device], path)
+		byDevice[seg.device] = append(byDevice[seg.device], path)
 	}
 	sort.Strings(devices)
 	for _, device := range devices {
@@ -106,7 +100,13 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 		if err != nil {
 			return rep, fmt.Errorf("tsq: folding %s: %w", device, err)
 		}
-		roll.Windows = mergeWindows(roll.Windows, res.Windows)
+		// writeRollup re-sorts the rows, so each device folds afresh.
+		folded := Result{Windows: roll.Windows}
+		f := newFold(&folded)
+		for _, w := range res.Windows {
+			f.addWindow(w)
+		}
+		roll.Windows = folded.Windows
 		roll.Devices += res.Devices
 		roll.Records += res.Records
 		rep.RecordsFolded += res.Records
@@ -128,25 +128,6 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 		return rep, nil // nothing folded, don't create an empty rollup
 	}
 	return rep, writeRollup(dir, roll)
-}
-
-// segmentLast returns the newest record timestamp of a sealed segment
-// via its footer index, or sealed=false for unsealed/foreign files.
-func segmentLast(path string) (last trace.Timestamp, sealed bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, false, err
-	}
-	_, _, blocks, ok, err := trace.ReadBlockIndex(f, st.Size())
-	if err != nil || !ok || len(blocks) == 0 {
-		return 0, false, err
-	}
-	return blocks[len(blocks)-1].Last, true, nil
 }
 
 func readRollup(dir string) (*rollupFile, error) {
@@ -200,6 +181,7 @@ func mergeRollup(res *Result, dir string, q Query) error {
 		filter[a] = true
 	}
 	touched := false
+	f := newFold(res)
 	for _, w := range roll.Windows {
 		if w.StartUS >= int64(q.To) || w.EndUS <= int64(q.From) {
 			continue
@@ -226,13 +208,9 @@ func mergeRollup(res *Result, dir string, q Query) error {
 		touched = true
 		res.TotalEnergyJ += energy
 		res.TotalBytes += bytes
-		res.Apps = mergeAppRows(res.Apps, append([]AppRow(nil), rows...))
+		f.addApps(rows)
 		if q.Window > 0 && int64(q.Window) == roll.WindowUS {
-			res.Windows = mergeWindows(res.Windows, []WindowRow{{
-				StartUS: w.StartUS, EndUS: w.EndUS,
-				EnergyJ: energy, Bytes: bytes,
-				Apps: append([]AppRow(nil), rows...),
-			}})
+			f.addWindow(WindowRow{StartUS: w.StartUS, EndUS: w.EndUS, EnergyJ: energy, Bytes: bytes, Apps: rows})
 		}
 	}
 	if touched {

@@ -16,8 +16,10 @@
 #      /query over the whole span must report the same record count and
 #      attributed total energy as /headline (two independent paths: shard
 #      accumulators vs the tsq engine re-reading the METR-3 segments),
-#      the block seek index must be in play, and after the drain the tsq
-#      CLI over the sealed directory must agree with the live answer;
+#      the block seek index must be in play, an hourly rollup asked
+#      twice must come from the window memo the second time with the
+#      same answer, and after the drain the tsq CLI over the sealed
+#      directory must agree with the live answers;
 #   3. chaos: same fleet against a FRESH server (the devices restart their
 #      streams from sequence 0) through the fault injector — drops and bit
 #      corruption on the wire — and require the sever/resume/dedup loop to
@@ -182,12 +184,46 @@ run_query() {
     exit 1
   fi
 
+  # The same hourly rollup of the whole span asked twice: the second
+  # answer comes out of the window memo and must be the first.
+  local wfrom memoised metrics k
+  wfrom=$(($(jfield "$WORK/qhead.json" span_start_us) - 86400000000))
+  curl -fsS "http://$ADMIN/query?from=$wfrom&to=$to&window=hour" > "$WORK/qwin1.json"
+  curl -fsS "http://$ADMIN/query?from=$wfrom&to=$to&window=hour" > "$WORK/qwin2.json"
+  memoised=$(jfield "$WORK/qwin2.json" windows_memoised)
+  if [ "${memoised:-0}" -le 0 ]; then
+    echo "smoke: repeated windowed /query served nothing from the memo (windows_memoised=$memoised)" >&2
+    exit 1
+  fi
+  metrics=$(curl -fsS "http://$ADMIN/metrics")
+  for k in ingest_query_windows_memoised_total ingest_query_memo_bytes; do
+    if ! echo "$metrics" | grep -Eq "^$k [1-9]"; then
+      echo "smoke: $k did not move: $(echo "$metrics" | grep "^$k")" >&2
+      exit 1
+    fi
+  done
+
   kill -TERM "$pid"
   if ! wait "$pid"; then
     echo "smoke: ingestd did not drain cleanly (query phase)" >&2
     exit 1
   fi
   pid=
+
+  # Offline: the tsq CLI, which has no memo, must give the windowed
+  # answer the live endpoint gave both times.
+  ./bin/tsq -dir "$segdir" -from "$wfrom" -to "$to" -window hour -json > "$WORK/qwin-offline.json"
+  local f
+  for f in qwin2 qwin-offline; do
+    if [ "$(jfield "$WORK/$f.json" records)" != "$recs" ] ||
+      [ "$(jfield "$WORK/$f.json" total_energy_j)" != "$(jfield "$WORK/qwin1.json" total_energy_j)" ] ||
+      [ "$(grep -o '"start_us"' "$WORK/$f.json" | wc -l)" != "$(grep -o '"start_us"' "$WORK/qwin1.json" | wc -l)" ]; then
+      echo "smoke: windowed answers disagree: $f has $(jfield "$WORK/$f.json" records) records," \
+        "$(jfield "$WORK/$f.json" total_energy_j) J; first live answer $(jfield "$WORK/qwin1.json" records)," \
+        "$(jfield "$WORK/qwin1.json" total_energy_j) J; /headline $recs records" >&2
+      exit 1
+    fi
+  done
 
   # Offline: the tsq CLI over the sealed directory must agree with the
   # live endpoint's answer.
@@ -198,7 +234,7 @@ run_query() {
   fi
   require_close "offline tsq total_energy_j" \
     "$(jfield "$WORK/query.json" total_energy_j)" "$(jfield "$WORK/query-offline.json" total_energy_j)"
-  echo "smoke: query phase ok ($recs records, $skipped blocks pruned on the narrow window)"
+  echo "smoke: query phase ok ($recs records, $skipped blocks pruned on the narrow window, $memoised windows memoised)"
 }
 
 run_cluster() {
