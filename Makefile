@@ -71,8 +71,8 @@ smoke: build
 
 # Short runs of every fuzz target (trace reader, METR-3 columnar decoder,
 # parallel file reader, pushdown scan incl. torn tails, LZ codec, pcap
-# reader, packet parser, ingest frame decoder, checkpoint decoder, tsq query
-# parser).
+# reader, packet parser, ingest frame decoder, checkpoint decoder, checkpoint delta
+# log, tsq query parser).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace/
@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodePacket -fuzztime=$(FUZZTIME) ./internal/netparse/
 	$(GO) test -run=NONE -fuzz=FuzzFrameDecoder -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecoder -fuzztime=$(FUZZTIME) ./internal/ingest/checkpoint/
+	$(GO) test -run=NONE -fuzz=FuzzCheckpointLog -fuzztime=$(FUZZTIME) ./internal/ingest/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzQueryParse -fuzztime=$(FUZZTIME) ./internal/tsq/
 
 # The ci gate fuzzes the most network-exposed decoder briefly; run `make

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -168,10 +169,17 @@ func TestClusterHandoffKillNode(t *testing.T) {
 	}
 
 	// The aggregator settles: once every session has finished and the
-	// handoff landed, a full pull cycle is exact.
+	// handoff landed, a full pull cycle is exact. Headline() is the last
+	// finished cycle's, which may have pulled the last device with every
+	// record applied and its FIN still to come — a snapshot of an open
+	// session, not its result — so wait for a cycle that began after the
+	// sessions ended: the one in flight now adds at most n-1 pulls, the next
+	// n-1 more, and one further pull means that one has been published.
+	pulled := scrapeAgg(t, agg)["aggregator_pulls_total"]
 	waitFor(t, 60*time.Second, "fleet headline settles", func() bool {
 		h, ok := agg.Headline()
-		return ok && h.Records == sent && h.Devices == len(dts) && h.NodesLive == n-1
+		return ok && h.Records == sent && h.Devices == len(dts) && h.NodesLive == n-1 &&
+			scrapeAgg(t, agg)["aggregator_pulls_total"] > pulled+2*(n-1)
 	})
 	h, _ := agg.Headline()
 	if h.Epoch < 2 {
@@ -373,6 +381,97 @@ func TestPartialHandoffIsRetried(t *testing.T) {
 	}
 	if d := math.Abs(h.TotalEnergyJ - want.TotalEnergyJ); d > 1e-6*(1+want.TotalEnergyJ) {
 		t.Errorf("total energy: fleet %v vs batch %v", h.TotalEnergyJ, want.TotalEnergyJ)
+	}
+}
+
+// TestShipDirFoldsLog: the dead node's directory is a base and a log of
+// delta frames — every FIN durable as its own commit, and a tick for the
+// session still open. ShipDir hands the survivors that state folded into one
+// file: the fleet headline equals the batch pipeline, and the tombstone's
+// generation counts the frames, so a restart of the dead node archives the
+// directory rather than serving it again.
+func TestShipDirFoldsLog(t *testing.T) {
+	deadDir := t.TempDir()
+	deadCfg := ingest.Config{
+		NodeID: "n1", Shards: 2, CheckpointDir: deadDir, CheckpointInterval: time.Hour, DurableFIN: true,
+	}
+	dead := startIngest(t, deadCfg)
+	dts := synthgen.GenerateInMemory(synthgen.Small(6, 1))
+	owner := map[string]string{}
+	for i, dt := range dts {
+		owner[dt.Device] = []string{"n2", "n3"}[i%2]
+	}
+	var survivors []*ingest.Server
+	var members []Member
+	for _, id := range []string{"n2", "n3"} {
+		id := id
+		s := startIngest(t, ingest.Config{NodeID: id, Shards: 3, Route: func(device string) (string, bool) {
+			return "elsewhere:9", owner[device] == id
+		}})
+		survivors = append(survivors, s)
+		members = append(members, Member{ID: id, Stream: s.Addr().String(), Admin: s.AdminAddr().String()})
+	}
+
+	// Five sessions closed, each FIN its own commit; the sixth is still open
+	// at the kill, made durable by a tick.
+	open := dts[len(dts)-1]
+	var sent int64
+	for _, dt := range dts[:len(dts)-1] {
+		streamAll(t, dead.Addr().String(), dt)
+		sent += int64(len(dt.Records))
+	}
+	c, err := ingest.Dial(dead.Addr().String(), open.Device, open.Start, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range open.Records {
+		if err := c.Send(&open.Records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sent += int64(len(open.Records))
+	waitFor(t, 10*time.Second, "the open session is applied", func() bool { return dead.Stats(false).Records == sent })
+	if err := dead.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	c.CloseAbort() //nolint:errcheck
+	dead.Kill()
+
+	commits := uint64(len(dts)) // five FINs and a tick
+	bases, _ := filepath.Glob(filepath.Join(deadDir, "ck-*.ck"))
+	if len(bases) != 1 || filepath.Base(bases[0]) != "ck-00000001.ck" {
+		t.Fatalf("bases %v: want the first commit's alone, every later one a frame", bases)
+	}
+	h, err := ShipDir(nil, "n1", deadDir, members, ShipPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Generation != commits || h.Answered != 2 || h.Adopted != len(dts) || h.Tombstone == nil || h.Tombstone.Generation != commits {
+		t.Fatalf("handoff %+v (tombstone %+v): want generation %d = base + frames, %d devices adopted by 2 survivors", h, h.Tombstone, commits, len(dts))
+	}
+
+	devs, err := analysis.LoadAll(dts, energy.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := analysis.ComputeHeadline(devs)
+	var records int64
+	var energyJ float64
+	for _, s := range survivors {
+		hl := s.Headline()
+		records += hl.Records
+		energyJ += hl.TotalEnergyJ
+	}
+	if records != sent || math.Abs(energyJ-want.TotalEnergyJ) > 1e-6*(1+want.TotalEnergyJ) {
+		t.Errorf("survivors hold %d records / %v J; sent %d, batch pipeline says %v J", records, energyJ, sent, want.TotalEnergyJ)
+	}
+
+	again := startIngest(t, deadCfg)
+	if st := again.Stats(false); st.Records != 0 || st.Devices != 0 {
+		t.Errorf("the dead node came back serving %d devices / %d records it had handed off", st.Devices, st.Records)
 	}
 }
 

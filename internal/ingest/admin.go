@@ -256,7 +256,7 @@ func (s *Server) adminMux() http.Handler {
 			s.counters.transferErrors.Add(1)
 			s.counters.events.Logf(obs.LevelError, "transfer failed: %v", err)
 			status := http.StatusBadRequest // the file is at fault
-			if errors.Is(err, errDraining) {
+			if errors.Is(err, ErrDraining) {
 				status = http.StatusServiceUnavailable
 			}
 			http.Error(w, err.Error(), status)

@@ -1,28 +1,54 @@
 // Package checkpoint implements the ingest daemon's crash-safe durability
-// layer: periodic snapshots of every shard's analysis state and per-device
-// record sequence numbers, written as atomically-renamed, CRC-protected
-// generation files.
+// layer: every shard's analysis state and per-device record sequence numbers,
+// kept as CRC-protected generations in one directory.
+//
+// A generation is one commit. On disk it is a base — ck-<g>.ck, a full
+// snapshot, written to a temp file, fsynced and renamed into place — followed
+// by the whole frames of its delta log, ck-<g>.log: base g with k whole frames
+// after it is generation g+k. A frame is a checkpoint-file image, the very
+// bytes a base file holds (magic crc32 len payload), carrying only the devices
+// that changed since the commit before it; there is one serializer (Encode)
+// and one parser (DecodeFile's) for both. A device a frame names takes its
+// whole state from that frame — live entry, ledger entry or both; a ledger
+// entry without a live one means the session closed — so restoring is a fold
+// per device, base first, frames in order, and what comes out is an ordinary
+// Snapshot that installs, ships and re-encodes like any other.
 //
 // The failure model is fail-stop (SIGKILL, OOM, power loss) at any byte
 // boundary. The guarantees:
 //
-//   - A checkpoint file is either fully valid or detectably invalid: the
+//   - A base or a frame is either fully valid or detectably invalid: the
 //     payload is covered by a CRC32 and an explicit length, so torn writes
 //     and bit rot are caught at load time, never half-applied.
-//   - Writes are atomic at the filesystem level: payloads go to a temp file
-//     in the same directory, are fsynced, and are renamed into place.
-//   - The two most recent generations are retained. A corrupt or torn
-//     newest generation falls back to the previous one, so a crash *during*
-//     a checkpoint write costs at most one checkpoint interval of progress.
+//   - A commit is durable when Save or Append returns: a base is renamed into
+//     place after its fsync, a frame is appended and fsynced (and the
+//     directory with it when the log was just created).
+//   - Only the last frame of a log may be missing, and only silently when it
+//     is torn: a crash cut its write short, so nobody was told it committed.
+//     An invalid frame with a valid one after it is corruption, and so is an
+//     intact frame the caller's validator rejects; LoadLatest restores up to
+//     the frame before it and says so in Loaded.Skipped.
+//   - A process appends only to a base it wrote itself, so nothing is ever
+//     appended after a torn tail. Which commits are bases is the caller's
+//     rule, built on NeedsBase: no base written yet, a failed Save or Append
+//     (whoever collected that commit's changes cannot collect them again), or
+//     a log grown past its base (at least minLogBytes) — which keeps rewriting
+//     amortised O(1) per commit and the directory near two bases' worth.
+//   - The two most recent bases are retained, each with its log. A corrupt or
+//     torn newest base falls back to the previous base and every frame after
+//     it — the state just before the bad base was written — and Loaded.Skipped
+//     names what was passed over.
 //   - There is one format. A file in a format this build does not restore —
 //     payload v1, or a v2 file holding closed sessions in the unattributed
 //     aggregate that preceded the per-device ledger — is ErrUnsupported,
 //     which is never fallen back from: LoadLatest fails naming the file,
 //     because an older generation, or an empty start, would silently drop
-//     what the refused one holds.
-//   - Generation numbers are monotonic across restarts (the store scans the
-//     directory on open), so a recovered daemon never overwrites history it
-//     might still need.
+//     what the refused one holds. A build that predates the log restores the
+//     newest base and ignores every frame: downgrading across this format is
+//     not supported.
+//   - Generation numbers are monotonic across restarts (Open scans the
+//     directory and counts the newest log's whole frames), so a recovered
+//     daemon never overwrites history it might still need.
 //
 // The store is deliberately ignorant of what the payload means: device
 // entries carry opaque accumulator-state blobs (internal/analysis encodes
@@ -31,6 +57,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -70,14 +97,19 @@ const (
 	maxDevices = 1 << 22
 	// maxDeviceID matches the ingest wire protocol's device-ID cap.
 	maxDeviceID = 4096
-	// keepGenerations is how many recent checkpoint files are retained.
+	// keepGenerations is how many recent bases are retained, each with its
+	// delta log.
 	keepGenerations = 2
+	// minLogBytes is the least a delta log grows to before it alone asks for
+	// a new base: under it a rewrite saves too little to be worth an fsynced
+	// rename.
+	minLogBytes = 1 << 20
 )
 
 // Decode/load errors.
 var (
-	// ErrCorrupt means a checkpoint file failed its CRC or structural
-	// validation — fall back to an older generation.
+	// ErrCorrupt means a base or a frame failed its CRC or structural
+	// validation — restore what precedes it, and say so.
 	ErrCorrupt = errors.New("checkpoint: corrupt file")
 	// ErrTorn means the file ended before the declared payload length — a
 	// write was interrupted mid-stream.
@@ -305,23 +337,32 @@ func Decode(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Store writes and loads generation files in one directory.
+// Store writes and loads generations in one directory.
 type Store struct {
 	dir string
 	gen uint64 // highest generation seen or written
+
+	// base is the generation of the base this process wrote and may still
+	// append frames to; 0 when the next commit has to be a base. log is that
+	// base's delta log, opened by the first Append.
+	base              uint64
+	log               *os.File
+	baseSize, logSize int64
+	written           int64
 }
 
 // Open prepares a checkpoint store in dir, creating it if needed, and scans
-// existing generation files so new writes continue the sequence.
+// what is there — the bases, and the whole frames of the newest one's log —
+// so new writes continue the generation sequence.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir}
-	for _, g := range s.generations() {
-		if g > s.gen {
-			s.gen = g
-		}
+	if gens := s.generations(); len(gens) > 0 {
+		newest := gens[len(gens)-1]
+		frames, _ := loadLog(logPath(dir, newest)) // LoadLatest reports what is wrong with it
+		s.gen = newest + uint64(len(frames))
 	}
 	return s, nil
 }
@@ -332,11 +373,27 @@ func (s *Store) Dir() string { return s.dir }
 // Generation returns the highest generation seen or written so far.
 func (s *Store) Generation() uint64 { return s.gen }
 
+// Written returns how many bytes of bases and frames this Store has made
+// durable.
+func (s *Store) Written() int64 { return s.written }
+
+// NeedsBase reports whether the next commit must be a Save: this Store has no
+// base of its own to append to — none written yet, a Save or Append failed, or
+// the directory was archived — or the log has outgrown its base.
+func (s *Store) NeedsBase() bool {
+	return s.base == 0 || s.logSize > max(s.baseSize, minLogBytes)
+}
+
 func genPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("ck-%08d.ck", gen))
 }
 
-// generations lists existing generation numbers, ascending.
+// logPath names the delta log of base gen.
+func logPath(dir string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("ck-%08d.log", gen))
+}
+
+// generations lists the generation numbers of the bases present, ascending.
 func (s *Store) generations() []uint64 {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -354,60 +411,89 @@ func (s *Store) generations() []uint64 {
 	return gens
 }
 
-// EncodeFile serializes a snapshot as complete checkpoint-file bytes
-// (header + CRC + payload) — exactly what Save writes to disk. The cluster
-// tier ships such bytes (LoadLatest's File) over the wire during ownership
-// handoff; the receiver verifies them with DecodeFile, so a transfer enjoys
-// the same torn/corrupt detection as a crash recovery.
-func EncodeFile(snap *Snapshot) ([]byte, error) {
-	payload := Encode(snap)
+// encodeImage serializes a snapshot as a checkpoint-file image in its two
+// parts, header (magic, CRC, length) and payload, so a writer can stream them
+// without joining them first.
+func encodeImage(snap *Snapshot) (hdr, payload []byte, err error) {
+	payload = Encode(snap)
 	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("checkpoint: payload too large: %d", len(payload))
+		return nil, nil, fmt.Errorf("checkpoint: payload too large: %d", len(payload))
 	}
-	b := append([]byte(nil), fileMagic...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	return append(b, payload...), nil
+	hdr = make([]byte, 0, len(fileMagic)+4+binary.MaxVarintLen64)
+	hdr = append(hdr, fileMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
+	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+	return hdr, payload, nil
 }
 
-// Save atomically writes snap as the next generation and prunes old files.
-// It returns the path and generation written. The sequence is: temp file in
-// the same directory, write header+payload, fsync, rename, fsync directory
-// — a crash at any point leaves either the previous generation set intact
-// or the new file fully in place.
-func (s *Store) Save(snap *Snapshot) (path string, gen uint64, err error) {
-	file, err := EncodeFile(snap)
+// EncodeFile serializes a snapshot as a complete checkpoint-file image
+// (header + CRC + payload) — what Save writes as a base, what Append writes as
+// a frame, and what the cluster tier ships (LoadLatest's File) during
+// ownership handoff; the receiver verifies it with DecodeFile, so a transfer
+// enjoys the same torn/corrupt detection as a crash recovery.
+func EncodeFile(snap *Snapshot) ([]byte, error) {
+	hdr, payload, err := encodeImage(snap)
 	if err != nil {
-		return "", 0, err
+		return nil, err
 	}
+	return append(hdr, payload...), nil
+}
 
-	gen = s.gen + 1
-	path = genPath(s.dir, gen)
-	tmp, err := os.CreateTemp(s.dir, "ck-*.tmp")
+// writeAtomic makes dir/name hold exactly parts, or leaves whatever was there:
+// temp file in the same directory, the writes, fsync, close, rename, fsync of
+// the directory. A crash at any point leaves the old file or the new one. It
+// is the one place this package replaces a file.
+func writeAtomic(dir, name string, parts ...[]byte) (n int64, err error) {
+	tmp, err := os.CreateTemp(dir, name+".*.tmp")
 	if err != nil {
-		return "", 0, err
+		return 0, err
 	}
 	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(file); err != nil {
-		tmp.Close()
-		return "", 0, err
+	for _, p := range parts {
+		k, err := tmp.Write(p)
+		n += int64(k)
+		if err != nil {
+			tmp.Close()
+			return n, err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return "", 0, err
+		return n, err
 	}
 	if err := tmp.Close(); err != nil {
-		return "", 0, err
+		return n, err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return "", 0, err
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
+		return n, err
 	}
-	syncDir(s.dir)
-	s.gen = gen
+	syncDir(dir)
+	return n, nil
+}
 
-	// Prune: keep the newest keepGenerations files.
+// Save atomically writes snap as the next generation's base and prunes old
+// ones, logs included. It returns the path and generation written. Whether or
+// not it succeeds, the log of the base before takes no more frames.
+func (s *Store) Save(snap *Snapshot) (path string, gen uint64, err error) {
+	s.dropBase()
+	hdr, payload, err := encodeImage(snap)
+	if err != nil {
+		return "", 0, err
+	}
+	gen = s.gen + 1
+	path = genPath(s.dir, gen)
+	n, err := writeAtomic(s.dir, filepath.Base(path), hdr, payload)
+	if err != nil {
+		return "", 0, err
+	}
+	s.gen, s.base, s.baseSize, s.logSize = gen, gen, n, 0
+	s.written += n
+
+	// Prune: keep the newest keepGenerations bases and their logs. A log
+	// goes before its base, so no log is ever left without one.
 	gens := s.generations()
 	for i := 0; i+keepGenerations < len(gens); i++ {
+		os.Remove(logPath(s.dir, gens[i])) //nolint:errcheck // best effort
 		os.Remove(genPath(s.dir, gens[i])) //nolint:errcheck // best effort
 	}
 	return path, gen, nil
@@ -420,37 +506,43 @@ func syncDir(dir string) {
 	}
 }
 
-// DecodeFile parses and validates complete checkpoint-file bytes: magic,
+// DecodeFile parses and validates a complete checkpoint-file image: magic,
 // CRC, declared payload length, then the payload structure. It is the
 // receive-side verification for checkpoint handoff over the wire.
 func DecodeFile(b []byte) (*Snapshot, error) {
+	snap, n, err := decodeImage(b)
+	if err == nil && n != len(b) {
+		return nil, ErrCorrupt
+	}
+	return snap, err
+}
+
+// decodeImage parses the checkpoint-file image at the head of b and reports
+// how many bytes it occupies. It is the only parser of the container: a base
+// is one image and nothing else, a delta log is images end to end.
+func decodeImage(b []byte) (snap *Snapshot, n int, err error) {
 	if len(b) < len(fileMagic)+4 {
-		return nil, ErrTorn
+		return nil, 0, ErrTorn
 	}
-	for i := range fileMagic {
-		if b[i] != fileMagic[i] {
-			return nil, ErrCorrupt
-		}
+	if !bytes.Equal(b[:len(fileMagic)], fileMagic) {
+		return nil, 0, ErrCorrupt
 	}
-	b = b[len(fileMagic):]
-	wantCRC := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	plen, n := binary.Uvarint(b)
-	if n <= 0 || plen > MaxPayload {
-		return nil, ErrCorrupt
+	p := b[len(fileMagic):]
+	wantCRC := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	plen, k := binary.Uvarint(p)
+	if k <= 0 || plen > MaxPayload {
+		return nil, 0, ErrCorrupt
 	}
-	b = b[n:]
-	if uint64(len(b)) < plen {
-		return nil, ErrTorn
+	p = p[k:]
+	if uint64(len(p)) < plen {
+		return nil, 0, ErrTorn
 	}
-	if uint64(len(b)) > plen {
-		return nil, ErrCorrupt
+	if crc32.ChecksumIEEE(p[:plen]) != wantCRC {
+		return nil, 0, ErrCorrupt
 	}
-	payload := b[:plen]
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, ErrCorrupt
-	}
-	return Decode(payload)
+	snap, err = Decode(p[:plen])
+	return snap, len(b) - len(p) + int(plen), err
 }
 
 // TombstoneName is the marker file the aggregator (or a draining node)
@@ -479,7 +571,7 @@ type Tombstone struct {
 }
 
 // WriteTombstone atomically writes (or replaces) the directory's handoff
-// tombstone with the same temp+fsync+rename discipline as Save.
+// tombstone, the way Save writes a base.
 func WriteTombstone(dir string, t Tombstone) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -488,27 +580,8 @@ func WriteTombstone(dir string, t Tombstone) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, "tomb-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, TombstoneName)); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
+	_, err = writeAtomic(dir, TombstoneName, b, []byte{'\n'})
+	return err
 }
 
 // LoadTombstone reads the directory's handoff tombstone. A missing file (or
@@ -529,74 +602,125 @@ func LoadTombstone(dir string) (*Tombstone, error) {
 	return &t, nil
 }
 
-// ArchiveShipped moves every generation file plus the tombstone into a
+// ArchiveShipped moves every base, every log and the tombstone into a
 // `shipped-<generation>` subdirectory, leaving the store empty for a clean
-// restart. The generation counter keeps counting from where it was, so
-// post-archive checkpoints are strictly newer than anything a stale
-// tombstone could cover. Returns the archive directory.
+// restart: the next commit is a base. The generation counter keeps counting
+// from where it was, so post-archive checkpoints are strictly newer than
+// anything a stale tombstone could cover. Returns the archive directory.
 func (s *Store) ArchiveShipped(t *Tombstone) (string, error) {
+	s.dropBase()
 	sub := filepath.Join(s.dir, fmt.Sprintf("shipped-%08d", t.Generation))
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		return "", err
 	}
+	move := func(p string) error {
+		err := os.Rename(p, filepath.Join(sub, filepath.Base(p)))
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
 	for _, g := range s.generations() {
-		p := genPath(s.dir, g)
-		if err := os.Rename(p, filepath.Join(sub, filepath.Base(p))); err != nil {
+		// The log first, as in Save's pruning.
+		if err := errors.Join(move(logPath(s.dir, g)), move(genPath(s.dir, g))); err != nil {
 			return "", err
 		}
 	}
-	tomb := filepath.Join(s.dir, TombstoneName)
-	if _, err := os.Stat(tomb); err == nil {
-		if err := os.Rename(tomb, filepath.Join(sub, TombstoneName)); err != nil {
-			return "", err
-		}
+	if err := move(filepath.Join(s.dir, TombstoneName)); err != nil {
+		return "", err
 	}
 	syncDir(s.dir)
 	return sub, nil
 }
 
-// Loaded is one generation as LoadLatest found it: its number, the exact
-// bytes on disk — what a handoff ships, so the receiver checks the CRC the
-// dead node wrote — and their decoded content (which aliases File).
+// Loaded is one generation as LoadLatest found it.
 type Loaded struct {
-	Gen  uint64
+	// Gen is the base's generation plus the whole frames after it.
+	Gen uint64
+	// File is Snap as one checkpoint-file image — what a handoff ships. For a
+	// base with no frames after it these are the bytes on disk (Snap aliases
+	// them), so the receiver checks the CRC the dead node wrote.
 	File []byte
+	// Snap is the base with every whole frame folded over it.
 	Snap *Snapshot
+	// Skipped says what newer state LoadLatest could not restore: bases
+	// passed over as unreadable, torn, corrupt or refused by validate, and a
+	// log cut short at a frame that is corrupt, or refused by validate, with
+	// the frames after it. A torn last frame is not in it: that commit was
+	// never acknowledged.
+	Skipped []error
 }
 
 // LoadLatest returns the newest generation that passes both the container
-// checks and the caller's validate function (nil to skip). Unreadable, torn
-// or corrupt generations, and ones validate rejects, are skipped — this is
-// the fall-back-on-corruption path. A generation that is ErrUnsupported, by
-// the decoder's judgement or validate's, is not: it ends the search with an
-// error naming the file (see the package comment). It returns (nil, nil)
-// when no valid checkpoint exists.
+// checks and the caller's validate function (nil to skip). A base that is
+// unreadable, torn, corrupt or rejected by validate is passed over for the
+// one before it and recorded in Skipped — this is the fall-back-on-corruption
+// path. A generation that is ErrUnsupported, by the decoder's judgement or
+// validate's, is not: it ends the search with an error naming the file (see
+// the package comment). It returns (nil, nil) when no valid checkpoint exists.
 func (s *Store) LoadLatest(validate func(*Snapshot) error) (*Loaded, error) {
 	gens := s.generations()
+	var skipped []error
 	for i := len(gens) - 1; i >= 0; i-- {
-		path := genPath(s.dir, gens[i])
-		file, snap, err := loadFile(path, validate)
+		ld, err := s.load(gens[i], validate)
 		if errors.Is(err, ErrUnsupported) {
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, err
 		}
 		if err != nil {
+			skipped = append(skipped, err)
 			continue
 		}
-		return &Loaded{Gen: gens[i], File: file, Snap: snap}, nil
+		ld.Skipped = append(skipped, ld.Skipped...)
+		return ld, nil
 	}
 	return nil, nil
 }
 
-// loadFile reads one generation, checks container and payload, and asks the
-// caller's validator (nil to skip) about what they hold.
-func loadFile(path string, validate func(*Snapshot) error) ([]byte, *Snapshot, error) {
+// load reads base gen and its log, folds the whole frames over the base and
+// returns the result. The caller's validator (nil to skip) judges each frame
+// before it is folded in — one it rejects ends the log there, like a corrupt
+// one — and last of all the result, which is therefore the last thing it saw.
+// Errors name the file at fault.
+func (s *Store) load(gen uint64, validate func(*Snapshot) error) (*Loaded, error) {
+	if validate == nil {
+		validate = func(*Snapshot) error { return nil }
+	}
+	path, lp := genPath(s.dir, gen), logPath(s.dir, gen)
 	file, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	snap, err := DecodeFile(file)
-	if err != nil || validate == nil {
-		return file, snap, err
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return file, snap, validate(snap)
+	ld := &Loaded{Gen: gen, File: file, Snap: snap}
+
+	frames, err := loadLog(lp)
+	for i := range frames {
+		if verr := validate(frames[i]); verr != nil {
+			err = fmt.Errorf("frame %d: %w", i, verr) // and whatever is wrong further on no longer matters
+			frames = frames[:i]
+			break
+		}
+	}
+	if errors.Is(err, ErrUnsupported) {
+		return nil, fmt.Errorf("%s: %w", lp, err)
+	}
+	if err != nil {
+		// The base, and the frames before the damage, are still newer than
+		// anything an older generation holds.
+		ld.Skipped = append(ld.Skipped, fmt.Errorf("%s: %w", lp, err))
+	}
+	if len(frames) > 0 {
+		ld.Gen += uint64(len(frames))
+		ld.Snap = fold(snap, frames)
+		if ld.File, err = EncodeFile(ld.Snap); err != nil {
+			return nil, fmt.Errorf("%s: %w", lp, err)
+		}
+	}
+	if err := validate(ld.Snap); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return ld, nil
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
 	"os"
 	"testing"
@@ -101,6 +102,54 @@ func FuzzCheckpointDecoder(f *testing.F) {
 		}
 		for _, r := range snap.Ledger {
 			analysis.DecodeStreamResult(r.Blob) //nolint:errcheck // must not panic
+		}
+	})
+}
+
+// FuzzCheckpointLog feeds arbitrary bytes through the delta-log reader —
+// images end to end, seeded from a real log whole, torn and damaged in the
+// middle — and folds what it returns. Whatever the bytes, the reader must not
+// panic, must report damage only as ErrCorrupt or ErrUnsupported, and the
+// fold must keep every device some frame names and survive its own encoding.
+func FuzzCheckpointLog(f *testing.F) {
+	_, _, log, offs, _ := threeFrameStore(f)
+	f.Add(log)
+	f.Add(log[:offs[2]+9])
+	flipped := bytes.Clone(log)
+	flipped[offs[1]+20] ^= 0xff
+	f.Add(flipped)
+	f.Add(append(bytes.Clone(log[offs[2]:]), log[:offs[1]]...))
+	f.Add([]byte("NECKPT1\nNECKPT1\n"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, err := readLog(data)
+		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("readLog: %v", err)
+		}
+		got := fold(&Snapshot{}, frames)
+		named, kept := map[string]bool{}, map[string]bool{}
+		for _, fr := range append(frames, got) {
+			into := named
+			if fr == got {
+				into = kept
+			}
+			for _, d := range fr.Devices {
+				into[d.Device] = true
+			}
+			for _, r := range fr.Ledger {
+				into[r.Device] = true
+			}
+		}
+		if len(kept) != len(named) {
+			t.Fatalf("frames name %d devices, their fold %d", len(named), len(kept))
+		}
+		file, err := EncodeFile(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := DecodeFile(file); err != nil || len(again.Devices) != len(got.Devices) || len(again.Ledger) != len(got.Ledger) {
+			t.Fatalf("folded state does not survive its encoding: %v", err)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -24,8 +25,15 @@ import (
 // -durable-fin, a FIN acknowledgement means the session's finalized result
 // is on disk, so a server killed the instant after the last ack (no drain,
 // no timer checkpoint — the interval is an hour) must recover every record
-// and every joule from the checkpoint directory alone.
+// and every joule from the checkpoint directory alone — whether the commits
+// behind the acks were the process's first base and what followed it, or, on
+// a node that had checkpointed before, delta frames and nothing else.
 func TestDurableFINKillAfterAck(t *testing.T) {
+	t.Run("first commit is the base", func(t *testing.T) { durableFINKillAfterAck(t, false) })
+	t.Run("acks backed by delta frames only", func(t *testing.T) { durableFINKillAfterAck(t, true) })
+}
+
+func durableFINKillAfterAck(t *testing.T, deltaOnly bool) {
 	dir := t.TempDir()
 	mk := func() *Server {
 		return startServer(t, Config{
@@ -35,6 +43,12 @@ func TestDurableFINKillAfterAck(t *testing.T) {
 		})
 	}
 	a := mk()
+	if deltaOnly {
+		// An empty base first: every FIN below is backed by a frame alone.
+		if err := a.SaveCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	dts := synthgen.GenerateInMemory(synthgen.Small(3, 1))
 	var sent int64
 	var wg sync.WaitGroup
@@ -63,6 +77,15 @@ func TestDurableFINKillAfterAck(t *testing.T) {
 		t.Fatalf("durable FIN acks = %d, want %d", got, len(dts))
 	}
 	a.Kill() // fail-stop immediately after the last FIN ack
+	if deltaOnly {
+		b, err := os.ReadFile(filepath.Join(dir, "ck-00000001.ck"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base, err := checkpoint.DecodeFile(b); err != nil || len(base.Devices)+len(base.Ledger) != 0 || newestLogBytes(t, dir) == 0 {
+			t.Fatalf("the base holds %+v (%v) and its log %d bytes; want every FIN in the log", base, err, newestLogBytes(t, dir))
+		}
+	}
 
 	b := mk()
 	if got := b.counters.records.Load(); got != sent {

@@ -45,6 +45,7 @@ type counters struct {
 	// Checkpoint health (written by the checkpoint loop).
 	ckptGen      *obs.Gauge
 	ckptBytes    *obs.Gauge
+	ckptBases    *obs.Counter
 	ckptErrors   *obs.Counter
 	ckptUnixNano *obs.Gauge // time of last successful save
 
@@ -110,9 +111,10 @@ func newCounters() *counters {
 		transferErrors:  reg.Counter("ingest_transfer_errors_total", "handoffs rejected as corrupt or undecodable"),
 
 		ckptGen:      reg.Gauge("ingest_checkpoint_generation", "latest checkpoint generation written or recovered"),
-		ckptBytes:    reg.Gauge("ingest_checkpoint_bytes", "approximate size of the latest checkpoint"),
-		ckptErrors:   reg.Counter("ingest_checkpoint_errors_total", "failed checkpoint saves"),
-		ckptUnixNano: reg.Gauge("ingest_checkpoint_last_unixnano", "wall time of the last successful checkpoint save"),
+		ckptBytes:    reg.Gauge("ingest_checkpoint_bytes", "bytes written by the last checkpoint commit: a whole base, or one delta frame"),
+		ckptBases:    reg.Counter("ingest_checkpoint_base_writes_total", "checkpoint commits that rewrote the whole base (first commit, log outgrew its base, after a failed commit, shutdown) rather than appending a delta frame"),
+		ckptErrors:   reg.Counter("ingest_checkpoint_errors_total", "failed checkpoint commits, and damaged checkpoint files passed over at recovery"),
+		ckptUnixNano: reg.Gauge("ingest_checkpoint_last_unixnano", "wall time of the last successful checkpoint commit, an idle one that had nothing to write included"),
 
 		finDurable:    reg.Counter("ingest_fin_durable_total", "FIN acks released only after a durable checkpoint"),
 		fenced:        reg.Gauge("ingest_fenced", "1 once this node fenced itself after a handoff"),
@@ -133,7 +135,7 @@ func newCounters() *counters {
 		frameSeconds:     reg.Histogram("ingest_frame_decode_seconds", "per-frame record decode latency", obs.DurationBuckets()),
 		applySeconds:     reg.Histogram("ingest_apply_latency_seconds", "shard enqueue-to-apply latency per batch", obs.DurationBuckets()),
 		batchRecords:     reg.Histogram("ingest_batch_records", "records per shard hand-off batch", obs.SizeBuckets()),
-		ckptSeconds:      reg.Histogram("ingest_checkpoint_save_seconds", "checkpoint save duration", obs.DurationBuckets()),
+		ckptSeconds:      reg.Histogram("ingest_checkpoint_save_seconds", "checkpoint commit duration: encode, write and fsync of a base or a delta frame", obs.DurationBuckets()),
 		finBatchSessions: reg.Histogram("ingest_fin_batch_sessions", "sessions sharing one durable-FIN group commit", obs.SizeBuckets()),
 	}
 	c.events.RegisterEventMetrics(reg, "ingest_events_total", "events logged by level")

@@ -85,8 +85,11 @@ var (
 	ErrFrameTruncated = errors.New("ingest: truncated frame")
 	// ErrBadAck means the server's hello acknowledgement was malformed.
 	ErrBadAck = errors.New("ingest: bad hello ack")
-	// ErrDraining is returned to a client whose connection was refused
-	// because the server is shutting down.
+	// ErrDraining is the one error for "this node is shutting down (or
+	// fenced) and takes nothing more": a client whose handshake was refused
+	// gets it, and so does a checkpoint or a handoff transfer asked of a
+	// draining server — POST /transfer answers it with 503, the one transfer
+	// failure worth retrying.
 	ErrDraining = errors.New("ingest: server draining")
 )
 

@@ -69,13 +69,18 @@ func sameHeadline(t *testing.T, label string, got, want LiveHeadline) {
 
 // reopenedNode returns a checkpointing node holding one device that FINed at
 // two thirds of its trace and then streamed the rest, closing that second
-// session too when refin is set.
+// session too when refin is set. The node has committed before any of it (an
+// empty base), so the checkpoint a test then takes is a delta frame: the
+// device's two sections reach the restart, or the transfer, through the fold.
 func reopenedNode(t *testing.T, dir string, refin bool) (*Server, *trace.DeviceTrace) {
 	t.Helper()
 	s := startServer(t, Config{
 		Shards: 2, QueueDepth: 16, BatchSize: 8,
 		CheckpointDir: dir, CheckpointInterval: time.Hour,
 	})
+	if err := s.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
 	dt := synthgen.GenerateInMemory(synthgen.Small(1, 1))[0]
 	n := len(dt.Records) * 2 / 3
 	streamRange(t, s, dt, 0, n, true)

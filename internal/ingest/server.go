@@ -318,6 +318,10 @@ func (s *Server) Start() error {
 			return fmt.Errorf("ingest: load checkpoint: %w", err)
 		}
 		if ck != nil {
+			for _, err := range ck.Skipped {
+				s.counters.ckptErrors.Add(1)
+				s.counters.events.Logf(obs.LevelError, "checkpoint damaged, restoring the state before it: %v", err)
+			}
 			s.restoredFence = ck.Snap.Fence
 			s.counters.ckptGen.Set(int64(ck.Gen))
 			s.counters.ckptUnixNano.Set(time.Now().UnixNano())
@@ -638,6 +642,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				sh.ask(func() {
 					if sh.seqs[device] == rseq {
 						sh.seqs[device] = rseq + 1
+						sh.touched[device] = struct{}{}
 						s.counters.recordsSkipped.Add(1)
 					}
 				})
@@ -983,8 +988,6 @@ func (s *Server) fence(reason string, shippedGen uint64) {
 // draining, fenced, or when durability is disabled.
 func (s *Server) SaveCheckpoint() error { return s.saveCheckpoint(false) }
 
-var errDraining = errors.New("ingest: draining")
-
 func (s *Server) draining() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -992,14 +995,21 @@ func (s *Server) draining() bool {
 }
 
 // saveCheckpoint is the one way a generation is written: every shard's
-// checkpoint(), assembled and saved under ckptMu. final is Shutdown's, taken
-// straight from the stopped shards.
+// checkpoint(), assembled and committed under ckptMu. The commit is a base —
+// every device — when the store has none of this process's to append to
+// (nothing written yet, the commit before failed, the directory was archived),
+// when the log has outgrown its base, and for final, Shutdown's, taken
+// straight from the stopped shards; otherwise it is a frame of the devices
+// that changed since the last commit, and no write at all when none did.
+// The shards forget what changed as they report it, which is why a commit that
+// fails is followed by a base; one cut short by the drain is followed by
+// nothing but Shutdown's.
 func (s *Server) saveCheckpoint(final bool) error {
 	if s.ckpt == nil {
 		return errors.New("ingest: checkpointing disabled")
 	}
 	if !final && s.draining() {
-		return errDraining
+		return ErrDraining
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -1008,23 +1018,37 @@ func (s *Server) saveCheckpoint(final bool) error {
 	if s.fenced.Load() {
 		return errors.New("ingest: fenced")
 	}
+	full := final || s.ckpt.NeedsBase()
 	cks := make([]checkpoint.Snapshot, len(s.shard))
-	collect := func(i int, sh *shard) { cks[i] = sh.checkpoint() }
+	collect := func(i int, sh *shard) { cks[i] = sh.checkpoint(full) }
 	if final {
 		for i, sh := range s.shard {
 			collect(i, sh)
 		}
 	} else if !s.askShards(collect) {
-		return errDraining
+		return ErrDraining
 	}
 	snap := checkpoint.Snapshot{Fence: s.fenceStamp()}
 	for _, ck := range cks {
 		snap.Devices = append(snap.Devices, ck.Devices...)
 		snap.Ledger = append(snap.Ledger, ck.Ledger...)
 	}
+	if !full && len(snap.Devices)+len(snap.Ledger) == 0 {
+		// Nothing changed: the last commit is still the whole state, and as
+		// fresh as a new one would be.
+		s.counters.ckptUnixNano.Set(time.Now().UnixNano())
+		return nil
+	}
 
-	t0 := time.Now()
-	_, gen, err := s.ckpt.Save(&snap)
+	t0, before := time.Now(), s.ckpt.Written()
+	var gen uint64
+	var err error
+	if full {
+		s.counters.ckptBases.Add(1)
+		_, gen, err = s.ckpt.Save(&snap)
+	} else {
+		gen, err = s.ckpt.Append(&snap)
+	}
 	s.counters.ckptSeconds.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		s.counters.ckptErrors.Add(1)
@@ -1033,15 +1057,8 @@ func (s *Server) saveCheckpoint(final bool) error {
 	}
 	s.counters.ckptGen.Set(int64(gen))
 	s.counters.ckptUnixNano.Set(time.Now().UnixNano())
-	var size int64
-	for i := range snap.Devices {
-		size += int64(len(snap.Devices[i].Acc) + len(snap.Devices[i].Device) + 16)
-	}
-	for i := range snap.Ledger {
-		size += int64(len(snap.Ledger[i].Blob) + len(snap.Ledger[i].Device) + 24)
-	}
-	s.counters.ckptBytes.Set(size)
-	s.counters.events.Logf(obs.LevelDebug, "checkpoint generation %d saved (%d devices)", gen, len(snap.Devices))
+	s.counters.ckptBytes.Set(s.ckpt.Written() - before)
+	s.counters.events.Logf(obs.LevelDebug, "checkpoint generation %d saved (%d devices, base: %t)", gen, len(snap.Devices)+len(snap.Ledger), full)
 	return nil
 }
 
@@ -1078,7 +1095,7 @@ type TransferResult struct {
 func (s *Server) RestoreTransfer(snap *checkpoint.Snapshot) (TransferResult, error) {
 	res := TransferResult{NodeID: s.cfg.NodeID}
 	if s.draining() {
-		return res, errDraining
+		return res, ErrDraining
 	}
 	var own func(string) bool
 	if s.cfg.Route != nil {
@@ -1092,7 +1109,7 @@ func (s *Server) RestoreTransfer(snap *checkpoint.Snapshot) (TransferResult, err
 		return res, fmt.Errorf("ingest: transfer: %w", err)
 	}
 	if !s.install(plan, &res) {
-		return TransferResult{NodeID: s.cfg.NodeID}, errDraining
+		return TransferResult{NodeID: s.cfg.NodeID}, ErrDraining
 	}
 	res.SkippedNotOwned = plan.notOwned
 	s.counters.transfers.Add(1)

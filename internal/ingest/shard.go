@@ -128,6 +128,13 @@ type shard struct {
 	retired *analysis.StreamResult
 	ledger  map[string]*ledgerEntry
 
+	// What a delta checkpoint goes by. saved is each live device's seq as
+	// last collected: the batch path marks nothing, checkpoint compares.
+	// touched are the devices changed off that path since the last collect —
+	// retired, installed, or moved past a poison record with no session open.
+	saved   map[string]int64
+	touched map[string]struct{}
+
 	// seg, when non-nil, persists accepted records as queryable METR-3
 	// segment files (goroutine-confined like the rest of the state).
 	seg *segmentStore
@@ -148,6 +155,8 @@ func newShard(id, queueDepth int, opts energy.Options, c *counters, reg *deviceR
 		seqs:     map[string]int64{},
 		retired:  analysis.NewStreamResult("fleet"),
 		ledger:   map[string]*ledgerEntry{},
+		saved:    map[string]int64{},
+		touched:  map[string]struct{}{},
 		seg:      seg,
 		done:     make(chan struct{}),
 	}
@@ -249,6 +258,8 @@ func (s *shard) retire(dev string) {
 	blob := res.AppendBinary(nil)
 	s.ledger[dev] = &ledgerEntry{seq: s.seqs[dev], crc: crc32.ChecksumIEEE(blob), blob: blob}
 	delete(s.live, dev)
+	delete(s.saved, dev)
+	s.touched[dev] = struct{}{}
 	if s.seg != nil {
 		s.seg.seal(dev)
 	}
@@ -347,6 +358,8 @@ func (s *shard) install(units []*install, res *TransferResult) {
 		} else {
 			delete(s.live, u.device)
 		}
+		delete(s.saved, u.device)
+		s.touched[u.device] = struct{}{}
 		s.seqs[u.device] = u.seq
 		s.counters.records.Add(u.seq - cur)
 		s.reg.get(u.device).records.Add(u.seq - cur)
@@ -365,26 +378,47 @@ func (s *shard) snapshot() *analysis.StreamResult {
 	return agg
 }
 
-// checkpoint serializes the shard's durable state, its share of a snapshot:
-// live accumulators with their sequence numbers, one ledger entry per device
-// with closed sessions, and bare sequence numbers for devices in neither set
-// (poison-skipped before their first accepted record).
-func (s *shard) checkpoint() (ck checkpoint.Snapshot) {
-	for dev, acc := range s.live {
-		ck.Devices = append(ck.Devices, checkpoint.DeviceState{
-			Device: dev, Seq: s.seqs[dev], Acc: acc.AppendState(nil),
-		})
-	}
-	for dev, seq := range s.seqs {
-		if s.live[dev] == nil && s.ledger[dev] == nil {
-			ck.Devices = append(ck.Devices, checkpoint.DeviceState{Device: dev, Seq: seq})
+// checkpoint serializes the shard's durable state, its share of a snapshot,
+// one device at a time and each device whole: its ledger entry if it has
+// closed sessions, its accumulator and sequence number if a session is open,
+// and a bare sequence number if it has neither (poison-skipped before its
+// first accepted record). full takes every device — a base; otherwise only
+// those that changed since the last call — a delta frame, which costs the
+// live devices a comparison each and nothing per device at rest. Either way
+// the next delta starts from here, so a caller that fails to make the result
+// durable must ask for a full one next.
+func (s *shard) checkpoint(full bool) (ck checkpoint.Snapshot) {
+	emit := func(dev string) {
+		acc, e := s.live[dev], s.ledger[dev]
+		if e != nil {
+			ck.Ledger = append(ck.Ledger, checkpoint.RetiredRecord{
+				Device: dev, Seq: e.seq, CRC: e.crc, Blob: e.blob,
+			})
+		}
+		if acc != nil {
+			ck.Devices = append(ck.Devices, checkpoint.DeviceState{
+				Device: dev, Seq: s.seqs[dev], Acc: acc.AppendState(nil),
+			})
+			s.saved[dev] = s.seqs[dev]
+		} else if e == nil {
+			ck.Devices = append(ck.Devices, checkpoint.DeviceState{Device: dev, Seq: s.seqs[dev]})
 		}
 	}
-	for dev, e := range s.ledger {
-		ck.Ledger = append(ck.Ledger, checkpoint.RetiredRecord{
-			Device: dev, Seq: e.seq, CRC: e.crc, Blob: e.blob,
-		})
+	if full {
+		for dev := range s.seqs {
+			emit(dev)
+		}
+	} else {
+		for dev := range s.touched {
+			emit(dev)
+		}
+		for dev := range s.live {
+			if s.saved[dev] != s.seqs[dev] { // a live device has accepted a record, so never 0
+				emit(dev)
+			}
+		}
 	}
+	clear(s.touched)
 	return ck
 }
 

@@ -26,18 +26,19 @@
 #      still deliver every record exactly once;
 #   4. cluster: same fleet across a three-node cluster behind aggregatord,
 #      with one node kill -9'd as soon as it has accepted records and
-#      written a checkpoint. The probers must declare it dead, its
-#      checkpoint must hand off to the survivors, the sessions must walk
-#      their ring preference and resume, and the merged fleet headline
-#      must equal the single-node reference from phase 2 — ints exactly,
-#      floats within 1e-6 relative;
+#      written a checkpoint: a base and a delta frame after it. The
+#      probers must declare it dead, its checkpoint must hand off to the
+#      survivors, the sessions must walk their ring preference and resume,
+#      and the merged fleet headline must equal the single-node reference
+#      from phase 2 — ints exactly, floats within 1e-6 relative;
 #   5. chaos-cluster: same fleet across a fresh three-node -durable-fin
 #      cluster, with one node SIGSTOP'd mid-run — the partition analogue: the
 #      process stays alive holding its state while the fleet routes around
-#      it. Its checkpoint hands off to the survivors; on SIGCONT the zombie
-#      resurfaces and the aggregator must fence it (not merge it twice). The
-#      settled fleet headline must again equal the phase-2 reference, and
-#      the fenced node must still drain cleanly.
+#      it. Its checkpoint, again a base with frames after it, hands off to
+#      the survivors; on SIGCONT the zombie resurfaces and the aggregator
+#      must fence it (not merge it twice). The settled fleet headline must
+#      again equal the phase-2 reference, and the fenced node must still
+#      drain cleanly.
 # Run via `make smoke` (needs ./bin built).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -132,6 +133,12 @@ require_headline_match() { # fleet headline file
       exit 1
     fi
   done
+}
+
+# has_delta_frame: the checkpoint directory holds a delta log with something
+# in it, so what a restart or a handoff reads from it is a base plus frames.
+has_delta_frame() { # dir
+  [ -n "$(find "$1" -maxdepth 1 -name 'ck-*.log' -size +0c 2>/dev/null)" ]
 }
 
 # require_close compares two floats within 1e-6 relative.
@@ -261,14 +268,15 @@ run_cluster() {
   pids+=($!)
 
   # Chaos step: pull n2's plug (SIGKILL, no drain) the moment it has
-  # accepted records AND written a durable checkpoint, so the death lands
-  # mid-run with state on disk to hand off.
+  # accepted records AND written a durable checkpoint — a base and at least
+  # one delta frame after it, or the handoff below never folds a log — so
+  # the death lands mid-run with state on disk to hand off.
   (
     for _ in $(seq 1 600); do
       st=$(curl -fsS "http://127.0.0.1:19914/stats" 2>/dev/null || true)
       recs=$(printf '%s' "$st" | grep -o '"records":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
       gen=$(printf '%s' "$st" | grep -o '"generation":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
-      if [ -n "${recs:-}" ] && [ "$recs" -gt 0 ] && [ -n "${gen:-}" ] && [ "$gen" -ge 1 ]; then
+      if [ -n "${recs:-}" ] && [ "$recs" -gt 0 ] && [ -n "${gen:-}" ] && [ "$gen" -ge 1 ] && has_delta_frame "${dirs[1]}"; then
         kill -9 "$victim"
         exit 0
       fi
@@ -292,7 +300,7 @@ run_cluster() {
     -devices "$DEVICES" -days "$DAYS" -seed 7 -deadline 5m -speedup 8640
 
   if ! wait "$killer"; then
-    echo "smoke: victim node was never killed (no records/checkpoint observed on n2)" >&2
+    echo "smoke: victim node was never killed (n2 never held records, a checkpoint base and a delta frame after it)" >&2
     exit 1
   fi
 
@@ -355,7 +363,8 @@ run_chaos_cluster() {
   pids+=($!)
 
   # Partition step: freeze n2 (SIGSTOP, sockets stay open, state stays in
-  # memory) the moment it has accepted records and written a checkpoint.
+  # memory) the moment it has accepted records and written a checkpoint, a
+  # delta frame after its base included.
   # Unlike the kill phase's SIGKILL, the process survives to resurface
   # later holding already-handed-off state — the zombie the fence exists for.
   (
@@ -363,7 +372,7 @@ run_chaos_cluster() {
       st=$(curl -fsS "http://127.0.0.1:19914/stats" 2>/dev/null || true)
       recs=$(printf '%s' "$st" | grep -o '"records":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
       gen=$(printf '%s' "$st" | grep -o '"generation":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
-      if [ -n "${recs:-}" ] && [ "$recs" -gt 0 ] && [ -n "${gen:-}" ] && [ "$gen" -ge 1 ]; then
+      if [ -n "${recs:-}" ] && [ "$recs" -gt 0 ] && [ -n "${gen:-}" ] && [ "$gen" -ge 1 ] && has_delta_frame "${dirs[1]}"; then
         kill -STOP "$victim"
         exit 0
       fi
@@ -380,7 +389,7 @@ run_chaos_cluster() {
     -devices "$DEVICES" -days "$DAYS" -seed 7 -deadline 5m -speedup 8640
 
   if ! wait "$freezer"; then
-    echo "smoke: victim node was never frozen (no records/checkpoint observed on n2)" >&2
+    echo "smoke: victim node was never frozen (n2 never held records, a checkpoint base and a delta frame after it)" >&2
     exit 1
   fi
 
