@@ -70,7 +70,7 @@ smoke: build
 	./scripts/smoke.sh
 
 # Short runs of every fuzz target (trace reader, METR-3 columnar decoder,
-# parallel file reader, pushdown scan incl. torn tails, LZ codec, pcap
+# indexed file reader at 1 and 4 workers, pushdown scan incl. torn tails, LZ codec, pcap
 # reader, packet parser, ingest frame decoder, checkpoint decoder, checkpoint delta
 # log, tsq query parser).
 FUZZTIME ?= 10s
@@ -88,10 +88,12 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointLog -fuzztime=$(FUZZTIME) ./internal/ingest/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzQueryParse -fuzztime=$(FUZZTIME) ./internal/tsq/
 
-# The ci gate fuzzes the most network-exposed decoder briefly; run `make
-# fuzz` for the full set.
+# The ci gate fuzzes the most network-exposed decoder and the indexed file
+# reader every trace.ReadFile now goes through (at one worker and at four)
+# briefly; run `make fuzz` for the full set.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrameDecoder -fuzztime=10s ./internal/ingest/
+	$(GO) test -run=NONE -fuzz=FuzzReadFileParallel -fuzztime=10s ./internal/trace/
 
 # Full benchmark suite with the regression gate: records BENCH_<date>.json
 # and fails on a >15% regression in the apply pair or decode throughput

@@ -9,6 +9,10 @@
 package netenergy_test
 
 import (
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -484,4 +488,56 @@ func BenchmarkAblationCarrierVariants(b *testing.B) {
 	b.ReportMetric(totals[0], "std_J")
 	b.ReportMetric(totals[1], "short_tail_J")
 	b.ReportMetric(totals[2], "hot_idle_J")
+}
+
+// BenchmarkStudy is the paper path end to end, as bench/'s batch_study
+// workload runs it: a METR-3 fleet of 16 devices x 16 384 records on disk ->
+// core.OpenParallel on one worker per core -> the full report, whose CRC is
+// held constant across iterations.
+func BenchmarkStudy(b *testing.B) {
+	const users, records = 16, 16384
+	dir := b.TempDir()
+	for i := 0; i < users; i++ {
+		// A device cut to a fixed record count, so an iteration is the same
+		// amount of work whatever the user's activity level.
+		cfg := synthgen.Small(i+1, 1+records/7700)
+		var dt *trace.DeviceTrace
+		for {
+			if dt = synthgen.GenerateDevice(cfg, i); len(dt.Records) >= records {
+				break
+			}
+			cfg.Days = cfg.Days*records/(len(dt.Records)+1)*5/4 + 1
+		}
+		dt.Records = dt.Records[:records]
+		f, err := os.Create(filepath.Join(dir, dt.Device+".metr"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := dt.SerializeColumnar(f); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var first uint32
+	for i := 0; i < b.N; i++ {
+		s, err := core.OpenParallel(dir, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := crc32.NewIEEE()
+		if err := s.WriteReport(h); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			first = h.Sum32()
+		} else if h.Sum32() != first {
+			b.Fatalf("report crc %08x, first iteration's was %08x", h.Sum32(), first)
+		}
+	}
+	b.ReportMetric(float64(users*records), "records/op")
 }

@@ -10,7 +10,7 @@
 //	analyze -data data/ -headline     # headline statistics only
 //	analyze -data data/ -stream       # bounded-memory single-pass summary
 //	analyze -data data/ -csv fig6.csv -fig 6
-//	analyze -data data/ -workers 8    # load device files in parallel
+//	analyze -data data/ -workers 8    # load 8 device files at once, render the report on 8 goroutines
 //	analyze -data data/ -stream -csv fig6.csv  # stream mode CSV export
 //	analyze -gen -stats-json stats.json        # dump per-stage timings
 package main
@@ -47,7 +47,7 @@ func main() {
 		device   = flag.String("device", "", "restrict analyses to one device (e.g. u03)")
 		kill     = flag.Int("kill", 3, "kill-after-days threshold for table 2")
 		csvPath  = flag.String("csv", "", "also write the selected figure's raw series as CSV")
-		workers  = flag.Int("workers", runtime.NumCPU(), "device files loaded in parallel (per-device files are independent)")
+		workers  = flag.Int("workers", runtime.NumCPU(), "device files loaded at once, and goroutines the full report's sections render on (same bytes for every count)")
 		statsOut = flag.String("stats-json", "", "write end-of-run metrics (per-stage timings) as JSON to this path, or - for stderr")
 	)
 	flag.Parse()

@@ -31,6 +31,10 @@ type DeviceData struct {
 	ScreenOn [][2]trace.Timestamp
 	Span     [2]trace.Timestamp
 	Days     int // observation days covered by the trace span
+	// Networks is this device's cellular-vs-WiFi comparison, taken while
+	// Load has the raw trace in hand (the pipeline above only accounts one
+	// interface).
+	Networks NetworkComparison
 }
 
 // ScreenOnAt reports whether the screen was on at ts.
@@ -50,6 +54,10 @@ func (d *DeviceData) ScreenOnAt(ts trace.Timestamp) bool {
 // Load builds DeviceData from an in-memory device trace.
 func Load(dt *trace.DeviceTrace, opts energy.Options) (*DeviceData, error) {
 	res, err := energy.Process(dt, opts)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: processing %s: %w", dt.Device, err)
+	}
+	nets, err := compareNetworks(dt, res, opts)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: processing %s: %w", dt.Device, err)
 	}
@@ -99,6 +107,7 @@ func Load(dt *trace.DeviceTrace, opts energy.Options) (*DeviceData, error) {
 		ScreenOn: screen,
 		Span:     span,
 		Days:     days,
+		Networks: nets,
 	}, nil
 }
 
@@ -117,17 +126,22 @@ func LoadFleet(fleet *trace.Fleet, opts energy.Options) ([]*DeviceData, error) {
 	return out, err
 }
 
+// Workers is how many goroutines LoadAll spreads a fleet over — one per
+// core, up to six — and therefore how many core.Run renders its report on.
+func Workers() int {
+	if par := runtime.GOMAXPROCS(0); par < 6 {
+		return par
+	}
+	return 6
+}
+
 // LoadAll loads a slice of in-memory device traces, in parallel (Load is
 // pure per device).
 func LoadAll(dts []*trace.DeviceTrace, opts energy.Options) ([]*DeviceData, error) {
 	out := make([]*DeviceData, len(dts))
 	errs := make([]error, len(dts))
 	var wg sync.WaitGroup
-	par := runtime.GOMAXPROCS(0)
-	if par > 6 {
-		par = 6
-	}
-	sem := make(chan struct{}, par)
+	sem := make(chan struct{}, Workers())
 	for i := range dts {
 		wg.Add(1)
 		go func(i int) {

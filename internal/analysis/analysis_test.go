@@ -696,32 +696,88 @@ func TestWeeklyEmpty(t *testing.T) {
 	}
 }
 
+// compareNetworksOracle is the comparison as it was computed before Load
+// owned it: both interfaces replayed from scratch, the cellular one for a
+// second time. Kept as the reference Load's one-replay-per-network result
+// must equal bit for bit.
+func compareNetworksOracle(dts []*trace.DeviceTrace) (NetworkComparison, error) {
+	var out NetworkComparison
+	for _, dt := range dts {
+		cell := energy.DefaultOptions()
+		cell.KeepPackets = false
+		resC, err := energy.Process(dt, cell)
+		if err != nil {
+			return out, err
+		}
+		wifi := energy.DefaultOptions()
+		wifi.KeepPackets = false
+		wifi.Network = trace.NetWiFi
+		wifi.Radio = radio.WiFi()
+		resW, err := energy.Process(dt, wifi)
+		if err != nil {
+			return out, err
+		}
+		out.CellularJ += resC.Ledger.Total
+		out.WiFiJ += resW.Ledger.Total
+		for _, b := range resC.Ledger.BytesByApp {
+			out.CellularBytes += b
+		}
+		for _, b := range resW.Ledger.BytesByApp {
+			out.WiFiBytes += b
+		}
+	}
+	return out, nil
+}
+
 func TestCompareNetworks(t *testing.T) {
-	b := newBuilder("d0")
-	a := b.app("com.a")
-	b.state(a, 0, trace.StateService)
+	mixed := newBuilder("d0")
+	a := mixed.app("com.a")
+	mixed.state(a, 0, trace.StateService)
 	// Identical burst patterns on each interface.
 	for i := 0; i < 5; i++ {
-		b.pkt(a, trace.Timestamp(100+i*60)*sec, trace.StateService, 2000, false)
+		mixed.pkt(a, trace.Timestamp(100+i*60)*sec, trace.StateService, 2000, false)
 	}
+	cellOnly := newBuilder("d1")
+	cellOnly.dt.Records = append(cellOnly.dt.Records, mixed.dt.Records...)
 	// Clone the last five packets as WiFi.
-	n := len(b.dt.Records)
+	n := len(mixed.dt.Records)
 	for i := n - 5; i < n; i++ {
-		r := b.dt.Records[i]
+		r := mixed.dt.Records[i]
 		r.Net = trace.NetWiFi
 		r.TS += 1000 * sec
-		b.dt.Records = append(b.dt.Records, r)
+		mixed.dt.Records = append(mixed.dt.Records, r)
 	}
-	b.dt.SortByTime()
-	res, err := CompareNetworks([]*trace.DeviceTrace{b.dt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mixed.load(t).Networks
 	if res.CellularBytes != res.WiFiBytes {
 		t.Errorf("bytes differ: %d vs %d", res.CellularBytes, res.WiFiBytes)
 	}
 	if res.Ratio() < 20 {
 		t.Errorf("cellular/wifi ratio = %v, want >>1 for intermittent bursts", res.Ratio())
+	}
+
+	wifiOpts := energy.DefaultOptions()
+	wifiOpts.Network, wifiOpts.Radio = trace.NetWiFi, radio.WiFi()
+	for _, b := range []*builder{mixed, cellOnly, newBuilder("empty")} {
+		b.dt.SortByTime()
+		want, err := compareNetworksOracle([]*trace.DeviceTrace{b.dt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == cellOnly && (want.CellularJ == 0 || want.WiFiJ != 0 || want.WiFiBytes != 0) {
+			t.Fatalf("%s: oracle = %+v, want a cellular side only", b.dt.Device, want)
+		}
+		// Whichever interface Load itself replays, the other is replayed
+		// once and the pair reads the same.
+		for _, opts := range []energy.Options{energy.DefaultOptions(), wifiOpts} {
+			dd, err := Load(b.dt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dd.Networks != want {
+				t.Errorf("%s (Load on %v): Networks = %+v, the double replay gave %+v",
+					b.dt.Device, opts.Network, dd.Networks, want)
+			}
+		}
 	}
 }
 

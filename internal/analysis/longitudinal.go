@@ -81,34 +81,39 @@ func (n NetworkComparison) Ratio() float64 {
 	return n.CellularJ / n.WiFiJ
 }
 
-// CompareNetworks re-processes the given raw device traces under both
-// interface filters. It needs the original traces (not DeviceData) because
-// the standard pipeline only accounts cellular packets.
-func CompareNetworks(dts []*trace.DeviceTrace) (NetworkComparison, error) {
-	var out NetworkComparison
-	for _, dt := range dts {
-		cell := energy.DefaultOptions()
-		cell.KeepPackets = false
-		resC, err := energy.Process(dt, cell)
-		if err != nil {
-			return out, err
-		}
-		wifi := energy.DefaultOptions()
-		wifi.KeepPackets = false
-		wifi.Network = trace.NetWiFi
-		wifi.Radio = radio.WiFi()
-		resW, err := energy.Process(dt, wifi)
-		if err != nil {
-			return out, err
-		}
-		out.CellularJ += resC.Ledger.Total
-		out.WiFiJ += resW.Ledger.Total
-		for _, b := range resC.Ledger.BytesByApp {
-			out.CellularBytes += b
-		}
-		for _, b := range resW.Ledger.BytesByApp {
-			out.WiFiBytes += b
-		}
+// Add folds another comparison (another device's) into n.
+func (n *NetworkComparison) Add(o NetworkComparison) {
+	n.CellularJ += o.CellularJ
+	n.WiFiJ += o.WiFiJ
+	n.CellularBytes += o.CellularBytes
+	n.WiFiBytes += o.WiFiBytes
+}
+
+// compareNetworks builds one device's comparison with one replay per
+// interface: res, the replay Load has just made under opts, is the side
+// opts.Network names, and only the other interface is replayed here —
+// against its own radio model, aggregates only.
+func compareNetworks(dt *trace.DeviceTrace, res *energy.Result, opts energy.Options) (NetworkComparison, error) {
+	other := opts
+	other.KeepPackets = false
+	other.Network, other.Radio = trace.NetWiFi, radio.WiFi()
+	if opts.Network == trace.NetWiFi {
+		other.Network, other.Radio = trace.NetCellular, radio.LTE()
+	}
+	resO, err := energy.Process(dt, other)
+	if err != nil {
+		return NetworkComparison{}, err
+	}
+	cell, wifi := res.Ledger, resO.Ledger
+	if opts.Network == trace.NetWiFi {
+		cell, wifi = wifi, cell
+	}
+	out := NetworkComparison{CellularJ: cell.Total, WiFiJ: wifi.Total}
+	for _, b := range cell.BytesByApp {
+		out.CellularBytes += b
+	}
+	for _, b := range wifi.BytesByApp {
+		out.WiFiBytes += b
 	}
 	return out, nil
 }

@@ -39,10 +39,20 @@ func (a AppRetrans) Fraction() float64 {
 // canonical five-tuple hash plus direction.
 func Retransmissions(devs []*DeviceData, topK int) RetransResult {
 	var res RetransResult
-	perAppBytes := map[string]int64{}
-	perAppRetrans := map[string]int64{}
+	type tally struct{ bytes, retrans int64 }
+	perApp := map[string]tally{}
+	add := func(name string, t tally) {
+		sum := perApp[name]
+		sum.bytes += t.bytes
+		sum.retrans += t.retrans
+		perApp[name] = sum
+	}
 	for _, d := range devs {
 		tr := tcpstream.NewTracker()
+		// Tallied by app id and folded into the name-keyed totals once per
+		// device, not once per packet; an id the device never named is rare
+		// enough to go by name.
+		byID := make([]tally, d.Apps.Len())
 		for i := range d.Energy.Packets {
 			p := &d.Energy.Packets[i]
 			// Payload length: wire bytes minus the fixed 40-byte header
@@ -55,18 +65,25 @@ func Retransmissions(devs []*DeviceData, topK int) RetransResult {
 			if p.Dir == trace.DirUp {
 				key ^= 0x9e3779b97f4a7c15
 			}
-			kind := tr.Segment(key, p.Seq, plen)
-			name := d.Apps.Name(p.App)
-			perAppBytes[name] += int64(plen)
-			switch kind {
+			t := tally{bytes: int64(plen)}
+			switch tr.Segment(key, p.Seq, plen) {
 			case tcpstream.KindRetrans:
-				perAppRetrans[name] += int64(plen)
+				t.retrans = int64(plen)
 				res.WastedEnergyJ += p.Energy
 			case tcpstream.KindPartial:
 				// Apportion energy by the retransmitted share.
 				// (Stats track exact bytes; energy is approximated.)
 				res.WastedEnergyJ += p.Energy / 2
 			}
+			if int(p.App) < len(byID) {
+				byID[p.App].bytes += t.bytes
+				byID[p.App].retrans += t.retrans
+			} else {
+				add(d.Apps.Name(p.App), t)
+			}
+		}
+		for id, t := range byID {
+			add(d.Apps.Name(uint32(id)), t)
 		}
 		t := tr.Total()
 		res.Total.Segments += t.Segments
@@ -76,14 +93,16 @@ func Retransmissions(devs []*DeviceData, topK int) RetransResult {
 		res.Total.OutOfOrder += t.OutOfOrder
 	}
 	rank := map[string]float64{}
-	for name, b := range perAppRetrans {
-		rank[name] = float64(b)
+	for name, t := range perApp {
+		if t.retrans > 0 {
+			rank[name] = float64(t.retrans)
+		}
 	}
 	for _, kv := range stats.TopK(rank, topK) {
 		res.PerApp = append(res.PerApp, AppRetrans{
 			App:          kv.Key,
-			Bytes:        perAppBytes[kv.Key],
-			RetransBytes: perAppRetrans[kv.Key],
+			Bytes:        perApp[kv.Key].bytes,
+			RetransBytes: perApp[kv.Key].retrans,
 		})
 	}
 	return res

@@ -26,6 +26,32 @@ type CaseStudy struct {
 // traffic drives the period detection, mirroring the paper's focus on
 // transfers initiated in the background.
 func CaseStudies(devs []*DeviceData, packages, labels []string) []CaseStudy {
+	// One pass over each device's flows and packets, bucketed by app id for
+	// the requested packages; each row below reads its app's bucket.
+	flowCount := make([][]int, len(devs))
+	bgBurstTimes := make([][][]float64, len(devs)) // background uplink times, in packet order
+	for di, d := range devs {
+		n := d.Apps.Len()
+		flowCount[di], bgBurstTimes[di] = make([]int, n), make([][]float64, n)
+		wanted := make([]bool, n)
+		for _, pkg := range packages {
+			if app, ok := d.appID(pkg); ok {
+				wanted[app] = true
+			}
+		}
+		for _, f := range d.Flows {
+			if int(f.App) < n {
+				flowCount[di][f.App]++
+			}
+		}
+		for i := range d.Energy.Packets {
+			p := &d.Energy.Packets[i]
+			if int(p.App) < n && wanted[p.App] && p.State.IsBackground() && p.Dir == trace.DirUp {
+				bgBurstTimes[di][p.App] = append(bgBurstTimes[di][p.App], p.TS.Seconds())
+			}
+		}
+	}
+
 	out := make([]CaseStudy, 0, len(packages))
 	for i, pkg := range packages {
 		label := pkg
@@ -38,7 +64,7 @@ func CaseStudies(devs []*DeviceData, packages, labels []string) []CaseStudy {
 		activeDays := map[[2]interface{}]bool{} // (device, day)
 		var periods []periodic.Period
 
-		for _, d := range devs {
+		for di, d := range devs {
 			app, ok := d.appID(pkg)
 			if !ok {
 				continue
@@ -50,22 +76,11 @@ func CaseStudies(devs []*DeviceData, packages, labels []string) []CaseStudy {
 					activeDays[[2]interface{}{d.Device, day}] = true
 				}
 			}
-			for _, f := range d.Flows {
-				if f.App == app {
-					cs.Flows++
-				}
-			}
+			cs.Flows += flowCount[di][app]
 			// Update-period detection is per device: burst schedules are
 			// independent across users, so mixing them would destroy the
 			// interval structure.
-			var bgBurstTimes []float64
-			for i := range d.Energy.Packets {
-				p := &d.Energy.Packets[i]
-				if p.App == app && p.State.IsBackground() && p.Dir == trace.DirUp {
-					bgBurstTimes = append(bgBurstTimes, p.TS.Seconds())
-				}
-			}
-			bursts := periodic.Bursts(bgBurstTimes, 15)
+			bursts := periodic.Bursts(bgBurstTimes[di][app], 15)
 			if pd := periodic.DominantPeriod(bursts); pd.Samples >= 5 {
 				periods = append(periods, pd)
 			}

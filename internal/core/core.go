@@ -6,9 +6,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netenergy/internal/analysis"
@@ -34,6 +36,10 @@ type Study struct {
 	// LoadSeconds is how long generation/loading took (recorded by
 	// Run/OpenParallel, exposed as analyze_load_seconds when instrumented).
 	LoadSeconds float64
+
+	// workers is how many goroutines the Study was loaded on, and how many
+	// WriteReport renders its sections on.
+	workers int
 
 	metrics *obs.Registry
 }
@@ -73,26 +79,36 @@ func Run(cfg synthgen.Config) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	nets, err := analysis.CompareNetworks(dts)
-	if err != nil {
-		return nil, err
+	s := newStudy(devs, analysis.Workers())
+	s.Config = cfg
+	s.LoadSeconds = time.Since(t0).Seconds() //repolint:allow determinism load wall-time telemetry for operators; LoadSeconds never reaches a report or golden artifact
+	return s, nil
+}
+
+// newStudy folds the loaded devices, in the order given, into a Study that
+// renders on workers goroutines.
+func newStudy(devs []*analysis.DeviceData, workers int) *Study {
+	s := &Study{Devices: devs, workers: workers}
+	for _, d := range devs {
+		s.Networks.Add(d.Networks)
 	}
-	return &Study{Config: cfg, Devices: devs, Networks: nets,
-		LoadSeconds: time.Since(t0).Seconds()}, nil //repolint:allow determinism load wall-time telemetry for operators; LoadSeconds never reaches a report or golden artifact
+	return s
 }
 
 // Open loads an on-disk fleet previously written by cmd/gentrace.
 func Open(dir string) (*Study, error) { return OpenParallel(dir, 1) }
 
 // OpenParallel loads an on-disk fleet with up to workers device files in
-// flight at once. Per-device files are independent, so loading — read,
-// decode, energy replay — parallelises cleanly; results are folded in path
-// order, so the Study is identical regardless of worker count (modulo
-// float association in the network totals, which are summed in order too).
-// workers <= 1 degrades to the sequential one-trace-in-memory behaviour;
-// higher counts trade peak memory for wall time. When the fleet has fewer
-// files than workers, the surplus is spent inside each file: METR-2
-// containers decode their blocks in parallel (v1 containers just stream).
+// flight at once, and returns a Study whose WriteReport renders on as many
+// goroutines. Per-device files are independent, so loading — read, decode,
+// energy replay — parallelises cleanly; results are folded in path order,
+// so the Study, and every byte of its report, is identical regardless of
+// worker count. Every file is read by its footer index into a pooled
+// arena that is handed back once the device is folded (see
+// trace.ReadFileParallel), so memory in flight is workers arenas — one at
+// workers <= 1 — on top of the loaded DeviceData. When the fleet has fewer
+// files than workers, the surplus goroutines decode blocks inside each
+// file (v1 containers just stream).
 func OpenParallel(dir string, workers int) (*Study, error) {
 	t0 := time.Now() //repolint:allow determinism load wall-time telemetry for operators; LoadSeconds never reaches a report or golden artifact
 	fleet, err := trace.OpenFleet(dir)
@@ -102,19 +118,15 @@ func OpenParallel(dir string, workers int) (*Study, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	inner := 1
-	if len(fleet.Paths) > 0 && workers > len(fleet.Paths) {
-		inner = (workers + len(fleet.Paths) - 1) / len(fleet.Paths)
-		workers = len(fleet.Paths)
+	files, inner := workers, 1
+	if workers > len(fleet.Paths) {
+		files = len(fleet.Paths)
+		inner = (workers + files - 1) / files
 	}
 
-	type loaded struct {
-		dev  *analysis.DeviceData
-		nets analysis.NetworkComparison
-	}
-	results := make([]loaded, len(fleet.Paths))
+	devs := make([]*analysis.DeviceData, len(fleet.Paths))
 	errs := make([]error, len(fleet.Paths))
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, files)
 	var wg sync.WaitGroup
 	for i, path := range fleet.Paths {
 		wg.Add(1)
@@ -127,21 +139,11 @@ func OpenParallel(dir string, workers int) (*Study, error) {
 				errs[i] = fmt.Errorf("core: reading %s: %w", path, err)
 				return
 			}
-			dd, err := analysis.Load(dt, energy.DefaultOptions())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			nets, err := analysis.CompareNetworks([]*trace.DeviceTrace{dt})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			// Everything retained from dt (app table strings, parsed
-			// packet tuples, energy sums) is copied by now, so the
-			// decode buffers can be reused for the next file.
-			dt.Recycle()
-			results[i] = loaded{dev: dd, nets: nets}
+			// Everything Load retains from dt (app table strings, parsed
+			// packet tuples, energy sums) is a copy, so the decode buffers
+			// go back for the next file whether or not it succeeds.
+			defer dt.Recycle()
+			devs[i], errs[i] = analysis.Load(dt, energy.DefaultOptions())
 		}(i, path)
 	}
 	wg.Wait()
@@ -150,14 +152,7 @@ func OpenParallel(dir string, workers int) (*Study, error) {
 			return nil, err
 		}
 	}
-	s := &Study{}
-	for _, r := range results {
-		s.Devices = append(s.Devices, r.dev)
-		s.Networks.CellularJ += r.nets.CellularJ
-		s.Networks.WiFiJ += r.nets.WiFiJ
-		s.Networks.CellularBytes += r.nets.CellularBytes
-		s.Networks.WiFiBytes += r.nets.WiFiBytes
-	}
+	s := newStudy(devs, workers)
 	s.LoadSeconds = time.Since(t0).Seconds() //repolint:allow determinism load wall-time telemetry for operators; LoadSeconds never reaches a report or golden artifact
 	return s, nil
 }
@@ -296,13 +291,18 @@ func (s *Study) Sweep(maxDays int) []whatif.SweepPoint {
 }
 
 // WriteReport renders every artifact to w — the full `cmd/analyze` output.
+// The report is byte-identical however many goroutines the Study was opened
+// with: the unit of concurrency is the section, each evaluated start to
+// finish on one goroutine into its own buffer — so no float sum inside a
+// figure changes association — and the buffers are written out in the fixed
+// order below.
 func (s *Study) WriteReport(w io.Writer) error {
-	sections := []func() error{
-		func() error { return report.Headline(w, s.Headline()) },
-		func() error { return report.TopApps(w, s.Fig1()) },
-		func() error { return report.HungryApps(w, s.Fig2()) },
-		func() error { return report.StateBreakdowns(w, s.Fig3()) },
-		func() error {
+	return writeSections(w, s.workers, []func(io.Writer) error{
+		func(w io.Writer) error { return report.Headline(w, s.Headline()) },
+		func(w io.Writer) error { return report.TopApps(w, s.Fig1()) },
+		func(w io.Writer) error { return report.HungryApps(w, s.Fig2()) },
+		func(w io.Writer) error { return report.StateBreakdowns(w, s.Fig3()) },
+		func(w io.Writer) error {
 			tl, ok := s.Fig4()
 			if !ok {
 				_, err := fmt.Fprintln(w, "Figure 4: no Chrome background transition found")
@@ -310,23 +310,53 @@ func (s *Study) WriteReport(w io.Writer) error {
 			}
 			return report.Timeline(w, tl)
 		},
-		func() error { return report.Persistence(w, s.Fig5()) },
-		func() error { return report.HostBreakdown(w, s.LeakHosts()) },
-		func() error { return report.SinceForeground(w, s.Fig6()) },
-		func() error { return report.CaseStudies(w, s.Table1()) },
-		func() error { return report.WhatIf(w, s.Table2(3), 3) },
-		func() error { return report.ScreenOff(w, s.ScreenOff()) },
-		func() error { return report.Retransmissions(w, s.Retrans()) },
-		func() error { return report.Longitudinal(w, s.WeeklyTrend(), s.Networks) },
-		func() error { return report.DNS(w, s.DNSOverhead()) },
+		func(w io.Writer) error { return report.Persistence(w, s.Fig5()) },
+		func(w io.Writer) error { return report.HostBreakdown(w, s.LeakHosts()) },
+		func(w io.Writer) error { return report.SinceForeground(w, s.Fig6()) },
+		func(w io.Writer) error { return report.CaseStudies(w, s.Table1()) },
+		func(w io.Writer) error { return report.WhatIf(w, s.Table2(3), 3) },
+		func(w io.Writer) error { return report.ScreenOff(w, s.ScreenOff()) },
+		func(w io.Writer) error { return report.Retransmissions(w, s.Retrans()) },
+		func(w io.Writer) error { return report.Longitudinal(w, s.WeeklyTrend(), s.Networks) },
+		func(w io.Writer) error { return report.DNS(w, s.DNSOverhead()) },
+	})
+}
+
+// writeSections renders sections on up to workers goroutines (the caller's
+// included; workers <= 1 is the caller alone, in order) and writes them to
+// w in order, a blank line between two. The first section to fail, in
+// section order, decides the error, and nothing is written past the last
+// section before it.
+func writeSections(w io.Writer, workers int, sections []func(io.Writer) error) error {
+	bufs := make([]bytes.Buffer, len(sections))
+	errs := make([]error, len(sections))
+	var next atomic.Int64
+	render := func() {
+		for i := int(next.Add(1)) - 1; i < len(sections); i = int(next.Add(1)) - 1 {
+			errs[i] = sections[i](&bufs[i])
+		}
 	}
-	for i, fn := range sections {
+	var wg sync.WaitGroup
+	for g := 1; g < workers && g < len(sections); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			render()
+		}()
+	}
+	render()
+	wg.Wait()
+
+	for i := range sections {
+		if errs[i] != nil {
+			return errs[i]
+		}
 		if i > 0 {
 			if _, err := fmt.Fprintln(w); err != nil {
 				return err
 			}
 		}
-		if err := fn(); err != nil {
+		if _, err := w.Write(bufs[i].Bytes()); err != nil {
 			return err
 		}
 	}

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"strconv"
 	"testing"
 
+	"netenergy/internal/obs"
 	"netenergy/internal/synthgen"
 	"netenergy/internal/trace"
 )
@@ -97,17 +102,105 @@ func TestOpenParallelBlockedFleet(t *testing.T) {
 	}
 }
 
-// BenchmarkOpenParallel shows the loader speedup on a multi-device fleet:
-// compare the workers=1 sub-benchmark against the wider ones (the gain
-// tracks available cores; on a single-core box they tie).
+// TestReportIdenticalForEveryWorkerCount: the report is the same bytes
+// whether the fleet was generated in memory (Run) or opened from disk on 1,
+// 2 or 8 workers, on one core or four, with every section timing itself
+// into a shared registry from whichever goroutine renders it (run under
+// -race: sections evaluate concurrently over the same devices).
+func TestReportIdenticalForEveryWorkerCount(t *testing.T) {
+	cfg := synthgen.Small(5, 4)
+	cfg.Format = trace.FormatColumnar
+	dir := t.TempDir()
+	if _, err := synthgen.GenerateFleet(cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	render := func(s *Study, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.New()
+		s.Instrument(reg)
+		var buf bytes.Buffer
+		if err := s.WriteReport(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(reg.Snapshot().Histograms); n != 14 {
+			t.Errorf("%d stage histograms recorded, want one per section", n)
+		}
+		return buf.Bytes()
+	}
+	var want []byte
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		reports := map[string][]byte{"Run": render(Run(cfg))}
+		for _, workers := range []int{1, 2, 8} {
+			reports[fmt.Sprintf("OpenParallel(%d)", workers)] = render(OpenParallel(dir, workers))
+		}
+		runtime.GOMAXPROCS(prev)
+		if want == nil {
+			want = reports["OpenParallel(1)"]
+		}
+		for name, got := range reports {
+			if !bytes.Equal(got, want) {
+				t.Errorf("GOMAXPROCS=%d: %s report differs from the single-worker one (%d vs %d bytes)",
+					procs, name, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestWriteSectionsError: a failing section's error is the report's, and w
+// holds the sections before it, whole, and nothing else — whichever
+// goroutine got to which section first.
+func TestWriteSectionsError(t *testing.T) {
+	boom := errors.New("boom")
+	text := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	sections := []func(io.Writer) error{
+		text("one\n"), text("two\n"),
+		func(w io.Writer) error {
+			if _, err := io.WriteString(w, "partial, and then"); err != nil {
+				return err
+			}
+			return boom
+		},
+		text("four\n"),
+		func(io.Writer) error { return errors.New("a later failure must not win") },
+	}
+	for _, workers := range []int{0, 1, 2, 8} {
+		for round := 0; round < 20; round++ {
+			var buf bytes.Buffer
+			if err := writeSections(&buf, workers, sections); err != boom {
+				t.Fatalf("workers=%d: err = %v, want the third section's", workers, err)
+			}
+			if got := buf.String(); got != "one\n\ntwo\n" {
+				t.Fatalf("workers=%d: wrote %q", workers, got)
+			}
+		}
+		var buf bytes.Buffer
+		if err := writeSections(&buf, workers, sections[:2]); err != nil || buf.String() != "one\n\ntwo\n" {
+			t.Fatalf("workers=%d: clean run wrote %q, err %v", workers, buf.String(), err)
+		}
+	}
+}
+
+// BenchmarkOpenParallel shows the loader on a multi-device fleet: six files
+// on 1 and 4 workers (and one per core beyond that) — more files than
+// workers, the case every real fleet is in, where each file is decoded by
+// the one goroutine that loads it — and on 16, where the surplus workers
+// decode blocks inside each file. The gain tracks available cores; on a
+// single-core box the sub-benchmarks tie.
 func BenchmarkOpenParallel(b *testing.B) {
-	dir := genFleetDir(b, 6, 2)
-	workerCounts := []int{1, 4}
-	if n := runtime.NumCPU(); n > 4 {
+	dir := genFleetDirFormat(b, 6, 2, trace.FormatColumnar)
+	workerCounts := []int{1, 4, 16}
+	if n := runtime.NumCPU(); n > 4 && n != 16 {
 		workerCounts = append(workerCounts, n)
 	}
 	for _, workers := range workerCounts {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := OpenParallel(dir, workers); err != nil {
 					b.Fatal(err)

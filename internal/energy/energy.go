@@ -232,6 +232,17 @@ func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
 		opts.Radio = radio.LTE()
 	}
 	res := &Result{Device: dt.Device, Ledger: newLedger()}
+	if opts.KeepPackets {
+		// One allocation, sized by the records the loop below accepts; a
+		// packet that fails to parse leaves spare capacity behind.
+		n := 0
+		for i := range dt.Records {
+			if r := &dt.Records[i]; r.Type == trace.RecPacket && r.Net == opts.Network {
+				n++
+			}
+		}
+		res.Packets = make([]Packet, 0, n)
+	}
 	hosts := hostInterner{}
 	parser := netparse.NewParser()
 	parser.VerifyChecksums = opts.VerifyChecksums

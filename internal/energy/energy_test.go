@@ -270,6 +270,31 @@ func TestKeepPacketsFalse(t *testing.T) {
 	}
 }
 
+// TestPacketsSizedOnce: the kept packets live in one allocation sized by the
+// records of the right type on the right interface — a packet that fails to
+// parse leaves spare capacity, and nothing regrows.
+func TestPacketsSizedOnce(t *testing.T) {
+	dt := newTrace()
+	for i := 0; i < 1000; i++ {
+		addPacket(dt, trace.Timestamp(i)*sec, 1, trace.DirUp, trace.StateService, 100, 1000)
+		dt.Records = append(dt.Records, trace.Record{Type: trace.RecScreen, TS: trace.Timestamp(i) * sec})
+		if i%10 == 0 {
+			dt.Records[len(dt.Records)-2].Net = trace.NetWiFi
+		}
+		if i%100 == 1 {
+			dt.Records[len(dt.Records)-2].Payload = []byte{0xff, 0x00, 0x01}
+		}
+	}
+	res, err := Process(dt, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DecodeErrors != 10 || len(res.Packets) != 890 || cap(res.Packets) != 900 {
+		t.Errorf("decode errors %d, len(Packets) %d, cap %d; want 10, 890, 900",
+			res.DecodeErrors, len(res.Packets), cap(res.Packets))
+	}
+}
+
 func TestIdleEnergySeparate(t *testing.T) {
 	dt := newTrace()
 	addPacket(dt, 0, 1, trace.DirUp, trace.StateService, 100, 1000)

@@ -22,26 +22,31 @@ type event struct {
 }
 
 // Tracker accumulates process-state events for all apps on one device and
-// serves point-in-time and transition queries. Events should be fed in
-// timestamp order (the trace format guarantees this for generated traces);
-// out-of-order observations are tolerated by a final sort.
+// serves point-in-time and transition queries. Observe keeps each app's
+// events in timestamp order as they arrive (the trace format delivers them
+// in order; a late observation is inserted where it belongs), so every
+// query is a pure read and any number of goroutines may query a Tracker
+// that is no longer being fed.
 type Tracker struct {
 	events map[uint32][]event
-	sorted bool
 }
 
 // NewTracker returns an empty Tracker.
 func NewTracker() *Tracker {
-	return &Tracker{events: make(map[uint32][]event), sorted: true}
+	return &Tracker{events: make(map[uint32][]event)}
 }
 
-// Observe records that app was in state s from ts onward.
+// Observe records that app was in state s from ts onward. An observation
+// older than the app's latest goes after every event at or before ts, which
+// is where a stable sort of the arrival order would put it.
 func (t *Tracker) Observe(app uint32, ts trace.Timestamp, s trace.ProcState) {
-	evs := t.events[app]
-	if n := len(evs); n > 0 && evs[n-1].ts > ts {
-		t.sorted = false
+	evs := append(t.events[app], event{ts, s})
+	if n := len(evs) - 1; n > 0 && evs[n-1].ts > ts {
+		i := sort.Search(n, func(i int) bool { return evs[i].ts > ts })
+		copy(evs[i+1:], evs[i:n])
+		evs[i] = event{ts, s}
 	}
-	t.events[app] = append(evs, event{ts, s})
+	t.events[app] = evs
 }
 
 // FromTrace builds a Tracker from all RecProcState records in dt.
@@ -53,19 +58,7 @@ func FromTrace(dt *trace.DeviceTrace) *Tracker {
 			t.Observe(r.App, r.TS, r.State)
 		}
 	}
-	t.ensureSorted()
 	return t
-}
-
-func (t *Tracker) ensureSorted() {
-	if t.sorted {
-		return
-	}
-	for app, evs := range t.events {
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].ts < evs[j].ts })
-		t.events[app] = evs
-	}
-	t.sorted = true
 }
 
 // Apps returns the IDs of all apps with at least one observation.
@@ -81,7 +74,6 @@ func (t *Tracker) Apps() []uint32 {
 // StateAt returns the app's state at ts: the state set by the latest event
 // at or before ts. Before the first observation it returns StateUnknown.
 func (t *Tracker) StateAt(app uint32, ts trace.Timestamp) trace.ProcState {
-	t.ensureSorted()
 	evs := t.events[app]
 	// Index of first event strictly after ts.
 	i := sort.Search(len(evs), func(i int) bool { return evs[i].ts > ts })
@@ -101,7 +93,6 @@ type Interval struct {
 // at end (pass the trace's end timestamp). Consecutive events with the same
 // state are merged.
 func (t *Tracker) Timeline(app uint32, end trace.Timestamp) []Interval {
-	t.ensureSorted()
 	evs := t.events[app]
 	if len(evs) == 0 {
 		return nil
@@ -136,7 +127,6 @@ type Transition struct {
 // are the §4.1 "app sent to the background" instants Figures 5 and 6 are
 // built from.
 func (t *Tracker) BackgroundTransitions(app uint32) []Transition {
-	t.ensureSorted()
 	evs := t.events[app]
 	var out []Transition
 	for i := 1; i < len(evs); i++ {
@@ -151,7 +141,6 @@ func (t *Tracker) BackgroundTransitions(app uint32) []Transition {
 // app was last in a foreground state (i.e. the end of its latest foreground
 // interval). ok is false if the app has not been in the foreground by ts.
 func (t *Tracker) LastForegroundEnd(app uint32, ts trace.Timestamp) (trace.Timestamp, bool) {
-	t.ensureSorted()
 	evs := t.events[app]
 	i := sort.Search(len(evs), func(i int) bool { return evs[i].ts > ts })
 	// Walk backwards to the latest fg->non-fg boundary.
@@ -193,7 +182,6 @@ func (t *Tracker) TimeInState(app uint32, start, end trace.Timestamp) map[trace.
 // ForegroundDays returns the set of day indices (Timestamp.Day) on which
 // the app was in a foreground state at any point.
 func (t *Tracker) ForegroundDays(app uint32) map[int]bool {
-	t.ensureSorted()
 	days := make(map[int]bool)
 	evs := t.events[app]
 	for i, e := range evs {

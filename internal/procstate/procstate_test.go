@@ -1,6 +1,9 @@
 package procstate
 
 import (
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"netenergy/internal/rng"
@@ -146,6 +149,61 @@ func TestOutOfOrderObservations(t *testing.T) {
 	if got := tr.StateAt(1, 150*us); got != trace.StateBackground {
 		t.Errorf("StateAt(150) = %v", got)
 	}
+}
+
+// TestObserveOrderIsStableSort: events observed in any order are served as
+// a stable sort of the arrival order would leave them — equal timestamps
+// keep their arrival order, so the later observation decides the state.
+func TestObserveOrderIsStableSort(t *testing.T) {
+	src := rng.New(7)
+	for trial := 0; trial < 50; trial++ {
+		tr := NewTracker()
+		var want []event
+		for i, n := 0, 1+src.Intn(60); i < n; i++ {
+			e := event{trace.Timestamp(src.Intn(20)) * us, trace.ProcState(1 + src.Intn(5))}
+			tr.Observe(1, e.ts, e.state)
+			want = append(want, e)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].ts < want[j].ts })
+		if !reflect.DeepEqual(tr.events[1], want) {
+			t.Fatalf("trial %d: events %v, a stable sort gives %v", trial, tr.events[1], want)
+		}
+	}
+}
+
+// TestConcurrentReadsAfterOutOfOrder: once fed, a Tracker is read-only —
+// every query may run from several goroutines at once (run under -race),
+// late observations included.
+func TestConcurrentReadsAfterOutOfOrder(t *testing.T) {
+	tr := NewTracker()
+	for s := 19; s >= 0; s-- { // latest session first
+		t0 := trace.Timestamp(s*100) * us
+		tr.Observe(1, t0+50*us, trace.StateBackground)
+		tr.Observe(1, t0+10*us, trace.StateForeground)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := tr.StateAt(1, 1030*us); got != trace.StateForeground {
+				t.Errorf("StateAt = %v", got)
+			}
+			if got := len(tr.BackgroundTransitions(1)); got != 20 {
+				t.Errorf("%d background transitions, want 20", got)
+			}
+			if end, ok := tr.LastForegroundEnd(1, 1070*us); !ok || end != 1050*us {
+				t.Errorf("LastForegroundEnd = %v, %v", end, ok)
+			}
+			if got := len(tr.Timeline(1, 2000*us)); got != 40 {
+				t.Errorf("%d timeline intervals, want 40", got)
+			}
+			if got := len(tr.ForegroundDays(1)); got != 1 {
+				t.Errorf("%d foreground days, want 1", got)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestApps(t *testing.T) {

@@ -707,15 +707,15 @@ func (ix *blockIndex) readBlockAt(ra io.ReaderAt, i int, sc *blockScratch, raw [
 	return ix.c.decodeBlock(sc, h, buf[1+hdrLen:1+hdrLen+h.clen], raw, dst)
 }
 
-// decodeArena holds the two large per-file buffers the parallel reader
-// fills: the record slice and the byte arena the decoded payloads alias.
-// Buffers are recycled through decodeArenaPool by DeviceTrace.Recycle,
-// which makes a steady-state decode loop (one file after another, as
-// core.OpenParallel runs it) allocation-free for the dominant buffers.
-// Reuse without re-zeroing is safe because every record, and every arena
-// byte a record aliases, is written before the DeviceTrace is returned:
-// decompression fills each block window exactly, and block
-// materialisation assigns every record.
+// decodeArena holds the two large per-file buffers an indexed read fills:
+// the record slice and the byte arena the decoded payloads alias. Buffers
+// are recycled through decodeArenaPool by DeviceTrace.Recycle, which makes a
+// steady-state decode loop (one file after another, as core.OpenParallel
+// runs it) allocation-free for the dominant buffers. Reuse without
+// re-zeroing is safe because every record, and every arena byte a record
+// aliases, is written before the DeviceTrace is returned: decompression
+// fills each block window exactly, and block materialisation assigns every
+// record.
 type decodeArena struct {
 	recs  []Record
 	arena []byte
@@ -723,16 +723,21 @@ type decodeArena struct {
 
 var decodeArenaPool = sync.Pool{New: func() any { return new(decodeArena) }}
 
-// ReadFileParallel reads a trace file with up to workers blocks decoded
-// concurrently. METR-2 and METR-3 files with an intact footer index are
-// decoded block-parallel (record order, and therefore the resulting
-// DeviceTrace, is identical to sequential reading); v1 containers — and
-// blocked files whose index is missing — fall back to the streaming
-// path.
+// ReadFileParallel reads a trace file into memory. A METR-2 or METR-3 file
+// with an intact footer index is always read by that index: the index
+// gives every block's record count and uncompressed size up front, so the
+// blocks decode straight into disjoint windows of one pooled record slice
+// and one pooled byte arena (see decodeArena, and DeviceTrace.Recycle for
+// handing them back) — no per-packet payload copy, no append-grown slice,
+// no post-decode assembly. workers is only how many goroutines decode
+// blocks (workers <= 1 means one, the caller's); record order, and
+// therefore the DeviceTrace, is the same for every count and the same as
+// the streaming decoder's. Every byte is validated before it sizes
+// anything: index CRC32C and bounds, each block header against its index
+// entry, each payload's CRC32C. A file without a usable index — a v1
+// container, or a blocked file whose footer is missing or torn — streams
+// through ReadAll instead.
 func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
-	if workers <= 1 {
-		return ReadFile(path)
-	}
 	f, ix, err := openIndexed(path)
 	if err != nil {
 		return nil, err
@@ -743,11 +748,6 @@ func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
 	}
 	blocks := ix.blocks
 
-	// The index gives every block's record count and uncompressed size up
-	// front, so all blocks decode straight into disjoint windows of one
-	// record slice and one byte arena (see decodeArena): two large
-	// allocations replace a pair per block, and there is no post-decode
-	// assembly copy.
 	offs := make([]int, len(blocks)+1)
 	uoffs := make([]int, len(blocks)+1)
 	for i, b := range blocks {
@@ -760,31 +760,28 @@ func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
 	recs, arena := pooled.recs, pooled.arena
 
 	errs := make([]error, len(blocks))
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
 	var nextBlock atomic.Int64
+	decode := func() {
+		sc := blockScratchPool.Get().(*blockScratch)
+		defer blockScratchPool.Put(sc)
+		for i := int(nextBlock.Add(1)) - 1; i < len(blocks); i = int(nextBlock.Add(1)) - 1 {
+			errs[i] = ix.readBlockAt(f, i, sc, arena[uoffs[i]:uoffs[i+1]], &sc.batch)
+			if errs[i] == nil {
+				for j, dst := 0, recs[offs[i]:offs[i+1]]; j < len(dst); j++ {
+					sc.batch.Record(j, &dst[j])
+				}
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers && w < len(blocks); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := blockScratchPool.Get().(*blockScratch)
-			defer blockScratchPool.Put(sc)
-			for {
-				i := int(nextBlock.Add(1)) - 1
-				if i >= len(blocks) {
-					return
-				}
-				errs[i] = ix.readBlockAt(f, i, sc, arena[uoffs[i]:uoffs[i+1]], &sc.batch)
-				if errs[i] == nil {
-					for j, dst := 0, recs[offs[i]:offs[i+1]]; j < len(dst); j++ {
-						sc.batch.Record(j, &dst[j])
-					}
-				}
-			}
+			decode()
 		}()
 	}
+	decode()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

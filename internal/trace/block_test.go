@@ -144,11 +144,8 @@ func TestBlockedParallelMatchesSequential(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
+	seq := streamFile(t, path)
+	for _, workers := range []int{1, 2, 4, 8} {
 		par, err := ReadFileParallel(path, workers)
 		if err != nil {
 			t.Fatal(err)
@@ -232,8 +229,8 @@ var blockCodecs = []struct {
 		[]byte{byte(RecScreen), 0x01, 0x00, 0x00, 0x00, 0x00}},
 }
 
-// readPaths are the three ways into a blocked file: the streaming iterator
-// and the two indexed readers. Each returns the records it delivered before
+// readPaths are the ways into a blocked file: the streaming iterator, the
+// two indexed readers, and the indexed whole-file reader on one worker. Each returns the records it delivered before
 // any error, payloads copied.
 var readPaths = []struct {
 	name string
@@ -279,6 +276,31 @@ var readPaths = []struct {
 			})
 		return got, err
 	}},
+	// The same indexed read on the caller's goroutine alone, which is what
+	// ReadFile and a fleet with more files than workers run.
+	{"readfile", func(t *testing.T, data []byte) ([]Record, error) {
+		dt, err := ReadFile(writeTemp(t, data))
+		if err != nil {
+			return nil, err
+		}
+		return dt.Records, nil
+	}},
+}
+
+// streamFile reads path front to back through the streaming decoder — the
+// reference the indexed reader is held to, whatever ReadFile itself does.
+func streamFile(t *testing.T, path string) *DeviceTrace {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dt, err := ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dt
 }
 
 func writeTemp(t *testing.T, data []byte) string {

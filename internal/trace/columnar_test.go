@@ -104,12 +104,8 @@ func TestColumnarRoundTripParallel(t *testing.T) {
 	}
 	requireRecordsEqual(t, recs, got)
 
-	// The parallel result must match the sequential read bit for bit.
-	seq, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireRecordsEqual(t, seq.Records, dt.Records)
+	// The parallel result must match the streaming decoder bit for bit.
+	requireRecordsEqual(t, streamFile(t, path).Records, dt.Records)
 	if dt.Device != "dev-par" || dt.Start != recs[0].TS {
 		t.Fatalf("header: %q %d", dt.Device, dt.Start)
 	}

@@ -415,8 +415,8 @@ type Reader struct {
 // NewReader validates the header and returns a streaming Reader. All four
 // containers are accepted: plain ("METR1"), DEFLATE-compressed ("METZ1"),
 // blocked ("METR2") and columnar ("METR3"). Blocked and columnar files are
-// streamed block by block in file order; use ReadFileParallel for
-// index-driven parallel decoding.
+// streamed block by block in file order; ReadFile and ReadFileParallel read
+// a sealed file by its index instead.
 func NewReader(r io.Reader) (*Reader, error) { return newReader(r, 0) }
 
 func newReader(r io.Reader, depth int) (*Reader, error) {

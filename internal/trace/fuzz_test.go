@@ -108,14 +108,19 @@ func FuzzReadFileParallel(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		dt, err := ReadFileParallel(path, 4)
-		if err != nil {
-			return
-		}
-		for i := range dt.Records {
-			if dt.Records[i].Type == RecPacket && len(dt.Records[i].Payload) > maxRecordLen {
-				t.Fatalf("oversized payload accepted: %d", len(dt.Records[i].Payload))
+		// One worker is the caller's goroutine decoding alone (ReadFile, and
+		// every fleet with more files than workers); four fan blocks out.
+		for _, workers := range []int{1, 4} {
+			dt, err := ReadFileParallel(path, workers)
+			if err != nil {
+				continue
 			}
+			for i := range dt.Records {
+				if dt.Records[i].Type == RecPacket && len(dt.Records[i].Payload) > maxRecordLen {
+					t.Fatalf("workers=%d: oversized payload accepted: %d", workers, len(dt.Records[i].Payload))
+				}
+			}
+			dt.Recycle()
 		}
 	})
 }

@@ -1,0 +1,179 @@
+package trace
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"testing"
+)
+
+// errClass folds an error into what a caller can act on.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrTruncated):
+		return "truncated"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	}
+	return "other: " + err.Error()
+}
+
+// unsealedColumnar writes head, syncs, writes tail and syncs again without
+// a Flush: a METR-3 segment still being written, no index, no footer. It
+// returns the bytes and where the last block begins.
+func unsealedColumnar(t *testing.T, head, tail []Record) (data []byte, lastBlock int) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewColumnWriter(&buf, "device-b", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range [][]Record{head, tail} {
+		lastBlock = buf.Len()
+		for i := range part {
+			if err := w.Write(&part[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes(), lastBlock
+}
+
+// TestReadFileMatchesStreaming: whatever the container and however many
+// goroutines decode it, ReadFileParallel returns what the streaming decoder
+// returns — header, app table, every record with its payload bytes — or
+// fails the way it fails.
+func TestReadFileMatchesStreaming(t *testing.T) {
+	recs := genRecords(5000)
+	serialized := func(f Format) []byte {
+		var buf bytes.Buffer
+		dt := &DeviceTrace{Device: "device-b", Start: 1000, Records: recs}
+		if err := dt.SerializeFormat(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	columnar := serialized(FormatColumnar)
+	unsealed, lastBlock := unsealedColumnar(t, recs[:4000], recs[4000:])
+
+	fixtures := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"flat", serialized(FormatFlat), "ok"},
+		{"deflate", serialized(FormatDeflate), "ok"},
+		{"metr2", serialized(FormatBlocked), "ok"},
+		{"metr3", columnar, "ok"},
+		{"metr3 footer cut off", columnar[:len(columnar)-footerLen-10], "ok"},
+		{"metr3 unsealed", unsealed, "ok"},
+		{"metr3 unsealed torn tail", unsealed[:lastBlock+(len(unsealed)-lastBlock)/2], "truncated"},
+	}
+	// The corrupt fixtures of the frame-layer tests: a sealed one-block file
+	// whose block is bad in a way only decoding it shows.
+	for _, c := range blockCodecs {
+		fixtures = append(fixtures, struct {
+			name string
+			data []byte
+			want string
+		}{c.format.String() + " trailing bytes in block",
+			c.craftBlock(append(append([]byte(nil), c.screenAt...), 0xAA, 0xBB), 1, 100, 100), "corrupt"})
+	}
+
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			path := writeTemp(t, fx.data)
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			want, wantErr := ReadAll(f)
+			if got := errClass(wantErr); got != fx.want {
+				t.Fatalf("streaming decoder: %v, want %s", wantErr, fx.want)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				got, err := ReadFileParallel(path, workers)
+				if errClass(err) != fx.want {
+					t.Fatalf("workers=%d: %v, the streaming decoder: %v", workers, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if got.Device != want.Device || got.Start != want.Start {
+					t.Fatalf("workers=%d: header %q/%d, want %q/%d", workers, got.Device, got.Start, want.Device, want.Start)
+				}
+				if fmt.Sprint(got.Apps.Names()) != fmt.Sprint(want.Apps.Names()) {
+					t.Fatalf("workers=%d: app table %v, want %v", workers, got.Apps.Names(), want.Apps.Names())
+				}
+				if len(got.Records) != len(want.Records) {
+					t.Fatalf("workers=%d: %d records, want %d", workers, len(got.Records), len(want.Records))
+				}
+				for i := range want.Records {
+					if !sameRecord(&got.Records[i], &want.Records[i]) {
+						t.Fatalf("workers=%d: record %d: %v, want %v", workers, i, got.Records[i], want.Records[i])
+					}
+				}
+				got.Recycle()
+			}
+		})
+	}
+}
+
+// TestRecycleThenLargerFile: the pool hands a recycled arena to whichever
+// read comes next, including one it is too small for.
+func TestRecycleThenLargerFile(t *testing.T) {
+	small, large := genRecords(300), genRecords(6000)
+	smallPath := writeTemp(t, writeColumnar(t, "small", small[0].TS, small))
+	largePath := writeTemp(t, writeColumnar(t, "large", large[0].TS, large))
+	for _, step := range []struct {
+		path string
+		want []Record
+	}{{smallPath, small}, {largePath, large}, {smallPath, small}} {
+		dt, err := ReadFileParallel(step.path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dt.Records) != len(step.want) {
+			t.Fatalf("%s: %d records, want %d", dt.Device, len(dt.Records), len(step.want))
+		}
+		for i := range step.want {
+			if !sameRecord(&dt.Records[i], &step.want[i]) {
+				t.Fatalf("%s: record %d differs after a recycled read", dt.Device, i)
+			}
+		}
+		dt.Recycle()
+		if dt.Records != nil {
+			t.Fatal("Recycle left the records reachable")
+		}
+	}
+}
+
+// TestReadFileAllocsIndependentOfRecords: a steady-state indexed read with
+// its buffers handed back allocates per file and per block (the index, the
+// window offsets, the app table), never per record — the streaming decoder
+// it replaced on this path paid one malloc per packet.
+func TestReadFileAllocsIndependentOfRecords(t *testing.T) {
+	allocs := func(n int) float64 {
+		recs := genRecords(n)
+		path := writeTemp(t, writeColumnar(t, "dev", recs[0].TS, recs))
+		return testing.AllocsPerRun(5, func() {
+			dt, err := ReadFileParallel(path, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dt.Recycle()
+		})
+	}
+	small, large := allocs(2000), allocs(20000)
+	t.Logf("allocs per read: %v at 2 000 records, %v at 20 000", small, large)
+	if large-small > 16 || large > 100 {
+		t.Errorf("allocs per read: %v at 2 000 records, %v at 20 000: grows with the record count", small, large)
+	}
+}

@@ -62,8 +62,8 @@ func (t *AppTable) Names() []string {
 }
 
 // DeviceTrace is an in-memory trace for one device: the decoded records
-// (with payloads copied so they remain valid) plus the app table. Small
-// studies and tests use it directly; the full pipeline streams instead.
+// plus the app table. Small studies and tests use it directly; the full
+// pipeline streams instead.
 type DeviceTrace struct {
 	Device  string
 	Start   Timestamp
@@ -71,18 +71,20 @@ type DeviceTrace struct {
 	Records []Record
 
 	// pooled is set when Records (and the arena its payloads alias) were
-	// drawn from the parallel reader's buffer pool; Recycle returns them.
+	// drawn from the indexed reader's buffer pool; Recycle returns them.
 	pooled *decodeArena
 }
 
 // Recycle returns the trace's decode buffers to the internal pool so the
-// next parallel read can reuse them without reallocating or re-zeroing.
-// After Recycle the trace's Records — including their payloads — are
-// invalid; the app table and header fields stay usable. Calling it on a
-// trace that owns its records (sequential reads, synthetic traces) is a
-// no-op. Pipelines that fold a trace into accumulators and move on, like
-// core.OpenParallel, call this to make steady-state decoding
-// allocation-free for the two dominant buffers.
+// next indexed read (ReadFile, ReadFileParallel) can reuse them without
+// reallocating or re-zeroing. After Recycle the trace's Records — including
+// their payloads — are invalid; the app table and header fields stay
+// usable. Calling it on a trace that owns its records (a streamed read,
+// a synthetic trace) is a no-op, and a trace that is never recycled simply
+// keeps its buffers until it is garbage. Pipelines that fold a trace into
+// accumulators and move on, like core.OpenParallel, call this so that the
+// memory in flight is one record slice and one arena per worker, however
+// many files go by.
 func (d *DeviceTrace) Recycle() {
 	p := d.pooled
 	if p == nil {
@@ -94,6 +96,8 @@ func (d *DeviceTrace) Recycle() {
 }
 
 // ReadAll reads an entire METR stream into memory, copying packet payloads.
+// It is the decoder for streams and for files without a footer index;
+// files are read through ReadFile.
 func ReadAll(r io.Reader) (*DeviceTrace, error) {
 	tr, err := NewReader(r)
 	if err != nil {
@@ -119,15 +123,9 @@ func ReadAll(r io.Reader) (*DeviceTrace, error) {
 	}
 }
 
-// ReadFile reads a METR file from disk.
-func ReadFile(path string) (*DeviceTrace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadAll(f)
-}
+// ReadFile reads a METR file from disk: ReadFileParallel on the calling
+// goroutine alone.
+func ReadFile(path string) (*DeviceTrace, error) { return ReadFileParallel(path, 1) }
 
 // RecordWriter is the shared contract of the container writers (Writer,
 // BlockWriter, ColumnWriter): stream records, then Flush exactly once to
