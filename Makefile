@@ -54,13 +54,14 @@ cover:
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t + 0 >= f + 0 ? 0 : 1) }' || \
 	  { echo "coverage $$total% is below the $$floor% floor" >&2; exit 1; }
 
-# Columnar equivalence harness: 120 randomized fixed-seed traces through
-# the per-record, FeedBatch and METR-3 StreamBatches paths must produce
-# bit-identical accumulator state and results (see
-# internal/analysis/equiv_test.go). Run with -count=1 so a cached pass
-# never masks a codec change.
+# Equivalence harness: 120 randomized fixed-seed traces through the
+# per-record, FeedBatch and METR-3 StreamBatches paths must produce
+# bit-identical accumulator state and results, energy.Process must produce
+# the same ledger bytes as they do, and one trace's state and result bytes
+# are SHA-pinned (see internal/analysis/equiv_test.go). Run with -count=1 so
+# a cached pass never masks a codec change.
 equiv:
-	$(GO) test -run 'TestColumnarEquivalence' -count=1 ./internal/analysis/
+	$(GO) test -run 'TestColumnarEquivalence|TestBatchEqualsStream|TestStatePinned' -count=1 ./internal/analysis/
 
 # End-to-end load smoke: 200 synthetic devices stream one trace-day each
 # into a local ingestd — once clean, once through the fault injector;

@@ -223,9 +223,7 @@ func runStream(data, csvPath string) error {
 	if err != nil {
 		return err
 	}
-	opts := energy.DefaultOptions()
-	opts.KeepPackets = false
-	res, err := analysis.StreamFleet(fleet, opts)
+	res, err := analysis.StreamFleet(fleet, energy.DefaultOptions())
 	if err != nil {
 		return err
 	}

@@ -8,13 +8,19 @@ package analysis
 // headline numbers — must match bit-for-bit. Feed and FeedBatch share the
 // same feed helpers by construction (stream.go), so any divergence here
 // means the batch materialization or the METR-3 codec changed semantics.
+// TestBatchEqualsStream holds energy.Process to the same standard over the
+// same traces: both run energy.Replay, so their ledgers are equal byte for
+// byte, and the two pinned hashes below fix what those bytes are.
 //
 // `make ci` runs this via the equiv target; equivSeeds fixed-seed traces
 // keep the check deterministic across machines.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -190,4 +196,65 @@ func TestColumnarEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: METR-3 StreamBatches result diverges from per-record path", seed)
 		}
 	}
+}
+
+// TestBatchEqualsStream: the study's pass (energy.Process) and the stream
+// accumulator are one computation. Over every equivalence trace their
+// ledgers serialise to the same bytes, they skip the same packets over the
+// same span, and the per-packet energies Process hands the flow analyses
+// add up to the ledger total. What the rule itself must compute is pinned
+// independently, against hand-worked radio numbers, in energy_test.go.
+func TestBatchEqualsStream(t *testing.T) {
+	opts := energy.DefaultOptions()
+	for seed := int64(0); seed < equivSeeds; seed++ {
+		recs := genEquivRecords(seed)
+		batch, err := energy.Process(&trace.DeviceTrace{Device: "equiv-dev", Records: recs}, opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for name, acc := range map[string]*StreamAccumulator{
+			"Feed":      feedPerRecord(recs, opts),
+			"FeedBatch": feedColumnar(recs, opts, seed),
+		} {
+			str := acc.Finish()
+			if !bytes.Equal(appendLedger(nil, batch.Ledger), appendLedger(nil, str.Ledger)) {
+				t.Fatalf("seed %d: Process and %s ledgers differ", seed, name)
+			}
+			if batch.DecodeErrors != str.DecodeErrors || batch.Span != str.Span {
+				t.Fatalf("seed %d: Process skipped %d over %v, %s %d over %v",
+					seed, batch.DecodeErrors, batch.Span, name, str.DecodeErrors, str.Span)
+			}
+		}
+		var sum float64
+		for i := range batch.Packets {
+			sum += batch.Packets[i].Energy
+		}
+		if total := batch.Ledger.Total; math.Abs(sum-total) > 1e-9*total {
+			t.Fatalf("seed %d: packets carry %v J, ledger %v J", seed, sum, total)
+		}
+	}
+}
+
+// TestStatePinned pins the accumulator's bytes — mid-stream state and
+// finished result — for one equivalence trace. The hashes were computed at
+// the commit before energy.Process and the accumulator were folded onto one
+// kernel; a change to either is a change of the checkpoint format or of a
+// float sum's association, never a refactor.
+func TestStatePinned(t *testing.T) {
+	recs := genEquivRecords(7)
+	cut := len(recs) / 2
+	acc := feedPerRecord(recs[:cut], energy.DefaultOptions())
+	pinned := func(what string, b []byte, want string) {
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: %d bytes with sha256 %s, pinned %s", what, len(b), got, want)
+		}
+	}
+	pinned("AppendState after 243 of 486 records", acc.AppendState(nil),
+		"d9e49c2dfee19a419b752bab3b4dc90587fc5facb727b39a11502f7e8fe389a4")
+	for i := cut; i < len(recs); i++ {
+		acc.Feed(&recs[i])
+	}
+	pinned("Finish().AppendBinary", acc.Finish().AppendBinary(nil),
+		"b501fe88446d926731b57b4a6167ccc101ca8c554e913780bd3e237b4420cb21")
 }

@@ -303,7 +303,7 @@ func decodeStreamResult(d *dec) *StreamResult {
 	if d.err != nil {
 		return nil
 	}
-	r := newStreamResult(dev)
+	r := NewStreamResult(dev)
 	r.DecodeErrors = int(d.varint())
 	decodeLedger(d, r.Ledger)
 	width := d.f64()
@@ -375,16 +375,16 @@ func (a *StreamAccumulator) AppendState(b []byte) []byte {
 		b = appendBool(b, a.inFg[app])
 	}
 	b = appendBool(b, a.screenOn)
-	b = appendUvarint(b, uint64(a.prevApp))
-	b = append(b, byte(a.prevState))
-	b = appendVarint(b, int64(a.prevDay))
-	b = appendBool(b, a.havePrev)
+	ks := a.replay.SaveState()
+	b = appendUvarint(b, uint64(ks.PrevApp))
+	b = append(b, byte(ks.PrevState))
+	b = appendVarint(b, int64(ks.PrevDay))
+	b = appendBool(b, ks.HavePrev)
 	b = appendVarint(b, a.records)
-	rs := a.acct.SaveState()
-	b = appendBool(b, rs.Started)
-	b = append(b, byte(rs.State))
-	b = appendF64(b, rs.LastEnd)
-	b = appendF64(b, rs.Total)
+	b = appendBool(b, ks.Radio.Started)
+	b = append(b, byte(ks.Radio.State))
+	b = appendF64(b, ks.Radio.LastEnd)
+	b = appendF64(b, ks.Radio.Total)
 	return b
 }
 
@@ -402,8 +402,7 @@ func RestoreStreamAccumulator(b []byte, opts energy.Options) (*StreamAccumulator
 	if d.err != nil {
 		return nil, d.err
 	}
-	a := NewStreamAccumulator(res.Device, opts)
-	a.res = res
+	a := newStreamAccumulator(res, opts)
 	for i, n := 0, d.mapLen(); i < n && d.err == nil; i++ {
 		app := uint32(d.uvarint())
 		a.lastFgEnd[app] = trace.Timestamp(d.varint())
@@ -413,40 +412,22 @@ func RestoreStreamAccumulator(b []byte, opts energy.Options) (*StreamAccumulator
 		a.inFg[app] = d.bool()
 	}
 	a.screenOn = d.bool()
-	a.prevApp = uint32(d.uvarint())
-	a.prevState = trace.ProcState(d.byte())
-	a.prevDay = int(d.varint())
-	a.havePrev = d.bool()
+	var ks energy.ReplayState
+	ks.PrevApp = uint32(d.uvarint())
+	ks.PrevState = trace.ProcState(d.byte())
+	ks.PrevDay = int(d.varint())
+	ks.HavePrev = d.bool()
 	a.records = d.varint()
-	var rs radioState
-	rs.Started = d.bool()
-	rs.State = d.byte()
-	rs.LastEnd = d.f64()
-	rs.Total = d.f64()
+	ks.Radio.Started = d.bool()
+	ks.Radio.State = radio.State(d.byte())
+	ks.Radio.LastEnd = d.f64()
+	ks.Radio.Total = d.f64()
 	if d.err != nil {
 		return nil, d.err
 	}
 	if len(d.b) != 0 {
 		return nil, ErrBadSnapshot
 	}
-	installRadioState(a, rs)
+	a.replay.RestoreState(ks)
 	return a, nil
-}
-
-// radioState mirrors radio.AccountantState with a raw state byte, keeping
-// the decode loop free of cross-package enum casts until validation is done.
-type radioState struct {
-	Started bool
-	State   byte
-	LastEnd float64
-	Total   float64
-}
-
-func installRadioState(a *StreamAccumulator, rs radioState) {
-	a.acct.RestoreState(radio.AccountantState{
-		Started: rs.Started,
-		State:   radio.State(rs.State),
-		LastEnd: rs.LastEnd,
-		Total:   rs.Total,
-	})
 }

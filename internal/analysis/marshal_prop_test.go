@@ -1,20 +1,24 @@
 // Property tests for the accumulator checkpoint format: over randomized
-// seeded device traces and random cut points, serialize→restore must be an
-// exact identity, and the state encoding must be stable under repeated
+// seeded device traces and cut points, serialize→restore must be an exact
+// identity, and the state encoding must be stable under repeated
 // round-trips. Complements the fixed-scenario tests in marshal_test.go.
 package analysis
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"netenergy/internal/synthgen"
+	"netenergy/internal/trace"
 )
 
-// TestAppendStateRestoreProperty: for arbitrary generator seeds, trace
-// lengths and snapshot points, restoring a serialized accumulator and
-// feeding the remaining records is indistinguishable from never stopping.
+// TestAppendStateRestoreProperty: restoring a serialized accumulator and
+// feeding the remaining records is indistinguishable, byte for byte, from
+// never stopping — for arbitrary generator seeds, trace lengths and one
+// random snapshot point per trace, and, over a quarter of the equivalence
+// traces (decode errors, both networks, day changes, gaps past the radio
+// tail), for a cut at every packet boundary.
 func TestAppendStateRestoreProperty(t *testing.T) {
 	trials := 12
 	if testing.Short() {
@@ -29,30 +33,51 @@ func TestAppendStateRestoreProperty(t *testing.T) {
 			t.Fatalf("trial %d: degenerate trace (%d records)", trial, len(dt.Records))
 		}
 		cut := 1 + rnd.Intn(len(dt.Records)-1)
-
-		ref := NewStreamAccumulator(dt.Device, marshalOpts())
-		for i := range dt.Records {
-			ref.Feed(&dt.Records[i])
-		}
-		want := ref.Finish()
-
-		a := NewStreamAccumulator(dt.Device, marshalOpts())
-		for i := 0; i < cut; i++ {
-			a.Feed(&dt.Records[i])
-		}
-		restored, err := RestoreStreamAccumulator(a.AppendState(nil), marshalOpts())
-		if err != nil {
-			t.Fatalf("trial %d (seed %d, cut %d/%d): restore: %v",
-				trial, cfg.Seed, cut, len(dt.Records), err)
-		}
-		for i := cut; i < len(dt.Records); i++ {
-			restored.Feed(&dt.Records[i])
-		}
-		if got := restored.Finish(); !reflect.DeepEqual(got, want) {
+		if at := restoredRunDiverges(t, dt.Records, func(i int) bool { return i+1 == cut }); at >= 0 {
 			t.Errorf("trial %d (seed %d, cut %d/%d): restored run diverged from continuous run",
 				trial, cfg.Seed, cut, len(dt.Records))
 		}
 	}
+	// Every fourth trace: a cut costs a full state encode and decode, and
+	// thirty traces are some 7 500 cuts.
+	for seed := int64(0); seed < equivSeeds; seed += 4 {
+		recs := genEquivRecords(seed)
+		everyPacket := func(i int) bool { return recs[i].Type == trace.RecPacket }
+		if at := restoredRunDiverges(t, recs, everyPacket); at >= 0 {
+			t.Errorf("equiv seed %d: run cut at every packet diverged from continuous run at record %d/%d",
+				seed, at, len(recs))
+		}
+	}
+}
+
+// restoredRunDiverges feeds recs to two accumulators, one of which is
+// serialized and replaced by its restored self after every record i for
+// which cutAfter(i) holds. It returns the first record count at which the
+// two serialize differently (len(recs)+1: the finished results differ), or
+// -1 when they never do.
+func restoredRunDiverges(t *testing.T, recs []trace.Record, cutAfter func(i int) bool) int {
+	t.Helper()
+	ref := NewStreamAccumulator("prop-dev", marshalOpts())
+	cut := NewStreamAccumulator("prop-dev", marshalOpts())
+	for i := range recs {
+		ref.Feed(&recs[i])
+		cut.Feed(&recs[i])
+		if !cutAfter(i) {
+			continue
+		}
+		blob := cut.AppendState(nil)
+		if !bytes.Equal(blob, ref.AppendState(nil)) {
+			return i + 1
+		}
+		var err error
+		if cut, err = RestoreStreamAccumulator(blob, marshalOpts()); err != nil {
+			t.Fatalf("restore after record %d/%d: %v", i+1, len(recs), err)
+		}
+	}
+	if !bytes.Equal(cut.Finish().AppendBinary(nil), ref.Finish().AppendBinary(nil)) {
+		return len(recs) + 1
+	}
+	return -1
 }
 
 // TestAppendStateIdempotentProperty: a restore followed by a re-serialize

@@ -5,9 +5,7 @@ import (
 	"os"
 
 	"netenergy/internal/energy"
-	"netenergy/internal/netparse"
 	"netenergy/internal/periodic"
-	"netenergy/internal/radio"
 	"netenergy/internal/stats"
 	"netenergy/internal/trace"
 )
@@ -37,8 +35,10 @@ type StreamResult struct {
 	Span [2]trace.Timestamp
 }
 
-// newStreamResult returns an empty result with all accumulators allocated.
-func newStreamResult(device string) *StreamResult {
+// NewStreamResult returns an empty result with all accumulators allocated;
+// callers outside the package accumulate into it via Merge (the ingest
+// shards seed their fleet aggregate with one).
+func NewStreamResult(device string) *StreamResult {
 	return &StreamResult{
 		Device:          device,
 		Ledger:          energy.NewLedger(),
@@ -49,14 +49,10 @@ func newStreamResult(device string) *StreamResult {
 	}
 }
 
-// NewStreamResult returns an empty result, for callers that accumulate via
-// Merge (the ingest shards seed their fleet aggregate with one).
-func NewStreamResult(device string) *StreamResult { return newStreamResult(device) }
-
 // Clone returns a deep copy: mutating the clone (or continuing to feed the
 // original) leaves the other untouched. Used to snapshot live accumulators.
 func (r *StreamResult) Clone() *StreamResult {
-	c := newStreamResult(r.Device)
+	c := NewStreamResult(r.Device)
 	c.Merge(r)
 	return c
 }
@@ -146,12 +142,13 @@ func (r *StreamResult) SinceForeground() SinceForegroundResult {
 // records are fed to it one at a time (in timestamp order, as a device
 // produces them) and the StreamResult advances in lockstep. The batch
 // StreamDevice pass and the live ingest server are both built on it.
+// Energy attribution is energy.Replay's — the same kernel energy.Process
+// runs — charging straight into the result's Ledger; what this type adds
+// per packet is the Figure 6, first-minute and screen-split bookkeeping.
 // Not safe for concurrent use; one accumulator per device stream.
 type StreamAccumulator struct {
-	opts   energy.Options
 	res    *StreamResult
-	parser *netparse.Parser
-	acct   *radio.Accountant
+	replay *energy.Replay
 
 	// Incremental per-app state: whether the app is foreground now and the
 	// end of its latest foreground interval.
@@ -159,26 +156,21 @@ type StreamAccumulator struct {
 	inFg      map[uint32]bool
 	screenOn  bool
 
-	prevApp   uint32
-	prevState trace.ProcState
-	prevDay   int
-	havePrev  bool
-	records   int64
+	records int64
 }
 
 // NewStreamAccumulator returns an accumulator for one device stream.
 func NewStreamAccumulator(device string, opts energy.Options) *StreamAccumulator {
-	if opts.Radio.Name == "" {
-		opts.Radio = radio.LTE()
-	}
-	parser := netparse.NewParser()
-	parser.VerifyChecksums = opts.VerifyChecksums
-	parser.Snap = opts.Snap
+	return newStreamAccumulator(NewStreamResult(device), opts)
+}
+
+// newStreamAccumulator continues res: a fresh result, or a restored one.
+func newStreamAccumulator(res *StreamResult, opts energy.Options) *StreamAccumulator {
+	replay := energy.NewReplay(opts, res.Ledger)
+	replay.DecodeErrors, replay.Span = res.DecodeErrors, res.Span
 	return &StreamAccumulator{
-		opts:      opts,
-		res:       newStreamResult(device),
-		parser:    parser,
-		acct:      radio.NewAccountant(opts.Radio),
+		res:       res,
+		replay:    replay,
 		lastFgEnd: map[uint32]trace.Timestamp{},
 		inFg:      map[uint32]bool{},
 	}
@@ -195,7 +187,7 @@ func (a *StreamAccumulator) Records() int64 { return a.records }
 // Feed and FeedBatch share the per-type helpers below, so feeding a batch
 // is bit-identical — same float operations in the same order — to feeding
 // its records one at a time. The differential harness in equiv_test.go
-// holds the two paths to that standard.
+// holds the two paths, and energy.Process, to that standard.
 func (a *StreamAccumulator) Feed(rec *trace.Record) {
 	a.records++
 	switch rec.Type {
@@ -247,35 +239,14 @@ func (a *StreamAccumulator) feedScreen(on bool) {
 }
 
 //repolint:noalloc
-func (a *StreamAccumulator) feedPacket(ts trace.Timestamp, app uint32, pdir trace.Direction,
+func (a *StreamAccumulator) feedPacket(ts trace.Timestamp, app uint32, dir trace.Direction,
 	net trace.Network, state trace.ProcState, payload []byte) {
 	res := a.res
-	if net != a.opts.Network {
+	d, own, gapTail := a.replay.Packet(ts, app, dir, net, state, payload)
+	res.DecodeErrors, res.Span = a.replay.DecodeErrors, a.replay.Span
+	if d == nil {
 		return
 	}
-	d, err := a.parser.DecodePacket(payload)
-	if err != nil {
-		res.DecodeErrors++
-		return
-	}
-	if !a.havePrev {
-		res.Span[0] = ts
-	}
-	res.Span[1] = ts
-	dir := radio.Down
-	if pdir == trace.DirUp {
-		dir = radio.Up
-	}
-	c := a.acct.OnPacket(ts.Seconds(), d.WireLen, dir)
-	day := ts.Day()
-	if c.GapTail > 0 && a.havePrev {
-		res.Ledger.Charge(a.prevApp, a.prevState, a.prevDay, c.GapTail)
-	} else if c.GapTail > 0 {
-		res.Ledger.Charge(app, state, day, c.GapTail)
-	}
-	own := c.Promotion + c.Transfer
-	res.Ledger.Charge(app, state, day, own)
-	res.Ledger.AddPacket(app, day, state, int64(d.WireLen))
 
 	if state.IsBackground() {
 		res.BgBytesByApp[app] += int64(d.WireLen)
@@ -293,23 +264,18 @@ func (a *StreamAccumulator) feedPacket(ts trace.Timestamp, app uint32, pdir trac
 	}
 	if a.screenOn {
 		res.OnBytes += int64(d.WireLen)
-		res.OnEnergy += own + c.GapTail
+		res.OnEnergy += own + gapTail
 	} else {
 		res.OffBytes += int64(d.WireLen)
-		res.OffEnergy += own + c.GapTail
+		res.OffEnergy += own + gapTail
 	}
-	a.prevApp, a.prevState, a.prevDay = app, state, day
-	a.havePrev = true
 }
 
 // Finish closes the stream — the radio rides its final tail out and the
 // idle baseline is settled — and returns the completed result. The
 // accumulator must not be fed afterwards.
 func (a *StreamAccumulator) Finish() *StreamResult {
-	if fin := a.acct.Finish(); fin > 0 && a.havePrev {
-		a.res.Ledger.Charge(a.prevApp, a.prevState, a.prevDay, fin)
-	}
-	a.res.Ledger.IdleEnergy = a.opts.Radio.IdlePower * a.res.Span[1].Sub(a.res.Span[0])
+	a.replay.Finish()
 	return a.res
 }
 
@@ -319,10 +285,7 @@ func (a *StreamAccumulator) Finish() *StreamResult {
 // headline queryable mid-stream.
 func (a *StreamAccumulator) Snapshot() *StreamResult {
 	c := a.res.Clone()
-	if a.havePrev && a.acct.State() != radio.Idle {
-		c.Ledger.Charge(a.prevApp, a.prevState, a.prevDay, a.acct.Params().FullTailEnergy())
-	}
-	c.Ledger.IdleEnergy = a.opts.Radio.IdlePower * c.Span[1].Sub(c.Span[0])
+	a.replay.Settle(c.Ledger)
 	return c
 }
 
@@ -365,7 +328,7 @@ func StreamBatches(br *trace.BatchReader, opts energy.Options) (*StreamResult, e
 // StreamFleet runs StreamDevice over every file of a fleet, merging the
 // aggregate accumulators. Peak memory is one device's O(apps) state.
 func StreamFleet(fleet *trace.Fleet, opts energy.Options) (*StreamResult, error) {
-	agg := newStreamResult("fleet")
+	agg := NewStreamResult("fleet")
 	for _, path := range fleet.Paths {
 		res, err := streamFile(path, opts)
 		if err != nil {

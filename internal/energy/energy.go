@@ -7,11 +7,13 @@
 // last packet sent before the tail, so concurrent flows never double-count.
 // The invariant Σ(per-app energy) == device total holds by construction and
 // is enforced by property tests.
+//
+// Replay is the only place that rule is written: Process (the study) and
+// analysis.StreamAccumulator (ingest, query windows, -stream) both push
+// their packets through it.
 package energy
 
 import (
-	"fmt"
-
 	"netenergy/internal/appproto"
 	"netenergy/internal/netparse"
 	"netenergy/internal/radio"
@@ -70,11 +72,9 @@ type Ledger struct {
 	memoDS  *DayStats
 }
 
-// NewLedger returns an empty Ledger, for callers that accumulate charges
-// directly (the streaming analyzer).
-func NewLedger() *Ledger { return newLedger() }
-
-func newLedger() *Ledger {
+// NewLedger returns an empty Ledger, to hand to NewReplay or to accumulate
+// into by Merge.
+func NewLedger() *Ledger {
 	return &Ledger{
 		ByApp:      make(map[uint32]float64),
 		ByState:    make(map[trace.ProcState]float64),
@@ -84,13 +84,8 @@ func newLedger() *Ledger {
 	}
 }
 
-// Charge adds e joules to the (app, state, day) triple.
-func (l *Ledger) Charge(app uint32, state trace.ProcState, day int, e float64) {
-	l.charge(app, state, day, e)
-}
-
-// AddPacket records a packet's byte accounting (without energy).
-func (l *Ledger) AddPacket(app uint32, day int, state trace.ProcState, wireBytes int64) {
+// addPacket records a packet's byte accounting (without energy).
+func (l *Ledger) addPacket(app uint32, day int, state trace.ProcState, wireBytes int64) {
 	_, ds := l.hot(app, day)
 	ds.Packets++
 	if state.IsForeground() {
@@ -192,14 +187,14 @@ func (l *Ledger) AppBackgroundFraction(app uint32) float64 {
 	return bg / total
 }
 
-// Options configures Process.
+// Options configures a Replay, and so Process and the stream accumulator.
 type Options struct {
 	// Radio is the power model to replay against. Zero value means LTE.
 	Radio radio.Params
 	// Network selects which interface's packets to account (the study
 	// focuses on cellular).
 	Network trace.Network
-	// KeepPackets controls whether the per-packet slice is returned;
+	// KeepPackets controls whether Process returns the per-packet slice;
 	// aggregate-only callers can save the memory.
 	KeepPackets bool
 	// VerifyChecksums forwards to the packet parser.
@@ -215,6 +210,135 @@ func DefaultOptions() Options {
 	return Options{Radio: radio.LTE(), Network: trace.NetCellular, KeepPackets: true, VerifyChecksums: true, Snap: true}
 }
 
+// Replay is the attribution kernel: one device's packets, in timestamp
+// order, pushed through the packet parser and the radio accountant, every
+// joule charged to an (app, state, day) triple of Ledger. Per packet the
+// charges land in a fixed order — the gap tail since the previous packet to
+// that previous packet's triple, then promotion + transfer to this packet's,
+// then the byte accounting — and nothing else in the repository charges a
+// Ledger, so two consumers fed the same packets hold bit-identical float
+// sums. Not safe for concurrent use; one Replay per device stream.
+type Replay struct {
+	Ledger       *Ledger
+	DecodeErrors int                // packets on the accounted network that failed to parse
+	Span         [2]trace.Timestamp // first and last accounted packet
+
+	network trace.Network
+	parser  netparse.Parser
+	acct    radio.Accountant
+
+	// The previous accounted packet's triple: where the next gap tail, and
+	// the final tail, are charged.
+	prevApp   uint32
+	prevState trace.ProcState
+	prevDay   int
+	havePrev  bool
+}
+
+// NewReplay returns a kernel charging into l.
+func NewReplay(opts Options, l *Ledger) *Replay {
+	if opts.Radio.Name == "" {
+		opts.Radio = radio.LTE()
+	}
+	return &Replay{
+		Ledger:  l,
+		network: opts.Network,
+		parser:  netparse.Parser{VerifyChecksums: opts.VerifyChecksums, Snap: opts.Snap},
+		acct:    *radio.NewAccountant(opts.Radio),
+	}
+}
+
+// Packet accounts one packet record, given as the scalars a trace.Record and
+// a trace.RecordBatch row share. It returns the decoded packet (owned by the
+// kernel's parser, valid until the next call), the energy the packet itself
+// caused (promotion + transfer) and the gap tail it just charged to the
+// previous packet. d is nil, and nothing was charged, for a packet on
+// another network or one that does not parse (counted in DecodeErrors).
+//
+//repolint:noalloc
+func (k *Replay) Packet(ts trace.Timestamp, app uint32, dir trace.Direction, net trace.Network,
+	state trace.ProcState, payload []byte) (d *netparse.Decoded, own, gapTail float64) {
+	if net != k.network {
+		return nil, 0, 0
+	}
+	d, err := k.parser.DecodePacket(payload)
+	if err != nil {
+		k.DecodeErrors++
+		return nil, 0, 0
+	}
+	day := ts.Day()
+	if !k.havePrev {
+		// The first packet opens the span and stands in as its own
+		// predecessor: the accountant charges no gap before it, but should a
+		// restored state ever disagree, the charge lands on this packet
+		// rather than on a triple nobody sent.
+		k.Span[0] = ts
+		k.prevApp, k.prevState, k.prevDay, k.havePrev = app, state, day, true
+	}
+	k.Span[1] = ts
+
+	rdir := radio.Down
+	if dir == trace.DirUp {
+		rdir = radio.Up
+	}
+	c := k.acct.OnPacket(ts.Seconds(), d.WireLen, rdir)
+	if c.GapTail > 0 {
+		k.Ledger.charge(k.prevApp, k.prevState, k.prevDay, c.GapTail)
+	}
+	own = c.Promotion + c.Transfer
+	k.Ledger.charge(app, state, day, own)
+	k.Ledger.addPacket(app, day, state, int64(d.WireLen))
+	k.prevApp, k.prevState, k.prevDay = app, state, day
+	return d, own, c.GapTail
+}
+
+// Settle charges to l what ending the stream now would still owe — the
+// radio's pending tail, to the last packet's triple, and the idle baseline
+// over Span — and returns the tail. The kernel itself does not move, so l
+// may be a copy of Ledger taken mid-stream (a snapshot) as well as Ledger
+// itself (Finish).
+func (k *Replay) Settle(l *Ledger) float64 {
+	var tail float64
+	if k.havePrev && k.acct.State() != radio.Idle {
+		tail = k.acct.Params().FullTailEnergy()
+		l.charge(k.prevApp, k.prevState, k.prevDay, tail)
+	}
+	l.IdleEnergy = k.acct.Params().IdlePower * k.Span[1].Sub(k.Span[0])
+	return tail
+}
+
+// Finish closes the stream: Ledger is settled and the radio rides its tail
+// out to idle. It returns the final tail, which belongs to the last packet.
+// The kernel must not be fed afterwards.
+func (k *Replay) Finish() float64 {
+	tail := k.Settle(k.Ledger)
+	k.acct.Finish()
+	return tail
+}
+
+// ReplayState is what a kernel needs, beside its Ledger, DecodeErrors and
+// Span, to resume mid-stream in another process with bit-identical
+// accounting; the parser and the radio parameters are rebuilt from Options.
+type ReplayState struct {
+	PrevApp   uint32
+	PrevState trace.ProcState
+	PrevDay   int
+	HavePrev  bool
+	Radio     radio.AccountantState
+}
+
+// SaveState captures the kernel's resume state.
+func (k *Replay) SaveState() ReplayState {
+	return ReplayState{k.prevApp, k.prevState, k.prevDay, k.havePrev, k.acct.SaveState()}
+}
+
+// RestoreState reinstalls a state captured by SaveState on a kernel built
+// with the same Options.
+func (k *Replay) RestoreState(s ReplayState) {
+	k.prevApp, k.prevState, k.prevDay, k.havePrev = s.PrevApp, s.PrevState, s.PrevDay, s.HavePrev
+	k.acct.RestoreState(s.Radio)
+}
+
 // Result is the outcome of processing one device trace.
 type Result struct {
 	Device       string
@@ -224,16 +348,14 @@ type Result struct {
 	Span         [2]trace.Timestamp
 }
 
-// Process replays all matching packet records of dt through the radio model
-// and returns the energy attribution. Records must be in timestamp order
+// Process replays all matching packet records of dt through the kernel and
+// returns the energy attribution. Records must be in timestamp order
 // (DeviceTrace.SortByTime establishes this).
 func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
-	if opts.Radio.Name == "" {
-		opts.Radio = radio.LTE()
-	}
-	res := &Result{Device: dt.Device, Ledger: newLedger()}
+	k := NewReplay(opts, NewLedger())
+	res := &Result{Device: dt.Device, Ledger: k.Ledger}
 	if opts.KeepPackets {
-		// One allocation, sized by the records the loop below accepts; a
+		// One allocation, sized by the records the kernel will accept; a
 		// packet that fails to parse leaves spare capacity behind.
 		n := 0
 		for i := range dt.Records {
@@ -244,94 +366,42 @@ func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
 		res.Packets = make([]Packet, 0, n)
 	}
 	hosts := hostInterner{}
-	parser := netparse.NewParser()
-	parser.VerifyChecksums = opts.VerifyChecksums
-	parser.Snap = opts.Snap
-	acct := radio.NewAccountant(opts.Radio)
-
-	// Previous packet's attribution target, for tail charges.
-	var prevApp uint32
-	var prevState trace.ProcState
-	var prevDay int
-	havePrev := false
-	first, last := trace.Timestamp(0), trace.Timestamp(0)
 
 	for i := range dt.Records {
 		r := &dt.Records[i]
-		if r.Type != trace.RecPacket || r.Net != opts.Network {
+		if r.Type != trace.RecPacket {
 			continue
 		}
-		d, err := parser.DecodePacket(r.Payload)
-		if err != nil {
-			res.DecodeErrors++
+		d, own, gapTail := k.Packet(r.TS, r.App, r.Dir, r.Net, r.State, r.Payload)
+		if d == nil || !opts.KeepPackets {
 			continue
 		}
-		if !havePrev {
-			first = r.TS
+		// The gap tail belongs to the previous packet, as in the ledger.
+		if n := len(res.Packets); n > 0 {
+			res.Packets[n-1].Energy += gapTail
 		}
-		last = r.TS
-
-		dir := radio.Down
-		if r.Dir == trace.DirUp {
-			dir = radio.Up
-		}
-		c := acct.OnPacket(r.TS.Seconds(), d.WireLen, dir)
-		day := r.TS.Day()
-
-		if c.GapTail > 0 && havePrev {
-			res.Ledger.charge(prevApp, prevState, prevDay, c.GapTail)
-			if opts.KeepPackets {
-				res.Packets[len(res.Packets)-1].Energy += c.GapTail
+		host := ""
+		if r.Dir == trace.DirUp && appproto.IsRequest(d.Payload) {
+			if h, ok := appproto.ParseHost(d.Payload); ok {
+				host = hosts.intern(h)
 			}
-		} else if c.GapTail > 0 {
-			// Defensive: a gap charge with no previous packet cannot occur
-			// (the accountant charges no gap on the first packet), but if
-			// it did, attribute it to the current packet rather than drop.
-			res.Ledger.charge(r.App, r.State, day, c.GapTail)
 		}
-		own := c.Promotion + c.Transfer
-		res.Ledger.charge(r.App, r.State, day, own)
-		ds := res.Ledger.dayStats(r.App, day)
-		ds.Packets++
-		if r.State.IsForeground() {
-			ds.FgBytes += int64(d.WireLen)
-		} else {
-			ds.BgBytes += int64(d.WireLen)
+		var seq uint32
+		if d.Transport == netparse.LayerTypeTCP {
+			seq = d.TCP.Seq
 		}
-		res.Ledger.BytesByApp[r.App] += int64(d.WireLen)
-
-		if opts.KeepPackets {
-			host := ""
-			if r.Dir == trace.DirUp && appproto.IsRequest(d.Payload) {
-				if h, ok := appproto.ParseHost(d.Payload); ok {
-					host = hosts.intern(h)
-				}
-			}
-			var seq uint32
-			if d.Transport == netparse.LayerTypeTCP {
-				seq = d.TCP.Seq
-			}
-			res.Packets = append(res.Packets, Packet{
-				TS: r.TS, App: r.App, Dir: r.Dir, State: r.State,
-				Bytes: d.WireLen, Tuple: d.Tuple.Canonical(), Energy: own,
-				Seq: seq, Host: host,
-			})
-		}
-
-		prevApp, prevState, prevDay = r.App, r.State, day
-		havePrev = true
+		res.Packets = append(res.Packets, Packet{
+			TS: r.TS, App: r.App, Dir: r.Dir, State: r.State,
+			Bytes: d.WireLen, Tuple: d.Tuple.Canonical(), Energy: own,
+			Seq: seq, Host: host,
+		})
 	}
 
-	// Final tail belongs to the last packet.
-	if fin := acct.Finish(); fin > 0 && havePrev {
-		res.Ledger.charge(prevApp, prevState, prevDay, fin)
-		if opts.KeepPackets && len(res.Packets) > 0 {
-			res.Packets[len(res.Packets)-1].Energy += fin
-		}
+	// The final tail belongs to the last packet.
+	if fin, n := k.Finish(), len(res.Packets); n > 0 {
+		res.Packets[n-1].Energy += fin
 	}
-
-	res.Ledger.IdleEnergy = opts.Radio.IdlePower * last.Sub(first)
-	res.Span = [2]trace.Timestamp{first, last}
+	res.DecodeErrors, res.Span = k.DecodeErrors, k.Span
 	return res, nil
 }
 
@@ -346,27 +416,12 @@ func (h hostInterner) intern(s string) string {
 	return s
 }
 
-// ProcessFleet runs Process over every device in the fleet and returns the
-// per-device results in path order.
-func ProcessFleet(fleet *trace.Fleet, opts Options) ([]*Result, error) {
-	var out []*Result
-	err := fleet.EachDevice(func(dt *trace.DeviceTrace) error {
-		r, err := Process(dt, opts)
-		if err != nil {
-			return fmt.Errorf("energy: device %s: %w", dt.Device, err)
-		}
-		out = append(out, r)
-		return nil
-	})
-	return out, err
-}
-
 // MergeLedgers sums per-device ledgers into one fleet-wide ledger. App IDs
 // must be comparable across devices (the generator interns app names with
 // the same table ordering on every device; callers merging heterogeneous
 // traces should remap IDs first).
 func MergeLedgers(ls []*Ledger) *Ledger {
-	m := newLedger()
+	m := NewLedger()
 	for _, l := range ls {
 		m.Merge(l)
 	}

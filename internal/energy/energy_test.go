@@ -358,3 +358,68 @@ func TestHostInterning(t *testing.T) {
 		t.Errorf("interning broken: %q %q len=%d", a, b, len(h))
 	}
 }
+
+// TestReplayPacketReturns pins what the kernel hands its callers: the
+// packet's own energy, and the gap tail it charged to the previous packet.
+func TestReplayPacketReturns(t *testing.T) {
+	dt := newTrace()
+	addPacket(dt, 0, 1, trace.DirUp, trace.StateService, 100, 1000)
+	addPacket(dt, 2*sec, 2, trace.DirDown, trace.StateForeground, 100, 2000)
+	p := radio.LTE()
+	k := NewReplay(DefaultOptions(), NewLedger())
+	feed := func(r *trace.Record) (own, gapTail float64) {
+		d, own, gapTail := k.Packet(r.TS, r.App, r.Dir, r.Net, r.State, r.Payload)
+		if d == nil || d.WireLen != 140 {
+			t.Fatalf("decoded %+v", d)
+		}
+		return own, gapTail
+	}
+	if own, gap := feed(&dt.Records[0]); gap != 0 || own != p.PromotionEnergy()+p.TransferEnergy(140, radio.Up) {
+		t.Errorf("first packet: own %v, gap tail %v", own, gap)
+	}
+	own, gap := feed(&dt.Records[1])
+	if own != p.TransferEnergy(140, radio.Down) {
+		t.Errorf("second packet: own %v", own)
+	}
+	if gap < 1.9 || gap > 2.8 || k.Ledger.ByApp[1] != p.PromotionEnergy()+p.TransferEnergy(140, radio.Up)+gap {
+		t.Errorf("gap tail %v, app 1 charged %v", gap, k.Ledger.ByApp[1])
+	}
+	// Settling a copy charges it the final tail and leaves the kernel alone.
+	snap := MergeLedgers([]*Ledger{k.Ledger})
+	before := k.Ledger.Total
+	if tail := k.Settle(snap); tail != p.FullTailEnergy() || snap.Total != before+tail || k.Ledger.Total != before {
+		t.Errorf("settle: tail %v, copy %v, live %v (was %v)", tail, snap.Total, k.Ledger.Total, before)
+	}
+	if tail := k.Finish(); k.Ledger.Total != snap.Total || k.Ledger.ByApp[2] != own+tail {
+		t.Errorf("finish: live %v vs settled copy %v", k.Ledger.Total, snap.Total)
+	}
+}
+
+// TestReplayPacketAllocFree is the dynamic half of Packet's
+// //repolint:noalloc: once the ledger holds the (app, state, day) triples,
+// a packet costs no allocation whether it is accounted, on the other
+// network, or undecodable.
+func TestReplayPacketAllocFree(t *testing.T) {
+	dt := newTrace()
+	addPacket(dt, 0, 1, trace.DirUp, trace.StateService, 100, 1000)
+	valid := dt.Records[0]
+	k := NewReplay(DefaultOptions(), NewLedger())
+	ts := trace.Timestamp(0)
+	for name, rec := range map[string]trace.Record{
+		"valid":         valid,
+		"wrong network": {Net: trace.NetWiFi, Payload: valid.Payload},
+		"undecodable":   {Net: trace.NetCellular, Payload: []byte{0x45, 0, 0}},
+	} {
+		feed := func() {
+			ts += sec
+			k.Packet(ts, 1, trace.DirUp, rec.Net, trace.StateService, rec.Payload)
+		}
+		feed() // first sight of the triple creates its map entries
+		if n := testing.AllocsPerRun(100, feed); n != 0 {
+			t.Errorf("%s packet: %v allocs", name, n)
+		}
+	}
+	if k.DecodeErrors != 102 {
+		t.Errorf("decode errors = %d", k.DecodeErrors)
+	}
+}

@@ -108,8 +108,7 @@ type Config struct {
 	// daemon typically logs loudly and waits for the operator/supervisor.
 	OnFenced func(reason string)
 
-	// Opts is the energy accounting configuration (default:
-	// energy.DefaultOptions with KeepPackets off).
+	// Opts is the energy accounting configuration (default: DefaultOptions).
 	Opts energy.Options
 }
 
@@ -140,7 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Opts.Radio.Name == "" {
 		c.Opts = energy.DefaultOptions()
-		c.Opts.KeepPackets = false
 	}
 	return c
 }

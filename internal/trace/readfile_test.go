@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -151,6 +152,50 @@ func TestRecycleThenLargerFile(t *testing.T) {
 		dt.Recycle()
 		if dt.Records != nil {
 			t.Fatal("Recycle left the records reachable")
+		}
+	}
+}
+
+// TestEachDeviceRecycles: the trace handed to the callback is valid inside
+// it and recycled after it, so a fleet walk holds one decode arena, not one
+// per file — and the second, larger file still reads correctly through the
+// arena the first one gave back.
+func TestEachDeviceRecycles(t *testing.T) {
+	small, large := genRecords(300), genRecords(6000)
+	dir := t.TempDir()
+	for name, recs := range map[string][]Record{"a-small": small, "b-large": large} {
+		data := writeColumnar(t, name, recs[0].TS, recs)
+		if err := os.WriteFile(filepath.Join(dir, name+".metr"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fleet, err := OpenFleet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []*DeviceTrace
+	err = fleet.EachDevice(func(dt *DeviceTrace) error {
+		want := [][]Record{small, large}[len(seen)]
+		if len(dt.Records) != len(want) {
+			t.Fatalf("%s: %d records, want %d", dt.Device, len(dt.Records), len(want))
+		}
+		for i := range want {
+			if !sameRecord(&dt.Records[i], &want[i]) {
+				t.Fatalf("%s: record %d differs", dt.Device, i)
+			}
+		}
+		seen = append(seen, dt)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 || seen[0].Device != "a-small" || seen[1].Device != "b-large" {
+		t.Fatalf("visited %d devices", len(seen))
+	}
+	for _, dt := range seen {
+		if dt.Records != nil {
+			t.Errorf("%s: records still reachable after its callback returned", dt.Device)
 		}
 	}
 }

@@ -295,15 +295,19 @@ func OpenFleet(dir string) (*Fleet, error) {
 	return &Fleet{Dir: dir, Paths: paths}, nil
 }
 
-// EachDevice loads each device trace in turn and invokes fn. Traces are
-// loaded one at a time so a fleet larger than memory still processes.
-func (f *Fleet) EachDevice(fn func(*DeviceTrace) error) error {
+// EachDevice loads each device trace in turn and invokes fn, one trace in
+// memory at a time so a fleet larger than memory still processes: dt's
+// Records and payloads are valid only inside fn (the decode buffers are
+// recycled for the next file when it returns), so fn copies what it keeps.
+func (f *Fleet) EachDevice(fn func(dt *DeviceTrace) error) error {
 	for _, p := range f.Paths {
 		dt, err := ReadFile(p)
 		if err != nil {
 			return fmt.Errorf("trace: reading %s: %w", p, err)
 		}
-		if err := fn(dt); err != nil {
+		err = fn(dt)
+		dt.Recycle()
+		if err != nil {
 			return err
 		}
 	}
