@@ -1,4 +1,4 @@
-// Command gentrace synthesises a study dataset: one METR trace file per
+// Command gentrace synthesises a study dataset: one METR-3 trace file per
 // simulated device, standing in for the paper's proprietary 20-user,
 // 623-day capture.
 //
@@ -34,7 +34,6 @@ func main() {
 		seed     = flag.Uint64("seed", 20151028, "master random seed")
 		ndjson   = flag.Bool("ndjson", false, "also write .ndjson sidecars")
 		profiles = flag.String("profiles", "", "JSON file defining the app population (default: built-ins)")
-		format   = flag.String("format", "flat", "container format (auto-detected on read): "+trace.FormatNames())
 		dump     = flag.Bool("dump-profiles", false, "print the built-in case-study profiles as JSON and exit")
 	)
 	flag.Parse()
@@ -51,11 +50,6 @@ func main() {
 	cfg.Users = *users
 	cfg.Days = *days
 	cfg.Seed = *seed
-	var err error
-	if cfg.Format, err = trace.ParseFormat(*format); err != nil {
-		fmt.Fprintln(os.Stderr, "gentrace:", err)
-		os.Exit(2)
-	}
 	if *profiles != "" {
 		f, err := os.Open(*profiles)
 		if err != nil {

@@ -7,10 +7,9 @@
 //	metr2pcap -in data/u00.metr -out u00.pcap            # export (cellular only)
 //	metr2pcap -in data/u00.metr -out u00.pcap -all       # export all interfaces
 //	metr2pcap -in capture.pcap -out capture.metr -import # import a pcap
-//	metr2pcap -in capture.pcap -out c.metr -import -format metr2
 //
-// Exports read any METR container (flat, deflate, blocked METR-2);
-// imports write the container named by -format (default flat).
+// Exports read any METR container (flat, deflate, METR-2, METR-3); imports
+// write METR-3.
 //
 // pcap has no process mappings, directions or process states: exports drop
 // them, imports assign all packets to a single synthetic app.
@@ -28,29 +27,23 @@ import (
 
 func main() {
 	var (
-		in     = flag.String("in", "", "input file (required)")
-		out    = flag.String("out", "", "output file (required)")
-		all    = flag.Bool("all", false, "export all interfaces, not just cellular")
-		imprt  = flag.Bool("import", false, "convert pcap -> METR instead of METR -> pcap")
-		format = flag.String("format", "flat", "container written by -import: "+trace.FormatNames())
+		in    = flag.String("in", "", "input file (required)")
+		out   = flag.String("out", "", "output file (required)")
+		all   = flag.Bool("all", false, "export all interfaces, not just cellular")
+		imprt = flag.Bool("import", false, "convert pcap -> METR instead of METR -> pcap")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	f, err := trace.ParseFormat(*format)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "metr2pcap:", err)
-		os.Exit(2)
-	}
-	if err := run(*in, *out, *all, *imprt, f); err != nil {
+	if err := run(*in, *out, *all, *imprt); err != nil {
 		fmt.Fprintln(os.Stderr, "metr2pcap:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, out string, all, imprt bool, format trace.Format) error {
+func run(in, out string, all, imprt bool) error {
 	if imprt {
 		f, err := os.Open(in)
 		if err != nil {
@@ -67,7 +60,7 @@ func run(in, out string, all, imprt bool, format trace.Format) error {
 			return err
 		}
 		defer of.Close()
-		if err := dt.SerializeFormat(of, format); err != nil {
+		if err := dt.SerializeColumnar(of); err != nil {
 			return err
 		}
 		fmt.Printf("imported %d packets into %s\n", len(dt.Packets()), out)

@@ -7,17 +7,18 @@
 //	tracecat -trace data/u00.metr -head 20        # first 20 records
 //	tracecat -trace data/u00.metr -app com.sina.weibo -head 50
 //	tracecat -trace data/u00.metr -ndjson > u00.ndjson
-//	tracecat -trace data/u00.metr -convert u00.metr2 -format metr2
+//	tracecat -trace old/u00.metr -convert data/u00.metr
 //
-// With -convert, the trace is rewritten into the container named by
-// -format (flat, deflate, metr2 or metr3); records survive bit-identically, only
-// the container changes.
+// With -convert, the trace — whatever container it is in — is rewritten as
+// METR-3; records survive bit-identically, only the container changes.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"netenergy/internal/report"
@@ -30,8 +31,7 @@ func main() {
 		head    = flag.Int("head", 0, "print the first N records")
 		appPkg  = flag.String("app", "", "restrict -head output to one app package")
 		ndjson  = flag.Bool("ndjson", false, "dump the whole trace as NDJSON to stdout")
-		convert = flag.String("convert", "", "rewrite the trace into this file using -format")
-		format  = flag.String("format", "", "target container for -convert: "+trace.FormatNames())
+		convert = flag.String("convert", "", "rewrite the trace into this file as METR-3 (may be the -trace file itself)")
 	)
 	flag.Parse()
 	if *path == "" {
@@ -45,13 +45,13 @@ func main() {
 	}
 	switch {
 	case *convert != "":
-		err = convertTrace(dt, *path, *convert, *format)
+		err = convertTrace(dt, *path, *convert)
 	case *ndjson:
 		err = dt.ExportNDJSON(os.Stdout)
 	case *head > 0:
 		err = printHead(dt, *head, *appPkg)
 	default:
-		err = printStats(dt, *path)
+		err = printStats(os.Stdout, dt, *path)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracecat:", err)
@@ -59,36 +59,43 @@ func main() {
 	}
 }
 
-// convertTrace rewrites dt into dst using the named container format.
-func convertTrace(dt *trace.DeviceTrace, src, dst, formatName string) error {
-	if formatName == "" {
-		return fmt.Errorf("-convert requires -format (flat, deflate, metr2 or metr3)")
-	}
-	f, err := trace.ParseFormat(formatName)
-	if err != nil {
-		return err
-	}
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if err := dt.SerializeFormat(out, f); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	st, err := os.Stat(dst)
-	if err != nil {
-		return err
-	}
+// convertTrace rewrites dt, read from src, as a METR-3 file at dst. The
+// bytes go to a temporary file beside dst that is renamed over it once it is
+// complete: a failed conversion (ErrOutOfOrder for an unordered flat file, a
+// full disk) leaves no partial dst, and dst may be src itself.
+func convertTrace(dt *trace.DeviceTrace, src, dst string) (err error) {
 	from, err := trace.DetectFileFormat(src)
 	if err != nil {
 		return err
 	}
+	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close() // the write or close error is the one to report
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err = dt.SerializeColumnar(tmp); err != nil {
+		return err
+	}
+	st, err := tmp.Stat()
+	if err != nil {
+		return err
+	}
+	if err = tmp.Chmod(0o644); err != nil { // CreateTemp's 0600 is not a trace file's mode
+		return err
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp.Name(), dst); err != nil {
+		return err
+	}
 	fmt.Fprintf(os.Stderr, "tracecat: %s (%s) -> %s (%s), %d records, %.1f MB\n",
-		src, from, dst, f, len(dt.Records), float64(st.Size())/1e6)
+		src, from, dst, trace.FormatColumnar, len(dt.Records), float64(st.Size())/1e6)
 	return nil
 }
 
@@ -120,21 +127,19 @@ func printHead(dt *trace.DeviceTrace, n int, appPkg string) error {
 	return nil
 }
 
-func printStats(dt *trace.DeviceTrace, path string) error {
+func printStats(w io.Writer, dt *trace.DeviceTrace, path string) error {
 	counts := map[trace.RecordType]int{}
 	bytesByApp := map[uint32]int64{}
 	pktsByApp := map[uint32]int{}
 	var firstTS, lastTS trace.Timestamp
+	if len(dt.Records) > 0 {
+		firstTS, lastTS = dt.Records[0].TS, dt.Records[0].TS
+	}
 	var totalStored int64
 	for i := range dt.Records {
 		r := &dt.Records[i]
 		counts[r.Type]++
-		if firstTS == 0 || r.TS < firstTS {
-			firstTS = r.TS
-		}
-		if r.TS > lastTS {
-			lastTS = r.TS
-		}
+		firstTS, lastTS = min(firstTS, r.TS), max(lastTS, r.TS)
 		if r.Type == trace.RecPacket {
 			bytesByApp[r.App] += int64(len(r.Payload))
 			pktsByApp[r.App]++
@@ -145,12 +150,12 @@ func printStats(dt *trace.DeviceTrace, path string) error {
 	if f, err := trace.DetectFileFormat(path); err == nil {
 		container = f.String()
 	}
-	fmt.Printf("device %s: %d records over %.1f days (%d apps registered, %s container)\n",
+	fmt.Fprintf(w, "device %s: %d records over %.1f days (%d apps registered, %s container)\n",
 		dt.Device, len(dt.Records), lastTS.Sub(firstTS)/86400, dt.Apps.Len(), container)
 	for _, rt := range []trace.RecordType{trace.RecAppName, trace.RecPacket, trace.RecProcState, trace.RecUIEvent, trace.RecScreen} {
-		fmt.Printf("  %-10s %d\n", rt.String(), counts[rt])
+		fmt.Fprintf(w, "  %-10s %d\n", rt.String(), counts[rt])
 	}
-	fmt.Printf("  stored packet bytes: %.1f MB (snap-length captures)\n\n", float64(totalStored)/1e6)
+	fmt.Fprintf(w, "  stored packet bytes: %.1f MB (snap-length captures)\n\n", float64(totalStored)/1e6)
 
 	type row struct {
 		app  uint32
@@ -177,5 +182,5 @@ func printStats(dt *trace.DeviceTrace, path string) error {
 			fmt.Sprintf("%.2f MB", float64(bytesByApp[r.app])/1e6),
 		})
 	}
-	return report.Table(os.Stdout, []string{"app", "packets", "stored"}, out)
+	return report.Table(w, []string{"app", "packets", "stored"}, out)
 }

@@ -405,63 +405,60 @@ func TestGolden(t *testing.T) {
 	cmp.float("query-vs-batch total_energy_j", got.Query.TotalEnergyJ, got.Batch.TotalEnergyJ)
 }
 
-// TestGoldenMETR2 routes the same fixed-seed fleet through the blocked
-// METR-2 container on disk: every record must survive the round trip
-// bit-identically, and a Study opened with block-parallel decoding must
-// reproduce the golden batch headline. This pins the new container to the
-// same end-to-end contract as the original flat path.
+// TestGoldenMETR2 holds the read-only METR-2 container to the same
+// end-to-end contract as the one that is written: a directory holding the
+// checked-in METR-2 fixture (a file an older build's gentrace wrote) and one
+// holding the same device re-serialised as METR-3 render byte-identical
+// reports, on one worker and with intra-file block parallelism.
 func TestGoldenMETR2(t *testing.T) {
-	cfg := synthgen.Small(goldenUsers, goldenDays)
-	cfg.Format = trace.FormatBlocked
-	dir := t.TempDir()
-	fleet, err := synthgen.GenerateFleet(cfg, dir)
+	legacy, err := os.ReadFile(filepath.Join("internal", "trace", "testdata", "legacy", "u00.metr2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := synthgen.GenerateInMemory(cfg)
-	if len(fleet.Paths) != len(mem) {
-		t.Fatalf("fleet has %d files, generated %d devices", len(fleet.Paths), len(mem))
+	metr2Dir, metr3Dir := t.TempDir(), t.TempDir()
+	metr2Path := filepath.Join(metr2Dir, "u00.metr")
+	if err := os.WriteFile(metr2Path, legacy, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for i, path := range fleet.Paths {
-		if f, err := trace.DetectFileFormat(path); err != nil || f != trace.FormatBlocked {
-			t.Fatalf("%s: format %v, err %v", path, f, err)
-		}
-		got, err := trace.ReadFileParallel(path, 8)
+	if f, err := trace.DetectFileFormat(metr2Path); err != nil || f != trace.FormatBlocked {
+		t.Fatalf("fixture: format %v, err %v", f, err)
+	}
+	dt, err := trace.ReadFile(metr2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metr3 bytes.Buffer
+	if err := dt.SerializeColumnar(&metr3); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(metr3Dir, "u00.metr"), metr3.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	report := func(dir string, workers int) []byte {
+		t.Helper()
+		study, err := core.OpenParallel(dir, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := mem[i]
-		if got.Device != want.Device || len(got.Records) != len(want.Records) {
-			t.Fatalf("%s: device %q records %d, want %q %d",
-				path, got.Device, len(got.Records), want.Device, len(want.Records))
+		var buf bytes.Buffer
+		if err := study.WriteReport(&buf); err != nil {
+			t.Fatal(err)
 		}
-		for j := range want.Records {
-			a, b := &want.Records[j], &got.Records[j]
-			if a.Type != b.Type || a.TS != b.TS || a.App != b.App || a.Dir != b.Dir ||
-				a.Net != b.Net || a.State != b.State || a.ScreenOn != b.ScreenOn ||
-				a.AppName != b.AppName || !bytes.Equal(a.Payload, b.Payload) {
-				t.Fatalf("%s: record %d differs after METR-2 round trip", path, j)
-			}
+		return buf.Bytes()
+	}
+	want := report(metr3Dir, 1)
+	if len(want) == 0 {
+		t.Fatal("empty report")
+	}
+	for _, workers := range []int{1, 16} { // 16 > 1 file: intra-file block parallelism
+		if got := report(metr2Dir, workers); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: the METR-2 fixture's report differs from its METR-3 re-serialisation's", workers)
+		}
+		if got := report(metr3Dir, workers); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: the METR-3 report differs from the one-worker one", workers)
 		}
 	}
-
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Skipf("no golden file: %v", err)
-	}
-	var want goldenFile
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	study, err := core.OpenParallel(dir, 16) // 16 > 5 files: intra-file block parallelism
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := study.Headline()
-	cmp := newGoldenCmp(t)
-	cmp.float("metr2.total_energy_j", h.TotalEnergyJ, want.Batch.TotalEnergyJ)
-	cmp.float("metr2.background_fraction", h.BackgroundFraction, want.Batch.BackgroundFraction)
-	cmp.float("metr2.first_minute_fraction", h.FirstMinute.Fraction, want.Batch.FirstMinuteFraction)
 }
 
 // TestGoldenMETR3 routes the same fixed-seed fleet through the columnar
@@ -471,7 +468,6 @@ func TestGoldenMETR2(t *testing.T) {
 // contract the row formats already carry, now pinned to the column codec.
 func TestGoldenMETR3(t *testing.T) {
 	cfg := synthgen.Small(goldenUsers, goldenDays)
-	cfg.Format = trace.FormatColumnar
 	dir := t.TempDir()
 	fleet, err := synthgen.GenerateFleet(cfg, dir)
 	if err != nil {

@@ -181,7 +181,7 @@ func TestColumnarEquivalence(t *testing.T) {
 		// codec round-trips every field the accumulator reads.
 		dt := &trace.DeviceTrace{Device: "equiv-dev", Start: recs[0].TS, Records: recs}
 		var buf bytes.Buffer
-		if err := dt.SerializeFormat(&buf, trace.FormatColumnar); err != nil {
+		if err := dt.SerializeColumnar(&buf); err != nil {
 			t.Fatalf("seed %d: serialize: %v", seed, err)
 		}
 		br, err := trace.NewBatchReader(bytes.NewReader(buf.Bytes()))

@@ -141,7 +141,7 @@ func (r *StreamResult) SinceForeground() SinceForegroundResult {
 // StreamAccumulator is the push-mode form of the bounded-memory analyzer:
 // records are fed to it one at a time (in timestamp order, as a device
 // produces them) and the StreamResult advances in lockstep. The batch
-// StreamDevice pass and the live ingest server are both built on it.
+// StreamBatches pass and the live ingest server are both built on it.
 // Energy attribution is energy.Replay's — the same kernel energy.Process
 // runs — charging straight into the result's Ledger; what this type adds
 // per packet is the Figure 6, first-minute and screen-split bookkeeping.
@@ -289,27 +289,11 @@ func (a *StreamAccumulator) Snapshot() *StreamResult {
 	return c
 }
 
-// StreamDevice processes one METR stream record by record. Records must be
-// in timestamp order (generated traces are).
-func StreamDevice(r *trace.Reader, opts energy.Options) (*StreamResult, error) {
-	acc := NewStreamAccumulator(r.Device(), opts)
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		acc.Feed(rec)
-	}
-	return acc.Finish(), nil
-}
-
 // StreamBatches processes a trace stream batch-at-a-time through the
 // columnar feed path: METR-3 blocks are served zero-copy as column
 // batches, row containers are assembled into batches by the reader.
-// Results are bit-identical to StreamDevice over the same records.
+// Records must be in timestamp order (generated traces are). Results are
+// bit-identical to feeding the same records one at a time (Feed).
 func StreamBatches(br *trace.BatchReader, opts energy.Options) (*StreamResult, error) {
 	acc := NewStreamAccumulator(br.Device(), opts)
 	for {
@@ -325,7 +309,7 @@ func StreamBatches(br *trace.BatchReader, opts energy.Options) (*StreamResult, e
 	return acc.Finish(), nil
 }
 
-// StreamFleet runs StreamDevice over every file of a fleet, merging the
+// StreamFleet runs StreamBatches over every file of a fleet, merging the
 // aggregate accumulators. Peak memory is one device's O(apps) state.
 func StreamFleet(fleet *trace.Fleet, opts energy.Options) (*StreamResult, error) {
 	agg := NewStreamResult("fleet")

@@ -25,11 +25,11 @@ func TestStreamMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := trace.NewReader(bytes.NewReader(data))
+	r, err := trace.NewBatchReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	str, err := StreamDevice(r, energy.DefaultOptions())
+	str, err := StreamBatches(r, energy.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestMergedStreamMatchesHeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := trace.NewReader(bytes.NewReader(data))
+		r, err := trace.NewBatchReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := StreamDevice(r, energy.DefaultOptions())
+		res, err := StreamBatches(r, energy.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,8 +131,8 @@ func TestMergedStreamMatchesHeadline(t *testing.T) {
 	reversed := NewStreamResult("fleet")
 	for i := len(dts) - 1; i >= 0; i-- {
 		data, _ := dts[i].Encode()
-		r, _ := trace.NewReader(bytes.NewReader(data))
-		res, err := StreamDevice(r, energy.DefaultOptions())
+		r, _ := trace.NewBatchReader(bytes.NewReader(data))
+		res, err := StreamBatches(r, energy.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,27 +6,43 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"testing"
 
 	"netenergy/internal/obs"
 	"netenergy/internal/synthgen"
-	"netenergy/internal/trace"
 )
 
 // genFleetDir writes a small on-disk fleet once per test/benchmark run.
 func genFleetDir(tb testing.TB, users, days int) string {
-	return genFleetDirFormat(tb, users, days, trace.FormatFlat)
-}
-
-func genFleetDirFormat(tb testing.TB, users, days int, f trace.Format) string {
 	tb.Helper()
 	dir := tb.TempDir()
-	cfg := synthgen.Small(users, days)
-	cfg.Format = f
-	if _, err := synthgen.GenerateFleet(cfg, dir); err != nil {
+	if _, err := synthgen.GenerateFleet(synthgen.Small(users, days), dir); err != nil {
 		tb.Fatal(err)
+	}
+	return dir
+}
+
+// genFlatFleetDir writes the same fleet as flat METR1 files, which nothing
+// but a test puts on disk any more: they have no footer index, so loading
+// them is the streaming fallback.
+func genFlatFleetDir(tb testing.TB, users, days int) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	for _, dt := range synthgen.GenerateInMemory(synthgen.Small(users, days)) {
+		f, err := os.Create(filepath.Join(dir, dt.Device+".metr"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := dt.Serialize(f); err != nil {
+			tb.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return dir
 }
@@ -65,14 +81,14 @@ func TestOpenParallelMatchesOpen(t *testing.T) {
 	}
 }
 
-// TestOpenParallelBlockedFleet: a fleet stored in the METR-2 blocked
-// container must load identically to the flat one — including when the
-// worker budget exceeds the file count, which turns on intra-file
-// block-parallel decoding.
+// TestOpenParallelBlockedFleet: a fleet stored in the blocked container
+// gentrace writes must load identically to the same fleet in flat files,
+// which take the streaming fallback — including when the worker budget
+// exceeds the file count, which turns on intra-file block-parallel decoding.
 func TestOpenParallelBlockedFleet(t *testing.T) {
 	users, days := 3, 2
-	flat := genFleetDir(t, users, days)
-	blocked := genFleetDirFormat(t, users, days, trace.FormatBlocked)
+	flat := genFlatFleetDir(t, users, days)
+	blocked := genFleetDir(t, users, days)
 	ref, err := Open(flat)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +125,6 @@ func TestOpenParallelBlockedFleet(t *testing.T) {
 // -race: sections evaluate concurrently over the same devices).
 func TestReportIdenticalForEveryWorkerCount(t *testing.T) {
 	cfg := synthgen.Small(5, 4)
-	cfg.Format = trace.FormatColumnar
 	dir := t.TempDir()
 	if _, err := synthgen.GenerateFleet(cfg, dir); err != nil {
 		t.Fatal(err)
@@ -193,7 +208,7 @@ func TestWriteSectionsError(t *testing.T) {
 // decode blocks inside each file. The gain tracks available cores; on a
 // single-core box the sub-benchmarks tie.
 func BenchmarkOpenParallel(b *testing.B) {
-	dir := genFleetDirFormat(b, 6, 2, trace.FormatColumnar)
+	dir := genFleetDir(b, 6, 2)
 	workerCounts := []int{1, 4, 16}
 	if n := runtime.NumCPU(); n > 4 && n != 16 {
 		workerCounts = append(workerCounts, n)

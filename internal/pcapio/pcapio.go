@@ -243,6 +243,7 @@ func ToTrace(r io.Reader, device string) (*trace.DeviceTrace, error) {
 			State: trace.StateUnknown, Payload: p.Data,
 		})
 	}
+	dt.Records[0].TS = dt.Start // the registration belongs to the capture's span, not to 1970
 	dt.SortByTime()
 	return dt, nil
 }

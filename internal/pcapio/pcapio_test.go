@@ -211,6 +211,9 @@ func TestToTraceRoundTrip(t *testing.T) {
 	if got.Start != 1_000_000 {
 		t.Errorf("start = %d", got.Start)
 	}
+	if r := got.Records[0]; r.Type != trace.RecAppName || r.TS != got.Start {
+		t.Errorf("first record = %v at %d, want the app registration at the capture start", r.Type, r.TS)
+	}
 	// The imported trace must decode with the snap-aware parser.
 	p := netparse.NewParser()
 	p.Snap = true

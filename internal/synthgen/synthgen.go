@@ -48,9 +48,6 @@ type Config struct {
 	// EmitDNS enables DNS query/response traffic before uncached
 	// connections (on by default in Default()).
 	EmitDNS bool
-	// Format selects the on-disk container (the zero value is flat);
-	// readers auto-detect every form.
-	Format trace.Format
 	// VacationProb is the chance a user takes one trip during the study
 	// with the device off (or out of coverage) for 2-7 days: a span of
 	// total radio silence, the strongest form of the §5 idle periods.
@@ -175,7 +172,7 @@ func nightlyWiFi(src *rng.Source, cfg Config) []appmodel.Session {
 	return out
 }
 
-// GenerateFleet writes one METR file per user into dir and returns the
+// GenerateFleet writes one METR-3 file per user into dir and returns the
 // opened fleet. Existing files are overwritten. Devices are generated in
 // parallel (each user's randomness is an independent stream, so the output
 // is identical to sequential generation).
@@ -199,7 +196,7 @@ func GenerateFleet(cfg Config, dir string) (*trace.Fleet, error) {
 				errs[i] = err
 				return
 			}
-			if err := dt.SerializeFormat(f, cfg.Format); err != nil {
+			if err := dt.SerializeColumnar(f); err != nil {
 				f.Close()
 				errs[i] = fmt.Errorf("synthgen: writing %s: %w", path, err)
 				return

@@ -3,7 +3,6 @@ package synthgen
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"netenergy/internal/appmodel"
@@ -199,14 +198,12 @@ func TestConfigEnd(t *testing.T) {
 
 func TestCompressedFleetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := smallCfg()
-	cfg.Format = trace.FormatDeflate
-	fleet, err := GenerateFleet(cfg, dir)
+	fleet, err := GenerateFleet(smallCfg(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Compressed files must be readable transparently and smaller than the
-	// plain form of the same trace.
+	// The files are compressed: readable transparently, and smaller than
+	// the plain form of the same trace.
 	dt, err := trace.ReadFile(fleet.Paths[0])
 	if err != nil {
 		t.Fatal(err)
@@ -227,38 +224,52 @@ func TestCompressedFleetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockedFleetRoundTrip: Config.Format routes a fleet into the METR-2
-// blocked container; the traces read back identically to flat generation.
+// TestBlockedFleetRoundTrip: every file GenerateFleet writes is a sealed
+// METR-3 container — it sniffs as one and carries a footer index, which is
+// what routes trace.ReadFileParallel, and so core.OpenParallel, onto the
+// indexed arena path instead of the streaming ReadAll fallback — and reads
+// back as the records GenerateDevice produces.
 func TestBlockedFleetRoundTrip(t *testing.T) {
 	cfg := smallCfg()
-	refDir, blkDir := t.TempDir(), t.TempDir()
-	if _, err := GenerateFleet(cfg, refDir); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Format = trace.FormatBlocked
-	fleet, err := GenerateFleet(cfg, blkDir)
+	fleet, err := GenerateFleet(cfg, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := trace.ReadFile(fleet.Paths[0])
-	if err != nil {
-		t.Fatal(err)
+	if len(fleet.Paths) != cfg.Users {
+		t.Fatalf("%d files for %d users", len(fleet.Paths), cfg.Users)
 	}
-	if f, err := trace.DetectFileFormat(fleet.Paths[0]); err != nil || f != trace.FormatBlocked {
-		t.Fatalf("DetectFileFormat = %v, %v", f, err)
-	}
-	want, err := trace.ReadFile(filepath.Join(refDir, filepath.Base(fleet.Paths[0])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(want.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(got.Records), len(want.Records))
-	}
-	for i := range want.Records {
-		a, b := &want.Records[i], &got.Records[i]
-		if a.Type != b.Type || a.TS != b.TS || a.App != b.App ||
-			!bytes.Equal(a.Payload, b.Payload) {
-			t.Fatalf("record %d differs: %v vs %v", i, a, b)
+	for i, path := range fleet.Paths {
+		if f, err := trace.DetectFileFormat(path); err != nil || f != trace.FormatColumnar {
+			t.Fatalf("%s: DetectFileFormat = %v, %v", path, f, err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, blocks, indexed, err := trace.ReadBlockIndex(f, st.Size())
+		f.Close()
+		if err != nil || !indexed || len(blocks) == 0 {
+			t.Fatalf("%s: footer index: ok=%v, %d blocks, %v", path, indexed, len(blocks), err)
+		}
+		got, err := trace.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := GenerateDevice(cfg, i)
+		if got.Device != want.Device || len(got.Records) != len(want.Records) {
+			t.Fatalf("%s: device %q with %d records, want %q with %d",
+				path, got.Device, len(got.Records), want.Device, len(want.Records))
+		}
+		for j := range want.Records {
+			a, b := &want.Records[j], &got.Records[j]
+			if a.Type != b.Type || a.TS != b.TS || a.App != b.App ||
+				!bytes.Equal(a.Payload, b.Payload) {
+				t.Fatalf("%s: record %d differs: %v vs %v", path, j, a, b)
+			}
 		}
 	}
 }

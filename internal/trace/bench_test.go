@@ -9,16 +9,23 @@ import (
 	"testing"
 )
 
-// benchTrace holds one synthetic device trace serialized in every
-// container, written once per benchmark binary. decode_mbps is reported
-// against the flat (uncompressed-container) byte count for every format,
-// so the metric compares decode throughput of the same logical records.
+// benchTrace holds the files the decode benchmarks read, written once per
+// benchmark binary: one synthetic device trace in the two containers that
+// are written (flat, METR-3), and the two legacy fixtures. decode_mbps is
+// reported against the flat (uncompressed-container) byte count of the same
+// records for every format, so the metric compares decode throughput of the
+// same logical records — the fixtures' against their own flat size, which is
+// a smaller trace than the generated one.
 var benchTrace struct {
-	once      sync.Once
-	recs      []Record
-	dir       string
+	once  sync.Once
+	recs  []Record
+	files map[Format]benchFile
+}
+
+type benchFile struct {
+	path      string
+	records   int
 	flatBytes int64
-	paths     map[Format]string
 }
 
 func benchSetup(b *testing.B) {
@@ -29,23 +36,33 @@ func benchSetup(b *testing.B) {
 		if err != nil {
 			panic(err)
 		}
-		benchTrace.dir = dir
-		benchTrace.paths = make(map[Format]string)
-		dt := &DeviceTrace{Device: "bench-00", Start: 1000, Records: benchTrace.recs}
-		for _, f := range []Format{FormatFlat, FormatDeflate, FormatBlocked, FormatColumnar} {
-			var buf bytes.Buffer
-			if err := dt.SerializeFormat(&buf, f); err != nil {
+		benchTrace.files = make(map[Format]benchFile)
+		add := func(f Format, data []byte, dt *DeviceTrace) {
+			flat, err := dt.Encode()
+			if err != nil {
 				panic(err)
 			}
 			path := filepath.Join(dir, "u00."+f.String()+".metr")
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				panic(err)
 			}
-			benchTrace.paths[f] = path
-			if f == FormatFlat {
-				benchTrace.flatBytes = int64(buf.Len())
-			}
+			benchTrace.files[f] = benchFile{path, len(dt.Records), int64(len(flat))}
 		}
+		dt := &DeviceTrace{Device: "bench-00", Start: 1000, Records: benchTrace.recs}
+		flat, err := dt.Encode()
+		if err != nil {
+			panic(err)
+		}
+		add(FormatFlat, flat, dt)
+		var buf bytes.Buffer
+		if err := dt.SerializeColumnar(&buf); err != nil {
+			panic(err)
+		}
+		add(FormatColumnar, buf.Bytes(), dt)
+		deflate, deflateDT := legacyFixture(b, "u00.metz1")
+		add(FormatDeflate, deflate, deflateDT)
+		blocked, blockedDT := legacyFixture(b, "u00.metr2")
+		add(FormatBlocked, blocked, blockedDT)
 	})
 }
 
@@ -53,25 +70,24 @@ func benchSetup(b *testing.B) {
 // decode_mbps: flat-container megabytes decoded per second.
 func benchDecode(b *testing.B, format Format, workers int) {
 	benchSetup(b)
-	path := benchTrace.paths[format]
-	want := len(benchTrace.recs)
-	b.SetBytes(benchTrace.flatBytes)
+	f := benchTrace.files[format]
+	b.SetBytes(f.flatBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dt, err := ReadFileParallel(path, workers)
+		dt, err := ReadFileParallel(f.path, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(dt.Records) != want {
-			b.Fatalf("decoded %d records, want %d", len(dt.Records), want)
+		if len(dt.Records) != f.records {
+			b.Fatalf("decoded %d records, want %d", len(dt.Records), f.records)
 		}
 		// Steady-state decode loop, as core.OpenParallel runs it: fold
 		// the trace, recycle its buffers, move to the next file.
 		dt.Recycle()
 	}
 	b.StopTimer()
-	mbps := float64(benchTrace.flatBytes) / 1e6 * float64(b.N) / b.Elapsed().Seconds()
+	mbps := float64(f.flatBytes) / 1e6 * float64(b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(mbps, "decode_mbps")
 }
 
@@ -92,32 +108,10 @@ func BenchmarkDecodeMETR3Parallel8(b *testing.B) {
 	benchDecode(b, FormatColumnar, 8)
 }
 
-func BenchmarkEncodeMETR2(b *testing.B) {
-	benchSetup(b)
-	dt := &DeviceTrace{Device: "bench-00", Start: 1000, Records: benchTrace.recs}
-	b.SetBytes(benchTrace.flatBytes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := NewBlockWriter(io.Discard, dt.Device, dt.Start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range dt.Records {
-			if err := w.Write(&dt.Records[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEncodeMETR3(b *testing.B) {
 	benchSetup(b)
 	dt := &DeviceTrace{Device: "bench-00", Start: 1000, Records: benchTrace.recs}
-	b.SetBytes(benchTrace.flatBytes)
+	b.SetBytes(benchTrace.files[FormatFlat].flatBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

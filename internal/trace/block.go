@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -41,10 +42,11 @@ import (
 // the index: blocks are self-describing, so NewReader decodes a blocked
 // file front to back without seeking.
 //
-// This file is the frame layer and knows nothing of what a payload holds:
-// that is the codec's business — row frames under DEFLATE for METR-2
-// (rowblock.go), bit-packed columns under internal/lz for METR-3
-// (columnar.go) — and both codecs decode a block into a RecordBatch.
+// This file is the frame layer. What a payload holds is the codec's
+// business — row frames under DEFLATE for METR-2 (rowblock.go), bit-packed
+// columns under internal/lz for METR-3 (columnar.go) — and both codecs
+// decode a block into a RecordBatch. Only METR-3 is written (ColumnWriter,
+// below); METR-2 is read-only.
 //
 // Torn tail: a blocked file without a footer is a segment still being
 // written (a reader can land between cutBlock's two writes) or one a kill
@@ -83,9 +85,8 @@ const (
 // errTornBlock: a block's header or payload runs past the end of the stream.
 var errTornBlock = fmt.Errorf("%w (block runs past the end of the file)", ErrTruncated)
 
-// container is the format-specific part of a blocked file: its magics and
-// the decode half of its payload codec (the encode half, a blockEncoder,
-// carries per-writer state).
+// container is the format-specific part of reading a blocked file: its
+// magics and its payload decoder.
 type container struct {
 	format Format
 	magic  []byte
@@ -268,53 +269,40 @@ func sliceCap[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// blockEncoder is the encode half of a payload codec: it stages the
-// records of the block being built and compresses them when the writer
-// cuts.
-type blockEncoder interface {
-	// add stages r; addFrom stages record i of b without building a row.
-	// Both report whether the staged image has reached targetBlockSize.
-	add(r *Record) (full bool, err error)
-	addFrom(b *RecordBatch, i int) (full bool, err error)
-	// encode compresses the staged records into one payload (valid until
-	// the next call), returns its uncompressed length and starts afresh.
-	encode() (ulen int, comp []byte, err error)
-}
-
-// frameWriter is the writer both blocked containers share: file header,
-// admission gate, cut -> frame -> index entry, Sync, footer. It satisfies
-// RecordWriter; Flush must be the final call.
-type frameWriter struct {
+// ColumnWriter streams records into a METR-3 container, the one container
+// written to disk: file header, admission gate, cut -> frame -> index entry,
+// Sync, footer. Flush must be the final call.
+type ColumnWriter struct {
 	w     io.Writer
-	c     *container
-	enc   blockEncoder
+	enc   *columnEncoder // the block being staged; pooled, nil once flushed
 	off   int64
 	hdr   []byte
-	first Timestamp // first timestamp of the block being staged
 	last  Timestamp // last timestamp accepted across the whole file
-	n     int       // records staged in the current block
 	count uint64
 	index []BlockInfo
 	err   error
 }
 
-func (w *frameWriter) init(out io.Writer, c *container, enc blockEncoder, device string, start Timestamp) error {
+var errFlushed = errors.New("trace: writer used after Flush")
+
+// NewColumnWriter writes the METR-3 file header and returns a
+// ColumnWriter.
+func NewColumnWriter(w io.Writer, device string, start Timestamp) (*ColumnWriter, error) {
 	if err := checkDeviceName(device); err != nil {
-		return err
+		return nil, err
 	}
-	hdr := appendFileHeader(append([]byte(nil), c.magic...), device, start)
-	if _, err := out.Write(hdr); err != nil {
-		return err
+	hdr := appendFileHeader(append([]byte(nil), magicColumnar...), device, start)
+	if _, err := w.Write(hdr); err != nil {
+		return nil, err
 	}
-	*w = frameWriter{w: out, c: c, enc: enc, off: int64(len(hdr))}
-	return nil
+	return &ColumnWriter{w: w, enc: encoderPool.Get().(*columnEncoder), off: int64(len(hdr))}, nil
 }
 
 // Count returns the number of records written so far.
-func (w *frameWriter) Count() uint64 { return w.count }
+func (w *ColumnWriter) Count() uint64 { return w.count }
 
 // admit is the gate every record passes before it is staged.
-func (w *frameWriter) admit(typ RecordType, ts Timestamp) error {
+func (w *ColumnWriter) admit(typ RecordType, ts Timestamp) error {
 	if typ == RecInvalid || typ > RecScreen {
 		return fmt.Errorf("trace: cannot write record type %v", typ)
 	}
@@ -323,45 +311,38 @@ func (w *frameWriter) admit(typ RecordType, ts Timestamp) error {
 	// blocks. A record older than its predecessor would fall outside its
 	// block's advertised range and silently vanish from windowed scans, so
 	// reject it here (equal timestamps are fine). w.last survives block
-	// cuts, unlike a codec's delta base, so it is the reference.
+	// cuts, unlike the codec's delta base, so it is the reference.
 	if w.count > 0 && ts < w.last {
 		return fmt.Errorf("trace: record %d (ts=%d) precedes ts=%d: %w",
 			w.count, ts, w.last, ErrOutOfOrder)
 	}
-	if w.n == 0 {
-		w.first = ts
-	}
 	return nil
 }
 
-// staged books a record the encoder has taken and cuts the block when the
-// encoder reports it full.
-func (w *frameWriter) staged(ts Timestamp, full bool) error {
+// staged books the record the encoder just took and cuts the block when
+// its image has reached targetBlockSize, reporting whether it did.
+func (w *ColumnWriter) staged(ts Timestamp) (cut bool, err error) {
 	w.last = ts
-	w.n++
 	w.count++
-	if full {
-		return w.cutBlock()
+	if !w.enc.full() {
+		return false, nil
 	}
-	return nil
+	return true, w.cutBlock()
 }
 
 // Write appends one record to the current block, cutting a block when the
 // uncompressed target size is reached. It returns the first error
 // encountered and is a no-op afterwards.
-func (w *frameWriter) Write(r *Record) error {
+func (w *ColumnWriter) Write(r *Record) error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.err = w.admit(r.Type, r.TS); w.err != nil {
 		return w.err
 	}
-	full, err := w.enc.add(r)
-	if err == nil {
-		err = w.staged(r.TS, full)
-	}
-	w.err = err
-	return err
+	w.enc.batch.Append(r)
+	_, w.err = w.staged(r.TS)
+	return w.err
 }
 
 // WriteBatch is a Write loop over b — same blocks, same bytes, same error
@@ -370,7 +351,7 @@ func (w *frameWriter) Write(r *Record) error {
 // or fewer when one completed a block (so a caller that rolls files by
 // size, like the ingest segment store, decides between blocks) or failed;
 // callers loop until the batch is drained.
-func (w *frameWriter) WriteBatch(b *RecordBatch) (int, error) {
+func (w *ColumnWriter) WriteBatch(b *RecordBatch) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
@@ -378,15 +359,13 @@ func (w *frameWriter) WriteBatch(b *RecordBatch) (int, error) {
 		if w.err = w.admit(b.Types[i], ts); w.err != nil {
 			return i, w.err
 		}
-		full, err := w.enc.addFrom(b, i)
-		if err == nil {
-			err = w.staged(ts, full)
-		}
+		w.enc.batch.AppendFrom(b, i)
+		cut, err := w.staged(ts)
 		if err != nil {
 			w.err = err
 			return i, err
 		}
-		if full {
+		if cut {
 			return i + 1, nil
 		}
 	}
@@ -395,16 +374,15 @@ func (w *frameWriter) WriteBatch(b *RecordBatch) (int, error) {
 
 // cutBlock compresses the staged records and writes them as one block
 // frame.
-func (w *frameWriter) cutBlock() error {
-	if w.n == 0 {
+func (w *ColumnWriter) cutBlock() error {
+	n := w.enc.batch.Len()
+	if n == 0 {
 		return nil
 	}
-	ulen, comp, err := w.enc.encode()
-	if err != nil {
-		return err
-	}
+	first := w.enc.batch.TS[0]
+	ulen, comp := w.enc.encode()
 	b := BlockInfo{Offset: w.off, CompLen: len(comp), UncompLen: ulen,
-		First: w.first, Last: w.last, Count: w.n}
+		First: first, Last: w.last, Count: n}
 	w.hdr = appendBlockFields(append(w.hdr[:0], blockTag), b, crc32.Checksum(comp, castagnoli), true)
 	if _, err := w.w.Write(w.hdr); err != nil {
 		return err
@@ -414,7 +392,6 @@ func (w *frameWriter) cutBlock() error {
 	}
 	w.index = append(w.index, b)
 	w.off += int64(len(w.hdr) + len(comp))
-	w.n = 0
 	return nil
 }
 
@@ -424,16 +401,18 @@ func (w *frameWriter) cutBlock() error {
 // stays usable — the ingest segment store calls Sync before serving a
 // query over an in-progress segment, whose missing footer routes readers
 // onto the streaming (non-seeking) path.
-func (w *frameWriter) Sync() error {
+func (w *ColumnWriter) Sync() error {
 	if w.err == nil {
 		w.err = w.cutBlock()
 	}
 	return w.err
 }
 
-// Flush writes the final partial block, the footer index and the trailer.
-// It must be the last call on the writer.
-func (w *frameWriter) Flush() error {
+// Flush writes the final partial block, the footer index and the trailer,
+// sealing the file. The writer is finished: its encoder, empty once the
+// last block is cut, goes back to the pool, and any further call fails
+// rather than reach buffers another writer may hold by then.
+func (w *ColumnWriter) Flush() error {
 	if err := w.Sync(); err != nil {
 		return err
 	}
@@ -446,9 +425,13 @@ func (w *frameWriter) Flush() error {
 	}
 	idx = binary.LittleEndian.AppendUint64(idx, uint64(len(idx)))
 	idx = binary.LittleEndian.AppendUint32(idx, crc32.Checksum(idx[:len(idx)-8], castagnoli))
-	idx = append(idx, w.c.footer...)
-	_, w.err = w.w.Write(idx)
-	return w.err
+	idx = append(idx, footerMagicColumnar...)
+	if _, w.err = w.w.Write(idx); w.err != nil {
+		return w.err
+	}
+	encoderPool.Put(w.enc)
+	w.enc, w.err = nil, errFlushed
+	return nil
 }
 
 // blockIter is the streaming (non-seeking) decoder of a blocked container,

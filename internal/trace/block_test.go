@@ -54,27 +54,6 @@ func genRecords(n int) []Record {
 	return recs
 }
 
-func writeBlocked(t *testing.T, recs []Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewBlockWriter(&buf, "device-b", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != uint64(len(recs)) {
-		t.Fatalf("Count = %d, want %d", w.Count(), len(recs))
-	}
-	return buf.Bytes()
-}
-
 func sameRecord(a, b *Record) bool {
 	return a.Type == b.Type && a.TS == b.TS && a.App == b.App &&
 		a.AppName == b.AppName && a.Dir == b.Dir && a.Net == b.Net &&
@@ -82,137 +61,142 @@ func sameRecord(a, b *Record) bool {
 		bytes.Equal(a.Payload, b.Payload)
 }
 
-func TestBlockedRoundTrip(t *testing.T) {
-	recs := genRecords(5000) // several 256 KiB blocks
-	data := writeBlocked(t, recs)
-	r, err := NewReader(bytes.NewReader(data))
+// legacyFixture reads one of the two checked-in files in a container nothing
+// writes any more — testdata/legacy/u00.metr2 (METR-2, three blocks) and
+// u00.metz1 (METZ1) — and decodes it front to back through the streaming
+// reader. legacy_test.go pins each file's SHA-256 and holds exactly that
+// decode to synthgen's output, so tests in this package may use the decoded
+// records as the reference for every other read path.
+func legacyFixture(tb testing.TB, name string) (data []byte, dt *DeviceTrace) {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if r.Device() != "device-b" || r.Start() != 1000 {
-		t.Fatalf("header: device=%q start=%d", r.Device(), r.Start())
+	if dt, err = ReadAll(bytes.NewReader(data)); err != nil {
+		tb.Fatal(err)
 	}
-	if r.Format() != FormatBlocked {
-		t.Fatalf("format = %v, want %v", r.Format(), FormatBlocked)
-	}
-	for i := range recs {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !sameRecord(got, &recs[i]) {
-			t.Fatalf("record %d mismatch:\n got %v\nwant %v", i, got, recs[i])
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
+	return data, dt
+}
+
+// blockedFile is a sealed multi-block file and the records it holds.
+type blockedFile struct {
+	name string // its format's, which the subtests are named by
+	data []byte
+	dt   *DeviceTrace
+}
+
+// blockedFiles are what the frame-layer tests read: n generated records as
+// the METR-3 writer lays them out, and the METR-2 fixture — the frame layer
+// is one code path for both, the payload codecs are not.
+func blockedFiles(t *testing.T, n int) []blockedFile {
+	t.Helper()
+	dt := &DeviceTrace{Device: "device-b", Start: 1000, Records: genRecords(n)}
+	legacy, legacyDT := legacyFixture(t, "u00.metr2")
+	return []blockedFile{
+		{FormatColumnar.String(), writeColumnar(t, dt.Device, dt.Start, dt.Records), dt},
+		{FormatBlocked.String(), legacy, legacyDT},
 	}
 }
 
 func TestBlockedIndex(t *testing.T) {
-	recs := genRecords(5000)
-	data := writeBlocked(t, recs)
-	device, start, blocks, ok, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
-	if err != nil || !ok {
-		t.Fatalf("ReadBlockIndex: ok=%v err=%v", ok, err)
-	}
-	if device != "device-b" || start != 1000 {
-		t.Fatalf("header: device=%q start=%d", device, start)
-	}
-	if len(blocks) < 3 {
-		t.Fatalf("expected several blocks, got %d", len(blocks))
-	}
-	total := 0
-	for i, b := range blocks {
-		total += b.Count
-		if b.First > b.Last {
-			t.Errorf("block %d: First %d > Last %d", i, b.First, b.Last)
+	for _, f := range blockedFiles(t, 5000) {
+		device, start, blocks, ok, err := ReadBlockIndex(bytes.NewReader(f.data), int64(len(f.data)))
+		if err != nil || !ok {
+			t.Fatalf("%s: ReadBlockIndex: ok=%v err=%v", f.name, ok, err)
 		}
-		if b.UncompLen <= 0 || b.CompLen <= 0 {
-			t.Errorf("block %d: degenerate lengths %+v", i, b)
+		if device != f.dt.Device || start != f.dt.Start {
+			t.Fatalf("%s: header: device=%q start=%d", f.name, device, start)
 		}
-	}
-	if total != len(recs) {
-		t.Fatalf("index counts %d records, wrote %d", total, len(recs))
+		if len(blocks) < 3 {
+			t.Fatalf("%s: expected several blocks, got %d", f.name, len(blocks))
+		}
+		total := 0
+		for i, b := range blocks {
+			total += b.Count
+			if b.First > b.Last {
+				t.Errorf("%s: block %d: First %d > Last %d", f.name, i, b.First, b.Last)
+			}
+			if b.UncompLen <= 0 || b.CompLen <= 0 {
+				t.Errorf("%s: block %d: degenerate lengths %+v", f.name, i, b)
+			}
+		}
+		if total != len(f.dt.Records) {
+			t.Fatalf("%s: index counts %d records, file holds %d", f.name, total, len(f.dt.Records))
+		}
 	}
 }
 
 func TestBlockedParallelMatchesSequential(t *testing.T) {
-	recs := genRecords(5000)
-	data := writeBlocked(t, recs)
-	path := filepath.Join(t.TempDir(), "u.metr")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seq := streamFile(t, path)
-	for _, workers := range []int{1, 2, 4, 8} {
-		par, err := ReadFileParallel(path, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Device != seq.Device || par.Start != seq.Start {
-			t.Fatalf("workers=%d: header mismatch", workers)
-		}
-		if len(par.Records) != len(seq.Records) {
-			t.Fatalf("workers=%d: %d records vs %d", workers, len(par.Records), len(seq.Records))
-		}
-		for i := range seq.Records {
-			if !sameRecord(&par.Records[i], &seq.Records[i]) {
-				t.Fatalf("workers=%d: record %d differs", workers, i)
+	for _, f := range blockedFiles(t, 5000) {
+		path := writeTemp(t, f.data)
+		seq := streamFile(t, path)
+		for _, workers := range []int{1, 2, 4, 8} {
+			par, err := ReadFileParallel(path, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got, want := par.Apps.Names(), seq.Apps.Names(); len(got) != len(want) {
-			t.Fatalf("workers=%d: app tables differ", workers)
+			if par.Device != seq.Device || par.Start != seq.Start {
+				t.Fatalf("%s workers=%d: header mismatch", f.name, workers)
+			}
+			if len(par.Records) != len(seq.Records) {
+				t.Fatalf("%s workers=%d: %d records vs %d", f.name, workers, len(par.Records), len(seq.Records))
+			}
+			for i := range seq.Records {
+				if !sameRecord(&par.Records[i], &seq.Records[i]) {
+					t.Fatalf("%s workers=%d: record %d differs", f.name, workers, i)
+				}
+			}
+			if got, want := par.Apps.Names(), seq.Apps.Names(); len(got) != len(want) {
+				t.Fatalf("%s workers=%d: app tables differ", f.name, workers)
+			}
 		}
 	}
 }
 
 func TestBlockedParallelFallsBackOnV1(t *testing.T) {
-	recs := sampleRecords()
-	for _, format := range []Format{FormatFlat, FormatDeflate} {
-		var buf bytes.Buffer
-		dt := &DeviceTrace{Device: "d", Start: 1000, Records: recs}
-		if err := dt.SerializeFormat(&buf, format); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "u.metr")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadFileParallel(path, 4)
+	flat, err := (&DeviceTrace{Device: "d", Start: 1000, Records: sampleRecords()}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deflate, deflateDT := legacyFixture(t, "u00.metz1")
+	for _, c := range []struct {
+		format Format
+		data   []byte
+		want   int
+	}{{FormatFlat, flat, len(sampleRecords())}, {FormatDeflate, deflate, len(deflateDT.Records)}} {
+		got, err := ReadFileParallel(writeTemp(t, c.data), 4)
 		if err != nil {
-			t.Fatalf("%v: %v", format, err)
+			t.Fatalf("%v: %v", c.format, err)
 		}
-		if len(got.Records) != len(recs) {
-			t.Fatalf("%v: %d records, want %d", format, len(got.Records), len(recs))
+		if len(got.Records) != c.want {
+			t.Fatalf("%v: %d records, want %d", c.format, len(got.Records), c.want)
 		}
 	}
 }
 
 func TestBlockedTruncatedFooterStreamsAnyway(t *testing.T) {
-	recs := genRecords(3000)
-	data := writeBlocked(t, recs)
-	// Cut off the footer and half the index: the seekable path must decline
-	// (ok=false) and the streaming fallback must still deliver every block.
-	cut := data[:len(data)-footerLen-10]
-	if _, _, _, ok, _ := ReadBlockIndex(bytes.NewReader(cut), int64(len(cut))); ok {
-		t.Fatal("truncated footer accepted")
-	}
-	path := filepath.Join(t.TempDir(), "u.metr")
-	if err := os.WriteFile(path, cut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dt, err := ReadFileParallel(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dt.Records) != len(recs) {
-		t.Fatalf("read %d records, want %d", len(dt.Records), len(recs))
+	for _, f := range blockedFiles(t, 3000) {
+		// Cut off the footer and half the index: the seekable path must
+		// decline (ok=false) and the streaming fallback must still deliver
+		// every block.
+		cut := f.data[:len(f.data)-footerLen-10]
+		if _, _, _, ok, _ := ReadBlockIndex(bytes.NewReader(cut), int64(len(cut))); ok {
+			t.Fatalf("%s: truncated footer accepted", f.name)
+		}
+		dt, err := ReadFileParallel(writeTemp(t, cut), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dt.Records) != len(f.dt.Records) {
+			t.Fatalf("%s: read %d records, want %d", f.name, len(dt.Records), len(f.dt.Records))
+		}
 	}
 }
 
-// blockCodecs is the table the frame-layer tests run over: what block.go
-// checks must hold whichever payload codec sits inside the frames.
+// blockCodecs is the table the crafted-file tests run over: what block.go
+// checks must hold whichever payload codec sits inside the frames. The files
+// are assembled byte by byte, so the read-only METR-2 gets the same probes.
 var blockCodecs = []struct {
 	format     Format
 	craftBlock func(raw []byte, count int, first, last Timestamp) []byte
@@ -313,18 +297,15 @@ func writeTemp(t *testing.T, data []byte) string {
 }
 
 func TestBlockedCorruptionDetected(t *testing.T) {
-	recs := genRecords(800)
-	dt := &DeviceTrace{Device: "device-b", Start: 1000, Records: recs}
-	for _, c := range blockCodecs {
-		var buf bytes.Buffer
-		if err := dt.SerializeFormat(&buf, c.format); err != nil {
+	for _, f := range blockedFiles(t, 800) {
+		data, recs := f.data, f.dt.Records
+		_, _, blocks, _, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
 			t.Fatal(err)
 		}
-		data := buf.Bytes()
-		headerLen := len(magicBlocked) + 1 + len("device-b") + 2
 		for _, p := range readPaths {
-			t.Run(c.format.String()+"/"+p.name, func(t *testing.T) {
-				for pos := headerLen; pos < len(data); pos += 997 {
+			t.Run(f.name+"/"+p.name, func(t *testing.T) {
+				for pos := int(blocks[0].Offset); pos < len(data); pos += 997 {
 					mut := append([]byte(nil), data...)
 					mut[pos] ^= 0xff
 					// Any clean error is acceptable; silence is not: a
@@ -344,23 +325,26 @@ func TestBlockedCorruptionDetected(t *testing.T) {
 
 func TestBlockedEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewBlockWriter(&buf, "empty", 5)
+	w, err := NewColumnWriter(&buf, "empty", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-	_, _, blocks, ok, err := ReadBlockIndex(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil || !ok || len(blocks) != 0 {
-		t.Fatalf("empty index: ok=%v blocks=%d err=%v", ok, len(blocks), err)
+	// craftIndexFile with no entries is an empty METR-2 file, byte for byte.
+	for _, data := range [][]byte{buf.Bytes(), craftIndexFile(0, nil)} {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("%v: want EOF, got %v", r.Format(), err)
+		}
+		_, _, blocks, ok, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+		if err != nil || !ok || len(blocks) != 0 {
+			t.Fatalf("%v: empty index: ok=%v blocks=%d err=%v", r.Format(), ok, len(blocks), err)
+		}
 	}
 }
 
@@ -368,56 +352,62 @@ func TestBlockedEmptyTrace(t *testing.T) {
 // is warm, serving records out of a decoded block allocates nothing, and
 // block transitions amortize to well under 1/100 alloc per record.
 func TestBlockDecodeAllocFree(t *testing.T) {
-	recs := genRecords(20000)
-	data := writeBlocked(t, recs)
-	_, _, blocks, ok, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
-	if err != nil || !ok || len(blocks) < 2 {
-		t.Fatalf("index: ok=%v blocks=%d err=%v", ok, len(blocks), err)
-	}
-
-	// Serving records out of an already-decoded block must allocate zero:
-	// decode the first block (and consume the two RecAppName records, whose
-	// name strings legitimately allocate), then count mallocs over the rest
-	// of that block.
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := r.Next(); err != nil {
-			t.Fatal(err)
+	for _, f := range blockedFiles(t, 20000) {
+		data, recs := f.data, f.dt.Records
+		_, _, blocks, ok, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+		if err != nil || !ok || len(blocks) < 2 {
+			t.Fatalf("%s: index: ok=%v blocks=%d err=%v", f.name, ok, len(blocks), err)
 		}
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 2; i < blocks[0].Count; i++ {
-		if _, err := r.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	if got := m1.Mallocs - m0.Mallocs; got != 0 {
-		t.Errorf("%d allocs serving %d records from a decoded block, want 0", got, blocks[0].Count-1)
-	}
 
-	// Whole-file amortized budget: block transitions pay for buffer growth
-	// and the stdlib inflater's per-block Huffman tables, nothing scales
-	// with the record count.
-	n := len(recs)
-	allocs := testing.AllocsPerRun(2, func() {
+		// Serving records out of an already-decoded block must allocate zero:
+		// decode the first block (and consume the leading RecAppName records,
+		// whose name strings legitimately allocate), then count mallocs over
+		// the rest of that block.
+		names := 0
+		for recs[names].Type == RecAppName {
+			names++
+		}
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < names; i++ {
 			if _, err := r.Next(); err != nil {
 				t.Fatal(err)
 			}
 		}
-	})
-	if perRecord := allocs / float64(n); perRecord > 0.25 {
-		t.Errorf("%.4f allocs/record amortized (total %v over %d records)", perRecord, allocs, n)
+		prev := runtime.GOMAXPROCS(1)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := names; i < blocks[0].Count; i++ {
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		runtime.GOMAXPROCS(prev)
+		if got := m1.Mallocs - m0.Mallocs; got != 0 {
+			t.Errorf("%s: %d allocs serving %d records from a decoded block, want 0", f.name, got, blocks[0].Count-names)
+		}
+
+		// Whole-file amortized budget: block transitions pay for buffer
+		// growth, the app names and (METR-2) the stdlib inflater's per-block
+		// Huffman tables, nothing scales with the record count.
+		n := len(recs)
+		allocs := testing.AllocsPerRun(2, func() {
+			r, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := r.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if perRecord := allocs / float64(n); perRecord > 0.25 {
+			t.Errorf("%s: %.4f allocs/record amortized (total %v over %d records)", f.name, perRecord, allocs, n)
+		}
 	}
 }
 
@@ -552,50 +542,57 @@ func TestBlockTrailingBytesRejected(t *testing.T) {
 }
 
 func TestBlockedDeviceNameBoundary(t *testing.T) {
-	// The shared cap must round-trip at the boundary through every
-	// container, and be rejected at write time one byte past it.
+	// The shared cap must round-trip at the boundary through both writers,
+	// and be rejected at write time one byte past it.
 	atCap := strings.Repeat("d", maxDeviceName)
 	past := atCap + "x"
-	for _, format := range []Format{FormatFlat, FormatDeflate, FormatBlocked} {
+	for format, open := range map[Format]func(w io.Writer, device string) (flush func() error, err error){
+		FormatFlat: func(w io.Writer, device string) (func() error, error) {
+			tw, err := NewWriter(w, device, 7)
+			if err != nil {
+				return nil, err
+			}
+			return tw.Flush, nil
+		},
+		FormatColumnar: func(w io.Writer, device string) (func() error, error) {
+			cw, err := NewColumnWriter(w, device, 7)
+			if err != nil {
+				return nil, err
+			}
+			return cw.Flush, nil
+		},
+	} {
 		var buf bytes.Buffer
-		w, err := NewFormatWriter(&buf, format, atCap, 7)
+		flush, err := open(&buf, atCap)
 		if err != nil {
 			t.Fatalf("%v: writer rejected %d-byte name: %v", format, maxDeviceName, err)
 		}
-		if err := w.Flush(); err != nil {
+		if err := flush(); err != nil {
 			t.Fatal(err)
 		}
 		r, err := NewReader(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%v: reader rejected %d-byte name: %v", format, maxDeviceName, err)
 		}
-		if r.Device() != atCap {
+		if r.Device() != atCap || r.Format() != format {
 			t.Fatalf("%v: device name did not round-trip", format)
 		}
-		if _, err := NewFormatWriter(io.Discard, format, past, 7); err == nil {
+		if _, err := open(io.Discard, past); err == nil {
 			t.Fatalf("%v: writer accepted %d-byte name the reader would refuse", format, len(past))
 		}
 	}
 }
 
-// frameWriterAPI is what both blocked writers offer beyond RecordWriter.
-type frameWriterAPI interface {
-	RecordWriter
-	WriteBatch(*RecordBatch) (int, error)
-	Sync() error
-}
-
-// writeVia serialises recs into format through put, which is handed the
-// writer and returns the error that stopped it, if any; Flush follows a
-// clean run. It returns the bytes and how many records the writer counted.
-func writeVia(t *testing.T, format Format, put func(w frameWriterAPI) error) ([]byte, uint64, error) {
+// writeVia serialises into METR-3 through put, which is handed the writer
+// and returns the error that stopped it, if any; Flush follows a clean run.
+// It returns the bytes and how many records the writer counted.
+func writeVia(t *testing.T, put func(w *ColumnWriter) error) ([]byte, uint64, error) {
 	t.Helper()
 	var buf bytes.Buffer
-	rw, err := NewFormatWriter(&buf, format, "device-b", 1000)
+	w, err := NewColumnWriter(&buf, "device-b", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := rw.(frameWriterAPI)
 	if err := put(w); err != nil {
 		return buf.Bytes(), w.Count(), err
 	}
@@ -613,53 +610,51 @@ func TestWriteBatchMatchesWriteLoop(t *testing.T) {
 	recs := genRecords(5000) // several blocks, so chunks straddle cuts
 	bad := append(append([]Record(nil), recs[:3001]...), recs[3000:]...)
 	bad[3001].TS = bad[3000].TS - 1
-	for _, c := range blockCodecs {
-		for _, in := range []struct {
-			name string
-			recs []Record
-			want error
-		}{{"in-order", recs, nil}, {"out-of-order", bad, ErrOutOfOrder}} {
-			wantData, wantCount, err := writeVia(t, c.format, func(w frameWriterAPI) error {
-				for i := range in.recs {
-					if err := w.Write(&in.recs[i]); err != nil {
-						return err
-					}
+	for _, in := range []struct {
+		name string
+		recs []Record
+		want error
+	}{{"in-order", recs, nil}, {"out-of-order", bad, ErrOutOfOrder}} {
+		wantData, wantCount, err := writeVia(t, func(w *ColumnWriter) error {
+			for i := range in.recs {
+				if err := w.Write(&in.recs[i]); err != nil {
+					return err
 				}
-				return nil
-			})
-			if !errors.Is(err, in.want) {
-				t.Fatalf("%v/%s: Write loop: %v", c.format, in.name, err)
 			}
-			for _, chunk := range []int{1, 7, 128, len(in.recs)} {
-				t.Run(fmt.Sprintf("%v/%s/chunk%d", c.format, in.name, chunk), func(t *testing.T) {
-					data, count, err := writeVia(t, c.format, func(w frameWriterAPI) error {
-						var b RecordBatch
-						for lo := 0; lo < len(in.recs); lo += chunk {
-							b.Reset()
-							for i := lo; i < lo+chunk && i < len(in.recs); i++ {
-								b.Append(&in.recs[i])
-							}
-							for rest := b; rest.Len() > 0; {
-								n, err := w.WriteBatch(&rest)
-								if err != nil {
-									return err
-								}
-								rest = rest.Slice(n, rest.Len())
-							}
+			return nil
+		})
+		if !errors.Is(err, in.want) {
+			t.Fatalf("%s: Write loop: %v", in.name, err)
+		}
+		for _, chunk := range []int{1, 7, 128, len(in.recs)} {
+			t.Run(fmt.Sprintf("%v/%s/chunk%d", FormatColumnar, in.name, chunk), func(t *testing.T) {
+				data, count, err := writeVia(t, func(w *ColumnWriter) error {
+					var b RecordBatch
+					for lo := 0; lo < len(in.recs); lo += chunk {
+						b.Reset()
+						for i := lo; i < lo+chunk && i < len(in.recs); i++ {
+							b.Append(&in.recs[i])
 						}
-						return nil
-					})
-					if !errors.Is(err, in.want) {
-						t.Fatalf("err = %v, want %v", err, in.want)
+						for rest := b; rest.Len() > 0; {
+							n, err := w.WriteBatch(&rest)
+							if err != nil {
+								return err
+							}
+							rest = rest.Slice(n, rest.Len())
+						}
 					}
-					if count != wantCount {
-						t.Fatalf("stopped at record %d, the Write loop at %d", count, wantCount)
-					}
-					if !bytes.Equal(data, wantData) {
-						t.Fatalf("%d bytes differ from the Write loop's %d", len(data), len(wantData))
-					}
+					return nil
 				})
-			}
+				if !errors.Is(err, in.want) {
+					t.Fatalf("err = %v, want %v", err, in.want)
+				}
+				if count != wantCount {
+					t.Fatalf("stopped at record %d, the Write loop at %d", count, wantCount)
+				}
+				if !bytes.Equal(data, wantData) {
+					t.Fatalf("%d bytes differ from the Write loop's %d", len(data), len(wantData))
+				}
+			})
 		}
 	}
 }
@@ -671,39 +666,42 @@ func TestWriteBatchMatchesWriteLoop(t *testing.T) {
 // ahead of the tail is still an error.
 func TestScanTornTail(t *testing.T) {
 	recs := genRecords(1500)
-	head, tail := recs[:1480], recs[1480:]
-	for _, c := range blockCodecs {
-		t.Run(c.format.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			rw, err := NewFormatWriter(&buf, c.format, "device-b", 1000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := rw.(frameWriterAPI)
-			for i := range head {
-				if err := w.Write(&head[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			lastBlock := buf.Len()
-			for i := range tail {
-				if err := w.Write(&tail[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Sync(); err != nil { // no Flush: the file stays unsealed
-				t.Fatal(err)
-			}
-			data := buf.Bytes()
+	unsealed, lastBlock := unsealedColumnar(t, recs[:1480], recs[1480:])
+
+	// The METR-2 fixture with its index and footer cut off is the same
+	// thing in the other payload codec. Its last block is 12 KB, so the
+	// tear is sampled there (every 1009th byte, and every byte of the 16 at
+	// either end).
+	legacy, legacyDT := legacyFixture(t, "u00.metr2")
+	ix, err := readBlockIndex(bytes.NewReader(legacy), int64(len(legacy)))
+	if err != nil || ix == nil {
+		t.Fatalf("fixture index: %v", err)
+	}
+	last := ix.blocks[len(ix.blocks)-1]
+
+	for _, c := range []struct {
+		name       string
+		data       []byte
+		firstBlock int
+		lastBlock  int
+		recs       []Record
+		tail       int // records in the last block
+		step       int
+	}{
+		{FormatColumnar.String(), unsealed, len(magicColumnar) + 1 + len("device-b") + 2, lastBlock, recs, len(recs) - 1480, 1},
+		{FormatBlocked.String(), legacy[:ix.dataEnd], int(ix.blocks[0].Offset), int(last.Offset), legacyDT.Records, last.Count, 1009},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			data, lastBlock, head := c.data, c.lastBlock, c.recs[:len(c.recs)-c.tail]
 			stream, scan := readPaths[0].read, readPaths[2].read
 
 			for cut := lastBlock; cut <= len(data); cut++ {
+				if d := cut - lastBlock; c.step > 1 && d > 16 && len(data)-cut > 16 && d%c.step != 0 {
+					continue
+				}
 				want := head
 				if cut == len(data) {
-					want = recs
+					want = c.recs
 				}
 				got, err := scan(t, data[:cut])
 				if err != nil {
@@ -727,7 +725,7 @@ func TestScanTornTail(t *testing.T) {
 
 			// Before the tail the torn-tail rule forgives nothing: a bad
 			// tag, a CRC mismatch, a malformed header.
-			firstBlock := len(magicBlocked) + 1 + len("device-b") + 2
+			firstBlock := c.firstBlock
 			for name, mutate := range map[string]func(d []byte){
 				"bad tag":      func(d []byte) { d[firstBlock] = 'X' },
 				"crc mismatch": func(d []byte) { d[lastBlock-1] ^= 0xff },

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"encoding/binary"
-	"errors"
-	"io"
 	"math/bits"
 	"sync"
 
@@ -285,8 +283,16 @@ func unpackColumn(raw []byte, p int, u64 []uint64, maxW uint) (int, bool) {
 	return p + nb, true
 }
 
-// ColumnWriter streams records into a METR-3 columnar container.
-type ColumnWriter struct{ frameWriter }
+// columnEncoder holds the block a ColumnWriter is staging — in a
+// RecordBatch, which is already the shape the payload stores — and the
+// buffers that turn it into a payload.
+type columnEncoder struct {
+	batch RecordBatch
+	raw   []byte
+	comp  []byte
+	u64   []uint64
+	lza   *lz.Appender
+}
 
 // encoderPool hands a sealed writer's block buffers — the staged batch, the
 // column image, the compressed block and the LZ hash table, about 1 MB once
@@ -296,63 +302,20 @@ type ColumnWriter struct{ frameWriter }
 // of the node's allocation and kept it in a GC cycle every 20 ms.
 var encoderPool = sync.Pool{New: func() any { return &columnEncoder{lza: new(lz.Appender)} }}
 
-var errFlushed = errors.New("trace: writer used after Flush")
-
-// NewColumnWriter writes the METR-3 file header and returns a
-// ColumnWriter.
-func NewColumnWriter(w io.Writer, device string, start Timestamp) (*ColumnWriter, error) {
-	cw, enc := new(ColumnWriter), encoderPool.Get().(*columnEncoder)
-	if err := cw.init(w, containerColumnar, enc, device, start); err != nil {
-		encoderPool.Put(enc)
-		return nil, err
-	}
-	return cw, nil
-}
-
-// Flush seals the file. The writer is finished: its encoder, empty once the
-// last block is cut, goes back to the pool, and any further call fails
-// rather than reach buffers another writer may hold by then.
-func (cw *ColumnWriter) Flush() error {
-	err := cw.frameWriter.Flush()
-	if err == nil {
-		encoderPool.Put(cw.enc)
-		cw.enc, cw.err = nil, errFlushed
-	}
-	return err
-}
-
-// columnEncoder is the METR-3 blockEncoder: records are staged in a
-// RecordBatch, which is already the shape the payload stores.
-type columnEncoder struct {
-	batch RecordBatch
-	raw   []byte
-	comp  []byte
-	u64   []uint64
-	lza   *lz.Appender
-}
-
-// full estimates the uncompressed image: ~11 bytes/record covers the three
-// byte columns plus typical packed timestamp/app/len widths; the blob
-// dominates for packet-heavy data.
+// full estimates the uncompressed image against targetBlockSize: ~11
+// bytes/record covers the three byte columns plus typical packed
+// timestamp/app/len widths; the blob dominates for packet-heavy data.
 func (e *columnEncoder) full() bool {
 	return len(e.batch.Blob)+11*e.batch.Len() >= targetBlockSize
 }
 
-func (e *columnEncoder) add(r *Record) (bool, error) {
-	e.batch.Append(r)
-	return e.full(), nil
-}
-
-func (e *columnEncoder) addFrom(b *RecordBatch, i int) (bool, error) {
-	e.batch.AppendFrom(b, i)
-	return e.full(), nil
-}
-
-func (e *columnEncoder) encode() (int, []byte, error) {
+// encode compresses the staged records into one payload (valid until the
+// next call), returns its uncompressed length and starts afresh.
+func (e *columnEncoder) encode() (ulen int, comp []byte) {
 	e.raw, e.u64 = appendColumns(e.raw[:0], &e.batch, e.batch.TS[0], e.u64)
 	e.comp = e.lza.Compress(e.comp[:0], e.raw)
 	e.batch.Reset()
-	return len(e.raw), e.comp, nil
+	return len(e.raw), e.comp
 }
 
 // decodeColumnBlock is the METR-3 container.decode.

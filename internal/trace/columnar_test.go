@@ -151,17 +151,32 @@ func TestColumnarBatchReader(t *testing.T) {
 	requireRecordsEqual(t, recs, got)
 }
 
+// TestBatchReaderRowFormats: the three row containers come out of the batch
+// reader as the records the streaming reader gives — flat assembled into
+// batches, METZ1 the same under its flate layer, METR-2 a block at a time.
 func TestBatchReaderRowFormats(t *testing.T) {
 	recs := genRecords(6000)
-	for _, f := range []Format{FormatFlat, FormatDeflate, FormatBlocked} {
-		dt := &DeviceTrace{Device: "dev-row", Start: recs[0].TS, Records: recs}
-		var buf bytes.Buffer
-		if err := dt.SerializeFormat(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-		br, err := NewBatchReader(bytes.NewReader(buf.Bytes()))
+	flat, err := (&DeviceTrace{Device: "dev-row", Start: recs[0].TS, Records: recs}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deflate, deflateDT := legacyFixture(t, "u00.metz1")
+	blocked, blockedDT := legacyFixture(t, "u00.metr2")
+	for _, c := range []struct {
+		format Format
+		data   []byte
+		want   []Record
+	}{
+		{FormatFlat, flat, recs},
+		{FormatDeflate, deflate, deflateDT.Records},
+		{FormatBlocked, blocked, blockedDT.Records},
+	} {
+		br, err := NewBatchReader(bytes.NewReader(c.data))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if br.Format() != c.format {
+			t.Fatalf("sniffed %v, want %v", br.Format(), c.format)
 		}
 		var got []Record
 		var rec Record
@@ -183,7 +198,7 @@ func TestBatchReaderRowFormats(t *testing.T) {
 				got = append(got, cp)
 			}
 		}
-		requireRecordsEqual(t, recs, got)
+		requireRecordsEqual(t, c.want, got)
 	}
 }
 

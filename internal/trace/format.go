@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strings"
 )
 
 // The METR binary format, version 1:
@@ -34,13 +33,12 @@ var (
 	ErrCorrupt   = errors.New("trace: corrupt record (crc mismatch)")
 	ErrTruncated = errors.New("trace: truncated record")
 
-	// ErrOutOfOrder is returned by the blocked writers (METR-2/METR-3)
-	// when a record's timestamp precedes the previous record's. The block
-	// headers carry positional firstTS/lastTS, and range-pushdown scans
-	// prune blocks by treating those as min/max — an out-of-order record
-	// would silently vanish from every windowed query, so the writers
-	// reject it instead of recording it. The flat v1 container has no seek
-	// index and still accepts any order.
+	// ErrOutOfOrder is returned by ColumnWriter when a record's timestamp
+	// precedes the previous record's. The block headers carry positional
+	// firstTS/lastTS, and range-pushdown scans prune blocks by treating
+	// those as min/max — an out-of-order record would silently vanish from
+	// every windowed query, so the writer rejects it instead of recording
+	// it. The flat v1 stream has no seek index and accepts any order.
 	ErrOutOfOrder = errors.New("trace: record timestamp out of order")
 )
 
@@ -53,7 +51,7 @@ const (
 	maxRecordLen = 1 << 20 // sanity cap: no record is near 1 MiB
 
 	// maxDeviceName caps the header device field. The cap is enforced
-	// symmetrically: NewWriter and NewBlockWriter reject longer names, so
+	// symmetrically: NewWriter and NewColumnWriter reject longer names, so
 	// no writer can produce a file a reader refuses to open.
 	maxDeviceName = 4096
 
@@ -67,8 +65,10 @@ const (
 // Format identifies an on-disk trace container.
 type Format uint8
 
-// Container formats, oldest first. All are sniffed by NewReader; writers
-// pick one explicitly.
+// Container formats, oldest first. All are sniffed by NewReader. Only two
+// are written: FormatColumnar to disk (NewColumnWriter) and FormatFlat as
+// the in-memory stream form (NewWriter); FormatDeflate and FormatBlocked
+// are read-only, kept for files older builds wrote.
 const (
 	FormatFlat     Format = iota // "METR1": uncompressed record stream
 	FormatDeflate                // "METZ1": one DEFLATE layer around a METR1 stream
@@ -76,7 +76,7 @@ const (
 	FormatColumnar               // "METR3": columnar blocked container (bitpacked columns + LZ)
 )
 
-// String names the format as accepted by ParseFormat.
+// String names the format for reports ("flat", "deflate", "metr2", "metr3").
 func (f Format) String() string {
 	switch f {
 	case FormatFlat:
@@ -89,36 +89,6 @@ func (f Format) String() string {
 		return "metr3"
 	default:
 		return fmt.Sprintf("format(%d)", uint8(f))
-	}
-}
-
-// Formats lists every container format, oldest first.
-var Formats = [...]Format{FormatFlat, FormatDeflate, FormatBlocked, FormatColumnar}
-
-// FormatNames spells out Formats ("flat, deflate, metr2 or metr3") for the
-// -format flags' help and ParseFormat's error, so neither can fall behind
-// the list.
-func FormatNames() string {
-	names := make([]string, len(Formats))
-	for i, f := range Formats {
-		names[i] = f.String()
-	}
-	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
-}
-
-// ParseFormat parses a format name as used by the -format command flags.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "flat", "v1", "metr1":
-		return FormatFlat, nil
-	case "deflate", "v1z", "metz1":
-		return FormatDeflate, nil
-	case "metr2", "blocked", "v2":
-		return FormatBlocked, nil
-	case "metr3", "columnar", "v3":
-		return FormatColumnar, nil
-	default:
-		return 0, fmt.Errorf("trace: unknown format %q (want %s)", s, FormatNames())
 	}
 }
 
@@ -148,12 +118,11 @@ func mapReadErr(err error, eofAs error, ctx string) error {
 	}
 }
 
-// Writer streams trace records to an underlying io.Writer in METR format.
-// Records must be written in non-decreasing timestamp order for best
+// Writer streams trace records to an underlying io.Writer in the flat METR1
+// form. Records must be written in non-decreasing timestamp order for best
 // compression, but the format itself permits any order.
 type Writer struct {
 	w       *bufio.Writer
-	fw      *flate.Writer // non-nil for compressed output
 	lastTS  Timestamp
 	scratch []byte
 	err     error
@@ -198,42 +167,12 @@ func NewWriter(w io.Writer, device string, start Timestamp) (*Writer, error) {
 // Count returns the number of records written so far.
 func (w *Writer) Count() uint64 { return w.count }
 
-// Flush flushes buffered records to the underlying writer. For compressed
-// writers this also terminates the DEFLATE stream, so Flush must be the
-// final call.
+// Flush flushes buffered records to the underlying writer.
 func (w *Writer) Flush() error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if w.fw != nil {
-		return w.fw.Close()
-	}
-	return nil
-}
-
-// NewCompressedWriter is NewWriter with a DEFLATE-compressed container
-// ("METZ1" magic). The reader auto-detects both forms. Compressed traces
-// are a few times smaller at some CPU cost.
-func NewCompressedWriter(w io.Writer, device string, start Timestamp) (*Writer, error) {
-	if err := checkDeviceName(device); err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(magicFlat); err != nil {
-		return nil, err
-	}
-	fw, err := flate.NewWriter(w, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	tw, err := NewWriter(fw, device, start)
-	if err != nil {
-		return nil, err
-	}
-	tw.fw = fw
-	return tw, nil
+	return w.w.Flush()
 }
 
 // appendBody appends the varint-packed body of r to b, with the timestamp

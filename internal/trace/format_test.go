@@ -130,17 +130,17 @@ func TestNestedContainerRejected(t *testing.T) {
 			t.Fatalf("depth %d: err = %v, want ErrCorrupt", depth, err)
 		}
 	}
-	// A blocked container inside a compressed one is equally malformed.
-	var inner bytes.Buffer
-	bw, err := NewBlockWriter(&inner, "d", 0)
-	if err != nil {
-		t.Fatal(err)
+	// A blocked container inside a compressed one is equally malformed...
+	for _, inner := range [][]byte{craftIndexFile(0, nil), metr3Sample()} {
+		if _, err := NewReader(bytes.NewReader(nestedContainer(1, inner))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("blocked-in-compressed: err = %v, want ErrCorrupt", err)
+		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewReader(bytes.NewReader(nestedContainer(1, inner.Bytes()))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("blocked-in-compressed: err = %v, want ErrCorrupt", err)
+	// ...and so is a real METZ1 file — one an old build wrote, not one built
+	// here — wrapped once more.
+	metz1, _ := legacyFixture(t, "u00.metz1")
+	if _, err := NewReader(bytes.NewReader(nestedContainer(1, metz1))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("METZ1 in a second deflate layer: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -384,73 +384,24 @@ func BenchmarkReadPacketRecords(b *testing.B) {
 	}
 }
 
-func TestCompressedRoundTrip(t *testing.T) {
-	recs := sampleRecords()
-	var buf bytes.Buffer
-	w, err := NewCompressedWriter(&buf, "device-z", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Device() != "device-z" {
-		t.Fatalf("device = %q", r.Device())
-	}
-	n := 0
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Type != recs[n].Type || rec.TS != recs[n].TS {
-			t.Fatalf("record %d mismatch", n)
-		}
-		n++
-	}
-	if n != len(recs) {
-		t.Fatalf("read %d records, want %d", n, len(recs))
-	}
-}
-
 func TestCompressedSmaller(t *testing.T) {
-	// A repetitive packet trace must compress well.
-	mk := func(compress bool) int {
-		var buf bytes.Buffer
-		var w *Writer
-		var err error
-		if compress {
-			w, err = NewCompressedWriter(&buf, "d", 0)
-		} else {
-			w, err = NewWriter(&buf, "d", 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := bytes.Repeat([]byte{0x45, 0, 0, 60}, 24)
-		for i := 0; i < 2000; i++ {
-			w.Write(&Record{Type: RecPacket, TS: Timestamp(i * 100000), App: 3,
-				Net: NetCellular, State: StateService, Payload: payload})
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Len()
+	// A repetitive packet trace must compress well: the container written to
+	// disk against the flat stream form of the same records.
+	dt := &DeviceTrace{Device: "d"}
+	payload := bytes.Repeat([]byte{0x45, 0, 0, 60}, 24)
+	for i := 0; i < 2000; i++ {
+		dt.Records = append(dt.Records, Record{Type: RecPacket, TS: Timestamp(i * 100000), App: 3,
+			Net: NetCellular, State: StateService, Payload: payload})
 	}
-	plain, compressed := mk(false), mk(true)
-	if compressed*3 > plain {
-		t.Errorf("compressed %d vs plain %d: expected >3x reduction", compressed, plain)
+	plain, err := dt.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compressed bytes.Buffer
+	if err := dt.SerializeColumnar(&compressed); err != nil {
+		t.Fatal(err)
+	}
+	if compressed.Len()*3 > len(plain) {
+		t.Errorf("compressed %d vs plain %d: expected >3x reduction", compressed.Len(), len(plain))
 	}
 }

@@ -29,21 +29,23 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("METR1\n"))
 	f.Add([]byte{})
 
-	// Seed: a valid blocked (METR-2) trace, so the fuzzer explores the
-	// block decoder too.
-	var bbuf bytes.Buffer
-	bw, _ := NewBlockWriter(&bbuf, "dev", 1000)
-	bw.Write(&Record{Type: RecAppName, TS: 1000, App: 0, AppName: "com.a"})
-	bw.Write(&Record{Type: RecPacket, TS: 2000, App: 0, Dir: DirUp,
-		Net: NetCellular, State: StateService, Payload: []byte{0x45, 0, 0, 20}})
-	bw.Flush()
-	f.Add(bbuf.Bytes())
+	// Seeds: valid METR-2 traces, so the fuzzer explores the row-block
+	// decoder too — a hand-assembled one-record file for cheap mutations and
+	// the three-block fixture an old build wrote.
+	metr2 := craftBlockFile(blockCodecs[0].screenAt, 1, 100, 100)
+	f.Add(metr2)
+	legacy, _ := legacyFixture(f, "u00.metr2")
+	f.Add(legacy)
 
 	// Seed: the nesting attack — a compressed container whose decompressed
 	// stream opens another compressed container. The reader must reject it
 	// at the depth cap instead of nesting flate readers without bound.
 	f.Add(nestedContainer(3, buf.Bytes()))
-	f.Add(nestedContainer(1, bbuf.Bytes()))
+	f.Add(nestedContainer(1, metr2))
+	// Seeds: METZ1, one layer — built here, and the fixture.
+	f.Add(nestedContainer(1, buf.Bytes()))
+	metz1, _ := legacyFixture(f, "u00.metz1")
+	f.Add(metz1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
@@ -71,16 +73,12 @@ func FuzzReader(f *testing.F) {
 // or an allocation sized by attacker-controlled index fields (the index is
 // CRC-protected against corruption, not against being crafted whole).
 func FuzzReadFileParallel(f *testing.F) {
-	// Seed: a valid multi-block METR-2 file so the fuzzer starts from an
-	// intact footer index and mutates its fields.
-	var bbuf bytes.Buffer
-	bw, _ := NewBlockWriter(&bbuf, "dev", 1000)
-	bw.Write(&Record{Type: RecAppName, TS: 1000, App: 0, AppName: "com.a"})
-	bw.Write(&Record{Type: RecPacket, TS: 2000, App: 0, Dir: DirUp,
-		Net: NetCellular, State: StateService, Payload: []byte{0x45, 0, 0, 20}})
-	bw.Write(&Record{Type: RecScreen, TS: 3000, ScreenOn: true})
-	bw.Flush()
-	f.Add(bbuf.Bytes())
+	// Seed: the multi-block METR-2 fixture, so the fuzzer starts from an
+	// intact footer index and mutates its fields; and a hand-assembled
+	// one-block file, small enough to mutate cheaply.
+	legacy, _ := legacyFixture(f, "u00.metr2")
+	f.Add(legacy)
+	f.Add(craftBlockFile(blockCodecs[0].screenAt, 1, 100, 100))
 
 	// Seed: a v1 file, covering the streaming fallback behind the same API.
 	var vbuf bytes.Buffer
@@ -261,7 +259,8 @@ func completeRecords(data []byte) int {
 	if len(data) < 6 || containerOf(data[:6]) == nil {
 		return 0
 	}
-	br := bufio.NewReader(bytes.NewReader(data[6:]))
+	// Sized to hold the file, so Buffered below is all of it past the header.
+	br := bufio.NewReaderSize(bytes.NewReader(data[6:]), len(data))
 	if _, _, err := readFileHeader(br); err != nil {
 		return 0
 	}
@@ -285,20 +284,25 @@ func completeRecords(data []byte) int {
 // the end of the file to it — with the same records, and never deliver a
 // record of a block that is incomplete or fails its CRC.
 func FuzzScanFile(f *testing.F) {
-	for _, format := range []Format{FormatFlat, FormatBlocked, FormatColumnar} {
-		var buf bytes.Buffer
-		w, _ := NewFormatWriter(&buf, format, "dev", 1000)
-		w.Write(&Record{Type: RecAppName, TS: 1000, App: 0, AppName: "com.a"})
-		w.Write(&Record{Type: RecPacket, TS: 2000, App: 0, Dir: DirUp,
-			Net: NetCellular, State: StateService, Payload: []byte{0x45, 0, 0, 20}})
-		if s, ok := w.(interface{ Sync() error }); ok {
-			s.Sync() // two blocks, so a tear can leave one whole
-		}
-		w.Write(&Record{Type: RecScreen, TS: 3000, ScreenOn: true})
-		w.Flush()
-		f.Add(buf.Bytes(), uint16(0))
-		f.Add(buf.Bytes(), uint16(footerLen+3))  // unsealed
-		f.Add(buf.Bytes(), uint16(footerLen+20)) // unsealed, torn
+	recs := []Record{
+		{Type: RecAppName, TS: 1000, App: 0, AppName: "com.a"},
+		{Type: RecPacket, TS: 2000, App: 0, Dir: DirUp,
+			Net: NetCellular, State: StateService, Payload: []byte{0x45, 0, 0, 20}},
+		{Type: RecScreen, TS: 3000, ScreenOn: true},
+	}
+	flat, _ := (&DeviceTrace{Device: "dev", Start: 1000, Records: recs}).Encode()
+	var cbuf bytes.Buffer
+	cw, _ := NewColumnWriter(&cbuf, "dev", 1000)
+	cw.Write(&recs[0])
+	cw.Write(&recs[1])
+	cw.Sync() // two blocks, so a tear can leave one whole
+	cw.Write(&recs[2])
+	cw.Flush()
+	legacy, _ := legacyFixture(f, "u00.metr2") // three blocks
+	for _, data := range [][]byte{flat, legacy, cbuf.Bytes()} {
+		f.Add(data, uint16(0))
+		f.Add(data, uint16(footerLen+3))  // unsealed
+		f.Add(data, uint16(footerLen+20)) // unsealed, torn
 	}
 	f.Add([]byte{}, uint16(0))
 

@@ -52,15 +52,13 @@ func unsealedColumnar(t *testing.T, head, tail []Record) (data []byte, lastBlock
 // fails the way it fails.
 func TestReadFileMatchesStreaming(t *testing.T) {
 	recs := genRecords(5000)
-	serialized := func(f Format) []byte {
-		var buf bytes.Buffer
-		dt := &DeviceTrace{Device: "device-b", Start: 1000, Records: recs}
-		if err := dt.SerializeFormat(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	flat, err := (&DeviceTrace{Device: "device-b", Start: 1000, Records: recs}).Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	columnar := serialized(FormatColumnar)
+	deflate, _ := legacyFixture(t, "u00.metz1")
+	blocked, _ := legacyFixture(t, "u00.metr2")
+	columnar := writeColumnar(t, "device-b", 1000, recs)
 	unsealed, lastBlock := unsealedColumnar(t, recs[:4000], recs[4000:])
 
 	fixtures := []struct {
@@ -68,9 +66,9 @@ func TestReadFileMatchesStreaming(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"flat", serialized(FormatFlat), "ok"},
-		{"deflate", serialized(FormatDeflate), "ok"},
-		{"metr2", serialized(FormatBlocked), "ok"},
+		{"flat", flat, "ok"},
+		{"deflate", deflate, "ok"},
+		{"metr2", blocked, "ok"},
 		{"metr3", columnar, "ok"},
 		{"metr3 footer cut off", columnar[:len(columnar)-footerLen-10], "ok"},
 		{"metr3 unsealed", unsealed, "ok"},

@@ -12,68 +12,9 @@ import (
 //
 //	payload := DEFLATE(record*)
 //	record  := type:byte len:uvarint body:bytes       (body as in v1)
-
-// BlockWriter streams records into a METR-2 blocked container.
-type BlockWriter struct{ frameWriter }
-
-// NewBlockWriter writes the METR-2 file header and returns a BlockWriter.
-func NewBlockWriter(w io.Writer, device string, start Timestamp) (*BlockWriter, error) {
-	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	enc := &rowEncoder{fw: fw, raw: make([]byte, 0, targetBlockSize+4096)}
-	bw := new(BlockWriter)
-	if err := bw.init(w, containerBlocked, enc, device, start); err != nil {
-		return nil, err
-	}
-	return bw, nil
-}
-
-// rowEncoder is the METR-2 blockEncoder.
-type rowEncoder struct {
-	fw   *flate.Writer
-	comp bytes.Buffer
-	raw  []byte // uncompressed record frames of the block being staged
-	body []byte
-	last Timestamp // delta base; restarts at each block's first record
-	rec  Record    // addFrom's row
-}
-
-func (e *rowEncoder) add(r *Record) (bool, error) {
-	if len(e.raw) == 0 {
-		e.last = r.TS
-	}
-	body, err := appendBody(e.body[:0], r, e.last)
-	if err != nil {
-		return false, err
-	}
-	e.body = body // keep grown capacity
-	e.raw = append(e.raw, byte(r.Type))
-	e.raw = binary.AppendUvarint(e.raw, uint64(len(body)))
-	e.raw = append(e.raw, body...)
-	e.last = r.TS
-	return len(e.raw) >= targetBlockSize, nil
-}
-
-func (e *rowEncoder) addFrom(b *RecordBatch, i int) (bool, error) {
-	b.Record(i, &e.rec)
-	return e.add(&e.rec)
-}
-
-func (e *rowEncoder) encode() (int, []byte, error) {
-	e.comp.Reset()
-	e.fw.Reset(&e.comp)
-	if _, err := e.fw.Write(e.raw); err != nil {
-		return 0, nil, err
-	}
-	if err := e.fw.Close(); err != nil {
-		return 0, nil, err
-	}
-	ulen := len(e.raw)
-	e.raw = e.raw[:0]
-	return ulen, e.comp.Bytes(), nil
-}
+//
+// Decode only: METR-2 has no writer. Files older builds wrote stay readable
+// (testdata/legacy/u00.metr2 is one).
 
 // decodeRowBlock is the METR-2 container.decode: it inflates comp into raw
 // (reusing sc's DEFLATE reader via flate.Resetter) and walks the record

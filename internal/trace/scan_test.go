@@ -3,19 +3,19 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// scanRecords writes recs into a file of the given format and returns
-// every record ScanFile delivers for opt, plus the stats.
-func scanRecords(t *testing.T, format Format, recs []Record, opt ScanOptions) ([]Record, ScanStats) {
+// scanRecords returns every record ScanFile delivers from path for opt,
+// plus the stats.
+func scanRecords(t *testing.T, path string, opt ScanOptions) ([]Record, ScanStats) {
 	t.Helper()
-	path := writeScanFile(t, format, recs)
 	var stats ScanStats
 	var got []Record
-	device, err := ScanFile(path, opt, &stats, func(b *RecordBatch) error {
+	_, err := ScanFile(path, opt, &stats, func(b *RecordBatch) error {
 		var rec Record
 		for i := 0; i < b.Len(); i++ {
 			b.Record(i, &rec)
@@ -28,37 +28,42 @@ func scanRecords(t *testing.T, format Format, recs []Record, opt ScanOptions) ([
 	if err != nil {
 		t.Fatalf("ScanFile: %v", err)
 	}
-	if device != "scan-dev" {
-		t.Fatalf("device = %q", device)
-	}
 	return got, stats
 }
 
-func writeScanFile(t *testing.T, format Format, recs []Record) string {
+// scanFile is one file a scan test runs over and the records it holds.
+type scanFile struct {
+	format Format
+	path   string
+	recs   []Record
+}
+
+// scanFiles lays recs out in the two containers that are written — flat
+// (only when withV1, the no-index fallback) and METR-3 — and adds the legacy
+// fixtures beside them with the records they hold: METR-2 for the indexed
+// scan over the row codec, METZ1 (withV1) for the fallback under flate.
+func scanFiles(t *testing.T, recs []Record, withV1 bool) []scanFile {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "scan.metr")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	start := Timestamp(0)
+	dt := &DeviceTrace{Device: "scan-dev", Records: recs}
 	if len(recs) > 0 {
-		start = recs[0].TS
+		dt.Start = recs[0].TS
 	}
-	w, err := NewFormatWriter(f, format, "scan-dev", start)
-	if err != nil {
-		t.Fatal(err)
+	blocked, blockedDT := legacyFixture(t, "u00.metr2")
+	files := []scanFile{
+		{FormatBlocked, writeTemp(t, blocked), blockedDT.Records},
+		{FormatColumnar, writeTemp(t, writeColumnar(t, dt.Device, dt.Start, recs)), recs},
 	}
-	for i := range recs {
-		if err := w.Write(&recs[i]); err != nil {
+	if withV1 {
+		flat, err := dt.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
+		deflate, deflateDT := legacyFixture(t, "u00.metz1")
+		files = append(files,
+			scanFile{FormatFlat, writeTemp(t, flat), recs},
+			scanFile{FormatDeflate, writeTemp(t, deflate), deflateDT.Records})
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return files
 }
 
 // scanFixture builds n packet records with 1 KiB payloads at ts =
@@ -75,63 +80,57 @@ func scanFixture(n int) []Record {
 
 // TestWriterRejectsOutOfOrder is the satellite-1 regression: the block
 // headers' firstTS/lastTS are positional, and pushdown treats them as
-// min/max — so both blocked writers must reject an out-of-order record
+// min/max — so the blocked writer must reject an out-of-order record
 // rather than write a block whose advertised range lies.
 func TestWriterRejectsOutOfOrder(t *testing.T) {
-	for _, format := range []Format{FormatBlocked, FormatColumnar} {
-		t.Run(format.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			w, err := NewFormatWriter(&buf, format, "d", 1000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Write(&Record{Type: RecScreen, TS: 1000, ScreenOn: true}); err != nil {
-				t.Fatal(err)
-			}
-			// Equal timestamps are fine (ties are common in real traces).
-			if err := w.Write(&Record{Type: RecScreen, TS: 1000, ScreenOn: false}); err != nil {
-				t.Fatalf("equal ts rejected: %v", err)
-			}
-			if err := w.Write(&Record{Type: RecScreen, TS: 2000, ScreenOn: true}); err != nil {
-				t.Fatal(err)
-			}
-			err = w.Write(&Record{Type: RecScreen, TS: 1999, ScreenOn: false})
-			if !errors.Is(err, ErrOutOfOrder) {
-				t.Fatalf("out-of-order write: got %v, want ErrOutOfOrder", err)
-			}
-			// The writer is poisoned: later in-order writes keep failing.
-			if err := w.Write(&Record{Type: RecScreen, TS: 3000, ScreenOn: true}); !errors.Is(err, ErrOutOfOrder) {
-				t.Fatalf("write after rejection: got %v, want ErrOutOfOrder", err)
-			}
-		})
-	}
+	t.Run(FormatColumnar.String(), func(t *testing.T) {
+		w, err := NewColumnWriter(io.Discard, "d", 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(&Record{Type: RecScreen, TS: 1000, ScreenOn: true}); err != nil {
+			t.Fatal(err)
+		}
+		// Equal timestamps are fine (ties are common in real traces).
+		if err := w.Write(&Record{Type: RecScreen, TS: 1000, ScreenOn: false}); err != nil {
+			t.Fatalf("equal ts rejected: %v", err)
+		}
+		if err := w.Write(&Record{Type: RecScreen, TS: 2000, ScreenOn: true}); err != nil {
+			t.Fatal(err)
+		}
+		err = w.Write(&Record{Type: RecScreen, TS: 1999, ScreenOn: false})
+		if !errors.Is(err, ErrOutOfOrder) {
+			t.Fatalf("out-of-order write: got %v, want ErrOutOfOrder", err)
+		}
+		// The writer is poisoned: later in-order writes keep failing.
+		if err := w.Write(&Record{Type: RecScreen, TS: 3000, ScreenOn: true}); !errors.Is(err, ErrOutOfOrder) {
+			t.Fatalf("write after rejection: got %v, want ErrOutOfOrder", err)
+		}
+	})
 }
 
 // TestWriterOutOfOrderAcrossBlocks forces a block cut between the
 // in-order run and the regression record: the monotonicity reference
 // must survive block boundaries (where the delta base resets).
 func TestWriterOutOfOrderAcrossBlocks(t *testing.T) {
-	for _, format := range []Format{FormatBlocked, FormatColumnar} {
-		t.Run(format.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			w, err := NewFormatWriter(&buf, format, "d", 0)
-			if err != nil {
+	t.Run(FormatColumnar.String(), func(t *testing.T) {
+		w, err := NewColumnWriter(io.Discard, "d", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Repeat([]byte{1}, 4096)
+		for i := 0; i < 100; i++ { // ~400 KiB: at least one cut block
+			rec := Record{Type: RecPacket, TS: Timestamp(1000 * i), App: 1,
+				Dir: DirDown, Net: NetWiFi, State: StateForeground, Payload: payload}
+			if err := w.Write(&rec); err != nil {
 				t.Fatal(err)
 			}
-			payload := bytes.Repeat([]byte{1}, 4096)
-			for i := 0; i < 100; i++ { // ~400 KiB: at least one cut block
-				rec := Record{Type: RecPacket, TS: Timestamp(1000 * i), App: 1,
-					Dir: DirDown, Net: NetWiFi, State: StateForeground, Payload: payload}
-				if err := w.Write(&rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			err = w.Write(&Record{Type: RecScreen, TS: 500, ScreenOn: true})
-			if !errors.Is(err, ErrOutOfOrder) {
-				t.Fatalf("out-of-order write after block cut: got %v, want ErrOutOfOrder", err)
-			}
-		})
-	}
+		}
+		err = w.Write(&Record{Type: RecScreen, TS: 500, ScreenOn: true})
+		if !errors.Is(err, ErrOutOfOrder) {
+			t.Fatalf("out-of-order write after block cut: got %v, want ErrOutOfOrder", err)
+		}
+	})
 }
 
 // TestTimeRangeBoundaries is the satellite-2 boundary table for the two
@@ -179,7 +178,9 @@ func TestTimeRangeBoundaries(t *testing.T) {
 
 // TestScanFileBoundaries runs the same boundary table end to end: a
 // record exactly at to must never be delivered, a record exactly at
-// from always, in every container format including the v1 fallback.
+// from always, in every container format including the v1 fallback. The
+// legacy fixtures get a window whose two bounds are record timestamps of
+// theirs.
 func TestScanFileBoundaries(t *testing.T) {
 	recs := []Record{
 		{Type: RecScreen, TS: 99, ScreenOn: true},
@@ -189,17 +190,27 @@ func TestScanFileBoundaries(t *testing.T) {
 		{Type: RecScreen, TS: 200, ScreenOn: true},
 		{Type: RecScreen, TS: 201, ScreenOn: false},
 	}
-	for _, format := range []Format{FormatFlat, FormatDeflate, FormatBlocked, FormatColumnar} {
-		t.Run(format.String(), func(t *testing.T) {
-			got, _ := scanRecords(t, format, recs, ScanOptions{Range: TimeRange{From: 100, To: 200}})
-			want := []Timestamp{100, 150, 199}
-			if len(got) != len(want) {
+	for _, f := range scanFiles(t, recs, true) {
+		t.Run(f.format.String(), func(t *testing.T) {
+			n := len(f.recs)
+			r := TimeRange{From: f.recs[n/6].TS, To: f.recs[4*n/6].TS} // [100, 200) of recs
+			got, _ := scanRecords(t, f.path, ScanOptions{Range: r})
+			var want []Record
+			for i := range f.recs {
+				if r.Contains(f.recs[i].TS) {
+					want = append(want, f.recs[i])
+				}
+			}
+			if len(got) != len(want) || len(want) == 0 {
 				t.Fatalf("got %d records, want %d", len(got), len(want))
 			}
-			for i, w := range want {
-				if got[i].TS != w {
-					t.Fatalf("record %d: ts=%d, want %d", i, got[i].TS, w)
+			for i := range want {
+				if !sameRecord(&got[i], &want[i]) {
+					t.Fatalf("record %d: %v, want %v", i, got[i], want[i])
 				}
+			}
+			if got[0].TS != r.From || got[len(got)-1].TS >= r.To {
+				t.Fatalf("delivered [%d, %d] for the window [%d, %d)", got[0].TS, got[len(got)-1].TS, r.From, r.To)
 			}
 		})
 	}
@@ -209,16 +220,16 @@ func TestScanFileBoundaries(t *testing.T) {
 // window over a multi-block file must skip blocks (counter asserted)
 // and still deliver exactly the records a full decode + filter would.
 func TestScanPushdownSkipsBlocks(t *testing.T) {
-	recs := scanFixture(2000) // several blocks in both blocked formats
-	for _, format := range []Format{FormatBlocked, FormatColumnar} {
-		t.Run(format.String(), func(t *testing.T) {
-			r := TimeRange{From: 500_000, To: 600_000}
-			got, stats := scanRecords(t, format, recs, ScanOptions{Range: r})
+	for _, f := range scanFiles(t, scanFixture(2000), false) { // several blocks in both
+		t.Run(f.format.String(), func(t *testing.T) {
+			n := len(f.recs)
+			r := TimeRange{From: f.recs[n/4].TS, To: f.recs[n/4+n/20].TS}
+			got, stats := scanRecords(t, f.path, ScanOptions{Range: r})
 
 			var want []Record
-			for i := range recs {
-				if r.Contains(recs[i].TS) {
-					want = append(want, recs[i])
+			for i := range f.recs {
+				if r.Contains(f.recs[i].TS) {
+					want = append(want, f.recs[i])
 				}
 			}
 			if len(got) != len(want) {
@@ -230,7 +241,7 @@ func TestScanPushdownSkipsBlocks(t *testing.T) {
 						i, got[i].TS, got[i].App, want[i].TS, want[i].App)
 				}
 			}
-			if stats.BlocksTotal < 4 {
+			if stats.BlocksTotal < 3 {
 				t.Fatalf("fixture too small: only %d blocks", stats.BlocksTotal)
 			}
 			if stats.BlocksSkipped == 0 {
@@ -251,20 +262,20 @@ func TestScanPushdownSkipsBlocks(t *testing.T) {
 func TestScanAppFilter(t *testing.T) {
 	recs := scanFixture(600)
 	recs = append(recs, Record{Type: RecScreen, TS: recs[len(recs)-1].TS + 1, ScreenOn: true})
-	for _, format := range []Format{FormatBlocked, FormatColumnar} {
-		t.Run(format.String(), func(t *testing.T) {
+	for _, f := range scanFiles(t, recs, false) {
+		t.Run(f.format.String(), func(t *testing.T) {
 			opt := ScanOptions{
 				Range: TimeRange{From: 0, To: 1 << 62},
 				Apps:  []uint32{2, 5},
 			}
-			got, stats := scanRecords(t, format, recs, opt)
+			got, stats := scanRecords(t, f.path, opt)
 			want := 0
-			for i := range recs {
-				if recs[i].Type == RecScreen || recs[i].App == 2 || recs[i].App == 5 {
+			for i := range f.recs {
+				if f.recs[i].Type == RecScreen || f.recs[i].App == 2 || f.recs[i].App == 5 {
 					want++
 				}
 			}
-			if len(got) != want {
+			if len(got) != want || want == 0 {
 				t.Fatalf("got %d records, want %d", len(got), want)
 			}
 			for i := range got {

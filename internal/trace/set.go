@@ -127,54 +127,10 @@ func ReadAll(r io.Reader) (*DeviceTrace, error) {
 // goroutine alone.
 func ReadFile(path string) (*DeviceTrace, error) { return ReadFileParallel(path, 1) }
 
-// RecordWriter is the shared contract of the container writers (Writer,
-// BlockWriter, ColumnWriter): stream records, then Flush exactly once to
-// finish the file.
-type RecordWriter interface {
-	Write(*Record) error
-	Flush() error
-	Count() uint64
-}
-
-// NewFormatWriter returns a RecordWriter producing the given container.
-func NewFormatWriter(w io.Writer, format Format, device string, start Timestamp) (RecordWriter, error) {
-	switch format {
-	case FormatFlat:
-		return NewWriter(w, device, start)
-	case FormatDeflate:
-		return NewCompressedWriter(w, device, start)
-	case FormatBlocked:
-		return NewBlockWriter(w, device, start)
-	case FormatColumnar:
-		return NewColumnWriter(w, device, start)
-	default:
-		return nil, fmt.Errorf("trace: unknown format %v", format)
-	}
-}
-
-// Serialize writes the whole DeviceTrace as a METR stream.
+// Serialize writes the whole DeviceTrace as a flat METR1 stream — the
+// in-memory and wire-adjacent form; files on disk are SerializeColumnar's.
 func (dt *DeviceTrace) Serialize(w io.Writer) error {
-	return dt.SerializeFormat(w, FormatFlat)
-}
-
-// SerializeCompressed writes the trace in the DEFLATE-compressed container.
-func (dt *DeviceTrace) SerializeCompressed(w io.Writer) error {
-	return dt.SerializeFormat(w, FormatDeflate)
-}
-
-// SerializeBlocked writes the trace in the METR-2 blocked container.
-func (dt *DeviceTrace) SerializeBlocked(w io.Writer) error {
-	return dt.SerializeFormat(w, FormatBlocked)
-}
-
-// SerializeColumnar writes the trace in the METR-3 columnar container.
-func (dt *DeviceTrace) SerializeColumnar(w io.Writer) error {
-	return dt.SerializeFormat(w, FormatColumnar)
-}
-
-// SerializeFormat writes the trace in the given container format.
-func (dt *DeviceTrace) SerializeFormat(w io.Writer, format Format) error {
-	tw, err := NewFormatWriter(w, format, dt.Device, dt.Start)
+	tw, err := NewWriter(w, dt.Device, dt.Start)
 	if err != nil {
 		return err
 	}
@@ -184,6 +140,22 @@ func (dt *DeviceTrace) SerializeFormat(w io.Writer, format Format) error {
 		}
 	}
 	return tw.Flush()
+}
+
+// SerializeColumnar writes the trace in the METR-3 columnar container, the
+// form every trace file is written in. Records must be in time order
+// (ErrOutOfOrder otherwise).
+func (dt *DeviceTrace) SerializeColumnar(w io.Writer) error {
+	cw, err := NewColumnWriter(w, dt.Device, dt.Start)
+	if err != nil {
+		return err
+	}
+	for i := range dt.Records {
+		if err := cw.Write(&dt.Records[i]); err != nil {
+			return err
+		}
+	}
+	return cw.Flush()
 }
 
 // DetectFileFormat sniffs the container format of a trace file from its
@@ -201,7 +173,7 @@ func DetectFileFormat(path string) (Format, error) {
 	return r.Format(), nil
 }
 
-// Encode serialises the trace to a byte slice.
+// Encode serialises the trace to a byte slice in the flat stream form.
 func (dt *DeviceTrace) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := dt.Serialize(&buf); err != nil {
@@ -312,28 +284,6 @@ func (f *Fleet) EachDevice(fn func(dt *DeviceTrace) error) error {
 		}
 	}
 	return nil
-}
-
-// FilterApp returns a copy of the trace containing only records belonging
-// to the given app (screen records, which are device-wide, are kept).
-func (dt *DeviceTrace) FilterApp(app uint32) *DeviceTrace {
-	out := &DeviceTrace{Device: dt.Device, Start: dt.Start, Apps: dt.Apps}
-	for i := range dt.Records {
-		r := dt.Records[i]
-		switch r.Type {
-		case RecScreen:
-			out.Records = append(out.Records, r)
-		case RecAppName:
-			if r.App == app {
-				out.Records = append(out.Records, r)
-			}
-		default:
-			if r.App == app {
-				out.Records = append(out.Records, r)
-			}
-		}
-	}
-	return out
 }
 
 // Window returns a copy of the trace restricted to records with

@@ -224,29 +224,6 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestFilterApp(t *testing.T) {
-	dt := &DeviceTrace{Device: "d", Start: 0, Apps: NewAppTable()}
-	a := dt.Apps.Intern("com.a")
-	b := dt.Apps.Intern("com.b")
-	dt.Records = []Record{
-		{Type: RecAppName, App: a, AppName: "com.a"},
-		{Type: RecAppName, App: b, AppName: "com.b"},
-		{Type: RecPacket, TS: 10, App: a, Payload: []byte{1}},
-		{Type: RecPacket, TS: 20, App: b, Payload: []byte{2}},
-		{Type: RecProcState, TS: 30, App: a, State: StateService},
-		{Type: RecScreen, TS: 40, ScreenOn: true},
-	}
-	got := dt.FilterApp(a)
-	if len(got.Records) != 4 { // appname(a), packet(a), procstate(a), screen
-		t.Fatalf("records = %d: %v", len(got.Records), got.Records)
-	}
-	for _, r := range got.Records {
-		if r.Type != RecScreen && r.App != a {
-			t.Errorf("foreign record leaked: %v", r)
-		}
-	}
-}
-
 func TestWindow(t *testing.T) {
 	dt := &DeviceTrace{Device: "d", Start: 0, Apps: NewAppTable()}
 	a := dt.Apps.Intern("com.a")

@@ -193,15 +193,22 @@ func statSegment(path string) (segment, error) {
 		return seg, err
 	}
 	seg.device, seg.start = br.Device(), br.Start()
-	if br.Format() >= trace.FormatBlocked {
-		// Blocked writers reject a record older than its predecessor, so the
-		// first one bounds the file from below. A file with no whole block
-		// yet keeps the minimum: the scan will see whatever it has by then.
+	if timeOrdered(br.Format()) {
+		// The first record bounds the file from below. A file with no whole
+		// block yet keeps the minimum: the scan will see whatever it has by
+		// then.
 		if b, err := br.Next(); err == nil && b.Len() > 0 {
 			seg.first = b.TS[0]
 		}
 	}
 	return seg, nil
+}
+
+// timeOrdered reports whether a container keeps its records in time order:
+// the blocked writers reject a record older than its predecessor, the flat
+// ones accept any order.
+func timeOrdered(f trace.Format) bool {
+	return f == trace.FormatBlocked || f == trace.FormatColumnar
 }
 
 // memoParams is what, besides its files, a partial of q depends on — the

@@ -464,24 +464,36 @@ run_chaos_cluster() {
 go test -run '^TestGolden$' -count=1 .
 echo "smoke: golden phase ok"
 
-# Convert phase: METR-2 -> METR-3 -> flat through the CLI; the NDJSON dump
-# of every container must be byte-identical.
+# Convert phase: the two read-only containers, as the checked-in fixtures an
+# older build wrote, each go through `tracecat -convert` into METR-3; the
+# NDJSON dump must be byte-identical before and after, the converted file
+# must sniff as metr3, and `analyze` over the converted directory must print
+# what it prints over the fixture directory.
 gen_dir="$WORK/convert"
-./bin/gentrace -out "$gen_dir" -users 2 -days 2 -seed 7 -format metr2
-for f in "$gen_dir"/*.metr; do
-  base=$(basename "$f" .metr)
-  ./bin/tracecat -trace "$f" -convert "$gen_dir/$base.metr3" -format metr3
-  ./bin/tracecat -trace "$gen_dir/$base.metr3" -convert "$gen_dir/$base.flat" -format flat
-  ./bin/tracecat -trace "$f" -ndjson > "$gen_dir/$base.a.ndjson"
-  ./bin/tracecat -trace "$gen_dir/$base.metr3" -ndjson > "$gen_dir/$base.b.ndjson"
-  ./bin/tracecat -trace "$gen_dir/$base.flat" -ndjson > "$gen_dir/$base.c.ndjson"
-  if ! cmp -s "$gen_dir/$base.a.ndjson" "$gen_dir/$base.b.ndjson" ||
-     ! cmp -s "$gen_dir/$base.a.ndjson" "$gen_dir/$base.c.ndjson"; then
-    echo "smoke: $base: records differ across metr2/metr3/flat containers" >&2
+for legacy in internal/trace/testdata/legacy/u00.metr2 internal/trace/testdata/legacy/u00.metz1; do
+  kind=${legacy##*.}
+  mkdir -p "$gen_dir/$kind" "$gen_dir/$kind-metr3"
+  cp "$legacy" "$gen_dir/$kind/u00.metr"
+  ./bin/tracecat -trace "$gen_dir/$kind/u00.metr" -convert "$gen_dir/$kind-metr3/u00.metr"
+  stats=$(./bin/tracecat -trace "$gen_dir/$kind-metr3/u00.metr")
+  case $stats in
+    *"metr3 container"*) ;;
+    *) echo "smoke: $kind: converted file is not a metr3 container" >&2; exit 1 ;;
+  esac
+  ./bin/tracecat -trace "$gen_dir/$kind/u00.metr" -ndjson > "$gen_dir/$kind.a.ndjson"
+  ./bin/tracecat -trace "$gen_dir/$kind-metr3/u00.metr" -ndjson > "$gen_dir/$kind.b.ndjson"
+  if ! cmp -s "$gen_dir/$kind.a.ndjson" "$gen_dir/$kind.b.ndjson"; then
+    echo "smoke: $kind: records differ after conversion to metr3" >&2
+    exit 1
+  fi
+  ./bin/analyze -data "$gen_dir/$kind" > "$gen_dir/$kind.a.report"
+  ./bin/analyze -data "$gen_dir/$kind-metr3" > "$gen_dir/$kind.b.report"
+  if ! [ -s "$gen_dir/$kind.a.report" ] || ! cmp -s "$gen_dir/$kind.a.report" "$gen_dir/$kind.b.report"; then
+    echo "smoke: $kind: analyze over the converted directory differs from the fixture directory" >&2
     exit 1
   fi
 done
-echo "smoke: convert phase ok (metr2 -> metr3 -> flat round trip)"
+echo "smoke: convert phase ok (metr2, metz1 fixtures -> metr3)"
 
 run_early_signal
 run_phase clean -headline-json "$WORK/ref.json"
