@@ -1,34 +1,18 @@
 // Command repolint runs the repo's static-analysis suite (internal/lint):
-// determinism, noalloc, severerr, units, obscopy, plus the dataflow
-// analyzers wiresize, goexit and lockhold. It speaks two protocols:
+// determinism, noalloc, severerr, wiresize, goexit and lockhold.
 //
-//	repolint [packages]           standalone: load via the go command and
-//	                              analyze the matched packages (default ./...)
-//	repolint -json [packages]     standalone, machine-readable: one JSON
-//	                              array of findings on stdout, suppressed
-//	                              findings included with their justification
-//	repolint -audit [packages]    list every //repolint: directive (test
-//	                              files included) with its justification;
-//	                              exit 1 if any escape hatch lacks one
-//	go vet -vettool=$(pwd)/bin/repolint ./...
-//	                              vettool: analyze one compilation unit per
-//	                              .cfg file handed over by go vet, riding
-//	                              go vet's per-package result cache
+//	repolint [packages]    load the packages through the go command
+//	                       (default ./...) and analyze them
 //
-// The vettool protocol also requires answering `-flags` (extra flags the
-// tool accepts; none) and `-V=full` (a version line that must change when
-// the tool changes — derived here from the binary's own content hash so
-// stale caches cannot survive a rebuild).
+// It takes no flags. Every unsuppressed diagnostic goes to stderr as
+// "file:line:col: [analyzer] message"; DESIGN.md §8 lists what each
+// analyzer examines and the //repolint: directives that suppress them.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 operational error.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime/debug"
 	"strings"
@@ -47,161 +31,32 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-func run(args []string) int {
-	fs := flag.NewFlagSet("repolint", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	version := fs.String("V", "", "print version and exit (go vet protocol; use -V=full)")
-	printFlags := fs.Bool("flags", false, "print the tool's extra flags as JSON and exit (go vet protocol)")
-	listAnalyzers := fs.Bool("list", false, "list the analyzers in the suite and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout (suppressed findings included)")
-	audit := fs.Bool("audit", false, "list every //repolint: directive with its justification; exit 1 on any missing one")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: repolint [packages]   (default ./...)\n")
-		fmt.Fprintf(os.Stderr, "       go vet -vettool=/abs/path/to/repolint [packages]\n\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	switch {
-	case *version != "":
-		// go vet hashes this line into its cache key (see toolID in
-		// cmd/go): field 3 must not be "devel".
-		fmt.Printf("repolint version %s\n", selfID())
-		return 0
-	case *printFlags:
-		// go vet always queries the tool's extra flags; repolint has none.
-		fmt.Println("[]")
-		return 0
-	case *listAnalyzers:
-		for _, a := range lint.All() {
-			fmt.Printf("%-12s %s\n", a.Name, firstLine(a.Doc))
+func run(patterns []string) int {
+	for _, p := range patterns {
+		if strings.HasPrefix(p, "-") {
+			fmt.Fprintf(os.Stderr, "repolint: unknown argument %q\nusage: repolint [packages]   (default ./...; no flags)\n", p)
+			return 2
 		}
-		return 0
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVet(rest[0])
-	}
-	if *audit {
-		return runAudit(rest)
-	}
-	return runStandalone(rest, *jsonOut)
-}
-
-// runVet analyzes the single compilation unit go vet described in cfg.
-func runVet(cfg string) int {
-	n, err := lint.RunVet(cfg, lint.All(), os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
-		return 2
-	}
-	if n > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runStandalone loads the patterns through the go command and analyzes
-// every matched package. With jsonOut the full diagnostic set — suppressed
-// findings included — goes to stdout as a JSON array; the exit status is
-// still decided by the active (unsuppressed) findings alone.
-func runStandalone(patterns []string, jsonOut bool) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, fset, err := lint.RunAll(".", patterns, lint.All())
+	diags, fset, err := lint.Run(".", patterns, lint.All())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
 		return 2
 	}
 	active := 0
 	for _, d := range diags {
-		if !d.Suppressed {
-			active++
+		if d.Suppressed {
+			continue
 		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(lint.Findings(diags, fset)); err != nil {
-			fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			if d.Suppressed {
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
+		active++
+		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
 	if active > 0 {
 		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", active)
 		return 1
 	}
 	return 0
-}
-
-// runAudit lists every //repolint: directive in the matched packages, test
-// files included. The audit fails (exit 1) when an escape hatch carries no
-// written justification.
-func runAudit(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	sups, err := lint.Audit(".", patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
-		return 2
-	}
-	bad := 0
-	for _, s := range sups {
-		why := s.Justification
-		if why == "" {
-			why = "(no justification)"
-			if s.NeedsJustification() {
-				bad++
-			}
-		}
-		name := s.Directive
-		if s.Analyzer != "" {
-			name += " " + s.Analyzer
-		}
-		fmt.Printf("%s:%d: %-20s %s\n", s.File, s.Line, name, why)
-	}
-	fmt.Printf("repolint: %d suppression(s), %d missing justification\n", len(sups), bad)
-	if bad > 0 {
-		return 1
-	}
-	return 0
-}
-
-// selfID hashes the running binary so the version line — and with it go
-// vet's cache key — changes whenever repolint is rebuilt with different
-// code.
-func selfID() string {
-	exe, err := os.Executable()
-	if err == nil {
-		if f, err := os.Open(exe); err == nil {
-			defer f.Close()
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				return fmt.Sprintf("%x", h.Sum(nil))[:16]
-			}
-		}
-	}
-	// Hashing ourselves failed; answer something cache-safe but unstable
-	// is not an option (go vet would fatal on "devel"), so fall back to a
-	// fixed id and rely on the Makefile rebuilding bin/repolint.
-	return "unhashed"
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -37,7 +37,8 @@
 //   - The two most recent bases are retained, each with its log. A corrupt or
 //     torn newest base falls back to the previous base and every frame after
 //     it — the state just before the bad base was written — and Loaded.Skipped
-//     names what was passed over.
+//     names what was passed over. When no base restores, LoadLatest fails
+//     naming each: only a directory with no base in it loads as empty.
 //   - There is one format. A file in a format this build does not restore —
 //     payload v1, or a v2 file holding closed sessions in the unattributed
 //     aggregate that preceded the per-device ledger — is ErrUnsupported,
@@ -657,7 +658,11 @@ type Loaded struct {
 // one before it and recorded in Skipped — this is the fall-back-on-corruption
 // path. A generation that is ErrUnsupported, by the decoder's judgement or
 // validate's, is not: it ends the search with an error naming the file (see
-// the package comment). It returns (nil, nil) when no valid checkpoint exists.
+// the package comment). A directory with no base in it — fresh, or archived
+// behind a tombstone — returns (nil, nil). One with bases of which none
+// restores is an error carrying every file's reason: starting empty beside
+// them would lose everything they hold without a word, and the next commit
+// would prune them.
 func (s *Store) LoadLatest(validate func(*Snapshot) error) (*Loaded, error) {
 	gens := s.generations()
 	var skipped []error
@@ -672,6 +677,10 @@ func (s *Store) LoadLatest(validate func(*Snapshot) error) (*Loaded, error) {
 		}
 		ld.Skipped = append(skipped, ld.Skipped...)
 		return ld, nil
+	}
+	if len(skipped) > 0 {
+		return nil, fmt.Errorf("%s: none of %d checkpoint generation(s) restores; move the directory aside to start empty: %w",
+			s.dir, len(skipped), errors.Join(skipped...))
 	}
 	return nil, nil
 }

@@ -111,7 +111,8 @@ func TestCorruptFallsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := st.Save(&Snapshot{Devices: []DeviceState{{Device: "d", Seq: 1}}}); err != nil {
+			p1, _, err := st.Save(&Snapshot{Devices: []DeviceState{{Device: "d", Seq: 1}}})
+			if err != nil {
 				t.Fatal(err)
 			}
 			p2, _, err := st.Save(&Snapshot{Devices: []DeviceState{{Device: "d", Seq: 2}}})
@@ -119,28 +120,45 @@ func TestCorruptFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			b, err := os.ReadFile(p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch mode {
-			case "flip":
-				b[len(b)-1] ^= 0xff
-			case "truncate":
-				b = b[:len(b)/2]
-			case "garbage":
-				b = []byte("not a checkpoint at all")
-			}
-			if err := os.WriteFile(p2, b, 0o644); err != nil {
-				t.Fatal(err)
+			damage := func(path string) {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch mode {
+				case "flip":
+					b[len(b)-1] ^= 0xff
+				case "truncate":
+					b = b[:len(b)/2]
+				case "garbage":
+					b = []byte("not a checkpoint at all")
+				}
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 
+			damage(p2)
 			ck, err := st.LoadLatest(nil)
 			if err != nil || ck == nil {
 				t.Fatalf("LoadLatest after corruption: %v %v", ck, err)
 			}
 			if ck.Gen != 1 || ck.Snap.Devices[0].Seq != 1 {
 				t.Fatalf("fell back to gen %d seq %d, want gen 1 seq 1", ck.Gen, ck.Snap.Devices[0].Seq)
+			}
+
+			// Every generation damaged: there is nothing to fall back to, and
+			// (nil, nil) would read as a fresh directory. The error names the
+			// directory and each file it gave up on.
+			damage(p1)
+			ck, err = st.LoadLatest(nil)
+			if ck != nil || err == nil {
+				t.Fatalf("LoadLatest with every generation damaged: %v %v, want an error", ck, err)
+			}
+			for _, want := range []string{dir, p1, p2} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error does not name %s: %v", want, err)
+				}
 			}
 		})
 	}

@@ -6,6 +6,10 @@ import (
 	"errors"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -369,5 +373,74 @@ func TestDedupNonCompliantClient(t *testing.T) {
 	}
 	if got := s.counters.duplicates.Load(); got != 1 {
 		t.Fatalf("duplicates = %d, want 1", got)
+	}
+}
+
+// TestStartRefusesAllDamaged: a checkpoint directory in which every
+// generation is damaged is not a fresh directory. Start fails naming a
+// damaged file instead of coming up empty beside the wreckage — the next
+// commit would have pruned it — and leaves every file as it found it, so
+// the operator can move the directory aside or repair it.
+func TestStartRefusesAllDamaged(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 2, CheckpointDir: dir, CheckpointInterval: time.Hour}
+	dt := synthgen.GenerateInMemory(synthgen.Small(1, 1))[0]
+	// Two runs, two bases: the first commit after a restart is never an
+	// append to the log it found.
+	for run := 0; run < 2; run++ {
+		s := startServer(t, cfg)
+		if run == 0 {
+			streamTrace(t, s.Addr().String(), dt)
+		}
+		if err := s.SaveCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		s.Kill()
+	}
+	bases, err := filepath.Glob(filepath.Join(dir, "ck-*.ck"))
+	if err != nil || len(bases) != 2 {
+		t.Fatalf("bases on disk: %v (%v), want 2", bases, err)
+	}
+	for _, p := range bases {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0xff
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readDir := func() map[string]string {
+		files := map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	before := readDir()
+
+	cfg.Addr = "127.0.0.1:0"
+	s := NewServer(cfg)
+	err = s.Start()
+	if err == nil {
+		s.Kill()
+		t.Fatal("Start came up empty beside damaged generations")
+	}
+	for _, p := range bases {
+		if !strings.Contains(err.Error(), p) {
+			t.Errorf("Start error does not name %s: %v", p, err)
+		}
+	}
+	if after := readDir(); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused Start changed the directory: %d files before, %d after", len(before), len(after))
 	}
 }

@@ -1,10 +1,9 @@
 // Package lint is the repo's static-analysis suite: a small go/analysis-style
-// framework plus the five repolint analyzers that machine-check the
-// correctness invariants the paper's reproduction depends on — determinism of
-// the fixed-seed pipeline, zero-allocation hot paths, sever-on-error ingest
-// semantics, dimensional consistency of the energy math, and by-reference
-// metric handles. cmd/repolint drives the suite both standalone and under
-// `go vet -vettool`.
+// framework plus the six repolint analyzers that machine-check invariants
+// neither the compiler, `go vet` nor a tier-1 test holds — determinism of the
+// fixed-seed pipeline, zero-allocation hot paths, sever-on-error ingest
+// semantics, bounds on wire-derived allocation sizes, goroutine exit paths,
+// and no blocking under a lock. cmd/repolint is its one driver.
 //
 // The framework is deliberately dependency-free: golang.org/x/tools is not a
 // module dependency, so Analyzer/Pass/Diagnostic are re-declared here with
@@ -42,17 +41,17 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report records one diagnostic. Suppression (//repolint:allow) and
-	// test-file filtering are applied by the framework afterwards.
+	// Report records one diagnostic; the framework marks it Suppressed
+	// if a //repolint: directive covers it.
 	Report func(Diagnostic)
 
 	dirs *directiveIndex
 }
 
 // A Diagnostic is one finding at a source position. Suppressed marks a
-// finding covered by a //repolint:allow directive (with its written
-// justification); CheckPackage drops suppressed findings, CheckPackageAll
-// keeps them for the -json archive.
+// finding covered by a //repolint:allow or ordered directive, with its
+// written justification; CheckPackage and Run return those too, and the
+// caller decides which to act on.
 type Diagnostic struct {
 	Pos           token.Pos
 	Analyzer      string
@@ -152,7 +151,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 	return idx
 }
 
-// parseDirective splits "//repolint:allow units mixing is intentional" into
+// parseDirective splits "//repolint:allow goexit closed by Shutdown" into
 // its directive name, argument and justification.
 func parseDirective(pos token.Pos, text string) *directive {
 	body := strings.TrimPrefix(text, directivePrefix)
@@ -244,16 +243,14 @@ func (idx *directiveIndex) validate(known map[string]bool) []Diagnostic {
 	return out
 }
 
-// All returns the full repolint analyzer suite: the five AST-level
-// analyzers from PR 4 plus the three dataflow analyzers (wiresize, goexit,
-// lockhold) built on the cfg.go/dataflow.go engine.
+// All returns the full repolint analyzer suite: three AST-level analyzers
+// and the three dataflow analyzers (wiresize, goexit, lockhold) built on
+// the cfg.go/dataflow.go engine.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		Noalloc,
 		SeverErr,
-		Units,
-		ObsCopy,
 		WireSize,
 		GoExit,
 		LockHold,
@@ -261,27 +258,10 @@ func All() []*Analyzer {
 }
 
 // CheckPackage runs the analyzers over one type-checked package and returns
-// the surviving diagnostics, sorted by position: analyzer findings minus
-// //repolint:allow suppressions, plus any malformed-directive findings.
+// every diagnostic, sorted by position: analyzer findings — those covered by
+// a //repolint:allow or ordered directive with Suppressed set and the
+// directive's justification attached — plus any malformed-directive findings.
 func CheckPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, err := CheckPackageAll(fset, files, pkg, info, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	active := diags[:0]
-	for _, d := range diags {
-		if !d.Suppressed {
-			active = append(active, d)
-		}
-	}
-	return active, nil
-}
-
-// CheckPackageAll is CheckPackage keeping suppressed diagnostics: findings
-// covered by a //repolint:allow directive are returned with Suppressed set
-// and the directive's justification attached, which is what `repolint
-// -json` archives so CI can track the escape-hatch population over time.
-func CheckPackageAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	dirs := parseDirectives(fset, files)
 	known := map[string]bool{}
 	for _, a := range analyzers {

@@ -20,22 +20,18 @@ import (
 
 // This file is the standalone package loader: it resolves patterns with
 // `go list -deps -export -json`, parses the matched packages' sources, and
-// type-checks them against the compiler's export data — the same inputs
-// `go vet` hands a vettool through its .cfg file, gathered without a
-// dependency on golang.org/x/tools/go/packages.
+// type-checks them against the compiler's export data, without a dependency
+// on golang.org/x/tools/go/packages.
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	Dir          string
-	ImportPath   string
-	Name         string
-	Export       string
-	Match        []string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Standard     bool
-	Module       *struct {
+	Dir        string
+	ImportPath string
+	Name       string
+	Export     string
+	Match      []string
+	GoFiles    []string
+	Module     *struct {
 		Path      string
 		GoVersion string
 	}
@@ -197,25 +193,10 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 }
 
 // Run loads the patterns and applies the analyzers to every matched
-// package, returning all surviving diagnostics sorted per package.
+// package, returning every diagnostic CheckPackage does (suppressed ones
+// included). Packages are analyzed in parallel; diagnostics keep package
+// load order.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
-	diags, fset, err := RunAll(dir, patterns, analyzers)
-	if err != nil {
-		return nil, nil, err
-	}
-	active := diags[:0]
-	for _, d := range diags {
-		if !d.Suppressed {
-			active = append(active, d)
-		}
-	}
-	return active, fset, nil
-}
-
-// RunAll is Run keeping suppressed diagnostics (Suppressed set, with the
-// directive's justification attached) — the input of `repolint -json`.
-// Packages are analyzed in parallel; diagnostics keep package load order.
-func RunAll(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
 	pkgs, err := Load(dir, patterns)
 	if err != nil {
 		return nil, nil, err
@@ -233,7 +214,7 @@ func RunAll(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic,
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			diags, err := CheckPackageAll(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, analyzers)
+			diags, err := CheckPackage(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, analyzers)
 			if err != nil {
 				errs[i] = fmt.Errorf("%s: %v", pkg.Path, err)
 				return

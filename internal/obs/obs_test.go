@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -205,5 +206,37 @@ func TestRegisterEventMetrics(t *testing.T) {
 	snap := r.Snapshot()
 	if got := snap.Gauges[`ingest_events_total{level="error"}`]; got != 2 {
 		t.Fatalf("error total = %v, want 2", got)
+	}
+}
+
+// TestMetricsGuardedByCopylocks: nothing in this package stops a metric
+// handle being copied by value — stock `go vet` copylocks does, and it
+// guards exactly the types that hold, through struct fields and arrays (not
+// slices or pointers), a value whose pointer is a sync.Locker while the
+// value is not. Here that value is a sync/atomic type (its noCopy field);
+// a metric rewritten over a plain integer would lose the guard silently.
+func TestMetricsGuardedByCopylocks(t *testing.T) {
+	locker := reflect.TypeOf((*sync.Locker)(nil)).Elem()
+	var guarded func(reflect.Type) bool
+	guarded = func(typ reflect.Type) bool {
+		if reflect.PointerTo(typ).Implements(locker) && !typ.Implements(locker) {
+			return true
+		}
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if guarded(typ.Field(i).Type) {
+					return true
+				}
+			}
+		case reflect.Array:
+			return guarded(typ.Elem())
+		}
+		return false
+	}
+	for _, m := range []any{Counter{}, Gauge{}, Histogram{}} {
+		if typ := reflect.TypeOf(m); !guarded(typ) {
+			t.Errorf("%v holds no sync/atomic value by value: go vet copylocks would not flag a copy of it", typ)
+		}
 	}
 }

@@ -23,6 +23,14 @@ func TestLTEParameters(t *testing.T) {
 	if !almost(p.FullTailEnergy(), want, 1e-9) {
 		t.Errorf("full tail = %v, want %v", p.FullTailEnergy(), want)
 	}
+	// Transfer power from the published parameters, in mW: β 1288.04 plus
+	// α_u 438.39 per Mbps at 5.64 Mbps up, α_d 51.97 per Mbps at 12.74 down.
+	if up := p.txPower(Up) * 1000; !almost(up, 3760.5596, 1e-9) {
+		t.Errorf("uplink transfer power = %v mW, want 1288.04 + 438.39*5.64 = 3760.5596", up)
+	}
+	if down := p.txPower(Down) * 1000; !almost(down, 1950.1378, 1e-9) {
+		t.Errorf("downlink transfer power = %v mW, want 1288.04 + 51.97*12.74 = 1950.1378", down)
+	}
 	// An isolated small burst on LTE costs ~12.6 J — the magnitude the
 	// paper's Table 1 per-flow numbers reflect (Twitter: 11 J/flow).
 	e := BurstEnergy(p, 2000, Up)
@@ -65,6 +73,42 @@ func TestTransferEnergyDirections(t *testing.T) {
 	}
 	if p.TransferEnergy(0, Up) != 0 {
 		t.Error("zero bytes should cost zero transfer energy")
+	}
+
+	// Every shipped model, worked by hand from its parameters. 125 000
+	// bytes is one megabit, so the transfer lasts 1/rate s at β + α·rate W
+	// and costs β/rate + α J (LTE up: 1.28804/5.64 + 0.43839); an isolated
+	// burst adds the promotion (LTE: 0.2601 s · 1.2107 W = 0.31490307 J)
+	// and the full tail (LTE: 0.2·1.28804 + 11.376·1.06004 = 12.31662304 J).
+	variants := LTEVariants()
+	for _, pin := range []struct {
+		p                  Params
+		powerUp, powerDown float64 // W
+		xferUp, xferDown   float64 // J per megabit
+		burstUp, burstDown float64 // J, promotion + megabit + full tail
+	}{
+		{LTE(), 3.7605596, 1.9501378, 0.666765886525, 0.153072040816, 13.298291996525, 12.784598150816},
+		{ThreeG(), 1.075, 0.99, 0.977272727273, 0.260526315789, 12.097272727273, 11.380526315789},
+		{WiFi(), 4.182191, 3.544409, 0.292460909091, 0.142345742972, 0.330715889091, 0.180600722972},
+		{variants[1], 3.7605596, 1.9501378, 0.666765886525, 0.153072040816, 9.507588956525, 8.993895110816},
+		{variants[2], 3.7605596, 1.9501378, 0.666765886525, 0.153072040816, 15.771045886525, 15.257352040816},
+	} {
+		m := pin.p
+		for _, c := range []struct {
+			what      string
+			got, want float64
+		}{
+			{"txPower(Up)", m.txPower(Up), pin.powerUp},
+			{"txPower(Down)", m.txPower(Down), pin.powerDown},
+			{"TransferEnergy(125000, Up)", m.TransferEnergy(125000, Up), pin.xferUp},
+			{"TransferEnergy(125000, Down)", m.TransferEnergy(125000, Down), pin.xferDown},
+			{"BurstEnergy(125000, Up)", BurstEnergy(m, 125000, Up), pin.burstUp},
+			{"BurstEnergy(125000, Down)", BurstEnergy(m, 125000, Down), pin.burstDown},
+		} {
+			if !almost(c.got, c.want, 1e-9) {
+				t.Errorf("%s %s = %.12f, want %.12f", m.Name, c.what, c.got, c.want)
+			}
+		}
 	}
 }
 

@@ -211,11 +211,19 @@ func TestReadFileAllocsIndependentOfRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireRecordsEqual(t, recs, dt.Records)
 			dt.Recycle()
 		})
 	}
 	small, large := allocs(2000), allocs(20000)
 	t.Logf("allocs per read: %v at 2 000 records, %v at 20 000", small, large)
+	if raceEnabled {
+		// sync.Pool drops items at random under the race detector, so a
+		// recycled arena is sometimes reallocated (about 1 run in 40 broke
+		// the bound). The reads above were still checked record for record;
+		// only the bound is skipped.
+		return
+	}
 	if large-small > 16 || large > 100 {
 		t.Errorf("allocs per read: %v at 2 000 records, %v at 20 000: grows with the record count", small, large)
 	}
