@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"netenergy/internal/ingest"
 	"netenergy/internal/obs"
 )
 
@@ -84,7 +87,8 @@ type memberState struct {
 // /healthz. A healthy member is probed every Interval; a failing one on an
 // escalating (doubling) schedule capped at MaxInterval — cheap vigilance on
 // the living, cheap patience with the dead. FailThreshold consecutive
-// failures flip a member to dead; any success flips it back. Every flip
+// failures flip a member to dead, and so does one answer naming another
+// placement id than this build's; any success flips it back. Every flip
 // increments the epoch, the version number consumers (View, Aggregator)
 // use to notice membership changed without re-reading the whole list.
 type Prober struct {
@@ -217,22 +221,43 @@ func (p *Prober) untilNext(now time.Time) time.Duration {
 	return d
 }
 
-// probe performs one liveness check against a member's admin endpoint.
+// errPlacement marks a member that answers but places devices by another
+// function than this build (ingest.PlacementID): not a lost heartbeat that
+// may heal, so it is dead from the first such answer.
+var errPlacement = errors.New("placement mismatch")
+
+// probe performs one liveness check against a member's admin endpoint:
+// a 200 whose body names this build's placement id.
 func (p *Prober) probe(m Member) error {
 	resp, err := p.client.Get("http://" + m.Admin + "/healthz")
 	if err != nil {
 		return err
 	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 256))
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
+	if err != nil {
+		return fmt.Errorf("healthz body: %w", err)
+	}
+	theirs := "none (an older build)"
+	for _, f := range strings.Fields(string(body)) {
+		if id, ok := strings.CutPrefix(f, "placement="); ok {
+			theirs = id
+		}
+	}
+	if theirs != ingest.PlacementID {
+		return fmt.Errorf("%w: member places by %s, this build by %s", errPlacement, theirs, ingest.PlacementID)
+	}
 	return nil
 }
 
 // apply folds one probe result into the member's state, escalating the
-// re-probe interval on failure and bumping the epoch on transitions.
+// re-probe interval on failure and bumping the epoch on transitions. A
+// placement mismatch kills at once; anything else after FailThreshold
+// consecutive failures.
 func (p *Prober) apply(st *memberState, err error, now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -249,7 +274,7 @@ func (p *Prober) apply(st *memberState, err error, now time.Time) {
 	}
 	st.failures++
 	st.lastErr = err.Error()
-	if st.alive && st.failures >= p.cfg.FailThreshold {
+	if st.alive && (st.failures >= p.cfg.FailThreshold || errors.Is(err, errPlacement)) {
 		st.alive = false
 		p.epoch++
 		p.cfg.Events.Logf(obs.LevelWarn, "member %s declared dead after %d failures (epoch %d): %v",

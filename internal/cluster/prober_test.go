@@ -1,21 +1,32 @@
 package cluster
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"netenergy/internal/ingest"
+	"netenergy/internal/obs"
 )
 
 // fakeNode is an admin endpoint whose health can be toggled, standing in
-// for an ingestd that hangs up (503) without releasing its port.
+// for an ingestd that hangs up (503) without releasing its port. While up
+// it answers what this build's ingestd answers, or the body it was built
+// with (newFakeNodeServing).
 type fakeNode struct {
 	srv *httptest.Server
 	up  atomic.Bool
 }
 
 func newFakeNode(t *testing.T) *fakeNode {
+	return newFakeNodeServing(t, "ok placement="+ingest.PlacementID+"\n")
+}
+
+func newFakeNodeServing(t *testing.T, body string) *fakeNode {
 	t.Helper()
 	n := &fakeNode{}
 	n.up.Store(true)
@@ -24,7 +35,7 @@ func newFakeNode(t *testing.T) *fakeNode {
 			http.Error(w, "down", http.StatusServiceUnavailable)
 			return
 		}
-		w.Write([]byte("ok\n")) //nolint:errcheck
+		w.Write([]byte(body)) //nolint:errcheck
 	}))
 	t.Cleanup(n.srv.Close)
 	return n
@@ -128,6 +139,91 @@ func TestProberBelowThreshold(t *testing.T) {
 	p.apply(st, nil, now)
 	if !st.alive || st.failures != 0 || p.Epoch() != 3 {
 		t.Fatalf("recovery: alive=%v failures=%d epoch=%d", st.alive, st.failures, p.Epoch())
+	}
+}
+
+// TestProberRefusesOtherPlacement: a member that answers /healthz but names
+// another placement id, or none (a build from before placement ids), would
+// bounce devices against every member that places them differently. From
+// its first answer on it is never counted live — however high the failure
+// threshold, and however long it keeps answering — its death is logged
+// once, and the aggregator's /nodes says why, naming both ids. A real
+// ingestd of this build passes the same probe.
+func TestProberRefusesOtherPlacement(t *testing.T) {
+	good := newFakeNode(t)
+	other := newFakeNodeServing(t, "ok placement=0123456789abcdef\n")
+	old := newFakeNodeServing(t, "ok\n")
+	events := obs.NewEventLog(64)
+	p := NewProber(ProberConfig{
+		Members: []Member{
+			{ID: "n1", Stream: "s1", Admin: good.admin()},
+			{ID: "n2", Stream: "s2", Admin: other.admin()},
+			{ID: "n3", Stream: "s3", Admin: old.admin()},
+		},
+		Interval:      2 * time.Millisecond,
+		MaxInterval:   4 * time.Millisecond,
+		FailThreshold: 1000,
+		Timeout:       250 * time.Millisecond,
+		Events:        events,
+	})
+	// answered counts the members that have answered a probe wrongly, and
+	// fails the test if any of them is live: apply kills under the lock that
+	// counts the failure, so there is no moment in between.
+	answered := func() int {
+		n := 0
+		for _, st := range p.Status() {
+			if st.Failures > 0 {
+				if n++; st.Alive {
+					t.Fatalf("%s answered %q and is counted live", st.ID, st.LastErr)
+				}
+			}
+		}
+		return n
+	}
+	p.Start()
+	defer p.Stop()
+	waitFor(t, 5*time.Second, "both refused members answered", func() bool { return answered() == 2 })
+	for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if live := p.Live(); len(live) != 1 || live[0].ID != "n1" || answered() != 2 {
+			t.Fatalf("live set %v, want only n1", live)
+		}
+	}
+	if got := p.Epoch(); got != 3 {
+		t.Errorf("epoch = %d, want 3 (one death each, no flapping)", got)
+	}
+	if got := events.Total(); got != 2 {
+		t.Errorf("%d events logged, want one death per refused member: %v", got, events.Recent(0, obs.LevelDebug))
+	}
+
+	rec := httptest.NewRecorder()
+	NewAggregator(AggregatorConfig{Prober: p}).Mux().ServeHTTP(rec, httptest.NewRequest("GET", "/nodes", nil))
+	var doc struct {
+		Nodes []NodeStatus `json:"nodes"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	why := map[string]string{}
+	for _, n := range doc.Nodes {
+		why[n.ID] = n.LastErr
+	}
+	if why["n1"] != "" {
+		t.Errorf("n1 last_err = %q, want none", why["n1"])
+	}
+	for id, want := range map[string][]string{
+		"n2": {"0123456789abcdef", ingest.PlacementID},
+		"n3": {"places by none", ingest.PlacementID},
+	} {
+		for _, w := range want {
+			if !strings.Contains(why[id], w) {
+				t.Errorf("/nodes %s last_err = %q, want it to name %q", id, why[id], w)
+			}
+		}
+	}
+
+	srv := startIngest(t, ingest.Config{})
+	if err := p.probe(Member{Admin: srv.AdminAddr().String()}); err != nil {
+		t.Errorf("probe of this build's ingestd: %v", err)
 	}
 }
 

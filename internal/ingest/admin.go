@@ -100,7 +100,8 @@ func (s *Server) Headline() LiveHeadline {
 
 // adminMux serves the observability surface:
 //
-//	GET  /healthz           -> 200 "ok"
+//	GET  /healthz           -> 200 "ok placement=<PlacementID>" (a cluster
+//	                           prober refuses a member whose id differs)
 //	GET  /metrics           -> Prometheus text exposition of every counter,
 //	                           gauge and histogram (scrape this)
 //	GET  /events            -> recent structured events as JSON
@@ -132,7 +133,7 @@ func (s *Server) Headline() LiveHeadline {
 func (s *Server) adminMux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
+		w.Write([]byte("ok placement=" + PlacementID + "\n"))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"hash/fnv"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -39,12 +38,10 @@ const (
 var backoffInstances atomic.Uint64
 
 // SessionRand returns a jitter source seeded from the device name
-// (FNV-1a), giving every device session a stable, reproducible backoff
+// (hash64), giving every device session a stable, reproducible backoff
 // schedule that is decorrelated from every other device's.
 func SessionRand(device string) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(device))
-	return rand.New(rand.NewSource(int64(h.Sum64()))) //nolint:gosec
+	return rand.New(rand.NewSource(int64(hash64(device)))) //nolint:gosec
 }
 
 // Next returns the delay to sleep before the upcoming attempt and advances

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -37,6 +38,12 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 	if same == len(a1) {
 		t.Fatalf("devices u00 and u01 share an identical %d-step schedule", len(a1))
+	}
+	// The seed is bare FNV-64a of the name: u00's schedule, computed when
+	// the seed still came from hash/fnv's New64a.
+	const pinned = "[6.511465ms 19.360074ms 20.363567ms 58.53714ms 148.019236ms 303.14255ms]"
+	if got := fmt.Sprint(schedule("u00", 6)); got != pinned {
+		t.Fatalf("u00 schedule = %s, pinned %s", got, pinned)
 	}
 }
 

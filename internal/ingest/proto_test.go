@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strconv"
 	"testing"
 	"time"
 
@@ -217,29 +216,5 @@ func TestFrameSizeLimit(t *testing.T) {
 	fr := newFrameReader(bufio.NewReader(&buf))
 	if _, _, err := fr.next(); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("want ErrFrameTooBig, got %v", err)
-	}
-}
-
-// TestRingDistribution: every device maps to a valid shard, the mapping is
-// stable, and no shard is starved on a realistic fleet.
-func TestRingDistribution(t *testing.T) {
-	const shards = 8
-	r := newRing(shards)
-	counts := make([]int, shards)
-	for i := 0; i < 4096; i++ {
-		dev := "device-" + string(rune('a'+i%26)) + "-" + strconv.Itoa(i)
-		s := r.shard(dev)
-		if s < 0 || s >= shards {
-			t.Fatalf("shard out of range: %d", s)
-		}
-		if s2 := r.shard(dev); s2 != s {
-			t.Fatalf("unstable mapping for %q: %d vs %d", dev, s, s2)
-		}
-		counts[s]++
-	}
-	for s, c := range counts {
-		if c == 0 {
-			t.Errorf("shard %d starved", s)
-		}
 	}
 }

@@ -22,8 +22,34 @@ type NodeRing struct {
 	nodes  []string // deduplicated, sorted member names
 }
 
-// vnodesPerNode smooths the distribution; shared with the shard ring.
-const vnodesPerNode = 64
+// vnodesPerNode smooths the distribution; shared with the shard ring. A
+// member's share of the ring is the sum of vnodesPerNode uniform arcs, so
+// its relative spread is about sqrt((n-1)/(n*vnodesPerNode)): 256 keeps
+// every member of an 8-way ring within ~6 % of its fair share at one
+// standard deviation (TestPlacementBalance states the bound).
+const vnodesPerNode = 256
+
+// PlacementID names the placement function — placeHash, the vnode key
+// scheme and vnodesPerNode — as the first 16 hex digits of the SHA-256
+// TestPlacementGolden pins. Members serve it on /healthz, and a cluster
+// prober refuses a member whose id differs: two members that place the
+// same device differently would bounce it between them forever.
+const PlacementID = "3048bdcec0d35f7d"
+
+// placeHash is the placement hash of ring points and device lookups:
+// FNV-64a over the bytes of s, then murmur3's fmix64 finaliser. Bare
+// FNV-64a barely moves its high bits when only a name's last characters
+// do, and a ring orders its points by the high bits, so without the
+// finaliser sequential names (dev-0001, st-u03-r17) pile onto a few arcs.
+func placeHash(s string) uint64 {
+	h := hash64(s)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
 
 // NewNodeRing builds a ring over the given node names. Duplicates are
 // ignored; the input order is irrelevant (names are sorted first, so two
@@ -52,7 +78,7 @@ func NewNodeRing(nodes []string) *NodeRing {
 	pts := make([]point, 0, len(uniq)*vnodesPerNode)
 	for _, n := range uniq {
 		for v := 0; v < vnodesPerNode; v++ {
-			pts = append(pts, point{hash64(n + "-" + strconv.Itoa(v)), n})
+			pts = append(pts, point{placeHash(n + "-" + strconv.Itoa(v)), n})
 		}
 	}
 	sort.Slice(pts, func(i, j int) bool {
@@ -104,7 +130,7 @@ func (r *NodeRing) Nodes() []string { return r.nodes }
 // search returns the index of the first ring point at or clockwise after
 // the device's hash.
 func (r *NodeRing) search(device string) int {
-	h := hash64(device)
+	h := placeHash(device)
 	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
 	if i == len(r.hashes) {
 		i = 0

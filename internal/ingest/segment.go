@@ -265,3 +265,15 @@ func sanitizeSegmentName(device string) string {
 	}
 	return s
 }
+
+// hash64 is bare FNV-64a over the bytes of s: the file-name suffix above
+// and SessionRand's seed. Both are on disk or in reproducible schedules, so
+// it never changes; placement mixes it further (placeHash).
+func hash64(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}

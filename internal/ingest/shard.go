@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"hash/crc32"
-	"hash/fnv"
 	"strconv"
 	"sync"
 	"time"
@@ -15,11 +14,11 @@ import (
 )
 
 // ring is the in-process consistent-hash placement mapping device IDs to
-// shards: a NodeRing over synthetic "shard-<i>" names (the vnode keys are
-// unchanged from before the lift, so placements survive the refactor).
-// Keeping the placement function consistent means a resharding (growing the
-// pool, moving devices between processes) relocates only ~1/n of devices;
-// the cluster tier reuses the same NodeRing for device→node assignment.
+// shards: a NodeRing over synthetic "shard-<i>" names, so shard and cluster
+// placement are one function. No checkpoint stores a placement —
+// decodeSnapshot re-places every restored device through the current ring
+// — so a restart under another shard count or placement hash re-places
+// everything and loses nothing (TestCommitsProperty, TestCrashRecovery).
 type ring struct {
 	nr  *NodeRing
 	idx map[string]int
@@ -37,12 +36,6 @@ func newRing(shards int) *ring {
 
 // shard returns the shard index owning device.
 func (r *ring) shard(device string) int { return r.idx[r.nr.Owner(device)] }
-
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
 
 // recordBatch is a chunk of decoded records for one device, with payloads
 // copied out of the connection's frame buffer so they survive the channel

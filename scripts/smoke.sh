@@ -26,7 +26,9 @@
 #      still deliver every record exactly once;
 #   4. cluster: same fleet across a three-node cluster behind aggregatord,
 #      with one node kill -9'd as soon as it has accepted records and
-#      written a checkpoint: a base and a delta frame after it. The
+#      written a checkpoint: a base and a delta frame after it, and every
+#      device has reached its owner — each member must then hold 20-50 % of
+#      the devices (placement, end to end). The
 #      probers must declare it dead, its checkpoint must hand off to the
 #      survivors, the sessions must walk their ring preference and resume,
 #      and the merged fleet headline must equal the single-node reference
@@ -270,14 +272,23 @@ run_cluster() {
   # Chaos step: pull n2's plug (SIGKILL, no drain) the moment it has
   # accepted records AND written a durable checkpoint — a base and at least
   # one delta frame after it, or the handoff below never folds a log — so
-  # the death lands mid-run with state on disk to hand off.
+  # the death lands mid-run with state on disk to hand off. The kill also
+  # waits until every device has said hello to its owner (the members'
+  # /stats device counts sum to $DEVICES) and records those counts: the
+  # last moment all three members are up is the one placement reading.
   (
     for _ in $(seq 1 600); do
       st=$(curl -fsS "http://127.0.0.1:19914/stats" 2>/dev/null || true)
       recs=$(printf '%s' "$st" | grep -o '"records":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
       gen=$(printf '%s' "$st" | grep -o '"generation":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
-      if [ -n "${recs:-}" ] && [ "$recs" -gt 0 ] && [ -n "${gen:-}" ] && [ "$gen" -ge 1 ] && has_delta_frame "${dirs[1]}"; then
+      held=()
+      for admin in 19912 19914 19916; do
+        held+=("$(curl -fsS "http://127.0.0.1:$admin/stats" 2>/dev/null | grep -o '"devices":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)")
+      done
+      if [ -n "${recs:-}" ] && [ "$recs" -gt 0 ] && [ -n "${gen:-}" ] && [ "$gen" -ge 1 ] && has_delta_frame "${dirs[1]}" &&
+        [ $((${held[0]:-0} + ${held[1]:-0} + ${held[2]:-0})) -ge "$DEVICES" ]; then
         kill -9 "$victim"
+        echo "${held[0]:-0} ${held[1]:-0} ${held[2]:-0}" > "$WORK/placement"
         exit 0
       fi
       sleep 0.05
@@ -300,9 +311,22 @@ run_cluster() {
     -devices "$DEVICES" -days "$DAYS" -seed 7 -deadline 5m -speedup 8640
 
   if ! wait "$killer"; then
-    echo "smoke: victim node was never killed (n2 never held records, a checkpoint base and a delta frame after it)" >&2
+    echo "smoke: victim node was never killed (n2 never held records, a checkpoint base and a delta frame after it with all $DEVICES devices placed)" >&2
     exit 1
   fi
+
+  # Placement, end to end: at the kill every member held 20-50 % of the
+  # fleet (a fair share is 33 %). The parent's bare-FNV ring put 0 devices
+  # on n1 and 100 each on n2 and n3, and nothing else in `make ci` sees it.
+  local held
+  read -r -a held < "$WORK/placement"
+  for i in 0 1 2; do
+    if [ $((100 * ${held[$i]})) -lt $((20 * DEVICES)) ] || [ $((100 * ${held[$i]})) -gt $((50 * DEVICES)) ]; then
+      echo "smoke: n$((i + 1)) held ${held[$i]} of $DEVICES devices, want 20-50 % (n1/n2/n3: ${held[*]})" >&2
+      exit 1
+    fi
+  done
+  echo "smoke: placement ok (n1/n2/n3 held ${held[*]} of $DEVICES devices)"
 
   # The kill can land after fleetsim's reconcile; settle again so the
   # comparison below always sees the post-death, post-handoff fleet.
