@@ -63,10 +63,10 @@ equiv:
 smoke: build
 	./scripts/smoke.sh
 
-# Short runs of every fuzz target (trace reader over all four containers —
-# METR-3 and flat as written, METZ1 and METR-2 seeded from the read-only
-# fixtures in internal/trace/testdata/legacy — METR-3 columnar decoder,
-# indexed file reader at 1 and 4 workers, pushdown scan incl. torn tails, LZ codec, pcap
+# Short runs of every fuzz target (trace reader over METR-3 and flat, with
+# the refused METZ1 and METR-2 magics as seeds that must stay refused —
+# METR-3 columnar decoder, indexed file reader at 1 and 4 workers, pushdown
+# scan incl. torn tails, LZ codec, pcap
 # reader, packet parser, ingest frame decoder, checkpoint decoder, checkpoint delta
 # log, tsq query parser).
 FUZZTIME ?= 10s

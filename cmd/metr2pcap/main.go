@@ -8,8 +8,7 @@
 //	metr2pcap -in data/u00.metr -out u00.pcap -all       # export all interfaces
 //	metr2pcap -in capture.pcap -out capture.metr -import # import a pcap
 //
-// Exports read any METR container (flat, deflate, METR-2, METR-3); imports
-// write METR-3.
+// Exports read either METR container (flat, METR-3); imports write METR-3.
 //
 // pcap has no process mappings, directions or process states: exports drop
 // them, imports assign all packets to a single synthetic app.

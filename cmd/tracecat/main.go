@@ -7,10 +7,6 @@
 //	tracecat -trace data/u00.metr -head 20        # first 20 records
 //	tracecat -trace data/u00.metr -app com.sina.weibo -head 50
 //	tracecat -trace data/u00.metr -ndjson > u00.ndjson
-//	tracecat -trace old/u00.metr -convert data/u00.metr
-//
-// With -convert, the trace — whatever container it is in — is rewritten as
-// METR-3; records survive bit-identically, only the container changes.
 package main
 
 import (
@@ -18,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"netenergy/internal/report"
@@ -27,11 +22,10 @@ import (
 
 func main() {
 	var (
-		path    = flag.String("trace", "", "METR trace file (required)")
-		head    = flag.Int("head", 0, "print the first N records")
-		appPkg  = flag.String("app", "", "restrict -head output to one app package")
-		ndjson  = flag.Bool("ndjson", false, "dump the whole trace as NDJSON to stdout")
-		convert = flag.String("convert", "", "rewrite the trace into this file as METR-3 (may be the -trace file itself)")
+		path   = flag.String("trace", "", "METR trace file (required)")
+		head   = flag.Int("head", 0, "print the first N records")
+		appPkg = flag.String("app", "", "restrict -head output to one app package")
+		ndjson = flag.Bool("ndjson", false, "dump the whole trace as NDJSON to stdout")
 	)
 	flag.Parse()
 	if *path == "" {
@@ -44,8 +38,6 @@ func main() {
 		os.Exit(1)
 	}
 	switch {
-	case *convert != "":
-		err = convertTrace(dt, *path, *convert)
 	case *ndjson:
 		err = dt.ExportNDJSON(os.Stdout)
 	case *head > 0:
@@ -57,46 +49,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracecat:", err)
 		os.Exit(1)
 	}
-}
-
-// convertTrace rewrites dt, read from src, as a METR-3 file at dst. The
-// bytes go to a temporary file beside dst that is renamed over it once it is
-// complete: a failed conversion (ErrOutOfOrder for an unordered flat file, a
-// full disk) leaves no partial dst, and dst may be src itself.
-func convertTrace(dt *trace.DeviceTrace, src, dst string) (err error) {
-	from, err := trace.DetectFileFormat(src)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close() // the write or close error is the one to report
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = dt.SerializeColumnar(tmp); err != nil {
-		return err
-	}
-	st, err := tmp.Stat()
-	if err != nil {
-		return err
-	}
-	if err = tmp.Chmod(0o644); err != nil { // CreateTemp's 0600 is not a trace file's mode
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), dst); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "tracecat: %s (%s) -> %s (%s), %d records, %.1f MB\n",
-		src, from, dst, trace.FormatColumnar, len(dt.Records), float64(st.Size())/1e6)
-	return nil
 }
 
 func printHead(dt *trace.DeviceTrace, n int, appPkg string) error {

@@ -405,62 +405,6 @@ func TestGolden(t *testing.T) {
 	cmp.float("query-vs-batch total_energy_j", got.Query.TotalEnergyJ, got.Batch.TotalEnergyJ)
 }
 
-// TestGoldenMETR2 holds the read-only METR-2 container to the same
-// end-to-end contract as the one that is written: a directory holding the
-// checked-in METR-2 fixture (a file an older build's gentrace wrote) and one
-// holding the same device re-serialised as METR-3 render byte-identical
-// reports, on one worker and with intra-file block parallelism.
-func TestGoldenMETR2(t *testing.T) {
-	legacy, err := os.ReadFile(filepath.Join("internal", "trace", "testdata", "legacy", "u00.metr2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	metr2Dir, metr3Dir := t.TempDir(), t.TempDir()
-	metr2Path := filepath.Join(metr2Dir, "u00.metr")
-	if err := os.WriteFile(metr2Path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := trace.DetectFileFormat(metr2Path); err != nil || f != trace.FormatBlocked {
-		t.Fatalf("fixture: format %v, err %v", f, err)
-	}
-	dt, err := trace.ReadFile(metr2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metr3 bytes.Buffer
-	if err := dt.SerializeColumnar(&metr3); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(metr3Dir, "u00.metr"), metr3.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	report := func(dir string, workers int) []byte {
-		t.Helper()
-		study, err := core.OpenParallel(dir, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := study.WriteReport(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := report(metr3Dir, 1)
-	if len(want) == 0 {
-		t.Fatal("empty report")
-	}
-	for _, workers := range []int{1, 16} { // 16 > 1 file: intra-file block parallelism
-		if got := report(metr2Dir, workers); !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: the METR-2 fixture's report differs from its METR-3 re-serialisation's", workers)
-		}
-		if got := report(metr3Dir, workers); !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: the METR-3 report differs from the one-worker one", workers)
-		}
-	}
-}
-
 // TestGoldenMETR3 routes the same fixed-seed fleet through the columnar
 // METR-3 container on disk: every record must survive the round trip
 // bit-identically, and a Study opened with block-parallel columnar

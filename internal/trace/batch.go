@@ -151,16 +151,16 @@ func (b *RecordBatch) Slice(lo, hi int) RecordBatch {
 	}
 }
 
-// BatchReader streams a trace file as RecordBatches. For the blocked
-// containers each batch is one decoded block served zero-copy; for the v1
-// containers records are assembled into batches of batchAssembleSize. The returned batch is only valid until the next
-// call to Next.
+// BatchReader streams a trace file as RecordBatches. For METR-3 each batch
+// is one decoded block served zero-copy; for the flat stream records are
+// assembled into batches of batchAssembleSize. The returned batch is only
+// valid until the next call to Next.
 type BatchReader struct {
 	r     *Reader
 	owned RecordBatch
 }
 
-// batchAssembleSize is the batch length the v1 fallback assembles; one
+// batchAssembleSize is the batch length the flat fallback assembles; one
 // METR-3 block holds records of roughly the same span.
 const batchAssembleSize = 4096
 

@@ -10,12 +10,10 @@ import (
 )
 
 // benchTrace holds the files the decode benchmarks read, written once per
-// benchmark binary: one synthetic device trace in the two containers that
-// are written (flat, METR-3), and the two legacy fixtures. decode_mbps is
-// reported against the flat (uncompressed-container) byte count of the same
-// records for every format, so the metric compares decode throughput of the
-// same logical records — the fixtures' against their own flat size, which is
-// a smaller trace than the generated one.
+// benchmark binary: one synthetic device trace in the two containers (flat,
+// METR-3). decode_mbps is reported against the flat (uncompressed-container)
+// byte count of the same records for both, so the metric compares decode
+// throughput of the same logical records.
 var benchTrace struct {
 	once  sync.Once
 	recs  []Record
@@ -59,10 +57,6 @@ func benchSetup(b *testing.B) {
 			panic(err)
 		}
 		add(FormatColumnar, buf.Bytes(), dt)
-		deflate, deflateDT := legacyFixture(b, "u00.metz1")
-		add(FormatDeflate, deflate, deflateDT)
-		blocked, blockedDT := legacyFixture(b, "u00.metr2")
-		add(FormatBlocked, blocked, blockedDT)
 	})
 }
 
@@ -91,16 +85,8 @@ func benchDecode(b *testing.B, format Format, workers int) {
 	b.ReportMetric(mbps, "decode_mbps")
 }
 
-func BenchmarkDecodeV1Flat(b *testing.B)    { benchDecode(b, FormatFlat, 1) }
-func BenchmarkDecodeV1Deflate(b *testing.B) { benchDecode(b, FormatDeflate, 1) }
-func BenchmarkDecodeMETR2(b *testing.B)     { benchDecode(b, FormatBlocked, 1) }
-func BenchmarkDecodeMETR2Parallel4(b *testing.B) {
-	benchDecode(b, FormatBlocked, 4)
-}
-func BenchmarkDecodeMETR2Parallel8(b *testing.B) {
-	benchDecode(b, FormatBlocked, 8)
-}
-func BenchmarkDecodeMETR3(b *testing.B) { benchDecode(b, FormatColumnar, 1) }
+func BenchmarkDecodeV1Flat(b *testing.B) { benchDecode(b, FormatFlat, 1) }
+func BenchmarkDecodeMETR3(b *testing.B)  { benchDecode(b, FormatColumnar, 1) }
 func BenchmarkDecodeMETR3Parallel4(b *testing.B) {
 	benchDecode(b, FormatColumnar, 4)
 }

@@ -14,18 +14,16 @@ import (
 	"sync/atomic"
 )
 
-// The blocked containers, METR-2 and METR-3, are one frame grammar around a
-// format-specific block payload:
+// The METR-3 container is a frame grammar around a columnar block payload:
 //
-//	file    := magic header block* index footer
-//	magic   := "METR2\n" | "METR3\n"
+//	file    := "METR3\n" header block* index footer
 //	header  := deviceLen:uvarint device:bytes start:varint
 //	block   := 'B' ulen:uvarint clen:uvarint crc32c:uint32le
 //	           firstTS:varint lastTS:varint count:uvarint payload:clen-bytes
 //	index   := 'I' count:uvarint entry*
 //	entry   := offsetDelta:uvarint ulen:uvarint clen:uvarint
 //	           firstTS:varint lastTS:varint count:uvarint
-//	footer  := indexLen:uint64le indexCRC32C:uint32le ("2RTEM\n" | "3RTEM\n")
+//	footer  := indexLen:uint64le indexCRC32C:uint32le "3RTEM\n"
 //
 // Records are grouped into blocks of ~256 KiB uncompressed; each block is
 // compressed independently, CRC32C-protected (Castagnoli, over the
@@ -42,11 +40,9 @@ import (
 // the index: blocks are self-describing, so NewReader decodes a blocked
 // file front to back without seeking.
 //
-// This file is the frame layer. What a payload holds is the codec's
-// business — row frames under DEFLATE for METR-2 (rowblock.go), bit-packed
-// columns under internal/lz for METR-3 (columnar.go) — and both codecs
-// decode a block into a RecordBatch. Only METR-3 is written (ColumnWriter,
-// below); METR-2 is read-only.
+// This file is the frame layer and the writer (ColumnWriter, below). What a
+// payload holds — bit-packed columns under internal/lz — is columnar.go's
+// business, which decodes a block into a RecordBatch.
 //
 // Torn tail: a blocked file without a footer is a segment still being
 // written (a reader can land between cutBlock's two writes) or one a kill
@@ -85,42 +81,10 @@ const (
 // errTornBlock: a block's header or payload runs past the end of the stream.
 var errTornBlock = fmt.Errorf("%w (block runs past the end of the file)", ErrTruncated)
 
-// container is the format-specific part of reading a blocked file: its
-// magics and its payload decoder.
-type container struct {
-	format Format
-	magic  []byte
-	footer []byte
-
-	// decode decompresses the CRC-verified payload comp into raw (len ==
-	// h.ulen) and decodes it into dst, whose Blob aliases raw afterwards.
-	// It must reject anything that is not exactly h.count records ending
-	// at h.lastTS.
-	decode func(sc *blockScratch, comp, raw []byte, h blockHeader, dst *RecordBatch) error
-}
-
 var (
-	containerBlocked = &container{format: FormatBlocked,
-		magic: []byte("METR2\n"), footer: []byte("2RTEM\n"), decode: decodeRowBlock}
-	containerColumnar = &container{format: FormatColumnar,
-		magic: []byte("METR3\n"), footer: []byte("3RTEM\n"), decode: decodeColumnBlock}
-
-	magicBlocked        = containerBlocked.magic
-	footerMagic         = containerBlocked.footer
-	magicColumnar       = containerColumnar.magic
-	footerMagicColumnar = containerColumnar.footer
+	magicColumnar       = []byte("METR3\n")
+	footerMagicColumnar = []byte("3RTEM\n")
 )
-
-// containerOf returns the blocked container a file magic names, or nil.
-func containerOf(magic []byte) *container {
-	switch {
-	case bytes.Equal(magic, magicBlocked):
-		return containerBlocked
-	case bytes.Equal(magic, magicColumnar):
-		return containerColumnar
-	}
-	return nil
-}
 
 // BlockInfo describes one block of a blocked file, as recorded in the
 // footer index.
@@ -231,15 +195,13 @@ func appendBlockFields(dst []byte, b BlockInfo, crc uint32, withCRC bool) []byte
 }
 
 // blockScratch is what a block decode reuses from block to block: the
-// buffer the compressed bytes are read into, METR-2's DEFLATE reader and
-// METR-3's unpack scratch. The streaming iterator owns one; the indexed
-// readers draw theirs from blockScratchPool, which keeps the steady-state
-// decode loop free of per-block reader/buffer churn.
+// buffer the compressed bytes are read into and the unpack scratch. The
+// streaming iterator owns one; the indexed readers draw theirs from
+// blockScratchPool, which keeps the steady-state decode loop free of
+// per-block buffer churn.
 type blockScratch struct {
-	buf    []byte
-	compRd *bytes.Reader
-	fr     io.ReadCloser
-	u64    []uint64
+	buf []byte
+	u64 []uint64
 	// raw is the uncompressed payload of the block a scan or the streaming
 	// iterator decoded last, and batch that block: batch's Blob aliases raw,
 	// so both are overwritten by the next decode — whatever a caller keeps
@@ -252,12 +214,12 @@ type blockScratch struct {
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // decodeBlock verifies comp against the header's CRC32C — before a byte of
-// it is decompressed — and hands it to the payload codec.
-func (c *container) decodeBlock(sc *blockScratch, h blockHeader, comp, raw []byte, dst *RecordBatch) error {
+// it is decompressed — and decodes it into dst (see decodeColumnBlock).
+func decodeBlock(sc *blockScratch, h blockHeader, comp, raw []byte, dst *RecordBatch) error {
 	if crc32.Checksum(comp, castagnoli) != h.crc {
 		return ErrCorrupt
 	}
-	return c.decode(sc, comp, raw, h, dst)
+	return decodeColumnBlock(sc, comp, raw, h, dst)
 }
 
 // sliceCap resizes s to length n, reallocating only when capacity is
@@ -434,13 +396,12 @@ func (w *ColumnWriter) Flush() error {
 	return nil
 }
 
-// blockIter is the streaming (non-seeking) decoder of a blocked container,
+// blockIter is the streaming (non-seeking) decoder of a METR-3 container,
 // behind Reader.Next and BatchReader.Next: it decodes one block at a time
 // into a reused RecordBatch and serves the batch, or records out of it,
 // allocation-free per record at steady state.
 type blockIter struct {
 	br  *bufio.Reader
-	c   *container
 	sc  blockScratch
 	idx int // next record of sc.batch that next serves
 	rec Record
@@ -487,7 +448,7 @@ func (d *blockIter) load() error {
 			return mapReadErr(err, errTornBlock, "reading block payload")
 		}
 		d.sc.raw = sliceCap(d.sc.raw, h.ulen)
-		if err := d.c.decodeBlock(&d.sc, h, d.sc.buf, d.sc.raw, &d.sc.batch); err != nil {
+		if err := decodeBlock(&d.sc, h, d.sc.buf, d.sc.raw, &d.sc.batch); err != nil {
 			return err
 		}
 		d.idx = 0
@@ -520,20 +481,18 @@ func (d *blockIter) nextBatch() (*RecordBatch, error) {
 	return &d.sc.batch, nil
 }
 
-// blockIndex is a sealed blocked file as its footer index describes it.
+// blockIndex is a sealed METR-3 file as its footer index describes it.
 type blockIndex struct {
-	c       *container
 	device  string
 	start   Timestamp
 	blocks  []BlockInfo
 	dataEnd int64 // offset of the index tag: where the last block ends
 }
 
-// ReadBlockIndex reads the footer index of a blocked container (METR-2
-// or METR-3) via ra. It returns the device, start timestamp and
-// per-block index, or ok=false if the file is not a blocked container
-// or carries no (intact) footer — the caller should fall back to
-// streaming.
+// ReadBlockIndex reads the footer index of a METR-3 container via ra. It
+// returns the device, start timestamp and per-block index, or ok=false if
+// the file is not a METR-3 container or carries no (intact) footer — the
+// caller should fall back to streaming.
 func ReadBlockIndex(ra io.ReaderAt, size int64) (device string, start Timestamp, blocks []BlockInfo, ok bool, err error) {
 	ix, err := readBlockIndex(ra, size)
 	if err != nil || ix == nil {
@@ -543,7 +502,7 @@ func ReadBlockIndex(ra io.ReaderAt, size int64) (device string, start Timestamp,
 }
 
 // readBlockIndex is ReadBlockIndex (a nil index for its ok=false) with the
-// rest an indexed read needs: the container and the data-end offset.
+// rest an indexed read needs: the data-end offset.
 func readBlockIndex(ra io.ReaderAt, size int64) (*blockIndex, error) {
 	var m [6]byte
 	if size < int64(len(m))+footerLen {
@@ -552,15 +511,14 @@ func readBlockIndex(ra io.ReaderAt, size int64) (*blockIndex, error) {
 	if _, err := ra.ReadAt(m[:], 0); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	c := containerOf(m[:])
-	if c == nil {
+	if !bytes.Equal(m[:], magicColumnar) {
 		return nil, nil
 	}
 	var foot [footerLen]byte
 	if _, err := ra.ReadAt(foot[:], size-footerLen); err != nil {
 		return nil, fmt.Errorf("trace: reading footer: %w", err)
 	}
-	if !bytes.Equal(foot[12:], c.footer) {
+	if !bytes.Equal(foot[12:], footerMagicColumnar) {
 		return nil, nil // truncated or still being written
 	}
 	idxLen := int64(binary.LittleEndian.Uint64(foot[:8]))
@@ -591,7 +549,7 @@ func readBlockIndex(ra io.ReaderAt, size int64) (*blockIndex, error) {
 		return nil, ErrCorrupt
 	}
 	p = p[n:]
-	ix := &blockIndex{c: c, dataEnd: size - footerLen - idxLen, blocks: make([]BlockInfo, 0, count)}
+	ix := &blockIndex{dataEnd: size - footerLen - idxLen, blocks: make([]BlockInfo, 0, count)}
 	prev := int64(0)
 	prevLast := Timestamp(math.MinInt64)
 	for i := uint64(0); i < count; i++ {
@@ -687,7 +645,7 @@ func (ix *blockIndex) readBlockAt(ra io.ReaderAt, i int, sc *blockScratch, raw [
 	if len(buf) < 1+hdrLen+h.clen {
 		return ErrTruncated
 	}
-	return ix.c.decodeBlock(sc, h, buf[1+hdrLen:1+hdrLen+h.clen], raw, dst)
+	return decodeBlock(sc, h, buf[1+hdrLen:1+hdrLen+h.clen], raw, dst)
 }
 
 // decodeArena holds the two large per-file buffers an indexed read fills:
@@ -706,8 +664,8 @@ type decodeArena struct {
 
 var decodeArenaPool = sync.Pool{New: func() any { return new(decodeArena) }}
 
-// ReadFileParallel reads a trace file into memory. A METR-2 or METR-3 file
-// with an intact footer index is always read by that index: the index
+// ReadFileParallel reads a trace file into memory. A METR-3 file with an
+// intact footer index is always read by that index: the index
 // gives every block's record count and uncompressed size up front, so the
 // blocks decode straight into disjoint windows of one pooled record slice
 // and one pooled byte arena (see decodeArena, and DeviceTrace.Recycle for
@@ -717,8 +675,8 @@ var decodeArenaPool = sync.Pool{New: func() any { return new(decodeArena) }}
 // therefore the DeviceTrace, is the same for every count and the same as
 // the streaming decoder's. Every byte is validated before it sizes
 // anything: index CRC32C and bounds, each block header against its index
-// entry, each payload's CRC32C. A file without a usable index — a v1
-// container, or a blocked file whose footer is missing or torn — streams
+// entry, each payload's CRC32C. A file without a usable index — a flat
+// stream, or a METR-3 file whose footer is missing or torn — streams
 // through ReadAll instead.
 func ReadFileParallel(path string, workers int) (*DeviceTrace, error) {
 	f, ix, err := openIndexed(path)

@@ -2,11 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"compress/flate"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -19,8 +16,8 @@ import (
 )
 
 // genRecords builds a deterministic mixed-type record stream big enough to
-// span several blocks (payloads are semi-repetitive so DEFLATE has real
-// work, as in the synthetic fleets).
+// span several blocks (payloads are semi-repetitive so the compressor has
+// real work, as in the synthetic fleets).
 func genRecords(n int) []Record {
 	src := rng.New(42)
 	recs := make([]Record, 0, n+4)
@@ -61,24 +58,6 @@ func sameRecord(a, b *Record) bool {
 		bytes.Equal(a.Payload, b.Payload)
 }
 
-// legacyFixture reads one of the two checked-in files in a container nothing
-// writes any more — testdata/legacy/u00.metr2 (METR-2, three blocks) and
-// u00.metz1 (METZ1) — and decodes it front to back through the streaming
-// reader. legacy_test.go pins each file's SHA-256 and holds exactly that
-// decode to synthgen's output, so tests in this package may use the decoded
-// records as the reference for every other read path.
-func legacyFixture(tb testing.TB, name string) (data []byte, dt *DeviceTrace) {
-	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if dt, err = ReadAll(bytes.NewReader(data)); err != nil {
-		tb.Fatal(err)
-	}
-	return data, dt
-}
-
 // blockedFile is a sealed multi-block file and the records it holds.
 type blockedFile struct {
 	name string // its format's, which the subtests are named by
@@ -87,16 +66,11 @@ type blockedFile struct {
 }
 
 // blockedFiles are what the frame-layer tests read: n generated records as
-// the METR-3 writer lays them out, and the METR-2 fixture — the frame layer
-// is one code path for both, the payload codecs are not.
+// the METR-3 writer lays them out.
 func blockedFiles(t *testing.T, n int) []blockedFile {
 	t.Helper()
 	dt := &DeviceTrace{Device: "device-b", Start: 1000, Records: genRecords(n)}
-	legacy, legacyDT := legacyFixture(t, "u00.metr2")
-	return []blockedFile{
-		{FormatColumnar.String(), writeColumnar(t, dt.Device, dt.Start, dt.Records), dt},
-		{FormatBlocked.String(), legacy, legacyDT},
-	}
+	return []blockedFile{{FormatColumnar.String(), writeColumnar(t, dt.Device, dt.Start, dt.Records), dt}}
 }
 
 func TestBlockedIndex(t *testing.T) {
@@ -159,20 +133,11 @@ func TestBlockedParallelFallsBackOnV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deflate, deflateDT := legacyFixture(t, "u00.metz1")
-	for _, c := range []struct {
-		format Format
-		data   []byte
-		want   int
-	}{{FormatFlat, flat, len(sampleRecords())}, {FormatDeflate, deflate, len(deflateDT.Records)}} {
-		got, err := ReadFileParallel(writeTemp(t, c.data), 4)
-		if err != nil {
-			t.Fatalf("%v: %v", c.format, err)
-		}
-		if len(got.Records) != c.want {
-			t.Fatalf("%v: %d records, want %d", c.format, len(got.Records), c.want)
-		}
+	got, err := ReadFileParallel(writeTemp(t, flat), 4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireRecordsEqual(t, sampleRecords(), got.Records)
 }
 
 func TestBlockedTruncatedFooterStreamsAnyway(t *testing.T) {
@@ -194,24 +159,12 @@ func TestBlockedTruncatedFooterStreamsAnyway(t *testing.T) {
 	}
 }
 
-// blockCodecs is the table the crafted-file tests run over: what block.go
-// checks must hold whichever payload codec sits inside the frames. The files
-// are assembled byte by byte, so the read-only METR-2 gets the same probes.
-var blockCodecs = []struct {
-	format     Format
-	craftBlock func(raw []byte, count int, first, last Timestamp) []byte
-	craftIndex func(declaredCount uint64, entries []rawIndexEntry) []byte
-	// screenAt is the uncompressed payload of a block holding one
-	// RecScreen(on) record at the block's firstTS.
-	screenAt []byte
-}{
-	{FormatBlocked, craftBlockFile, craftIndexFile,
-		// type, bodyLen, body = tsDelta:varint(0) + on:byte
-		[]byte{byte(RecScreen), 0x02, 0x00, 0x01}},
-	{FormatColumnar, craftColumnFile, craftColumnIndexFile,
-		// types, flags, aux columns, then zero ts/app/len widths
-		[]byte{byte(RecScreen), 0x01, 0x00, 0x00, 0x00, 0x00}},
-}
+// screenBlock is the uncompressed columnar image of a block holding one
+// RecScreen(on) record at the block's firstTS — types, flags and aux
+// columns, then zero ts/app/len widths — for the crafted-file tests, which
+// probe what block.go checks with files assembled byte by byte
+// (craftColumnFile, craftColumnIndexFile).
+var screenBlock = []byte{byte(RecScreen), 0x01, 0x00, 0x00, 0x00, 0x00}
 
 // readPaths are the ways into a blocked file: the streaming iterator, the
 // two indexed readers, and the indexed whole-file reader on one worker. Each returns the records it delivered before
@@ -332,8 +285,9 @@ func TestBlockedEmptyTrace(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// craftIndexFile with no entries is an empty METR-2 file, byte for byte.
-	for _, data := range [][]byte{buf.Bytes(), craftIndexFile(0, nil)} {
+	// craftColumnIndexFile with no entries is, byte for byte, what the writer
+	// flushes with no records for device "d" at start 0.
+	for _, data := range [][]byte{buf.Bytes(), craftColumnIndexFile(0, nil)} {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
@@ -391,8 +345,7 @@ func TestBlockDecodeAllocFree(t *testing.T) {
 		}
 
 		// Whole-file amortized budget: block transitions pay for buffer
-		// growth, the app names and (METR-2) the stdlib inflater's per-block
-		// Huffman tables, nothing scales with the record count.
+		// growth and the app names, nothing scales with the record count.
 		n := len(recs)
 		allocs := testing.AllocsPerRun(2, func() {
 			r, err := NewReader(bytes.NewReader(data))
@@ -417,30 +370,6 @@ type rawIndexEntry struct {
 	ft, lt         int64
 }
 
-// craftIndexFile assembles a METR-2 file consisting of only the header and
-// a CRC-intact footer index carrying the given raw entries (declaredCount
-// is what the index claims, independent of len(entries)). No blocks are
-// written: the point is to probe ReadBlockIndex's validation of
-// attacker-controlled index fields before any allocation they size.
-func craftIndexFile(declaredCount uint64, entries []rawIndexEntry) []byte {
-	out := append([]byte(nil), magicBlocked...)
-	out = appendFileHeader(out, "d", 0)
-	idx := []byte{indexTag}
-	idx = binary.AppendUvarint(idx, declaredCount)
-	for _, e := range entries {
-		idx = binary.AppendUvarint(idx, e.od)
-		idx = binary.AppendUvarint(idx, e.ul)
-		idx = binary.AppendUvarint(idx, e.cl)
-		idx = binary.AppendVarint(idx, e.ft)
-		idx = binary.AppendVarint(idx, e.lt)
-		idx = binary.AppendUvarint(idx, e.rc)
-	}
-	idx = binary.LittleEndian.AppendUint64(idx, uint64(len(idx)))
-	idx = binary.LittleEndian.AppendUint32(idx, crc32.Checksum(idx[:len(idx)-8], castagnoli))
-	idx = append(idx, footerMagic...)
-	return append(out, idx...)
-}
-
 // TestBlockIndexRejectsCraftedEntries pins the fix for two OOM bugs: a
 // tiny file whose CRC-valid index declared a huge block offset or record
 // count made ReadBlockIndex/ReadFileParallel size allocations from those
@@ -462,60 +391,22 @@ func TestBlockIndexRejectsCraftedEntries(t *testing.T) {
 			[]rawIndexEntry{{od: 5, ul: 16, cl: 16, rc: 1 << 50}}},
 		{"declared count exceeds index capacity", 1 << 40, nil},
 	}
-	for _, c := range blockCodecs {
-		for _, tc := range cases {
-			t.Run(c.format.String()+"/"+tc.name, func(t *testing.T) {
-				data := c.craftIndex(tc.count, tc.entries)
-				_, _, _, ok, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
-				if ok || !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("ok=%v err=%v, want ok=false ErrCorrupt", ok, err)
+	for _, tc := range cases {
+		t.Run(FormatColumnar.String()+"/"+tc.name, func(t *testing.T) {
+			data := craftColumnIndexFile(tc.count, tc.entries)
+			_, _, _, ok, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+			if ok || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ok=%v err=%v, want ok=false ErrCorrupt", ok, err)
+			}
+			// The indexed readers must refuse the file, not fall back to
+			// streaming it.
+			for _, p := range readPaths[1:] {
+				if _, err := p.read(t, data); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s: err=%v, want ErrCorrupt", p.name, err)
 				}
-				// The indexed readers must refuse the file, not fall back
-				// to streaming it.
-				for _, p := range readPaths[1:] {
-					if _, err := p.read(t, data); !errors.Is(err, ErrCorrupt) {
-						t.Fatalf("%s: err=%v, want ErrCorrupt", p.name, err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
-}
-
-// craftBlockFile assembles a METR-2 file with a single hand-built block
-// (raw is the uncompressed frame stream, count/first/last the declared
-// header fields) plus a matching CRC-intact footer index.
-func craftBlockFile(raw []byte, count int, first, last Timestamp) []byte {
-	var comp bytes.Buffer
-	fw, _ := flate.NewWriter(&comp, flate.BestSpeed)
-	fw.Write(raw)
-	fw.Close()
-	payload := comp.Bytes()
-
-	out := append([]byte(nil), magicBlocked...)
-	out = appendFileHeader(out, "d", 0)
-	blkOff := int64(len(out))
-	out = append(out, blockTag)
-	out = binary.AppendUvarint(out, uint64(len(raw)))
-	out = binary.AppendUvarint(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	out = binary.AppendVarint(out, int64(first))
-	out = binary.AppendVarint(out, int64(last))
-	out = binary.AppendUvarint(out, uint64(count))
-	out = append(out, payload...)
-
-	idx := []byte{indexTag}
-	idx = binary.AppendUvarint(idx, 1)
-	idx = binary.AppendUvarint(idx, uint64(blkOff))
-	idx = binary.AppendUvarint(idx, uint64(len(raw)))
-	idx = binary.AppendUvarint(idx, uint64(len(payload)))
-	idx = binary.AppendVarint(idx, int64(first))
-	idx = binary.AppendVarint(idx, int64(last))
-	idx = binary.AppendUvarint(idx, 1)
-	idx = binary.LittleEndian.AppendUint64(idx, uint64(len(idx)))
-	idx = binary.LittleEndian.AppendUint32(idx, crc32.Checksum(idx[:len(idx)-8], castagnoli))
-	idx = append(idx, footerMagic...)
-	return append(out, idx...)
 }
 
 // TestBlockTrailingBytesRejected pins the fix for silent trailing bytes: a
@@ -524,20 +415,18 @@ func craftBlockFile(raw []byte, count int, first, last Timestamp) []byte {
 // parallel path (and the same block without the trailing bytes must read
 // cleanly, proving the check is not over-strict).
 func TestBlockTrailingBytesRejected(t *testing.T) {
-	for _, c := range blockCodecs {
-		clean := c.craftBlock(c.screenAt, 1, 100, 100)
-		dirty := c.craftBlock(append(append([]byte(nil), c.screenAt...), 0xAA, 0xBB), 1, 100, 100)
-		for _, p := range readPaths {
-			t.Run(c.format.String()+"/"+p.name, func(t *testing.T) {
-				got, err := p.read(t, clean)
-				if err != nil || len(got) != 1 || got[0].Type != RecScreen || got[0].TS != 100 || !got[0].ScreenOn {
-					t.Fatalf("clean crafted block: %v, err=%v", got, err)
-				}
-				if _, err := p.read(t, dirty); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("err=%v, want ErrCorrupt", err)
-				}
-			})
-		}
+	clean := craftColumnFile(screenBlock, 1, 100, 100)
+	dirty := craftColumnFile(append(append([]byte(nil), screenBlock...), 0xAA, 0xBB), 1, 100, 100)
+	for _, p := range readPaths {
+		t.Run(FormatColumnar.String()+"/"+p.name, func(t *testing.T) {
+			got, err := p.read(t, clean)
+			if err != nil || len(got) != 1 || got[0].Type != RecScreen || got[0].TS != 100 || !got[0].ScreenOn {
+				t.Fatalf("clean crafted block: %v, err=%v", got, err)
+			}
+			if _, err := p.read(t, dirty); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err=%v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -666,79 +555,51 @@ func TestWriteBatchMatchesWriteLoop(t *testing.T) {
 // ahead of the tail is still an error.
 func TestScanTornTail(t *testing.T) {
 	recs := genRecords(1500)
-	unsealed, lastBlock := unsealedColumnar(t, recs[:1480], recs[1480:])
+	data, lastBlock := unsealedColumnar(t, recs[:1480], recs[1480:])
+	firstBlock := len(magicColumnar) + 1 + len("device-b") + 2
+	head := recs[:1480]
+	t.Run(FormatColumnar.String(), func(t *testing.T) {
+		stream, scan := readPaths[0].read, readPaths[2].read
 
-	// The METR-2 fixture with its index and footer cut off is the same
-	// thing in the other payload codec. Its last block is 12 KB, so the
-	// tear is sampled there (every 1009th byte, and every byte of the 16 at
-	// either end).
-	legacy, legacyDT := legacyFixture(t, "u00.metr2")
-	ix, err := readBlockIndex(bytes.NewReader(legacy), int64(len(legacy)))
-	if err != nil || ix == nil {
-		t.Fatalf("fixture index: %v", err)
-	}
-	last := ix.blocks[len(ix.blocks)-1]
-
-	for _, c := range []struct {
-		name       string
-		data       []byte
-		firstBlock int
-		lastBlock  int
-		recs       []Record
-		tail       int // records in the last block
-		step       int
-	}{
-		{FormatColumnar.String(), unsealed, len(magicColumnar) + 1 + len("device-b") + 2, lastBlock, recs, len(recs) - 1480, 1},
-		{FormatBlocked.String(), legacy[:ix.dataEnd], int(ix.blocks[0].Offset), int(last.Offset), legacyDT.Records, last.Count, 1009},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			data, lastBlock, head := c.data, c.lastBlock, c.recs[:len(c.recs)-c.tail]
-			stream, scan := readPaths[0].read, readPaths[2].read
-
-			for cut := lastBlock; cut <= len(data); cut++ {
-				if d := cut - lastBlock; c.step > 1 && d > 16 && len(data)-cut > 16 && d%c.step != 0 {
-					continue
-				}
-				want := head
-				if cut == len(data) {
-					want = c.recs
-				}
-				got, err := scan(t, data[:cut])
-				if err != nil {
-					t.Fatalf("cut at %d of %d: ScanFile: %v", cut, len(data), err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("cut at %d of %d: ScanFile delivered %d records, want %d", cut, len(data), len(got), len(want))
-				}
-				for i := range got {
-					if !sameRecord(&got[i], &want[i]) {
-						t.Fatalf("cut at %d: record %d differs", cut, i)
-					}
-				}
-				// Anything short of the whole block, beyond its bare
-				// absence, is a truncated file to a plain reader.
-				_, err = stream(t, data[:cut])
-				if torn := cut > lastBlock && cut < len(data); torn != errors.Is(err, ErrTruncated) || (!torn && err != nil) {
-					t.Fatalf("cut at %d of %d: NewReader: %v", cut, len(data), err)
+		for cut := lastBlock; cut <= len(data); cut++ {
+			want := head
+			if cut == len(data) {
+				want = recs
+			}
+			got, err := scan(t, data[:cut])
+			if err != nil {
+				t.Fatalf("cut at %d of %d: ScanFile: %v", cut, len(data), err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("cut at %d of %d: ScanFile delivered %d records, want %d", cut, len(data), len(got), len(want))
+			}
+			for i := range got {
+				if !sameRecord(&got[i], &want[i]) {
+					t.Fatalf("cut at %d: record %d differs", cut, i)
 				}
 			}
-
-			// Before the tail the torn-tail rule forgives nothing: a bad
-			// tag, a CRC mismatch, a malformed header.
-			firstBlock := c.firstBlock
-			for name, mutate := range map[string]func(d []byte){
-				"bad tag":      func(d []byte) { d[firstBlock] = 'X' },
-				"crc mismatch": func(d []byte) { d[lastBlock-1] ^= 0xff },
-				"malformed header": func(d []byte) {
-					d[firstBlock+1], d[firstBlock+2], d[firstBlock+3], d[firstBlock+4] = 0xff, 0xff, 0xff, 0x7f
-				},
-			} {
-				mut := append([]byte(nil), data[:len(data)-1]...)
-				mutate(mut)
-				if _, err := scan(t, mut); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("%s ahead of a torn tail: ScanFile: %v, want ErrCorrupt", name, err)
-				}
+			// Anything short of the whole block, beyond its bare absence, is
+			// a truncated file to a plain reader.
+			_, err = stream(t, data[:cut])
+			if torn := cut > lastBlock && cut < len(data); torn != errors.Is(err, ErrTruncated) || (!torn && err != nil) {
+				t.Fatalf("cut at %d of %d: NewReader: %v", cut, len(data), err)
 			}
-		})
-	}
+		}
+
+		// Before the tail the torn-tail rule forgives nothing: a bad tag, a
+		// CRC mismatch, a malformed header.
+		for name, mutate := range map[string]func(d []byte){
+			"bad tag":      func(d []byte) { d[firstBlock] = 'X' },
+			"crc mismatch": func(d []byte) { d[lastBlock-1] ^= 0xff },
+			"malformed header": func(d []byte) {
+				d[firstBlock+1], d[firstBlock+2], d[firstBlock+3], d[firstBlock+4] = 0xff, 0xff, 0xff, 0x7f
+			},
+		} {
+			mut := append([]byte(nil), data[:len(data)-1]...)
+			mutate(mut)
+			if _, err := scan(t, mut); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s ahead of a torn tail: ScanFile: %v, want ErrCorrupt", name, err)
+			}
+		}
+	})
 }

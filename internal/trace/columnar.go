@@ -318,7 +318,10 @@ func (e *columnEncoder) encode() (ulen int, comp []byte) {
 	return len(e.raw), e.comp
 }
 
-// decodeColumnBlock is the METR-3 container.decode.
+// decodeColumnBlock decompresses the CRC-verified payload comp into raw
+// (len == h.ulen) and decodes it into dst, whose Blob aliases raw
+// afterwards. It rejects anything that is not exactly h.count records
+// ending at h.lastTS.
 func decodeColumnBlock(sc *blockScratch, comp, raw []byte, h blockHeader, dst *RecordBatch) error {
 	if err := lz.Decompress(raw, comp); err != nil {
 		return ErrCorrupt

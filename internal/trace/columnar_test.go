@@ -151,55 +151,42 @@ func TestColumnarBatchReader(t *testing.T) {
 	requireRecordsEqual(t, recs, got)
 }
 
-// TestBatchReaderRowFormats: the three row containers come out of the batch
-// reader as the records the streaming reader gives — flat assembled into
-// batches, METZ1 the same under its flate layer, METR-2 a block at a time.
+// TestBatchReaderRowFormats: the row container, the flat stream, comes out
+// of the batch reader as its records, assembled into batches.
 func TestBatchReaderRowFormats(t *testing.T) {
 	recs := genRecords(6000)
 	flat, err := (&DeviceTrace{Device: "dev-row", Start: recs[0].TS, Records: recs}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	deflate, deflateDT := legacyFixture(t, "u00.metz1")
-	blocked, blockedDT := legacyFixture(t, "u00.metr2")
-	for _, c := range []struct {
-		format Format
-		data   []byte
-		want   []Record
-	}{
-		{FormatFlat, flat, recs},
-		{FormatDeflate, deflate, deflateDT.Records},
-		{FormatBlocked, blocked, blockedDT.Records},
-	} {
-		br, err := NewBatchReader(bytes.NewReader(c.data))
+	br, err := NewBatchReader(bytes.NewReader(flat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Format() != FormatFlat {
+		t.Fatalf("sniffed %v, want %v", br.Format(), FormatFlat)
+	}
+	var got []Record
+	var rec Record
+	for {
+		b, err := br.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if br.Format() != c.format {
-			t.Fatalf("sniffed %v, want %v", br.Format(), c.format)
+		for i := 0; i < b.Len(); i++ {
+			b.Record(i, &rec)
+			cp := rec
+			cp.Payload = append([]byte(nil), rec.Payload...)
+			if cp.Payload != nil && len(cp.Payload) == 0 {
+				cp.Payload = nil
+			}
+			got = append(got, cp)
 		}
-		var got []Record
-		var rec Record
-		for {
-			b, err := br.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < b.Len(); i++ {
-				b.Record(i, &rec)
-				cp := rec
-				cp.Payload = append([]byte(nil), rec.Payload...)
-				if cp.Payload != nil && len(cp.Payload) == 0 {
-					cp.Payload = nil
-				}
-				got = append(got, cp)
-			}
-		}
-		requireRecordsEqual(t, c.want, got)
 	}
+	requireRecordsEqual(t, recs, got)
 }
 
 func TestBatchSliceAndAppend(t *testing.T) {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,10 +21,9 @@ import (
 // The CRC32 (IEEE) covers the type byte and body, so a torn or corrupted
 // record is detected at read time rather than silently mis-parsed.
 //
-// Versions 2 and 3 ("METR2", "METR3") are the blocked containers defined
-// in block.go: records grouped into independently compressed,
-// CRC-protected blocks with a seekable footer index. NewReader accepts all
-// four containers transparently.
+// Version 3 ("METR3") is the blocked container defined in block.go:
+// records grouped into independently compressed, CRC-protected blocks with
+// a seekable footer index. NewReader accepts these two and nothing else.
 
 // Format errors.
 var (
@@ -42,10 +40,13 @@ var (
 	ErrOutOfOrder = errors.New("trace: record timestamp out of order")
 )
 
-var (
-	magic     = []byte("METR1\n")
-	magicFlat = []byte("METZ1\n") // DEFLATE-compressed container
-)
+var magic = []byte("METR1\n")
+
+// legacyMagics names the containers older builds wrote and this one refuses:
+// one version is read, and an old one is refused loudly rather than decoded
+// by a second parser of untrusted bytes. Commit 9ef790b is the last whose
+// tracecat -convert rewrites such a file as METR-3.
+var legacyMagics = map[string]string{"METZ1\n": "METZ1", "METR2\n": "METR-2"}
 
 const (
 	maxRecordLen = 1 << 20 // sanity cap: no record is near 1 MiB
@@ -54,37 +55,23 @@ const (
 	// symmetrically: NewWriter and NewColumnWriter reject longer names, so
 	// no writer can produce a file a reader refuses to open.
 	maxDeviceName = 4096
-
-	// maxContainerDepth caps compressed-container nesting. Exactly one
-	// layer is legitimate (v1-deflate wraps a v1-flat stream); a file whose
-	// decompressed stream opens another container is crafted or corrupt,
-	// and following it would nest flate readers without bound.
-	maxContainerDepth = 1
 )
 
 // Format identifies an on-disk trace container.
 type Format uint8
 
-// Container formats, oldest first. All are sniffed by NewReader. Only two
-// are written: FormatColumnar to disk (NewColumnWriter) and FormatFlat as
-// the in-memory stream form (NewWriter); FormatDeflate and FormatBlocked
-// are read-only, kept for files older builds wrote.
+// The two containers NewReader sniffs, both written: FormatColumnar to disk
+// (NewColumnWriter) and FormatFlat as the in-memory stream form (NewWriter).
 const (
 	FormatFlat     Format = iota // "METR1": uncompressed record stream
-	FormatDeflate                // "METZ1": one DEFLATE layer around a METR1 stream
-	FormatBlocked                // "METR2": blocked container with per-block CRC + footer index
 	FormatColumnar               // "METR3": columnar blocked container (bitpacked columns + LZ)
 )
 
-// String names the format for reports ("flat", "deflate", "metr2", "metr3").
+// String names the format for reports ("flat", "metr3").
 func (f Format) String() string {
 	switch f {
 	case FormatFlat:
 		return "flat"
-	case FormatDeflate:
-		return "deflate"
-	case FormatBlocked:
-		return "metr2"
 	case FormatColumnar:
 		return "metr3"
 	default:
@@ -102,20 +89,14 @@ func ioFailure(err error) bool {
 
 // mapReadErr classifies a read failure at a point in the stream: EOF-shaped
 // errors become eofAs (ErrBadMagic/ErrTruncated, depending on where the
-// stream ended), DEFLATE stream errors become ErrCorrupt, and genuine I/O
-// failures are wrapped with %w so callers can errors.Is/As the underlying
-// cause and distinguish a transient read failure from a corrupt file.
+// stream ended), and genuine I/O failures are wrapped with %w so callers can
+// errors.Is/As the underlying cause and distinguish a transient read
+// failure from a corrupt file.
 func mapReadErr(err error, eofAs error, ctx string) error {
-	var ce flate.CorruptInputError
-	var ie flate.InternalError
-	switch {
-	case !ioFailure(err):
+	if !ioFailure(err) {
 		return eofAs
-	case errors.As(err, &ce), errors.As(err, &ie):
-		return fmt.Errorf("trace: %s: %v: %w", ctx, err, ErrCorrupt)
-	default:
-		return fmt.Errorf("trace: %s: %w", ctx, err)
 	}
+	return fmt.Errorf("trace: %s: %w", ctx, err)
 }
 
 // Writer streams trace records to an underlying io.Writer in the flat METR1
@@ -348,53 +329,40 @@ type Reader struct {
 	format Format
 	buf    []byte
 	rec    Record
-	blocks *blockIter // non-nil when reading a blocked (METR-2/METR-3) container
+	blocks *blockIter // non-nil when reading a METR-3 container
 }
 
-// NewReader validates the header and returns a streaming Reader. All four
-// containers are accepted: plain ("METR1"), DEFLATE-compressed ("METZ1"),
-// blocked ("METR2") and columnar ("METR3"). Blocked and columnar files are
-// streamed block by block in file order; ReadFile and ReadFileParallel read
-// a sealed file by its index instead.
-func NewReader(r io.Reader) (*Reader, error) { return newReader(r, 0) }
-
-func newReader(r io.Reader, depth int) (*Reader, error) {
+// NewReader validates the header and returns a streaming Reader over a flat
+// ("METR1") or columnar ("METR3") stream; a METR-3 file is streamed block by
+// block in file order, while ReadFile and ReadFileParallel read a sealed one
+// by its index. Any other magic is ErrBadMagic, and one of legacyMagics says
+// so by name and how to migrate the file.
+func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var m [6]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, mapReadErr(err, ErrBadMagic, "reading magic")
 	}
 	switch string(m[:]) {
-	case string(magicFlat):
-		if depth >= maxContainerDepth {
-			return nil, fmt.Errorf("trace: compressed container nested %d deep (max %d): %w",
-				depth+1, maxContainerDepth, ErrCorrupt)
-		}
-		return newReader(flate.NewReader(br), depth+1)
-	case string(magicBlocked), string(magicColumnar):
-		c := containerOf(m[:])
-		if depth > 0 {
-			return nil, fmt.Errorf("trace: %s container inside a compressed container: %w", c.format, ErrCorrupt)
-		}
+	case string(magicColumnar):
 		device, start, err := readFileHeader(br)
 		if err != nil {
 			return nil, err
 		}
-		return &Reader{device: device, start: start, format: c.format,
-			blocks: &blockIter{br: br, c: c}}, nil
+		return &Reader{device: device, start: start, format: FormatColumnar,
+			blocks: &blockIter{br: br}}, nil
 	case string(magic):
 		device, start, err := readFileHeader(br)
 		if err != nil {
 			return nil, err
 		}
-		format := FormatFlat
-		if depth > 0 {
-			format = FormatDeflate
-		}
-		return &Reader{r: br, device: device, start: start, lastTS: start, format: format}, nil
-	default:
-		return nil, ErrBadMagic
+		return &Reader{r: br, device: device, start: start, lastTS: start, format: FormatFlat}, nil
 	}
+	if name, ok := legacyMagics[string(m[:])]; ok {
+		return nil, fmt.Errorf("trace: %s container is no longer read; "+
+			"tracecat -convert as built at commit 9ef790b rewrites it as METR-3: %w", name, ErrBadMagic)
+	}
+	return nil, ErrBadMagic
 }
 
 // readFileHeader parses the post-magic header (device name, start

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"compress/flate"
 	"errors"
 	"io"
 	"strings"
@@ -96,51 +95,6 @@ func TestTimestampDeltaEncoding(t *testing.T) {
 		if got.TS != want {
 			t.Errorf("record %d TS = %d, want %d", i, got.TS, want)
 		}
-	}
-}
-
-// nestedContainer builds a crafted file whose DEFLATE payload opens with
-// another compressed-container magic — the input that used to nest flate
-// readers without bound.
-func nestedContainer(depth int, inner []byte) []byte {
-	data := inner
-	for i := 0; i < depth; i++ {
-		var buf bytes.Buffer
-		buf.Write([]byte("METZ1\n"))
-		fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
-		fw.Write(data) //nolint:errcheck
-		fw.Close()     //nolint:errcheck
-		data = buf.Bytes()
-	}
-	return data
-}
-
-func TestNestedContainerRejected(t *testing.T) {
-	// One compression layer is the format (v1-deflate)...
-	valid := nestedContainer(1, writeAll(t, sampleRecords()))
-	if _, err := NewReader(bytes.NewReader(valid)); err != nil {
-		t.Fatalf("single-layer container rejected: %v", err)
-	}
-	// ...any deeper nesting is crafted or corrupt and must be refused, not
-	// followed.
-	for depth := 2; depth <= 5; depth++ {
-		data := nestedContainer(depth, writeAll(t, sampleRecords()))
-		_, err := NewReader(bytes.NewReader(data))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("depth %d: err = %v, want ErrCorrupt", depth, err)
-		}
-	}
-	// A blocked container inside a compressed one is equally malformed...
-	for _, inner := range [][]byte{craftIndexFile(0, nil), metr3Sample()} {
-		if _, err := NewReader(bytes.NewReader(nestedContainer(1, inner))); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("blocked-in-compressed: err = %v, want ErrCorrupt", err)
-		}
-	}
-	// ...and so is a real METZ1 file — one an old build wrote, not one built
-	// here — wrapped once more.
-	metz1, _ := legacyFixture(t, "u00.metz1")
-	if _, err := NewReader(bytes.NewReader(nestedContainer(1, metz1))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("METZ1 in a second deflate layer: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -9,13 +9,56 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"netenergy/internal/lz"
 )
 
+// SynthDevice returns the synthgen device of 1 user, 1 day, seed 7 — the
+// trace a fuzzer's multi-block seed serialises. internal/synthgen imports
+// this package, so the external test package sets it (synth_test.go).
+var SynthDevice func() *DeviceTrace
+
+// synthMETR3 is SynthDevice's METR-3 serialisation: a real multi-block file
+// with an intact footer index for the fuzzers to mutate.
+func synthMETR3(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := SynthDevice().SerializeColumnar(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// legacySeeds puts each refused magic in front of body, the bytes of a
+// METR-3 file past its own magic: every byte after the first six is one the
+// reader accepts.
+func legacySeeds(body []byte) [][]byte {
+	var out [][]byte
+	for m := range legacyMagics {
+		out = append(out, append([]byte(m), body...))
+	}
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i], out[j]) < 0 })
+	return out
+}
+
+// refusedLegacy reports whether data opens with a refused magic, failing t
+// unless err is then the refusal: such a file is never decoded.
+func refusedLegacy(t *testing.T, data []byte, err error) bool {
+	t.Helper()
+	if _, ok := legacyMagics[string(data[:min(len(data), len(magic))])]; !ok {
+		return false
+	}
+	if !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("%q file: err = %v, want ErrBadMagic", data[:len(magic)], err)
+	}
+	return true
+}
+
 // FuzzReader feeds arbitrary bytes to the METR reader: every input must
-// yield records or a clean error, never a panic or unbounded allocation.
+// yield records or a clean error, never a panic or unbounded allocation,
+// and a refused magic must be refused.
 func FuzzReader(f *testing.F) {
 	// Seed: a valid small trace.
 	var buf bytes.Buffer
@@ -29,27 +72,24 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("METR1\n"))
 	f.Add([]byte{})
 
-	// Seeds: valid METR-2 traces, so the fuzzer explores the row-block
-	// decoder too — a hand-assembled one-record file for cheap mutations and
-	// the three-block fixture an old build wrote.
-	metr2 := craftBlockFile(blockCodecs[0].screenAt, 1, 100, 100)
-	f.Add(metr2)
-	legacy, _ := legacyFixture(f, "u00.metr2")
-	f.Add(legacy)
+	// Seeds: valid METR-3 traces, so the fuzzer explores the block decoder
+	// too — a hand-assembled one-record file for cheap mutations and a
+	// multi-block generated device.
+	f.Add(craftColumnFile(screenBlock, 1, 100, 100))
+	synth := synthMETR3(f)
+	f.Add(synth)
 
-	// Seed: the nesting attack — a compressed container whose decompressed
-	// stream opens another compressed container. The reader must reject it
-	// at the depth cap instead of nesting flate readers without bound.
-	f.Add(nestedContainer(3, buf.Bytes()))
-	f.Add(nestedContainer(1, metr2))
-	// Seeds: METZ1, one layer — built here, and the fixture.
-	f.Add(nestedContainer(1, buf.Bytes()))
-	metz1, _ := legacyFixture(f, "u00.metz1")
-	f.Add(metz1)
+	// Seeds: the refused magics, in front of a bare header and in front of
+	// the generated file.
+	for _, body := range [][]byte{appendFileHeader(nil, "dev", 1000), synth[len(magic):]} {
+		for _, seed := range legacySeeds(body) {
+			f.Add(seed)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
+		if refusedLegacy(t, data, err) || err != nil {
 			return
 		}
 		for i := 0; i < 10000; i++ {
@@ -73,12 +113,12 @@ func FuzzReader(f *testing.F) {
 // or an allocation sized by attacker-controlled index fields (the index is
 // CRC-protected against corruption, not against being crafted whole).
 func FuzzReadFileParallel(f *testing.F) {
-	// Seed: the multi-block METR-2 fixture, so the fuzzer starts from an
+	// Seed: a multi-block generated device, so the fuzzer starts from an
 	// intact footer index and mutates its fields; and a hand-assembled
 	// one-block file, small enough to mutate cheaply.
-	legacy, _ := legacyFixture(f, "u00.metr2")
-	f.Add(legacy)
-	f.Add(craftBlockFile(blockCodecs[0].screenAt, 1, 100, 100))
+	synth := synthMETR3(f)
+	f.Add(synth)
+	f.Add(craftColumnFile(screenBlock, 1, 100, 100))
 
 	// Seed: a v1 file, covering the streaming fallback behind the same API.
 	var vbuf bytes.Buffer
@@ -90,16 +130,18 @@ func FuzzReadFileParallel(f *testing.F) {
 	// Seeds: the two index attacks from the bug sweep — a crafted footer
 	// declaring a ~1 TiB block offset resp. a 2^50 record count, each of
 	// which previously drove a fatal OOM out of a ~30-byte file.
-	f.Add(craftIndexFile(1, []rawIndexEntry{{od: 1 << 40, ul: 16, cl: 16, rc: 1}}))
-	f.Add(craftIndexFile(1, []rawIndexEntry{{od: 5, ul: 16, cl: 16, rc: 1 << 50}}))
-	f.Add([]byte{})
-
-	// Seeds: a valid METR-3 file plus the same index attacks against its
-	// footer, so the fuzzer reaches the columnar parallel decode path
-	// (decodeColumnBlockAt) and the columnar index validation too.
-	f.Add(metr3Sample())
 	f.Add(craftColumnIndexFile(1, []rawIndexEntry{{od: 1 << 40, ul: 16, cl: 16, rc: 1}}))
 	f.Add(craftColumnIndexFile(1, []rawIndexEntry{{od: 5, ul: 16, cl: 16, rc: 1 << 50}}))
+	f.Add([]byte{})
+	f.Add(metr3Sample())
+
+	// Seeds: the generated file and a crafted index under the refused
+	// magics, footer intact: neither index may be read.
+	for _, body := range [][]byte{synth[len(magic):], craftColumnIndexFile(1, nil)[len(magic):]} {
+		for _, seed := range legacySeeds(body) {
+			f.Add(seed)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "f.metr")
@@ -110,7 +152,7 @@ func FuzzReadFileParallel(f *testing.F) {
 		// every fleet with more files than workers); four fan blocks out.
 		for _, workers := range []int{1, 4} {
 			dt, err := ReadFileParallel(path, workers)
-			if err != nil {
+			if refusedLegacy(t, data, err) || err != nil {
 				continue
 			}
 			for i := range dt.Records {
@@ -212,17 +254,16 @@ func FuzzMETR3Decoder(f *testing.F) {
 	// Seed: a length column assigning blob bytes to a record type that
 	// carries none.
 	f.Add(craftColumnFile([]byte{byte(RecScreen), 0, 1, 0, 0, 8, 0xFF, 0xAA}, 1, 100, 100))
-	// Seed: the nested-bomb — a compressed container whose payload is a
-	// METR-3 file; the depth cap must refuse it like any other nesting.
-	f.Add(nestedContainer(2, sample))
+	// Seed: the sample under a refused magic, which must stay refused.
+	f.Add(legacySeeds(sample[len(magic):])[0])
 	// Seeds: crafted footer indexes declaring a ~1 TiB offset resp. a 2^50
-	// record count — the METR-2 OOM attacks aimed at the columnar footer.
+	// record count, each of which once drove a fatal OOM.
 	f.Add(craftColumnIndexFile(1, []rawIndexEntry{{od: 1 << 40, ul: 16, cl: 16, rc: 1}}))
 	f.Add(craftColumnIndexFile(1, []rawIndexEntry{{od: 5, ul: 16, cl: 16, rc: 1 << 50}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Per-record streaming path.
-		if r, err := NewReader(bytes.NewReader(data)); err == nil {
+		if r, err := NewReader(bytes.NewReader(data)); !refusedLegacy(t, data, err) && err == nil {
 			for i := 0; i < 10000; i++ {
 				rec, err := r.Next()
 				if err != nil {
@@ -252,11 +293,11 @@ func FuzzMETR3Decoder(f *testing.F) {
 	})
 }
 
-// completeRecords walks data as a footerless blocked file, independently of
+// completeRecords walks data as a footerless METR-3 file, independently of
 // the streaming iterator, and returns how many records its leading run of
 // complete, CRC-valid blocks declares.
 func completeRecords(data []byte) int {
-	if len(data) < 6 || containerOf(data[:6]) == nil {
+	if !bytes.HasPrefix(data, magicColumnar) {
 		return 0
 	}
 	// Sized to hold the file, so Buffered below is all of it past the header.
@@ -298,18 +339,25 @@ func FuzzScanFile(f *testing.F) {
 	cw.Sync() // two blocks, so a tear can leave one whole
 	cw.Write(&recs[2])
 	cw.Flush()
-	legacy, _ := legacyFixture(f, "u00.metr2") // three blocks
-	for _, data := range [][]byte{flat, legacy, cbuf.Bytes()} {
+	synth := synthMETR3(f) // several blocks
+	for _, data := range [][]byte{flat, synth, cbuf.Bytes()} {
 		f.Add(data, uint16(0))
 		f.Add(data, uint16(footerLen+3))  // unsealed
 		f.Add(data, uint16(footerLen+20)) // unsealed, torn
 	}
 	f.Add([]byte{}, uint16(0))
+	for _, seed := range legacySeeds(synth[len(magic):]) {
+		f.Add(seed, uint16(0))
+		f.Add(seed, uint16(footerLen+3))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, tear uint16) {
 		data = data[:len(data)-int(tear)%(len(data)+1)]
 		scan, stream := readPaths[2].read, readPaths[0].read
 		got, scanErr := scan(t, data)
+		if refusedLegacy(t, data, scanErr) {
+			return
+		}
 		if _, _, _, indexed, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data))); indexed || err != nil {
 			return // ScanFile went by the index, or refused it
 		}
@@ -329,7 +377,7 @@ func FuzzScanFile(f *testing.F) {
 				t.Fatalf("record %d differs from the streaming reader's", i)
 			}
 		}
-		if containerOf(data[:min(6, len(data))]) != nil && len(got) > completeRecords(data) {
+		if bytes.HasPrefix(data, magicColumnar) && len(got) > completeRecords(data) {
 			t.Fatalf("%d records delivered, complete CRC-valid blocks hold %d", len(got), completeRecords(data))
 		}
 	})

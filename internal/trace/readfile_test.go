@@ -56,8 +56,6 @@ func TestReadFileMatchesStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deflate, _ := legacyFixture(t, "u00.metz1")
-	blocked, _ := legacyFixture(t, "u00.metr2")
 	columnar := writeColumnar(t, "device-b", 1000, recs)
 	unsealed, lastBlock := unsealedColumnar(t, recs[:4000], recs[4000:])
 
@@ -67,22 +65,14 @@ func TestReadFileMatchesStreaming(t *testing.T) {
 		want string
 	}{
 		{"flat", flat, "ok"},
-		{"deflate", deflate, "ok"},
-		{"metr2", blocked, "ok"},
 		{"metr3", columnar, "ok"},
 		{"metr3 footer cut off", columnar[:len(columnar)-footerLen-10], "ok"},
 		{"metr3 unsealed", unsealed, "ok"},
 		{"metr3 unsealed torn tail", unsealed[:lastBlock+(len(unsealed)-lastBlock)/2], "truncated"},
-	}
-	// The corrupt fixtures of the frame-layer tests: a sealed one-block file
-	// whose block is bad in a way only decoding it shows.
-	for _, c := range blockCodecs {
-		fixtures = append(fixtures, struct {
-			name string
-			data []byte
-			want string
-		}{c.format.String() + " trailing bytes in block",
-			c.craftBlock(append(append([]byte(nil), c.screenAt...), 0xAA, 0xBB), 1, 100, 100), "corrupt"})
+		// The corrupt fixture of the frame-layer tests: a sealed one-block
+		// file whose block is bad in a way only decoding it shows.
+		{"metr3 trailing bytes in block",
+			craftColumnFile(append(append([]byte(nil), screenBlock...), 0xAA, 0xBB), 1, 100, 100), "corrupt"},
 	}
 
 	for _, fx := range fixtures {

@@ -9,13 +9,13 @@ import (
 )
 
 // Range-pushdown scan over a single trace file: the footer index's
-// per-block firstTS/lastTS (honest min/max — the writers reject
+// per-block firstTS/lastTS (honest min/max — the writer rejects
 // out-of-order records) prune blocks wholly outside a half-open time
-// window [From, To) before any byte of the block is read or inflated.
+// window [From, To) before any byte of the block is read or decompressed.
 // Within a surviving block, records are trimmed to the window by binary
 // search on the (sorted) timestamp column, and an optional app predicate
 // is applied column-at-a-time before any row assembly. Files without an
-// intact footer — flat v1 containers and blocked files still being
+// intact footer — flat v1 streams and METR-3 files still being
 // written (the ingest segment store's live tail) — fall back to a
 // streaming scan with the same record-level semantics, just without
 // block skips.

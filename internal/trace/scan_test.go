@@ -38,36 +38,27 @@ type scanFile struct {
 	recs   []Record
 }
 
-// scanFiles lays recs out in the two containers that are written — flat
-// (only when withV1, the no-index fallback) and METR-3 — and adds the legacy
-// fixtures beside them with the records they hold: METR-2 for the indexed
-// scan over the row codec, METZ1 (withV1) for the fallback under flate.
+// scanFiles lays recs out in the two containers: METR-3, and flat (only when
+// withV1, the no-index fallback).
 func scanFiles(t *testing.T, recs []Record, withV1 bool) []scanFile {
 	t.Helper()
 	dt := &DeviceTrace{Device: "scan-dev", Records: recs}
 	if len(recs) > 0 {
 		dt.Start = recs[0].TS
 	}
-	blocked, blockedDT := legacyFixture(t, "u00.metr2")
-	files := []scanFile{
-		{FormatBlocked, writeTemp(t, blocked), blockedDT.Records},
-		{FormatColumnar, writeTemp(t, writeColumnar(t, dt.Device, dt.Start, recs)), recs},
-	}
+	files := []scanFile{{FormatColumnar, writeTemp(t, writeColumnar(t, dt.Device, dt.Start, recs)), recs}}
 	if withV1 {
 		flat, err := dt.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		deflate, deflateDT := legacyFixture(t, "u00.metz1")
-		files = append(files,
-			scanFile{FormatFlat, writeTemp(t, flat), recs},
-			scanFile{FormatDeflate, writeTemp(t, deflate), deflateDT.Records})
+		files = append(files, scanFile{FormatFlat, writeTemp(t, flat), recs})
 	}
 	return files
 }
 
 // scanFixture builds n packet records with 1 KiB payloads at ts =
-// 1000*i, big enough to span several blocks in both blocked formats.
+// 1000*i, big enough to span several METR-3 blocks.
 func scanFixture(n int) []Record {
 	payload := bytes.Repeat([]byte{0x42}, 1024)
 	recs := make([]Record, n)
@@ -178,9 +169,7 @@ func TestTimeRangeBoundaries(t *testing.T) {
 
 // TestScanFileBoundaries runs the same boundary table end to end: a
 // record exactly at to must never be delivered, a record exactly at
-// from always, in every container format including the v1 fallback. The
-// legacy fixtures get a window whose two bounds are record timestamps of
-// theirs.
+// from always, in both containers including the v1 fallback.
 func TestScanFileBoundaries(t *testing.T) {
 	recs := []Record{
 		{Type: RecScreen, TS: 99, ScreenOn: true},
@@ -220,7 +209,7 @@ func TestScanFileBoundaries(t *testing.T) {
 // window over a multi-block file must skip blocks (counter asserted)
 // and still deliver exactly the records a full decode + filter would.
 func TestScanPushdownSkipsBlocks(t *testing.T) {
-	for _, f := range scanFiles(t, scanFixture(2000), false) { // several blocks in both
+	for _, f := range scanFiles(t, scanFixture(2000), false) { // several blocks
 		t.Run(f.format.String(), func(t *testing.T) {
 			n := len(f.recs)
 			r := TimeRange{From: f.recs[n/4].TS, To: f.recs[n/4+n/20].TS}
@@ -364,14 +353,12 @@ func TestScanUnsealedFile(t *testing.T) {
 // exceeds its lastTS cannot come from the monotonic writers and must
 // read as corrupt, in both the streaming and the seeking paths.
 func TestCorruptInvertedBlockRange(t *testing.T) {
-	for _, c := range blockCodecs {
-		data := c.craftBlock(c.screenAt, 1, 200, 100)
-		for _, p := range readPaths {
-			t.Run(c.format.String()+"/"+p.name, func(t *testing.T) {
-				if _, err := p.read(t, data); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("decode of inverted range: got %v, want ErrCorrupt", err)
-				}
-			})
-		}
+	data := craftColumnFile(screenBlock, 1, 200, 100)
+	for _, p := range readPaths {
+		t.Run(FormatColumnar.String()+"/"+p.name, func(t *testing.T) {
+			if _, err := p.read(t, data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode of inverted range: got %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }

@@ -193,7 +193,9 @@ func statSegment(path string) (segment, error) {
 		return seg, err
 	}
 	seg.device, seg.start = br.Device(), br.Start()
-	if timeOrdered(br.Format()) {
+	// METR-3's writer rejects a record older than its predecessor, while a
+	// flat stream may hold any order.
+	if br.Format() == trace.FormatColumnar {
 		// The first record bounds the file from below. A file with no whole
 		// block yet keeps the minimum: the scan will see whatever it has by
 		// then.
@@ -202,13 +204,6 @@ func statSegment(path string) (segment, error) {
 		}
 	}
 	return seg, nil
-}
-
-// timeOrdered reports whether a container keeps its records in time order:
-// the blocked writers reject a record older than its predecessor, the flat
-// ones accept any order.
-func timeOrdered(f trace.Format) bool {
-	return f == trace.FormatBlocked || f == trace.FormatColumnar
 }
 
 // memoParams is what, besides its files, a partial of q depends on — the

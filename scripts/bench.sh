@@ -15,8 +15,8 @@
 #
 # After writing the new JSON the script compares it against the most
 # recent previous BENCH_*.json and fails on a >15% regression in the apply
-# budget pair (ns_per_op), any decode throughput (decode_mbps) metric but
-# the legacy METR-2 rows, the aggregator merge cycle (aggregate_merge_ms), or the tsq windowed
+# budget pair (ns_per_op), any decode throughput (decode_mbps) metric, the
+# aggregator merge cycle (aggregate_merge_ms), or the tsq windowed
 # query latency (query_p50_ms), so a slow decoder, a merge that goes
 # quadratic in devices, or a query plan that stops pruning blocks can't
 # land silently. -no-compare skips that gate (first run on a new machine,
@@ -92,8 +92,7 @@ while :; do
 done
 
 # Container decode throughput: flat vs METR-3, serial and block-parallel,
-# over a ~50 MB generated trace, plus the two legacy containers over their
-# checked-in fixtures. Each reports decode_mbps (flat-container MB of the
+# over a ~50 MB generated trace. Each reports decode_mbps (flat-container MB of the
 # same logical records decoded per second); a few fixed iterations beat a
 # time-based budget here.
 TRACE_BENCHTIME=${TRACE_BENCHTIME:-3x}
@@ -267,10 +266,7 @@ if [ "$COMPARE" = 1 ] && [ -n "$PREV_NAME" ]; then
     if (mbps != "" && old_mbps[name] != "" && old_mbps[name] + 0 > 0) {
       pct = 100 * (old_mbps[name] - mbps) / old_mbps[name]
       printf "bench: %s decode_mbps %s -> %s (%+.1f%% throughput)\n", name, old_mbps[name], mbps, -pct > "/dev/stderr"
-      # METR-2 and METZ1 are legacy, read-only containers whose rows decode
-      # the small checked-in fixtures (internal/trace/testdata/legacy): they
-      # are reported, and only the METR-3 and flat rows are gated.
-      if (pct > 15 && name !~ /^BenchmarkDecode(METR2|V1Deflate)/) { printf "bench: FAIL %s decode throughput fell %.1f%% (>15%%)\n", name, pct > "/dev/stderr"; bad = 1 }
+      if (pct > 15) { printf "bench: FAIL %s decode throughput fell %.1f%% (>15%%)\n", name, pct > "/dev/stderr"; bad = 1 }
     }
     if (merge != "" && old_merge[name] != "" && old_merge[name] + 0 > 0) {
       pct = 100 * (merge - old_merge[name]) / old_merge[name]

@@ -2,10 +2,9 @@
 # End-to-end ingest smoke test, seven phases:
 #   1. golden: batch and streamed analysis must still reproduce
 #      testdata/golden.json;
-#   1b. convert: a small generated fleet is rewritten METR-2 -> METR-3 ->
-#      flat with tracecat -convert; every container must report the same
-#      NDJSON record stream, proving the columnar codec round-trips through
-#      the CLI tooling, not just the library tests;
+#   1b. refuse: a generated file sniffs as metr3; the same file under the
+#      METR-2 magic makes analyze -data and tracecat -trace exit 1 with the
+#      message that names the commit whose tracecat -convert migrates it;
 #   1c. early-signal: SIGTERM the instant ingestd is listening must still
 #      drain and exit zero — the handler is installed before anything
 #      listens;
@@ -488,36 +487,26 @@ run_chaos_cluster() {
 go test -run '^TestGolden$' -count=1 .
 echo "smoke: golden phase ok"
 
-# Convert phase: the two read-only containers, as the checked-in fixtures an
-# older build wrote, each go through `tracecat -convert` into METR-3; the
-# NDJSON dump must be byte-identical before and after, the converted file
-# must sniff as metr3, and `analyze` over the converted directory must print
-# what it prints over the fixture directory.
-gen_dir="$WORK/convert"
-for legacy in internal/trace/testdata/legacy/u00.metr2 internal/trace/testdata/legacy/u00.metz1; do
-  kind=${legacy##*.}
-  mkdir -p "$gen_dir/$kind" "$gen_dir/$kind-metr3"
-  cp "$legacy" "$gen_dir/$kind/u00.metr"
-  ./bin/tracecat -trace "$gen_dir/$kind/u00.metr" -convert "$gen_dir/$kind-metr3/u00.metr"
-  stats=$(./bin/tracecat -trace "$gen_dir/$kind-metr3/u00.metr")
-  case $stats in
-    *"metr3 container"*) ;;
-    *) echo "smoke: $kind: converted file is not a metr3 container" >&2; exit 1 ;;
-  esac
-  ./bin/tracecat -trace "$gen_dir/$kind/u00.metr" -ndjson > "$gen_dir/$kind.a.ndjson"
-  ./bin/tracecat -trace "$gen_dir/$kind-metr3/u00.metr" -ndjson > "$gen_dir/$kind.b.ndjson"
-  if ! cmp -s "$gen_dir/$kind.a.ndjson" "$gen_dir/$kind.b.ndjson"; then
-    echo "smoke: $kind: records differ after conversion to metr3" >&2
-    exit 1
-  fi
-  ./bin/analyze -data "$gen_dir/$kind" > "$gen_dir/$kind.a.report"
-  ./bin/analyze -data "$gen_dir/$kind-metr3" > "$gen_dir/$kind.b.report"
-  if ! [ -s "$gen_dir/$kind.a.report" ] || ! cmp -s "$gen_dir/$kind.a.report" "$gen_dir/$kind.b.report"; then
-    echo "smoke: $kind: analyze over the converted directory differs from the fixture directory" >&2
+# Refuse phase: METR-3 is the one container on disk; a file an older build
+# wrote in METR-2 (here: a generated METR-3 file under the METR-2 magic) is
+# refused on the way in by both CLIs, exit 1, with the migration message.
+gen_dir="$WORK/refuse"
+./bin/gentrace -out "$gen_dir" -users 1 -days 1 -seed 7 >/dev/null 2>&1
+case $(./bin/tracecat -trace "$gen_dir/u00.metr") in
+  *"metr3 container"*) ;;
+  *) echo "smoke: refuse: gentrace did not write a metr3 container" >&2; exit 1 ;;
+esac
+printf 'METR2\n' | dd of="$gen_dir/u00.metr" bs=1 conv=notrunc status=none
+for cmd in "./bin/analyze -data $gen_dir" "./bin/tracecat -trace $gen_dir/u00.metr"; do
+  rc=0
+  $cmd > "$gen_dir/out" 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q 'METR-2 container.*tracecat -convert.*9ef790b' "$gen_dir/out"; then
+    echo "smoke: refuse: $cmd exited $rc, want 1 with the migration message:" >&2
+    cat "$gen_dir/out" >&2
     exit 1
   fi
 done
-echo "smoke: convert phase ok (metr2, metz1 fixtures -> metr3)"
+echo "smoke: refuse phase ok (METR-2 magic refused by analyze and tracecat)"
 
 run_early_signal
 run_phase clean -headline-json "$WORK/ref.json"
