@@ -116,11 +116,11 @@ func main() {
 // printTopFlows assembles flows from the attributed packets and prints the
 // costliest — the per-flow view Table 1 is built from.
 func printTopFlows(dt *trace.DeviceTrace, res *energy.Result, n int) error {
-	asm := flows.NewAssembler(flows.DefaultConfig())
+	asm := flows.NewAssembler(flows.DefaultConfig(), res.Conns)
 	for i := range res.Packets {
 		p := &res.Packets[i]
 		asm.Add(flows.PacketInfo{
-			TS: p.TS, App: p.App, Tuple: p.Tuple, Dir: p.Dir,
+			TS: p.TS, App: p.App, Conn: p.Conn, Dir: p.Dir,
 			Bytes: p.Bytes, State: p.State, Energy: p.Energy,
 		})
 	}

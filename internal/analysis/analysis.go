@@ -84,11 +84,11 @@ func Load(dt *trace.DeviceTrace, opts energy.Options) (*DeviceData, error) {
 		screen = append(screen, [2]trace.Timestamp{onSince, dt.Records[len(dt.Records)-1].TS + 1})
 	}
 
-	asm := flows.NewAssembler(flows.DefaultConfig())
+	asm := flows.NewAssembler(flows.DefaultConfig(), res.Conns)
 	for i := range res.Packets {
 		p := &res.Packets[i]
 		asm.Add(flows.PacketInfo{
-			TS: p.TS, App: p.App, Tuple: p.Tuple, Dir: p.Dir,
+			TS: p.TS, App: p.App, Conn: p.Conn, Dir: p.Dir,
 			Bytes: p.Bytes, State: p.State, Energy: p.Energy,
 		})
 	}

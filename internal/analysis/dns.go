@@ -36,13 +36,14 @@ func DNS(devs []*DeviceData, p radio.Params) DNSResult {
 		for i := range d.Energy.Packets {
 			pkt := &d.Energy.Packets[i]
 			ts := pkt.TS.Seconds()
-			isDNS := pkt.Tuple.Proto == netparse.IPProtoUDP &&
-				(pkt.Tuple.PortA == 53 || pkt.Tuple.PortB == 53)
+			tuple := &d.Energy.Conns[pkt.Conn]
+			isDNS := tuple.Proto == netparse.IPProtoUDP &&
+				(tuple.PortA == 53 || tuple.PortB == 53)
 			if isDNS {
 				res.Bytes += int64(pkt.Bytes)
 				res.Energy += pkt.Energy
 				// Queries are the uplink half of the exchange.
-				if pkt.Tuple.PortB == 53 || pkt.Tuple.PortA == 53 {
+				if tuple.PortB == 53 || tuple.PortA == 53 {
 					if pkt.Bytes < 100 { // queries are smaller than responses
 						res.Lookups++
 						if !havePrev || ts-prevTS > tail {

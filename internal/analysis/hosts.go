@@ -43,9 +43,9 @@ func HostBreakdown(devs []*DeviceData, pkg string, bgOnly bool) HostBreakdownRes
 		if !ok {
 			continue
 		}
-		// Flow hash -> current host, so responses inherit the request's
+		// Connection id -> current host, so responses inherit the request's
 		// host attribution.
-		flowHost := map[uint64]string{}
+		flowHost := make([]string, len(d.Energy.Conns))
 		for i := range d.Energy.Packets {
 			p := &d.Energy.Packets[i]
 			if p.App != app {
@@ -54,13 +54,12 @@ func HostBreakdown(devs []*DeviceData, pkg string, bgOnly bool) HostBreakdownRes
 			if bgOnly && !p.State.IsBackground() {
 				continue
 			}
-			key := p.Tuple.FastHash()
 			host := p.Host
 			isReq := host != ""
 			if isReq {
-				flowHost[key] = host
+				flowHost[p.Conn] = host
 			} else {
-				host = flowHost[key]
+				host = flowHost[p.Conn]
 			}
 			if host == "" {
 				res.UnattributedBytes += int64(p.Bytes)

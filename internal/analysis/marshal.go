@@ -164,7 +164,10 @@ func (d *dec) mapLen() int {
 
 // ---- Ledger ----
 
+// appendLedger encodes l's public maps, synced first: l may be the ledger
+// of an accumulator still being fed.
 func appendLedger(b []byte, l *energy.Ledger) []byte {
+	l.Sync()
 	b = appendF64(b, l.Total)
 	b = appendF64(b, l.IdleEnergy)
 	b = appendUvarint(b, uint64(len(l.ByApp)))

@@ -41,7 +41,7 @@ func TestAppendStateRestoreProperty(t *testing.T) {
 	// Every fourth trace: a cut costs a full state encode and decode, and
 	// thirty traces are some 7 500 cuts.
 	for seed := int64(0); seed < equivSeeds; seed += 4 {
-		recs := genEquivRecords(seed)
+		recs := synthgen.EquivRecords(seed)
 		everyPacket := func(i int) bool { return recs[i].Type == trace.RecPacket }
 		if at := restoredRunDiverges(t, recs, everyPacket); at >= 0 {
 			t.Errorf("equiv seed %d: run cut at every packet diverged from continuous run at record %d/%d",

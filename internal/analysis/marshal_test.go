@@ -15,6 +15,28 @@ func marshalOpts() energy.Options {
 	return opts
 }
 
+// sameResult compares two stream results through their public view: each
+// ledger is synced first (the contract's read point), then every exported
+// field is compared, the ledger's included; private state, such as a live
+// ledger's dense accumulators, is not.
+func sameResult(a, b *StreamResult) bool {
+	va, vb := *a, *b
+	va.Ledger, vb.Ledger = nil, nil
+	return reflect.DeepEqual(va, vb) && sameLedger(a.Ledger, b.Ledger)
+}
+
+func sameLedger(a, b *energy.Ledger) bool {
+	a.Sync()
+	b.Sync()
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if va.Type().Field(i).IsExported() && !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestStreamResultRoundtrip: encode/decode reproduces a non-trivial result
 // exactly, field for field.
 func TestStreamResultRoundtrip(t *testing.T) {
@@ -34,7 +56,7 @@ func TestStreamResultRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, agg) {
+	if !sameResult(got, agg) {
 		t.Errorf("decoded result differs from original")
 	}
 	// Re-encoding the decode must yield a parseable blob of the same length
@@ -84,7 +106,7 @@ func TestAccumulatorCheckpointExact(t *testing.T) {
 		if got.Ledger.Total != want.Ledger.Total {
 			t.Errorf("cut %d: total %v != %v", cut, got.Ledger.Total, want.Ledger.Total)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !sameResult(got, want) {
 			t.Errorf("cut %d: checkpointed result differs from continuous run", cut)
 		}
 	}
@@ -105,7 +127,7 @@ func TestAccumulatorSnapshotUnperturbed(t *testing.T) {
 			a.AppendState(nil)
 		}
 	}
-	if got, want := a.Finish(), ref.Finish(); !reflect.DeepEqual(got, want) {
+	if got, want := a.Finish(), ref.Finish(); !sameResult(got, want) {
 		t.Error("AppendState perturbed the live accumulator")
 	}
 }

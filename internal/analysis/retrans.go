@@ -35,8 +35,9 @@ func (a AppRetrans) Fraction() float64 {
 }
 
 // Retransmissions replays every device's TCP segments through per-stream
-// reassembly and aggregates the overhead. Streams are keyed by the
-// canonical five-tuple hash plus direction.
+// reassembly and aggregates the overhead. A stream is one direction of one
+// connection: stream 2*conn+1 carries the connection's uplink, 2*conn its
+// downlink.
 func Retransmissions(devs []*DeviceData, topK int) RetransResult {
 	var res RetransResult
 	type tally struct{ bytes, retrans int64 }
@@ -48,7 +49,7 @@ func Retransmissions(devs []*DeviceData, topK int) RetransResult {
 		perApp[name] = sum
 	}
 	for _, d := range devs {
-		tr := tcpstream.NewTracker()
+		streams := make([]tcpstream.Stream, 2*len(d.Energy.Conns))
 		// Tallied by app id and folded into the name-keyed totals once per
 		// device, not once per packet; an id the device never named is rare
 		// enough to go by name.
@@ -61,12 +62,12 @@ func Retransmissions(devs []*DeviceData, topK int) RetransResult {
 			if plen < 0 {
 				plen = 0
 			}
-			key := p.Tuple.FastHash()
+			st := &streams[2*p.Conn]
 			if p.Dir == trace.DirUp {
-				key ^= 0x9e3779b97f4a7c15
+				st = &streams[2*p.Conn+1]
 			}
 			t := tally{bytes: int64(plen)}
-			switch tr.Segment(key, p.Seq, plen) {
+			switch st.Segment(p.Seq, plen) {
 			case tcpstream.KindRetrans:
 				t.retrans = int64(plen)
 				res.WastedEnergyJ += p.Energy
@@ -85,12 +86,14 @@ func Retransmissions(devs []*DeviceData, topK int) RetransResult {
 		for id, t := range byID {
 			add(d.Apps.Name(uint32(id)), t)
 		}
-		t := tr.Total()
-		res.Total.Segments += t.Segments
-		res.Total.Bytes += t.Bytes
-		res.Total.Goodput += t.Goodput
-		res.Total.Retrans += t.Retrans
-		res.Total.OutOfOrder += t.OutOfOrder
+		for i := range streams {
+			t := streams[i].Stats()
+			res.Total.Segments += t.Segments
+			res.Total.Bytes += t.Bytes
+			res.Total.Goodput += t.Goodput
+			res.Total.Retrans += t.Retrans
+			res.Total.OutOfOrder += t.OutOfOrder
+		}
 	}
 	rank := map[string]float64{}
 	for name, t := range perApp {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"netenergy/internal/appmodel"
+	"netenergy/internal/appproto"
 	"netenergy/internal/energy"
 	"netenergy/internal/periodic"
 	"netenergy/internal/stats"
@@ -79,24 +80,30 @@ func caseStudiesOracle(devs []*DeviceData, packages, labels []string) []CaseStud
 }
 
 // retransmissionsOracle is the retransmission section as it was computed
-// before the per-device tally: two name-keyed map writes per packet.
+// before the per-device tally and the connection ids: two name-keyed map
+// writes per packet, and streams keyed by the five-tuple's hash.
 func retransmissionsOracle(devs []*DeviceData, topK int) RetransResult {
 	var res RetransResult
 	perAppBytes := map[string]int64{}
 	perAppRetrans := map[string]int64{}
 	for _, d := range devs {
-		tr := tcpstream.NewTracker()
+		streams := map[uint64]*tcpstream.Stream{}
 		for i := range d.Energy.Packets {
 			p := &d.Energy.Packets[i]
 			plen := p.Bytes - 40
 			if plen < 0 {
 				plen = 0
 			}
-			key := p.Tuple.FastHash()
+			key := d.Energy.Conns[p.Conn].FastHash()
 			if p.Dir == trace.DirUp {
 				key ^= 0x9e3779b97f4a7c15
 			}
-			kind := tr.Segment(key, p.Seq, plen)
+			st := streams[key]
+			if st == nil {
+				st = &tcpstream.Stream{}
+				streams[key] = st
+			}
+			kind := st.Segment(p.Seq, plen)
 			name := d.Apps.Name(p.App)
 			perAppBytes[name] += int64(plen)
 			switch kind {
@@ -107,12 +114,14 @@ func retransmissionsOracle(devs []*DeviceData, topK int) RetransResult {
 				res.WastedEnergyJ += p.Energy / 2
 			}
 		}
-		t := tr.Total()
-		res.Total.Segments += t.Segments
-		res.Total.Bytes += t.Bytes
-		res.Total.Goodput += t.Goodput
-		res.Total.Retrans += t.Retrans
-		res.Total.OutOfOrder += t.OutOfOrder
+		for _, st := range streams {
+			t := st.Stats()
+			res.Total.Segments += t.Segments
+			res.Total.Bytes += t.Bytes
+			res.Total.Goodput += t.Goodput
+			res.Total.Retrans += t.Retrans
+			res.Total.OutOfOrder += t.OutOfOrder
+		}
 	}
 	rank := map[string]float64{}
 	for name, b := range perAppRetrans {
@@ -128,8 +137,50 @@ func retransmissionsOracle(devs []*DeviceData, topK int) RetransResult {
 	return res
 }
 
-// TestSectionsMatchOracles: the two sections that lost their redundant
-// scans return what they returned before, field for field, on a fleet —
+// hostBreakdownOracle is HostBreakdown's per-packet walk as it was before
+// the connection ids: a response inherits the host of the last request on
+// the same five-tuple hash. It returns the per-host tallies.
+func hostBreakdownOracle(devs []*DeviceData, pkg string, bgOnly bool) (map[string]HostStat, int64) {
+	hosts := map[string]HostStat{}
+	var unattributed int64
+	for _, d := range devs {
+		app, ok := d.appID(pkg)
+		if !ok {
+			continue
+		}
+		flowHost := map[uint64]string{}
+		for i := range d.Energy.Packets {
+			p := &d.Energy.Packets[i]
+			if p.App != app || (bgOnly && !p.State.IsBackground()) {
+				continue
+			}
+			key := d.Energy.Conns[p.Conn].FastHash()
+			host := p.Host
+			if host != "" {
+				flowHost[key] = host
+			} else {
+				host = flowHost[key]
+			}
+			if host == "" {
+				unattributed += int64(p.Bytes)
+				continue
+			}
+			hs := hosts[host]
+			hs.Host, hs.Category = host, appproto.Classify(host)
+			hs.Bytes += int64(p.Bytes)
+			hs.Energy += p.Energy
+			if p.Host != "" {
+				hs.Requests++
+			}
+			hosts[host] = hs
+		}
+	}
+	return hosts, unattributed
+}
+
+// TestSectionsMatchOracles: the sections that lost their redundant scans or
+// their tuple hashing return what they returned before, field for field, on
+// a fleet —
 // including a package listed twice, one no device has, and a packet whose
 // app id the device never named.
 func TestSectionsMatchOracles(t *testing.T) {
@@ -158,6 +209,24 @@ func TestSectionsMatchOracles(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Retransmissions(topK=%d):\n got %+v\nwant %+v", topK, got, want)
+		}
+	}
+	for _, pkg := range []string{appmodel.PkgChrome, appmodel.PkgWeibo, "com.absent"} {
+		for _, bgOnly := range []bool{false, true} {
+			got := HostBreakdown(devs, pkg, bgOnly)
+			want, unattributed := hostBreakdownOracle(devs, pkg, bgOnly)
+			if pkg == appmodel.PkgChrome && len(want) == 0 {
+				t.Fatal("no Chrome host was attributed: the comparison is vacuous")
+			}
+			if got.UnattributedBytes != unattributed || len(got.Hosts) != len(want) {
+				t.Errorf("HostBreakdown(%s, bg=%v): %d hosts, %d unattributed bytes; want %d, %d",
+					pkg, bgOnly, len(got.Hosts), got.UnattributedBytes, len(want), unattributed)
+			}
+			for _, hs := range got.Hosts {
+				if hs != want[hs.Host] {
+					t.Errorf("HostBreakdown(%s, bg=%v) host %s: %+v, want %+v", pkg, bgOnly, hs.Host, hs, want[hs.Host])
+				}
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"netenergy/internal/energy"
+	"netenergy/internal/synthgen"
 	"netenergy/internal/trace"
 )
 
@@ -17,7 +18,7 @@ func TestWindowedAccumulatorMatchesRestrictedRuns(t *testing.T) {
 	opts := energy.DefaultOptions()
 	const width = trace.Timestamp(3600 * 1e6) // one hour
 	for seed := int64(1); seed <= 10; seed++ {
-		recs := genEquivRecords(seed)
+		recs := synthgen.EquivRecords(seed)
 
 		w := NewWindowedAccumulator("equiv-dev", width, opts)
 		for i := range recs {
@@ -50,7 +51,7 @@ func TestWindowedAccumulatorMatchesRestrictedRuns(t *testing.T) {
 func TestWindowedAccumulatorBatchSplit(t *testing.T) {
 	opts := energy.DefaultOptions()
 	const width = trace.Timestamp(3600 * 1e6)
-	recs := genEquivRecords(42)
+	recs := synthgen.EquivRecords(42)
 
 	perRec := NewWindowedAccumulator("equiv-dev", width, opts)
 	for i := range recs {
@@ -88,7 +89,7 @@ func TestWindowedAccumulatorBatchSplit(t *testing.T) {
 // a plain StreamAccumulator run.
 func TestWindowedAccumulatorUnbounded(t *testing.T) {
 	opts := energy.DefaultOptions()
-	recs := genEquivRecords(7)
+	recs := synthgen.EquivRecords(7)
 	w := NewWindowedAccumulator("equiv-dev", 0, opts)
 	for i := range recs {
 		w.Feed(&recs[i])

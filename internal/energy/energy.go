@@ -22,16 +22,18 @@ import (
 
 // Packet is one decoded, energy-attributed packet from a device trace.
 type Packet struct {
-	TS     trace.Timestamp
-	App    uint32
-	Dir    trace.Direction
-	State  trace.ProcState
-	Bytes  int // wire bytes (decoded IP total length)
-	Tuple  netparse.FiveTuple
-	Energy float64 // joules attributed to this packet (incl. its tail share)
+	TS    trace.Timestamp
+	App   uint32
+	Dir   trace.Direction
+	State trace.ProcState
+	Bytes int // wire bytes (decoded IP total length)
+	// Conn is the packet's connection: Result.Conns[Conn] is its canonical
+	// five-tuple, shared by both directions.
+	Conn uint32
 	// Seq is the TCP sequence number (0 for non-TCP packets), used by the
 	// retransmission analysis.
-	Seq uint32
+	Seq    uint32
+	Energy float64 // joules attributed to this packet (incl. its tail share)
 	// Host is the HTTP Host header parsed from the captured payload of
 	// uplink request packets ("" when absent or truncated). Host strings
 	// are interned, so identical hosts share storage.
@@ -49,6 +51,13 @@ type DayStats struct {
 }
 
 // Ledger is the aggregated energy accounting for one device.
+//
+// While a Replay charges it, a ledger keeps one dense accumulator per map key
+// — ByApp[app], ByState[s], ByAppState[app][s] and BytesByApp[app] — and the
+// maps fall behind. Sync writes the accumulators back by assignment, so each
+// key sees the same additions in the same order as a map-only ledger would.
+// The maps are current after Settle (and so Finish and every snapshot), on
+// the source side of Merge, and after Sync.
 type Ledger struct {
 	Total      float64
 	ByApp      map[uint32]float64
@@ -60,16 +69,55 @@ type Ledger struct {
 	// reported separately and never attributed to apps.
 	IdleEnergy float64
 
-	// Hot-path memo: packets arrive in runs from one app within one day,
-	// so the inner attribution maps for the last (app, day) pair are
-	// cached, collapsing the nested lookups (and their not-yet-present
-	// checks) to one compare on repeat hits. memoAS == nil means invalid.
-	// Safe across Merge: inner maps and DayStats pointers are only ever
-	// added to, never replaced.
-	memoApp uint32
-	memoDay int
-	memoAS  map[trace.ProcState]float64
-	memoDS  *DayStats
+	// live holds the dense accumulators from the first charge until Settle;
+	// nil while the maps alone are the ledger.
+	live *accumulators
+}
+
+// denseStates is how many ProcState values the dense accumulators hold,
+// StateUnknown through StateBackground with room to spare. A state outside
+// them, which only a malformed record carries, is charged to the maps
+// directly: each key has exactly one home while the ledger is live.
+const denseStates = 8
+
+// Presence bits of appSlot.has beyond the per-state bits 0..denseStates-1:
+// a key a map-only ledger would hold is written back, and no other.
+const (
+	hasEnergy = 1 << (denseStates + iota)
+	hasBytes
+
+	stateBits = 1<<denseStates - 1
+)
+
+// appSlot is one app's dense accumulators, seeded from the maps when the
+// live ledger first touches the app.
+type appSlot struct {
+	app     uint32
+	energy  float64              // ByApp[app]
+	bytes   int64                // BytesByApp[app]
+	byState [denseStates]float64 // ByAppState[app][s]
+	has     uint16
+	// The app's last day and its stats: a charge to another app's packet
+	// and back lands here without a map lookup.
+	day int
+	ds  *DayStats
+}
+
+// accumulators is a live ledger's dense state.
+type accumulators struct {
+	byState [denseStates]float64 // ByState[s]
+	has     uint8
+	slots   []*appSlot // in first-touch order, the order Sync writes
+	index   map[uint32]*appSlot
+	dirty   bool // a charge since the last Sync
+
+	// Hot-path memo: packets arrive in runs from one app within one day, so
+	// the last (app, day) pair's slot and stats are cached, collapsing the
+	// lookups to one compare on repeat hits. memoSlot == nil means invalid.
+	memoApp  uint32
+	memoDay  int
+	memoSlot *appSlot
+	memoDS   *DayStats
 }
 
 // NewLedger returns an empty Ledger, to hand to NewReplay or to accumulate
@@ -86,23 +134,35 @@ func NewLedger() *Ledger {
 
 // addPacket records a packet's byte accounting (without energy).
 func (l *Ledger) addPacket(app uint32, day int, state trace.ProcState, wireBytes int64) {
-	_, ds := l.hot(app, day)
+	a, ds := l.hot(app, day)
 	ds.Packets++
 	if state.IsForeground() {
 		ds.FgBytes += wireBytes
 	} else {
 		ds.BgBytes += wireBytes
 	}
-	l.BytesByApp[app] += wireBytes
+	a.bytes += wireBytes
+	a.has |= hasBytes
+	l.live.dirty = true
 }
 
 // charge adds e joules to the (app, state, day) triple.
 func (l *Ledger) charge(app uint32, state trace.ProcState, day int, e float64) {
-	as, ds := l.hot(app, day)
+	a, ds := l.hot(app, day)
+	lv := l.live
+	lv.dirty = true
 	l.Total += e
-	l.ByApp[app] += e
-	l.ByState[state] += e
-	as[state] += e
+	a.energy += e
+	a.has |= hasEnergy
+	if state < denseStates {
+		lv.byState[state] += e
+		lv.has |= 1 << state
+		a.byState[state] += e
+		a.has |= 1 << state
+	} else {
+		l.ByState[state] += e
+		l.appStates(app)[state] += e
+	}
 	ds.Energy += e
 	if state.IsForeground() {
 		ds.FgEnergy += e
@@ -111,20 +171,105 @@ func (l *Ledger) charge(app uint32, state trace.ProcState, day int, e float64) {
 	}
 }
 
-// hot returns the (app, day) attribution targets — the per-app state map
-// and per-day stats — through the one-entry memo.
-func (l *Ledger) hot(app uint32, day int) (map[trace.ProcState]float64, *DayStats) {
-	if l.memoAS != nil && app == l.memoApp && day == l.memoDay {
-		return l.memoAS, l.memoDS
+// hot returns the (app, day) attribution targets — the app's slot and the
+// day's stats — through the one-entry memo, making the ledger live on its
+// first charge.
+func (l *Ledger) hot(app uint32, day int) (*appSlot, *DayStats) {
+	lv := l.live
+	if lv != nil && lv.memoSlot != nil && app == lv.memoApp && day == lv.memoDay {
+		return lv.memoSlot, lv.memoDS
 	}
+	if lv == nil {
+		lv = l.goLive()
+	}
+	a := lv.index[app]
+	if a == nil {
+		a = l.seedSlot(app)
+	}
+	if a.ds == nil || a.day != day {
+		a.day, a.ds = day, l.dayStats(app, day)
+	}
+	lv.memoApp, lv.memoDay, lv.memoSlot, lv.memoDS = app, day, a, a.ds
+	return a, a.ds
+}
+
+// goLive starts the dense accumulators, seeding ByState's from the map so
+// that a restored ledger continues exactly where it stopped.
+func (l *Ledger) goLive() *accumulators {
+	lv := &accumulators{index: make(map[uint32]*appSlot)}
+	for s := range lv.byState {
+		if e, ok := l.ByState[trace.ProcState(s)]; ok {
+			lv.byState[s] = e
+			lv.has |= 1 << s
+		}
+	}
+	l.live = lv
+	return lv
+}
+
+// seedSlot gives app its dense accumulators, seeded from the maps.
+func (l *Ledger) seedSlot(app uint32) *appSlot {
+	a := &appSlot{app: app}
+	if e, ok := l.ByApp[app]; ok {
+		a.energy = e
+		a.has |= hasEnergy
+	}
+	if b, ok := l.BytesByApp[app]; ok {
+		a.bytes = b
+		a.has |= hasBytes
+	}
+	for s, e := range l.ByAppState[app] {
+		if s < denseStates {
+			a.byState[s] = e
+			a.has |= 1 << s
+		}
+	}
+	l.live.slots = append(l.live.slots, a)
+	l.live.index[app] = a
+	return a
+}
+
+// Sync makes the public maps current: every dense accumulator is written
+// back to its key by assignment. A ledger with nothing charged since its
+// last Sync writes nothing, so concurrent readers of a settled ledger may
+// all call it.
+func (l *Ledger) Sync() {
+	lv := l.live
+	if lv == nil || !lv.dirty {
+		return
+	}
+	for s, e := range lv.byState {
+		if lv.has&(1<<s) != 0 {
+			l.ByState[trace.ProcState(s)] = e
+		}
+	}
+	for _, a := range lv.slots {
+		if a.has&hasEnergy != 0 {
+			l.ByApp[a.app] = a.energy
+		}
+		if a.has&hasBytes != 0 {
+			l.BytesByApp[a.app] = a.bytes
+		}
+		if a.has&stateBits == 0 {
+			continue
+		}
+		as := l.appStates(a.app)
+		for s, e := range a.byState {
+			if a.has&(1<<s) != 0 {
+				as[trace.ProcState(s)] = e
+			}
+		}
+	}
+	lv.dirty = false
+}
+
+func (l *Ledger) appStates(app uint32) map[trace.ProcState]float64 {
 	as := l.ByAppState[app]
 	if as == nil {
 		as = make(map[trace.ProcState]float64)
 		l.ByAppState[app] = as
 	}
-	ds := l.dayStats(app, day)
-	l.memoApp, l.memoDay, l.memoAS, l.memoDS = app, day, as, ds
-	return as, ds
+	return as
 }
 
 func (l *Ledger) dayStats(app uint32, day int) *DayStats {
@@ -296,7 +441,8 @@ func (k *Replay) Packet(ts trace.Timestamp, app uint32, dir trace.Direction, net
 // radio's pending tail, to the last packet's triple, and the idle baseline
 // over Span — and returns the tail. The kernel itself does not move, so l
 // may be a copy of Ledger taken mid-stream (a snapshot) as well as Ledger
-// itself (Finish).
+// itself (Finish). l leaves with its maps current and its dense
+// accumulators dropped: a plain map ledger again, which Merge may add into.
 func (k *Replay) Settle(l *Ledger) float64 {
 	var tail float64
 	if k.havePrev && k.acct.State() != radio.Idle {
@@ -304,6 +450,8 @@ func (k *Replay) Settle(l *Ledger) float64 {
 		l.charge(k.prevApp, k.prevState, k.prevDay, tail)
 	}
 	l.IdleEnergy = k.acct.Params().IdlePower * k.Span[1].Sub(k.Span[0])
+	l.Sync()
+	l.live = nil
 	return tail
 }
 
@@ -341,10 +489,13 @@ func (k *Replay) RestoreState(s ReplayState) {
 
 // Result is the outcome of processing one device trace.
 type Result struct {
-	Device       string
-	Ledger       *Ledger
-	Packets      []Packet // nil unless Options.KeepPackets
-	DecodeErrors int      // packets skipped because they failed to parse
+	Device  string
+	Ledger  *Ledger
+	Packets []Packet // nil unless Options.KeepPackets
+	// Conns holds each connection's canonical five-tuple, indexed by
+	// Packet.Conn: dense ids in the order the device first used them.
+	Conns        []netparse.FiveTuple
+	DecodeErrors int // packets skipped because they failed to parse
 	Span         [2]trace.Timestamp
 }
 
@@ -366,6 +517,7 @@ func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
 		res.Packets = make([]Packet, 0, n)
 	}
 	hosts := hostInterner{}
+	conns := connTable{ids: map[netparse.FiveTuple]uint32{}}
 
 	for i := range dt.Records {
 		r := &dt.Records[i]
@@ -392,10 +544,11 @@ func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
 		}
 		res.Packets = append(res.Packets, Packet{
 			TS: r.TS, App: r.App, Dir: r.Dir, State: r.State,
-			Bytes: d.WireLen, Tuple: d.Tuple.Canonical(), Energy: own,
-			Seq: seq, Host: host,
+			Bytes: d.WireLen, Conn: conns.id(d.Tuple, r.Dir), Seq: seq, Energy: own,
+			Host: host,
 		})
 	}
+	res.Conns = conns.tuples
 
 	// The final tail belongs to the last packet.
 	if fin, n := k.Finish(), len(res.Packets); n > 0 {
@@ -403,6 +556,37 @@ func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
 	}
 	res.DecodeErrors, res.Span = k.DecodeErrors, k.Span
 	return res, nil
+}
+
+// connTable numbers a device's connections densely in first-seen order,
+// keyed by canonical tuple so both directions share one id.
+type connTable struct {
+	ids    map[netparse.FiveTuple]uint32
+	tuples []netparse.FiveTuple
+	// The last tuple looked up in each direction, and its id: a burst
+	// repeats one tuple per direction, and a repeat is neither canonicalised
+	// nor hashed. The zero tuple matches no decoded one.
+	last   [2]netparse.FiveTuple
+	lastID [2]uint32
+}
+
+func (c *connTable) id(t netparse.FiveTuple, dir trace.Direction) uint32 {
+	m := 0
+	if dir == trace.DirUp {
+		m = 1
+	}
+	if t == c.last[m] {
+		return c.lastID[m]
+	}
+	canon := t.Canonical()
+	id, ok := c.ids[canon]
+	if !ok {
+		id = uint32(len(c.tuples))
+		c.tuples = append(c.tuples, canon)
+		c.ids[canon] = id
+	}
+	c.last[m], c.lastID[m] = t, id
+	return id
 }
 
 // hostInterner deduplicates host strings across millions of packets.
@@ -430,8 +614,14 @@ func MergeLedgers(ls []*Ledger) *Ledger {
 
 // Merge adds the contents of other into l in place. The streaming fleet
 // aggregator and the ingest shards use it to fold per-device ledgers into a
-// running fleet total without reallocating.
+// running fleet total without reallocating. other is synced first, so it may
+// be a ledger a Replay is still charging. l may not: its dense accumulators
+// would overwrite what Merge adds to the maps, so Merge refuses it.
 func (l *Ledger) Merge(other *Ledger) {
+	if l.live != nil {
+		panic("energy: Merge into a ledger a Replay is charging")
+	}
+	other.Sync()
 	l.Total += other.Total
 	l.IdleEnergy += other.IdleEnergy
 	for app, e := range other.ByApp {

@@ -381,6 +381,7 @@ func TestReplayPacketReturns(t *testing.T) {
 	if own != p.TransferEnergy(140, radio.Down) {
 		t.Errorf("second packet: own %v", own)
 	}
+	k.Ledger.Sync() // the maps are read mid-stream: sync them first
 	if gap < 1.9 || gap > 2.8 || k.Ledger.ByApp[1] != p.PromotionEnergy()+p.TransferEnergy(140, radio.Up)+gap {
 		t.Errorf("gap tail %v, app 1 charged %v", gap, k.Ledger.ByApp[1])
 	}

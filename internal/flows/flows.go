@@ -14,13 +14,13 @@ import (
 	"netenergy/internal/trace"
 )
 
-// PacketInfo is the per-packet input to the assembler: decoded addressing
-// plus the collector-side metadata and the energy already attributed to the
-// packet by the energy engine.
+// PacketInfo is the per-packet input to the assembler: the packet's
+// connection id plus the collector-side metadata and the energy already
+// attributed to the packet by the energy engine.
 type PacketInfo struct {
 	TS     trace.Timestamp
 	App    uint32
-	Tuple  netparse.FiveTuple // canonicalised by Add
+	Conn   uint32 // index into the assembler's connection table
 	Dir    trace.Direction
 	Bytes  int // wire bytes
 	State  trace.ProcState
@@ -68,26 +68,28 @@ func DefaultConfig() Config { return Config{InactivityTimeout: 1800} }
 // Add, then call Flows once. Not safe for concurrent use.
 type Assembler struct {
 	cfg    Config
-	active map[netparse.FiveTuple]*Flow
+	conns  []netparse.FiveTuple
+	active []*Flow // by connection id
 	done   []*Flow
 }
 
-// NewAssembler returns an Assembler with the given config.
-func NewAssembler(cfg Config) *Assembler {
-	return &Assembler{cfg: cfg, active: make(map[netparse.FiveTuple]*Flow)}
+// NewAssembler returns an Assembler with the given config over a device's
+// connection table: conns[id] is the canonical five-tuple of connection id,
+// as energy.Result.Conns holds it.
+func NewAssembler(cfg Config, conns []netparse.FiveTuple) *Assembler {
+	return &Assembler{cfg: cfg, conns: conns, active: make([]*Flow, len(conns))}
 }
 
 // Add incorporates one packet.
 func (a *Assembler) Add(p PacketInfo) {
-	key := p.Tuple.Canonical()
-	f, ok := a.active[key]
-	if ok && a.cfg.InactivityTimeout > 0 && p.TS.Sub(f.End) > a.cfg.InactivityTimeout {
+	f := a.active[p.Conn]
+	if f != nil && a.cfg.InactivityTimeout > 0 && p.TS.Sub(f.End) > a.cfg.InactivityTimeout {
 		a.done = append(a.done, f)
-		ok = false
+		f = nil
 	}
-	if !ok {
-		f = &Flow{Tuple: key, App: p.App, Start: p.TS, End: p.TS, StartState: p.State}
-		a.active[key] = f
+	if f == nil {
+		f = &Flow{Tuple: a.conns[p.Conn], App: p.App, Start: p.TS, End: p.TS, StartState: p.State}
+		a.active[p.Conn] = f
 	}
 	f.End = p.TS
 	f.Packets++
@@ -111,7 +113,9 @@ func (a *Assembler) Flows() []*Flow {
 	out := make([]*Flow, 0, len(a.done)+len(a.active))
 	out = append(out, a.done...)
 	for _, f := range a.active {
-		out = append(out, f)
+		if f != nil {
+			out = append(out, f)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {

@@ -17,10 +17,20 @@ func tuple(port uint16) netparse.FiveTuple {
 	return netparse.FiveTuple{AddrA: a, AddrB: b, PortA: port, PortB: 443, Proto: netparse.IPProtoTCP}
 }
 
+// conns is the connection table the tests' packets index: connection i is
+// the canonical tuple from local port i.
+var conns = func() []netparse.FiveTuple {
+	out := make([]netparse.FiveTuple, 8)
+	for i := range out {
+		out[i] = tuple(uint16(i)).Canonical()
+	}
+	return out
+}()
+
 func TestAssemblerSingleFlow(t *testing.T) {
-	a := NewAssembler(DefaultConfig())
-	a.Add(PacketInfo{TS: 0, App: 1, Tuple: tuple(1000), Dir: trace.DirUp, Bytes: 100, State: trace.StateForeground, Energy: 2})
-	a.Add(PacketInfo{TS: 5 * sec, App: 1, Tuple: tuple(1000), Dir: trace.DirDown, Bytes: 1400, State: trace.StateBackground, Energy: 3})
+	a := NewAssembler(DefaultConfig(), conns)
+	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Dir: trace.DirUp, Bytes: 100, State: trace.StateForeground, Energy: 2})
+	a.Add(PacketInfo{TS: 5 * sec, App: 1, Conn: 1, Dir: trace.DirDown, Bytes: 1400, State: trace.StateBackground, Energy: 3})
 	fs := a.Flows()
 	if len(fs) != 1 {
 		t.Fatalf("flows = %d", len(fs))
@@ -46,22 +56,29 @@ func TestAssemblerSingleFlow(t *testing.T) {
 	}
 }
 
+// TestAssemblerBidirectionalMerges: both directions of a connection share
+// its id (energy.Process gives them one), so they form one flow, named by
+// the canonical tuple either direction reduces to.
 func TestAssemblerBidirectionalMerges(t *testing.T) {
-	a := NewAssembler(DefaultConfig())
 	fwd := tuple(2000)
 	rev := netparse.FiveTuple{AddrA: fwd.AddrB, AddrB: fwd.AddrA, PortA: fwd.PortB, PortB: fwd.PortA, Proto: fwd.Proto}
-	a.Add(PacketInfo{TS: 0, App: 1, Tuple: fwd, Dir: trace.DirUp, Bytes: 10})
-	a.Add(PacketInfo{TS: sec, App: 1, Tuple: rev, Dir: trace.DirDown, Bytes: 20})
-	if fs := a.Flows(); len(fs) != 1 {
+	a := NewAssembler(DefaultConfig(), []netparse.FiveTuple{rev.Canonical()})
+	a.Add(PacketInfo{TS: 0, App: 1, Conn: 0, Dir: trace.DirUp, Bytes: 10})
+	a.Add(PacketInfo{TS: sec, App: 1, Conn: 0, Dir: trace.DirDown, Bytes: 20})
+	fs := a.Flows()
+	if len(fs) != 1 {
 		t.Fatalf("both directions should form one flow, got %d", len(fs))
+	}
+	if fs[0].Tuple != fwd.Canonical() || fs[0].Bytes() != 30 {
+		t.Errorf("flow %v moved %d bytes, want %v and 30", fs[0].Tuple, fs[0].Bytes(), fwd.Canonical())
 	}
 }
 
 func TestAssemblerTimeoutSplits(t *testing.T) {
-	a := NewAssembler(Config{InactivityTimeout: 60})
-	a.Add(PacketInfo{TS: 0, App: 1, Tuple: tuple(3000), Bytes: 1})
-	a.Add(PacketInfo{TS: 30 * sec, App: 1, Tuple: tuple(3000), Bytes: 1})
-	a.Add(PacketInfo{TS: 200 * sec, App: 1, Tuple: tuple(3000), Bytes: 1}) // 170 s gap > 60
+	a := NewAssembler(Config{InactivityTimeout: 60}, conns)
+	a.Add(PacketInfo{TS: 0, App: 1, Conn: 3, Bytes: 1})
+	a.Add(PacketInfo{TS: 30 * sec, App: 1, Conn: 3, Bytes: 1})
+	a.Add(PacketInfo{TS: 200 * sec, App: 1, Conn: 3, Bytes: 1}) // 170 s gap > 60
 	fs := a.Flows()
 	if len(fs) != 2 {
 		t.Fatalf("want 2 flows after timeout split, got %d", len(fs))
@@ -72,18 +89,18 @@ func TestAssemblerTimeoutSplits(t *testing.T) {
 }
 
 func TestAssemblerZeroTimeoutNeverSplits(t *testing.T) {
-	a := NewAssembler(Config{InactivityTimeout: 0})
-	a.Add(PacketInfo{TS: 0, App: 1, Tuple: tuple(1), Bytes: 1})
-	a.Add(PacketInfo{TS: 1_000_000 * sec, App: 1, Tuple: tuple(1), Bytes: 1})
+	a := NewAssembler(Config{InactivityTimeout: 0}, conns)
+	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
+	a.Add(PacketInfo{TS: 1_000_000 * sec, App: 1, Conn: 1, Bytes: 1})
 	if fs := a.Flows(); len(fs) != 1 {
 		t.Fatalf("zero timeout split flows: %d", len(fs))
 	}
 }
 
 func TestAssemblerDistinctTuples(t *testing.T) {
-	a := NewAssembler(DefaultConfig())
-	a.Add(PacketInfo{TS: 0, App: 1, Tuple: tuple(1000), Bytes: 1})
-	a.Add(PacketInfo{TS: sec, App: 2, Tuple: tuple(1001), Bytes: 1})
+	a := NewAssembler(DefaultConfig(), conns)
+	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
+	a.Add(PacketInfo{TS: sec, App: 2, Conn: 2, Bytes: 1})
 	fs := a.Flows()
 	if len(fs) != 2 {
 		t.Fatalf("flows = %d", len(fs))
@@ -91,9 +108,9 @@ func TestAssemblerDistinctTuples(t *testing.T) {
 }
 
 func TestFlowsSortedByStart(t *testing.T) {
-	a := NewAssembler(DefaultConfig())
-	a.Add(PacketInfo{TS: 10 * sec, App: 1, Tuple: tuple(2), Bytes: 1})
-	a.Add(PacketInfo{TS: 0, App: 1, Tuple: tuple(1), Bytes: 1})
+	a := NewAssembler(DefaultConfig(), conns)
+	a.Add(PacketInfo{TS: 10 * sec, App: 1, Conn: 2, Bytes: 1})
+	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
 	fs := a.Flows()
 	if fs[0].Start != 0 || fs[1].Start != 10*sec {
 		t.Errorf("not sorted: %v %v", fs[0].Start, fs[1].Start)
@@ -101,10 +118,10 @@ func TestFlowsSortedByStart(t *testing.T) {
 }
 
 func TestByApp(t *testing.T) {
-	a := NewAssembler(DefaultConfig())
-	a.Add(PacketInfo{TS: 0, App: 1, Tuple: tuple(1), Bytes: 1})
-	a.Add(PacketInfo{TS: 0, App: 2, Tuple: tuple(2), Bytes: 1})
-	a.Add(PacketInfo{TS: 0, App: 2, Tuple: tuple(3), Bytes: 1})
+	a := NewAssembler(DefaultConfig(), conns)
+	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
+	a.Add(PacketInfo{TS: 0, App: 2, Conn: 2, Bytes: 1})
+	a.Add(PacketInfo{TS: 0, App: 2, Conn: 3, Bytes: 1})
 	m := ByApp(a.Flows())
 	if len(m[1]) != 1 || len(m[2]) != 2 {
 		t.Errorf("ByApp = %v", m)
@@ -112,10 +129,10 @@ func TestByApp(t *testing.T) {
 }
 
 func TestActiveAt(t *testing.T) {
-	a := NewAssembler(DefaultConfig())
-	a.Add(PacketInfo{TS: 0, App: 1, Tuple: tuple(1), Bytes: 1})
-	a.Add(PacketInfo{TS: 100 * sec, App: 1, Tuple: tuple(1), Bytes: 1})
-	a.Add(PacketInfo{TS: 200 * sec, App: 1, Tuple: tuple(2), Bytes: 1})
+	a := NewAssembler(DefaultConfig(), conns)
+	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
+	a.Add(PacketInfo{TS: 100 * sec, App: 1, Conn: 1, Bytes: 1})
+	a.Add(PacketInfo{TS: 200 * sec, App: 1, Conn: 2, Bytes: 1})
 	fs := a.Flows()
 	if got := ActiveAt(fs, 50*sec); len(got) != 1 {
 		t.Errorf("ActiveAt(50) = %d flows", len(got))
@@ -132,7 +149,7 @@ func TestConservationProperty(t *testing.T) {
 	// Total bytes, packets, and energy across flows must equal the inputs.
 	src := rng.New(55)
 	f := func(n uint8) bool {
-		a := NewAssembler(Config{InactivityTimeout: 45})
+		a := NewAssembler(Config{InactivityTimeout: 45}, conns)
 		count := int(n)%200 + 1
 		var wantBytes int64
 		var wantEnergy float64
@@ -144,7 +161,7 @@ func TestConservationProperty(t *testing.T) {
 			wantBytes += int64(b)
 			wantEnergy += e
 			a.Add(PacketInfo{
-				TS: ts, App: uint32(src.Intn(5)), Tuple: tuple(uint16(src.Intn(8))),
+				TS: ts, App: uint32(src.Intn(5)), Conn: uint32(src.Intn(8)),
 				Dir: trace.Direction(src.Intn(2)), Bytes: b,
 				State: trace.ProcState(1 + src.Intn(5)), Energy: e,
 			})

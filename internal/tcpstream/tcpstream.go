@@ -108,39 +108,3 @@ func (st *Stream) Segment(seq uint32, length int) Kind {
 
 // Stats returns the accumulated accounting.
 func (st *Stream) Stats() Stats { return st.stats }
-
-// Tracker keys streams by an opaque identifier (flow hash + direction) and
-// aggregates totals.
-type Tracker struct {
-	streams map[uint64]*Stream
-}
-
-// NewTracker returns an empty Tracker.
-func NewTracker() *Tracker { return &Tracker{streams: make(map[uint64]*Stream)} }
-
-// Segment routes one segment to its stream, creating it on first sight.
-func (t *Tracker) Segment(key uint64, seq uint32, length int) Kind {
-	st := t.streams[key]
-	if st == nil {
-		st = &Stream{}
-		t.streams[key] = st
-	}
-	return st.Segment(seq, length)
-}
-
-// Total sums all streams' stats.
-func (t *Tracker) Total() Stats {
-	var out Stats
-	for _, st := range t.streams {
-		s := st.Stats()
-		out.Segments += s.Segments
-		out.Bytes += s.Bytes
-		out.Goodput += s.Goodput
-		out.Retrans += s.Retrans
-		out.OutOfOrder += s.OutOfOrder
-	}
-	return out
-}
-
-// Streams returns the number of tracked streams.
-func (t *Tracker) Streams() int { return len(t.streams) }

@@ -104,20 +104,6 @@ func TestSequenceWraparound(t *testing.T) {
 	}
 }
 
-func TestTrackerMultipleStreams(t *testing.T) {
-	tr := NewTracker()
-	tr.Segment(1, 0, 100)
-	tr.Segment(2, 0, 200)
-	tr.Segment(1, 0, 100) // retransmission on stream 1
-	if tr.Streams() != 2 {
-		t.Fatalf("streams = %d", tr.Streams())
-	}
-	total := tr.Total()
-	if total.Bytes != 400 || total.Goodput != 300 || total.Retrans != 100 {
-		t.Errorf("total = %+v", total)
-	}
-}
-
 func TestConservationProperty(t *testing.T) {
 	// Goodput + Retrans == Bytes for any segment sequence.
 	src := rng.New(9)
