@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint repolint build test race cover equiv smoke fuzz fuzz-smoke bench bench-report loc clean
+.PHONY: ci vet lint repolint build test race cover equiv study smoke fuzz fuzz-smoke bench bench-report loc clean
 
-ci: lint build race equiv cover fuzz-smoke smoke loc
+ci: lint build race equiv study cover fuzz-smoke smoke loc
 
 vet:
 	$(GO) vet ./...
@@ -55,6 +55,13 @@ cover:
 # a cached pass never masks a codec change.
 equiv:
 	$(GO) test -run 'TestColumnarEquivalence|TestBatchEqualsStream|TestStatePinned' -count=1 ./internal/analysis/
+
+# The paper path as a benchmark, run twice: open + load + full report of a
+# 16-device METR-3 fleet. `go test ./...` compiles root BenchmarkStudy but
+# never runs it; this runs it, and with it its check that the report's CRC
+# is the same on every iteration.
+study:
+	$(GO) test -run '^$$' -bench '^BenchmarkStudy$$' -benchtime 2x .
 
 # End-to-end load smoke: 200 synthetic devices stream one trace-day each
 # into a local ingestd — once clean, once through the fault injector;

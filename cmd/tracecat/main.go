@@ -54,14 +54,11 @@ func main() {
 func printHead(dt *trace.DeviceTrace, n int, appPkg string) error {
 	appFilter := int64(-1)
 	if appPkg != "" {
-		for i := 0; i < dt.Apps.Len(); i++ {
-			if dt.Apps.Name(uint32(i)) == appPkg {
-				appFilter = int64(i)
-			}
-		}
-		if appFilter < 0 {
+		app, ok := dt.Apps.Lookup(appPkg)
+		if !ok {
 			return fmt.Errorf("app %q not in trace", appPkg)
 		}
+		appFilter = int64(app)
 	}
 	printed := 0
 	for i := range dt.Records {

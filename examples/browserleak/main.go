@@ -79,12 +79,7 @@ func main() {
 	})
 	merged := analysis.MergedLedger(devs)
 	for _, b := range browsers {
-		app := uint32(0)
-		for i := 0; i < dd.Apps.Len(); i++ {
-			if dd.Apps.Name(uint32(i)) == b.pkg {
-				app = uint32(i)
-			}
-		}
+		app, _ := dd.Apps.Lookup(b.pkg)
 		fmt.Printf("  %-30s %8.0f J total, %4.1f%% in background\n",
 			b.label, merged.ByApp[app], 100*shares[b.pkg])
 	}

@@ -37,7 +37,9 @@ type DeviceData struct {
 	Networks NetworkComparison
 }
 
-// ScreenOnAt reports whether the screen was on at ts.
+// ScreenOnAt reports whether the screen was on at ts. It searches ScreenOn
+// on every call; a walk over time-ordered packets asks a screenCursor
+// instead, which is held to this.
 func (d *DeviceData) ScreenOnAt(ts trace.Timestamp) bool {
 	lo, hi := 0, len(d.ScreenOn)
 	for lo < hi {
@@ -49,6 +51,69 @@ func (d *DeviceData) ScreenOnAt(ts trace.Timestamp) bool {
 		}
 	}
 	return lo < len(d.ScreenOn) && d.ScreenOn[lo][0] <= ts
+}
+
+// screenCursor answers ScreenOnAt as a forward merge over ScreenOn: at
+// non-decreasing query times each interval is passed once, and a query
+// earlier than the one before it starts the walk over. The walk relies on
+// the intervals ending in time order, as they do whenever the device's
+// records are in time order; for a timeline from records out of order, the
+// cursor answers by ScreenOnAt, so its answer is the search's either way.
+type screenCursor struct {
+	d      *DeviceData
+	next   int // ScreenOn[:next] ended at or before last
+	last   trace.Timestamp
+	search bool
+}
+
+func newScreenCursor(d *DeviceData) screenCursor {
+	c := screenCursor{d: d}
+	for i := 1; i < len(d.ScreenOn) && !c.search; i++ {
+		c.search = d.ScreenOn[i][1] < d.ScreenOn[i-1][1]
+	}
+	return c
+}
+
+func (c *screenCursor) at(ts trace.Timestamp) bool {
+	if c.search {
+		return c.d.ScreenOnAt(ts)
+	}
+	if ts < c.last {
+		c.next = 0
+	}
+	c.last = ts
+	on := c.d.ScreenOn
+	for c.next < len(on) && on[c.next][1] <= ts {
+		c.next++
+	}
+	return c.next < len(on) && on[c.next][0] <= ts
+}
+
+// appMemo gives each app of one device a value, made on the app's first
+// packet, behind a one-entry memo: packets come in runs from one app, so a
+// repeat costs one compare and a switch one map lookup.
+type appMemo[V any] struct {
+	vals map[uint32]*V
+	mk   func(app uint32) *V
+	app  uint32
+	last *V
+}
+
+func newAppMemo[V any](mk func(app uint32) *V) *appMemo[V] {
+	return &appMemo[V]{vals: map[uint32]*V{}, mk: mk}
+}
+
+func (m *appMemo[V]) get(app uint32) *V {
+	if m.last != nil && app == m.app {
+		return m.last
+	}
+	v := m.vals[app]
+	if v == nil {
+		v = m.mk(app)
+		m.vals[app] = v
+	}
+	m.app, m.last = app, v
+	return v
 }
 
 // Load builds DeviceData from an in-memory device trace.
@@ -158,17 +223,6 @@ func LoadAll(dts []*trace.DeviceTrace, opts energy.Options) ([]*DeviceData, erro
 		}
 	}
 	return out, nil
-}
-
-// appID resolves a package name to its table ID on this device; ok=false if
-// the app never appears.
-func (d *DeviceData) appID(pkg string) (uint32, bool) {
-	for i := 0; i < d.Apps.Len(); i++ {
-		if d.Apps.Name(uint32(i)) == pkg {
-			return uint32(i), true
-		}
-	}
-	return 0, false
 }
 
 // MergedLedger returns the fleet-wide ledger (app IDs are comparable across

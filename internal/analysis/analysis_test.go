@@ -82,11 +82,11 @@ func TestLoadBasics(t *testing.T) {
 	if dd.Days != 1 {
 		t.Errorf("days = %d", dd.Days)
 	}
-	if _, ok := dd.appID("com.a"); !ok {
-		t.Error("appID lookup failed")
+	if _, ok := dd.Apps.Lookup("com.a"); !ok {
+		t.Error("Lookup failed")
 	}
-	if _, ok := dd.appID("com.missing"); ok {
-		t.Error("appID found a missing app")
+	if _, ok := dd.Apps.Lookup("com.missing"); ok {
+		t.Error("Lookup found a missing app")
 	}
 }
 

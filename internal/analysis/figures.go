@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"netenergy/internal/periodic"
+	"netenergy/internal/procstate"
 	"netenergy/internal/radio"
 	"netenergy/internal/stats"
 	"netenergy/internal/trace"
@@ -187,7 +188,7 @@ func Timeline(devs []*DeviceData, pkg string, before, after, binWidth float64) (
 	best := TimelineResult{App: pkg, BinWidth: binWidth, Before: before}
 	bestBytes := int64(-1)
 	for _, d := range devs {
-		app, ok := d.appID(pkg)
+		app, ok := d.Apps.Lookup(pkg)
 		if !ok {
 			continue
 		}
@@ -223,7 +224,7 @@ func Timeline(devs []*DeviceData, pkg string, before, after, binWidth float64) (
 		if d.Device != best.Device {
 			continue
 		}
-		app, _ := d.appID(pkg)
+		app, _ := d.Apps.Lookup(pkg)
 		tb := stats.NewTimeBins(binWidth, int((before+after)/binWidth))
 		origin := best.Transition.AddSeconds(-before)
 		rt := radio.NewTimelineBuilder(radio.LTE())
@@ -282,7 +283,7 @@ type PersistenceCDF struct {
 func Persistence(devs []*DeviceData, pkg string) PersistenceCDF {
 	out := PersistenceCDF{App: pkg}
 	for _, d := range devs {
-		app, ok := d.appID(pkg)
+		app, ok := d.Apps.Lookup(pkg)
 		if !ok {
 			continue
 		}
@@ -350,12 +351,16 @@ type SinceForegroundResult struct {
 func SinceForeground(devs []*DeviceData, binWidth, horizon float64) SinceForegroundResult {
 	tb := stats.NewTimeBins(binWidth, int(horizon/binWidth))
 	for _, d := range devs {
+		fg := newAppMemo(func(app uint32) *procstate.Cursor {
+			c := d.Tracker.Cursor(app)
+			return &c
+		})
 		for i := range d.Energy.Packets {
 			p := &d.Energy.Packets[i]
 			if !p.State.IsBackground() {
 				continue
 			}
-			fgEnd, ok := d.Tracker.LastForegroundEnd(p.App, p.TS)
+			fgEnd, ok := fg.get(p.App).LastForegroundEnd(p.TS)
 			if !ok {
 				continue // never-foreground apps are outside this figure
 			}
@@ -394,34 +399,51 @@ type FirstMinuteResult struct {
 
 // FirstMinute computes the criterion across the fleet.
 func FirstMinute(devs []*DeviceData, windowSec, threshold float64) FirstMinuteResult {
-	early := map[string]float64{}
-	total := map[string]float64{}
-	everFg := map[string]bool{}
+	// One accumulator per app name, fleet-wide; each device's apps reach
+	// theirs, and their foreground cursor, through the memo.
+	type appShare struct {
+		early, total float64
+		everFg       bool
+	}
+	type appWalk struct {
+		acc *appShare
+		fg  procstate.Cursor
+	}
+	byName := map[string]*appShare{}
 	for _, d := range devs {
+		apps := newAppMemo(func(app uint32) *appWalk {
+			name := d.Apps.Name(app)
+			acc := byName[name]
+			if acc == nil {
+				acc = &appShare{}
+				byName[name] = acc
+			}
+			return &appWalk{acc: acc, fg: d.Tracker.Cursor(app)}
+		})
 		for i := range d.Energy.Packets {
 			p := &d.Energy.Packets[i]
 			if !p.State.IsBackground() {
 				continue
 			}
-			name := d.Apps.Name(p.App)
-			total[name] += float64(p.Bytes)
-			fgEnd, ok := d.Tracker.LastForegroundEnd(p.App, p.TS)
+			a := apps.get(p.App)
+			a.acc.total += float64(p.Bytes)
+			fgEnd, ok := a.fg.LastForegroundEnd(p.TS)
 			if !ok {
 				continue
 			}
-			everFg[name] = true
+			a.acc.everFg = true
 			if p.TS.Sub(fgEnd) <= windowSec {
-				early[name] += float64(p.Bytes)
+				a.acc.early += float64(p.Bytes)
 			}
 		}
 	}
 	res := FirstMinuteResult{PerApp: map[string]float64{}}
-	for name, tot := range total {
-		if tot <= 0 {
+	for name, acc := range byName {
+		if acc.total <= 0 {
 			continue
 		}
-		share := early[name] / tot
-		if !everFg[name] {
+		share := acc.early / acc.total
+		if !acc.everFg {
 			share = 0
 		}
 		res.PerApp[name] = share

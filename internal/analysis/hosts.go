@@ -39,13 +39,15 @@ func HostBreakdown(devs []*DeviceData, pkg string, bgOnly bool) HostBreakdownRes
 	}
 	hostAgg := map[string]*HostStat{}
 	for _, d := range devs {
-		app, ok := d.appID(pkg)
+		app, ok := d.Apps.Lookup(pkg)
 		if !ok {
 			continue
 		}
-		// Connection id -> current host, so responses inherit the request's
-		// host attribution.
-		flowHost := make([]string, len(d.Energy.Conns))
+		// Connection id -> current host id, so responses inherit the
+		// request's host attribution; host id -> its fleet-wide stat, looked
+		// up by name once per host per device.
+		flowHost := make([]uint32, len(d.Energy.Conns))
+		stat := make([]*HostStat, len(d.Energy.Hosts))
 		for i := range d.Energy.Packets {
 			p := &d.Energy.Packets[i]
 			if p.App != app {
@@ -55,20 +57,24 @@ func HostBreakdown(devs []*DeviceData, pkg string, bgOnly bool) HostBreakdownRes
 				continue
 			}
 			host := p.Host
-			isReq := host != ""
+			isReq := host != 0
 			if isReq {
 				flowHost[p.Conn] = host
 			} else {
 				host = flowHost[p.Conn]
 			}
-			if host == "" {
+			if host == 0 {
 				res.UnattributedBytes += int64(p.Bytes)
 				continue
 			}
-			hs := hostAgg[host]
+			hs := stat[host]
 			if hs == nil {
-				hs = &HostStat{Host: host, Category: appproto.Classify(host)}
-				hostAgg[host] = hs
+				name := d.Energy.Hosts[host]
+				if hs = hostAgg[name]; hs == nil {
+					hs = &HostStat{Host: name, Category: appproto.Classify(name)}
+					hostAgg[name] = hs
+				}
+				stat[host] = hs
 			}
 			hs.Bytes += int64(p.Bytes)
 			hs.Energy += p.Energy

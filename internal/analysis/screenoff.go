@@ -37,21 +37,26 @@ func ScreenOff(devs []*DeviceData, topK int) ScreenOffResult {
 	var res ScreenOffResult
 	offByApp := map[string]*HungryApp{}
 	for _, d := range devs {
+		screen := newScreenCursor(d)
+		apps := newAppMemo(func(app uint32) *HungryApp {
+			name := d.Apps.Name(app)
+			h := offByApp[name]
+			if h == nil {
+				h = &HungryApp{App: name}
+				offByApp[name] = h
+			}
+			return h
+		})
 		for i := range d.Energy.Packets {
 			p := &d.Energy.Packets[i]
-			if d.ScreenOnAt(p.TS) {
+			if screen.at(p.TS) {
 				res.OnBytes += int64(p.Bytes)
 				res.OnEnergy += p.Energy
 				continue
 			}
 			res.OffBytes += int64(p.Bytes)
 			res.OffEnergy += p.Energy
-			name := d.Apps.Name(p.App)
-			h := offByApp[name]
-			if h == nil {
-				h = &HungryApp{App: name}
-				offByApp[name] = h
-			}
+			h := apps.get(p.App)
 			h.Bytes += int64(p.Bytes)
 			h.Energy += p.Energy
 		}

@@ -31,7 +31,7 @@ func caseStudiesOracle(devs []*DeviceData, packages, labels []string) []CaseStud
 		activeDays := map[[2]interface{}]bool{} // (device, day)
 		var periods []periodic.Period
 		for _, d := range devs {
-			app, ok := d.appID(pkg)
+			app, ok := d.Apps.Lookup(pkg)
 			if !ok {
 				continue
 			}
@@ -144,7 +144,7 @@ func hostBreakdownOracle(devs []*DeviceData, pkg string, bgOnly bool) (map[strin
 	hosts := map[string]HostStat{}
 	var unattributed int64
 	for _, d := range devs {
-		app, ok := d.appID(pkg)
+		app, ok := d.Apps.Lookup(pkg)
 		if !ok {
 			continue
 		}
@@ -155,7 +155,7 @@ func hostBreakdownOracle(devs []*DeviceData, pkg string, bgOnly bool) (map[strin
 				continue
 			}
 			key := d.Energy.Conns[p.Conn].FastHash()
-			host := p.Host
+			host := d.Energy.Hosts[p.Host]
 			if host != "" {
 				flowHost[key] = host
 			} else {
@@ -169,7 +169,7 @@ func hostBreakdownOracle(devs []*DeviceData, pkg string, bgOnly bool) (map[strin
 			hs.Host, hs.Category = host, appproto.Classify(host)
 			hs.Bytes += int64(p.Bytes)
 			hs.Energy += p.Energy
-			if p.Host != "" {
+			if p.Host != 0 {
 				hs.Requests++
 			}
 			hosts[host] = hs

@@ -27,27 +27,42 @@ type CaseStudy struct {
 // transfers initiated in the background.
 func CaseStudies(devs []*DeviceData, packages, labels []string) []CaseStudy {
 	// One pass over each device's flows and packets, bucketed by app id for
-	// the requested packages; each row below reads its app's bucket.
-	flowCount := make([][]int, len(devs))
-	bgBurstTimes := make([][][]float64, len(devs)) // background uplink times, in packet order
-	for di, d := range devs {
-		n := d.Apps.Len()
-		flowCount[di], bgBurstTimes[di] = make([]int, n), make([][]float64, n)
-		wanted := make([]bool, n)
-		for _, pkg := range packages {
-			if app, ok := d.appID(pkg); ok {
-				wanted[app] = true
+	// the requested packages; each row below reads its app's bucket. A
+	// table lists a handful of packages, so finding a bucket is a scan.
+	type bucket struct {
+		app          uint32
+		flows        int
+		bgBurstTimes []float64 // background uplink times, in packet order
+	}
+	find := func(bs []*bucket, app uint32) *bucket {
+		for _, b := range bs {
+			if b.app == app {
+				return b
 			}
 		}
+		return nil
+	}
+	buckets := make([][]*bucket, len(devs))
+	for di, d := range devs {
+		var bs []*bucket
+		for _, pkg := range packages {
+			if app, ok := d.Apps.Lookup(pkg); ok && find(bs, app) == nil {
+				bs = append(bs, &bucket{app: app})
+			}
+		}
+		buckets[di] = bs
 		for _, f := range d.Flows {
-			if int(f.App) < n {
-				flowCount[di][f.App]++
+			if b := find(bs, f.App); b != nil {
+				b.flows++
 			}
 		}
 		for i := range d.Energy.Packets {
 			p := &d.Energy.Packets[i]
-			if int(p.App) < n && wanted[p.App] && p.State.IsBackground() && p.Dir == trace.DirUp {
-				bgBurstTimes[di][p.App] = append(bgBurstTimes[di][p.App], p.TS.Seconds())
+			if !p.State.IsBackground() || p.Dir != trace.DirUp {
+				continue
+			}
+			if b := find(bs, p.App); b != nil {
+				b.bgBurstTimes = append(b.bgBurstTimes, p.TS.Seconds())
 			}
 		}
 	}
@@ -65,7 +80,7 @@ func CaseStudies(devs []*DeviceData, packages, labels []string) []CaseStudy {
 		var periods []periodic.Period
 
 		for di, d := range devs {
-			app, ok := d.appID(pkg)
+			app, ok := d.Apps.Lookup(pkg)
 			if !ok {
 				continue
 			}
@@ -76,11 +91,12 @@ func CaseStudies(devs []*DeviceData, packages, labels []string) []CaseStudy {
 					activeDays[[2]interface{}{d.Device, day}] = true
 				}
 			}
-			cs.Flows += flowCount[di][app]
+			b := find(buckets[di], app)
+			cs.Flows += b.flows
 			// Update-period detection is per device: burst schedules are
 			// independent across users, so mixing them would destroy the
 			// interval structure.
-			bursts := periodic.Bursts(bgBurstTimes[di][app], 15)
+			bursts := periodic.Bursts(b.bgBurstTimes, 15)
 			if pd := periodic.DominantPeriod(bursts); pd.Samples >= 5 {
 				periods = append(periods, pd)
 			}

@@ -108,24 +108,20 @@ func Request(method, host, path string) []byte {
 
 // ParseHost extracts the Host header value from a (possibly truncated)
 // request prefix. ok is false when no complete Host header is present in
-// the captured bytes.
-func ParseHost(payload []byte) (host string, ok bool) {
+// the captured bytes. host aliases payload.
+func ParseHost(payload []byte) (host []byte, ok bool) {
 	const marker = "Host: "
 	i := bytes.Index(payload, []byte(marker))
 	if i < 0 {
-		return "", false
+		return nil, false
 	}
 	rest := payload[i+len(marker):]
 	end := bytes.IndexByte(rest, '\r')
-	if end < 0 {
-		// Header truncated by the snap length.
-		return "", false
+	if end <= 0 {
+		// No host, or a header truncated by the snap length.
+		return nil, false
 	}
-	h := string(rest[:end])
-	if h == "" {
-		return "", false
-	}
-	return h, true
+	return rest[:end], true
 }
 
 // IsRequest reports whether the payload begins with a plausible HTTP

@@ -10,7 +10,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		t.Error("generated request not recognised")
 	}
 	host, ok := ParseHost(req)
-	if !ok || host != "api.weibo.example" {
+	if !ok || string(host) != "api.weibo.example" {
 		t.Errorf("host = %q, ok=%v", host, ok)
 	}
 }
@@ -20,7 +20,7 @@ func TestRequestDefaults(t *testing.T) {
 	if string(req[:4]) != "GET " {
 		t.Errorf("default method: %q", req)
 	}
-	if host, ok := ParseHost(req); !ok || host != "h.example" {
+	if host, ok := ParseHost(req); !ok || string(host) != "h.example" {
 		t.Errorf("host = %q", host)
 	}
 }

@@ -14,6 +14,8 @@
 package energy
 
 import (
+	"encoding/binary"
+
 	"netenergy/internal/appproto"
 	"netenergy/internal/netparse"
 	"netenergy/internal/radio"
@@ -34,10 +36,12 @@ type Packet struct {
 	// retransmission analysis.
 	Seq    uint32
 	Energy float64 // joules attributed to this packet (incl. its tail share)
-	// Host is the HTTP Host header parsed from the captured payload of
-	// uplink request packets ("" when absent or truncated). Host strings
-	// are interned, so identical hosts share storage.
-	Host string
+	// Host indexes Result.Hosts: the HTTP Host header parsed from the
+	// captured payload of an uplink request packet, or 0 when there is none
+	// (no request, or a header cut short by the snap length). An index, not
+	// a string, so that Packet holds no pointer and a device's packet slice
+	// is never scanned by the garbage collector.
+	Host uint32
 }
 
 // DayStats aggregates one app's activity on one day.
@@ -494,7 +498,10 @@ type Result struct {
 	Packets []Packet // nil unless Options.KeepPackets
 	// Conns holds each connection's canonical five-tuple, indexed by
 	// Packet.Conn: dense ids in the order the device first used them.
-	Conns        []netparse.FiveTuple
+	Conns []netparse.FiveTuple
+	// Hosts holds each distinct request host, indexed by Packet.Host: dense
+	// ids from 1 in first-seen order, and Hosts[0] == "" for "no host".
+	Hosts        []string
 	DecodeErrors int // packets skipped because they failed to parse
 	Span         [2]trace.Timestamp
 }
@@ -516,8 +523,8 @@ func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
 		}
 		res.Packets = make([]Packet, 0, n)
 	}
-	hosts := hostInterner{}
-	conns := connTable{ids: map[netparse.FiveTuple]uint32{}}
+	hosts := hostTable{ids: map[string]uint32{}, names: []string{""}}
+	conns := connTable{v4: map[v4Key]uint32{}, v6: map[netparse.FiveTuple]uint32{}}
 
 	for i := range dt.Records {
 		r := &dt.Records[i]
@@ -532,10 +539,10 @@ func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
 		if n := len(res.Packets); n > 0 {
 			res.Packets[n-1].Energy += gapTail
 		}
-		host := ""
+		var host uint32
 		if r.Dir == trace.DirUp && appproto.IsRequest(d.Payload) {
 			if h, ok := appproto.ParseHost(d.Payload); ok {
-				host = hosts.intern(h)
+				host = hosts.id(h)
 			}
 		}
 		var seq uint32
@@ -544,11 +551,11 @@ func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
 		}
 		res.Packets = append(res.Packets, Packet{
 			TS: r.TS, App: r.App, Dir: r.Dir, State: r.State,
-			Bytes: d.WireLen, Conn: conns.id(d.Tuple, r.Dir), Seq: seq, Energy: own,
+			Bytes: d.WireLen, Conn: conns.id(d, r.Dir), Seq: seq, Energy: own,
 			Host: host,
 		})
 	}
-	res.Conns = conns.tuples
+	res.Conns, res.Hosts = conns.tuples, hosts.names
 
 	// The final tail belongs to the last packet.
 	if fin, n := k.Finish(), len(res.Packets); n > 0 {
@@ -559,45 +566,81 @@ func Process(dt *trace.DeviceTrace, opts Options) (*Result, error) {
 }
 
 // connTable numbers a device's connections densely in first-seen order,
-// keyed by canonical tuple so both directions share one id.
+// keyed by canonical tuple so both directions share one id. An IPv4 tuple
+// keys packed: each side as ip<<16|port, which orders sides exactly as
+// Canonical does (address bytes, then port), the lower side first, and the
+// protocol above the lower side's 48 bits. An IPv6 tuple keys by FiveTuple.
 type connTable struct {
-	ids    map[netparse.FiveTuple]uint32
+	v4     map[v4Key]uint32
+	v6     map[netparse.FiveTuple]uint32
 	tuples []netparse.FiveTuple
-	// The last tuple looked up in each direction, and its id: a burst
-	// repeats one tuple per direction, and a repeat is neither canonicalised
-	// nor hashed. The zero tuple matches no decoded one.
-	last   [2]netparse.FiveTuple
+	// The last IPv4 key looked up in each direction, as sent (not ordered),
+	// and its id: a burst repeats one tuple per direction, and a repeat is
+	// neither ordered nor hashed. The zero key matches no decoded packet,
+	// whose protocol is TCP or UDP.
+	last   [2]v4Key
 	lastID [2]uint32
 }
 
-func (c *connTable) id(t netparse.FiveTuple, dir trace.Direction) uint32 {
+// v4Key is a packed IPv4 five-tuple: lo|proto<<48 and hi.
+type v4Key struct{ lo, hi uint64 }
+
+func (c *connTable) id(d *netparse.Decoded, dir trace.Direction) uint32 {
+	if d.Network != netparse.LayerTypeIPv4 {
+		canon := d.Tuple.Canonical()
+		id, ok := c.v6[canon]
+		if !ok {
+			id = c.add(canon)
+			c.v6[canon] = id
+		}
+		return id
+	}
 	m := 0
 	if dir == trace.DirUp {
 		m = 1
 	}
-	if t == c.last[m] {
+	src := uint64(binary.BigEndian.Uint32(d.IPv4.SrcIP[:]))<<16 | uint64(d.Tuple.PortA)
+	dst := uint64(binary.BigEndian.Uint32(d.IPv4.DstIP[:]))<<16 | uint64(d.Tuple.PortB)
+	proto := uint64(d.Tuple.Proto) << 48
+	sent := v4Key{src | proto, dst}
+	if sent == c.last[m] {
 		return c.lastID[m]
 	}
-	canon := t.Canonical()
-	id, ok := c.ids[canon]
-	if !ok {
-		id = uint32(len(c.tuples))
-		c.tuples = append(c.tuples, canon)
-		c.ids[canon] = id
+	key := sent
+	if dst < src {
+		key = v4Key{dst | proto, src}
 	}
-	c.last[m], c.lastID[m] = t, id
+	id, ok := c.v4[key]
+	if !ok {
+		id = c.add(d.Tuple)
+		c.v4[key] = id
+	}
+	c.last[m], c.lastID[m] = sent, id
 	return id
 }
 
-// hostInterner deduplicates host strings across millions of packets.
-type hostInterner map[string]string
+// add hands out the next id, to t's canonical form.
+func (c *connTable) add(t netparse.FiveTuple) uint32 {
+	c.tuples = append(c.tuples, t.Canonical())
+	return uint32(len(c.tuples) - 1)
+}
 
-func (h hostInterner) intern(s string) string {
-	if v, ok := h[s]; ok {
-		return v
+// hostTable numbers a device's request hosts densely from 1 in first-seen
+// order; names[0] is "", the id of no host.
+type hostTable struct {
+	ids   map[string]uint32
+	names []string
+}
+
+func (h *hostTable) id(b []byte) uint32 {
+	id, ok := h.ids[string(b)]
+	if !ok {
+		s := string(b)
+		id = uint32(len(h.names))
+		h.names = append(h.names, s)
+		h.ids[s] = id
 	}
-	h[s] = s
-	return s
+	return id
 }
 
 // MergeLedgers sums per-device ledgers into one fleet-wide ledger. App IDs

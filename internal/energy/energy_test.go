@@ -5,9 +5,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"netenergy/internal/appproto"
 	"netenergy/internal/netparse"
 	"netenergy/internal/radio"
 	"netenergy/internal/rng"
+	"netenergy/internal/synthgen"
 	"netenergy/internal/trace"
 )
 
@@ -335,32 +337,75 @@ func TestHostExtraction(t *testing.T) {
 	if len(res.Packets) != 2 {
 		t.Fatalf("packets = %d", len(res.Packets))
 	}
-	if res.Packets[0].Host != "api.poller.example" {
-		t.Errorf("host = %q", res.Packets[0].Host)
+	if h := res.Hosts[res.Packets[0].Host]; h != "api.poller.example" {
+		t.Errorf("host = %q", h)
 	}
-	if res.Packets[1].Host != "" {
-		t.Errorf("response host = %q, want empty", res.Packets[1].Host)
+	if res.Packets[1].Host != 0 {
+		t.Errorf("response host = %d (%q), want 0", res.Packets[1].Host, res.Hosts[res.Packets[1].Host])
 	}
 	if res.Packets[0].Seq != 0 || res.Packets[1].Bytes == 0 {
 		t.Errorf("seq/bytes: %+v", res.Packets)
 	}
 }
 
+// TestHostInterning: over the golden fleet, every request packet's host id
+// names the host its payload parses to, the same host always gets the same
+// id, ids are dense from 1 in first-seen order, and Hosts[0] is "".
 func TestHostInterning(t *testing.T) {
-	h := hostInterner{}
-	a := h.intern("x.example")
-	b := h.intern("x.example")
-	if &a == &b {
-		// strings are values; check map behaviour instead
-		t.Skip()
-	}
-	if a != b || len(h) != 1 {
-		t.Errorf("interning broken: %q %q len=%d", a, b, len(h))
+	opts := DefaultOptions()
+	for _, dt := range synthgen.GenerateInMemory(synthgen.Small(5, 10)) {
+		res, err := Process(dt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Hosts) < 2 || res.Hosts[0] != "" {
+			t.Fatalf("%s: Hosts = %q, want \"\" first and at least one host", dt.Device, res.Hosts)
+		}
+		parser := netparse.Parser{VerifyChecksums: opts.VerifyChecksums, Snap: opts.Snap}
+		ids := map[string]uint32{}
+		i := 0
+		for j := range dt.Records {
+			r := &dt.Records[j]
+			if r.Type != trace.RecPacket || r.Net != opts.Network {
+				continue
+			}
+			d, err := parser.DecodePacket(r.Payload)
+			if err != nil {
+				continue
+			}
+			p := &res.Packets[i]
+			i++
+			var host string
+			ok := false
+			if r.Dir == trace.DirUp && appproto.IsRequest(d.Payload) {
+				var h []byte
+				h, ok = appproto.ParseHost(d.Payload)
+				host = string(h)
+			}
+			if !ok {
+				if p.Host != 0 {
+					t.Fatalf("%s packet %d: host id %d for a packet with no host", dt.Device, i-1, p.Host)
+				}
+				continue
+			}
+			id, seen := ids[host]
+			switch {
+			case seen && p.Host != id:
+				t.Fatalf("%s: %q has ids %d and %d", dt.Device, host, id, p.Host)
+			case !seen && p.Host != uint32(len(ids)+1):
+				t.Fatalf("%s packet %d: new host %q got id %d, want %d", dt.Device, i-1, host, p.Host, len(ids)+1)
+			}
+			ids[host] = p.Host
+			if res.Hosts[p.Host] != host {
+				t.Fatalf("%s: Hosts[%d] = %q, want %q", dt.Device, p.Host, res.Hosts[p.Host], host)
+			}
+		}
+		if len(res.Hosts) != len(ids)+1 {
+			t.Fatalf("%s: %d hosts for %d distinct", dt.Device, len(res.Hosts)-1, len(ids))
+		}
 	}
 }
 
-// TestReplayPacketReturns pins what the kernel hands its callers: the
-// packet's own energy, and the gap tail it charged to the previous packet.
 func TestReplayPacketReturns(t *testing.T) {
 	dt := newTrace()
 	addPacket(dt, 0, 1, trace.DirUp, trace.StateService, 100, 1000)

@@ -3,12 +3,14 @@ package energy
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
 
 	"netenergy/internal/netparse"
 	"netenergy/internal/radio"
+	"netenergy/internal/rng"
 	"netenergy/internal/synthgen"
 	"netenergy/internal/trace"
 )
@@ -292,15 +294,40 @@ func TestSyncedLedgerReadsConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConnIDs: over the golden fleet, every kept packet's connection id
-// names the canonical form of the tuple its payload decodes to, ids are
-// dense and handed out in first-seen order, and no tuple has two ids.
-func TestConnIDs(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Packet{}) != 56 {
-		t.Errorf("Packet is %d bytes, want 56", unsafe.Sizeof(Packet{}))
+// TestPacketPointerFree: Packet is 48 bytes on 64-bit platforms and no field
+// holds a string, slice, map, pointer or anything else the garbage collector
+// scans, so a device's retained packet slice costs a collection nothing.
+func TestPacketPointerFree(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Packet{}) != 48 {
+		t.Errorf("Packet is %d bytes, want 48", unsafe.Sizeof(Packet{}))
 	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		default:
+			t.Errorf("%s is a %s: Packet must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk("Packet", reflect.TypeOf(Packet{}))
+}
+
+// TestConnIDs: over the golden fleet and a trace of mixed tuples, every kept
+// packet's connection id names the canonical form of the tuple its payload
+// decodes to, ids are dense and handed out in first-seen order, and no tuple
+// has two ids.
+func TestConnIDs(t *testing.T) {
 	opts := DefaultOptions()
-	for _, dt := range synthgen.GenerateInMemory(synthgen.Small(5, 10)) {
+	for _, dt := range append(synthgen.GenerateInMemory(synthgen.Small(5, 10)), mixedTupleTrace(t)) {
 		res, err := Process(dt, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -337,4 +364,56 @@ func TestConnIDs(t *testing.T) {
 			t.Fatalf("%s: matched %d of %d packets, %d ids for %d conns", dt.Device, i, len(res.Packets), next, len(res.Conns))
 		}
 	}
+}
+
+// mixedTupleTrace is a device whose packets draw from a small pool of
+// tuples, so that the packed IPv4 keys meet their edge cases: IPv4 and IPv6,
+// TCP and UDP over the same addresses and ports, sides equal in address but
+// not port and equal in both, the lowest and highest addresses and ports,
+// and each tuple sent either way round under either direction flag.
+func mixedTupleTrace(t *testing.T) *trace.DeviceTrace {
+	t.Helper()
+	v4 := [][4]byte{{0, 0, 0, 0}, {1, 2, 3, 4}, {1, 2, 3, 5}, {10, 0, 0, 1}, {255, 255, 255, 255}}
+	v6 := [][16]byte{{0xfe, 0x80, 15: 1}, {0xfe, 0x80, 15: 2}, {0x20, 0x01, 0x0d, 0xb8, 15: 1}}
+	ports := []uint16{0, 1, 443, 40000, 65535}
+	r := rng.New(34)
+	dt := newTrace()
+	for i := 0; i < 3000; i++ {
+		proto := []uint8{netparse.IPProtoTCP, netparse.IPProtoUDP}[r.Intn(2)]
+		sp, dp := ports[r.Intn(len(ports))], ports[r.Intn(len(ports))]
+		tcp := &netparse.TCP{SrcPort: sp, DstPort: dp, Flags: netparse.TCPAck}
+		udp := &netparse.UDP{SrcPort: sp, DstPort: dp}
+		seg, pkt := make([]byte, 64), make([]byte, 128)
+		var n, m int
+		var err error
+		if r.Intn(4) == 0 {
+			ip := &netparse.IPv6{NextHeader: proto, HopLimit: 64, SrcIP: v6[r.Intn(len(v6))], DstIP: v6[r.Intn(len(v6))]}
+			if proto == netparse.IPProtoTCP {
+				n, err = tcp.SerializeTo(seg, []byte("x"), ip)
+			} else {
+				n, err = udp.SerializeTo(seg, []byte("x"), ip)
+			}
+			if err == nil {
+				m, err = ip.SerializeTo(pkt, seg[:n])
+			}
+		} else {
+			ip := &netparse.IPv4{Protocol: proto, TTL: 64, SrcIP: v4[r.Intn(len(v4))], DstIP: v4[r.Intn(len(v4))]}
+			if proto == netparse.IPProtoTCP {
+				n, err = tcp.SerializeTo(seg, []byte("x"), ip)
+			} else {
+				n, err = udp.SerializeTo(seg, []byte("x"), ip)
+			}
+			if err == nil {
+				m, err = ip.SerializeTo(pkt, seg[:n])
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		dt.Records = append(dt.Records, trace.Record{
+			Type: trace.RecPacket, TS: trace.Timestamp(i) * sec / 10, App: 1, Dir: trace.Direction(r.Intn(2)),
+			Net: trace.NetCellular, State: trace.StateService, Payload: pkt[:m],
+		})
+	}
+	return dt
 }

@@ -140,6 +140,8 @@ func (t *Tracker) BackgroundTransitions(app uint32) []Transition {
 // LastForegroundEnd returns the most recent time at or before ts when the
 // app was last in a foreground state (i.e. the end of its latest foreground
 // interval). ok is false if the app has not been in the foreground by ts.
+// It searches the app's events on every call; a walk over time-ordered
+// packets asks a Cursor instead, which this is the reference for.
 func (t *Tracker) LastForegroundEnd(app uint32, ts trace.Timestamp) (trace.Timestamp, bool) {
 	evs := t.events[app]
 	i := sort.Search(len(evs), func(i int) bool { return evs[i].ts > ts })
@@ -158,6 +160,46 @@ func (t *Tracker) LastForegroundEnd(app uint32, ts trace.Timestamp) (trace.Times
 		}
 	}
 	return 0, false
+}
+
+// Cursor answers LastForegroundEnd for one app as a forward merge over its
+// events: at non-decreasing query times each event is passed once, so a
+// walk over a device's time-ordered packets costs amortised O(1) per packet.
+// A query earlier than the one before it starts the walk over, so every
+// answer equals LastForegroundEnd's whatever the order.
+type Cursor struct {
+	evs  []event
+	next int             // evs[:next] are the events at or before last
+	fg   int             // the latest foreground event in evs[:next], or -1
+	last trace.Timestamp // the previous query time
+}
+
+// Cursor returns a cursor over app's events, before the first of them. The
+// Tracker must not be fed while the cursor is in use.
+func (t *Tracker) Cursor(app uint32) Cursor {
+	return Cursor{evs: t.events[app], fg: -1}
+}
+
+// LastForegroundEnd is Tracker.LastForegroundEnd for the cursor's app.
+func (c *Cursor) LastForegroundEnd(ts trace.Timestamp) (trace.Timestamp, bool) {
+	if ts < c.last {
+		c.next, c.fg = 0, -1
+	}
+	c.last = ts
+	for c.next < len(c.evs) && c.evs[c.next].ts <= ts {
+		if c.evs[c.next].state.IsForeground() {
+			c.fg = c.next
+		}
+		c.next++
+	}
+	switch {
+	case c.fg < 0:
+		return 0, false
+	case c.fg+1 < len(c.evs):
+		// Foreground ended when the next event fired (clamped to ts).
+		return min(c.evs[c.fg+1].ts, ts), true
+	}
+	return ts, true // still foreground at ts
 }
 
 // TimeInState sums, per state, the duration the app spent in each state

@@ -134,6 +134,9 @@ func FuzzReadFileParallel(f *testing.F) {
 	f.Add(craftColumnIndexFile(1, []rawIndexEntry{{od: 5, ul: 16, cl: 16, rc: 1 << 50}}))
 	f.Add([]byte{})
 	f.Add(metr3Sample())
+	// Seed: a 58-byte file whose one RecAppName names app 1<<24, which once
+	// grew the app table to 16 M names (1.5 GB) on the way in.
+	f.Add(appNameFile(1 << 24))
 
 	// Seeds: the generated file and a crafted index under the refused
 	// magics, footer intact: neither index may be read.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -216,5 +217,48 @@ func TestReadFileAllocsIndependentOfRecords(t *testing.T) {
 	}
 	if large-small > 16 || large > 100 {
 		t.Errorf("allocs per read: %v at 2 000 records, %v at 20 000: grows with the record count", small, large)
+	}
+}
+
+// appNameFile is a METR-3 file holding one RecAppName, naming id "x".
+func appNameFile(id uint32) []byte {
+	var buf bytes.Buffer
+	w, _ := NewColumnWriter(&buf, "d", 0)
+	w.Write(&Record{Type: RecAppName, App: id, AppName: "x"})
+	w.Flush()
+	return buf.Bytes()
+}
+
+// TestFarAppIDBoundedAllocs: an app id read from disk sizes nothing. Reading
+// a one-record file whose RecAppName carries a huge id, through the indexed
+// reader and the streaming one, allocates what reading it with id 0 does,
+// give or take a map, and the id still resolves both ways.
+func TestFarAppIDBoundedAllocs(t *testing.T) {
+	read := map[string]func(data []byte) (*DeviceTrace, error){
+		"ReadFile": func(data []byte) (*DeviceTrace, error) { return ReadFile(writeTemp(t, data)) },
+		"ReadAll":  func(data []byte) (*DeviceTrace, error) { return ReadAll(bytes.NewReader(data)) },
+	}
+	for _, name := range []string{"ReadFile", "ReadAll"} {
+		allocated := func(id uint32) (uint64, *DeviceTrace) {
+			data := appNameFile(id)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			dt, err := read[name](data)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s id %#x: %v", name, id, err)
+			}
+			return after.TotalAlloc - before.TotalAlloc, dt
+		}
+		base, _ := allocated(0)
+		for _, id := range []uint32{1 << 24, 1 << 31, 0xFFFFFFFF} {
+			got, dt := allocated(id)
+			if got > base+64<<10 {
+				t.Errorf("%s id %#x: %d bytes allocated, %d with id 0", name, id, got, base)
+			}
+			if app, ok := dt.Apps.Lookup("x"); !ok || app != id || dt.Apps.Name(id) != "x" || dt.Apps.Len() != 0 {
+				t.Errorf("%s id %#x: Lookup = %#x %v, Name = %q, Len = %d", name, id, app, ok, dt.Apps.Name(id), dt.Apps.Len())
+			}
+		}
 	}
 }

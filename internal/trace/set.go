@@ -12,49 +12,94 @@ import (
 
 // AppTable maps collector app IDs to package names and back. The generator
 // fills one per device; the reader rebuilds it from RecAppName records.
+//
+// An ID read from disk can be anything up to 2^32-1, so no ID sizes the
+// table: IDs are held densely only while at most about half the dense range
+// would be gaps (denseSlack beyond twice the names registered), and any
+// other ID is held in a map. A table filled by Intern, or by Register with
+// IDs from 0 up, is all dense.
 type AppTable struct {
-	names []string
+	names []string          // IDs 0..len(names)-1; "" is unregistered
+	far   map[uint32]string // registered IDs past the dense range
+	top   uint64            // one past the highest far ID
 	ids   map[string]uint32
 }
+
+// denseSlack is how far past twice its registered names the dense range
+// may grow: room for a few gaps in a small table.
+const denseSlack = 64
 
 // NewAppTable returns an empty table.
 func NewAppTable() *AppTable {
 	return &AppTable{ids: make(map[string]uint32)}
 }
 
-// Intern returns the ID for name, registering it if new.
+// Intern returns the ID for name, registering it if new as one past the
+// highest ID in the table.
 func (t *AppTable) Intern(name string) uint32 {
 	if id, ok := t.ids[name]; ok {
 		return id
 	}
-	id := uint32(len(t.names))
-	t.names = append(t.names, name)
-	t.ids[name] = id
+	id := uint32(max(uint64(len(t.names)), t.top))
+	t.Register(id, name)
 	return id
 }
 
 // Register records an explicit (id, name) pair from a RecAppName record.
-// Sparse IDs grow the table with empty names in between.
+// Sparse IDs within the dense range leave unregistered names in between.
 func (t *AppTable) Register(id uint32, name string) {
-	for uint32(len(t.names)) <= id {
-		t.names = append(t.names, "")
-	}
-	t.names[id] = name
 	t.ids[name] = id
+	switch n := uint64(len(t.names)); {
+	case uint64(id) < n:
+		t.names[id] = name
+	case uint64(id) < 2*uint64(len(t.ids))+denseSlack:
+		// Far IDs the dense range now reaches move into it.
+		for i := uint32(n); i < id; i++ {
+			t.names = append(t.names, t.far[i])
+			delete(t.far, i)
+		}
+		delete(t.far, id)
+		t.names = append(t.names, name)
+	default:
+		if t.far == nil {
+			t.far = make(map[uint32]string)
+		}
+		t.far[id] = name
+		t.top = max(t.top, uint64(id)+1)
+	}
+}
+
+// Lookup returns the ID name is registered under: the latest ID registered
+// with it, while that ID still carries it. It is how a package name is
+// resolved on a device, whatever the IDs.
+func (t *AppTable) Lookup(name string) (uint32, bool) {
+	id, ok := t.ids[name]
+	if !ok || name == "" || t.registered(id) != name {
+		return 0, false
+	}
+	return id, true
+}
+
+func (t *AppTable) registered(id uint32) string {
+	if int64(id) < int64(len(t.names)) {
+		return t.names[id]
+	}
+	return t.far[id]
 }
 
 // Name returns the package name for id, or "app<id>" if unregistered.
 func (t *AppTable) Name(id uint32) string {
-	if int(id) < len(t.names) && t.names[id] != "" {
-		return t.names[id]
+	if name := t.registered(id); name != "" {
+		return name
 	}
 	return fmt.Sprintf("app%d", id)
 }
 
-// Len returns the number of registered names.
+// Len returns the number of IDs in the dense range, 0..Len()-1: for a
+// dense table, the number of registered names.
 func (t *AppTable) Len() int { return len(t.names) }
 
-// Names returns all registered names in ID order.
+// Names returns the names of the dense range in ID order.
 func (t *AppTable) Names() []string {
 	out := make([]string, len(t.names))
 	copy(out, t.names)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,6 +38,52 @@ func TestAppTableRegisterSparse(t *testing.T) {
 	}
 	if tab.Name(99) != "app99" {
 		t.Errorf("out-of-range Name = %q", tab.Name(99))
+	}
+}
+
+// TestAppTableFarIDs: an id far past the registered names is held apart
+// from the dense range, resolves both ways, moves into the dense range once
+// enough names justify it, and never collides with an Intern.
+func TestAppTableFarIDs(t *testing.T) {
+	tab := NewAppTable()
+	tab.Register(5, "com.sparse")
+	tab.Register(1<<32-1, "com.top")
+	tab.Register(100, "com.hundred")
+	if tab.Len() != 6 || tab.Name(1<<32-1) != "com.top" || tab.Name(100) != "com.hundred" {
+		t.Fatalf("Len = %d, Name(2^32-1) = %q, Name(100) = %q", tab.Len(), tab.Name(1<<32-1), tab.Name(100))
+	}
+	if id, ok := tab.Lookup("com.top"); !ok || id != 1<<32-1 {
+		t.Errorf("Lookup(com.top) = %d, %v", id, ok)
+	}
+	if _, ok := tab.Lookup("com.absent"); ok {
+		t.Error("Lookup found a name never registered")
+	}
+	// Enough names that the dense range may reach past 100: it takes the
+	// far id in on the way.
+	for i := uint32(6); i <= 40; i++ {
+		tab.Register(i, fmt.Sprintf("com.n%d", i))
+	}
+	tab.Register(101, "com.next")
+	if tab.Len() != 102 || tab.Names()[100] != "com.hundred" || tab.Names()[99] != "" {
+		t.Fatalf("after growing: Len = %d, Names()[99:] = %q", tab.Len(), tab.Names()[99:])
+	}
+	if id, ok := tab.Lookup("com.hundred"); !ok || id != 100 || tab.Name(77) != "app77" {
+		t.Errorf("Lookup(com.hundred) = %d, %v; Name(77) = %q", id, ok, tab.Name(77))
+	}
+	// Re-registering an id keeps the last name; the old one no longer
+	// resolves to it.
+	tab.Register(7, "com.renamed")
+	if _, ok := tab.Lookup("com.n7"); ok || tab.Name(7) != "com.renamed" {
+		t.Errorf("after re-registering 7: Name = %q, com.n7 still resolves %v", tab.Name(7), ok)
+	}
+	if _, ok := tab.Lookup(""); ok {
+		t.Error(`Lookup("") resolved`)
+	}
+	// Intern goes past the highest id in the table, dense or far.
+	wide := NewAppTable()
+	wide.Register(1<<20, "com.far")
+	if id := wide.Intern("com.new"); id != 1<<20+1 || wide.Name(1<<20) != "com.far" {
+		t.Errorf("Intern after a far id = %d, Name(far) = %q", id, wide.Name(1<<20))
 	}
 }
 

@@ -86,7 +86,7 @@ func TestDozeMaintenanceWindows(t *testing.T) {
 
 func TestDozeWhitelist(t *testing.T) {
 	dd := dozeTrace(t)
-	app, _ := dozeAppID(dd, "com.poller")
+	app, _ := dd.Apps.Lookup("com.poller")
 	res := SimulateDoze(dd, radio.LTE(), DozeConfig{
 		IdleAfter: 3600, Whitelist: map[uint32]bool{app: true},
 	})
@@ -126,11 +126,6 @@ func TestDefaultDozeSane(t *testing.T) {
 	if cfg.IdleAfter != 3600 || cfg.MaintenanceEvery <= 0 || cfg.MaintenanceLen <= 0 {
 		t.Errorf("default doze config: %+v", cfg)
 	}
-}
-
-// dozeAppID mirrors appIDOf for tests.
-func dozeAppID(d *analysis.DeviceData, pkg string) (uint32, bool) {
-	return appIDOf(d, pkg)
 }
 
 func TestBatchingSavesEnergy(t *testing.T) {

@@ -152,7 +152,7 @@ func Evaluate(devs []*analysis.DeviceData, packages, labels []string, killAfter 
 		var savedTotal float64
 		var deviceEnergyOnSuppressed, savedOnSuppressed float64
 		for _, d := range devs {
-			app, ok := appIDOf(d, pkg)
+			app, ok := d.Apps.Lookup(pkg)
 			if !ok {
 				continue
 			}
@@ -238,17 +238,6 @@ func SweepThresholds(devs []*analysis.DeviceData, maxDays int) []SweepPoint {
 		out = append(out, p)
 	}
 	return out
-}
-
-// appIDOf is a small indirection so whatif does not reach into analysis
-// internals beyond the public surface.
-func appIDOf(d *analysis.DeviceData, pkg string) (uint32, bool) {
-	for i := 0; i < d.Apps.Len(); i++ {
-		if d.Apps.Name(uint32(i)) == pkg {
-			return uint32(i), true
-		}
-	}
-	return 0, false
 }
 
 // PerUserSavings returns, for each device, the fraction of its total
