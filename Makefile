@@ -1,12 +1,12 @@
-# Tier-1 check for this repo: `make ci` (lint + build + race tests + the
+# Tier-1 check for this repo: `make ci` (lint + build + race tests + examples + the
 # fleetsim -> ingestd smoke run). The plain seed check `go build ./... &&
 # go test ./...` remains a subset of this.
 
 GO ?= go
 
-.PHONY: ci vet lint repolint build test race cover equiv study smoke fuzz fuzz-smoke bench bench-report loc clean
+.PHONY: ci vet lint repolint build test race cover equiv study examples smoke fuzz fuzz-smoke bench bench-report loc clean
 
-ci: lint build race equiv study cover fuzz-smoke smoke loc
+ci: lint build race equiv study examples cover fuzz-smoke smoke loc
 
 vet:
 	$(GO) vet ./...
@@ -62,6 +62,14 @@ equiv:
 # is the same on every iteration.
 study:
 	$(GO) test -run '^$$' -bench '^BenchmarkStudy$$' -benchtime 2x .
+
+# Every program under examples/ run once: tier-1 only compiles them, and
+# EXPERIMENTS.md quotes their output. The output is discarded; a non-zero
+# exit fails the target.
+examples:
+	@for e in examples/*/; do \
+	  echo "go run ./$$e"; $(GO) run ./$$e > /dev/null || exit 1; \
+	done
 
 # End-to-end load smoke: 200 synthetic devices stream one trace-day each
 # into a local ingestd — once clean, once through the fault injector;

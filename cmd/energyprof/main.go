@@ -116,7 +116,7 @@ func main() {
 // printTopFlows assembles flows from the attributed packets and prints the
 // costliest — the per-flow view Table 1 is built from.
 func printTopFlows(dt *trace.DeviceTrace, res *energy.Result, n int) error {
-	asm := flows.NewAssembler(flows.DefaultConfig(), res.Conns)
+	asm := flows.NewAssembler(res.Conns)
 	for i := range res.Packets {
 		p := &res.Packets[i]
 		asm.Add(flows.PacketInfo{

@@ -149,7 +149,7 @@ func Load(dt *trace.DeviceTrace, opts energy.Options) (*DeviceData, error) {
 		screen = append(screen, [2]trace.Timestamp{onSince, dt.Records[len(dt.Records)-1].TS + 1})
 	}
 
-	asm := flows.NewAssembler(flows.DefaultConfig(), res.Conns)
+	asm := flows.NewAssembler(res.Conns)
 	for i := range res.Packets {
 		p := &res.Packets[i]
 		asm.Add(flows.PacketInfo{

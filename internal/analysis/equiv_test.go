@@ -80,8 +80,8 @@ func TestColumnarEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: accumulator state diverges between Feed and FeedBatch (%d vs %d bytes)",
 				seed, len(stateA), len(stateB))
 		}
-		if accA.Records() != accB.Records() {
-			t.Fatalf("seed %d: record counts diverge: %d vs %d", seed, accA.Records(), accB.Records())
+		if accA.records != accB.records {
+			t.Fatalf("seed %d: record counts diverge: %d vs %d", seed, accA.records, accB.records)
 		}
 
 		resA := accA.Finish()

@@ -125,9 +125,9 @@ func StateBreakdowns(devs []*DeviceData, packages []string) []StateBreakdown {
 				dst = map[trace.ProcState]float64{}
 				energyByAppState[name] = dst
 			}
-			for s, e := range states {
-				dst[s] += e
-				totals[name] += e
+			for _, s := range sortedKeys(states) { // totals is a float sum: fold in a fixed order
+				dst[s] += states[s]
+				totals[name] += states[s]
 			}
 		}
 	}
@@ -155,9 +155,9 @@ func StateBreakdowns(devs []*DeviceData, packages []string) []StateBreakdown {
 // background states.
 func (sb StateBreakdown) BackgroundShare() float64 {
 	var f float64
-	for s, v := range sb.Fractions {
+	for _, s := range trace.AllStates { // a fixed order keeps the float sum repeatable
 		if s.IsBackground() {
-			f += v
+			f += sb.Fractions[s]
 		}
 	}
 	return f

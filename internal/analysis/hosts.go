@@ -115,7 +115,8 @@ func HostBreakdown(devs []*DeviceData, pkg string, bgOnly bool) HostBreakdownRes
 // and analytics hosts.
 func (r HostBreakdownResult) ThirdPartyShare() float64 {
 	var third, total float64
-	for cat, hs := range r.ByCategory {
+	for _, cat := range sortedKeys(r.ByCategory) { // a fixed order keeps the float sums repeatable
+		hs := r.ByCategory[cat]
 		total += hs.Energy
 		if cat == appproto.CatAds || cat == appproto.CatAnalytics {
 			third += hs.Energy

@@ -101,8 +101,8 @@ func TestAppendStateIdempotentProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d hop %d: %v", trial, hop, err)
 			}
-			if b.Records() != int64(n) {
-				t.Fatalf("trial %d hop %d: records %d, want %d", trial, hop, b.Records(), n)
+			if b.records != int64(n) {
+				t.Fatalf("trial %d hop %d: records %d, want %d", trial, hop, b.records, n)
 			}
 			blob2 := b.AppendState(nil)
 			// Map iteration order may permute sections, so compare sizes

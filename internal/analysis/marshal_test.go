@@ -95,8 +95,8 @@ func TestAccumulatorCheckpointExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: restore: %v", cut, err)
 		}
-		if b.Records() != int64(cut) {
-			t.Fatalf("cut %d: restored records = %d", cut, b.Records())
+		if b.records != int64(cut) {
+			t.Fatalf("cut %d: restored records = %d", cut, b.records)
 		}
 		for i := cut; i < len(dt.Records); i++ {
 			b.Feed(&dt.Records[i])

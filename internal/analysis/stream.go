@@ -176,9 +176,6 @@ func newStreamAccumulator(res *StreamResult, opts energy.Options) *StreamAccumul
 	}
 }
 
-// Records returns the number of records fed so far.
-func (a *StreamAccumulator) Records() int64 { return a.records }
-
 // Feed advances the accumulator by one record. Nothing is retained per
 // packet: the radio accountant, the process-state snapshot, the screen flag
 // and the aggregate bins advance in lockstep with the stream. The record

@@ -22,8 +22,7 @@ func newGen(seed uint64) (*Gen, *trace.DeviceTrace) {
 // test on any decode error.
 func decodeAll(t *testing.T, dt *trace.DeviceTrace) (packets int, bytes int64) {
 	t.Helper()
-	p := netparse.NewParser()
-	p.Snap = true
+	p := new(netparse.Parser)
 	for i := range dt.Records {
 		r := &dt.Records[i]
 		if r.Type != trace.RecPacket {
@@ -42,7 +41,7 @@ func decodeAll(t *testing.T, dt *trace.DeviceTrace) (packets int, bytes int64) {
 func TestEmitBurstSegmentsAndDecodes(t *testing.T) {
 	g, dt := newGen(1)
 	conn := g.NewConn(ServerIP(7), 443)
-	end := g.EmitBurst(5, 100*sec, trace.StateService, conn, 1000, 150000)
+	end := g.EmitHTTPBurst(5, 100*sec, trace.StateService, conn, nil, 1000, 150000)
 	if end <= 100*sec {
 		t.Error("burst end did not advance")
 	}
@@ -66,7 +65,7 @@ func TestEmitBurstSegmentsAndDecodes(t *testing.T) {
 func TestEmitBurstTimestampsOrdered(t *testing.T) {
 	g, dt := newGen(2)
 	conn := g.NewConn(ServerIP(9), 443)
-	g.EmitBurst(1, 0, trace.StateService, conn, 500, 500000)
+	g.EmitHTTPBurst(1, 0, trace.StateService, conn, nil, 500, 500000)
 	var prev trace.Timestamp = -1
 	for i := range dt.Records {
 		r := &dt.Records[i]
@@ -518,9 +517,8 @@ func TestRetransmitProbEmitsDuplicates(t *testing.T) {
 	g, dt := newGen(30)
 	g.RetransmitProb = 1.0 // every segment retransmitted once
 	conn := g.NewConn(ServerIP(5), 443)
-	g.EmitBurst(1, 0, trace.StateService, conn, 1000, 1000)
-	p := netparse.NewParser()
-	p.Snap = true
+	g.EmitHTTPBurst(1, 0, trace.StateService, conn, nil, 1000, 1000)
+	p := new(netparse.Parser)
 	seqs := map[uint32]int{}
 	for i := range dt.Records {
 		r := &dt.Records[i]
@@ -548,8 +546,7 @@ func TestEmitHTTPBurstCarriesHost(t *testing.T) {
 	conn := g.NewConn(ServerIP(5), 443)
 	req := []byte("GET /x HTTP/1.1\r\nHost: api.test.example\r\n")
 	g.EmitHTTPBurst(1, 0, trace.StateService, conn, req, 500, 120000)
-	p := netparse.NewParser()
-	p.Snap = true
+	p := new(netparse.Parser)
 	hosts := 0
 	for i := range dt.Records {
 		r := &dt.Records[i]
@@ -578,15 +575,14 @@ func TestDNSEmission(t *testing.T) {
 	// Two bursts on one conn: DNS once. A new conn to the same server
 	// within the TTL: no new lookup. A conn 10 minutes later: fresh lookup.
 	c1 := g.NewConn(server, 443)
-	g.EmitBurst(1, 0, trace.StateService, c1, 500, 500)
-	g.EmitBurst(1, 10*sec, trace.StateService, c1, 500, 500)
+	g.EmitHTTPBurst(1, 0, trace.StateService, c1, nil, 500, 500)
+	g.EmitHTTPBurst(1, 10*sec, trace.StateService, c1, nil, 500, 500)
 	c2 := g.NewConn(server, 443)
-	g.EmitBurst(1, 60*sec, trace.StateService, c2, 500, 500)
+	g.EmitHTTPBurst(1, 60*sec, trace.StateService, c2, nil, 500, 500)
 	c3 := g.NewConn(server, 443)
-	g.EmitBurst(1, 900*sec, trace.StateService, c3, 500, 500)
+	g.EmitHTTPBurst(1, 900*sec, trace.StateService, c3, nil, 500, 500)
 
-	p := netparse.NewParser()
-	p.Snap = true
+	p := new(netparse.Parser)
 	dns := 0
 	for i := range dt.Records {
 		r := &dt.Records[i]
@@ -610,9 +606,8 @@ func TestDNSEmission(t *testing.T) {
 func TestDNSDisabledByDefault(t *testing.T) {
 	g, dt := newGen(41)
 	c := g.NewConn(ServerIP(9), 443)
-	g.EmitBurst(1, 0, trace.StateService, c, 500, 500)
-	p := netparse.NewParser()
-	p.Snap = true
+	g.EmitHTTPBurst(1, 0, trace.StateService, c, nil, 500, 500)
+	p := new(netparse.Parser)
 	for i := range dt.Records {
 		r := &dt.Records[i]
 		if r.Type != trace.RecPacket {

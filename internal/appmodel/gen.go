@@ -257,17 +257,12 @@ func (g *Gen) emitPacket(app uint32, ts trace.Timestamp, state trace.ProcState,
 	return ts.AddSeconds(float64(wire) * 8 / rate)
 }
 
-// EmitBurst emits one request/response exchange on conn: upBytes of request
-// followed by downBytes of response, segmented into at-most-maxSegment
-// packets. It returns the time the burst completes.
-func (g *Gen) EmitBurst(app uint32, ts trace.Timestamp, state trace.ProcState,
-	c *Conn, upBytes, downBytes int64) trace.Timestamp {
-	return g.EmitHTTPBurst(app, ts, state, c, nil, upBytes, downBytes)
-}
-
-// EmitHTTPBurst is EmitBurst with an application-layer request prefix
-// embedded in the first uplink packet, so the analyzer can recover the
-// destination host from the capture (appproto.ParseHost).
+// EmitHTTPBurst emits one request/response exchange on conn: upBytes of
+// request followed by downBytes of response, segmented into
+// at-most-maxSegment packets. A non-nil request is an application-layer
+// prefix embedded in the first uplink packet, so the analyzer can recover
+// the destination host from the capture (appproto.ParseHost). It returns
+// the time the burst completes.
 func (g *Gen) EmitHTTPBurst(app uint32, ts trace.Timestamp, state trace.ProcState,
 	c *Conn, request []byte, upBytes, downBytes int64) trace.Timestamp {
 	t := g.maybeEmitDNS(app, ts, state, c)

@@ -198,12 +198,6 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	return a
 }
 
-// Metrics returns the aggregator's registry (the /metrics content).
-func (a *Aggregator) Metrics() *obs.Registry { return a.reg }
-
-// Events returns the aggregator's structured event log.
-func (a *Aggregator) Events() *obs.EventLog { return a.events }
-
 // Start launches the periodic pull loop.
 func (a *Aggregator) Start() { go a.run() }
 

@@ -181,7 +181,7 @@ func TestAggregatorMerge(t *testing.T) {
 func scrapeAgg(t *testing.T, agg *Aggregator) map[string]float64 {
 	t.Helper()
 	var sb strings.Builder
-	if err := agg.Metrics().WriteText(&sb); err != nil {
+	if err := agg.reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	m, err := obs.ParseText(strings.NewReader(sb.String()))

@@ -38,9 +38,6 @@ func (v *View) Route(device string) (addr string, self bool) {
 	return owner, owner == v.self.Stream
 }
 
-// Ring returns the current live ring (rebuilding it if the epoch moved).
-func (v *View) Ring() *ingest.NodeRing { return v.currentRing() }
-
 func (v *View) currentRing() *ingest.NodeRing {
 	e := v.prober.Epoch()
 	v.mu.Lock()

@@ -346,17 +346,12 @@ type Options struct {
 	// KeepPackets controls whether Process returns the per-packet slice;
 	// aggregate-only callers can save the memory.
 	KeepPackets bool
-	// VerifyChecksums forwards to the packet parser.
-	VerifyChecksums bool
-	// Snap forwards to the packet parser: accept snap-length-truncated
-	// captures and account their true wire length.
-	Snap bool
 }
 
 // DefaultOptions accounts cellular traffic against the LTE model and keeps
 // per-packet results.
 func DefaultOptions() Options {
-	return Options{Radio: radio.LTE(), Network: trace.NetCellular, KeepPackets: true, VerifyChecksums: true, Snap: true}
+	return Options{Radio: radio.LTE(), Network: trace.NetCellular, KeepPackets: true}
 }
 
 // Replay is the attribution kernel: one device's packets, in timestamp
@@ -392,7 +387,6 @@ func NewReplay(opts Options, l *Ledger) *Replay {
 	return &Replay{
 		Ledger:  l,
 		network: opts.Network,
-		parser:  netparse.Parser{VerifyChecksums: opts.VerifyChecksums, Snap: opts.Snap},
 		acct:    *radio.NewAccountant(opts.Radio),
 	}
 }

@@ -361,7 +361,7 @@ func TestHostInterning(t *testing.T) {
 		if len(res.Hosts) < 2 || res.Hosts[0] != "" {
 			t.Fatalf("%s: Hosts = %q, want \"\" first and at least one host", dt.Device, res.Hosts)
 		}
-		parser := netparse.Parser{VerifyChecksums: opts.VerifyChecksums, Snap: opts.Snap}
+		var parser netparse.Parser
 		ids := map[string]uint32{}
 		i := 0
 		for j := range dt.Records {

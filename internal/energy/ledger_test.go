@@ -332,7 +332,7 @@ func TestConnIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parser := netparse.Parser{VerifyChecksums: opts.VerifyChecksums, Snap: opts.Snap}
+		var parser netparse.Parser
 		ids := map[netparse.FiveTuple]uint32{}
 		next, i := uint32(0), 0
 		for j := range dt.Records {

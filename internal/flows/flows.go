@@ -47,43 +47,31 @@ func (f *Flow) Bytes() int64 { return f.BytesUp + f.BytesDown }
 // Duration returns the flow's duration in seconds.
 func (f *Flow) Duration() float64 { return f.End.Sub(f.Start) }
 
-// StartedForeground reports whether the flow's first packet was sent while
-// the app was in a foreground state — the §4.1 "foreground traffic not
-// terminated" analysis selects these.
-func (f *Flow) StartedForeground() bool { return f.StartState.IsForeground() }
-
-// Config controls flow assembly.
-type Config struct {
-	// InactivityTimeout splits a five-tuple into separate flows when no
-	// packet is seen for this many seconds. Zero means never split.
-	InactivityTimeout float64
-}
-
-// DefaultConfig uses a 30-minute inactivity timeout, long enough to keep a
-// periodic poller's connection-reuse pattern in one flow while still
-// splitting genuinely separate connections.
-func DefaultConfig() Config { return Config{InactivityTimeout: 1800} }
+// inactivityTimeout splits a five-tuple into separate flows when no packet
+// is seen for this many seconds: 30 minutes, long enough to keep a periodic
+// poller's connection-reuse pattern in one flow while still splitting
+// genuinely separate connections.
+const inactivityTimeout = 1800
 
 // Assembler groups packets into flows. Feed packets in timestamp order via
 // Add, then call Flows once. Not safe for concurrent use.
 type Assembler struct {
-	cfg    Config
 	conns  []netparse.FiveTuple
 	active []*Flow // by connection id
 	done   []*Flow
 }
 
-// NewAssembler returns an Assembler with the given config over a device's
-// connection table: conns[id] is the canonical five-tuple of connection id,
-// as energy.Result.Conns holds it.
-func NewAssembler(cfg Config, conns []netparse.FiveTuple) *Assembler {
-	return &Assembler{cfg: cfg, conns: conns, active: make([]*Flow, len(conns))}
+// NewAssembler returns an Assembler over a device's connection table:
+// conns[id] is the canonical five-tuple of connection id, as
+// energy.Result.Conns holds it.
+func NewAssembler(conns []netparse.FiveTuple) *Assembler {
+	return &Assembler{conns: conns, active: make([]*Flow, len(conns))}
 }
 
 // Add incorporates one packet.
 func (a *Assembler) Add(p PacketInfo) {
 	f := a.active[p.Conn]
-	if f != nil && a.cfg.InactivityTimeout > 0 && p.TS.Sub(f.End) > a.cfg.InactivityTimeout {
+	if f != nil && p.TS.Sub(f.End) > inactivityTimeout {
 		a.done = append(a.done, f)
 		f = nil
 	}

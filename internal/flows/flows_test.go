@@ -28,7 +28,7 @@ var conns = func() []netparse.FiveTuple {
 }()
 
 func TestAssemblerSingleFlow(t *testing.T) {
-	a := NewAssembler(DefaultConfig(), conns)
+	a := NewAssembler(conns)
 	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Dir: trace.DirUp, Bytes: 100, State: trace.StateForeground, Energy: 2})
 	a.Add(PacketInfo{TS: 5 * sec, App: 1, Conn: 1, Dir: trace.DirDown, Bytes: 1400, State: trace.StateBackground, Energy: 3})
 	fs := a.Flows()
@@ -45,8 +45,8 @@ func TestAssemblerSingleFlow(t *testing.T) {
 	if f.FgBytes != 100 || f.BgBytes != 1400 {
 		t.Errorf("fg/bg bytes = %d/%d", f.FgBytes, f.BgBytes)
 	}
-	if !f.StartedForeground() {
-		t.Error("flow started in foreground")
+	if f.StartState != trace.StateForeground {
+		t.Errorf("start state = %v, want foreground", f.StartState)
 	}
 	if f.Duration() != 5 {
 		t.Errorf("duration = %v", f.Duration())
@@ -62,7 +62,7 @@ func TestAssemblerSingleFlow(t *testing.T) {
 func TestAssemblerBidirectionalMerges(t *testing.T) {
 	fwd := tuple(2000)
 	rev := netparse.FiveTuple{AddrA: fwd.AddrB, AddrB: fwd.AddrA, PortA: fwd.PortB, PortB: fwd.PortA, Proto: fwd.Proto}
-	a := NewAssembler(DefaultConfig(), []netparse.FiveTuple{rev.Canonical()})
+	a := NewAssembler([]netparse.FiveTuple{rev.Canonical()})
 	a.Add(PacketInfo{TS: 0, App: 1, Conn: 0, Dir: trace.DirUp, Bytes: 10})
 	a.Add(PacketInfo{TS: sec, App: 1, Conn: 0, Dir: trace.DirDown, Bytes: 20})
 	fs := a.Flows()
@@ -75,10 +75,10 @@ func TestAssemblerBidirectionalMerges(t *testing.T) {
 }
 
 func TestAssemblerTimeoutSplits(t *testing.T) {
-	a := NewAssembler(Config{InactivityTimeout: 60}, conns)
+	a := NewAssembler(conns)
 	a.Add(PacketInfo{TS: 0, App: 1, Conn: 3, Bytes: 1})
 	a.Add(PacketInfo{TS: 30 * sec, App: 1, Conn: 3, Bytes: 1})
-	a.Add(PacketInfo{TS: 200 * sec, App: 1, Conn: 3, Bytes: 1}) // 170 s gap > 60
+	a.Add(PacketInfo{TS: 2000 * sec, App: 1, Conn: 3, Bytes: 1}) // 1970 s gap > 1800
 	fs := a.Flows()
 	if len(fs) != 2 {
 		t.Fatalf("want 2 flows after timeout split, got %d", len(fs))
@@ -88,17 +88,8 @@ func TestAssemblerTimeoutSplits(t *testing.T) {
 	}
 }
 
-func TestAssemblerZeroTimeoutNeverSplits(t *testing.T) {
-	a := NewAssembler(Config{InactivityTimeout: 0}, conns)
-	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
-	a.Add(PacketInfo{TS: 1_000_000 * sec, App: 1, Conn: 1, Bytes: 1})
-	if fs := a.Flows(); len(fs) != 1 {
-		t.Fatalf("zero timeout split flows: %d", len(fs))
-	}
-}
-
 func TestAssemblerDistinctTuples(t *testing.T) {
-	a := NewAssembler(DefaultConfig(), conns)
+	a := NewAssembler(conns)
 	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
 	a.Add(PacketInfo{TS: sec, App: 2, Conn: 2, Bytes: 1})
 	fs := a.Flows()
@@ -108,7 +99,7 @@ func TestAssemblerDistinctTuples(t *testing.T) {
 }
 
 func TestFlowsSortedByStart(t *testing.T) {
-	a := NewAssembler(DefaultConfig(), conns)
+	a := NewAssembler(conns)
 	a.Add(PacketInfo{TS: 10 * sec, App: 1, Conn: 2, Bytes: 1})
 	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
 	fs := a.Flows()
@@ -118,7 +109,7 @@ func TestFlowsSortedByStart(t *testing.T) {
 }
 
 func TestByApp(t *testing.T) {
-	a := NewAssembler(DefaultConfig(), conns)
+	a := NewAssembler(conns)
 	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
 	a.Add(PacketInfo{TS: 0, App: 2, Conn: 2, Bytes: 1})
 	a.Add(PacketInfo{TS: 0, App: 2, Conn: 3, Bytes: 1})
@@ -129,7 +120,7 @@ func TestByApp(t *testing.T) {
 }
 
 func TestActiveAt(t *testing.T) {
-	a := NewAssembler(DefaultConfig(), conns)
+	a := NewAssembler(conns)
 	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
 	a.Add(PacketInfo{TS: 100 * sec, App: 1, Conn: 1, Bytes: 1})
 	a.Add(PacketInfo{TS: 200 * sec, App: 1, Conn: 2, Bytes: 1})
@@ -149,13 +140,13 @@ func TestConservationProperty(t *testing.T) {
 	// Total bytes, packets, and energy across flows must equal the inputs.
 	src := rng.New(55)
 	f := func(n uint8) bool {
-		a := NewAssembler(Config{InactivityTimeout: 45}, conns)
+		a := NewAssembler(conns)
 		count := int(n)%200 + 1
 		var wantBytes int64
 		var wantEnergy float64
 		ts := trace.Timestamp(0)
 		for i := 0; i < count; i++ {
-			ts += trace.Timestamp(src.Exp(20) * 1e6)
+			ts += trace.Timestamp(src.Exp(800) * 1e6) // some gaps pass the 1800 s timeout
 			b := 1 + src.Intn(1400)
 			e := src.Float64()
 			wantBytes += int64(b)

@@ -229,44 +229,6 @@ func TestApplyAllocFree(t *testing.T) {
 	}
 }
 
-// TestBatchApplyAllocFree extends the zero-allocation policy to the
-// columnar apply path: a pooled RecordBatch through shard.feed
-// (applyBatch, positional dedup, FeedBatch, counters, histograms) must not
-// allocate in steady state. The feeder mirrors handleConn: get a batch
-// from the pool, fill it from the wire records, hand it to the shard,
-// which recycles it back into the pool.
-func TestBatchApplyAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool allocates under the race detector")
-	}
-	const batchSize = 128
-	dt := benchTrace()
-	sh := newShard(0, 1, batchOpts(), newCounters(), newDeviceRegistry(), nil)
-	pos := 0
-	batch := &recordBatch{device: dt.Device}
-	feed := func() {
-		if pos+batchSize > len(dt.Records) {
-			pos = 0 // cycle; state stays steady
-		}
-		cols := batchPool.Get().(*trace.RecordBatch)
-		cols.Reset()
-		for i := pos; i < pos+batchSize; i++ {
-			cols.Append(&dt.Records[i])
-		}
-		batch.firstSeq = sh.seqs[dt.Device]
-		batch.cols = cols
-		batch.enqueuedNS = time.Now().UnixNano()
-		sh.feed(batch)
-		pos += batchSize
-	}
-	for i := 0; i < 50; i++ { // settle pool, arena caps and ledger day keys
-		feed()
-	}
-	if allocs := testing.AllocsPerRun(200, feed); allocs > 0 {
-		t.Fatalf("columnar apply path allocates %.2f times per batch, want 0", allocs)
-	}
-}
-
 // newBenchAccumulator returns a stream accumulator fed the first n records
 // of dt — realistic per-device checkpoint state.
 func newBenchAccumulator(dt *trace.DeviceTrace, n int) *analysis.StreamAccumulator {

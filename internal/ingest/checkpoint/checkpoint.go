@@ -368,9 +368,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Generation returns the highest generation seen or written so far.
 func (s *Store) Generation() uint64 { return s.gen }
 

@@ -314,7 +314,7 @@ func TestDamagedLogIsReported(t *testing.T) {
 				st.Checkpoint.Generation, st.Records, st.Checkpoint.Errors, wantGen, wantRecords)
 		}
 		var told bool
-		for _, e := range s.Events().Recent(0, obs.LevelError) {
+		for _, e := range s.counters.events.Recent(0, obs.LevelError) {
 			told = told || strings.Contains(e.Msg, "checkpoint damaged")
 		}
 		if !told {

@@ -127,7 +127,7 @@ func TestRejoinAutoFence(t *testing.T) {
 	if err := a.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	inc := a.Incarnation()
+	inc := a.incarnation
 	a.Kill()
 
 	store, err := checkpoint.Open(dir)
@@ -236,7 +236,7 @@ func TestFenceEndpoint(t *testing.T) {
 		t.Fatal("server fenced by a mismatched incarnation")
 	}
 
-	if fr := postFence(s.Incarnation()); !fr.Fenced || fr.NodeID != "n1" {
+	if fr := postFence(s.incarnation); !fr.Fenced || fr.NodeID != "n1" {
 		t.Fatalf("matching fence response %+v", fr)
 	}
 	select {
@@ -273,7 +273,7 @@ func TestFenceEndpoint(t *testing.T) {
 		t.Fatal("SaveCheckpoint succeeded on a fenced node")
 	}
 	// Fencing is idempotent.
-	if fr := postFence(s.Incarnation()); !fr.Fenced {
+	if fr := postFence(s.incarnation); !fr.Fenced {
 		t.Fatalf("repeat fence response %+v", fr)
 	}
 }

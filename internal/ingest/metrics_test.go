@@ -114,9 +114,9 @@ func TestEventsEndpoint(t *testing.T) {
 		s.Shutdown(ctx) //nolint:errcheck
 	}()
 
-	s.Events().Logf(obs.LevelInfo, "synthetic info")
-	s.Events().Logf(obs.LevelWarn, "synthetic warn")
-	s.Events().Logf(obs.LevelError, "synthetic error")
+	s.counters.events.Logf(obs.LevelInfo, "synthetic info")
+	s.counters.events.Logf(obs.LevelWarn, "synthetic warn")
+	s.counters.events.Logf(obs.LevelError, "synthetic error")
 
 	var doc struct {
 		Total  uint64      `json:"total"`

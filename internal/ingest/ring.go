@@ -124,9 +124,6 @@ func (r *NodeRing) Prefer(device string) []string {
 	return out
 }
 
-// Nodes returns the deduplicated, sorted member names behind the ring.
-func (r *NodeRing) Nodes() []string { return r.nodes }
-
 // search returns the index of the first ring point at or clockwise after
 // the device's hash.
 func (r *NodeRing) search(device string) int {

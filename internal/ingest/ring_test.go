@@ -23,7 +23,7 @@ func ringDevices(n int) []string {
 func TestNodeRingDeterministic(t *testing.T) {
 	a := NewNodeRing([]string{"h1:9009", "h2:9009", "h3:9009"})
 	b := NewNodeRing([]string{"h3:9009", "h1:9009", "h2:9009", "h1:9009", ""})
-	if got, want := fmt.Sprint(a.Nodes()), fmt.Sprint(b.Nodes()); got != want {
+	if got, want := fmt.Sprint(a.nodes), fmt.Sprint(b.nodes); got != want {
 		t.Fatalf("node sets differ: %s vs %s", got, want)
 	}
 	for _, dev := range ringDevices(500) {
@@ -224,7 +224,7 @@ func renderPlacement() string {
 		for i, p := range r.hashes {
 			fmt.Fprintf(h, "%016x %s\n", p, r.owners[i])
 		}
-		fmt.Fprintf(&b, "ring %s %x\n", strings.Join(r.Nodes(), ","), h.Sum(nil)[:8])
+		fmt.Fprintf(&b, "ring %s %x\n", strings.Join(r.nodes, ","), h.Sum(nil)[:8])
 	}
 	return b.String()
 }

@@ -24,6 +24,9 @@ import (
 	"netenergy/internal/tsq"
 )
 
+// writeTimeout bounds handshake and FIN acknowledgement writes.
+const writeTimeout = 10 * time.Second
+
 // Config tunes an ingest Server. Zero values select production defaults.
 type Config struct {
 	// Addr is the TCP listen address for device streams (":9009").
@@ -42,8 +45,6 @@ type Config struct {
 	// that goes silent longer is disconnected; its stream stays live for
 	// resume.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds handshake/FIN acknowledgement writes (default: 10s).
-	WriteTimeout time.Duration
 
 	// CheckpointDir enables crash-safe durability: shard state is
 	// persisted there periodically and replayed on the next Start. Empty
@@ -124,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 60 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 10 * time.Second
@@ -250,13 +248,6 @@ func NewServer(cfg Config) *Server {
 	}
 	return s
 }
-
-// Metrics returns the server's metric registry — the same values /metrics
-// exposes, for in-process consumers (tests, embedding daemons).
-func (s *Server) Metrics() *obs.Registry { return s.counters.reg }
-
-// Events returns the server's structured event log.
-func (s *Server) Events() *obs.EventLog { return s.counters.events }
 
 // Start binds the listeners, recovers from the latest valid checkpoint if
 // durability is enabled, and launches the shard workers, the accept loop,
@@ -496,7 +487,7 @@ func (s *Server) forgetConn(conn net.Conn) {
 
 // writeAckTimed writes an acknowledgement under the write deadline.
 func (s *Server) writeAckTimed(conn net.Conn, status byte, arg uint64) error {
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 	err := writeAck(conn, status, arg)
 	conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
 	return err
@@ -542,8 +533,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		if owner, self := s.cfg.Route(device); !self && owner != "" {
 			s.counters.redirects.Add(1)
 			s.counters.events.Logf(obs.LevelDebug, "redirected %s to %s", device, owner)
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
-			writeRedirectAck(conn, owner)                             //nolint:errcheck // client went away
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
+			writeRedirectAck(conn, owner)                       //nolint:errcheck // client went away
 			return
 		}
 	}
@@ -896,9 +887,6 @@ func (s *Server) fenceStamp() checkpoint.Fence {
 	}
 	return checkpoint.Fence{Epoch: epoch, Incarnation: s.incarnation}
 }
-
-// Incarnation returns this process lifetime's unique fence identifier.
-func (s *Server) Incarnation() string { return s.incarnation }
 
 // Fenced reports whether this node has fenced itself: its durable state was
 // shipped to survivors, so it no longer serves streams or checkpoints.

@@ -112,9 +112,12 @@ func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
 // checkMapRange flags `range m` over a map when the loop body emits
 // per-iteration output whose order the map does not define: an append to a
 // slice, a write/print/encode call, or a channel send. Bodies that only
-// fold into order-insensitive sinks (sums, map writes, max/min) pass; a
-// loop that is order-insensitive for a deeper reason (e.g. the slice is
-// sorted afterwards) carries //repolint:ordered with the reason.
+// fold into other sinks (sums, map writes, max/min) pass. Only integer sums
+// are order-insensitive: a float sum taken in map order can differ in the
+// last place from run to run, and this check does not tell the two apart,
+// so a float fold over a map must range over sorted keys by hand. A loop
+// that is order-insensitive for a deeper reason (e.g. the slice is sorted
+// afterwards) carries //repolint:ordered with the reason.
 func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	t := pass.TypesInfo.TypeOf(rng.X)
 	if t == nil {

@@ -60,11 +60,6 @@ type Diagnostic struct {
 	Justification string
 }
 
-// Position resolves the diagnostic's position against a file set.
-func (d Diagnostic) Position(fset *token.FileSet) token.Position {
-	return fset.Position(d.Pos)
-}
-
 // Reportf formats and reports a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})

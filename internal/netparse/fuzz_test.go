@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// FuzzDecodePacket throws arbitrary bytes at both the strict and the
-// snap-tolerant parser: any input must produce a clean error or a decoded
-// packet, never a panic, and decoded lengths must stay within bounds.
+// FuzzDecodePacket throws arbitrary bytes at the parser: any input must
+// produce a clean error or a decoded packet, never a panic, and decoded
+// lengths must stay within bounds.
 func FuzzDecodePacket(f *testing.F) {
 	// Seed corpus: valid TCP, valid UDP, snapped TCP, and junk.
 	buf := make([]byte, 2048)
@@ -20,21 +20,17 @@ func FuzzDecodePacket(f *testing.F) {
 	f.Add([]byte{0x45})
 	f.Add([]byte{0x60, 0, 0, 0})
 
-	strict := NewParser()
-	snap := NewParser()
-	snap.Snap = true
+	var p Parser
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, p := range []*Parser{strict, snap} {
-			d, err := p.DecodePacket(data)
-			if err != nil {
-				continue
-			}
-			if d.WireLen < 0 || d.WireLen > 0xffff+40 {
-				t.Fatalf("wire length out of bounds: %d", d.WireLen)
-			}
-			if len(d.Payload) > len(data) {
-				t.Fatalf("payload longer than input: %d > %d", len(d.Payload), len(data))
-			}
+		d, err := p.DecodePacket(data)
+		if err != nil {
+			return
+		}
+		if d.WireLen < 0 || d.WireLen > 0xffff+40 {
+			t.Fatalf("wire length out of bounds: %d", d.WireLen)
+		}
+		if len(d.Payload) > len(data) {
+			t.Fatalf("payload longer than input: %d > %d", len(d.Payload), len(data))
 		}
 	})
 }

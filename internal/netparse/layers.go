@@ -6,19 +6,14 @@ import "encoding/binary"
 // supported; IHL is always 5 on serialisation and options are skipped on
 // decode.
 type IPv4 struct {
-	TOS        uint8
-	ID         uint16
-	TTL        uint8
-	Protocol   uint8
-	SrcIP      [4]byte
-	DstIP      [4]byte
-	Length     uint16 // total length incl. header, filled on decode/serialise
-	headerLen  int
-	payloadLen int
+	TOS      uint8
+	ID       uint16
+	TTL      uint8
+	Protocol uint8
+	SrcIP    [4]byte
+	DstIP    [4]byte
+	Length   uint16 // total length incl. header, filled on decode/serialise
 }
-
-// HeaderLen returns the decoded header length in bytes.
-func (ip *IPv4) HeaderLen() int { return ip.headerLen }
 
 // SrcEndpoint returns the source address as a hashable Endpoint.
 func (ip *IPv4) SrcEndpoint() Endpoint { return NewEndpoint(EndpointIPv4, ip.SrcIP[:]) }
@@ -52,8 +47,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) (payload []byte, err error) {
 	copy(ip.SrcIP[:], data[12:16])
 	copy(ip.DstIP[:], data[16:20])
 	ip.Length = uint16(total)
-	ip.headerLen = ihl
-	ip.payloadLen = total - ihl
 	return data[ihl:total], nil
 }
 
@@ -82,8 +75,6 @@ func (ip *IPv4) SerializeTo(buf []byte, payload []byte) (int, error) {
 	binary.BigEndian.PutUint16(b[10:12], cs)
 	copy(buf[20:total], payload)
 	ip.Length = uint16(total)
-	ip.headerLen = 20
-	ip.payloadLen = len(payload)
 	return total, nil
 }
 
@@ -186,15 +177,10 @@ type TCP struct {
 	Seq, Ack         uint32
 	Flags            uint8
 	Window           uint16
-	headerLen        int
 }
 
-// HeaderLen returns the decoded header length in bytes.
-func (t *TCP) HeaderLen() int { return t.headerLen }
-
 // DecodeFromBytes parses a TCP header from data, verifying the checksum
-// against the enclosing IP pseudo-header (pass nil net to skip the check —
-// used when only flow identification matters).
+// against the enclosing IP pseudo-header.
 func (t *TCP) DecodeFromBytes(data []byte, net pseudoHeader) (payload []byte, err error) {
 	if len(data) < 20 {
 		return nil, ErrTruncated
@@ -203,10 +189,8 @@ func (t *TCP) DecodeFromBytes(data []byte, net pseudoHeader) (payload []byte, er
 	if off < 20 || len(data) < off {
 		return nil, ErrBadHeader
 	}
-	if net != nil {
-		if checksum(data, net.pseudoHeaderSum(IPProtoTCP, len(data))) != 0 {
-			return nil, ErrBadChecksum
-		}
+	if checksum(data, net.pseudoHeaderSum(IPProtoTCP, len(data))) != 0 {
+		return nil, ErrBadChecksum
 	}
 	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	t.DstPort = binary.BigEndian.Uint16(data[2:4])
@@ -214,7 +198,6 @@ func (t *TCP) DecodeFromBytes(data []byte, net pseudoHeader) (payload []byte, er
 	t.Ack = binary.BigEndian.Uint32(data[8:12])
 	t.Flags = data[13] & 0x1f
 	t.Window = binary.BigEndian.Uint16(data[14:16])
-	t.headerLen = off
 	return data[off:], nil
 }
 
@@ -240,7 +223,6 @@ func (t *TCP) SerializeTo(buf []byte, payload []byte, net pseudoHeader) (int, er
 		cs := checksum(b, net.pseudoHeaderSum(IPProtoTCP, total))
 		binary.BigEndian.PutUint16(b[16:18], cs)
 	}
-	t.headerLen = 20
 	return total, nil
 }
 
@@ -250,8 +232,8 @@ type UDP struct {
 	Length           uint16
 }
 
-// DecodeFromBytes parses a UDP header, verifying the checksum when a
-// pseudo-header is provided and the packet carries one (checksum != 0).
+// DecodeFromBytes parses a UDP header, verifying the checksum against the
+// enclosing IP pseudo-header when the packet carries one (checksum != 0).
 func (u *UDP) DecodeFromBytes(data []byte, net pseudoHeader) (payload []byte, err error) {
 	if len(data) < 8 {
 		return nil, ErrTruncated
@@ -260,7 +242,7 @@ func (u *UDP) DecodeFromBytes(data []byte, net pseudoHeader) (payload []byte, er
 	if ulen < 8 || ulen > len(data) {
 		return nil, ErrBadHeader
 	}
-	if net != nil && binary.BigEndian.Uint16(data[6:8]) != 0 {
+	if binary.BigEndian.Uint16(data[6:8]) != 0 {
 		if checksum(data[:ulen], net.pseudoHeaderSum(IPProtoUDP, ulen)) != 0 {
 			return nil, ErrBadChecksum
 		}

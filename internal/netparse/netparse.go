@@ -92,9 +92,6 @@ func NewEndpoint(typ EndpointType, raw []byte) Endpoint {
 	return e
 }
 
-// Type returns the endpoint's address family.
-func (e Endpoint) Type() EndpointType { return e.typ }
-
 // Raw returns a copy of the endpoint's address bytes.
 func (e Endpoint) Raw() []byte {
 	out := make([]byte, e.len)

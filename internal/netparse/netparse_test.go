@@ -24,7 +24,7 @@ func TestEndpointString(t *testing.T) {
 		t.Errorf("IPv6 endpoint = %q", e6.String())
 	}
 	bad := NewEndpoint(EndpointIPv4, make([]byte, 17))
-	if bad.Type() != EndpointInvalid || bad.String() != "invalid" {
+	if bad.typ != EndpointInvalid || bad.String() != "invalid" {
 		t.Errorf("oversized raw should yield invalid endpoint, got %v", bad)
 	}
 }
@@ -120,9 +120,6 @@ func TestIPv4RoundTrip(t *testing.T) {
 	if got.SrcIP != ip.SrcIP || got.DstIP != ip.DstIP || got.TTL != 61 || got.ID != 0x1234 || got.Protocol != IPProtoTCP || got.TOS != 0x10 {
 		t.Errorf("decoded header mismatch: %+v", got)
 	}
-	if got.HeaderLen() != 20 {
-		t.Errorf("header len = %d", got.HeaderLen())
-	}
 }
 
 func TestIPv4DecodeErrors(t *testing.T) {
@@ -196,10 +193,6 @@ func TestTCPRoundTripWithChecksum(t *testing.T) {
 	if _, err := got.DecodeFromBytes(buf[:n], &ip); err != ErrBadChecksum {
 		t.Errorf("corrupted payload: %v", err)
 	}
-	// Without pseudo-header the check is skipped.
-	if _, err := got.DecodeFromBytes(buf[:n], nil); err != nil {
-		t.Errorf("nil net should skip checksum: %v", err)
-	}
 }
 
 func TestUDPRoundTripWithChecksum(t *testing.T) {
@@ -234,7 +227,7 @@ func TestParserTCPv4(t *testing.T) {
 	if n != 1040 {
 		t.Fatalf("built %d bytes, want 1040", n)
 	}
-	p := NewParser()
+	p := new(Parser)
 	d, err := p.DecodePacket(buf[:n])
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +249,7 @@ func TestParserUDPv4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewParser()
+	p := new(Parser)
 	d, err := p.DecodePacket(buf[:n])
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +260,7 @@ func TestParserUDPv4(t *testing.T) {
 }
 
 func TestParserErrors(t *testing.T) {
-	p := NewParser()
+	p := new(Parser)
 	if _, err := p.DecodePacket(nil); err != ErrTruncated {
 		t.Errorf("empty: %v", err)
 	}
@@ -284,7 +277,7 @@ func TestParserErrors(t *testing.T) {
 }
 
 func TestParserReusesDecoded(t *testing.T) {
-	p := NewParser()
+	p := new(Parser)
 	buf := make([]byte, 256)
 	n, _ := BuildTCPv4(buf, [4]byte{1, 0, 0, 1}, [4]byte{2, 0, 0, 2}, 1, 2, 0, TCPSyn, 10)
 	d1, err := p.DecodePacket(buf[:n])
@@ -302,7 +295,7 @@ func TestParserReusesDecoded(t *testing.T) {
 
 func TestBuildRoundTripProperty(t *testing.T) {
 	src := rng.New(99)
-	p := NewParser()
+	p := new(Parser)
 	buf := make([]byte, 65536)
 	f := func(sp, dp uint16, plen uint16) bool {
 		n := int(plen) % 1400
@@ -333,7 +326,7 @@ func TestBuildRoundTripProperty(t *testing.T) {
 }
 
 func TestTruncationNeverPanics(t *testing.T) {
-	p := NewParser()
+	p := new(Parser)
 	buf := make([]byte, 256)
 	n, _ := BuildTCPv4(buf, [4]byte{1, 2, 3, 4}, [4]byte{5, 6, 7, 8}, 10, 20, 0, TCPAck, 50)
 	for cut := 0; cut < n; cut++ {
@@ -345,7 +338,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 func BenchmarkDecodeTCPv4(b *testing.B) {
 	buf := make([]byte, 2048)
 	n, _ := BuildTCPv4(buf, [4]byte{10, 0, 0, 5}, [4]byte{93, 184, 216, 34}, 40000, 443, 100, TCPAck, 1200)
-	p := NewParser()
+	p := new(Parser)
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -376,8 +369,7 @@ func TestSnapDecode(t *testing.T) {
 	if len(snapped) != 64 {
 		t.Fatalf("snapped to %d", len(snapped))
 	}
-	p := NewParser()
-	p.Snap = true
+	p := new(Parser)
 	d, err := p.DecodePacket(snapped)
 	if err != nil {
 		t.Fatal(err)
@@ -391,11 +383,6 @@ func TestSnapDecode(t *testing.T) {
 	if len(d.Payload) != 64-40 {
 		t.Errorf("captured payload = %d", len(d.Payload))
 	}
-	// Without Snap, a truncated packet must be rejected, not mis-sized.
-	strict := NewParser()
-	if _, err := strict.DecodePacket(snapped); err == nil {
-		t.Error("strict parser accepted truncated packet")
-	}
 }
 
 func TestSnapDecodeUDP(t *testing.T) {
@@ -404,8 +391,7 @@ func TestSnapDecodeUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewParser()
-	p.Snap = true
+	p := new(Parser)
 	d, err := p.DecodePacket(Snap(buf[:n], 48))
 	if err != nil {
 		t.Fatal(err)
@@ -416,11 +402,11 @@ func TestSnapDecodeUDP(t *testing.T) {
 }
 
 func TestSnapFullPacketStillVerified(t *testing.T) {
-	// A snap-mode parser must still fully verify packets that are complete.
+	// The parser accepts snapped captures but still fully verifies packets
+	// that are complete.
 	buf := make([]byte, 256)
 	n, _ := BuildTCPv4(buf, [4]byte{1, 1, 1, 1}, [4]byte{2, 2, 2, 2}, 1, 2, 0, TCPAck, 20)
-	p := NewParser()
-	p.Snap = true
+	p := new(Parser)
 	if _, err := p.DecodePacket(buf[:n]); err != nil {
 		t.Fatalf("full packet: %v", err)
 	}
@@ -433,8 +419,7 @@ func TestSnapFullPacketStillVerified(t *testing.T) {
 func TestSnapTooShortForHeaders(t *testing.T) {
 	buf := make([]byte, 256)
 	n, _ := BuildTCPv4(buf, [4]byte{1, 1, 1, 1}, [4]byte{2, 2, 2, 2}, 1, 2, 0, TCPAck, 100)
-	p := NewParser()
-	p.Snap = true
+	p := new(Parser)
 	// 30 bytes: IP header complete, TCP header truncated.
 	if _, err := p.DecodePacket(Snap(buf[:n], 30)); err != ErrTruncated {
 		t.Errorf("truncated transport header: %v", err)
@@ -489,8 +474,7 @@ func TestBuildTCPv4SnappedDecodes(t *testing.T) {
 	if stored != 96 || wire != 50040 {
 		t.Fatalf("stored=%d wire=%d", stored, wire)
 	}
-	p := NewParser()
-	p.Snap = true
+	p := new(Parser)
 	d, err := p.DecodePacket(buf[:stored])
 	if err != nil {
 		t.Fatal(err)
@@ -498,7 +482,7 @@ func TestBuildTCPv4SnappedDecodes(t *testing.T) {
 	if d.WireLen != 50040 || d.Tuple.PortA != 5555 {
 		t.Errorf("decoded wire=%d tuple=%+v", d.WireLen, d.Tuple)
 	}
-	// A small packet is complete and must checksum-verify strictly.
+	// A small packet is complete and must checksum-verify.
 	stored, wire, err = BuildTCPv4Snapped(buf, [4]byte{10, 0, 0, 1}, [4]byte{23, 0, 0, 1}, 5555, 80, 0, TCPAck, 20, 96)
 	if err != nil {
 		t.Fatal(err)
@@ -506,9 +490,8 @@ func TestBuildTCPv4SnappedDecodes(t *testing.T) {
 	if stored != wire {
 		t.Fatalf("small packet should be complete: %d vs %d", stored, wire)
 	}
-	strict := NewParser()
-	if _, err := strict.DecodePacket(buf[:stored]); err != nil {
-		t.Errorf("small snapped packet failed strict decode: %v", err)
+	if _, err := p.DecodePacket(buf[:stored]); err != nil {
+		t.Errorf("small snapped packet failed to verify: %v", err)
 	}
 }
 
@@ -538,7 +521,7 @@ func TestParserIPv6TCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewParser()
+	p := new(Parser)
 	d, err := p.DecodePacket(pkt[:n])
 	if err != nil {
 		t.Fatal(err)
@@ -549,8 +532,8 @@ func TestParserIPv6TCP(t *testing.T) {
 	if d.WireLen != n || string(d.Payload) != "payload" {
 		t.Errorf("wire=%d payload=%q", d.WireLen, d.Payload)
 	}
-	if d.Tuple.AddrA.Type() != EndpointIPv6 {
-		t.Errorf("addr family = %v", d.Tuple.AddrA.Type())
+	if d.Tuple.AddrA.typ != EndpointIPv6 {
+		t.Errorf("addr family = %v", d.Tuple.AddrA.typ)
 	}
 }
 
@@ -569,7 +552,7 @@ func TestParserIPv6UDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewParser()
+	p := new(Parser)
 	d, err := p.DecodePacket(pkt[:n])
 	if err != nil {
 		t.Fatal(err)
@@ -611,10 +594,10 @@ func TestBuildTCPv4SnappedPayload(t *testing.T) {
 	if stored != wire || wire != 40+len(prefix) {
 		t.Fatalf("stored=%d wire=%d", stored, wire)
 	}
-	strict := NewParser()
-	d, err := strict.DecodePacket(buf[:stored])
+	p := new(Parser)
+	d, err := p.DecodePacket(buf[:stored])
 	if err != nil {
-		t.Fatalf("strict decode: %v", err)
+		t.Fatalf("verified decode: %v", err)
 	}
 	if string(d.Payload) != string(prefix) {
 		t.Errorf("payload = %q", d.Payload)
@@ -630,7 +613,7 @@ func TestBuildTCPv4SnappedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := strict.DecodePacket(buf[:stored]); err != nil {
+	if _, err := p.DecodePacket(buf[:stored]); err != nil {
 		t.Fatalf("odd prefix decode: %v", err)
 	}
 
@@ -647,9 +630,7 @@ func TestBuildTCPv4SnappedPayload(t *testing.T) {
 	if stored < 40+len(prefix) {
 		t.Fatalf("prefix truncated: stored=%d", stored)
 	}
-	snap := NewParser()
-	snap.Snap = true
-	d, err = snap.DecodePacket(buf[:stored])
+	d, err = p.DecodePacket(buf[:stored])
 	if err != nil {
 		t.Fatal(err)
 	}

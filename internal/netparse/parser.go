@@ -19,23 +19,16 @@ type Decoded struct {
 }
 
 // Parser decodes packets into preallocated layers without per-packet
-// allocation. A Parser is not safe for concurrent use; create one per
-// goroutine.
+// allocation. It verifies IP/TCP/UDP checksums, and it accepts
+// snap-length-truncated captures: packets whose stored bytes are shorter
+// than the IP header's total length decode normally (headers must be
+// complete), Payload holds only the captured bytes, WireLen reports the true
+// on-wire size, and checksums are skipped for truncated packets (they cannot
+// be verified without the full body). The zero value is ready to use. A
+// Parser is not safe for concurrent use; create one per goroutine.
 type Parser struct {
-	// VerifyChecksums controls whether IP/TCP/UDP checksums are validated.
-	// The trace analyzer enables it; fuzz-style tests may disable it.
-	VerifyChecksums bool
-	// Snap accepts snap-length-truncated captures: packets whose stored
-	// bytes are shorter than the IP header's total length decode normally
-	// (headers must be complete), Payload holds only the captured bytes,
-	// WireLen reports the true on-wire size, and checksums are skipped for
-	// truncated packets (they cannot be verified without the full body).
-	Snap bool
-	dec  Decoded
+	dec Decoded
 }
-
-// NewParser returns a Parser with checksum verification enabled.
-func NewParser() *Parser { return &Parser{VerifyChecksums: true} }
 
 // DecodePacket parses a raw IP packet (IPv4 or IPv6, selected by the
 // version nibble) down to its transport layer. The returned Decoded is
@@ -46,7 +39,7 @@ func (p *Parser) DecodePacket(data []byte) (*Decoded, error) {
 	if len(data) == 0 {
 		return nil, ErrTruncated
 	}
-	if p.Snap && data[0]>>4 == 4 && len(data) >= 20 {
+	if data[0]>>4 == 4 && len(data) >= 20 {
 		if total := int(binary.BigEndian.Uint16(data[2:4])); total > len(data) {
 			return p.decodeSnappedV4(data)
 		}
@@ -68,9 +61,7 @@ func (p *Parser) DecodePacket(data []byte) (*Decoded, error) {
 		d.Tuple.AddrA = d.IPv4.SrcEndpoint()
 		d.Tuple.AddrB = d.IPv4.DstEndpoint()
 		d.WireLen = int(d.IPv4.Length)
-		if p.VerifyChecksums {
-			net = &d.IPv4
-		}
+		net = &d.IPv4
 	case 6:
 		transport, err = d.IPv6.DecodeFromBytes(data)
 		if err != nil {
@@ -81,9 +72,7 @@ func (p *Parser) DecodePacket(data []byte) (*Decoded, error) {
 		d.Tuple.AddrA = d.IPv6.SrcEndpoint()
 		d.Tuple.AddrB = d.IPv6.DstEndpoint()
 		d.WireLen = 40 + int(d.IPv6.PayloadLen)
-		if p.VerifyChecksums {
-			net = &d.IPv6
-		}
+		net = &d.IPv6
 	default:
 		return nil, ErrBadVersion
 	}
@@ -132,8 +121,6 @@ func (p *Parser) decodeSnappedV4(data []byte) (*Decoded, error) {
 	copy(ip.SrcIP[:], data[12:16])
 	copy(ip.DstIP[:], data[16:20])
 	ip.Length = uint16(total)
-	ip.headerLen = ihl
-	ip.payloadLen = total - ihl
 	d.Network = LayerTypeIPv4
 	d.WireLen = total
 	d.Tuple.AddrA = ip.SrcEndpoint()
@@ -156,7 +143,6 @@ func (p *Parser) decodeSnappedV4(data []byte) (*Decoded, error) {
 		}
 		t.Flags = seg[13] & 0x1f
 		t.Window = binary.BigEndian.Uint16(seg[14:16])
-		t.headerLen = off
 		d.Transport = LayerTypeTCP
 		d.Tuple.PortA, d.Tuple.PortB = t.SrcPort, t.DstPort
 		if len(seg) > off {
@@ -248,8 +234,6 @@ func serializeIPv4WithSegment(buf []byte, ip *IPv4, segLen int) (int, error) {
 	binb[10] = byte(cs >> 8)
 	binb[11] = byte(cs)
 	ip.Length = uint16(total)
-	ip.headerLen = 20
-	ip.payloadLen = segLen
 	return total, nil
 }
 

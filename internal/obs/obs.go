@@ -105,15 +105,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Snapshot returns a consistent-enough copy for export. (Individual bucket
 // reads are atomic; the set is not a single linearization point, which is
 // the standard and acceptable trade for lock-free observation.)

@@ -94,12 +94,10 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Reader consumes a pcap stream.
 type Reader struct {
-	r        *bufio.Reader
-	order    binary.ByteOrder
-	nano     bool
-	snaplen  int
-	linkType uint32
-	buf      []byte
+	r     *bufio.Reader
+	order binary.ByteOrder
+	nano  bool
+	buf   []byte
 }
 
 // NewReader validates the global header.
@@ -125,16 +123,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 			return nil, ErrBadMagic
 		}
 	}
-	rd.snaplen = int(rd.order.Uint32(hdr[16:]))
-	rd.linkType = rd.order.Uint32(hdr[20:])
 	return rd, nil
 }
-
-// SnapLen returns the capture's snap length.
-func (r *Reader) SnapLen() int { return r.snaplen }
-
-// LinkType returns the capture's link type.
-func (r *Reader) LinkType() uint32 { return r.linkType }
 
 // Next returns the next packet, or io.EOF at a clean end. The Data slice
 // aliases an internal buffer overwritten by the following call.

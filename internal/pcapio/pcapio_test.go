@@ -29,12 +29,13 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	hdr := buf.Bytes()[:24]
+	if sl, lt := binary.LittleEndian.Uint32(hdr[16:]), binary.LittleEndian.Uint32(hdr[20:]); sl != 96 || lt != LinkTypeRaw {
+		t.Errorf("header: snaplen=%d linktype=%d", sl, lt)
+	}
 	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.SnapLen() != 96 || r.LinkType() != LinkTypeRaw {
-		t.Errorf("header: snaplen=%d linktype=%d", r.SnapLen(), r.LinkType())
 	}
 	for i, want := range pkts {
 		got, err := r.Next()
@@ -215,8 +216,7 @@ func TestToTraceRoundTrip(t *testing.T) {
 		t.Errorf("first record = %v at %d, want the app registration at the capture start", r.Type, r.TS)
 	}
 	// The imported trace must decode with the snap-aware parser.
-	p := netparse.NewParser()
-	p.Snap = true
+	p := new(netparse.Parser)
 	for _, idx := range pkts {
 		if _, err := p.DecodePacket(got.Records[idx].Payload); err != nil {
 			t.Errorf("imported packet undecodable: %v", err)

@@ -121,36 +121,3 @@ func SpikeScore(series []float64, idx, window int) float64 {
 	}
 	return series[idx] / mean
 }
-
-// AutocorrPeriod estimates the dominant period of a regularly sampled
-// series (sample spacing dt seconds) by locating the highest
-// autocorrelation peak among candidate lags between minLag and maxLag
-// samples. It returns the period in seconds and the correlation at the
-// peak; (0, 0) if no positive peak exists.
-func AutocorrPeriod(series []float64, dt float64, minLag, maxLag int) (float64, float64) {
-	if minLag < 1 {
-		minLag = 1
-	}
-	if maxLag >= len(series) {
-		maxLag = len(series) - 1
-	}
-	if maxLag < minLag {
-		return 0, 0
-	}
-	lags := make([]int, 0, maxLag-minLag+1)
-	for l := minLag; l <= maxLag; l++ {
-		lags = append(lags, l)
-	}
-	ac := stats.Autocorrelation(series, lags)
-	bestLag, bestVal := 0, 0.0
-	for i, v := range ac {
-		if v > bestVal {
-			bestVal = v
-			bestLag = lags[i]
-		}
-	}
-	if bestLag == 0 {
-		return 0, 0
-	}
-	return float64(bestLag) * dt, bestVal
-}

@@ -158,30 +158,3 @@ func TestSpikeScoreZeroNeighbourhood(t *testing.T) {
 		t.Errorf("zero over zero = %v", s)
 	}
 }
-
-func TestAutocorrPeriod(t *testing.T) {
-	// 60 s sampling, signal with 600 s period (lag 10).
-	series := make([]float64, 500)
-	for i := range series {
-		if i%10 == 0 {
-			series[i] = 1
-		}
-	}
-	period, corr := AutocorrPeriod(series, 60, 5, 50)
-	if period != 600 {
-		t.Errorf("period = %v, want 600", period)
-	}
-	if corr < 0.9 {
-		t.Errorf("corr = %v", corr)
-	}
-}
-
-func TestAutocorrPeriodDegenerate(t *testing.T) {
-	if p, c := AutocorrPeriod([]float64{1, 2}, 1, 5, 10); p != 0 || c != 0 {
-		t.Errorf("degenerate = %v %v", p, c)
-	}
-	flat := make([]float64, 100)
-	if p, _ := AutocorrPeriod(flat, 1, 1, 50); p != 0 {
-		t.Errorf("flat series period = %v", p)
-	}
-}

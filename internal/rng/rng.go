@@ -89,12 +89,6 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	}
 }
 
-// Int63 returns a non-negative int64, mirroring math/rand's contract so
-// callers can port code without surprises.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -203,49 +197,6 @@ func (r *Source) Pareto(xmin, alpha float64) float64 {
 	}
 	return xmin / math.Pow(u, 1/alpha)
 }
-
-// Zipf samples ranks in [0, n) with probability proportional to
-// 1/(rank+1)^s. It precomputes the CDF at construction; use NewZipf.
-type Zipf struct {
-	cdf []float64
-	src *Source
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s (> 0).
-func NewZipf(src *Source, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, src: src}
-}
-
-// Next returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // Categorical samples indexes with the given (unnormalised) weights.
 type Categorical struct {

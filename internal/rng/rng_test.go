@@ -235,35 +235,6 @@ func TestParetoMinimum(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := New(16)
-	z := NewZipf(r, 100, 1.0)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
-	}
-	if counts[0] <= counts[10] || counts[10] <= counts[99] {
-		t.Errorf("Zipf not monotone: rank0=%d rank10=%d rank99=%d", counts[0], counts[10], counts[99])
-	}
-	// Rank 0 should take roughly 1/H(100) ~ 19% of mass.
-	if counts[0] < 15000 || counts[0] > 25000 {
-		t.Errorf("Zipf rank-0 mass %d, want ~19000", counts[0])
-	}
-	if z.N() != 100 {
-		t.Errorf("N = %d, want 100", z.N())
-	}
-}
-
-func TestZipfRangeProperty(t *testing.T) {
-	r := New(17)
-	z := NewZipf(r, 37, 0.9)
-	for i := 0; i < 10000; i++ {
-		if v := z.Next(); v < 0 || v >= 37 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-	}
-}
-
 func TestCategoricalWeights(t *testing.T) {
 	r := New(18)
 	c := NewCategorical(r, []float64{1, 0, 3})

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the study analyses
 // rely on: empirical CDFs, quantiles, fixed-width histograms, time-series
-// binning, top-k selection and simple autocorrelation. All functions are
+// binning and top-k selection. All functions are
 // deterministic and allocation-conscious; none of them mutate their inputs
 // unless documented.
 package stats
@@ -23,9 +23,6 @@ func NewCDF(samples []float64) *CDF {
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
-
-// Len returns the number of samples.
-func (c *CDF) Len() int { return len(c.sorted) }
 
 // At returns P(X <= x), i.e. the fraction of samples <= x.
 // An empty CDF returns 0.
@@ -64,22 +61,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.sorted[lo]*(1-frac) + c.sorted[hi]*frac
 }
 
-// Min returns the smallest sample (0 if empty).
-func (c *CDF) Min() float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return c.sorted[0]
-}
-
-// Max returns the largest sample (0 if empty).
-func (c *CDF) Max() float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return c.sorted[len(c.sorted)-1]
-}
-
 // Points returns up to n evenly spaced (x, P(X<=x)) points suitable for
 // plotting the CDF curve. Fewer points are returned if there are fewer
 // samples. The returned slices are freshly allocated.
@@ -108,14 +89,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Mean returns the arithmetic mean of xs, 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	s := 0.0
@@ -124,24 +97,6 @@ func Sum(xs []float64) float64 {
 	}
 	return s
 }
-
-// Variance returns the population variance of xs, 0 for fewer than 2 samples.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n)
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Median returns the median of xs without mutating it.
 func Median(xs []float64) float64 { return NewCDF(xs).Quantile(0.5) }
@@ -268,41 +223,6 @@ func TopK(m map[string]float64, k int) []KV {
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
-	}
-	return out
-}
-
-// Autocorrelation returns the normalised autocorrelation of xs at the given
-// lags. The output is 1 at lag 0 by construction; series with zero variance
-// return 0 at all non-zero lags.
-func Autocorrelation(xs []float64, lags []int) []float64 {
-	n := len(xs)
-	out := make([]float64, len(lags))
-	if n == 0 {
-		return out
-	}
-	mean := Mean(xs)
-	var denom float64
-	for _, x := range xs {
-		d := x - mean
-		denom += d * d
-	}
-	for li, lag := range lags {
-		if lag < 0 || lag >= n {
-			continue
-		}
-		if lag == 0 {
-			out[li] = 1
-			continue
-		}
-		if denom == 0 {
-			continue
-		}
-		var num float64
-		for i := 0; i+lag < n; i++ {
-			num += (xs[i] - mean) * (xs[i+lag] - mean)
-		}
-		out[li] = num / denom
 	}
 	return out
 }

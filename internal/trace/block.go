@@ -260,9 +260,6 @@ func NewColumnWriter(w io.Writer, device string, start Timestamp) (*ColumnWriter
 	return &ColumnWriter{w: w, enc: encoderPool.Get().(*columnEncoder), off: int64(len(hdr))}, nil
 }
 
-// Count returns the number of records written so far.
-func (w *ColumnWriter) Count() uint64 { return w.count }
-
 // admit is the gate every record passes before it is staged.
 func (w *ColumnWriter) admit(typ RecordType, ts Timestamp) error {
 	if typ == RecInvalid || typ > RecScreen {

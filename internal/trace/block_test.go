@@ -483,12 +483,12 @@ func writeVia(t *testing.T, put func(w *ColumnWriter) error) ([]byte, uint64, er
 		t.Fatal(err)
 	}
 	if err := put(w); err != nil {
-		return buf.Bytes(), w.Count(), err
+		return buf.Bytes(), w.count, err
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), w.Count(), nil
+	return buf.Bytes(), w.count, nil
 }
 
 // TestWriteBatchMatchesWriteLoop: batch append is Write without the rows —

@@ -25,8 +25,8 @@ func writeColumnar(t *testing.T, device string, start Timestamp, recs []Record) 
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != uint64(len(recs)) {
-		t.Fatalf("writer count %d, wrote %d", w.Count(), len(recs))
+	if w.count != uint64(len(recs)) {
+		t.Fatalf("writer count %d, wrote %d", w.count, len(recs))
 	}
 	return buf.Bytes()
 }
@@ -333,7 +333,7 @@ func TestColumnWriterEncoderReuse(t *testing.T) {
 	if err := w.Flush(); err == nil {
 		t.Error("second Flush succeeded")
 	}
-	if w.Count() != 1 {
-		t.Errorf("count %d after a refused write, want 1", w.Count())
+	if w.count != 1 {
+		t.Errorf("count %d after a refused write, want 1", w.count)
 	}
 }

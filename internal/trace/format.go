@@ -107,7 +107,6 @@ type Writer struct {
 	lastTS  Timestamp
 	scratch []byte
 	err     error
-	count   uint64
 }
 
 // checkDeviceName enforces the shared header cap at write time, so writers
@@ -144,9 +143,6 @@ func NewWriter(w io.Writer, device string, start Timestamp) (*Writer, error) {
 	}
 	return &Writer{w: bw, lastTS: start, scratch: make([]byte, 0, 4096)}, nil
 }
-
-// Count returns the number of records written so far.
-func (w *Writer) Count() uint64 { return w.count }
 
 // Flush flushes buffered records to the underlying writer.
 func (w *Writer) Flush() error {
@@ -314,7 +310,6 @@ func (w *Writer) Write(r *Record) error {
 		return err
 	}
 	w.lastTS = r.TS
-	w.count++
 	return nil
 }
 

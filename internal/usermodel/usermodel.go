@@ -29,11 +29,6 @@ type Config struct {
 	ActivityScale float64
 }
 
-// DefaultConfig returns the fleet defaults.
-func DefaultConfig(start trace.Timestamp, days int) Config {
-	return Config{Start: start, Days: days, ActivityScale: 1}
-}
-
 // User is one synthesised user: installed apps and their foreground
 // session schedules.
 type User struct {

@@ -11,7 +11,7 @@ import (
 func build(t *testing.T, seed uint64, days int) (*User, []appmodel.Profile) {
 	t.Helper()
 	profiles := appmodel.AllProfiles()
-	cfg := DefaultConfig(0, days)
+	cfg := Config{Days: days, ActivityScale: 1}
 	u := Build("u01", rng.New(seed), profiles, cfg)
 	return u, profiles
 }
@@ -115,7 +115,7 @@ func TestEngagementGapsProduceIdleDays(t *testing.T) {
 	}
 	found := false
 	for seed := uint64(0); seed < 30 && !found; seed++ {
-		u := Build("u", rng.New(seed), profiles, DefaultConfig(0, 60))
+		u := Build("u", rng.New(seed), profiles, Config{Days: 60, ActivityScale: 1})
 		ed := u.EngagedDays[weiboIdx]
 		if ed == nil {
 			continue // not installed for this seed

@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"slices"
 	"sort"
 
 	"netenergy/internal/analysis"
@@ -74,13 +73,7 @@ func SimulateBatching(d *analysis.DeviceData, p radio.Params, factor int) BatchR
 	// Process apps in ascending ID order: the evs sort below keys only on
 	// timestamp, so same-instant packets from different apps would
 	// otherwise be replayed in map-iteration (run-dependent) order.
-	apps := make([]uint32, 0, len(byApp))
-	//repolint:ordered collection order is irrelevant: app IDs are sorted before use
-	for app := range byApp {
-		apps = append(apps, app)
-	}
-	slices.Sort(apps)
-	for _, app := range apps {
+	for _, app := range sortedKeys(byApp) {
 		pkts := byApp[app]
 		// Burst boundaries.
 		var burstStart []int

@@ -12,6 +12,8 @@
 package whatif
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"netenergy/internal/analysis"
@@ -105,18 +107,17 @@ func maxBoundedRun(kinds map[int]dayKind, idx []int) int {
 }
 
 // simulateKill walks the day range and returns the suppressed energy and
-// the set of suppressed days, under the kill-after-N policy. Consecutive
+// the suppressed days in ascending order, under the kill-after-N policy. Consecutive
 // non-foreground days (background-only or silent) accumulate; once the
 // count exceeds killAfter, background energy on subsequent days is
 // suppressed until a foreground day revives the app.
-func simulateKill(d *analysis.DeviceData, app uint32, killAfter int) (saved float64, suppressed map[int]bool) {
+func simulateKill(d *analysis.DeviceData, app uint32, killAfter int) (saved float64, suppressed []int) {
 	ledger := d.Energy.Ledger.ByAppDay[app]
 	if len(ledger) == 0 {
 		return 0, nil
 	}
 	firstDay := d.Span[0].Day()
 	lastDay := d.Span[1].Day()
-	suppressed = make(map[int]bool)
 	nonFg := 0
 	for day := firstDay; day <= lastDay; day++ {
 		ds := ledger[day]
@@ -128,7 +129,7 @@ func simulateKill(d *analysis.DeviceData, app uint32, killAfter int) (saved floa
 		nonFg++
 		if nonFg > killAfter && ds != nil {
 			saved += ds.BgEnergy
-			suppressed[day] = true
+			suppressed = append(suppressed, day)
 		}
 	}
 	return saved, suppressed
@@ -177,9 +178,10 @@ func Evaluate(devs []*analysis.DeviceData, packages, labels []string, killAfter 
 				reductions = append(reductions, 100*saved/appTotal)
 			}
 			// Device-wide energy on the suppressed days.
-			for day := range supp {
-				for _, days := range d.Energy.Ledger.ByAppDay {
-					if ds := days[day]; ds != nil {
+			apps := sortedKeys(d.Energy.Ledger.ByAppDay)
+			for _, day := range supp {
+				for _, a := range apps {
+					if ds := d.Energy.Ledger.ByAppDay[a][day]; ds != nil {
 						deviceEnergyOnSuppressed += ds.Energy
 					}
 				}
@@ -226,7 +228,7 @@ func SweepThresholds(devs []*analysis.DeviceData, maxDays int) []SweepPoint {
 	for k := 1; k <= maxDays; k++ {
 		var saved float64
 		for _, d := range devs {
-			for app := range d.Energy.Ledger.ByAppDay {
+			for _, app := range sortedKeys(d.Energy.Ledger.ByAppDay) {
 				s, _ := simulateKill(d, app, k)
 				saved += s
 			}
@@ -249,7 +251,7 @@ func PerUserSavings(devs []*analysis.DeviceData, killAfter int) []float64 {
 	out := make([]float64, 0, len(devs))
 	for _, d := range devs {
 		var saved float64
-		for app := range d.Energy.Ledger.ByAppDay {
+		for _, app := range sortedKeys(d.Energy.Ledger.ByAppDay) {
 			s, _ := simulateKill(d, app, killAfter)
 			saved += s
 		}
@@ -325,4 +327,17 @@ func IsolationCandidates(devs []*analysis.DeviceData, minIdleDays int, minBgJ fl
 		return out[i].App < out[j].App
 	})
 	return out
+}
+
+// sortedKeys returns m's keys in ascending order. Float sums over a map fold
+// in this order: Go randomizes map iteration, and a float sum taken in a
+// different order can differ in the last place.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	//repolint:ordered collection order is irrelevant: keys are sorted before return
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
