@@ -99,12 +99,14 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointLog -fuzztime=$(FUZZTIME) ./internal/ingest/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzQueryParse -fuzztime=$(FUZZTIME) ./internal/tsq/
 
-# The ci gate fuzzes the most network-exposed decoder and the indexed file
+# The ci gate fuzzes the most network-exposed decoder, the indexed file
 # reader every trace.ReadFile now goes through (at one worker and at four)
-# briefly; run `make fuzz` for the full set.
+# and the LZ encoder's round trip, the one encoder under a fuzzer, briefly;
+# run `make fuzz` for the full set.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrameDecoder -fuzztime=10s ./internal/ingest/
 	$(GO) test -run=NONE -fuzz=FuzzReadFileParallel -fuzztime=10s ./internal/trace/
+	$(GO) test -run=NONE -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/lz/
 
 # Full benchmark suite with the regression gate: records BENCH_<date>.json
 # and fails on a >15% regression in the apply pair or decode throughput

@@ -10,6 +10,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello hello hello hello"))
 	f.Add(bytes.Repeat([]byte{1, 2, 3}, 500))
+	f.Add(farRepeat(maxDist)) // over 64 KiB, a match at the farthest offset
 	f.Fuzz(func(t *testing.T, src []byte) {
 		var a Appender
 		comp := a.Compress(nil, src)

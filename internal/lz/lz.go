@@ -14,6 +14,7 @@ package lz
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // ErrCorrupt is returned when a compressed block is malformed: a
@@ -24,19 +25,21 @@ var ErrCorrupt = errors.New("lz: corrupt block")
 const (
 	minMatch = 4      // shortest encodable match
 	maxDist  = 0xffff // 2-byte offsets
-	hashBits = 15
+	hashBits = 16
 	hashLen  = 1 << hashBits
 )
 
 // hash4 maps a 4-byte sequence to a table slot. The multiplier is the
-// usual Knuth/Fibonacci constant truncated to 32 bits.
+// usual Knuth/Fibonacci constant truncated to 32 bits; the shift keeps
+// the slot provably inside the fixed-size table, so indexing it needs no
+// bounds check.
 func hash4(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - hashBits)
 }
 
-func load32(b []byte, i int) uint32 {
-	return uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
-}
+func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
+
+func load64(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i:]) }
 
 // Appender is the subset of compressor state that callers may reuse
 // across blocks to keep the hash table allocation out of the hot path.
@@ -47,11 +50,16 @@ type Appender struct {
 // Compress appends the compressed form of src to dst and returns the
 // extended slice. The same Appender must not be used concurrently.
 //
+// The match finder is LZ4's greedy one: a single-entry hash table of
+// 4-byte sequences, a miss loop that probes four positions from each
+// 8-byte load, matches extended eight bytes at a time, and after a match
+// only its second and second-to-last positions entered into the table.
+// Which matches it picks is not part of the stream format; any stream
+// Decompress accepts is a valid encoding.
+//
 //repolint:noalloc
 func (a *Appender) Compress(dst, src []byte) []byte {
-	for i := range a.table {
-		a.table[i] = 0
-	}
+	clear(a.table[:])
 	n := len(src)
 	if n == 0 {
 		return dst
@@ -60,34 +68,63 @@ func (a *Appender) Compress(dst, src []byte) []byte {
 		pos     int // next byte to examine
 		litHead int // start of pending literal run
 	)
-	// Leave a 12-byte tail uncompressed so match extension below never
-	// needs per-byte bounds checks near the end of the block.
+	// Leave a 12-byte tail uncompressed so the 8-byte loads below never
+	// need per-byte bounds checks near the end of the block.
 	limit := n - 12
 	for pos < limit {
-		seq := load32(src, pos)
-		slot := hash4(seq)
-		cand := int(a.table[slot]) - 1
-		a.table[slot] = int32(pos) + 1
-		if cand < 0 || pos-cand > maxDist || load32(src, cand) != seq {
+		// Probe pos..pos+3 from one load: each position enters the table
+		// and takes the slot's previous occupant as its candidate.
+		v := load64(src, pos)
+		cand := a.probe(src, pos, uint32(v))
+		for k := 1; k < 4 && cand < 0; k++ {
+			if pos++; pos == limit {
+				break
+			}
+			cand = a.probe(src, pos, uint32(v>>(8*k)))
+		}
+		if cand < 0 {
 			pos++
 			continue
 		}
-		// Extend the match forward.
+		// Extend the match forward, eight bytes at a time while a whole
+		// word fits before limit, then byte by byte up to it (a word that
+		// differs leaves mlen on the differing byte, which stops the byte
+		// loop at once).
 		mlen := minMatch
+		for pos+mlen+8 <= limit {
+			if x := load64(src, cand+mlen) ^ load64(src, pos+mlen); x != 0 {
+				mlen += bits.TrailingZeros64(x) >> 3
+				break
+			}
+			mlen += 8
+		}
 		for pos+mlen < limit && src[cand+mlen] == src[pos+mlen] {
 			mlen++
 		}
 		dst = appendSeq(dst, src[litHead:pos], pos-cand, mlen)
-		// Seed the table inside the match so overlapping repeats are found.
 		end := pos + mlen
-		for p := pos + 1; p < end && p < limit; p += 2 {
-			a.table[hash4(load32(src, p))] = int32(p) + 1
-		}
+		a.table[hash4(load32(src, pos+1))] = int32(pos+1) + 1
+		a.table[hash4(load32(src, end-2))] = int32(end-2) + 1
 		pos = end
 		litHead = pos
 	}
 	// Final literal-only sequence.
 	return appendSeq(dst, src[litHead:], 0, 0)
+}
+
+// probe enters position p, whose 4-byte sequence is seq, into the table
+// and returns the slot's previous occupant when it is a match candidate:
+// in range and holding the same four bytes. Otherwise it returns -1.
+//
+//repolint:noalloc
+func (a *Appender) probe(src []byte, p int, seq uint32) int {
+	slot := hash4(seq)
+	c := int(a.table[slot]) - 1
+	a.table[slot] = int32(p) + 1
+	if c < 0 || p-c > maxDist || load32(src, c) != seq {
+		return -1
+	}
+	return c
 }
 
 // appendSeq encodes one sequence: token, length extensions, literals,

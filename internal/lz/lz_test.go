@@ -88,6 +88,154 @@ func TestRoundTripRandomizedSeeds(t *testing.T) {
 	}
 }
 
+// seq is one parsed sequence of a compressed stream; mlen == 0 marks the
+// terminal literal-only sequence.
+type seq struct{ lits, dist, mlen int }
+
+// parseSeqs walks a stream the compressor wrote, so a test can say which
+// matches it chose. It trusts its input: Decompress is the checking parser.
+func parseSeqs(comp []byte) []seq {
+	ext := func(s, v int) (int, int) {
+		for {
+			b := int(comp[s])
+			s++
+			v += b
+			if b != 255 {
+				return s, v
+			}
+		}
+	}
+	var out []seq
+	for s := 0; s < len(comp); {
+		tok := comp[s]
+		s++
+		lits := int(tok >> 4)
+		if lits == 15 {
+			s, lits = ext(s, lits)
+		}
+		s += lits
+		if s == len(comp) {
+			return append(out, seq{lits, 0, 0})
+		}
+		dist := int(comp[s]) | int(comp[s+1])<<8
+		s += 2
+		mlen := int(tok & 15)
+		if mlen == 15 {
+			s, mlen = ext(s, mlen)
+		}
+		out = append(out, seq{lits, dist, mlen + minMatch})
+	}
+	return out
+}
+
+// randBytes returns n bytes from seed, none of them zero.
+func randBytes(seed uint64, n int) []byte {
+	r := rng.New(seed)
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(1 + r.Intn(255))
+	}
+	return b
+}
+
+// farRepeat is a 16-byte marker, zeros up to dist, the marker again, and a
+// random tail: the zero run is one long match that leaves the marker's
+// table slot alone, so the only way to the second marker is dist back.
+func farRepeat(dist int) []byte {
+	mark := randBytes(1, 16)
+	src := make([]byte, dist, dist+64)
+	copy(src, mark)
+	src = append(src, mark...)
+	return append(src, randBytes(2, 48)...)
+}
+
+// TestMaxDistanceEdge: a repeat exactly maxDist back is found and encoded;
+// one byte further it cannot be, and must go out as literals.
+func TestMaxDistanceEdge(t *testing.T) {
+	var a Appender
+	for _, dist := range []int{maxDist, maxDist + 1} {
+		src := farRepeat(dist)
+		roundTrip(t, src)
+		found := false
+		for _, q := range parseSeqs(a.Compress(nil, src)) {
+			found = found || q.dist == maxDist
+		}
+		if want := dist == maxDist; found != want {
+			t.Errorf("repeat at distance %d over %d bytes: match at distance %d found=%v, want %v",
+				dist, len(src), maxDist, found, want)
+		}
+	}
+}
+
+// TestEveryShortLength covers each length through the 12-byte literal
+// tail and the first few four-position probes, which run up against limit
+// there, with random, constant and period-3 contents. No match may start
+// inside the tail.
+func TestEveryShortLength(t *testing.T) {
+	var a Appender
+	for n := 0; n <= 48; n++ {
+		rnd := randBytes(uint64(n), n)
+		flat := bytes.Repeat([]byte{7}, n)
+		per := make([]byte, n)
+		for i := range per {
+			per[i] = byte(i % 3)
+		}
+		for _, src := range [][]byte{rnd, flat, per} {
+			roundTrip(t, src)
+			at := 0
+			for _, q := range parseSeqs(a.Compress(nil, src)) {
+				at += q.lits
+				if q.mlen > 0 && at >= n-12 {
+					t.Fatalf("%d bytes %v: a match starts at %d, inside the 12-byte tail", n, src, at)
+				}
+				at += q.mlen
+			}
+		}
+	}
+}
+
+// TestPeriodicRuns: a run of period p is one overlapping match at distance
+// p, whatever p; each must round-trip and shrink to a few sequences.
+func TestPeriodicRuns(t *testing.T) {
+	var a Appender
+	for p := 1; p <= 16; p++ {
+		unit := randBytes(uint64(100+p), p)
+		src := append(randBytes(3, 20), bytes.Repeat(unit, 4000/p)...)
+		src = append(src, randBytes(4, 20)...)
+		roundTrip(t, src)
+		if comp := a.Compress(nil, src); len(comp) > 100 {
+			t.Errorf("period %d: %d bytes compress to %d", p, len(src), len(comp))
+		}
+	}
+}
+
+// TestMatchEndsAtLimit: a repeat of m bytes that runs on into the literal
+// tail stops exactly at limit (n-12), whether the word loop or the byte
+// loop gets it there, and the stream ends with the 12 tail bytes as
+// literals. One that meets a differing byte first stops exactly there, at
+// every position of that byte within the 8-byte word.
+func TestMatchEndsAtLimit(t *testing.T) {
+	var a Appender
+	for m := 16; m <= 40; m++ {
+		r := randBytes(uint64(m), m)
+		pair := append(append([]byte{}, r...), r...)
+		for _, tc := range []struct {
+			tail []byte
+			want []seq
+		}{
+			{r[:12], []seq{{m, m, m}, {12, 0, 0}}},
+			{append([]byte{r[0] ^ 0x80}, randBytes(9, 20)...), []seq{{m, m, m}, {21, 0, 0}}},
+		} {
+			src := append(append([]byte{}, pair...), tc.tail...)
+			roundTrip(t, src)
+			got := parseSeqs(a.Compress(nil, src))
+			if len(got) != 2 || got[0] != tc.want[0] || got[1] != tc.want[1] {
+				t.Errorf("repeat of %d bytes, then %d more: sequences %v, want %v", m, len(tc.tail), got, tc.want)
+			}
+		}
+	}
+}
+
 func TestDecompressRejectsCorrupt(t *testing.T) {
 	cases := []struct {
 		name string

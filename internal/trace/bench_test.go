@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"netenergy/internal/lz"
 )
 
 // benchTrace holds the files the decode benchmarks read, written once per
@@ -114,4 +116,67 @@ func BenchmarkEncodeMETR3(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// StreamPoolDevice returns user i of seed cut to exactly n records, as the
+// benchmark harness builds its stream pool (bench/harness.go fixedDevice).
+// internal/synthgen imports this package, so the external test package
+// sets it (synth_test.go).
+var StreamPoolDevice func(seed uint64, i, n int) *DeviceTrace
+
+// streamPool holds the staged blocks BenchmarkColumnEncode encodes, built
+// once per benchmark binary.
+var streamPool struct {
+	once    sync.Once
+	blocks  []RecordBatch
+	records int
+}
+
+// streamPoolBlocks stages the stream pool bench/run.sh's ingest workloads
+// replay at seed 1 — 8 devices of 32 768 records — into blocks, each cut
+// where a ColumnWriter fed that device would cut it.
+func streamPoolBlocks() ([]RecordBatch, int) {
+	streamPool.once.Do(func() {
+		for i := 0; i < 8; i++ {
+			dt := StreamPoolDevice(1, i, 32768)
+			var e columnEncoder
+			for j := range dt.Records {
+				e.batch.Append(&dt.Records[j])
+				if e.full() || j == len(dt.Records)-1 {
+					streamPool.blocks = append(streamPool.blocks, e.batch)
+					e.batch = RecordBatch{}
+				}
+			}
+			streamPool.records += len(dt.Records)
+		}
+	})
+	return streamPool.blocks, streamPool.records
+}
+
+// BenchmarkColumnEncode is the segment layer's encoder on the bytes it
+// really compresses: each staged block of the stream pool turned into its
+// column image and LZ-compressed, as columnEncoder.encode does on every
+// block cut. MB/s counts column-image bytes; comp_bytes/record is the
+// compressed payload per record. bench's lz.compress_mbps row compresses
+// 64 KiB pieces of the flat row stream instead, a different input.
+func BenchmarkColumnEncode(b *testing.B) {
+	blocks, records := streamPoolBlocks()
+	e := columnEncoder{lza: new(lz.Appender)}
+	var image, comp int
+	for i := range blocks {
+		e.raw, e.u64 = appendColumns(e.raw[:0], &blocks[i], blocks[i].TS[0], e.u64)
+		image += len(e.raw)
+		e.comp = e.lza.Compress(e.comp[:0], e.raw)
+		comp += len(e.comp)
+	}
+	b.SetBytes(int64(image))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i := range blocks {
+			e.raw, e.u64 = appendColumns(e.raw[:0], &blocks[i], blocks[i].TS[0], e.u64)
+			e.comp = e.lza.Compress(e.comp[:0], e.raw)
+		}
+	}
+	b.ReportMetric(float64(comp)/float64(records), "comp_bytes/record")
 }

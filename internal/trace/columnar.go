@@ -38,34 +38,29 @@ func zigzagEnc(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func zigzagDec(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // packBits appends len(vals) values of w bits each to dst, little-endian
-// bit order. Every value must be < 1<<w (w == 64 admits all).
+// bit order. Every value must be < 1<<w (w == 64 admits all). Values
+// gather in a 64-bit accumulator that is appended a whole word at a time;
+// the last partial word contributes only the bytes its bits reach.
 //
 //repolint:noalloc
 func packBits(dst []byte, vals []uint64, w uint) []byte {
 	if w == 0 {
 		return dst
 	}
-	base := len(dst)
-	total := (len(vals)*int(w) + 7) / 8
-	for len(dst) < base+total {
-		dst = append(dst, 0)
-	}
-	buf := dst[base:]
-	bit := 0
+	var acc uint64
+	var held uint // bits of acc in use, always < 64
 	for _, v := range vals {
-		rem := int(w)
-		for rem > 0 {
-			bi := bit >> 3
-			sh := bit & 7
-			take := 8 - sh
-			if take > rem {
-				take = rem
-			}
-			buf[bi] |= byte(v << sh)
-			v >>= uint(take)
-			bit += take
-			rem -= take
+		acc |= v << held
+		if held += w; held >= 64 {
+			dst = binary.LittleEndian.AppendUint64(dst, acc)
+			held -= 64
+			// The bits of v that did not fit; a shift by 64 yields 0.
+			acc = v >> (w - held)
 		}
+	}
+	for ; held > 0; held -= min(held, 8) {
+		dst = append(dst, byte(acc))
+		acc >>= 8
 	}
 	return dst
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"netenergy/internal/rng"
 )
 
 // writeColumnar serialises recs into a METR-3 buffer.
@@ -232,6 +234,52 @@ func TestColumnarWideTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireRecordsEqual(t, recs, dt.Records)
+}
+
+// TestPackBitsBitwise holds the word-at-a-time packer to the definition of
+// the packed column — value i's bit j at stream bit i*w+j, little-endian,
+// zero-padded to a whole byte — at every width and at lengths on both sides
+// of each word boundary, after a non-empty prefix, and back through
+// unpackBits.
+func TestPackBitsBitwise(t *testing.T) {
+	r := rng.New(5)
+	prefix := []byte{0xAA, 0x55}
+	for w := uint(0); w <= 64; w++ {
+		for n := 0; n <= 70; n++ {
+			vals := make([]uint64, n)
+			for i := range vals {
+				v := r.Uint64()
+				if i%3 == 0 {
+					v = math.MaxUint64 // all ones: catches bits spilling past w
+				}
+				if w < 64 {
+					v &= 1<<w - 1
+				}
+				vals[i] = v
+			}
+			want := append([]byte(nil), prefix...)
+			want = append(want, make([]byte, (n*int(w)+7)/8)...)
+			for i, v := range vals {
+				for j := uint(0); j < w; j++ {
+					if v>>j&1 != 0 {
+						bit := i*int(w) + int(j)
+						want[len(prefix)+bit/8] |= 1 << (bit % 8)
+					}
+				}
+			}
+			got := packBits(append([]byte(nil), prefix...), vals, w)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("w=%d n=%d: packed %x, want %x", w, n, got, want)
+			}
+			back := make([]uint64, n)
+			unpackBits(back, got[len(prefix):], w)
+			for i := range vals {
+				if back[i] != vals[i] {
+					t.Fatalf("w=%d n=%d: value %d unpacks to %#x, packed %#x", w, n, i, back[i], vals[i])
+				}
+			}
+		}
+	}
 }
 
 // TestColumnarRejectsCorrupt flips bytes across a valid file and

@@ -10,11 +10,18 @@ import (
 )
 
 // TestSerializePinned pins the METR-3 writer's bytes for one fixed synthgen
-// seed. The hash has held through every restructuring of the writer since
-// METR-3 landed; a change to it is a change of on-disk format (or of the
-// generator), never a refactor.
+// seed. The bytes are the column layout plus the LZ encoder's choice of
+// matches, so the hash moves when either moves — a change of on-disk
+// format, of the generator, or of the encoder's match policy, which the
+// format leaves free — and never in a refactor. It moved once for the
+// LZ4-style match finder (was 2c5de327…, 352 723 bytes); files written
+// before that still read (TestParentEncoderFileReads). The size must not
+// grow past the old encoder's.
 func TestSerializePinned(t *testing.T) {
-	const pinned = "2c5de3277f176d1c235a7efdebe23d22ad0a9802b235a8dc4427ddcf1b5a918e"
+	const (
+		pinned  = "a4cf84ca5f18a59d66ffa3ea695a4c5b1248fa081114ea53f5525c062775ce59"
+		maxSize = 352723
+	)
 	cfg := synthgen.Small(1, 2)
 	cfg.Seed = 13
 	dt := synthgen.GenerateDevice(cfg, 0)
@@ -26,5 +33,9 @@ func TestSerializePinned(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != pinned {
 		t.Errorf("%d records serialise to %d bytes with sha256 %s, pinned %s",
 			len(dt.Records), buf.Len(), got, pinned)
+	}
+	if buf.Len() > maxSize {
+		t.Errorf("%d records serialise to %d bytes, more than the %d the previous encoder wrote",
+			len(dt.Records), buf.Len(), maxSize)
 	}
 }
