@@ -81,7 +81,8 @@ smoke: build
 # Short runs of every fuzz target (trace reader over METR-3 and flat, with
 # the refused METZ1 and METR-2 magics as seeds that must stay refused —
 # METR-3 columnar decoder, indexed file reader at 1 and 4 workers, pushdown
-# scan incl. torn tails, LZ codec, pcap
+# scan incl. torn tails and against a full decode, LZ codec incl. staged
+# decode, pcap
 # reader, packet parser, ingest frame decoder, checkpoint decoder, checkpoint delta
 # log, tsq query parser).
 FUZZTIME ?= 10s
@@ -100,12 +101,15 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzQueryParse -fuzztime=$(FUZZTIME) ./internal/tsq/
 
 # The ci gate fuzzes the most network-exposed decoder, the indexed file
-# reader every trace.ReadFile now goes through (at one worker and at four)
-# and the LZ encoder's round trip, the one encoder under a fuzzer, briefly;
-# run `make fuzz` for the full set.
+# reader every trace.ReadFile now goes through (at one worker and at four),
+# the pushdown scan against a full decode of the blocks it reads (the one
+# reader that decompresses part of a block) and the LZ encoder's round
+# trip, the one encoder under a fuzzer, briefly; run `make fuzz` for the
+# full set.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrameDecoder -fuzztime=10s ./internal/ingest/
 	$(GO) test -run=NONE -fuzz=FuzzReadFileParallel -fuzztime=10s ./internal/trace/
+	$(GO) test -run=NONE -fuzz=FuzzScanFile -fuzztime=10s ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/lz/
 
 # Full benchmark suite with the regression gate: records BENCH_<date>.json

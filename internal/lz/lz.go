@@ -175,20 +175,82 @@ func appendExt(dst []byte, v int) []byte {
 // be sized to the block's declared uncompressed length; any mismatch,
 // truncation, or out-of-range offset returns ErrCorrupt. dst is the
 // only buffer written, so decompression cost is bounded by len(dst) +
-// len(src) regardless of stream contents.
+// len(src) regardless of stream contents. It is a Decoder run to the
+// terminal sequence in one call.
 //
 //repolint:noalloc
 func Decompress(dst, src []byte) error {
-	if len(src) == 0 {
-		if len(dst) != 0 {
-			return ErrCorrupt
-		}
-		return nil
+	var z Decoder
+	z.Reset(dst, src)
+	// No sequence boundary lies past len(dst), so only the terminal
+	// sequence (or an error) ends this fill.
+	return z.Fill(len(dst) + 1)
+}
+
+// Decoder decompresses one stream in stages, for a reader that needs only
+// a prefix of the output: Fill writes dst up to a point and can be called
+// again to go further, and Walk checks the rest of the stream without
+// writing it. Fill and Walk together accept exactly the streams Decompress
+// accepts, whatever the points filled to, and the bytes Fill writes are
+// Decompress's bytes. The zero value decodes nothing; Reset starts a
+// stream.
+type Decoder struct {
+	dst, src []byte
+	d, s     int  // next byte of dst to write, of src to read
+	done     bool // the terminal sequence is read
+	err      error
+}
+
+// Reset starts decoding src into dst, which is sized to the declared
+// output length as for Decompress.
+func (z *Decoder) Reset(dst, src []byte) {
+	*z = Decoder{dst: dst, src: src, done: len(src) == 0 && len(dst) == 0}
+}
+
+// Filled is how many leading bytes of dst are written.
+func (z *Decoder) Filled() int { return z.d }
+
+// Fill decompresses until at least need bytes of dst are written, stopping
+// at the first sequence boundary at or past need, or at the end of the
+// stream. It returns ErrCorrupt for a stream Decompress would refuse in
+// what it decoded, and every later call returns it too. Fill after Walk
+// writes nothing more.
+//
+//repolint:noalloc
+func (z *Decoder) Fill(need int) error {
+	if z.err != nil || z.done || z.d >= need {
+		return z.err
 	}
-	var d, s int
-	for {
+	z.d, z.s, z.done, z.err = decode(z.dst, z.src, z.d, z.s, need)
+	return z.err
+}
+
+// Walk parses the rest of the stream, writing nothing, with exactly the
+// checks Decompress applies: offsets within what the stream has produced
+// so far, lengths within len(dst), and a terminal sequence that ends the
+// stream with dst exactly full. It costs a pass over the remaining
+// sequence headers, not over the bytes they would write.
+//
+//repolint:noalloc
+func (z *Decoder) Walk() error {
+	if z.err != nil || z.done {
+		return z.err
+	}
+	z.err = walk(len(z.dst), z.src, z.d, z.s)
+	z.done = true
+	return z.err
+}
+
+// decode is the one decode loop: it runs the stream src from sequence
+// boundary s, with d bytes of dst written, until d >= need or the
+// terminal sequence, and returns where it stopped and whether that was
+// the terminal sequence.
+//
+//repolint:noalloc
+func decode(dst, src []byte, d, s, need int) (int, int, bool, error) {
+	for d < need {
 		if s >= len(src) {
-			return ErrCorrupt
+			return d, s, false, ErrCorrupt
 		}
 		tok := src[s]
 		s++
@@ -197,11 +259,11 @@ func Decompress(dst, src []byte) error {
 			var err error
 			llen, s, err = readExt(src, s, llen)
 			if err != nil {
-				return err
+				return d, s, false, err
 			}
 		}
 		if llen > len(src)-s || llen > len(dst)-d {
-			return ErrCorrupt
+			return d, s, false, ErrCorrupt
 		}
 		copy(dst[d:], src[s:s+llen])
 		d += llen
@@ -209,12 +271,12 @@ func Decompress(dst, src []byte) error {
 		if s == len(src) {
 			// Terminal sequence: token must not promise a match.
 			if tok&0x0f != 0 || d != len(dst) {
-				return ErrCorrupt
+				return d, s, false, ErrCorrupt
 			}
-			return nil
+			return d, s, true, nil
 		}
 		if len(src)-s < 2 {
-			return ErrCorrupt
+			return d, s, false, ErrCorrupt
 		}
 		dist := int(src[s]) | int(src[s+1])<<8
 		s += 2
@@ -223,12 +285,12 @@ func Decompress(dst, src []byte) error {
 			var err error
 			mlen, s, err = readExt(src, s, mlen)
 			if err != nil {
-				return err
+				return d, s, false, err
 			}
 		}
 		mlen += minMatch
 		if dist == 0 || dist > d || mlen > len(dst)-d {
-			return ErrCorrupt
+			return d, s, false, ErrCorrupt
 		}
 		if dist >= mlen {
 			// Non-overlapping match. Short matches dominate generic
@@ -312,6 +374,56 @@ func Decompress(dst, src []byte) error {
 				}
 			}
 		}
+	}
+	return d, s, false, nil
+}
+
+// walk is decode with nothing written: the same grammar and the same
+// checks, over an output of n bytes of which d are already produced.
+//
+//repolint:noalloc
+func walk(n int, src []byte, d, s int) error {
+	for {
+		if s >= len(src) {
+			return ErrCorrupt
+		}
+		tok := src[s]
+		s++
+		llen := int(tok >> 4)
+		if llen == 15 {
+			var err error
+			if llen, s, err = readExt(src, s, llen); err != nil {
+				return err
+			}
+		}
+		if llen > len(src)-s || llen > n-d {
+			return ErrCorrupt
+		}
+		d += llen
+		s += llen
+		if s == len(src) {
+			if tok&0x0f != 0 || d != n {
+				return ErrCorrupt
+			}
+			return nil
+		}
+		if len(src)-s < 2 {
+			return ErrCorrupt
+		}
+		dist := int(src[s]) | int(src[s+1])<<8
+		s += 2
+		mlen := int(tok & 0x0f)
+		if mlen == 15 {
+			var err error
+			if mlen, s, err = readExt(src, s, mlen); err != nil {
+				return err
+			}
+		}
+		mlen += minMatch
+		if dist == 0 || dist > d || mlen > n-d {
+			return ErrCorrupt
+		}
+		d += mlen
 	}
 }
 

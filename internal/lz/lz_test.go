@@ -236,25 +236,28 @@ func TestMatchEndsAtLimit(t *testing.T) {
 	}
 }
 
+// corruptStreams are malformed streams, each with the output size it
+// declares.
+var corruptStreams = []struct {
+	name string
+	dst  int
+	src  []byte
+}{
+	{"empty stream nonzero dst", 4, nil},
+	{"truncated literals", 8, []byte{0x50, 'a', 'b'}},
+	{"literal overrun dst", 2, []byte{0x50, 'a', 'b', 'c', 'd', 'e'}},
+	{"match with zero offset", 8, []byte{0x40, 'a', 'b', 'c', 'd', 0, 0, 0x00}},
+	{"offset before start", 8, []byte{0x11, 'a', 0xff, 0xff, 0x00}},
+	{"match overruns dst", 5, []byte{0x4f, 'a', 'b', 'c', 'd', 1, 0, 200, 0x00}},
+	{"terminal with match nibble", 4, []byte{0x41, 'a', 'b', 'c', 'd'}},
+	{"short output", 16, []byte{0x20, 'a', 'b'}},
+	{"truncated offset", 8, []byte{0x11, 'a', 0x01}},
+	{"truncated extension", 8, []byte{0xf1}},
+	{"extension overflow", 8, append([]byte{0xf0}, bytes.Repeat([]byte{255}, 1<<20)...)},
+}
+
 func TestDecompressRejectsCorrupt(t *testing.T) {
-	cases := []struct {
-		name string
-		dst  int
-		src  []byte
-	}{
-		{"empty stream nonzero dst", 4, nil},
-		{"truncated literals", 8, []byte{0x50, 'a', 'b'}},
-		{"literal overrun dst", 2, []byte{0x50, 'a', 'b', 'c', 'd', 'e'}},
-		{"match with zero offset", 8, []byte{0x40, 'a', 'b', 'c', 'd', 0, 0, 0x00}},
-		{"offset before start", 8, []byte{0x11, 'a', 0xff, 0xff, 0x00}},
-		{"match overruns dst", 5, []byte{0x4f, 'a', 'b', 'c', 'd', 1, 0, 200, 0x00}},
-		{"terminal with match nibble", 4, []byte{0x41, 'a', 'b', 'c', 'd'}},
-		{"short output", 16, []byte{0x20, 'a', 'b'}},
-		{"truncated offset", 8, []byte{0x11, 'a', 0x01}},
-		{"truncated extension", 8, []byte{0xf1}},
-		{"extension overflow", 8, append([]byte{0xf0}, bytes.Repeat([]byte{255}, 1<<20)...)},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptStreams {
 		dst := make([]byte, tc.dst)
 		if err := Decompress(dst, tc.src); err != ErrCorrupt {
 			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
@@ -312,6 +315,58 @@ func BenchmarkDecompress(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := Decompress(dst, comp); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecoderStages: filling a stream in steps writes what Decompress
+// writes, each Fill stopping at the first sequence boundary at or past
+// what it was asked for, and a walk over what is left accepts it without
+// writing a byte.
+func TestDecoderStages(t *testing.T) {
+	src := randBytes(9, 1<<15)
+	for i := 0; i < len(src); i += 512 {
+		copy(src[i:i+64], src[:64]) // matches, so many sequence boundaries
+	}
+	var a Appender
+	comp := a.Compress(nil, src)
+	for _, step := range []int{1, 7, 100, 4096, len(src)} {
+		dst := make([]byte, len(src))
+		var z Decoder
+		z.Reset(dst, comp)
+		for need := 0; need < len(src)/2; need += step {
+			if err := z.Fill(need); err != nil {
+				t.Fatalf("step %d: fill to %d: %v", step, need, err)
+			}
+			if z.Filled() < need || !bytes.Equal(dst[:z.Filled()], src[:z.Filled()]) {
+				t.Fatalf("step %d: fill to %d wrote %d bytes, not the stream's", step, need, z.Filled())
+			}
+		}
+		filled := z.Filled()
+		if err := z.Walk(); err != nil {
+			t.Fatalf("step %d: walk: %v", step, err)
+		}
+		if z.Filled() != filled || !bytes.Equal(dst[filled:], make([]byte, len(dst)-filled)) {
+			t.Fatalf("step %d: walk wrote past byte %d", step, filled)
+		}
+	}
+}
+
+// TestDecoderRefusesWhatDecompressRefuses: every corrupt stream of
+// TestDecompressRejectsCorrupt is refused by a fill to nothing and a walk,
+// and by a fill to the end.
+func TestDecoderRefusesWhatDecompressRefuses(t *testing.T) {
+	for _, tc := range corruptStreams {
+		for _, need := range []int{0, tc.dst} {
+			var z Decoder
+			z.Reset(make([]byte, tc.dst), tc.src)
+			err := z.Fill(need)
+			if err == nil {
+				err = z.Walk()
+			}
+			if err != ErrCorrupt {
+				t.Errorf("%s: fill to %d, then walk: %v, want ErrCorrupt", tc.name, need, err)
+			}
 		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"netenergy/internal/lz"
 )
 
 // The METR-3 container is a frame grammar around a columnar block payload:
@@ -195,31 +197,36 @@ func appendBlockFields(dst []byte, b BlockInfo, crc uint32, withCRC bool) []byte
 }
 
 // blockScratch is what a block decode reuses from block to block: the
-// buffer the compressed bytes are read into and the unpack scratch. The
-// streaming iterator owns one; the indexed readers draw theirs from
-// blockScratchPool, which keeps the steady-state decode loop free of
-// per-block buffer churn.
+// buffer the compressed bytes are read into, the LZ decoder and the unpack
+// scratch. The streaming iterator owns one; the indexed readers draw
+// theirs from blockScratchPool, which keeps the steady-state decode loop
+// free of per-block buffer churn.
 type blockScratch struct {
 	buf []byte
 	u64 []uint64
+	lz  lz.Decoder
+	// blobAt is where the blob of the block being decoded starts in its
+	// uncompressed payload.
+	blobAt int
 	// raw is the uncompressed payload of the block a scan or the streaming
 	// iterator decoded last, and batch that block: batch's Blob aliases raw,
 	// so both are overwritten by the next decode — whatever a caller keeps
-	// of a delivered batch (an app name, say) it must copy. The parallel
-	// reader decodes into its own arena and leaves raw alone.
+	// of a delivered batch (an app name, say) it must copy. A scan writes
+	// raw only through the last row it delivers. The parallel reader
+	// decodes into its own arena and leaves raw alone.
 	raw   []byte
 	batch RecordBatch
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
-// decodeBlock verifies comp against the header's CRC32C — before a byte of
-// it is decompressed — and decodes it into dst (see decodeColumnBlock).
-func decodeBlock(sc *blockScratch, h blockHeader, comp, raw []byte, dst *RecordBatch) error {
+// verifyPayload checks comp against the header's CRC32C, before a byte of
+// it is decompressed.
+func verifyPayload(h blockHeader, comp []byte) error {
 	if crc32.Checksum(comp, castagnoli) != h.crc {
 		return ErrCorrupt
 	}
-	return decodeColumnBlock(sc, comp, raw, h, dst)
+	return nil
 }
 
 // sliceCap resizes s to length n, reallocating only when capacity is
@@ -445,7 +452,10 @@ func (d *blockIter) load() error {
 			return mapReadErr(err, errTornBlock, "reading block payload")
 		}
 		d.sc.raw = sliceCap(d.sc.raw, h.ulen)
-		if err := decodeBlock(&d.sc, h, d.sc.buf, d.sc.raw, &d.sc.batch); err != nil {
+		if err := verifyPayload(h, d.sc.buf); err != nil {
+			return err
+		}
+		if err := decodeColumnBlock(&d.sc, d.sc.buf, d.sc.raw, h, &d.sc.batch); err != nil {
 			return err
 		}
 		d.idx = 0
@@ -478,29 +488,42 @@ func (d *blockIter) nextBatch() (*RecordBatch, error) {
 	return &d.sc.batch, nil
 }
 
-// blockIndex is a sealed METR-3 file as its footer index describes it.
-type blockIndex struct {
+// Index is a sealed METR-3 file as its footer index describes it: what
+// ReadBlockIndex returns, kept in the form a scan runs on, so a caller
+// that has read it once can scan the file through it without reading it
+// again (see Index.Scan).
+type Index struct {
 	device  string
 	start   Timestamp
 	blocks  []BlockInfo
 	dataEnd int64 // offset of the index tag: where the last block ends
 }
 
+// Device is the device named by the file header.
+func (ix *Index) Device() string { return ix.device }
+
+// Start is the start timestamp from the file header.
+func (ix *Index) Start() Timestamp { return ix.start }
+
+// Blocks is the per-block index, in file order. It is the Index's own:
+// callers must not modify it.
+func (ix *Index) Blocks() []BlockInfo { return ix.blocks }
+
 // ReadBlockIndex reads the footer index of a METR-3 container via ra. It
 // returns the device, start timestamp and per-block index, or ok=false if
 // the file is not a METR-3 container or carries no (intact) footer — the
 // caller should fall back to streaming.
 func ReadBlockIndex(ra io.ReaderAt, size int64) (device string, start Timestamp, blocks []BlockInfo, ok bool, err error) {
-	ix, err := readBlockIndex(ra, size)
+	ix, err := ReadIndex(ra, size)
 	if err != nil || ix == nil {
 		return "", 0, nil, false, err
 	}
 	return ix.device, ix.start, ix.blocks, true, nil
 }
 
-// readBlockIndex is ReadBlockIndex (a nil index for its ok=false) with the
-// rest an indexed read needs: the data-end offset.
-func readBlockIndex(ra io.ReaderAt, size int64) (*blockIndex, error) {
+// ReadIndex is ReadBlockIndex as an Index: nil, with a nil error, for its
+// ok=false.
+func ReadIndex(ra io.ReaderAt, size int64) (*Index, error) {
 	var m [6]byte
 	if size < int64(len(m))+footerLen {
 		return nil, nil
@@ -546,7 +569,7 @@ func readBlockIndex(ra io.ReaderAt, size int64) (*blockIndex, error) {
 		return nil, ErrCorrupt
 	}
 	p = p[n:]
-	ix := &blockIndex{dataEnd: size - footerLen - idxLen, blocks: make([]BlockInfo, 0, count)}
+	ix := &Index{dataEnd: size - footerLen - idxLen, blocks: make([]BlockInfo, 0, count)}
 	prev := int64(0)
 	prevLast := Timestamp(math.MinInt64)
 	for i := uint64(0); i < count; i++ {
@@ -590,7 +613,7 @@ func readBlockIndex(ra io.ReaderAt, size int64) (*blockIndex, error) {
 
 // openIndexed opens a trace file and reads its footer index; ix is nil
 // when the file has none and must be streamed instead.
-func openIndexed(path string) (*os.File, *blockIndex, error) {
+func openIndexed(path string) (*os.File, *Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -600,7 +623,7 @@ func openIndexed(path string) (*os.File, *blockIndex, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	ix, err := readBlockIndex(f, st.Size())
+	ix, err := ReadIndex(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -608,12 +631,22 @@ func openIndexed(path string) (*os.File, *blockIndex, error) {
 	return f, ix, nil
 }
 
-// readBlockAt reads block i through ra, verifies it — file span, tag,
-// header against its index entry, CRC32C — and decodes it into dst. raw is
-// the caller's buffer for the uncompressed payload, len ==
-// blocks[i].UncompLen; dst's Blob aliases it afterwards, so it must
-// outlive whatever is read out of dst.
-func (ix *blockIndex) readBlockAt(ra io.ReaderAt, i int, sc *blockScratch, raw []byte, dst *RecordBatch) error {
+// readBlockAt reads block i through ra, verifies it (see loadBlock) and
+// decodes it into dst. raw is the caller's buffer for the uncompressed
+// payload, len == blocks[i].UncompLen; dst's Blob aliases it afterwards, so
+// it must outlive whatever is read out of dst.
+func (ix *Index) readBlockAt(ra io.ReaderAt, i int, sc *blockScratch, raw []byte, dst *RecordBatch) error {
+	h, comp, err := ix.loadBlock(ra, i, sc)
+	if err != nil {
+		return err
+	}
+	return decodeColumnBlock(sc, comp, raw, h, dst)
+}
+
+// loadBlock reads block i through ra into sc.buf and verifies it — file
+// span, tag, header against its index entry, CRC32C — returning its header
+// and its compressed payload, not a byte of it decompressed.
+func (ix *Index) loadBlock(ra io.ReaderAt, i int, sc *blockScratch) (blockHeader, []byte, error) {
 	// Each block ends where the next begins; the last ends at the index.
 	b := ix.blocks[i]
 	next := ix.dataEnd
@@ -622,27 +655,28 @@ func (ix *blockIndex) readBlockAt(ra io.ReaderAt, i int, sc *blockScratch, raw [
 	}
 	span := next - b.Offset
 	if span <= 0 || span > maxBlockLen+64 {
-		return ErrCorrupt
+		return blockHeader{}, nil, ErrCorrupt
 	}
 	sc.buf = sliceCap(sc.buf, int(span))
 	buf := sc.buf
 	if _, err := ra.ReadAt(buf, b.Offset); err != nil {
-		return fmt.Errorf("trace: reading block at %d: %w", b.Offset, err)
+		return blockHeader{}, nil, fmt.Errorf("trace: reading block at %d: %w", b.Offset, err)
 	}
 	if buf[0] != blockTag {
-		return ErrCorrupt
+		return blockHeader{}, nil, ErrCorrupt
 	}
 	h, hdrLen, err := parseBlockHeader(buf[1:])
 	if err != nil {
-		return err
+		return blockHeader{}, nil, err
 	}
 	if h.clen != b.CompLen || h.ulen != b.UncompLen || h.count != b.Count {
-		return fmt.Errorf("trace: block header disagrees with index at offset %d: %w", b.Offset, ErrCorrupt)
+		return blockHeader{}, nil, fmt.Errorf("trace: block header disagrees with index at offset %d: %w", b.Offset, ErrCorrupt)
 	}
 	if len(buf) < 1+hdrLen+h.clen {
-		return ErrTruncated
+		return blockHeader{}, nil, ErrTruncated
 	}
-	return decodeBlock(sc, h, buf[1+hdrLen:1+hdrLen+h.clen], raw, dst)
+	comp := buf[1+hdrLen : 1+hdrLen+h.clen]
+	return h, comp, verifyPayload(h, comp)
 }
 
 // decodeArena holds the two large per-file buffers an indexed read fills:

@@ -172,10 +172,14 @@ func appendColumns(dst []byte, b *RecordBatch, first Timestamp, scratch []uint64
 	return append(dst, b.Blob...), scratch
 }
 
-// decodeColumns decodes the columnar image raw (one block's
-// uncompressed payload) into b, whose Blob will alias raw. u64 is
-// scratch for unpacked values and is returned grown.
-func decodeColumns(raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]uint64, error) {
+// decodeColumns decodes the column region of the block z decompresses
+// into raw (one block's uncompressed payload) — the three byte columns,
+// then the three width-prefixed packed columns — into b, decompressing
+// only as far as that region ends. b.Blob aliases the rest of raw, whose
+// bytes are not yet written (see blockScratch.finishBlock); every check on
+// the blob's size is made here all the same. u64 is scratch for unpacked
+// values and is returned grown.
+func decodeColumns(z *lz.Decoder, raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]uint64, error) {
 	n := h.count
 	b.Reset()
 	if n == 0 {
@@ -186,7 +190,7 @@ func decodeColumns(raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]u
 	}
 	// Three byte columns plus three width bytes is the floor; anything
 	// smaller cannot hold n records.
-	if len(raw) < 3*n+3 {
+	if len(raw) < 3*n+3 || z.Fill(3*n) != nil {
 		return u64, ErrCorrupt
 	}
 	u64 = sliceCap(u64, n)
@@ -212,7 +216,7 @@ func decodeColumns(raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]u
 	p += n
 
 	// Timestamp deltas.
-	p, ok := unpackColumn(raw, p, u64, 64)
+	p, ok := unpackColumn(z, raw, p, u64, 64)
 	if !ok {
 		return u64, ErrCorrupt
 	}
@@ -226,16 +230,16 @@ func decodeColumns(raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]u
 	}
 
 	// App IDs.
-	if p, ok = unpackColumn(raw, p, u64, 32); !ok {
+	if p, ok = unpackColumn(z, raw, p, u64, 32); !ok {
 		return u64, ErrCorrupt
 	}
 	for i := 0; i < n; i++ {
 		b.App[i] = uint32(u64[i])
 	}
 
-	// Variable-length byte counts, validated per record type, then the
-	// blob itself, which must be exactly the declared lengths' sum.
-	if p, ok = unpackColumn(raw, p, u64, 32); !ok {
+	// Variable-length byte counts, validated per record type; the blob
+	// after them must be exactly the declared lengths' sum.
+	if p, ok = unpackColumn(z, raw, p, u64, 32); !ok {
 		return u64, ErrCorrupt
 	}
 	var sum uint64
@@ -262,16 +266,17 @@ func decodeColumns(raw []byte, h blockHeader, b *RecordBatch, u64 []uint64) ([]u
 }
 
 // unpackColumn reads the packed column at raw[p:] — a width byte, at most
-// maxW, then len(u64) values of that width — into u64 and returns the
-// offset past it, or false when raw cannot hold what the width declares.
-func unpackColumn(raw []byte, p int, u64 []uint64, maxW uint) (int, bool) {
-	if len(raw)-p < 1 {
+// maxW, then len(u64) values of that width — into u64, decompressing it
+// through z first, and returns the offset past it, or false when raw
+// cannot hold what the width declares.
+func unpackColumn(z *lz.Decoder, raw []byte, p int, u64 []uint64, maxW uint) (int, bool) {
+	if len(raw)-p < 1 || z.Fill(p+1) != nil {
 		return 0, false
 	}
 	w := uint(raw[p])
 	p++
 	nb := (len(u64)*int(w) + 7) / 8
-	if w > maxW || len(raw)-p < nb {
+	if w > maxW || len(raw)-p < nb || z.Fill(p+nb) != nil {
 		return 0, false
 	}
 	unpackBits(u64, raw[p:p+nb], w)
@@ -318,10 +323,35 @@ func (e *columnEncoder) encode() (ulen int, comp []byte) {
 // afterwards. It rejects anything that is not exactly h.count records
 // ending at h.lastTS.
 func decodeColumnBlock(sc *blockScratch, comp, raw []byte, h blockHeader, dst *RecordBatch) error {
-	if err := lz.Decompress(raw, comp); err != nil {
+	if err := sc.openBlock(comp, raw, h, dst); err != nil {
+		return err
+	}
+	return sc.finishBlock(dst, 0, dst.Len())
+}
+
+// openBlock starts decompressing the CRC-verified payload comp into raw
+// (len == h.ulen) and decodes its column region into dst (see
+// decodeColumns); finishBlock finishes the block.
+func (sc *blockScratch) openBlock(comp, raw []byte, h blockHeader, dst *RecordBatch) error {
+	sc.lz.Reset(raw, comp)
+	var err error
+	sc.u64, err = decodeColumns(&sc.lz, raw, h, dst, sc.u64)
+	sc.blobAt = len(raw) - len(dst.Blob)
+	return err
+}
+
+// finishBlock finishes the block openBlock started: it decompresses the
+// blob of b through the bytes of row end-1, so rows [lo, end) are whole,
+// and walks the rest of the stream without writing it, with every check a
+// full decompression makes. With lo == end no blob byte is written.
+func (sc *blockScratch) finishBlock(b *RecordBatch, lo, end int) error {
+	if end > lo {
+		if sc.lz.Fill(sc.blobAt+int(b.Off[end])) != nil {
+			return ErrCorrupt
+		}
+	}
+	if sc.lz.Walk() != nil {
 		return ErrCorrupt
 	}
-	var err error
-	sc.u64, err = decodeColumns(raw, h, dst, sc.u64)
-	return err
+	return nil
 }

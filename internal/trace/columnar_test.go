@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"netenergy/internal/lz"
 	"netenergy/internal/rng"
 )
 
@@ -314,9 +315,9 @@ func TestColumnarRejectsCorrupt(t *testing.T) {
 
 // TestColumnDecodeAllocFree pins the steady-state allocation behaviour of
 // the columnar block decode: once the reused batch and scratch have grown
-// to the block's shape, decodeColumns must not allocate at all — this is
-// what lets the streaming decoder and the ingest hot path recycle one
-// RecordBatch per connection indefinitely.
+// to the block's shape, decompressing and decoding a block must not
+// allocate at all — this is what lets the streaming decoder and the ingest
+// hot path recycle one RecordBatch per connection indefinitely.
 func TestColumnDecodeAllocFree(t *testing.T) {
 	recs := genRecords(2000)
 	var src RecordBatch
@@ -330,11 +331,13 @@ func TestColumnDecodeAllocFree(t *testing.T) {
 		first: first, lastTS: recs[len(recs)-1].TS,
 	}
 
+	comp := new(lz.Appender).Compress(nil, raw)
+	out := make([]byte, len(raw))
 	var dst RecordBatch
-	var u64 []uint64
+	var sc blockScratch
 	var decErr error
 	decode := func() {
-		u64, decErr = decodeColumns(raw, h, &dst, u64)
+		decErr = decodeColumnBlock(&sc, comp, out, h, &dst)
 	}
 	decode() // warm: grow columns and scratch to the block's shape
 	if decErr != nil {

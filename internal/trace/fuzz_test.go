@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -189,13 +190,19 @@ func metr3Sample() []byte {
 // decodeColumns with images the writer would never produce.
 func craftColumnFile(raw []byte, count int, first, last Timestamp) []byte {
 	var lza lz.Appender
-	payload := lza.Compress(nil, raw)
+	return craftColumnStream(lza.Compress(nil, raw), len(raw), count, first, last)
+}
 
+// craftColumnStream is craftColumnFile for a block whose compressed payload
+// is given as it stands, declaring ulen bytes uncompressed: its CRC32C is
+// computed over it, so whatever is wrong with it is for the decompressor to
+// find.
+func craftColumnStream(payload []byte, ulen, count int, first, last Timestamp) []byte {
 	out := append([]byte(nil), magicColumnar...)
 	out = appendFileHeader(out, "d", 0)
 	blkOff := int64(len(out))
 	out = append(out, blockTag)
-	out = binary.AppendUvarint(out, uint64(len(raw)))
+	out = binary.AppendUvarint(out, uint64(ulen))
 	out = binary.AppendUvarint(out, uint64(len(payload)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
 	out = binary.AppendVarint(out, int64(first))
@@ -206,7 +213,7 @@ func craftColumnFile(raw []byte, count int, first, last Timestamp) []byte {
 	idx := []byte{indexTag}
 	idx = binary.AppendUvarint(idx, 1)
 	idx = binary.AppendUvarint(idx, uint64(blkOff))
-	idx = binary.AppendUvarint(idx, uint64(len(raw)))
+	idx = binary.AppendUvarint(idx, uint64(ulen))
 	idx = binary.AppendUvarint(idx, uint64(len(payload)))
 	idx = binary.AppendVarint(idx, int64(first))
 	idx = binary.AppendVarint(idx, int64(last))
@@ -322,11 +329,64 @@ func completeRecords(data []byte) int {
 	return total
 }
 
+// fullScan is the reference an indexed ScanFile is held to: every block
+// the index keeps for opt decoded whole, through the reader that
+// decompresses the entire block, then trimmed and filtered as the scan
+// does. It returns the records delivered before any error, payloads
+// copied.
+func fullScan(data []byte, opt ScanOptions) ([]Record, error) {
+	ra := bytes.NewReader(data)
+	ix, err := ReadIndex(ra, int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	var (
+		got     []Record
+		sc      blockScratch
+		b, out  RecordBatch
+		stats   ScanStats
+		filter  = newAppFilter(opt.Apps)
+		collect = func(b *RecordBatch) error {
+			got = appendRecords(got, b)
+			return nil
+		}
+	)
+	for i, e := range ix.Blocks() {
+		if !opt.Range.overlapsBlock(e.First, e.Last) {
+			continue
+		}
+		raw := make([]byte, e.UncompLen)
+		if err := ix.readBlockAt(ra, i, &sc, raw, &b); err != nil {
+			return got, err
+		}
+		if err := emitTrimmed(&b, opt.Range, filter, &out, &stats, collect); err != nil {
+			return got, err
+		}
+	}
+	return got, nil
+}
+
+// appendRecords appends b's records to dst, payloads copied.
+func appendRecords(dst []Record, b *RecordBatch) []Record {
+	for i := 0; i < b.Len(); i++ {
+		var rec Record
+		b.Record(i, &rec)
+		rec.Payload = append([]byte(nil), rec.Payload...)
+		dst = append(dst, rec)
+	}
+	return dst
+}
+
 // FuzzScanFile feeds ScanFile arbitrary bytes with an arbitrary amount torn
-// off the end. It must never panic; on the streaming path it must succeed
-// exactly when the streaming reader does — except that a torn last block is
-// the end of the file to it — with the same records, and never deliver a
-// record of a block that is incomplete or fails its CRC.
+// off the end, an arbitrary range and an arbitrary app set. It must never
+// panic. On the streaming path, over the whole range, it must succeed
+// exactly when the streaming reader does — except that a torn last block
+// is the end of the file to it — with the same records, and never deliver
+// a record of a block that is incomplete or fails its CRC. By the index it
+// must deliver exactly the records a full decode of the blocks it reads,
+// trimmed and filtered, delivers, and fail exactly when that full decode
+// fails: decompressing a block only as far as the rows it keeps changes
+// neither what it delivers nor which blocks it refuses.
 func FuzzScanFile(f *testing.F) {
 	recs := []Record{
 		{Type: RecAppName, TS: 1000, App: 0, AppName: "com.a"},
@@ -343,28 +403,62 @@ func FuzzScanFile(f *testing.F) {
 	cw.Write(&recs[2])
 	cw.Flush()
 	synth := synthMETR3(f) // several blocks
+	const all, none = math.MinInt64, math.MaxInt64
 	for _, data := range [][]byte{flat, synth, cbuf.Bytes()} {
-		f.Add(data, uint16(0))
-		f.Add(data, uint16(footerLen+3))  // unsealed
-		f.Add(data, uint16(footerLen+20)) // unsealed, torn
+		f.Add(data, uint16(0), int64(all), int64(none), uint8(0))
+		f.Add(data, uint16(footerLen+3), int64(all), int64(none), uint8(0))  // unsealed
+		f.Add(data, uint16(footerLen+20), int64(all), int64(none), uint8(0)) // unsealed, torn
 	}
-	f.Add([]byte{}, uint16(0))
+	// By the index: a range cutting blocks, with and without an app set.
+	dt := SynthDevice()
+	mid := dt.Records[len(dt.Records)/2].TS
+	f.Add(synth, uint16(0), int64(mid), int64(mid+3600e6), uint8(0))
+	f.Add(synth, uint16(0), int64(mid), int64(mid+3600e6), uint8(0b101))
+	f.Add(synth, uint16(0), int64(all), int64(mid), uint8(0b10))
+	f.Add(cbuf.Bytes(), uint16(0), int64(1500), int64(2500), uint8(1))
+	f.Add(craftColumnFile(screenBlock, 1, 100, 100), uint16(0), int64(all), int64(none), uint8(0))
+	f.Add([]byte{}, uint16(0), int64(all), int64(none), uint8(0))
 	for _, seed := range legacySeeds(synth[len(magic):]) {
-		f.Add(seed, uint16(0))
-		f.Add(seed, uint16(footerLen+3))
+		f.Add(seed, uint16(0), int64(all), int64(none), uint8(0))
+		f.Add(seed, uint16(footerLen+3), int64(all), int64(none), uint8(0))
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte, tear uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, tear uint16, from, to int64, apps uint8) {
 		data = data[:len(data)-int(tear)%(len(data)+1)]
-		scan, stream := readPaths[2].read, readPaths[0].read
-		got, scanErr := scan(t, data)
+		opt := ScanOptions{Range: TimeRange{From: Timestamp(from), To: Timestamp(to)}}
+		for a := uint32(0); a < 8; a++ {
+			if apps&(1<<a) != 0 {
+				opt.Apps = append(opt.Apps, a)
+			}
+		}
+		path := writeTemp(t, data)
+		var got []Record
+		_, scanErr := ScanFile(path, opt, nil, func(b *RecordBatch) error {
+			got = appendRecords(got, b)
+			return nil
+		})
 		if refusedLegacy(t, data, scanErr) {
 			return
 		}
 		if _, _, _, indexed, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data))); indexed || err != nil {
-			return // ScanFile went by the index, or refused it
+			want, fullErr := fullScan(data, opt)
+			if (scanErr == nil) != (fullErr == nil) {
+				t.Fatalf("ScanFile: %v, full decode: %v", scanErr, fullErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("ScanFile delivered %d records, full decode %d", len(got), len(want))
+			}
+			for i := range got {
+				if !sameRecord(&got[i], &want[i]) {
+					t.Fatalf("record %d differs from the full decode's", i)
+				}
+			}
+			return
 		}
-		want, streamErr := stream(t, data)
+		if opt.Range.From != all || opt.Range.To != none || len(opt.Apps) > 0 {
+			return // the streaming reader is the reference over the whole range only
+		}
+		want, streamErr := readPaths[0].read(t, data)
 		if errors.Is(streamErr, errTornBlock) {
 			streamErr = nil
 		}

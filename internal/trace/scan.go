@@ -14,7 +14,9 @@ import (
 // window [From, To) before any byte of the block is read or decompressed.
 // Within a surviving block, records are trimmed to the window by binary
 // search on the (sorted) timestamp column, and an optional app predicate
-// is applied column-at-a-time before any row assembly. Files without an
+// is applied column-at-a-time before any row assembly; the block's
+// payloads are decompressed only through the last row kept (see
+// Index.Scan). Files without an
 // intact footer — flat v1 streams and METR-3 files still being
 // written (the ingest segment store's live tail) — fall back to a
 // streaming scan with the same record-level semantics, just without
@@ -44,14 +46,17 @@ func (t TimeRange) overlapsBlock(first, last Timestamp) bool {
 // ScanStats counts pushdown effectiveness across one or more scans.
 // BlocksSkipped is the proof the seek index worked: blocks never read,
 // decompressed or decoded because their advertised range missed the
-// window.
+// window. BytesDecompressed is the proof the rest of the pushdown did:
+// of the blocks scanned, only the payload bytes through the last row
+// delivered are written.
 type ScanStats struct {
-	Files          int   // files opened
-	BlocksTotal    int   // index entries examined (indexed files only)
-	BlocksSkipped  int   // blocks pruned by the [From, To) overlap test
-	BlocksScanned  int   // blocks decoded
-	RecordsScanned int64 // records decoded before trimming/filtering
-	RecordsMatched int64 // records delivered to the callback
+	Files             int   // files opened
+	BlocksTotal       int   // index entries examined (indexed files only)
+	BlocksSkipped     int   // blocks pruned by the [From, To) overlap test
+	BlocksScanned     int   // blocks decoded
+	BytesDecompressed int64 // uncompressed payload bytes written (indexed files only)
+	RecordsScanned    int64 // records decoded before trimming/filtering
+	RecordsMatched    int64 // records delivered to the callback
 }
 
 // Add accumulates o into s (for merging per-file or per-node stats).
@@ -60,6 +65,7 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.BlocksTotal += o.BlocksTotal
 	s.BlocksSkipped += o.BlocksSkipped
 	s.BlocksScanned += o.BlocksScanned
+	s.BytesDecompressed += o.BytesDecompressed
 	s.RecordsScanned += o.RecordsScanned
 	s.RecordsMatched += o.RecordsMatched
 }
@@ -104,6 +110,16 @@ func (f appFilter) keep(b *RecordBatch, i int) bool {
 	return ok
 }
 
+// end returns one past the last row of [lo, hi) of b the predicate keeps,
+// or lo when it keeps none: no row from there on is delivered, so no byte
+// of theirs need be decompressed.
+func (f appFilter) end(b *RecordBatch, lo, hi int) int {
+	for f != nil && hi > lo && !f.keep(b, hi-1) {
+		hi--
+	}
+	return hi
+}
+
 // ScanFile scans one trace file, delivering the in-window (and
 // app-matching) records to fn as read-only batches valid only for the
 // duration of the call. It returns the device name from the file
@@ -121,7 +137,21 @@ func ScanFile(path string, opt ScanOptions, stats *ScanStats, fn func(*RecordBat
 	if ix == nil {
 		return scanStream(f, opt, stats, fn)
 	}
-	return ix.device, scanIndexed(f, ix, opt, stats, fn)
+	stats.BlocksTotal += len(ix.blocks)
+	stats.BlocksSkipped += ix.Pruned(opt.Range)
+	return ix.device, ix.Scan(f, opt, stats, fn)
+}
+
+// Pruned is how many of the file's blocks a scan over r skips without
+// reading: those whose index range misses r.
+func (ix *Index) Pruned(r TimeRange) int {
+	n := 0
+	for _, b := range ix.blocks {
+		if !r.overlapsBlock(b.First, b.Last) {
+			n++
+		}
+	}
+	return n
 }
 
 // scanStream is the no-index fallback: decode front to back, trim and
@@ -153,46 +183,71 @@ func scanStream(f *os.File, opt ScanOptions, stats *ScanStats, fn func(*RecordBa
 	}
 }
 
-// scanIndexed prunes blocks via the footer index and decodes only the
-// survivors, each straight into columns so the app filter runs before any
-// Record is built.
-func scanIndexed(f *os.File, ix *blockIndex, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) error {
+// Scan is ScanFile over the file ix was read from, which ra holds: it
+// prunes blocks by the index and decodes only the survivors, each in
+// stages — the column region first, then the rows trimmed to the window
+// and filtered by app column by column, then the blob decompressed only
+// through the last row delivered and the rest of the block's stream
+// walked, not written. A block is accepted or refused exactly as a full
+// read accepts or refuses it, and it is refused before any of its rows is
+// delivered. Scan counts the work it does into stats — blocks scanned,
+// bytes decompressed, records — and leaves the per-file counts (files,
+// blocks total and skipped) to its caller.
+func (ix *Index) Scan(ra io.ReaderAt, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) error {
 	filter := newAppFilter(opt.Apps)
 	sc := blockScratchPool.Get().(*blockScratch)
 	defer blockScratchPool.Put(sc)
+	b := &sc.batch
 	var out RecordBatch
-	for i, b := range ix.blocks {
-		stats.BlocksTotal++
-		if !opt.Range.overlapsBlock(b.First, b.Last) {
-			stats.BlocksSkipped++
+	for i, e := range ix.blocks {
+		if !opt.Range.overlapsBlock(e.First, e.Last) {
 			continue
 		}
 		stats.BlocksScanned++
-		sc.raw = sliceCap(sc.raw, b.UncompLen)
-		if err := ix.readBlockAt(f, i, sc, sc.raw, &sc.batch); err != nil {
+		h, comp, err := ix.loadBlock(ra, i, sc)
+		if err != nil {
 			return err
 		}
-		if err := emitTrimmed(&sc.batch, opt.Range, filter, &out, stats, fn); err != nil {
+		sc.raw = sliceCap(sc.raw, e.UncompLen)
+		if err := sc.openBlock(comp, sc.raw, h, b); err != nil {
+			return err
+		}
+		stats.RecordsScanned += int64(b.Len())
+		lo, hi := window(b, opt.Range)
+		end := filter.end(b, lo, hi)
+		if err := sc.finishBlock(b, lo, end); err != nil {
+			return err
+		}
+		stats.BytesDecompressed += int64(sc.lz.Filled())
+		if err := emit(b, lo, end, filter, &out, stats, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emitTrimmed trims b to the window by binary search on the sorted
-// timestamp column, applies the app filter columnar-ly (compacting into
-// out only when the filter drops rows — the unfiltered in-window run is
-// delivered as a zero-copy view), and hands the result to fn.
+// emitTrimmed trims b to the window and hands what the app filter keeps of
+// it to fn (see window and emit).
 func emitTrimmed(b *RecordBatch, r TimeRange, filter appFilter, out *RecordBatch, stats *ScanStats, fn func(*RecordBatch) error) error {
+	stats.RecordsScanned += int64(b.Len())
+	lo, hi := window(b, r)
+	return emit(b, lo, hi, filter, out, stats, fn)
+}
+
+// window returns b's in-window run [lo, hi), found by binary search on the
+// timestamp column: timestamps within a batch are non-decreasing
+// (writer-enforced), so the run is contiguous.
+func window(b *RecordBatch, r TimeRange) (lo, hi int) {
 	n := b.Len()
-	stats.RecordsScanned += int64(n)
-	if n == 0 {
-		return nil
-	}
-	// Timestamps within a batch are non-decreasing (writer-enforced), so
-	// the in-window run is contiguous: [lo, hi).
-	lo := sort.Search(n, func(i int) bool { return b.TS[i] >= r.From })
-	hi := sort.Search(n, func(i int) bool { return b.TS[i] >= r.To })
+	lo = sort.Search(n, func(i int) bool { return b.TS[i] >= r.From })
+	hi = sort.Search(n, func(i int) bool { return b.TS[i] >= r.To })
+	return lo, max(lo, hi)
+}
+
+// emit applies the app filter to rows [lo, hi) of b columnar-ly
+// (compacting into out only when the filter drops rows — the unfiltered
+// run is delivered as a zero-copy view) and hands the result to fn.
+func emit(b *RecordBatch, lo, hi int, filter appFilter, out *RecordBatch, stats *ScanStats, fn func(*RecordBatch) error) error {
 	if lo >= hi {
 		return nil
 	}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"netenergy/internal/lz"
 )
 
 // scanRecords returns every record ScanFile delivers from path for opt,
@@ -360,5 +362,128 @@ func TestCorruptInvertedBlockRange(t *testing.T) {
 				t.Fatalf("decode of inverted range: got %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// patternRecords builds n packet records evenly spread over span, each
+// with a 400-byte payload repeating (seed, i, i>>8): every record's bytes
+// are its own, and compress to a match that ends where the record ends, so
+// the LZ stream has a sequence boundary at every row. The first tenth of
+// the records belong to app 9, the rest to apps 1-3.
+func patternRecords(n int, seed byte, span Timestamp) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		payload := make([]byte, 400)
+		for j := range payload {
+			payload[j] = [3]byte{seed, byte(i), byte(i >> 8)}[j%3]
+		}
+		app := uint32(1 + i%3)
+		if i < n/10 {
+			app = 9
+		}
+		recs[i] = Record{Type: RecPacket, TS: span * Timestamp(i) / Timestamp(n), App: app,
+			Dir: DirUp, Net: NetCellular, State: StateService, Payload: payload}
+	}
+	return recs
+}
+
+// TestScanDecompressesThroughLastRow: a scan whose range (or app set) ends
+// early in a block writes only part of the block's payload, and still
+// delivers every row it keeps whole. File a's block shares file b's shape
+// byte for byte, with other payloads; scanning all of a just before each
+// scan of b leaves a's bytes in the scan's buffer, so a row of b the scan
+// did not decompress reads as a's.
+func TestScanDecompressesThroughLastRow(t *testing.T) {
+	const span = 6 * 3600e6 // six hours, one block
+	ra, rb := patternRecords(240, 0xA0, span), patternRecords(240, 0xB0, span)
+	a := writeTemp(t, writeColumnar(t, "d", 0, ra))
+	data := writeColumnar(t, "d", 0, rb)
+	b := writeTemp(t, data)
+	_, _, blocks, _, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil || len(blocks) != 1 {
+		t.Fatalf("fixture: %d blocks, %v; want one", len(blocks), err)
+	}
+	ulen := int64(blocks[0].UncompLen)
+	all := TimeRange{From: 0, To: span}
+	var batchB RecordBatch
+	for i := range rb {
+		batchB.Append(&rb[i])
+	}
+
+	scanB := func(opt ScanOptions) ScanStats {
+		t.Helper()
+		scanRecords(t, a, ScanOptions{Range: all})
+		got, stats := scanRecords(t, b, opt)
+		filter := newAppFilter(opt.Apps)
+		var want []Record
+		for i := range rb {
+			if opt.Range.Contains(rb[i].TS) && filter.keep(&batchB, i) {
+				want = append(want, rb[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%+v: %d records, want %d", opt, len(got), len(want))
+		}
+		for i := range got {
+			if !sameRecord(&got[i], &want[i]) {
+				t.Fatalf("%+v: record %d (ts %d) differs from the one written", opt, i, want[i].TS)
+			}
+		}
+		return stats
+	}
+
+	last := rb[len(rb)-1].TS
+	for _, to := range []Timestamp{1, 3600e6, span / 2, last, span} {
+		stats := scanB(ScanOptions{Range: TimeRange{From: 0, To: to}})
+		if to <= last && stats.BytesDecompressed >= ulen {
+			t.Errorf("[0, %d): decompressed %d bytes, the whole block is %d", to, stats.BytesDecompressed, ulen)
+		}
+		if to == span && stats.BytesDecompressed != ulen {
+			t.Errorf("whole range: decompressed %d bytes of %d", stats.BytesDecompressed, ulen)
+		}
+	}
+	hour := scanB(ScanOptions{Range: TimeRange{From: 3600e6, To: 2 * 3600e6}})
+	if hour.BytesDecompressed <= 0 || hour.BytesDecompressed >= ulen/2 {
+		t.Errorf("second hour of six: decompressed %d bytes of %d", hour.BytesDecompressed, ulen)
+	}
+	// App 9's rows all lie in the first tenth of the block: the app set
+	// ends the scan's need there, not the range.
+	app := scanB(ScanOptions{Range: all, Apps: []uint32{9}})
+	if app.BytesDecompressed >= ulen/2 {
+		t.Errorf("app 9 over the whole range: decompressed %d bytes of %d", app.BytesDecompressed, ulen)
+	}
+}
+
+// TestScanRefusesMalformedTail: a block whose CRC is intact but whose
+// compressed stream is malformed past the rows a scan keeps is refused by
+// that scan, as a full read refuses it — the rest of the stream is
+// checked, not skipped.
+func TestScanRefusesMalformedTail(t *testing.T) {
+	recs := patternRecords(3, 0xC0, 300)
+	rand := recs[2].Payload
+	for i := range rand {
+		rand[i] = byte(i*i*31 + i>>3) // no 4-byte repeats: literals to the end
+	}
+	var batch RecordBatch
+	for i := range recs {
+		batch.Append(&recs[i])
+	}
+	raw, _ := appendColumns(nil, &batch, recs[0].TS, nil)
+	comp := new(lz.Appender).Compress(nil, raw)
+	for name, payload := range map[string][]byte{
+		"truncated terminal literals": comp[:len(comp)-1],
+		"byte past the terminal":      append(append([]byte(nil), comp...), 0),
+	} {
+		data := craftColumnStream(payload, len(raw), len(recs), recs[0].TS, recs[2].TS)
+		for _, to := range []Timestamp{recs[1].TS, recs[2].TS + 1} {
+			_, err := ScanFile(writeTemp(t, data), ScanOptions{Range: TimeRange{From: 0, To: to}}, nil,
+				func(*RecordBatch) error { return nil })
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, range [0, %d): ScanFile: %v, want ErrCorrupt", name, to, err)
+			}
+		}
+		if _, err := ReadFile(writeTemp(t, data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadFile: %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -330,17 +330,3 @@ func (f *Fleet) EachDevice(fn func(dt *DeviceTrace) error) error {
 	}
 	return nil
 }
-
-// Window returns a copy of the trace restricted to records with
-// from <= TS < to. App-name registrations are always kept so the table
-// survives.
-func (dt *DeviceTrace) Window(from, to Timestamp) *DeviceTrace {
-	out := &DeviceTrace{Device: dt.Device, Start: from, Apps: dt.Apps}
-	for i := range dt.Records {
-		r := dt.Records[i]
-		if r.Type == RecAppName || (r.TS >= from && r.TS < to) {
-			out.Records = append(out.Records, r)
-		}
-	}
-	return out
-}

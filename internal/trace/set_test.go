@@ -270,22 +270,3 @@ func TestStringers(t *testing.T) {
 		t.Errorf("Record.String = %q", r.String())
 	}
 }
-
-func TestWindow(t *testing.T) {
-	dt := &DeviceTrace{Device: "d", Start: 0, Apps: NewAppTable()}
-	a := dt.Apps.Intern("com.a")
-	dt.Records = []Record{
-		{Type: RecAppName, App: a, AppName: "com.a"},
-		{Type: RecPacket, TS: 10, App: a, Payload: []byte{1}},
-		{Type: RecPacket, TS: 20, App: a, Payload: []byte{2}},
-		{Type: RecPacket, TS: 30, App: a, Payload: []byte{3}},
-	}
-	got := dt.Window(15, 30)
-	// appname + packet@20 only.
-	if len(got.Records) != 2 {
-		t.Fatalf("records = %v", got.Records)
-	}
-	if got.Start != 15 {
-		t.Errorf("start = %d", got.Start)
-	}
-}

@@ -137,13 +137,13 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 
 // segment is what pass 1 keeps of one file: what orders it among its
 // device's files, which windows its records can fall in, and — sealed —
-// the identity a memoised window names it by.
+// its index, which pass 2 scans it through, and the identity a memoised
+// window names it by.
 type segment struct {
 	path   string
 	device string
 	start  trace.Timestamp // from the header
-	sealed bool            // has a footer index, so will never change
-	blocks int
+	ix     *trace.Index    // the footer index; nil = unsealed, so may still change
 
 	// Every record lies in [first, last]. A sealed file's bounds are its
 	// index's. An unsealed file may still grow, so its last is the
@@ -154,11 +154,46 @@ type segment struct {
 	// size and mtime are those of the descriptor the index was read
 	// through: a stat of the path could describe a file sealed since.
 	size, mtime int64
+
+	f *os.File // pass 2's descriptor of a sealed file, from its first run on
 }
+
+// sealed reports whether the file has a footer index, so will never change.
+func (s *segment) sealed() bool { return s.ix != nil }
 
 // overlaps reports whether the file can hold a record inside r.
 func (s *segment) overlaps(r trace.TimeRange) bool {
 	return s.first < r.To && s.last >= r.From
+}
+
+// scan runs one range of pass 2 over the file. A sealed file is scanned
+// through the index pass 1 read, on a descriptor opened at its first run
+// and kept for the rest; fstat must show it is still the file that index
+// came from. An unsealed file, which may have grown since pass 1, is
+// opened and streamed by ScanFile.
+func (s *segment) scan(opt trace.ScanOptions, stats *trace.ScanStats, fn func(*trace.RecordBatch) error) error {
+	if !s.sealed() {
+		_, err := trace.ScanFile(s.path, opt, stats, fn)
+		return err
+	}
+	if s.f == nil {
+		f, err := os.Open(s.path)
+		if err != nil {
+			return err
+		}
+		st, err := f.Stat()
+		if err == nil && (st.Size() != s.size || st.ModTime().UnixNano() != s.mtime) {
+			err = fmt.Errorf("changed since its index was read: size %d, mtime %d; was %d, %d",
+				st.Size(), st.ModTime().UnixNano(), s.size, s.mtime)
+		}
+		if err != nil {
+			f.Close()
+			return err
+		}
+		s.f = f
+		stats.Files++
+	}
+	return s.ix.Scan(s.f, opt, stats, fn)
 }
 
 func statSegment(path string) (segment, error) {
@@ -172,15 +207,15 @@ func statSegment(path string) (segment, error) {
 	if err != nil {
 		return seg, err
 	}
-	device, start, blocks, sealed, err := trace.ReadBlockIndex(f, st.Size())
+	ix, err := trace.ReadIndex(f, st.Size())
 	if err != nil {
 		return seg, err
 	}
-	if sealed {
-		seg.device, seg.start, seg.sealed, seg.blocks = device, start, true, len(blocks)
+	if ix != nil {
+		seg.device, seg.start, seg.ix = ix.Device(), ix.Start(), ix
 		seg.size, seg.mtime = st.Size(), st.ModTime().UnixNano()
 		seg.first, seg.last = math.MaxInt64, math.MinInt64
-		for _, b := range blocks {
+		for _, b := range ix.Blocks() {
 			if b.Count > 0 {
 				seg.first, seg.last = min(seg.first, b.First), max(seg.last, b.Last)
 			}
@@ -232,7 +267,7 @@ func settledWindows(segs []segment, q Query) []settled {
 	lo := analysis.WindowStart(q.From+w-1, w)
 	hi := analysis.WindowStart(q.To, w)
 	for i := range segs {
-		if !segs[i].sealed {
+		if !segs[i].sealed() {
 			if segs[i].first == math.MinInt64 {
 				return nil
 			}
@@ -248,7 +283,7 @@ func settledWindows(segs []segment, q Query) []settled {
 	}
 	var touches []touch
 	for i := range segs {
-		if !segs[i].sealed || segs[i].first > segs[i].last {
+		if !segs[i].sealed() || segs[i].first > segs[i].last {
 			continue
 		}
 		a := max(lo, analysis.WindowStart(segs[i].first, w))
@@ -336,15 +371,21 @@ func (e Engine) deviceWindows(device string, segs []segment, q Query, params str
 	// would from a single scan of the whole range.
 	acc := analysis.NewWindowedAccumulator(device, q.Window, e.Opts)
 	names := map[trace.Timestamp][]appName{} // by window start
-	scanned := make([]bool, len(segs))
+	defer func() {
+		for i := range segs {
+			if segs[i].f != nil {
+				segs[i].f.Close()
+				segs[i].f = nil
+			}
+		}
+	}()
 	for _, run := range runs {
 		opt := trace.ScanOptions{Range: run, Apps: q.Apps}
 		for i := range segs {
 			if !segs[i].overlaps(run) {
 				continue
 			}
-			scanned[i] = true
-			if _, err := trace.ScanFile(segs[i].path, opt, stats, func(b *trace.RecordBatch) error {
+			if err := segs[i].scan(opt, stats, func(b *trace.RecordBatch) error {
 				for j, typ := range b.Types {
 					if typ == trace.RecAppName {
 						// The batch is the scan's buffer: the name is copied.
@@ -359,14 +400,13 @@ func (e Engine) deviceWindows(device string, segs []segment, q Query, params str
 			}
 		}
 	}
-	// A sealed file no run opened still had its index examined, in pass 1;
-	// its blocks count as pruned where the query range itself misses it.
+	// A sealed file's index was read once, in pass 1, and its entries
+	// count once however many runs scanned it: as pruned where the query
+	// range misses them.
 	for i := range segs {
-		if !scanned[i] {
-			stats.BlocksTotal += segs[i].blocks
-			if !segs[i].overlaps(q.Range()) {
-				stats.BlocksSkipped += segs[i].blocks
-			}
+		if ix := segs[i].ix; ix != nil {
+			stats.BlocksTotal += len(ix.Blocks())
+			stats.BlocksSkipped += ix.Pruned(q.Range())
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -367,5 +368,68 @@ func TestMemoConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestMemoTwoRunsCountBlocksOnce: when the memo holds windows in the
+// middle of a sealed file, the rest of the range is two runs over that
+// file. Pass 2 opens it once and scans both runs through the index pass 1
+// read, and the query counts its index entries once.
+func TestMemoTwoRunsCountBlocksOnce(t *testing.T) {
+	dir := t.TempDir()
+	dt := synthgen.GenerateDevice(synthgen.Small(1, 2), 0)
+	path := filepath.Join(dir, "one-0000.metr3")
+	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, blocks, _, err := trace.ReadBlockIndex(f, st.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := len(blocks)
+	span := traceSpan([]*trace.DeviceTrace{dt})
+	mid := (span[0] + span[1]) / 2 / hourUS * hourUS
+
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	sameAsScan(t, eng, dir, Query{From: mid, To: mid + 3*hourUS, Window: hourUS}, "middle")
+	q := Query{From: span[0], To: span[1] + 1, Window: hourUS}
+	res := sameAsScan(t, eng, dir, q, "around the middle")
+	if res.Scan.WindowsMemoised == 0 || res.Scan.BlocksScanned == 0 {
+		t.Fatalf("want the middle memoised and the rest scanned: %+v", res.Scan)
+	}
+	if res.Scan.BlocksTotal != entries || res.Scan.Files != 1 {
+		t.Fatalf("two runs over one file of %d index entries: blocks_total %d, files %d, want %d and 1",
+			entries, res.Scan.BlocksTotal, res.Scan.Files, entries)
+	}
+	if res.Scan.BlocksSkipped > res.Scan.BlocksTotal {
+		t.Fatalf("blocks_skipped %d over blocks_total %d", res.Scan.BlocksSkipped, res.Scan.BlocksTotal)
+	}
+}
+
+// TestSegmentChangedBeforeScan: pass 2 scans a sealed file through the
+// index pass 1 read, so a file that is no longer the one that index came
+// from is refused, by name, rather than read through a stale index.
+func TestSegmentChangedBeforeScan(t *testing.T) {
+	dir := t.TempDir()
+	dt := synthgen.GenerateDevice(synthgen.Small(1, 1), 0)
+	path := filepath.Join(dir, "swap-0000.metr3")
+	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records)
+	seg, err := statSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records[:len(dt.Records)/2])
+	q := Query{From: math.MinInt64 / 4, To: math.MaxInt64 / 4}
+	var stats trace.ScanStats
+	_, _, err = Engine{}.deviceWindows(dt.Device, []segment{seg}, q, "", &stats)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "changed since its index was read") {
+		t.Fatalf("scan of a file replaced after pass 1: %v", err)
 	}
 }

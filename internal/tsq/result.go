@@ -30,12 +30,17 @@ type WindowRow struct {
 // counters are part of the result so callers (and tests) can assert
 // that the seek index actually skipped blocks.
 type ScanStats struct {
-	Files          int   `json:"files"`
-	BlocksTotal    int   `json:"blocks_total"`
-	BlocksSkipped  int   `json:"blocks_skipped"`
-	BlocksScanned  int   `json:"blocks_scanned"`
-	RecordsScanned int64 `json:"records_scanned"`
-	RecordsMatched int64 `json:"records_matched"`
+	Files         int `json:"files"`
+	BlocksTotal   int `json:"blocks_total"`
+	BlocksSkipped int `json:"blocks_skipped"`
+	BlocksScanned int `json:"blocks_scanned"`
+	// BytesDecompressed is the uncompressed block payload the scan wrote
+	// into the blocks of sealed files it decoded: of each, the bytes
+	// through the last row it kept. Unsealed files are read whole and not
+	// counted.
+	BytesDecompressed int64 `json:"bytes_decompressed,omitempty"`
+	RecordsScanned    int64 `json:"records_scanned"`
+	RecordsMatched    int64 `json:"records_matched"`
 	// WindowsMemoised counts the device-windows answered from the engine's
 	// Memo rather than from blocks: with it, a result whose blocks_scanned
 	// is 0 still says where its records came from.
@@ -44,12 +49,13 @@ type ScanStats struct {
 
 func statsOf(s trace.ScanStats) ScanStats {
 	return ScanStats{
-		Files:          s.Files,
-		BlocksTotal:    s.BlocksTotal,
-		BlocksSkipped:  s.BlocksSkipped,
-		BlocksScanned:  s.BlocksScanned,
-		RecordsScanned: s.RecordsScanned,
-		RecordsMatched: s.RecordsMatched,
+		Files:             s.Files,
+		BlocksTotal:       s.BlocksTotal,
+		BlocksSkipped:     s.BlocksSkipped,
+		BlocksScanned:     s.BlocksScanned,
+		BytesDecompressed: s.BytesDecompressed,
+		RecordsScanned:    s.RecordsScanned,
+		RecordsMatched:    s.RecordsMatched,
 	}
 }
 
@@ -58,6 +64,7 @@ func (s *ScanStats) add(o ScanStats) {
 	s.BlocksTotal += o.BlocksTotal
 	s.BlocksSkipped += o.BlocksSkipped
 	s.BlocksScanned += o.BlocksScanned
+	s.BytesDecompressed += o.BytesDecompressed
 	s.RecordsScanned += o.RecordsScanned
 	s.RecordsMatched += o.RecordsMatched
 	s.WindowsMemoised += o.WindowsMemoised

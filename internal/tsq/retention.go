@@ -80,7 +80,7 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 		}
 		path := filepath.Join(dir, ent.Name())
 		seg, err := statSegment(path)
-		if err != nil || !seg.sealed || seg.first > seg.last || seg.last >= cutoff {
+		if err != nil || !seg.sealed() || seg.first > seg.last || seg.last >= cutoff {
 			rep.FilesKept++
 			continue // not a segment at all, unsealed, empty, or too new
 		}
