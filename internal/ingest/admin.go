@@ -193,6 +193,7 @@ func (s *Server) adminMux() http.Handler {
 		s.counters.queries.Add(1)
 		s.counters.queryBlocksSkipped.Add(int64(res.Scan.BlocksSkipped))
 		s.counters.queryWindowsMemoised.Add(int64(res.Scan.WindowsMemoised))
+		s.counters.queryBlocksCached.Add(int64(res.Scan.BlocksCached))
 		s.counters.queryMemoBytes.Set(s.memo.Bytes())
 		WriteJSON(w, res)
 	})
@@ -284,11 +285,11 @@ func (s *Server) adminMux() http.Handler {
 // store's own payload cap plus header slack.
 const maxTransferBytes = checkpoint.MaxPayload + 64
 
-// WriteJSON answers an admin request with v as indented JSON. It encodes
+// WriteJSON answers an admin request with v as compact JSON. It encodes
 // before it answers, so a value the encoder refuses (a non-finite float) is
 // a 500 carrying the error, not a 200 with no body.
 func WriteJSON(w http.ResponseWriter, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
+	b, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -64,8 +64,10 @@ type counters struct {
 	queryErrors        *obs.Counter // GET /query requests rejected or failed
 	queryBlocksSkipped *obs.Counter // blocks pruned by the seek index across queries
 	// The query memo (tsq.Memo): settled device-windows answered without a
-	// scan, and the heap the memo held after the last query.
+	// scan, scanned blocks served from memory, and the heap the memo held
+	// after the last query.
 	queryWindowsMemoised *obs.Counter
+	queryBlocksCached    *obs.Counter
 	queryMemoBytes       *obs.Gauge
 
 	// Hot-path distributions. frameSeconds is the per-frame record-decode
@@ -130,7 +132,8 @@ func newCounters() *counters {
 		queryBlocksSkipped: reg.Counter("ingest_query_blocks_skipped_total", "blocks pruned by the segment seek index across queries"),
 
 		queryWindowsMemoised: reg.Counter("ingest_query_windows_memoised_total", "settled device-windows answered from the query memo instead of a scan"),
-		queryMemoBytes:       reg.Gauge("ingest_query_memo_bytes", "estimated heap held by the query memo after the last query"),
+		queryBlocksCached:    reg.Counter("ingest_query_blocks_cached_total", "scanned blocks served from the query memo instead of read and decoded"),
+		queryMemoBytes:       reg.Gauge("ingest_query_memo_bytes", "estimated heap held by the query memo (windows, segment indexes and kept blocks) after the last query"),
 
 		frameSeconds:     reg.Histogram("ingest_frame_decode_seconds", "per-frame record decode latency", obs.DurationBuckets()),
 		applySeconds:     reg.Histogram("ingest_apply_latency_seconds", "shard enqueue-to-apply latency per batch", obs.DurationBuckets()),

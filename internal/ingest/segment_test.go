@@ -170,6 +170,20 @@ func TestQueryTwiceAnswersTheSame(t *testing.T) {
 	if got := metricValue(t, base, "ingest_query_memo_bytes"); got == 0 {
 		t.Fatal("ingest_query_memo_bytes is 0 with windows memoised")
 	}
+	// The wide first query decoded every sealed block whole, so an
+	// unwindowed query over the same range — which no window memo serves —
+	// is trimmed from the blocks it kept, opening no file.
+	unwindowed := fmt.Sprintf("from=%d&to=%d", head.SpanStartUS-day, head.SpanEndUS+2*day)
+	var plain tsq.Result
+	if code := adminGet(t, base+"/query?"+unwindowed, &plain); code != http.StatusOK {
+		t.Fatalf("unwindowed /query: %d", code)
+	}
+	if sc := plain.Scan; sc.BlocksCached == 0 || sc.BlocksCached != sc.BlocksScanned || sc.BytesDecompressed != 0 || sc.Files != 0 {
+		t.Fatalf("unwindowed query after a wide one: %+v, want every block from the memo", sc)
+	}
+	if got := metricValue(t, base, "ingest_query_blocks_cached_total"); got != float64(plain.Scan.BlocksCached) {
+		t.Fatalf("ingest_query_blocks_cached_total = %g after serving %d", got, plain.Scan.BlocksCached)
+	}
 
 	streamTrace(t, addrOf(s), dts[2])
 	after := askTwice("three devices")

@@ -212,13 +212,30 @@ type blockScratch struct {
 	// iterator decoded last, and batch that block: batch's Blob aliases raw,
 	// so both are overwritten by the next decode — whatever a caller keeps
 	// of a delivered batch (an app name, say) it must copy. A scan writes
-	// raw only through the last row it delivers. The parallel reader
+	// raw only through the last row it delivers; a block it wrote whole it
+	// may hand to a BlockCache instead (see handOff). The parallel reader
 	// decodes into its own arena and leaves raw alone.
 	raw   []byte
 	batch RecordBatch
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+// handOff gives up the block just decoded, for a BlockCache to keep: the
+// batch and the payload buffer its Blob aliases leave the scratch, and the
+// next decode allocates its own. Nothing of the scratch refers to them
+// afterwards. It returns the batch and the heap the two
+// hold, by capacity.
+func (sc *blockScratch) handOff() (*RecordBatch, int64) {
+	b := new(RecordBatch)
+	*b = sc.batch
+	// Seven slice headers, then what they hold.
+	size := 7*24 + int64(cap(sc.raw)+cap(b.Types)+cap(b.Flags)+cap(b.Aux)) +
+		8*int64(cap(b.TS)) + 4*int64(cap(b.App)+cap(b.Off))
+	sc.batch, sc.raw = RecordBatch{}, nil
+	sc.lz.Reset(nil, nil) // nor may the decoder keep it alive past an eviction
+	return b, size
+}
 
 // verifyPayload checks comp against the header's CRC32C, before a byte of
 // it is decompressed.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -366,6 +367,13 @@ func fullScan(data []byte, opt ScanOptions) ([]Record, error) {
 	return got, nil
 }
 
+// mapCache is a BlockCache for one scan at a time.
+type mapCache map[int]*RecordBatch
+
+func (c mapCache) Block(i int) *RecordBatch { return c[i] }
+
+func (c mapCache) Keep(i int, b *RecordBatch, size int64) { c[i] = b }
+
 // appendRecords appends b's records to dst, payloads copied.
 func appendRecords(dst []Record, b *RecordBatch) []Record {
 	for i := 0; i < b.Len(); i++ {
@@ -386,7 +394,10 @@ func appendRecords(dst []Record, b *RecordBatch) []Record {
 // must deliver exactly the records a full decode of the blocks it reads,
 // trimmed and filtered, delivers, and fail exactly when that full decode
 // fails: decompressing a block only as far as the rows it keeps changes
-// neither what it delivers nor which blocks it refuses.
+// neither what it delivers nor which blocks it refuses. Scanned twice
+// through one BlockCache, which the first pass fills and the second
+// serves from, the index delivers the same records and fails with the
+// same error as ScanFile, which keeps nothing.
 func FuzzScanFile(f *testing.F) {
 	recs := []Record{
 		{Type: RecAppName, TS: 1000, App: 0, AppName: "com.a"},
@@ -452,6 +463,35 @@ func FuzzScanFile(f *testing.F) {
 				if !sameRecord(&got[i], &want[i]) {
 					t.Fatalf("record %d differs from the full decode's", i)
 				}
+			}
+			ix, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				return
+			}
+			kept := mapCache{}
+			var before int64
+			for pass := 0; pass < 2; pass++ {
+				var again []Record
+				var stats ScanStats
+				err := ix.Scan(bytes.NewReader(data), kept, opt, &stats, func(b *RecordBatch) error {
+					again = appendRecords(again, b)
+					return nil
+				})
+				if fmt.Sprint(err) != fmt.Sprint(scanErr) {
+					t.Fatalf("pass %d through a block cache: %v, ScanFile: %v", pass, err, scanErr)
+				}
+				if len(again) != len(got) {
+					t.Fatalf("pass %d through a block cache delivered %d records, ScanFile %d", pass, len(again), len(got))
+				}
+				for i := range got {
+					if !sameRecord(&again[i], &got[i]) {
+						t.Fatalf("pass %d through a block cache: record %d differs from ScanFile's", pass, i)
+					}
+				}
+				if pass == 1 && (stats.BlocksCached != len(kept) || stats.BytesDecompressed > before) {
+					t.Fatalf("second pass over %d kept blocks: %+v, first decompressed %d", len(kept), stats, before)
+				}
+				before = stats.BytesDecompressed
 			}
 			return
 		}

@@ -48,12 +48,14 @@ func (t TimeRange) overlapsBlock(first, last Timestamp) bool {
 // decompressed or decoded because their advertised range missed the
 // window. BytesDecompressed is the proof the rest of the pushdown did:
 // of the blocks scanned, only the payload bytes through the last row
-// delivered are written.
+// delivered are written. BlocksCached is the proof a BlockCache did: of
+// the blocks scanned, those served from memory, neither read nor decoded.
 type ScanStats struct {
 	Files             int   // files opened
 	BlocksTotal       int   // index entries examined (indexed files only)
 	BlocksSkipped     int   // blocks pruned by the [From, To) overlap test
-	BlocksScanned     int   // blocks decoded
+	BlocksScanned     int   // blocks decoded or served from a BlockCache
+	BlocksCached      int   // of BlocksScanned, those served from a BlockCache
 	BytesDecompressed int64 // uncompressed payload bytes written (indexed files only)
 	RecordsScanned    int64 // records decoded before trimming/filtering
 	RecordsMatched    int64 // records delivered to the callback
@@ -65,6 +67,7 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.BlocksTotal += o.BlocksTotal
 	s.BlocksSkipped += o.BlocksSkipped
 	s.BlocksScanned += o.BlocksScanned
+	s.BlocksCached += o.BlocksCached
 	s.BytesDecompressed += o.BytesDecompressed
 	s.RecordsScanned += o.RecordsScanned
 	s.RecordsMatched += o.RecordsMatched
@@ -139,7 +142,7 @@ func ScanFile(path string, opt ScanOptions, stats *ScanStats, fn func(*RecordBat
 	}
 	stats.BlocksTotal += len(ix.blocks)
 	stats.BlocksSkipped += ix.Pruned(opt.Range)
-	return ix.device, ix.Scan(f, opt, stats, fn)
+	return ix.device, ix.Scan(f, nil, opt, stats, fn)
 }
 
 // Pruned is how many of the file's blocks a scan over r skips without
@@ -183,6 +186,20 @@ func scanStream(f *os.File, opt ScanOptions, stats *ScanStats, fn func(*RecordBa
 	}
 }
 
+// BlockCache keeps blocks of one sealed file that scans decoded whole, so
+// that a later scan of the file serves them from memory. A kept block is a
+// pure function of the file: it was CRC-verified and decoded with every
+// check a full read makes. Implementations must be safe for concurrent
+// use: scans of one file may run at once and share what is kept.
+type BlockCache interface {
+	// Block returns block i as kept, or nil when it is not.
+	Block(i int) *RecordBatch
+	// Keep offers block i, decoded whole. size is the heap it holds. The
+	// batch is read-only from then on, to the cache and to every scan it
+	// is served to.
+	Keep(i int, b *RecordBatch, size int64)
+}
+
 // Scan is ScanFile over the file ix was read from, which ra holds: it
 // prunes blocks by the index and decodes only the survivors, each in
 // stages — the column region first, then the rows trimmed to the window
@@ -193,32 +210,55 @@ func scanStream(f *os.File, opt ScanOptions, stats *ScanStats, fn func(*RecordBa
 // delivered. Scan counts the work it does into stats — blocks scanned,
 // bytes decompressed, records — and leaves the per-file counts (files,
 // blocks total and skipped) to its caller.
-func (ix *Index) Scan(ra io.ReaderAt, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) error {
+//
+// kept, when not nil, is the file's BlockCache. A block it holds is
+// trimmed and filtered from memory, with no byte of it read through ra.
+// A block decoded here whose staged decode turned out whole — the rows
+// delivered ran to its end, as on a wide query — is handed to it rather
+// than overwritten by the next: the scan never decodes a byte just to
+// fill the cache. Either way the block delivers the same sub-batches.
+func (ix *Index) Scan(ra io.ReaderAt, kept BlockCache, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) error {
 	filter := newAppFilter(opt.Apps)
 	sc := blockScratchPool.Get().(*blockScratch)
 	defer blockScratchPool.Put(sc)
-	b := &sc.batch
 	var out RecordBatch
 	for i, e := range ix.blocks {
 		if !opt.Range.overlapsBlock(e.First, e.Last) {
 			continue
 		}
 		stats.BlocksScanned++
-		h, comp, err := ix.loadBlock(ra, i, sc)
-		if err != nil {
-			return err
+		var b *RecordBatch
+		if kept != nil {
+			b = kept.Block(i)
 		}
-		sc.raw = sliceCap(sc.raw, e.UncompLen)
-		if err := sc.openBlock(comp, sc.raw, h, b); err != nil {
-			return err
+		decoded := b == nil
+		if decoded {
+			b = &sc.batch
+			h, comp, err := ix.loadBlock(ra, i, sc)
+			if err != nil {
+				return err
+			}
+			sc.raw = sliceCap(sc.raw, e.UncompLen)
+			if err := sc.openBlock(comp, sc.raw, h, b); err != nil {
+				return err
+			}
+		} else {
+			stats.BlocksCached++
 		}
 		stats.RecordsScanned += int64(b.Len())
 		lo, hi := window(b, opt.Range)
 		end := filter.end(b, lo, hi)
-		if err := sc.finishBlock(b, lo, end); err != nil {
-			return err
+		if decoded {
+			if err := sc.finishBlock(b, lo, end); err != nil {
+				return err
+			}
+			stats.BytesDecompressed += int64(sc.lz.Filled())
+			if kept != nil && sc.lz.Filled() == len(sc.raw) {
+				var size int64
+				b, size = sc.handOff()
+				kept.Keep(i, b, size)
+			}
 		}
-		stats.BytesDecompressed += int64(sc.lz.Filled())
 		if err := emit(b, lo, end, filter, &out, stats, fn); err != nil {
 			return err
 		}

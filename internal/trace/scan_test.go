@@ -487,3 +487,84 @@ func TestScanRefusesMalformedTail(t *testing.T) {
 		}
 	}
 }
+
+// TestScanKeepsOnlyWholeBlocks: a scan through a BlockCache keeps exactly
+// the blocks its staged decode wrote whole, decompresses no more than a
+// scan without one, and a later scan serves the kept blocks from memory
+// with the same records and nothing decompressed.
+func TestScanKeepsOnlyWholeBlocks(t *testing.T) {
+	data := synthMETR3(t)
+	path := writeTemp(t, data)
+	ix, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil || len(ix.Blocks()) < 3 {
+		t.Fatalf("fixture: %v, %d blocks", err, len(ix.Blocks()))
+	}
+	blocks := ix.Blocks()
+	// From inside the first block to inside the third: the first is cut at
+	// its start, so its tail is delivered and it is written whole; the
+	// second is whole; the third is cut at its end, so it is not.
+	mid := blocks[0].First + (blocks[0].Last-blocks[0].First)/2
+	to := blocks[2].First + (blocks[2].Last-blocks[2].First)/2
+	for _, opt := range []ScanOptions{
+		{Range: TimeRange{From: mid, To: to}},
+		{Range: TimeRange{From: mid, To: to}, Apps: []uint32{0, 1}},
+		{Range: TimeRange{From: blocks[0].First, To: blocks[len(blocks)-1].Last + 1}},
+	} {
+		want, plain := scanRecords(t, path, opt)
+		kept := mapCache{}
+		for pass := 0; pass < 2; pass++ {
+			var got []Record
+			var stats ScanStats
+			if err := ix.Scan(bytes.NewReader(data), kept, opt, &stats, func(b *RecordBatch) error {
+				got = appendRecords(got, b)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%+v pass %d: %d records, want %d", opt, pass, len(got), len(want))
+			}
+			for i := range got {
+				if !sameRecord(&got[i], &want[i]) {
+					t.Fatalf("%+v pass %d: record %d differs", opt, pass, i)
+				}
+			}
+			if pass == 0 && (stats.BytesDecompressed != plain.BytesDecompressed || stats.BlocksCached != 0) {
+				t.Fatalf("%+v: first pass %+v, without a cache %+v", opt, stats, plain)
+			}
+			if pass == 1 && (stats.BlocksCached != len(kept) ||
+				stats.BytesDecompressed != plain.BytesDecompressed-keptBytes(kept, blocks)) {
+				t.Fatalf("%+v: second pass %+v over %d kept blocks", opt, stats, len(kept))
+			}
+		}
+		for i := range kept {
+			// Kept means every row up to the block's last was delivered.
+			var last Timestamp
+			for _, r := range want {
+				if r.TS <= blocks[i].Last {
+					last = r.TS
+				}
+			}
+			if opt.Apps == nil && last != blocks[i].Last {
+				t.Errorf("%+v: block %d kept though its last row (ts %d) was not delivered", opt, i, blocks[i].Last)
+			}
+		}
+		if opt.Apps == nil && opt.Range.From == mid {
+			if _, ok := kept[2]; ok || len(kept) != 2 {
+				t.Errorf("range cutting blocks 0 and 2: kept %d blocks, want blocks 0 and 1", len(kept))
+			}
+		}
+		if opt.Range.From == blocks[0].First && len(kept) != len(blocks) {
+			t.Errorf("whole range: kept %d of %d blocks", len(kept), len(blocks))
+		}
+	}
+}
+
+// keptBytes is the uncompressed payload the kept blocks hold.
+func keptBytes(kept mapCache, blocks []BlockInfo) int64 {
+	n := int64(0)
+	for i := range kept {
+		n += int64(blocks[i].UncompLen)
+	}
+	return n
+}

@@ -80,19 +80,57 @@ func benchQueryWindow(b *testing.B, eng Engine) {
 // BenchmarkQueryPushdown measures the narrow-window case the seek index
 // exists for: one hour out of four days, most blocks skipped.
 func BenchmarkQueryPushdown(b *testing.B) {
+	benchQueryPushdown(b, func() Engine { return Engine{Opts: energy.DefaultOptions()} }, false)
+}
+
+// BenchmarkQueryPushdownWarm is the same narrow query on a node's memo
+// after a wide query: the indexes and every block the wide query decoded
+// are kept, so pass 1 stats the files and pass 2 filters kept blocks.
+func BenchmarkQueryPushdownWarm(b *testing.B) {
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	benchQueryPushdown(b, func() Engine { return eng }, true)
+}
+
+// BenchmarkQueryPushdownNarrowOnly is the same narrow query on a memo that
+// has seen nothing but it: "cold" on a fresh memo for every query, the
+// most a memo can add to a query that keeps nothing it decodes; "steady"
+// on one memo, which then holds the indexes and the blocks the narrow
+// query happens to decode whole. Both hold the memo to DESIGN §11's rule
+// that a cold query decodes no more than the zero-value engine's.
+func BenchmarkQueryPushdownNarrowOnly(b *testing.B) {
+	b.Run("cold", func(b *testing.B) {
+		benchQueryPushdown(b, func() Engine { return Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()} }, false)
+	})
+	b.Run("steady", func(b *testing.B) {
+		eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+		benchQueryPushdown(b, func() Engine { return eng }, false)
+	})
+}
+
+// benchQueryPushdown times the narrow query on the engine next returns for
+// each, after a wide one when wide is set.
+func benchQueryPushdown(b *testing.B, next func() Engine, wide bool) {
 	dir, span := benchFixture(b)
-	eng := Engine{Opts: energy.DefaultOptions()}
 	from := span[0] + (span[1]-span[0])/2
 	q := Query{From: from, To: from + 3600*1e6}
+	if wide {
+		if _, err := next().QueryDir(dir, Query{From: span[0], To: span[1] + 1, Window: 3600 * 1e6}); err != nil {
+			b.Fatal(err)
+		}
+	}
 
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.QueryDir(dir, q)
+		res, err := next().QueryDir(dir, q)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res.Scan.BlocksSkipped == 0 {
 			b.Fatal("pushdown skipped nothing")
+		}
+		if wide && res.Scan.BlocksCached != res.Scan.BlocksScanned {
+			b.Fatalf("warm narrow query decoded blocks: %+v", res.Scan)
 		}
 	}
 }

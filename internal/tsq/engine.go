@@ -70,11 +70,12 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 	}
 
 	// Pass 1: group files by device. Each file is opened once, for its
-	// header and its index (or, unsealed, its first block).
+	// header and its index (or, unsealed, its first block) — unless the
+	// Memo holds its index, when a stat is all it takes.
 	byDevice := map[string][]segment{}
 	var devices []string
 	for _, path := range paths {
-		seg, err := statSegment(path)
+		seg, err := e.segment(path)
 		if err != nil {
 			return nil, fmt.Errorf("tsq: %s: %w", path, err)
 		}
@@ -137,8 +138,8 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 
 // segment is what pass 1 keeps of one file: what orders it among its
 // device's files, which windows its records can fall in, and — sealed —
-// its index, which pass 2 scans it through, and the identity a memoised
-// window names it by.
+// its index, which pass 2 scans it through, the blocks the Memo keeps of
+// it, and the identity the Memo names it by.
 type segment struct {
 	path   string
 	device string
@@ -155,11 +156,18 @@ type segment struct {
 	// through: a stat of the path could describe a file sealed since.
 	size, mtime int64
 
-	f *os.File // pass 2's descriptor of a sealed file, from its first run on
+	kept trace.BlockCache // nil without a Memo, or when it holds another index for the file
+	f    *os.File         // pass 2's descriptor of a sealed file, from its first read on
 }
 
 // sealed reports whether the file has a footer index, so will never change.
 func (s *segment) sealed() bool { return s.ix != nil }
+
+// id is the file's identity: what the Memo keys it by, alone or in a
+// contributor set.
+func (s *segment) id() string {
+	return fmt.Sprintf("%s\x00%d\x00%d\x00", s.path, s.size, s.mtime)
+}
 
 // overlaps reports whether the file can hold a record inside r.
 func (s *segment) overlaps(r trace.TimeRange) bool {
@@ -167,19 +175,32 @@ func (s *segment) overlaps(r trace.TimeRange) bool {
 }
 
 // scan runs one range of pass 2 over the file. A sealed file is scanned
-// through the index pass 1 read, on a descriptor opened at its first run
-// and kept for the rest; fstat must show it is still the file that index
-// came from. An unsealed file, which may have grown since pass 1, is
-// opened and streamed by ScanFile.
+// through the index pass 1 read, its kept blocks served from memory; the
+// others are read through readerAt. An unsealed
+// file, which may have grown since pass 1, is opened and streamed by
+// ScanFile.
 func (s *segment) scan(opt trace.ScanOptions, stats *trace.ScanStats, fn func(*trace.RecordBatch) error) error {
 	if !s.sealed() {
 		_, err := trace.ScanFile(s.path, opt, stats, fn)
 		return err
 	}
+	return s.ix.Scan(readerAt{s, stats}, s.kept, opt, stats, fn)
+}
+
+// readerAt reads a sealed segment for pass 2 on a descriptor opened at the
+// first block the Memo does not keep, and kept for the rest of the query;
+// fstat must show it is still the file the index came from.
+type readerAt struct {
+	s     *segment
+	stats *trace.ScanStats
+}
+
+func (r readerAt) ReadAt(p []byte, off int64) (int, error) {
+	s := r.s
 	if s.f == nil {
 		f, err := os.Open(s.path)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		st, err := f.Stat()
 		if err == nil && (st.Size() != s.size || st.ModTime().UnixNano() != s.mtime) {
@@ -188,12 +209,35 @@ func (s *segment) scan(opt trace.ScanOptions, stats *trace.ScanStats, fn func(*t
 		}
 		if err != nil {
 			f.Close()
-			return err
+			return 0, err
 		}
 		s.f = f
-		stats.Files++
+		r.stats.Files++
 	}
-	return s.ix.Scan(s.f, opt, stats, fn)
+	return s.f.ReadAt(p, off)
+}
+
+// segment is pass 1 over one file. With a Memo, a sealed file whose
+// identity it knows is not opened: its index comes from the Memo. Any
+// other file is read by statSegment, and the Memo keeps its index if it
+// is sealed.
+func (e Engine) segment(path string) (segment, error) {
+	if e.Memo == nil {
+		return statSegment(path)
+	}
+	if st, err := os.Stat(path); err == nil {
+		seg := segment{path: path, size: st.Size(), mtime: st.ModTime().UnixNano()}
+		if ix, kept := e.Memo.index(seg.id()); ix != nil {
+			seg = sealedSegment(path, ix, seg.size, seg.mtime)
+			seg.kept = kept
+			return seg, nil
+		}
+	}
+	seg, err := statSegment(path)
+	if err == nil && seg.sealed() {
+		seg.kept = e.Memo.keepIndex(seg.id(), seg.ix)
+	}
+	return seg, err
 }
 
 func statSegment(path string) (segment, error) {
@@ -212,15 +256,7 @@ func statSegment(path string) (segment, error) {
 		return seg, err
 	}
 	if ix != nil {
-		seg.device, seg.start, seg.ix = ix.Device(), ix.Start(), ix
-		seg.size, seg.mtime = st.Size(), st.ModTime().UnixNano()
-		seg.first, seg.last = math.MaxInt64, math.MinInt64
-		for _, b := range ix.Blocks() {
-			if b.Count > 0 {
-				seg.first, seg.last = min(seg.first, b.First), max(seg.last, b.Last)
-			}
-		}
-		return seg, nil
+		return sealedSegment(path, ix, st.Size(), st.ModTime().UnixNano()), nil
 	}
 	// The index probe only used ReadAt: f is still at offset 0.
 	br, err := trace.NewBatchReader(f)
@@ -239,6 +275,19 @@ func statSegment(path string) (segment, error) {
 		}
 	}
 	return seg, nil
+}
+
+// sealedSegment is pass 1's view of a sealed file of this size and mtime,
+// read through ix.
+func sealedSegment(path string, ix *trace.Index, size, mtime int64) segment {
+	seg := segment{path: path, device: ix.Device(), start: ix.Start(), ix: ix, size: size, mtime: mtime,
+		first: math.MaxInt64, last: math.MinInt64}
+	for _, b := range ix.Blocks() {
+		if b.Count > 0 {
+			seg.first, seg.last = min(seg.first, b.First), max(seg.last, b.Last)
+		}
+	}
+	return seg
 }
 
 // memoParams is what, besides its files, a partial of q depends on — the
@@ -307,7 +356,7 @@ func settledWindows(segs []segment, q Query) []settled {
 		for ; j < len(touches) && touches[j].start == touches[i].start; j++ {
 			s := touches[j].seg
 			if ids[s] == "" {
-				ids[s] = fmt.Sprintf("%s\x00%d\x00%d\x00", segs[s].path, segs[s].size, segs[s].mtime)
+				ids[s] = segs[s].id()
 			}
 			if j == i {
 				files = ids[s] // the common case shares one string per file
@@ -396,6 +445,9 @@ func (e Engine) deviceWindows(device string, segs []segment, q Query, params str
 				acc.FeedBatch(b)
 				return nil
 			}); err != nil {
+				if e.Memo != nil && segs[i].sealed() {
+					e.Memo.forget(segs[i].id())
+				}
 				return nil, 0, fmt.Errorf("tsq: %s: %w", segs[i].path, err)
 			}
 		}

@@ -34,20 +34,34 @@ func (p *partial) size() int64 {
 	return n
 }
 
-// memoBudget bounds what a Memo holds. An hour window of a busy device
-// is ~1.5 KiB, so this is some 40 000 device-hours; past it the least
-// recently used file's windows go, and cost one rescan of that file's
-// part of the range to get back.
+// memoBudget bounds what a Memo holds, all three kinds of entry together.
+// An hour window of a busy device is ~1.5 KiB, so this is some 40 000
+// device-hours; a kept block costs ~110 bytes a record, so it is also some
+// 600 000 records of decoded blocks. Past it the least recently used
+// entry goes — a contributor set's windows, or a file's index with its
+// kept blocks — and costs one rescan of that part of the range to get
+// back.
 const memoBudget = 64 << 20
 
-// Memo remembers settled windows between queries. A window of a device
-// is settled for a query when it lies wholly inside the query range and
-// every file of the device that can hold one of its records is sealed:
-// it is then a pure function of those files, the window width and the
-// energy options, so it is computed once and served from here until the
-// files change (a new identity is a new key) or the budget evicts it.
-// The Memo holds only values this process computed from CRC-verified
-// blocks; nothing in it is read from disk. Safe for concurrent use.
+// Memo remembers, between queries, what is a pure function of sealed
+// files, under one budget and one least-recently-used order:
+//
+//   - settled windows. A window of a device is settled for a query when it
+//     lies wholly inside the query range and every file of the device that
+//     can hold one of its records is sealed: it is then a pure function of
+//     those files, the window width and the energy options, so it is
+//     computed once and served from here;
+//   - each sealed file's parsed footer index, which pass 1 then takes
+//     without opening the file;
+//   - the blocks of a sealed file that a scan decoded whole anyway, which
+//     a later scan then trims and filters from memory without opening the
+//     file (see trace.BlockCache). Nothing is decoded just to be kept.
+//
+// Every entry is keyed by its files' identities — path, size and mtime —
+// so a file that changes is a new key, and the budget evicts what is no
+// longer asked for. The Memo holds only values this process computed from
+// CRC-verified bytes; a file a scan refuses is dropped from it. Safe for
+// concurrent use.
 type Memo struct {
 	mu      sync.Mutex
 	budget  int64
@@ -57,17 +71,25 @@ type Memo struct {
 }
 
 // memoKey names the windows of one contributor set: the files whose
-// records a window replays, in replay order, each by path, size and
-// mtime; and everything else a partial depends on.
+// records a window replays, in replay order, each by its identity (see
+// segment.id); and everything else a partial depends on. A key with empty
+// params names one sealed file's entry instead: no window has empty params
+// (see Engine.memoParams).
 type memoKey struct {
 	params string // window width and energy options
 	files  string
 }
 
+// memoEntry is a contributor set's windows, or one sealed file's index
+// and kept blocks.
 type memoEntry struct {
 	key   memoKey
-	wins  map[trace.Timestamp]*partial
 	bytes int64
+
+	wins map[trace.Timestamp]*partial
+
+	ix     *trace.Index
+	blocks []*trace.RecordBatch // by block number; nil = not kept
 }
 
 // NewMemo returns an empty Memo bounded by memoBudget.
@@ -94,8 +116,7 @@ func (m *Memo) lookup(params string, ws []settled) {
 	}
 }
 
-// store keeps the partials of ws, then evicts least-recently-used
-// contributor sets until the budget holds again.
+// store keeps the partials of ws, then evicts down to the budget.
 func (m *Memo) store(params string, ws []settled) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -103,10 +124,7 @@ func (m *Memo) store(params string, ws []settled) {
 		key := memoKey{params, ws[i].files}
 		el := m.entries[key]
 		if el == nil {
-			e := &memoEntry{key: key, wins: map[trace.Timestamp]*partial{}, bytes: int64(128 + len(key.params) + len(key.files))}
-			el = m.lru.PushFront(e)
-			m.entries[key] = el
-			m.bytes += e.bytes
+			el = m.push(&memoEntry{key: key, wins: map[trace.Timestamp]*partial{}, bytes: int64(128 + len(key.params) + len(key.files))})
 		}
 		e := el.Value.(*memoEntry)
 		if e.wins[ws[i].start] != nil {
@@ -116,9 +134,98 @@ func (m *Memo) store(params string, ws []settled) {
 		e.bytes += ws[i].part.size()
 		m.bytes += ws[i].part.size()
 	}
-	for m.bytes > m.budget && m.lru.Len() > 0 {
-		e := m.lru.Remove(m.lru.Back()).(*memoEntry)
-		delete(m.entries, e.key)
-		m.bytes -= e.bytes
+	m.evict()
+}
+
+// index returns the parsed index of the sealed file with identity id, and
+// the file's kept blocks, or a nil index when the Memo does not hold it.
+func (m *Memo) index(id string) (*trace.Index, trace.BlockCache) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el := m.entries[memoKey{files: id}]
+	if el == nil {
+		return nil, nil
 	}
+	m.lru.MoveToFront(el)
+	return el.Value.(*memoEntry).ix, &keptBlocks{m, el}
+}
+
+// keepIndex keeps ix as the index of the sealed file with identity id, and
+// returns the file's kept blocks: nil when the Memo already holds another
+// index for id, whose block numbers need not be ix's (a concurrent query
+// read the file first, or a rewrite kept its size and mtime).
+func (m *Memo) keepIndex(id string, ix *trace.Index) trace.BlockCache {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el := m.entries[memoKey{files: id}]
+	if el == nil {
+		// The index's entries, each with a slot for a kept block.
+		size := int64(256 + len(id) + len(ix.Device()) + (48+8)*len(ix.Blocks()))
+		el = m.push(&memoEntry{key: memoKey{files: id}, ix: ix, blocks: make([]*trace.RecordBatch, len(ix.Blocks())), bytes: size})
+		m.evict()
+	} else if el.Value.(*memoEntry).ix != ix {
+		return nil
+	}
+	return &keptBlocks{m, el}
+}
+
+// forget drops the entry of the sealed file with identity id, kept blocks
+// and all.
+func (m *Memo) forget(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el := m.entries[memoKey{files: id}]; el != nil {
+		m.remove(el)
+	}
+}
+
+// push adds e as the most recently used entry. m.mu is held.
+func (m *Memo) push(e *memoEntry) *list.Element {
+	el := m.lru.PushFront(e)
+	m.entries[e.key] = el
+	m.bytes += e.bytes
+	return el
+}
+
+// remove drops el's entry. m.mu is held.
+func (m *Memo) remove(el *list.Element) {
+	e := m.lru.Remove(el).(*memoEntry)
+	delete(m.entries, e.key)
+	m.bytes -= e.bytes
+}
+
+// evict drops least-recently-used entries until the budget holds again.
+// m.mu is held.
+func (m *Memo) evict() {
+	for m.bytes > m.budget && m.lru.Len() > 0 {
+		m.remove(m.lru.Back())
+	}
+}
+
+// keptBlocks is one sealed file's entry as the trace.BlockCache its scans
+// run on. A scan that holds it after the entry is evicted still reads what
+// the entry kept, but keeps nothing more in it.
+type keptBlocks struct {
+	m  *Memo
+	el *list.Element
+}
+
+func (k *keptBlocks) Block(i int) *trace.RecordBatch {
+	k.m.mu.Lock()
+	defer k.m.mu.Unlock()
+	return k.el.Value.(*memoEntry).blocks[i]
+}
+
+func (k *keptBlocks) Keep(i int, b *trace.RecordBatch, size int64) {
+	m := k.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := k.el.Value.(*memoEntry)
+	if m.entries[e.key] != k.el || e.blocks[i] != nil {
+		return // evicted, or a concurrent scan kept the block first
+	}
+	e.blocks[i] = b
+	e.bytes += size
+	m.bytes += size
+	m.evict()
 }

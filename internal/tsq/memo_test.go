@@ -1,14 +1,18 @@
 package tsq
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"netenergy/internal/energy"
 	"netenergy/internal/synthgen"
@@ -51,6 +55,49 @@ func sameAsScan(t testing.TB, memo Engine, dir string, q Query, when string) *Re
 	return res
 }
 
+// memoCensus counts what m holds — contributor sets, sealed files and
+// their kept blocks — and checks that its byte count is its entries' sum
+// and that every file entry holds its index: an entry is evicted whole.
+func memoCensus(t testing.TB, m *Memo) (sets, files, blocks int) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var sum int64
+	for el := m.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*memoEntry)
+		sum += e.bytes
+		if e.key.params != "" {
+			sets++
+			continue
+		}
+		files++
+		if e.ix == nil || len(e.blocks) != len(e.ix.Blocks()) {
+			t.Errorf("file entry %q holds no index, or the wrong number of block slots", e.key.files)
+		}
+		for _, b := range e.blocks {
+			if b != nil {
+				blocks++
+			}
+		}
+	}
+	if sum != m.bytes || len(m.entries) != m.lru.Len() {
+		t.Errorf("memo counts %d bytes in %d entries; its LRU holds %d bytes in %d", m.bytes, len(m.entries), sum, m.lru.Len())
+	}
+	return sets, files, blocks
+}
+
+// holdsFile reports whether m holds an entry for any identity of path.
+func holdsFile(m *Memo, path string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for key := range m.entries {
+		if key.params == "" && strings.HasPrefix(key.files, path+"\x00") {
+			return true
+		}
+	}
+	return false
+}
+
 // memoQueries is the shape of every equivalence test: whole-span windows
 // of three widths, a range cutting a window at each end, a range far
 // wider than the data, a top-N cut, and the two shapes the memo must
@@ -71,16 +118,34 @@ func memoQueries(span [2]trace.Timestamp) []Query {
 }
 
 // TestMemoMatchesScan: cold, warm and after eviction, a memo engine's
-// answer is the scan's, byte for byte; and once warm, windows come from
-// the memo and fully covered sealed data is not decoded at all.
+// answer is the scan's, byte for byte; once warm, windows come from the
+// memo and fully covered sealed data is not decoded at all; the shapes
+// the window memo leaves alone are served from the blocks the first,
+// wide query kept, without a byte decompressed or a file opened; and a
+// query on a fresh memo decodes exactly what the zero-value engine does.
 func TestMemoMatchesScan(t *testing.T) {
 	dir, traces := writeSegmentDir(t, 2, 2)
 	span := traceSpan(traces)
+	for _, q := range memoQueries(span) {
+		plain := mustQuery(t, Engine{Opts: energy.DefaultOptions()}, dir, q)
+		fresh := sameAsScan(t, Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}, dir, q, "fresh")
+		if fresh.Scan.BytesDecompressed != plain.Scan.BytesDecompressed || fresh.Scan.BlocksCached != 0 {
+			t.Fatalf("[%d,%d) window %d on a fresh memo: scan %+v, without a memo %+v",
+				q.From, q.To, q.Window, fresh.Scan, plain.Scan)
+		}
+	}
 	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
 	for i, q := range memoQueries(span) {
 		cold := sameAsScan(t, eng, dir, q, "cold")
 		warm := sameAsScan(t, eng, dir, q, "warm")
 		memoisable := q.Window > 0 && len(q.Apps) == 0
+		if !memoisable {
+			for _, res := range []*Result{cold, warm} {
+				if s := res.Scan; s.BlocksScanned == 0 || s.BlocksCached != s.BlocksScanned || s.BytesDecompressed != 0 || s.Files != 0 {
+					t.Fatalf("[%d,%d) apps %v after a wide query: scan %+v, want every block from memory", q.From, q.To, q.Apps, s)
+				}
+			}
+		}
 		// Only the first query is sure to start cold: a later one may find
 		// windows of its width already there.
 		if i == 0 && (cold.Scan.WindowsMemoised != 0 || warm.Scan.RecordsScanned >= cold.Scan.RecordsScanned) {
@@ -104,8 +169,11 @@ func TestMemoMatchesScan(t *testing.T) {
 		t.Fatalf("memo holds %d bytes over a zero budget", got)
 	}
 	eng.Memo.budget = memoBudget
-	for _, q := range memoQueries(span) {
-		sameAsScan(t, eng, dir, q, "after eviction")
+	for i, q := range memoQueries(span) {
+		res := sameAsScan(t, eng, dir, q, "after eviction")
+		if i == 0 && (res.Scan.BlocksCached != 0 || res.Scan.BytesDecompressed == 0) {
+			t.Fatalf("first query after eviction served blocks from memory: %+v", res.Scan)
+		}
 	}
 }
 
@@ -117,11 +185,19 @@ func TestMemoBudget(t *testing.T) {
 	span := traceSpan(traces)
 	q := Query{From: span[0], To: span[1] + 1, Window: hourUS}
 	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
-	want := answer(t, mustQuery(t, eng, dir, q))
+	first := mustQuery(t, eng, dir, q)
+	want := answer(t, first)
 	whole := eng.Memo.Bytes()
 	sets := len(eng.Memo.entries)
-	if sets < 6 || whole == 0 {
-		t.Fatalf("fixture memoised %d contributor sets in %d bytes", sets, whole)
+	winSets, files, blocks := memoCensus(t, eng.Memo)
+	if winSets < 6 || whole == 0 {
+		t.Fatalf("fixture memoised %d contributor sets in %d bytes", winSets, whole)
+	}
+	// A whole-span query decodes every block whole, so it keeps them all,
+	// and every file's index: all of it under the one budget.
+	if files != 6 || blocks != first.Scan.BlocksScanned || blocks == 0 {
+		t.Fatalf("whole-span query kept %d indexes and %d blocks; scanned 6 files, %d blocks",
+			files, blocks, first.Scan.BlocksScanned)
 	}
 	oldest := eng.Memo.lru.Back().Value.(*memoEntry).key
 
@@ -135,7 +211,10 @@ func TestMemoBudget(t *testing.T) {
 		t.Fatalf("memo holds %d bytes, budget %d", got, eng.Memo.budget)
 	}
 	if n := len(eng.Memo.entries); n == 0 || n >= sets {
-		t.Fatalf("half budget keeps %d of %d contributor sets", n, sets)
+		t.Fatalf("half budget keeps %d of %d entries", n, sets)
+	}
+	if _, f, b := memoCensus(t, eng.Memo); f == files && b == blocks {
+		t.Fatalf("half budget evicted no file: %d indexes, %d kept blocks", f, b)
 	}
 	if _, held := eng.Memo.entries[oldest]; held {
 		t.Fatal("the least recently used file's windows survived eviction")
@@ -144,9 +223,13 @@ func TestMemoBudget(t *testing.T) {
 	if got := answer(t, again); got != want {
 		t.Fatalf("answer changed after eviction:\n%s\nwant\n%s", got, want)
 	}
-	if again.Scan.RecordsScanned == 0 {
-		t.Fatal("evicted windows were answered without a rescan")
+	if again.Scan.RecordsScanned == 0 || again.Scan.BlocksCached == again.Scan.BlocksScanned {
+		t.Fatalf("evicted windows were answered without a rescan: %+v", again.Scan)
 	}
+	if got := eng.Memo.Bytes(); got > eng.Memo.budget {
+		t.Fatalf("memo holds %d bytes, budget %d", got, eng.Memo.budget)
+	}
+	memoCensus(t, eng.Memo)
 }
 
 // shifted copies recs with every timestamp moved by delta.
@@ -324,7 +407,11 @@ func TestMemoFileReplaced(t *testing.T) {
 }
 
 // TestMemoConcurrentQueries: one memo under identical and differing
-// queries at once (run with -race): every answer is the scan's.
+// queries at once (run with -race): every answer is the scan's. Under a
+// budget so small that stores evict while others look up, then under the
+// whole budget after a wide query, when every scan shares the same kept
+// blocks: a write into one is a race, and no kept block may read
+// differently afterwards.
 func TestMemoConcurrentQueries(t *testing.T) {
 	dir, traces := writeSegmentDir(t, 2, 1)
 	span := traceSpan(traces)
@@ -333,42 +420,73 @@ func TestMemoConcurrentQueries(t *testing.T) {
 	for i, q := range queries {
 		want[i] = answer(t, mustQuery(t, Engine{Opts: energy.DefaultOptions()}, dir, q))
 	}
-	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
-	eng.Memo.budget = 24 << 10 // small enough that stores evict while others look up
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for round := 0; round < 2; round++ {
-				for k := range queries {
-					i := (k + g/2) % len(queries) // goroutines pair up on the same query
-					res, err := eng.QueryDir(dir, queries[i])
-					if err != nil {
-						errs <- err
-						return
-					}
-					c := *res
-					c.Scan = ScanStats{}
-					got, err := json.Marshal(&c)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if string(got) != want[i] {
-						errs <- fmt.Errorf("goroutine %d query %d: got\n%s\nwant\n%s", g, i, got, want[i])
-						return
+	for _, budget := range []int64{24 << 10, memoBudget} {
+		eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+		eng.Memo.budget = budget
+		var kept string
+		if budget == memoBudget {
+			mustQuery(t, eng, dir, queries[0])
+			kept = keptBlocksJSON(t, eng.Memo)
+		}
+		var cached atomic.Int64
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for round := 0; round < 2; round++ {
+					for k := range queries {
+						i := (k + g/2) % len(queries) // goroutines pair up on the same query
+						res, err := eng.QueryDir(dir, queries[i])
+						if err != nil {
+							errs <- err
+							return
+						}
+						cached.Add(int64(res.Scan.BlocksCached))
+						c := *res
+						c.Scan = ScanStats{}
+						got, err := json.Marshal(&c)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if string(got) != want[i] {
+							errs <- fmt.Errorf("budget %d goroutine %d query %d: got\n%s\nwant\n%s", budget, g, i, got, want[i])
+							return
+						}
 					}
 				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if budget == memoBudget {
+			if cached.Load() == 0 {
+				t.Fatal("no query was served a kept block")
 			}
-		}(g)
+			if keptBlocksJSON(t, eng.Memo) != kept {
+				t.Fatal("a kept block changed while queries shared it")
+			}
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+}
+
+// keptBlocksJSON is every block m keeps, by file and block number.
+func keptBlocksJSON(t testing.TB, m *Memo) string {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	byFile := map[string][]*trace.RecordBatch{}
+	for key, el := range m.entries {
+		if key.params == "" {
+			byFile[key.files] = el.Value.(*memoEntry).blocks
+		}
 	}
+	return mustJSON(t, byFile)
 }
 
 // TestMemoTwoRunsCountBlocksOnce: when the memo holds windows in the
@@ -431,5 +549,116 @@ func TestSegmentChangedBeforeScan(t *testing.T) {
 	_, _, err = Engine{}.deviceWindows(dt.Device, []segment{seg}, q, "", &stats)
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "changed since its index was read") {
 		t.Fatalf("scan of a file replaced after pass 1: %v", err)
+	}
+}
+
+// TestSegmentChangedBeforeScanMemo is TestSegmentChangedBeforeScan with a
+// Memo: pass 1 takes the index from the Memo without opening the file, and
+// pass 2 opens it only at a block the Memo does not keep — where fstat
+// must still refuse a file that is no longer the one the index came from.
+// The refused file is dropped from the Memo.
+func TestSegmentChangedBeforeScanMemo(t *testing.T) {
+	dir := t.TempDir()
+	dt := synthgen.GenerateDevice(synthgen.Small(1, 1), 0)
+	path := filepath.Join(dir, "swap-0000.metr3")
+	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records)
+	eng := Engine{Memo: NewMemo()}
+	if _, err := eng.segment(path); err != nil { // reads the index, and keeps it
+		t.Fatal(err)
+	}
+	seg, err := eng.segment(path)
+	if err != nil || seg.kept == nil || !seg.sealed() {
+		t.Fatalf("second pass 1 over a sealed file: %+v, %v", seg, err)
+	}
+	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records[:len(dt.Records)/2])
+	q := Query{From: math.MinInt64 / 4, To: math.MaxInt64 / 4}
+	var stats trace.ScanStats
+	_, _, err = eng.deviceWindows(dt.Device, []segment{seg}, q, "", &stats)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "changed since its index was read") {
+		t.Fatalf("scan of a file replaced after pass 1: %v", err)
+	}
+	if holdsFile(eng.Memo, path) {
+		t.Fatal("the memo still holds the file it refused")
+	}
+}
+
+// TestMemoRefusesCorruptFile: a sealed file with a flipped payload byte is
+// refused by name on every query, whether or not the memo has seen it, and
+// nothing of it stays in the memo — neither its index nor the blocks the
+// refused scan decoded whole before it reached the bad one.
+func TestMemoRefusesCorruptFile(t *testing.T) {
+	dir, traces := writeSegmentDir(t, 1, 2)
+	span := traceSpan(traces)
+	path := filepath.Join(dir, traces[0].Device+"-0001.metr3")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, blocks, _, err := trace.ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil || len(blocks) < 3 {
+		t.Fatalf("fixture: %d blocks, %v", len(blocks), err)
+	}
+	// Mid-payload of the second-to-last block, which ends where the last
+	// begins: the blocks before it decode whole first.
+	i := len(blocks) - 2
+	data[blocks[i+1].Offset-1-int64(blocks[i].CompLen)/2] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	for _, q := range []Query{
+		{From: span[0], To: span[1] + 1},
+		{From: span[0], To: span[1] + 1, Window: hourUS},
+		{From: span[0], To: span[1] + 1},
+	} {
+		for round := 0; round < 2; round++ {
+			_, err := eng.QueryDir(dir, q)
+			if err == nil || !strings.Contains(err.Error(), path) || !errors.Is(err, trace.ErrCorrupt) {
+				t.Fatalf("window %d round %d over a corrupt file: %v", q.Window, round, err)
+			}
+			if holdsFile(eng.Memo, path) {
+				t.Fatalf("window %d round %d: the memo keeps a file it refused", q.Window, round)
+			}
+			memoCensus(t, eng.Memo)
+		}
+	}
+}
+
+// TestMemoIndexFollowsFileIdentity: a file's index and kept blocks are
+// keyed by its identity, so a file replaced under its name — a new size,
+// or the same bytes with a new mtime — is read again, not served from the
+// old entry.
+func TestMemoIndexFollowsFileIdentity(t *testing.T) {
+	dir, traces := writeSegmentDir(t, 1, 2)
+	span := traceSpan(traces)
+	// Unwindowed, so only indexes and kept blocks can serve it.
+	q := Query{From: span[0], To: span[1] + 1}
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	sameAsScan(t, eng, dir, q, "cold")
+	warm := sameAsScan(t, eng, dir, q, "warm")
+	if warm.Scan.BlocksCached != warm.Scan.BlocksScanned || warm.Scan.Files != 0 {
+		t.Fatalf("warm whole-span query: %+v, want every block from memory", warm.Scan)
+	}
+
+	victim := traces[0]
+	path := filepath.Join(dir, victim.Device+"-0000.metr3")
+	writeSegment(t, path, victim.Device, victim.Start, victim.Records[:len(victim.Records)/6])
+	resized := sameAsScan(t, eng, dir, q, "file replaced, new size")
+	if resized.Records >= warm.Records || resized.Scan.Files != 1 {
+		t.Fatalf("replaced file: %d records then %d, scan %+v", warm.Records, resized.Records, resized.Scan)
+	}
+	sameAsScan(t, eng, dir, q, "file replaced, warm")
+
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := st.ModTime().Add(time.Hour)
+	if err := os.Chtimes(path, later, later); err != nil {
+		t.Fatal(err)
+	}
+	touched := sameAsScan(t, eng, dir, q, "file touched")
+	if touched.Scan.Files != 1 || touched.Scan.BlocksCached == touched.Scan.BlocksScanned {
+		t.Fatalf("file with a new mtime served from its old entry: %+v", touched.Scan)
 	}
 }

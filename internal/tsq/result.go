@@ -30,14 +30,19 @@ type WindowRow struct {
 // counters are part of the result so callers (and tests) can assert
 // that the seek index actually skipped blocks.
 type ScanStats struct {
+	// Files counts the files the scan opened: a sealed file whose blocks
+	// the Memo kept, every one the query needed, is not.
 	Files         int `json:"files"`
 	BlocksTotal   int `json:"blocks_total"`
 	BlocksSkipped int `json:"blocks_skipped"`
 	BlocksScanned int `json:"blocks_scanned"`
+	// BlocksCached counts the scanned blocks the engine's Memo served from
+	// memory, neither read nor decoded.
+	BlocksCached int `json:"blocks_cached,omitempty"`
 	// BytesDecompressed is the uncompressed block payload the scan wrote
 	// into the blocks of sealed files it decoded: of each, the bytes
 	// through the last row it kept. Unsealed files are read whole and not
-	// counted.
+	// counted, and a block served from the Memo adds nothing.
 	BytesDecompressed int64 `json:"bytes_decompressed,omitempty"`
 	RecordsScanned    int64 `json:"records_scanned"`
 	RecordsMatched    int64 `json:"records_matched"`
@@ -53,6 +58,7 @@ func statsOf(s trace.ScanStats) ScanStats {
 		BlocksTotal:       s.BlocksTotal,
 		BlocksSkipped:     s.BlocksSkipped,
 		BlocksScanned:     s.BlocksScanned,
+		BlocksCached:      s.BlocksCached,
 		BytesDecompressed: s.BytesDecompressed,
 		RecordsScanned:    s.RecordsScanned,
 		RecordsMatched:    s.RecordsMatched,
@@ -64,6 +70,7 @@ func (s *ScanStats) add(o ScanStats) {
 	s.BlocksTotal += o.BlocksTotal
 	s.BlocksSkipped += o.BlocksSkipped
 	s.BlocksScanned += o.BlocksScanned
+	s.BlocksCached += o.BlocksCached
 	s.BytesDecompressed += o.BytesDecompressed
 	s.RecordsScanned += o.RecordsScanned
 	s.RecordsMatched += o.RecordsMatched
