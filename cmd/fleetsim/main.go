@@ -13,13 +13,6 @@
 //	fleetsim -addr localhost:9009 -admin http://localhost:9010 -devices 200
 //	fleetsim -devices 50 -speedup 86400   # one trace-day per wall-second
 //	fleetsim -chaos-drop 0.05 -chaos-corrupt 0.01 -admin http://localhost:9010
-//
-// Cluster mode drives the population across a hash ring of nodes: each
-// session dials its device's ring owner first and follows redirect acks,
-// and the reconciliation runs against the aggregator's merged exposition
-// instead of a single node's:
-//
-//	fleetsim -nodes h1:9009,h2:9009,h3:9009 -aggregator http://localhost:9020
 package main
 
 import (
@@ -31,7 +24,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -55,7 +47,6 @@ type counters struct {
 	resumed     *obs.Counter
 	retrans     *obs.Counter
 	throttled   *obs.Counter
-	redirected  *obs.Counter
 	failed      *obs.Counter
 }
 
@@ -69,7 +60,6 @@ func newCounters() *counters {
 		resumed:     reg.Counter("fleetsim_resumes_total", "reconnects that found prior progress"),
 		retrans:     reg.Counter("fleetsim_retransmitted_total", "records sent more than once"),
 		throttled:   reg.Counter("fleetsim_throttled_total", "handshakes the server refused for rate limiting"),
-		redirected:  reg.Counter("fleetsim_redirects_total", "handshakes answered with a redirect ack"),
 		failed:      reg.Counter("fleetsim_failed_devices_total", "device sessions that gave up"),
 	}
 }
@@ -78,9 +68,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", "localhost:9009", "ingestd stream address")
 		admin   = flag.String("admin", "", "ingestd admin base URL for the drop cross-check (e.g. http://localhost:9010)")
-		nodes   = flag.String("nodes", "", "comma-separated cluster stream addresses; sessions route by the shared hash ring (overrides -addr)")
-		aggrURL = flag.String("aggregator", "", "aggregatord base URL: reconcile sent counters against the merged fleet exposition")
-		headOut = flag.String("headline-json", "", "write the final headline JSON (aggregator's when -aggregator is set, else -admin's) to this path")
+		headOut = flag.String("headline-json", "", "write the final headline JSON from -admin to this path")
 		devices = flag.Int("devices", 20, "synthetic devices to stream concurrently")
 		days    = flag.Int("days", 1, "trace days per device")
 		seed    = flag.Uint64("seed", 20151028, "generator seed")
@@ -115,13 +103,6 @@ func main() {
 		})
 	}
 
-	var nodeList []string
-	for _, n := range strings.Split(*nodes, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			nodeList = append(nodeList, n)
-		}
-	}
-
 	c := newCounters()
 	perDevice := make(map[string]int64, *devices)
 	var perDeviceMu sync.Mutex
@@ -135,12 +116,11 @@ func main() {
 			gen <- struct{}{}
 			dt := synthgen.GenerateDevice(cfg, i)
 			<-gen
-			st, err := streamDevice(*addr, nodeList, dt, *speedup, *timeout, *deadlin, injector)
+			st, err := streamDevice(*addr, dt, *speedup, *timeout, *deadlin, injector)
 			c.conns.Add(int64(st.Conns))
 			c.resumed.Add(int64(st.Resumed))
 			c.retrans.Add(st.Retransmitted)
 			c.throttled.Add(int64(st.Throttled))
-			c.redirected.Add(int64(st.Redirected))
 			c.sentBytes.Add(st.Bytes)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "fleetsim: %s: %v\n", dt.Device, err)
@@ -175,94 +155,26 @@ func main() {
 		os.Exit(1)
 	}
 
-	if len(nodeList) > 0 {
-		fmt.Printf("fleetsim: cluster routing over %d nodes: %d redirects, %d resumes, %d conns\n",
-			len(nodeList), c.redirected.Load(), c.resumed.Load(), c.conns.Load())
-	}
-
 	if *admin != "" {
 		if err := crossCheck(*admin, c, perDevice, chaosOn); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim:", err)
 			os.Exit(1)
 		}
 	}
-	if *aggrURL != "" {
-		if err := crossCheckFleet(*aggrURL, c); err != nil {
-			fmt.Fprintln(os.Stderr, "fleetsim:", err)
-			os.Exit(1)
-		}
-	}
 	if *headOut != "" {
-		base := *aggrURL
-		if base == "" {
-			base = *admin
-		}
-		if base == "" {
-			fmt.Fprintln(os.Stderr, "fleetsim: -headline-json needs -aggregator or -admin")
+		if *admin == "" {
+			fmt.Fprintln(os.Stderr, "fleetsim: -headline-json needs -admin")
 			os.Exit(1)
 		}
-		if err := dumpHeadline(base+"/headline", *headOut); err != nil {
+		if err := dumpHeadline(*admin+"/headline", *headOut); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim: headline-json:", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// crossCheckFleet polls the aggregator's merged exposition until the fleet
-// record count equals what every session got acked, then verifies the
-// fleet headline agrees — cluster-mode exactly-once, checked end to end
-// across node deaths, redirects and checkpoint handoffs. Equality is
-// exact: one lost or double-counted record anywhere in the fleet fails
-// the run.
-func crossCheckFleet(aggr string, c *counters) error {
-	sent := c.sentRecords.Load()
-	deadline := time.Now().Add(60 * time.Second)
-	var m map[string]float64
-	for {
-		var err error
-		m, err = scrapeMetrics(aggr + "/metrics")
-		if err != nil {
-			return err
-		}
-		if int64(m["aggregator_records"]) == sent {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("aggregator did not settle: aggregator_records %.0f, sent %d",
-				m["aggregator_records"], sent)
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	var h struct {
-		ingest.LiveHeadline
-		Epoch     uint64 `json:"epoch"`
-		NodesLive int    `json:"nodes_live"`
-	}
-	if err := getJSON(aggr+"/headline", &h); err != nil {
-		return err
-	}
-	if h.Records != sent {
-		return fmt.Errorf("fleet headline records %d != sent %d", h.Records, sent)
-	}
-	fmt.Printf("fleet headline: %d devices, %d records, %.0f J, background fraction %.3f, first-minute %.3f (epoch %d, %d nodes live)\n",
-		h.Devices, h.Records, h.TotalEnergyJ, h.BackgroundFraction, h.FirstMinuteFraction, h.Epoch, h.NodesLive)
-	fmt.Printf("fleetsim: aggregator reconciled %d records across %d live nodes (%.0f pull errors)\n",
-		sent, int(m["aggregator_nodes_live"]), m["aggregator_pull_errors_total"])
-	// Surface the fault-recovery machinery the reconcile rode through:
-	// exactly-once holding *because* a handoff shipped (and maybe retried)
-	// or a zombie was fenced reads very differently from a clean run.
-	if n := m["aggregator_handoffs_total"]; n > 0 {
-		fmt.Printf("fleetsim: fleet recovered through %.0f checkpoint handoff(s) (%.0f transfer retries, %.0f pull retries)\n",
-			n, m["aggregator_handoff_retries_total"], m["aggregator_pull_retries_total"])
-	}
-	if n := m["aggregator_fenced_skips_total"]; n > 0 {
-		fmt.Printf("fleetsim: aggregator fenced resurrected member(s) out of the merge %.0f time(s)\n", n)
-	}
-	return nil
-}
-
-// dumpHeadline writes the raw /headline JSON body to path — the artifact
-// smoke.sh compares between the cluster run and the single-node reference.
+// dumpHeadline writes the raw /headline JSON body to path — the reference
+// smoke.sh compares the headline after a kill and restart against.
 func dumpHeadline(url, path string) error {
 	resp, err := http.Get(url)
 	if err != nil {
@@ -298,12 +210,10 @@ func dumpStats(reg *obs.Registry, path string) {
 }
 
 // streamDevice delivers one device trace through a resumable session,
-// pacing by the time-compression factor when one is set. With a node list
-// the session routes by the shared hash ring and follows redirect acks.
-func streamDevice(addr string, nodes []string, dt *trace.DeviceTrace, speedup float64, timeout, deadline time.Duration, injector *chaos.Injector) (ingest.SessionStats, error) {
+// pacing by the time-compression factor when one is set.
+func streamDevice(addr string, dt *trace.DeviceTrace, speedup float64, timeout, deadline time.Duration, injector *chaos.Injector) (ingest.SessionStats, error) {
 	cfg := ingest.SessionConfig{
 		Addr:           addr,
-		Nodes:          nodes,
 		Device:         dt.Device,
 		Start:          dt.Start,
 		ConnectTimeout: timeout,

@@ -29,27 +29,10 @@
 // severs device connections, flushes every shard queue, finalises all
 // device streams and prints the final fleet headline before exiting.
 //
-// Cluster mode joins N daemons into one fleet:
-//
-//	ingestd -node-id n1 -cluster n1=h1:9009/h1:9010,n2=h2:9009/h2:9010,n3=h3:9009/h3:9010 \
-//	  -checkpoint-dir /var/lib/ingestd-n1
-//
-// The member entry for -node-id supplies the listen addresses. Each node
-// probes its peers' admin endpoints, owns the devices the shared
-// consistent-hash ring assigns to its live view, and answers handshakes
-// for foreign devices with a redirect ack naming the owner. On graceful
-// drain the node ships its final checkpoint to the live peers
-// (-handoff-on-drain) and leaves a tombstone in its own checkpoint dir,
-// so its devices' state moves to the new owners without waiting for an
-// aggregatord-triggered handoff and a later restart cannot resurrect it.
-//
 // With -durable-fin a session's FIN is acknowledged only after its final
 // records are in a fsynced checkpoint (group-committed across concurrent
 // FINs), so a node crash immediately after the ack cannot lose a
-// completed session's tail. A node whose state was handed off while it
-// was partitioned is fenced by aggregatord when it resurfaces: it stops
-// serving streams, archives its checkpoint dir behind the tombstone, and
-// rejoins with a fresh incarnation on restart — no operator wipe needed.
+// completed session's tail.
 package main
 
 import (
@@ -61,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"netenergy/internal/cluster"
 	"netenergy/internal/ingest"
 )
 
@@ -83,13 +65,6 @@ func main() {
 		rateLimit    = flag.Float64("rate-limit", 0, "per-device connection admissions per second (0: unlimited)")
 		rateBurst    = flag.Int("rate-burst", 3, "per-device admission token-bucket depth")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under the admin server's /debug/pprof/")
-
-		nodeID        = flag.String("node-id", "", "this node's ID in -cluster (enables cluster mode)")
-		clusterFlag   = flag.String("cluster", "", "member list: id=streamHost:port/adminHost:port,...")
-		heartbeat     = flag.Duration("heartbeat", time.Second, "peer liveness probe cadence")
-		probeMax      = flag.Duration("probe-max", 0, "re-probe interval cap for dead peers (0: 10x heartbeat)")
-		failThreshold = flag.Int("fail-threshold", 3, "consecutive probe failures that declare a peer dead")
-		handoffDrain  = flag.Bool("handoff-on-drain", true, "ship the final checkpoint to live peers on graceful drain (cluster mode)")
 	)
 	flag.Parse()
 
@@ -110,42 +85,6 @@ func main() {
 		EnablePprof:        *pprofOn,
 	}
 
-	// Cluster mode: the member entry for -node-id supplies the listen
-	// addresses, and the live membership view supplies the routing hook.
-	var prober *cluster.Prober
-	var self cluster.Member
-	if (*nodeID == "") != (*clusterFlag == "") {
-		fmt.Fprintln(os.Stderr, "ingestd: -node-id and -cluster must be set together")
-		os.Exit(1)
-	}
-	if *nodeID != "" {
-		members, err := cluster.ParseMembers(*clusterFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ingestd:", err)
-			os.Exit(1)
-		}
-		m, ok := cluster.MemberByID(members, *nodeID)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ingestd: node-id %q not in -cluster\n", *nodeID)
-			os.Exit(1)
-		}
-		self = m
-		cfg.Addr = self.Stream
-		cfg.AdminAddr = self.Admin
-		cfg.NodeID = self.ID
-		prober = cluster.NewProber(cluster.ProberConfig{
-			Members:       members,
-			Interval:      *heartbeat,
-			MaxInterval:   *probeMax,
-			FailThreshold: *failThreshold,
-		})
-		cfg.Route = cluster.NewView(self, prober).Route
-		cfg.ClusterEpoch = prober.Epoch
-		cfg.OnFenced = func(reason string) {
-			fmt.Fprintln(os.Stderr, "ingestd: FENCED:", reason)
-			fmt.Fprintln(os.Stderr, "ingestd: this node's state was handed off to the survivors; its checkpoint dir is archived — restart to rejoin with a fresh incarnation")
-		}
-	}
 	if *durableFIN && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "ingestd: -durable-fin requires -checkpoint-dir")
 		os.Exit(1)
@@ -161,11 +100,6 @@ func main() {
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "ingestd:", err)
 		os.Exit(1)
-	}
-	if prober != nil {
-		prober.Start()
-		defer prober.Stop()
-		fmt.Printf("ingestd: cluster node %s joined (heartbeat %s)\n", self.ID, *heartbeat)
 	}
 	fmt.Printf("ingestd: streaming on %s", srv.Addr())
 	if a := srv.AdminAddr(); a != nil {
@@ -201,51 +135,4 @@ func main() {
 		st.Devices, st.Records, st.Bytes, st.CRCErrors, st.DecodeErrors)
 	fmt.Printf("final headline: %.0f J attributed, background fraction %.3f, first-minute %.3f, screen-off bytes %.1f%%\n",
 		h.TotalEnergyJ, h.BackgroundFraction, h.FirstMinuteFraction, 100*h.ScreenOffByteShare)
-
-	// Cluster drain handoff: ship the final checkpoint (written by
-	// Shutdown above) to the live peers so this node's devices resume on
-	// their new owners without waiting for a dead-member detection cycle.
-	if prober != nil && *handoffDrain && *ckptDir != "" {
-		if srv.Fenced() {
-			// A fenced node's state already lives on the survivors; shipping
-			// it again would double-count every adopted record.
-			fmt.Fprintln(os.Stderr, "ingestd: drain handoff skipped: node is fenced (state already handed off)")
-		} else {
-			shipDrainCheckpoint(prober, self, *ckptDir)
-		}
-	}
-}
-
-// shipDrainCheckpoint hands this node's final checkpoint to every live peer
-// (self excluded) through the one handoff sender, cluster.ShipDir, which
-// also leaves the tombstone. Unlike the aggregator this sender runs once:
-// the tombstone fences the whole directory from the first peer that
-// answers, so a peer that never did is left to the aggregator's handoff of
-// the same directory once this node is seen dead (a per-device tombstone,
-// which would let a partial drain be resumed, is a different issue).
-func shipDrainCheckpoint(prober *cluster.Prober, self cluster.Member, dir string) {
-	var peers []cluster.Member
-	for _, m := range prober.Live() {
-		if m.ID != self.ID {
-			peers = append(peers, m)
-		}
-	}
-	if len(peers) == 0 {
-		fmt.Fprintln(os.Stderr, "ingestd: drain handoff: no live peers")
-		return
-	}
-	h, err := cluster.ShipDir(nil, self.ID, dir, peers, cluster.ShipPolicy{
-		Attempts: 3,
-		OnAttempt: func(member string, attempt int, err error) {
-			fmt.Fprintf(os.Stderr, "ingestd: drain handoff -> %s attempt %d: %v\n", member, attempt, err)
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ingestd: drain handoff:", err)
-	}
-	if h.Tombstone == nil {
-		return
-	}
-	fmt.Printf("ingestd: drain handoff shipped checkpoint gen %d to %d of %d peers (%d device states adopted); a restart from %s archives it behind the tombstone and rejoins fresh\n",
-		h.Generation, h.Answered, len(peers), h.Adopted, dir)
 }

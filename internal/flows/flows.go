@@ -113,23 +113,3 @@ func (a *Assembler) Flows() []*Flow {
 	})
 	return out
 }
-
-// ByApp groups flows by app ID.
-func ByApp(fs []*Flow) map[uint32][]*Flow {
-	out := make(map[uint32][]*Flow)
-	for _, f := range fs {
-		out[f.App] = append(out[f.App], f)
-	}
-	return out
-}
-
-// ActiveAt returns the flows in fs that span ts (Start <= ts <= End).
-func ActiveAt(fs []*Flow, ts trace.Timestamp) []*Flow {
-	var out []*Flow
-	for _, f := range fs {
-		if f.Start <= ts && f.End >= ts {
-			out = append(out, f)
-		}
-	}
-	return out
-}

@@ -108,34 +108,6 @@ func TestFlowsSortedByStart(t *testing.T) {
 	}
 }
 
-func TestByApp(t *testing.T) {
-	a := NewAssembler(conns)
-	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
-	a.Add(PacketInfo{TS: 0, App: 2, Conn: 2, Bytes: 1})
-	a.Add(PacketInfo{TS: 0, App: 2, Conn: 3, Bytes: 1})
-	m := ByApp(a.Flows())
-	if len(m[1]) != 1 || len(m[2]) != 2 {
-		t.Errorf("ByApp = %v", m)
-	}
-}
-
-func TestActiveAt(t *testing.T) {
-	a := NewAssembler(conns)
-	a.Add(PacketInfo{TS: 0, App: 1, Conn: 1, Bytes: 1})
-	a.Add(PacketInfo{TS: 100 * sec, App: 1, Conn: 1, Bytes: 1})
-	a.Add(PacketInfo{TS: 200 * sec, App: 1, Conn: 2, Bytes: 1})
-	fs := a.Flows()
-	if got := ActiveAt(fs, 50*sec); len(got) != 1 {
-		t.Errorf("ActiveAt(50) = %d flows", len(got))
-	}
-	if got := ActiveAt(fs, 150*sec); len(got) != 0 {
-		t.Errorf("ActiveAt(150) = %d flows", len(got))
-	}
-	if got := ActiveAt(fs, 200*sec); len(got) != 1 {
-		t.Errorf("ActiveAt(200) = %d flows", len(got))
-	}
-}
-
 func TestConservationProperty(t *testing.T) {
 	// Total bytes, packets, and energy across flows must equal the inputs.
 	src := rng.New(55)

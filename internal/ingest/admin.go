@@ -2,9 +2,6 @@ package ingest
 
 import (
 	"encoding/json"
-	"errors"
-	"hash/crc32"
-	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -12,7 +9,6 @@ import (
 	"time"
 
 	"netenergy/internal/analysis"
-	"netenergy/internal/ingest/checkpoint"
 	"netenergy/internal/obs"
 	"netenergy/internal/trace"
 	"netenergy/internal/tsq"
@@ -21,11 +17,8 @@ import (
 // LiveHeadline is the admin /headline document: the paper's headline
 // statistics evaluated over everything the server has ingested so far.
 type LiveHeadline struct {
-	// NodeID attributes the headline to one cluster member (empty outside
-	// cluster mode; the aggregator stamps its merged document "fleet").
-	NodeID  string `json:"node_id,omitempty"`
-	Devices int    `json:"devices"`
-	Records int64  `json:"records"`
+	Devices int   `json:"devices"`
+	Records int64 `json:"records"`
 
 	TotalEnergyJ float64 `json:"total_energy_j"`
 	IdleEnergyJ  float64 `json:"idle_energy_j"`
@@ -93,15 +86,12 @@ func finiteOrZero(v float64) float64 {
 
 // Headline evaluates the live headline over the current Snapshot.
 func (s *Server) Headline() LiveHeadline {
-	h := HeadlineOf(s.Snapshot(), s.devices.len(), s.counters.records.Load())
-	h.NodeID = s.cfg.NodeID
-	return h
+	return HeadlineOf(s.Snapshot(), s.devices.len(), s.counters.records.Load())
 }
 
 // adminMux serves the observability surface:
 //
-//	GET  /healthz           -> 200 "ok placement=<PlacementID>" (a cluster
-//	                           prober refuses a member whose id differs)
+//	GET  /healthz           -> 200 "ok placement=<PlacementID>"
 //	GET  /metrics           -> Prometheus text exposition of every counter,
 //	                           gauge and histogram (scrape this)
 //	GET  /events            -> recent structured events as JSON
@@ -111,23 +101,6 @@ func (s *Server) Headline() LiveHeadline {
 //	GET  /device?id=<dev>   -> DeviceStats JSON (400 without id, 404 unknown)
 //	POST /checkpoint        -> force a checkpoint now (405 on GET, 503 when
 //	                           durability is off or the server is draining)
-//	GET  /snapshot          -> binary fleet StreamResult (the aggregator's
-//	                           pull surface), with X-Node-ID, X-Devices,
-//	                           X-Records and X-Snapshot-CRC32 headers
-//	POST /transfer          -> adopt a checkpoint handoff; the body is
-//	                           complete checkpoint-file bytes, verified and
-//	                           decoded whole before any state changes: 400
-//	                           when the file is corrupt or in a format this
-//	                           build refuses (the same bytes would bounce
-//	                           again), 503 while draining (retry); every
-//	                           device is ownership-routed and positionally
-//	                           deduplicated, so re-delivery is harmless;
-//	                           replies TransferResult
-//	POST /fence             -> FenceRequest JSON; if the incarnation names
-//	                           this process it archives its checkpoint dir
-//	                           behind a tombstone and stops serving streams
-//	                           (the rejoin-after-handoff fence); replies
-//	                           FenceResponse either way
 //	/debug/pprof/*          -> net/http/pprof handlers, only with
 //	                           Config.EnablePprof (ingestd -pprof)
 func (s *Server) adminMux() http.Handler {
@@ -189,7 +162,6 @@ func (s *Server) adminMux() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		res.Node = s.cfg.NodeID
 		s.counters.queries.Add(1)
 		s.counters.queryBlocksSkipped.Add(int64(res.Scan.BlocksSkipped))
 		s.counters.queryWindowsMemoised.Add(int64(res.Scan.WindowsMemoised))
@@ -221,69 +193,8 @@ func (s *Server) adminMux() http.Handler {
 		}
 		WriteJSON(w, s.Stats(false).Checkpoint)
 	})
-	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		b := s.Snapshot().AppendBinary(nil)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Node-ID", s.cfg.NodeID)
-		if s.Fenced() {
-			w.Header().Set("X-Fenced", "1")
-		}
-		w.Header().Set("X-Devices", strconv.Itoa(s.devices.len()))
-		w.Header().Set("X-Records", strconv.FormatInt(s.counters.records.Load(), 10))
-		w.Header().Set("X-Snapshot-CRC32", strconv.FormatUint(uint64(crc32.ChecksumIEEE(b)), 10))
-		w.Write(b) //nolint:errcheck // client went away
-	})
-	mux.HandleFunc("/transfer", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTransferBytes))
-		if err != nil {
-			s.counters.transferErrors.Add(1)
-			http.Error(w, "transfer body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		snap, err := checkpoint.DecodeFile(body)
-		if err != nil {
-			// Corrupt handoff bytes sever the whole transfer: no state was
-			// touched, the sender retries or escalates.
-			s.counters.transferErrors.Add(1)
-			s.counters.events.Logf(obs.LevelError, "transfer rejected: %v", err)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		res, err := s.RestoreTransfer(snap)
-		if err != nil {
-			s.counters.transferErrors.Add(1)
-			s.counters.events.Logf(obs.LevelError, "transfer failed: %v", err)
-			status := http.StatusBadRequest // the file is at fault
-			if errors.Is(err, ErrDraining) {
-				status = http.StatusServiceUnavailable
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		WriteJSON(w, res)
-	})
-	mux.HandleFunc("/fence", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		var req FenceRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req); err != nil {
-			http.Error(w, "fence body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		WriteJSON(w, s.HandleFence(req))
-	})
 	return mux
 }
-
-// maxTransferBytes bounds a POST /transfer body — matches the checkpoint
-// store's own payload cap plus header slack.
-const maxTransferBytes = checkpoint.MaxPayload + 64
 
 // WriteJSON answers an admin request with v as compact JSON. It encodes
 // before it answers, so a value the encoder refuses (a non-finite float) is

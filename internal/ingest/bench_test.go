@@ -329,15 +329,16 @@ func benchFIN(b *testing.B, durable bool) {
 		if i%64 == 0 {
 			b.StopTimer()
 			shutdown()
+			dir := b.TempDir()
+			preloadRetired(b, dir, &day, finRetired)
 			s = NewServer(Config{
 				Addr: "127.0.0.1:0", Shards: 4, QueueDepth: 256, BatchSize: 128,
-				CheckpointDir: b.TempDir(), CheckpointInterval: time.Hour,
+				CheckpointDir: dir, CheckpointInterval: time.Hour,
 				DurableFIN: durable,
 			})
 			if err := s.Start(); err != nil {
 				b.Fatal(err)
 			}
-			preloadRetired(b, s, &day, finRetired)
 			if err := s.SaveCheckpoint(); err != nil {
 				b.Fatal(err)
 			}
@@ -369,7 +370,7 @@ func benchFIN(b *testing.B, durable bool) {
 // BenchmarkFinDurable / BenchmarkFinVolatile are the -durable-fin cost
 // pair: identical session workloads with the FIN-ack checkpoint commit on
 // and off. The ns/op ratio is the price of closing the completed-session
-// loss window, quoted in DESIGN.md §10.
+// loss window, quoted in DESIGN.md §7.
 func BenchmarkFinDurable(b *testing.B)  { benchFIN(b, true) }
 func BenchmarkFinVolatile(b *testing.B) { benchFIN(b, false) }
 

@@ -12,7 +12,7 @@
 // whole state from that frame — live entry, ledger entry or both; a ledger
 // entry without a live one means the session closed — so restoring is a fold
 // per device, base first, frames in order, and what comes out is an ordinary
-// Snapshot that installs, ships and re-encodes like any other.
+// Snapshot that installs and re-encodes like any other.
 //
 // The failure model is fail-stop (SIGKILL, OOM, power loss) at any byte
 // boundary. The guarantees:
@@ -50,6 +50,9 @@
 //   - Generation numbers are monotonic across restarts (Open scans the
 //     directory and counts the newest log's whole frames), so a recovered
 //     daemon never overwrites history it might still need.
+//   - Open refuses a directory holding an older build's handoff tombstone
+//     (handoff.tomb): its state was shipped to another node, and restoring
+//     it would count it twice.
 //
 // The store is deliberately ignorant of what the payload means: device
 // entries carry opaque accumulator-state blobs (internal/analysis encodes
@@ -60,7 +63,6 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -80,6 +82,10 @@ import (
 //	fence   := epoch:uvarint incLen:uvarint inc:bytes
 //	blob    := len:uvarint bytes
 //
+// fence is what older builds' cluster mode stamped on every file (the
+// writer's cluster epoch and process incarnation). Encode writes it empty,
+// epoch 0 and no incarnation; Decode checks its bounds and drops it.
+//
 // legacy is where builds before the ledger kept every closed session as one
 // unattributed aggregate. Encode always writes 0x00; Decode hands a blob it
 // finds there to the caller as Snapshot.Legacy, who must refuse the file
@@ -89,7 +95,7 @@ var fileMagic = []byte("NECKPT1\n")
 
 const (
 	payloadVersion = 2
-	// maxIncarnation caps the fence incarnation-string length.
+	// maxIncarnation caps the fence's incarnation length.
 	maxIncarnation = 256
 	// MaxPayload caps a checkpoint payload (1 GiB); a length field beyond it
 	// means the header cannot be trusted.
@@ -133,10 +139,9 @@ type DeviceState struct {
 
 // RetiredRecord is one device's retirement entry: the final sequence number
 // its stream closed at and the device's own finalized, serialized
-// StreamResult. Carrying the per-device blob (rather than folding it into a
-// blind aggregate) is what lets a handoff receiver dedup a retired device
-// positionally, exactly like a live entry: if the receiver has already seen
-// seq >= Seq for the device, the entry is stale and is NOT merged. CRC is
+// StreamResult. Carrying the per-device blob rather than folding it into a
+// blind aggregate keeps a closed session under its device's sequence number,
+// so a delta frame can replace it like a live entry. CRC is
 // crc32.ChecksumIEEE(Blob), verified at decode time.
 type RetiredRecord struct {
 	Device string
@@ -145,24 +150,11 @@ type RetiredRecord struct {
 	Blob   []byte
 }
 
-// Fence identifies which process lifetime, under which cluster epoch, wrote
-// a checkpoint. The aggregator records it in a tombstone when it ships the
-// file to survivors; a rejoining node compares its restored fence against
-// the tombstone to detect "my state was already handed off" and archive
-// instead of double-serving.
-type Fence struct {
-	Epoch       uint64
-	Incarnation string
-}
-
 // Snapshot is one checkpoint's logical content.
 type Snapshot struct {
 	Devices []DeviceState
 	// Ledger holds one RetiredRecord per device with closed sessions.
 	Ledger []RetiredRecord
-	// Fence stamps the writing process and cluster epoch (epoch 0 on
-	// standalone nodes).
-	Fence Fence
 	// Legacy is the file's unattributed retired aggregate, set by Decode
 	// when an older build wrote one and ignored by Encode (see the format
 	// comment for what the reader owes it).
@@ -173,7 +165,7 @@ type Snapshot struct {
 // entries are sorted by device in place so identical logical snapshots
 // produce identical bytes.
 func Encode(s *Snapshot) []byte {
-	n := 64 + len(s.Fence.Incarnation)
+	n := 64
 	for i := range s.Devices {
 		n += len(s.Devices[i].Device) + len(s.Devices[i].Acc) + 16
 	}
@@ -208,10 +200,7 @@ func Encode(s *Snapshot) []byte {
 		b = binary.AppendUvarint(b, uint64(len(r.Blob)))
 		b = append(b, r.Blob...)
 	}
-	b = binary.AppendUvarint(b, s.Fence.Epoch)
-	b = binary.AppendUvarint(b, uint64(len(s.Fence.Incarnation)))
-	b = append(b, s.Fence.Incarnation...)
-	return b
+	return append(b, 0, 0) // fence: epoch 0, no incarnation
 }
 
 // Decode parses a snapshot payload. It validates structure and bounds; the
@@ -322,19 +311,16 @@ func Decode(b []byte) (*Snapshot, error) {
 		}
 		s.Ledger = append(s.Ledger, r)
 	}
-	epoch, ok := uvarint()
-	if !ok {
+	if _, ok := uvarint(); !ok { // fence epoch
 		return nil, ErrCorrupt
 	}
 	ilen, ok := uvarint()
 	if !ok || ilen > maxIncarnation {
 		return nil, ErrCorrupt
 	}
-	inc, ok := take(ilen)
-	if !ok || len(cur) != 0 {
+	if _, ok := take(ilen); !ok || len(cur) != 0 {
 		return nil, ErrCorrupt
 	}
-	s.Fence = Fence{Epoch: epoch, Incarnation: string(inc)}
 	return s, nil
 }
 
@@ -352,12 +338,22 @@ type Store struct {
 	written           int64
 }
 
+// tombstoneName is the marker an older build's cluster left in a checkpoint
+// directory whose state it had shipped to other nodes. Open refuses a
+// directory holding one.
+const tombstoneName = "handoff.tomb"
+
 // Open prepares a checkpoint store in dir, creating it if needed, and scans
 // what is there — the bases, and the whole frames of the newest one's log —
-// so new writes continue the generation sequence.
+// so new writes continue the generation sequence. A directory holding an
+// older build's handoff tombstone is refused, naming the file.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
+	}
+	tomb := filepath.Join(dir, tombstoneName)
+	if _, err := os.Lstat(tomb); err == nil {
+		return nil, fmt.Errorf("%w: %s: an older build's cluster shipped this directory's state to another node, and restoring it would count it twice; move the directory aside to start empty", ErrUnsupported, tomb)
 	}
 	s := &Store{dir: dir}
 	if gens := s.generations(); len(gens) > 0 {
@@ -376,8 +372,8 @@ func (s *Store) Generation() uint64 { return s.gen }
 func (s *Store) Written() int64 { return s.written }
 
 // NeedsBase reports whether the next commit must be a Save: this Store has no
-// base of its own to append to — none written yet, a Save or Append failed, or
-// the directory was archived — or the log has outgrown its base.
+// base of its own to append to — none written yet, or a Save or Append failed
+// — or the log has outgrown its base.
 func (s *Store) NeedsBase() bool {
 	return s.base == 0 || s.logSize > max(s.baseSize, minLogBytes)
 }
@@ -425,10 +421,8 @@ func encodeImage(snap *Snapshot) (hdr, payload []byte, err error) {
 }
 
 // EncodeFile serializes a snapshot as a complete checkpoint-file image
-// (header + CRC + payload) — what Save writes as a base, what Append writes as
-// a frame, and what the cluster tier ships (LoadLatest's File) during
-// ownership handoff; the receiver verifies it with DecodeFile, so a transfer
-// enjoys the same torn/corrupt detection as a crash recovery.
+// (header + CRC + payload) — what Save writes as a base and Append as a
+// frame.
 func EncodeFile(snap *Snapshot) ([]byte, error) {
 	hdr, payload, err := encodeImage(snap)
 	if err != nil {
@@ -505,8 +499,7 @@ func syncDir(dir string) {
 }
 
 // DecodeFile parses and validates a complete checkpoint-file image: magic,
-// CRC, declared payload length, then the payload structure. It is the
-// receive-side verification for checkpoint handoff over the wire.
+// CRC, declared payload length, then the payload structure.
 func DecodeFile(b []byte) (*Snapshot, error) {
 	snap, n, err := decodeImage(b)
 	if err == nil && n != len(b) {
@@ -543,101 +536,12 @@ func decodeImage(b []byte) (snap *Snapshot, n int, err error) {
 	return snap, len(b) - len(p) + int(plen), err
 }
 
-// TombstoneName is the marker file the aggregator (or a draining node)
-// writes into a checkpoint directory after the newest generation has been
-// shipped to survivors. A restarting node that finds a tombstone covering
-// its newest generation knows its state already lives elsewhere and must
-// archive, not restore.
-const TombstoneName = "handoff.tomb"
-
-// Tombstone records a handoff of a checkpoint directory: some survivor holds
-// part of its state.
-type Tombstone struct {
-	// Node is the member ID whose state was shipped.
-	Node string `json:"node"`
-	// Incarnation is the fence incarnation of the shipped checkpoint file.
-	Incarnation string `json:"incarnation"`
-	// Generation is the checkpoint generation that was shipped. Any
-	// generation <= this is covered by the handoff; a strictly newer
-	// generation means the node kept writing after the ship and its tail
-	// was never transferred.
-	Generation uint64 `json:"generation"`
-	// Epoch is the cluster epoch at ship time.
-	Epoch uint64 `json:"epoch"`
-	// UnixNano is the wall-clock ship time (diagnostic only).
-	UnixNano int64 `json:"unix_nano"`
-}
-
-// WriteTombstone atomically writes (or replaces) the directory's handoff
-// tombstone, the way Save writes a base.
-func WriteTombstone(dir string, t Tombstone) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	b, err := json.Marshal(t)
-	if err != nil {
-		return err
-	}
-	_, err = writeAtomic(dir, TombstoneName, b, []byte{'\n'})
-	return err
-}
-
-// LoadTombstone reads the directory's handoff tombstone. A missing file (or
-// missing directory) is (nil, nil); an unreadable or malformed file is an
-// error — the caller must decide, not silently restore over it.
-func LoadTombstone(dir string) (*Tombstone, error) {
-	b, err := os.ReadFile(filepath.Join(dir, TombstoneName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var t Tombstone
-	if err := json.Unmarshal(b, &t); err != nil {
-		return nil, fmt.Errorf("%w: tombstone: %v", ErrCorrupt, err)
-	}
-	return &t, nil
-}
-
-// ArchiveShipped moves every base, every log and the tombstone into a
-// `shipped-<generation>` subdirectory, leaving the store empty for a clean
-// restart: the next commit is a base. The generation counter keeps counting
-// from where it was, so post-archive checkpoints are strictly newer than
-// anything a stale tombstone could cover. Returns the archive directory.
-func (s *Store) ArchiveShipped(t *Tombstone) (string, error) {
-	s.dropBase()
-	sub := filepath.Join(s.dir, fmt.Sprintf("shipped-%08d", t.Generation))
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		return "", err
-	}
-	move := func(p string) error {
-		err := os.Rename(p, filepath.Join(sub, filepath.Base(p)))
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	for _, g := range s.generations() {
-		// The log first, as in Save's pruning.
-		if err := errors.Join(move(logPath(s.dir, g)), move(genPath(s.dir, g))); err != nil {
-			return "", err
-		}
-	}
-	if err := move(filepath.Join(s.dir, TombstoneName)); err != nil {
-		return "", err
-	}
-	syncDir(s.dir)
-	return sub, nil
-}
-
 // Loaded is one generation as LoadLatest found it.
 type Loaded struct {
 	// Gen is the base's generation plus the whole frames after it.
 	Gen uint64
-	// File is Snap as one checkpoint-file image — what a handoff ships. For a
-	// base with no frames after it these are the bytes on disk (Snap aliases
-	// them), so the receiver checks the CRC the dead node wrote.
+	// File is Snap as one checkpoint-file image. For a base with no frames
+	// after it these are the bytes on disk (Snap aliases them).
 	File []byte
 	// Snap is the base with every whole frame folded over it.
 	Snap *Snapshot
@@ -655,11 +559,10 @@ type Loaded struct {
 // one before it and recorded in Skipped — this is the fall-back-on-corruption
 // path. A generation that is ErrUnsupported, by the decoder's judgement or
 // validate's, is not: it ends the search with an error naming the file (see
-// the package comment). A directory with no base in it — fresh, or archived
-// behind a tombstone — returns (nil, nil). One with bases of which none
-// restores is an error carrying every file's reason: starting empty beside
-// them would lose everything they hold without a word, and the next commit
-// would prune them.
+// the package comment). A directory with no base in it returns (nil, nil).
+// One with bases of which none restores is an error carrying every file's
+// reason: starting empty beside them would lose everything they hold without
+// a word, and the next commit would prune them.
 func (s *Store) LoadLatest(validate func(*Snapshot) error) (*Loaded, error) {
 	gens := s.generations()
 	var skipped []error

@@ -256,7 +256,6 @@ func fileOf(payload []byte) []byte {
 func TestLegacySlot(t *testing.T) {
 	want := sampleSnapshot()
 	want.Ledger = []RetiredRecord{{Device: "u001", Seq: 99, CRC: crc32.ChecksumIEEE([]byte{7}), Blob: []byte{7}}}
-	want.Fence = Fence{Epoch: 4, Incarnation: "n1.2.3"}
 	got, err := DecodeFile(fileOf(withLegacy(want, []byte{9, 8, 7})))
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +263,7 @@ func TestLegacySlot(t *testing.T) {
 	if !bytes.Equal(got.Legacy, []byte{9, 8, 7}) {
 		t.Fatalf("Legacy = %v", got.Legacy)
 	}
-	if len(got.Devices) != len(want.Devices) || len(got.Ledger) != 1 || got.Fence != want.Fence {
+	if len(got.Devices) != len(want.Devices) || len(got.Ledger) != 1 {
 		t.Fatalf("decoded around the legacy slot: %+v", got)
 	}
 	if again := mustDecode(t, Encode(got)); again.Legacy != nil {
@@ -339,12 +338,12 @@ func TestParentWrittenFile(t *testing.T) {
 			open++
 		}
 	}
-	if len(snap.Ledger) != 8 || open != 6 || snap.Legacy == nil || snap.Fence.Incarnation == "" {
-		t.Fatalf("ledger %d, open sessions %d, legacy %d bytes, fence %+v", len(snap.Ledger), open, len(snap.Legacy), snap.Fence)
+	if len(snap.Ledger) != 8 || open != 6 || snap.Legacy == nil {
+		t.Fatalf("ledger %d, open sessions %d, legacy %d bytes", len(snap.Ledger), open, len(snap.Legacy))
 	}
 }
 
-// TestLedgerRoundtrip: v2 ledger + fence round-trip exactly, blob CRCs are
+// TestLedgerRoundtrip: the v2 ledger round-trips exactly, blob CRCs are
 // enforced, and encoding is deterministic regardless of ledger input order.
 func TestLedgerRoundtrip(t *testing.T) {
 	blob := []byte{5, 4, 3, 2, 1}
@@ -354,7 +353,6 @@ func TestLedgerRoundtrip(t *testing.T) {
 			{Device: "z-dev", Seq: 42, CRC: crc32.ChecksumIEEE(blob), Blob: blob},
 			{Device: "a-dev", Seq: 9, CRC: crc32.ChecksumIEEE(nil), Blob: nil},
 		},
-		Fence: Fence{Epoch: 3, Incarnation: "n2.1234.567"},
 	}
 	got, err := Decode(Encode(snap))
 	if err != nil {
@@ -365,9 +363,6 @@ func TestLedgerRoundtrip(t *testing.T) {
 	}
 	if got.Ledger[1].Seq != 42 || !bytes.Equal(got.Ledger[1].Blob, blob) {
 		t.Fatalf("ledger entry: %+v", got.Ledger[1])
-	}
-	if got.Fence != snap.Fence {
-		t.Fatalf("fence: %+v, want %+v", got.Fence, snap.Fence)
 	}
 
 	// A flipped blob bit must fail the per-entry CRC.
@@ -390,57 +385,61 @@ func TestLedgerRoundtrip(t *testing.T) {
 	}
 }
 
-// TestTombstone: write/load round trip, atomic replace, missing-is-nil, and
-// the archive flow that moves shipped generations out of the way.
+// withFence replaces the empty fence trailer Encode ends a payload with by
+// the one an older build's cluster mode stamped: its epoch and incarnation.
+func withFence(payload []byte, epoch uint64, incarnation string) []byte {
+	b := binary.AppendUvarint(bytes.Clone(payload[:len(payload)-2]), epoch)
+	b = binary.AppendUvarint(b, uint64(len(incarnation)))
+	return append(b, incarnation...)
+}
+
+// TestFenceTrailerDiscarded: Encode ends a payload with an empty fence,
+// epoch 0 and no incarnation. A file an older build stamped with a real one
+// decodes to the same snapshot, and re-encodes without it; the trailer is
+// still bounds-checked.
+func TestFenceTrailerDiscarded(t *testing.T) {
+	snap := sampleSnapshot()
+	snap.Ledger = []RetiredRecord{{Device: "u001", Seq: 99, CRC: crc32.ChecksumIEEE([]byte{7}), Blob: []byte{7}}}
+	plain := Encode(snap)
+	if !bytes.HasSuffix(plain, []byte{0, 0}) {
+		t.Fatalf("payload ends % x, want an empty fence", plain[len(plain)-4:])
+	}
+	fenced := withFence(plain, 4, "n1.1234.567")
+	got := mustDecode(t, fenced)
+	if !reflect.DeepEqual(got, mustDecode(t, plain)) {
+		t.Errorf("a fenced payload decodes to %+v", got)
+	}
+	if again := Encode(got); !bytes.Equal(again, plain) {
+		t.Errorf("re-encoded % x, want % x", again, plain)
+	}
+	for name, b := range map[string][]byte{
+		"incarnation past its cap": withFence(plain, 1, strings.Repeat("x", maxIncarnation+1)),
+		"incarnation cut short":    fenced[:len(fenced)-1],
+		"bytes after the fence":    append(bytes.Clone(fenced), 0),
+	} {
+		if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestTombstone: a directory holding an older build's handoff
+// tombstone had its state shipped to another node; Open refuses it, naming
+// the file, whatever else the directory holds.
 func TestTombstone(t *testing.T) {
 	dir := t.TempDir()
-	if tomb, err := LoadTombstone(dir); tomb != nil || err != nil {
-		t.Fatalf("empty dir: %v %v", tomb, err)
-	}
-	want := Tombstone{Node: "n2", Incarnation: "n2.1.2", Generation: 4, Epoch: 9, UnixNano: 111}
-	if err := WriteTombstone(dir, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTombstone(dir)
-	if err != nil || got == nil || *got != want {
-		t.Fatalf("round trip: %+v %v", got, err)
-	}
-
-	// Corrupt tombstone must surface an error, not read as absent.
-	if err := os.WriteFile(filepath.Join(dir, TombstoneName), []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTombstone(dir); err == nil {
-		t.Fatal("corrupt tombstone read as valid")
-	}
-	if err := WriteTombstone(dir, want); err != nil {
-		t.Fatal(err)
-	}
-
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, _, err := st.Save(&Snapshot{Devices: []DeviceState{{Device: "d", Seq: int64(i + 1)}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sub, err := st.ArchiveShipped(&want)
-	if err != nil {
+	if _, _, err := st.Save(sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if ck, err := st.LoadLatest(nil); ck != nil || err != nil {
-		t.Fatalf("store not empty after archive: %v %v", ck, err)
+	tomb := filepath.Join(dir, "handoff.tomb")
+	if err := os.WriteFile(tomb, []byte(`{"node":"n2","generation":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if tomb, err := LoadTombstone(dir); tomb != nil || err != nil {
-		t.Fatalf("tombstone not archived: %v %v", tomb, err)
-	}
-	if _, err := os.Stat(filepath.Join(sub, TombstoneName)); err != nil {
-		t.Fatalf("archived tombstone missing: %v", err)
-	}
-	// Generation numbering continues above the shipped generation.
-	if _, gen, err := st.Save(&Snapshot{}); err != nil || gen != 4 {
-		t.Fatalf("post-archive gen = %d (%v), want 4", gen, err)
+	if _, err := Open(dir); !errors.Is(err, ErrUnsupported) || !strings.Contains(err.Error(), tomb) {
+		t.Fatalf("Open: %v, want ErrUnsupported naming %s", err, tomb)
 	}
 }

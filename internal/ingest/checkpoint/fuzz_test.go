@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"netenergy/internal/analysis"
@@ -42,9 +43,10 @@ func FuzzCheckpointDecoder(f *testing.F) {
 		Ledger: []RetiredRecord{
 			{Device: "u001", Seq: 17, CRC: crc32.ChecksumIEEE(retBlob), Blob: retBlob},
 		},
-		Fence: Fence{Epoch: 2, Incarnation: "n1.1.1"},
 	}
-	payload := Encode(snap)
+	// Stamped with the fence an older build's cluster mode wrote: the
+	// decoder still reads it.
+	payload := withFence(Encode(snap), 2, "n1.1.1")
 	hdr := append([]byte(nil), fileMagic...)
 	f.Add(append(hdr, payload...)) // wrong header shape: exercises torn/corrupt paths
 	f.Add(payload)
@@ -70,6 +72,10 @@ func FuzzCheckpointDecoder(f *testing.F) {
 		f.Fatal(err)
 	}
 	if b, err := os.ReadFile(path); err == nil {
+		f.Add(b)
+	}
+	// A file the parent build wrote, its fence naming the process.
+	if b, err := os.ReadFile(filepath.Join("testdata", "parent-v2.ck")); err == nil {
 		f.Add(b)
 	}
 

@@ -111,8 +111,7 @@ func frameWithin(b []byte) bool {
 }
 
 // fold applies frames over base, in order: a device takes its whole state —
-// live entry, ledger entry or both — from the last snapshot that names it, and
-// the fence is the last frame's.
+// live entry, ledger entry or both — from the last snapshot that names it.
 func fold(base *Snapshot, frames []*Snapshot) *Snapshot {
 	srcs := append([]*Snapshot{base}, frames...)
 	last := map[string]int{}
@@ -124,7 +123,7 @@ func fold(base *Snapshot, frames []*Snapshot) *Snapshot {
 			last[s.Ledger[j].Device] = i
 		}
 	}
-	out := &Snapshot{Fence: srcs[len(srcs)-1].Fence, Legacy: base.Legacy}
+	out := &Snapshot{Legacy: base.Legacy}
 	for i, s := range srcs {
 		for _, d := range s.Devices {
 			if last[d.Device] == i {

@@ -53,10 +53,10 @@ func threeFrameStore(t testing.TB) (dir string, base uint64, log []byte, offs []
 		t.Fatal(err)
 	}
 	commits := []*Snapshot{
-		{Devices: []DeviceState{live("a", 10), live("b", 5), {Device: "bare", Seq: 1}}, Ledger: []RetiredRecord{closed("old", 7, "s1")}, Fence: Fence{Incarnation: "p.0"}},
-		{Ledger: []RetiredRecord{closed("a", 12, "s1")}, Fence: Fence{Incarnation: "p.1"}},
-		{Devices: []DeviceState{live("a", 15), live("b", 9)}, Ledger: []RetiredRecord{closed("a", 12, "s1")}, Fence: Fence{Incarnation: "p.2"}},
-		{Devices: []DeviceState{live("c", 3)}, Ledger: []RetiredRecord{closed("a", 20, "s1+s2"), closed("b", 11, "s1")}, Fence: Fence{Epoch: 4, Incarnation: "p.3"}},
+		{Devices: []DeviceState{live("a", 10), live("b", 5), {Device: "bare", Seq: 1}}, Ledger: []RetiredRecord{closed("old", 7, "s1")}},
+		{Ledger: []RetiredRecord{closed("a", 12, "s1")}},
+		{Devices: []DeviceState{live("a", 15), live("b", 9)}, Ledger: []RetiredRecord{closed("a", 12, "s1")}},
+		{Devices: []DeviceState{live("c", 3)}, Ledger: []RetiredRecord{closed("a", 20, "s1+s2"), closed("b", 11, "s1")}},
 	}
 	want = []map[string]string{
 		{"a": "live@10", "b": "live@5", "bare": "@1", "old": "closed(s1)@7"},
@@ -131,10 +131,6 @@ func TestLogTornTail(t *testing.T) {
 		b[i] ^= 0x20
 		check(fmt.Sprint("flip at ", i), b, 2)
 	}
-	ck := loadWith(t, dir, base, log)
-	if ck.Snap.Fence != (Fence{Epoch: 4, Incarnation: "p.3"}) {
-		t.Errorf("fence %+v, want the last frame's", ck.Snap.Fence)
-	}
 }
 
 // TestLogCorruptMiddle: a damaged frame with a whole one after it is not a
@@ -159,19 +155,16 @@ func TestFold(t *testing.T) {
 	base := &Snapshot{
 		Devices: []DeviceState{live("stays-live", 4), live("closes", 6), live("only-in-base", 2)},
 		Ledger:  []RetiredRecord{closed("reopens", 9, "s1"), closed("stays-closed", 3, "s1")},
-		Fence:   Fence{Incarnation: "base"},
 		Legacy:  []byte{1},
 	}
 	frames := []*Snapshot{
 		{
 			Devices: []DeviceState{live("stays-live", 8), live("reopens", 11), {Device: "bare", Seq: 1}},
 			Ledger:  []RetiredRecord{closed("closes", 7, "s1"), closed("reopens", 9, "s1"), closed("twice", 5, "s1+s2")},
-			Fence:   Fence{Incarnation: "f1"},
 		},
 		{
 			Devices: []DeviceState{{Device: "bare", Seq: 2}, live("closes", 9)},
 			Ledger:  []RetiredRecord{closed("reopens", 14, "s1+s2"), closed("closes", 7, "s1")},
-			Fence:   Fence{Epoch: 2, Incarnation: "f2"},
 		},
 	}
 	got := fold(base, frames)
@@ -190,8 +183,8 @@ func TestFold(t *testing.T) {
 	if len(got.Devices) != 4 || len(got.Ledger) != 4 {
 		t.Errorf("%d device entries, %d ledger entries: some device is named twice", len(got.Devices), len(got.Ledger))
 	}
-	if got.Fence != (Fence{Epoch: 2, Incarnation: "f2"}) || !bytes.Equal(got.Legacy, base.Legacy) {
-		t.Errorf("fence %+v legacy %v", got.Fence, got.Legacy)
+	if !bytes.Equal(got.Legacy, base.Legacy) {
+		t.Errorf("legacy %v", got.Legacy)
 	}
 }
 
@@ -267,37 +260,6 @@ func TestParentBasesOnly(t *testing.T) {
 	}
 	if st.Generation() != 7 || !st.NeedsBase() {
 		t.Errorf("generation %d, needs base %t", st.Generation(), st.NeedsBase())
-	}
-}
-
-// TestArchiveShippedTakesLogs: a fence moves logs with their bases and the
-// next commit is a base.
-func TestArchiveShippedTakesLogs(t *testing.T) {
-	dir, base, _, _, _ := threeFrameStore(t)
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st.Save(&Snapshot{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append(&Snapshot{Devices: []DeviceState{live("z", 1)}}); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := st.ArchiveShipped(&Tombstone{Generation: st.Generation()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	left, _ := filepath.Glob(filepath.Join(dir, "ck-*"))
-	moved, _ := filepath.Glob(filepath.Join(sub, "ck-*"))
-	if len(left) != 0 || len(moved) != 4 {
-		t.Errorf("left %v, moved %v; want two bases and two logs archived", left, moved)
-	}
-	if _, err := os.Stat(filepath.Join(sub, filepath.Base(logPath(dir, base)))); err != nil {
-		t.Error(err)
-	}
-	if !st.NeedsBase() {
-		t.Error("a store whose directory was archived would append to a base that is gone")
 	}
 }
 

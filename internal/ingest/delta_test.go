@@ -235,9 +235,9 @@ func TestFailedCommitCostsABase(t *testing.T) {
 	sameHeadline(t, "restart", startServer(t, cfg).Headline(), want)
 }
 
-// preloadRetired gives s n devices that have each closed one session, dt's,
-// the way a handoff would: as a snapshot of ledger entries.
-func preloadRetired(tb testing.TB, s *Server, dt *trace.DeviceTrace, n int) {
+// preloadRetired writes into the checkpoint directory dir, for a server yet to
+// start on it, a base of n devices that have each closed one session, dt's.
+func preloadRetired(tb testing.TB, dir string, dt *trace.DeviceTrace, n int) {
 	tb.Helper()
 	acc := analysis.NewStreamAccumulator(dt.Device, batchOpts())
 	for i := range dt.Records {
@@ -251,8 +251,12 @@ func preloadRetired(tb testing.TB, s *Server, dt *trace.DeviceTrace, n int) {
 			CRC: crc32.ChecksumIEEE(blob), Blob: blob,
 		})
 	}
-	if res, err := s.RestoreTransfer(snap); err != nil || res.AcceptedDevices != n {
-		tb.Fatalf("preload: %+v, %v", res, err)
+	st, err := checkpoint.Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := st.Save(snap); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -262,11 +266,15 @@ func preloadRetired(tb testing.TB, s *Server, dt *trace.DeviceTrace, n int) {
 func TestCommitBytesDoNotGrowWithTheNode(t *testing.T) {
 	dt := synthgen.GenerateInMemory(synthgen.Small(1, 1))[0]
 	perFIN := func(retired int) int64 {
+		dir := t.TempDir()
+		preloadRetired(t, dir, dt, retired)
 		s := startServer(t, Config{
-			Shards: 2, CheckpointDir: t.TempDir(), CheckpointInterval: time.Hour, DurableFIN: true,
+			Shards: 2, CheckpointDir: dir, CheckpointInterval: time.Hour, DurableFIN: true,
 		})
 		defer s.Kill()
-		preloadRetired(t, s, dt, retired)
+		if got := s.devices.len(); got != retired {
+			t.Fatalf("restored %d devices, preloaded %d", got, retired)
+		}
 		if err := s.SaveCheckpoint(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,11 @@
 package ingest
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
-	"io"
 	"math"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,7 +89,7 @@ func checkpointFile(payload []byte) []byte {
 // TestOldFormatsRefused: a payload-v1 generation, and a v2 generation whose
 // legacy slot holds closed sessions, are refused loudly. Start fails naming
 // the file — it neither falls back to the older, valid generation beside it
-// nor starts empty — and /transfer answers 400 having changed nothing.
+// nor starts empty.
 func TestOldFormatsRefused(t *testing.T) {
 	src := startServer(t, Config{Shards: 1})
 	streamTrace(t, src.Addr().String(), synthgen.GenerateInMemory(synthgen.Small(1, 1))[0])
@@ -128,20 +125,6 @@ func TestOldFormatsRefused(t *testing.T) {
 			}
 			if !errors.Is(err, checkpoint.ErrUnsupported) || !strings.Contains(err.Error(), refused) {
 				t.Fatalf("Start error %q: want ErrUnsupported naming %s", err, refused)
-			}
-
-			b := startServer(t, Config{Shards: 1, AdminAddr: "127.0.0.1:0"})
-			resp, err := http.Post("http://"+b.AdminAddr().String()+"/transfer", "application/octet-stream", bytes.NewReader(file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			msg, _ := io.ReadAll(resp.Body) //nolint:errcheck // test diagnostics
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unsupported format") {
-				t.Fatalf("transfer status %d %q, want 400 unsupported format", resp.StatusCode, msg)
-			}
-			if st := b.Stats(false); st.TransferErrors != 1 || st.Transfers != 0 || st.Records != 0 {
-				t.Errorf("refused transfer left %+v", st)
 			}
 		})
 	}

@@ -36,12 +36,6 @@ type counters struct {
 	severs         *obs.Counter // connections severed on CRC/decode/gap
 	recordsSkipped *obs.Counter // poison records skipped past
 
-	// Cluster counters.
-	redirects       *obs.Counter // handshakes answered with a redirect ack
-	transfers       *obs.Counter // checkpoint handoffs adopted
-	transferDevices *obs.Counter // device states adopted from handoffs
-	transferErrors  *obs.Counter // handoffs rejected (corrupt or undecodable)
-
 	// Checkpoint health (written by the checkpoint loop).
 	ckptGen      *obs.Gauge
 	ckptBytes    *obs.Gauge
@@ -49,10 +43,8 @@ type counters struct {
 	ckptErrors   *obs.Counter
 	ckptUnixNano *obs.Gauge // time of last successful save
 
-	// Durable-FIN and rejoin-fencing state.
-	finDurable    *obs.Counter // FIN acks released after a durable checkpoint
-	fenced        *obs.Gauge   // 1 once the node has fenced itself
-	fenceArchives *obs.Counter // checkpoint dirs archived (tombstone or fence)
+	// Durable FIN.
+	finDurable *obs.Counter // FIN acks released after a durable checkpoint
 
 	// Segment store and query engine.
 	segRecords         *obs.Counter // records appended to segment files
@@ -107,20 +99,13 @@ func newCounters() *counters {
 		severs:         reg.Counter("ingest_severs_total", "connections severed on CRC/decode/gap"),
 		recordsSkipped: reg.Counter("ingest_records_skipped_total", "poison records skipped past"),
 
-		redirects:       reg.Counter("ingest_redirects_total", "handshakes answered with a redirect ack"),
-		transfers:       reg.Counter("ingest_transfers_total", "checkpoint handoffs adopted"),
-		transferDevices: reg.Counter("ingest_transfer_devices_total", "device states adopted from handoffs"),
-		transferErrors:  reg.Counter("ingest_transfer_errors_total", "handoffs rejected as corrupt or undecodable"),
-
 		ckptGen:      reg.Gauge("ingest_checkpoint_generation", "latest checkpoint generation written or recovered"),
 		ckptBytes:    reg.Gauge("ingest_checkpoint_bytes", "bytes written by the last checkpoint commit: a whole base, or one delta frame"),
 		ckptBases:    reg.Counter("ingest_checkpoint_base_writes_total", "checkpoint commits that rewrote the whole base (first commit, log outgrew its base, after a failed commit, shutdown) rather than appending a delta frame"),
 		ckptErrors:   reg.Counter("ingest_checkpoint_errors_total", "failed checkpoint commits, and damaged checkpoint files passed over at recovery"),
 		ckptUnixNano: reg.Gauge("ingest_checkpoint_last_unixnano", "wall time of the last successful checkpoint commit, an idle one that had nothing to write included"),
 
-		finDurable:    reg.Counter("ingest_fin_durable_total", "FIN acks released only after a durable checkpoint"),
-		fenced:        reg.Gauge("ingest_fenced", "1 once this node fenced itself after a handoff"),
-		fenceArchives: reg.Counter("ingest_fence_archives_total", "checkpoint directories archived as already-shipped"),
+		finDurable: reg.Counter("ingest_fin_durable_total", "FIN acks released only after a durable checkpoint"),
 
 		segRecords:         reg.Counter("ingest_segment_records_total", "records appended to segment files"),
 		segRecordsDropped:  reg.Counter("ingest_segment_records_dropped_total", "records dropped from segments on timestamp regression"),
@@ -297,9 +282,6 @@ type CheckpointStats struct {
 
 // Stats is the admin /stats document.
 type Stats struct {
-	// NodeID attributes this document to one cluster member (empty
-	// outside cluster mode), so aggregator merges are debuggable.
-	NodeID        string  `json:"node_id,omitempty"`
 	UptimeSec     float64 `json:"uptime_sec"`
 	ConnsActive   int64   `json:"conns_active"`
 	ConnsTotal    int64   `json:"conns_total"`
@@ -320,15 +302,6 @@ type Stats struct {
 	Throttled      int64 `json:"throttled"`
 	Severs         int64 `json:"severs"`
 	RecordsSkipped int64 `json:"records_skipped"`
-
-	// Cluster surface: ownership routing and checkpoint handoff.
-	Redirects       int64 `json:"redirects,omitempty"`
-	Transfers       int64 `json:"transfers,omitempty"`
-	TransferDevices int64 `json:"transfer_devices,omitempty"`
-	TransferErrors  int64 `json:"transfer_errors,omitempty"`
-	// Fenced is true once this node's state was handed off to survivors
-	// and it stopped serving streams.
-	Fenced bool `json:"fenced,omitempty"`
 
 	// Checkpoint is present when durability is enabled.
 	Checkpoint *CheckpointStats `json:"checkpoint,omitempty"`

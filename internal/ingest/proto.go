@@ -21,9 +21,9 @@
 //	                                  record the server expects on this conn
 //	            status 1 (throttled): arg = retry-after in milliseconds
 //	            status 2 (draining):  arg = 0; server is shutting down
-//	            status 3 (redirect):  arg = addrLen, followed by addr bytes —
-//	                                  another cluster node owns this device;
-//	                                  reconnect there (cluster mode only)
+//	            status 3:             reserved: older builds' cluster mode
+//	                                  redirected the device to another node;
+//	                                  a client refuses it (errRedirectAck)
 //	frame    := seq:uvarint bodyLen:uvarint body:bytes crc:uint32le
 //	            crc covers the seq and bodyLen varints and the body
 //	body     := FIN | batch — a body that is neither is a framing error
@@ -85,12 +85,15 @@ var (
 	ErrFrameTruncated = errors.New("ingest: truncated frame")
 	// ErrBadAck means the server's hello acknowledgement was malformed.
 	ErrBadAck = errors.New("ingest: bad hello ack")
-	// ErrDraining is the one error for "this node is shutting down (or
-	// fenced) and takes nothing more": a client whose handshake was refused
-	// gets it, and so does a checkpoint or a handoff transfer asked of a
-	// draining server — POST /transfer answers it with 503, the one transfer
-	// failure worth retrying.
+	// ErrDraining is the one error for "this node is shutting down and takes
+	// nothing more": a client whose handshake was refused gets it, and so
+	// does a checkpoint asked of a draining server.
 	ErrDraining = errors.New("ingest: server draining")
+
+	// errRedirectAck is a handshake answered with status 3, which only an
+	// older build's cluster mode sends. This build routes nowhere else, so
+	// the session ends on it instead of dialing the address it names.
+	errRedirectAck = errors.New("ingest: handshake answered with a redirect ack (status 3) by a cluster-mode node of an older build; this client streams to one node and does not follow it")
 )
 
 // ErrThrottled is returned to a client the server refused for exceeding its
@@ -103,19 +106,6 @@ func (e *ErrThrottled) Error() string {
 	return fmt.Sprintf("ingest: throttled, retry after %s", e.RetryAfter)
 }
 
-// ErrRedirect is returned to a client whose hello reached a cluster node
-// that does not own the device: Addr is the stream address of the node that
-// does (per the answering node's membership view). The client reconnects
-// there with its usual Backoff; on membership churn the target may bounce
-// it again until the views converge.
-type ErrRedirect struct {
-	Addr string
-}
-
-func (e *ErrRedirect) Error() string {
-	return fmt.Sprintf("ingest: device reassigned, reconnect to %s", e.Addr)
-}
-
 var helloMagic = []byte("FLTS2\n")
 
 // Hello-ack status codes.
@@ -123,14 +113,11 @@ const (
 	ackOK        = 0
 	ackThrottled = 1
 	ackDraining  = 2
-	// ackRedirect tells the client another node owns this device. Unlike
-	// the other statuses its argument is a string: arg = owner-address
-	// length, followed by that many address bytes.
+	// ackRedirect is reserved: older builds' cluster mode answered a device
+	// another node owned with it, the owner's address after the argument.
+	// No server sends it any more; a client refuses it (errRedirectAck).
 	ackRedirect = 3
 )
-
-// maxRedirectAddr caps the address a redirect ack may carry.
-const maxRedirectAddr = 256
 
 const (
 	// MaxFrame caps a frame body; matches the METR file record cap.
@@ -246,19 +233,6 @@ func writeAck(w io.Writer, status byte, arg uint64) error {
 	return err
 }
 
-// writeRedirectAck writes a redirect acknowledgement carrying the stream
-// address of the node that owns the device.
-func writeRedirectAck(w io.Writer, addr string) error {
-	if len(addr) == 0 || len(addr) > maxRedirectAddr {
-		return fmt.Errorf("ingest: redirect address %q out of range", addr)
-	}
-	b := []byte{ackRedirect}
-	b = binary.AppendUvarint(b, uint64(len(addr)))
-	b = append(b, addr...)
-	_, err := w.Write(b)
-	return err
-}
-
 // readAck parses an acknowledgement and maps non-OK statuses to errors.
 func readAck(r *bufio.Reader) (arg int64, err error) {
 	status, err := r.ReadByte()
@@ -277,14 +251,7 @@ func readAck(r *bufio.Reader) (arg int64, err error) {
 	case ackDraining:
 		return 0, ErrDraining
 	case ackRedirect:
-		if v == 0 || v > maxRedirectAddr {
-			return 0, ErrBadAck
-		}
-		addr := make([]byte, v)
-		if _, err := io.ReadFull(r, addr); err != nil {
-			return 0, ErrBadAck
-		}
-		return 0, &ErrRedirect{Addr: string(addr)}
+		return 0, errRedirectAck
 	default:
 		return 0, ErrBadAck
 	}

@@ -132,35 +132,3 @@ func TestReopenedDeviceLiveSurvivesRestart(t *testing.T) {
 		t.Errorf("resume seq after restart = %d, want the high-water mark %d", c.ResumeSeq, len(dt.Records))
 	}
 }
-
-// TestReopenedDeviceSurvivesTransfer: the same checkpoint file handed to an
-// empty node with another shard count reproduces the headline, and delivering
-// it a second time changes nothing.
-func TestReopenedDeviceSurvivesTransfer(t *testing.T) {
-	dir := t.TempDir()
-	a, _ := reopenedNode(t, dir, false)
-	want := a.Headline()
-	if err := a.SaveCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	snap := latestCheckpoint(t, dir).Snap
-
-	b := startServer(t, Config{Shards: 5})
-	res, err := b.RestoreTransfer(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AcceptedDevices != 1 || res.SkippedStale != 0 || res.Records != want.Records {
-		t.Errorf("transfer result %+v, want one device / %d records adopted", res, want.Records)
-	}
-	sameHeadline(t, "transfer", b.Headline(), want)
-
-	res, err = b.RestoreTransfer(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AcceptedDevices != 0 || res.SkippedStale != 1 || res.Records != 0 {
-		t.Errorf("re-delivery result %+v, want one stale device", res)
-	}
-	sameHeadline(t, "transfer delivered twice", b.Headline(), want)
-}

@@ -6,16 +6,12 @@ import (
 )
 
 // NodeRing is a consistent-hash ring mapping device IDs onto an arbitrary
-// set of named nodes. It is the device→node assignment function of the
-// cluster tier, lifted from the per-process shard ring so that the client
-// (session routing), the server (redirect decisions) and the aggregator
-// (handoff targeting) all compute the same placement from the same member
-// list. Placement depends only on the set of node names: adding or removing
-// one node relocates only ~1/n of devices, and every holder of the same
-// member list agrees on every assignment.
+// set of named nodes; the server's shard ring is one over "shard-<i>" names.
+// Placement depends only on the set of node names: adding or removing one
+// node relocates only ~1/n of devices, and every holder of the same name
+// set agrees on every assignment.
 //
-// A NodeRing is immutable after construction; membership changes are
-// handled by building a new ring over the new live set.
+// A NodeRing is immutable after construction.
 type NodeRing struct {
 	hashes []uint64
 	owners []string
@@ -31,9 +27,8 @@ const vnodesPerNode = 256
 
 // PlacementID names the placement function — placeHash, the vnode key
 // scheme and vnodesPerNode — as the first 16 hex digits of the SHA-256
-// TestPlacementGolden pins. Members serve it on /healthz, and a cluster
-// prober refuses a member whose id differs: two members that place the
-// same device differently would bounce it between them forever.
+// TestPlacementGolden pins. The node serves it on /healthz, so a change of
+// placement is visible from outside.
 const PlacementID = "3048bdcec0d35f7d"
 
 // placeHash is the placement hash of ring points and device lookups:
@@ -101,27 +96,6 @@ func (r *NodeRing) Owner(device string) string {
 	}
 	i := r.search(device)
 	return r.owners[i]
-}
-
-// Prefer returns every node in ring-successor order starting from the
-// device's owner, each exactly once: the client-side failover order. If the
-// owner is unreachable the next entry is exactly the node that inherits the
-// device when the owner is declared dead, so walking this list converges
-// with the server-side view.
-func (r *NodeRing) Prefer(device string) []string {
-	if len(r.hashes) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(r.nodes))
-	seen := make(map[string]bool, len(r.nodes))
-	for i, n := r.search(device), 0; n < len(r.hashes) && len(out) < len(r.nodes); n++ {
-		owner := r.owners[(i+n)%len(r.hashes)]
-		if !seen[owner] {
-			seen[owner] = true
-			out = append(out, owner)
-		}
-	}
-	return out
 }
 
 // search returns the index of the first ring point at or clockwise after

@@ -19,7 +19,7 @@ func ringDevices(n int) []string {
 
 // TestNodeRingDeterministic: placement must depend only on the SET of node
 // names — input order and duplicates are irrelevant, so every holder of the
-// same member list (client, server, aggregator) agrees on every assignment.
+// same name set agrees on every assignment.
 func TestNodeRingDeterministic(t *testing.T) {
 	a := NewNodeRing([]string{"h1:9009", "h2:9009", "h3:9009"})
 	b := NewNodeRing([]string{"h3:9009", "h1:9009", "h2:9009", "h1:9009", ""})
@@ -34,9 +34,8 @@ func TestNodeRingDeterministic(t *testing.T) {
 }
 
 // TestNodeRingRelocation: removing one node must relocate exactly that
-// node's devices and nothing else — the property the checkpoint handoff
-// protocol relies on (survivors keep their own devices, the dead node's
-// devices land on their ring successors).
+// node's devices and nothing else: the others keep their own devices, the
+// removed node's land on their ring successors.
 func TestNodeRingRelocation(t *testing.T) {
 	nodes := []string{"h1:9009", "h2:9009", "h3:9009", "h4:9009", "h5:9009"}
 	full := NewNodeRing(nodes)
@@ -61,48 +60,10 @@ func TestNodeRingRelocation(t *testing.T) {
 	}
 }
 
-// TestNodeRingPrefer: the preference order must start at the owner, cover
-// every node exactly once, and its second entry must be exactly the node
-// that inherits the device when the owner is removed — that is what makes
-// the client's failover walk converge with the server-side ring.
-func TestNodeRingPrefer(t *testing.T) {
-	nodes := []string{"h1:9009", "h2:9009", "h3:9009", "h4:9009"}
-	r := NewNodeRing(nodes)
-	for _, dev := range ringDevices(300) {
-		pref := r.Prefer(dev)
-		if len(pref) != len(nodes) {
-			t.Fatalf("device %s: prefer has %d entries, want %d", dev, len(pref), len(nodes))
-		}
-		if pref[0] != r.Owner(dev) {
-			t.Fatalf("device %s: prefer[0] = %s, owner = %s", dev, pref[0], r.Owner(dev))
-		}
-		seen := map[string]bool{}
-		for _, n := range pref {
-			if seen[n] {
-				t.Fatalf("device %s: node %s repeated in prefer order", dev, n)
-			}
-			seen[n] = true
-		}
-		// Remove the owner: the new owner must be the old second choice.
-		var rest []string
-		for _, n := range nodes {
-			if n != pref[0] {
-				rest = append(rest, n)
-			}
-		}
-		if got := NewNodeRing(rest).Owner(dev); got != pref[1] {
-			t.Fatalf("device %s: inheritor %s, prefer[1] %s", dev, got, pref[1])
-		}
-	}
-}
-
 func TestNodeRingEmpty(t *testing.T) {
 	r := NewNodeRing(nil)
 	if got := r.Owner("dev"); got != "" {
 		t.Fatalf("empty ring owner = %q", got)
-	}
-	if got := r.Prefer("dev"); got != nil {
-		t.Fatalf("empty ring prefer = %v", got)
 	}
 }
 
@@ -206,8 +167,8 @@ func TestPlacementBalance(t *testing.T) {
 // names, a changed vnode key moves a ring digest even when no listed name
 // moves. testdata/placement.golden holds the rendering only so a failure
 // can name the first row that moved. Moving placement on purpose means a
-// new file, a new pin, a new PlacementID (its first 16 hex digits), and a
-// whole-cluster restart (DESIGN.md section 10).
+// new file, a new pin and a new PlacementID (its first 16 hex digits); a
+// restart re-places every restored device, so no state moves with it.
 const placementPin = "3048bdcec0d35f7de8a73b27026ba3131d9a433dbc3e900755e34c9c428cc3ad"
 
 func renderPlacement() string {

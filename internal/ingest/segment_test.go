@@ -133,7 +133,7 @@ func TestQueryTwiceAnswersTheSame(t *testing.T) {
 	}
 	body := func(res *tsq.Result) string {
 		c := *res
-		c.Node, c.Scan = "", tsq.ScanStats{}
+		c.Scan = tsq.ScanStats{}
 		b, err := json.Marshal(&c)
 		if err != nil {
 			t.Fatal(err)

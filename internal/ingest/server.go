@@ -9,11 +9,8 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netenergy/internal/analysis"
@@ -84,31 +81,6 @@ type Config struct {
 	// the process and leak internals, so they are opt-in (ingestd -pprof).
 	EnablePprof bool
 
-	// NodeID names this node in a cluster; it is echoed in /stats,
-	// /headline and /snapshot so aggregator merges are attributable.
-	// Empty outside cluster mode.
-	NodeID string
-
-	// Route, when set, enables cluster mode: it maps a device to its
-	// owning node's stream address per the current membership view. A
-	// handshake for a device this node does not own (self == false) is
-	// answered with a redirect ack carrying addr instead of being
-	// admitted — the wire-level mechanism by which clients learn of
-	// reassignment. The cluster package supplies this from its live ring;
-	// the hook keeps ingest free of any dependency on cluster.
-	Route func(device string) (addr string, self bool)
-
-	// ClusterEpoch, when set, supplies the current cluster epoch for the
-	// fence stamped into every checkpoint (the prober's flip counter). Nil
-	// (standalone mode) stamps epoch 0.
-	ClusterEpoch func() uint64
-
-	// OnFenced is invoked (once, from its own goroutine) when the server
-	// fences itself: its durable state was already shipped to survivors, so
-	// it has archived its checkpoint dir and stopped serving streams. The
-	// daemon typically logs loudly and waits for the operator/supervisor.
-	OnFenced func(reason string)
-
 	// Opts is the energy accounting configuration (default: DefaultOptions).
 	Opts energy.Options
 }
@@ -164,24 +136,14 @@ type Server struct {
 
 	ckpt *checkpoint.Store
 	// ckptMu makes collecting the shards' state and writing it one critical
-	// section (shared with the fence's archive), so generations reach disk in
-	// the order their state was taken and a newer one never holds older
-	// state. Nothing a shard runs takes it, so waiting on shards under it
-	// cannot deadlock.
+	// section, so generations reach disk in the order their state was taken
+	// and a newer one never holds older state. Nothing a shard runs takes it,
+	// so waiting on shards under it cannot deadlock.
 	ckptMu   sync.Mutex
 	ckptStop chan struct{}
 	ckptDone chan struct{}
 	ckptOnce sync.Once
-
-	// incarnation uniquely names this process lifetime; it is stamped into
-	// every checkpoint's fence. restoredFence remembers the fence
-	// of the checkpoint this process restored at Start, so an aggregator
-	// fence probe can recognize state that was restored from an
-	// already-shipped file even when the tombstone write itself was lost.
-	incarnation   string
-	restoredFence checkpoint.Fence
-	fenced        atomic.Bool
-	finb          finBatcher
+	finb     finBatcher
 
 	mu      sync.RWMutex // guards conns and drain; never held across a shard send
 	conns   map[net.Conn]struct{}
@@ -196,10 +158,6 @@ type Server struct {
 // NewServer builds a Server; Start brings up the listeners.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	node := cfg.NodeID
-	if node == "" {
-		node = "node"
-	}
 	s := &Server{
 		cfg:      cfg,
 		ring:     newRing(cfg.Shards),
@@ -207,9 +165,6 @@ func NewServer(cfg Config) *Server {
 		devices:  newDeviceRegistry(),
 		memo:     tsq.NewMemo(),
 		conns:    map[net.Conn]struct{}{},
-		// PID + wall clock make the incarnation unique across restarts of
-		// the same node ID; it only ever needs to be distinct, not ordered.
-		incarnation: fmt.Sprintf("%s.%d.%d", node, os.Getpid(), time.Now().UnixNano()),
 	}
 	var segSeqs map[string]int
 	if cfg.SegmentDir != "" {
@@ -254,44 +209,13 @@ func NewServer(cfg Config) *Server {
 // the checkpoint loop and (if configured) the admin endpoint. It returns
 // once the server is accepting.
 func (s *Server) Start() error {
-	var recovered *restorePlan
+	var recovered [][]*install
 	if s.cfg.CheckpointDir != "" {
 		st, err := checkpoint.Open(s.cfg.CheckpointDir)
 		if err != nil {
 			return fmt.Errorf("ingest: open checkpoint dir: %w", err)
 		}
 		s.ckpt = st
-
-		// Rejoin fencing, disk side: a tombstone covering the newest
-		// generation means this state was already shipped to survivors —
-		// restoring it would double-count every record it holds. Archive and
-		// start clean instead of relying on an operator wiping the dir.
-		tomb, err := checkpoint.LoadTombstone(s.cfg.CheckpointDir)
-		if err != nil {
-			return fmt.Errorf("ingest: read handoff tombstone: %w", err)
-		}
-		if tomb != nil {
-			if tomb.Generation >= st.Generation() {
-				sub, err := st.ArchiveShipped(tomb)
-				if err != nil {
-					return fmt.Errorf("ingest: archive shipped checkpoints: %w", err)
-				}
-				s.counters.fenceArchives.Add(1)
-				s.counters.events.Logf(obs.LevelInfo,
-					"checkpoint dir was handed off (tombstone gen %d, epoch %d): archived to %s, starting clean",
-					tomb.Generation, tomb.Epoch, sub)
-			} else {
-				// Generations newer than the shipped one exist: the previous
-				// process kept checkpointing after the handoff (the residual
-				// race DESIGN.md §10 documents). The newer state is kept —
-				// dropping it would lose records that were never shipped —
-				// but the shipped prefix may double-count fleet-wide.
-				s.counters.events.Logf(obs.LevelError,
-					"stale handoff tombstone (shipped gen %d < newest gen %d): keeping newer unshipped state; the shipped prefix may be double-counted",
-					tomb.Generation, st.Generation())
-				os.Remove(filepath.Join(s.cfg.CheckpointDir, checkpoint.TombstoneName)) //nolint:errcheck // best effort
-			}
-		}
 
 		// The validator is the decoder: a structurally-valid file whose
 		// analysis state does not decode falls back to the previous
@@ -300,7 +224,7 @@ func (s *Server) Start() error {
 		// an error, not a fallback: starting from an older one, or empty,
 		// would silently drop what it holds.
 		ck, err := st.LoadLatest(func(c *checkpoint.Snapshot) (err error) {
-			recovered, err = s.decodeSnapshot(c, nil)
+			recovered, err = s.decodeSnapshot(c)
 			return err
 		})
 		if err != nil {
@@ -311,7 +235,6 @@ func (s *Server) Start() error {
 				s.counters.ckptErrors.Add(1)
 				s.counters.events.Logf(obs.LevelError, "checkpoint damaged, restoring the state before it: %v", err)
 			}
-			s.restoredFence = ck.Snap.Fence
 			s.counters.ckptGen.Set(int64(ck.Gen))
 			s.counters.ckptUnixNano.Set(time.Now().UnixNano())
 			s.counters.events.Logf(obs.LevelInfo, "recovered checkpoint generation %d (%d devices)", ck.Gen, len(ck.Snap.Devices))
@@ -336,11 +259,7 @@ func (s *Server) Start() error {
 		go sh.run()
 	}
 	if recovered != nil {
-		// Own state comes back the way a handoff comes in. Nothing is being
-		// served yet, so every unit is ahead of an empty shard; counters are
-		// seeded from the sequence numbers on the way, so the observability
-		// surface survives the restart.
-		s.install(recovered, new(TransferResult))
+		s.askShards(func(i int, sh *shard) { sh.install(recovered[i]) })
 	}
 	if s.adminLn != nil {
 		s.admin = &http.Server{Handler: s.adminMux()}
@@ -357,31 +276,25 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// restorePlan is a checkpoint.Snapshot decoded for installation.
-type restorePlan struct {
-	units    [][]*install // per shard of THIS server's ring
-	notOwned int          // devices left out because own said no
-}
-
 // emptyAggregate is what every checkpoint written between the retirement
 // ledger's arrival and the aggregate's removal carries in the legacy slot:
 // the aggregate of no sessions.
 var emptyAggregate = analysis.NewStreamResult("fleet").AppendBinary(nil)
 
-// decodeSnapshot turns a snapshot into install units, one per device, placed
-// by THIS server's ring — the shard count may differ from the process that
-// wrote the file — and keeping only the devices own accepts (nil: all).
-// Every opaque blob is decoded and every sequence number checked here,
-// before anything is mutated: a snapshot either installs cleanly or is
-// refused whole, which also makes this the LoadLatest validator. Closed
+// decodeSnapshot turns a snapshot into install units, one per device, listed
+// per shard of THIS server's ring — the shard count may differ from the
+// process that wrote the file. Every opaque blob is decoded and every
+// sequence number checked here, before anything is mutated: a snapshot either
+// installs cleanly or is refused whole, which also makes this the LoadLatest
+// validator. Closed
 // sessions install from the ledger only, where a sequence number makes the
 // merge idempotent: a file that holds some in the unattributed aggregate of
 // older builds is refused as unsupported.
-func (s *Server) decodeSnapshot(snap *checkpoint.Snapshot, own func(device string) bool) (*restorePlan, error) {
+func (s *Server) decodeSnapshot(snap *checkpoint.Snapshot) ([][]*install, error) {
 	if snap.Legacy != nil && !bytes.Equal(snap.Legacy, emptyAggregate) {
 		return nil, fmt.Errorf("%w: it holds closed sessions in an unattributed retired aggregate (%d bytes), which cannot be merged exactly once", checkpoint.ErrUnsupported, len(snap.Legacy))
 	}
-	p := &restorePlan{units: make([][]*install, len(s.shard))}
+	units := make([][]*install, len(s.shard))
 	at := make(map[string]*install, len(snap.Ledger)+len(snap.Devices))
 	// unit returns device's unit with its high-water mark raised to seq. A
 	// device named twice keeps the later entry, which must be the further
@@ -392,12 +305,8 @@ func (s *Server) decodeSnapshot(snap *checkpoint.Snapshot, own func(device strin
 		if u == nil {
 			u = &install{device: device}
 			at[device] = u
-			if own != nil && !own(device) {
-				p.notOwned++ // still decoded: the file is judged whole
-			} else {
-				si := s.ring.shard(device)
-				p.units[si] = append(p.units[si], u)
-			}
+			si := s.ring.shard(device)
+			units[si] = append(units[si], u)
 		}
 		if seq < u.seq {
 			return nil, fmt.Errorf("device %q: seq %d is behind %d", device, seq, u.seq)
@@ -428,22 +337,7 @@ func (s *Server) decodeSnapshot(snap *checkpoint.Snapshot, own func(device strin
 			}
 		}
 	}
-	return p, nil
-}
-
-// install hands every shard its share of a decoded snapshot through the
-// mailbox and sums what they did with it. False means some shard had
-// stopped: the node is draining, and what the others installed is in its
-// final checkpoint.
-func (s *Server) install(p *restorePlan, sum *TransferResult) bool {
-	reps := make([]TransferResult, len(s.shard))
-	ok := s.askShards(func(i int, sh *shard) { sh.install(p.units[i], &reps[i]) })
-	for _, rep := range reps {
-		sum.AcceptedDevices += rep.AcceptedDevices
-		sum.SkippedStale += rep.SkippedStale
-		sum.Records += rep.Records
-	}
-	return ok
+	return units, nil
 }
 
 // Addr returns the bound stream-listener address (useful with ":0").
@@ -517,27 +411,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	// A fenced node's state has already been shipped to survivors: anything
-	// it accepted now would be acked but never counted fleet-wide. Refuse
-	// with a draining ack so the session walks its ring to a live owner.
-	if s.fenced.Load() {
-		s.writeAckTimed(conn, ackDraining, 0) //nolint:errcheck
-		return
-	}
-
-	// Cluster routing: a device this node does not own is redirected before
-	// it is registered — a misrouted handshake must not invent per-device
-	// state (or counters) on a non-owner, or fleet device counts would
-	// double across nodes.
-	if s.cfg.Route != nil {
-		if owner, self := s.cfg.Route(device); !self && owner != "" {
-			s.counters.redirects.Add(1)
-			s.counters.events.Logf(obs.LevelDebug, "redirected %s to %s", device, owner)
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
-			writeRedirectAck(conn, owner)                       //nolint:errcheck // client went away
-			return
-		}
-	}
 	dev := s.devices.get(device)
 
 	// Admission: shed load before paying for any decoding.
@@ -878,100 +751,10 @@ func (b *finBatcher) wait(s *Server) error {
 	return batch.err
 }
 
-// fenceStamp is the fence written into every checkpoint: this process's
-// incarnation under the current cluster epoch.
-func (s *Server) fenceStamp() checkpoint.Fence {
-	var epoch uint64
-	if s.cfg.ClusterEpoch != nil {
-		epoch = s.cfg.ClusterEpoch()
-	}
-	return checkpoint.Fence{Epoch: epoch, Incarnation: s.incarnation}
-}
-
-// Fenced reports whether this node has fenced itself: its durable state was
-// shipped to survivors, so it no longer serves streams or checkpoints.
-func (s *Server) Fenced() bool { return s.fenced.Load() }
-
-// FenceRequest asks a node to fence itself because the checkpoint written
-// by the named incarnation (up to Generation) was handed off to survivors.
-// The aggregator posts it to a member that turns up alive again while a
-// handoff tombstone for it is on record.
-type FenceRequest struct {
-	Incarnation string `json:"incarnation"`
-	Generation  uint64 `json:"generation"`
-}
-
-// FenceResponse reports the node's fence state and current incarnation; an
-// aggregator clears its tombstone when a different incarnation answers
-// unfenced (a clean successor that already archived on Start).
-type FenceResponse struct {
-	NodeID      string `json:"node_id"`
-	Incarnation string `json:"incarnation"`
-	Fenced      bool   `json:"fenced"`
-}
-
-// HandleFence processes a fence probe. The request matches when the shipped
-// incarnation is this process (a partitioned node whose state was handed
-// off while it was unreachable — the partition-heal case) or the
-// incarnation this process restored its state from (a rejoin that raced the
-// tombstone write). Either way the node's contribution already lives on the
-// survivors, so it fences: stops checkpointing, severs its sessions (they
-// resume on the live owners), archives its checkpoint dir and refuses new
-// streams. Fencing a live partitioned node is lossless when -durable-fin is
-// on; without it, completed-session tails since the shipped generation
-// existed only here (see DESIGN.md §10).
-func (s *Server) HandleFence(req FenceRequest) FenceResponse {
-	match := req.Incarnation != "" &&
-		(req.Incarnation == s.incarnation || req.Incarnation == s.restoredFence.Incarnation)
-	if match {
-		s.fence(fmt.Sprintf("incarnation %s shipped to survivors at generation %d", req.Incarnation, req.Generation), req.Generation)
-	}
-	return FenceResponse{NodeID: s.cfg.NodeID, Incarnation: s.incarnation, Fenced: s.fenced.Load()}
-}
-
-// fence transitions the server into the fenced state (idempotent).
-func (s *Server) fence(reason string, shippedGen uint64) {
-	if !s.fenced.CompareAndSwap(false, true) {
-		return
-	}
-	s.counters.fenced.Set(1)
-	s.counters.events.Logf(obs.LevelError, "node fenced: %s", reason)
-	// Stop persisting before archiving: a checkpoint written after the
-	// archive would resurrect state the fleet already counted elsewhere.
-	// (SaveCheckpoint also refuses once the flag is set.)
-	s.stopCheckpointLoop()
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	if s.ckpt != nil {
-		s.ckptMu.Lock()
-		tomb := checkpoint.Tombstone{
-			Node: s.cfg.NodeID, Incarnation: s.incarnation,
-			Generation: shippedGen, UnixNano: time.Now().UnixNano(),
-		}
-		if err := checkpoint.WriteTombstone(s.cfg.CheckpointDir, tomb); err != nil {
-			s.counters.events.Logf(obs.LevelError, "fence: tombstone write failed: %v", err)
-		}
-		if sub, err := s.ckpt.ArchiveShipped(&tomb); err != nil {
-			s.counters.events.Logf(obs.LevelError, "fence: archive failed: %v", err)
-		} else {
-			s.counters.fenceArchives.Add(1)
-			s.counters.events.Logf(obs.LevelInfo, "fence: checkpoints archived to %s", sub)
-		}
-		s.ckptMu.Unlock()
-	}
-	if s.cfg.OnFenced != nil {
-		//repolint:allow goexit — one-shot user callback through a function value; it runs to completion and has nothing to tie to
-		go s.cfg.OnFenced(reason)
-	}
-}
-
 // SaveCheckpoint collects every shard's durable state and writes one
 // checkpoint generation. It is safe to call concurrently with ingest (the
 // shards serialize their own state between batches) and is a no-op while
-// draining, fenced, or when durability is disabled.
+// draining or when durability is disabled.
 func (s *Server) SaveCheckpoint() error { return s.saveCheckpoint(false) }
 
 func (s *Server) draining() bool {
@@ -999,11 +782,6 @@ func (s *Server) saveCheckpoint(final bool) error {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	// Checked under ckptMu: a save that raced the fence transition must
-	// not write a fresh generation into the just-archived directory.
-	if s.fenced.Load() {
-		return errors.New("ingest: fenced")
-	}
 	full := final || s.ckpt.NeedsBase()
 	cks := make([]checkpoint.Snapshot, len(s.shard))
 	collect := func(i int, sh *shard) { cks[i] = sh.checkpoint(full) }
@@ -1014,7 +792,7 @@ func (s *Server) saveCheckpoint(final bool) error {
 	} else if !s.askShards(collect) {
 		return ErrDraining
 	}
-	snap := checkpoint.Snapshot{Fence: s.fenceStamp()}
+	var snap checkpoint.Snapshot
 	for _, ck := range cks {
 		snap.Devices = append(snap.Devices, ck.Devices...)
 		snap.Ledger = append(snap.Ledger, ck.Ledger...)
@@ -1048,70 +826,12 @@ func (s *Server) saveCheckpoint(final bool) error {
 	return nil
 }
 
-// TransferResult reports what a checkpoint handoff did on the receiving
-// node; it is the JSON body of the admin POST /transfer response.
-type TransferResult struct {
-	NodeID          string `json:"node_id,omitempty"`
-	AcceptedDevices int    `json:"accepted_devices"`
-	Records         int64  `json:"records"`
-	SkippedStale    int    `json:"skipped_stale"`
-	SkippedNotOwned int    `json:"skipped_not_owned"`
-}
-
-// RestoreTransfer adopts a dead node's checkpoint into this running server:
-// the ownership-handoff receive path. Devices this node does not own (per
-// Route) are skipped — the same checkpoint is shipped to every survivor and
-// each keeps only its share, so no device is stranded and none lands twice.
-// Owned devices go through the shard mailboxes exactly as this node's own
-// checkpoint does at Start, under shard.install's positional rule (incoming
-// high-water mark strictly ahead wins), which makes re-delivery idempotent
-// and safe to race with live re-streams from redirected clients; in
-// particular a device that was finalized on the dead node AND fully
-// re-streamed here dedups to exactly-once via its ledger seq. Nothing in a
-// snapshot is merged without a sequence number, so any number of deliveries
-// of the same file, to any set of survivors, in any order, and across a
-// restart of the receiver, count every record once.
-//
-// Every opaque blob is decoded before any state is mutated: a transfer
-// either applies cleanly or is refused with no effect. The one exception is
-// a transfer racing this node's own drain, which may reach some shards and
-// not others and reports draining — the one failure worth retrying: what
-// landed is in the final checkpoint, and re-delivery — here or to whoever
-// inherits it — is idempotent.
-func (s *Server) RestoreTransfer(snap *checkpoint.Snapshot) (TransferResult, error) {
-	res := TransferResult{NodeID: s.cfg.NodeID}
-	if s.draining() {
-		return res, ErrDraining
-	}
-	var own func(string) bool
-	if s.cfg.Route != nil {
-		own = func(device string) bool {
-			_, self := s.cfg.Route(device)
-			return self
-		}
-	}
-	plan, err := s.decodeSnapshot(snap, own)
-	if err != nil {
-		return res, fmt.Errorf("ingest: transfer: %w", err)
-	}
-	if !s.install(plan, &res) {
-		return TransferResult{NodeID: s.cfg.NodeID}, ErrDraining
-	}
-	res.SkippedNotOwned = plan.notOwned
-	s.counters.transfers.Add(1)
-	s.counters.transferDevices.Add(int64(res.AcceptedDevices))
-	s.counters.events.Logf(obs.LevelInfo, "transfer adopted %d devices / %d records (%d stale, %d not owned)",
-		res.AcceptedDevices, res.Records, res.SkippedStale, res.SkippedNotOwned)
-	return res, nil
-}
-
 // Stats assembles the observability snapshot.
 func (s *Server) Stats(perDevice bool) Stats {
 	now := time.Now()
 	records, bytes := s.counters.records.Load(), s.counters.bytes.Load()
 	rps, bps := s.rates.rates(records, bytes, now)
 	st := Stats{
-		NodeID:         s.cfg.NodeID,
 		UptimeSec:      now.Sub(s.started).Seconds(),
 		ConnsActive:    s.counters.connsActive.Load(),
 		ConnsTotal:     s.counters.connsTotal.Load(),
@@ -1130,12 +850,6 @@ func (s *Server) Stats(perDevice bool) Stats {
 		Throttled:      s.counters.throttled.Load(),
 		Severs:         s.counters.severs.Load(),
 		RecordsSkipped: s.counters.recordsSkipped.Load(),
-
-		Redirects:       s.counters.redirects.Load(),
-		Transfers:       s.counters.transfers.Load(),
-		TransferDevices: s.counters.transferDevices.Load(),
-		TransferErrors:  s.counters.transferErrors.Load(),
-		Fenced:          s.fenced.Load(),
 	}
 	if s.ckpt != nil {
 		ck := &CheckpointStats{

@@ -9,11 +9,6 @@ import (
 	"netenergy/internal/trace"
 )
 
-// maxRedirectHops caps the number of consecutive redirect acks a session
-// follows before concluding the cluster's membership views disagree and
-// falling back to walking its own ring preference order.
-const maxRedirectHops = 8
-
 // SessionConfig controls a resumable device session: the reconnect loop
 // that delivers one trace to the server exactly once, across however many
 // connections that takes.
@@ -23,15 +18,6 @@ type SessionConfig struct {
 	// restarted server may listen on a new port.
 	Addr     string
 	AddrFunc func() string
-
-	// Nodes, when set, enables cluster routing: the session builds a
-	// NodeRing over these stream addresses and dials the device's owner
-	// first, walking the ring-successor preference order when a node is
-	// unreachable — exactly the order in which ownership falls over when
-	// the cluster declares that node dead. A redirect ack (a node whose
-	// membership view disagrees with this ring) overrides the next attempt.
-	// Takes precedence over Addr/AddrFunc.
-	Nodes []string
 
 	Device string
 	Start  trace.Timestamp
@@ -72,16 +58,13 @@ type SessionStats struct {
 	Retransmitted int64
 	// Throttled counts handshakes the server refused for rate limiting.
 	Throttled int
-	// Redirected counts handshakes answered with a redirect ack (the
-	// device's owner moved, or the dialed node disagreed about ownership).
-	Redirected int
 }
 
 // StreamTrace delivers recs as one device stream, reconnecting and resuming
 // from the server's acknowledged sequence number until the server confirms
 // the complete stream (FIN ack) or the deadline expires. It tolerates
 // connection loss, server restarts, frame corruption (the server severs,
-// the session resumes) and throttling.
+// the session resumes) and throttling. A redirect ack ends it at once.
 func StreamTrace(cfg SessionConfig, recs []trace.Record) (SessionStats, error) {
 	var st SessionStats
 	addr := cfg.AddrFunc
@@ -99,39 +82,6 @@ func StreamTrace(cfg SessionConfig, recs []trace.Record) (SessionStats, error) {
 	bo := cfg.Backoff
 	if bo.Rand == nil {
 		bo.Rand = SessionRand(cfg.Device)
-	}
-
-	// Cluster routing state. pref is the device's ring preference order:
-	// owner first, then the nodes that inherit it on failover. pi is the
-	// current candidate, sticky across reconnects (the node that last
-	// accepted the stream is retried first; a dead node fails the dial and
-	// advances). A redirect ack overrides exactly the next attempt, and a
-	// chain of redirects longer than maxRedirectHops (disagreeing
-	// membership views mid-churn) falls back to walking the ring.
-	var pref []string
-	pi := 0
-	if len(cfg.Nodes) > 0 {
-		pref = NewNodeRing(cfg.Nodes).Prefer(cfg.Device)
-	}
-	redirect := ""
-	redirectHops := 0
-	target := func() string {
-		if redirect != "" {
-			return redirect
-		}
-		if len(pref) > 0 {
-			return pref[pi%len(pref)]
-		}
-		return addr()
-	}
-	advance := func() {
-		if redirect != "" {
-			redirect = "" // failed redirect target: fall back to the ring
-			return
-		}
-		if len(pref) > 0 {
-			pi++
-		}
 	}
 
 	// sentHint is this side's belief of the server's accepted seq, offered
@@ -159,10 +109,8 @@ func StreamTrace(cfg SessionConfig, recs []trace.Record) (SessionStats, error) {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return fail(errors.New("deadline exceeded"))
 		}
-		dialed := target()
-		conn, err := net.DialTimeout("tcp", dialed, connectTimeout)
+		conn, err := net.DialTimeout("tcp", addr(), connectTimeout)
 		if err != nil {
-			advance()
 			if !sleep(bo.Next()) {
 				return fail(err)
 			}
@@ -174,50 +122,23 @@ func StreamTrace(cfg SessionConfig, recs []trace.Record) (SessionStats, error) {
 		c, err := NewClient(conn, cfg.Device, cfg.Start, sentHint)
 		if err != nil {
 			var thr *ErrThrottled
-			var rd *ErrRedirect
 			switch {
 			case errors.As(err, &thr):
 				st.Throttled++
 				if !sleep(thr.RetryAfter) {
 					return fail(err)
 				}
-			case errors.As(err, &rd):
-				st.Redirected++
-				redirectHops++
-				if redirectHops > maxRedirectHops {
-					// Membership views disagree (a redirect cycle during
-					// churn): stop chasing and walk the ring instead.
-					redirect = ""
-					redirectHops = 0
-					if len(pref) > 0 {
-						pi++
-					}
-				} else {
-					redirect = rd.Addr
-				}
-				if !sleep(bo.Next()) {
-					return fail(err)
-				}
+			case errors.Is(err, errRedirectAck):
+				return fail(err)
 			default:
 				// Draining, handshake corruption, or a dead socket: back
 				// off and retry; a restarting server will take the next
 				// attempt.
-				advance()
 				if !sleep(bo.Next()) {
 					return fail(err)
 				}
 			}
 			continue
-		}
-		// Accepted: make this node the sticky first choice for reconnects
-		// and forget any redirect chain that led here.
-		redirect = ""
-		redirectHops = 0
-		for i, n := range pref {
-			if n == dialed {
-				pi = i
-				break
-			}
 		}
 		st.Conns++
 		if c.ResumeSeq > int64(len(recs)) {

@@ -14,11 +14,11 @@ import (
 )
 
 // ring is the in-process consistent-hash placement mapping device IDs to
-// shards: a NodeRing over synthetic "shard-<i>" names, so shard and cluster
-// placement are one function. No checkpoint stores a placement —
-// decodeSnapshot re-places every restored device through the current ring
-// — so a restart under another shard count or placement hash re-places
-// everything and loses nothing (TestCommitsProperty, TestCrashRecovery).
+// shards: a NodeRing over synthetic "shard-<i>" names. No checkpoint stores a
+// placement — decodeSnapshot re-places every restored device through the
+// current ring — so a restart under another shard count or placement hash
+// re-places everything and loses nothing (TestCommitsProperty,
+// TestCrashRecovery).
 type ring struct {
 	nr  *NodeRing
 	idx map[string]int
@@ -64,8 +64,7 @@ var batchPool = sync.Pool{New: func() any { return new(trace.RecordBatch) }}
 // sequence the latest of them closed at and the serialized StreamResult of
 // all of them merged. A FIN closes a session, not a device — a device that
 // streams again and FINs again extends its entry (retire), it never replaces
-// it. The blob is what a handoff receiver merges; the seq is what makes that
-// merge dedup positionally like any live entry.
+// it. The blob and the seq are what a checkpoint keeps of it.
 type ledgerEntry struct {
 	seq  int64
 	crc  uint32
@@ -73,10 +72,9 @@ type ledgerEntry struct {
 }
 
 // install is one device's checkpointed state on its way into a shard — the
-// unit every snapshot is decoded into (Server.decodeSnapshot), whether it
-// arrives at Start or by handoff. A device named in both sections of a
-// snapshot is one unit: the sessions it had closed, then the live increment
-// since them, under one high-water mark.
+// unit every snapshot is decoded into (Server.decodeSnapshot) at Start. A
+// device named in both sections of a snapshot is one unit: the sessions it
+// had closed, then the live increment since them, under one high-water mark.
 type install struct {
 	device string
 	seq    int64                       // accepted-record high-water mark
@@ -224,7 +222,7 @@ func (s *shard) ask(fn func()) bool { return s.wait(s.post(fn)) }
 // serving aggregate and recorded in the retirement ledger under the
 // device's sequence number. A device that had closed sessions before
 // extends its entry — the entry stays the whole of what retired holds for
-// the device, which is what a restart or a handoff rebuilds it from.
+// the device, which is what a restart rebuilds it from.
 // Idempotent — a re-sent FIN with no session open is a no-op.
 func (s *shard) retire(dev string) {
 	acc := s.live[dev]
@@ -317,47 +315,26 @@ func (s *shard) applyBatch(b *recordBatch) {
 	batchPool.Put(b.cols)
 }
 
-// install puts checkpointed state into the shard — at Start and on handoff
-// alike, always on the shard goroutine, so it may race live ingest. One
-// positional rule decides every unit: it replaces local state only when its
-// high-water mark is strictly ahead. State at seq k is bit-determined by
-// records 0..k-1, so whichever side has seen more of the (append-only,
-// positionally-deduped) stream holds a superset of the other and replacement
-// never loses accepted records; a unit at or behind the local mark is a
-// replay of what this shard already has (or has surpassed via client
-// retransmission) and is dropped, which makes re-delivery idempotent.
-//
-// Sessions already closed here cannot be taken back out of retired, so a
-// unit that is ahead extends them only when it closed the very same ones
-// (equal ledger seq: its live increment is then the whole difference);
-// otherwise the first retirement wins, the unit is dropped and the device
-// resumes from the local mark. Record counters move by the seq delta, so
-// nothing is counted twice however often a device is named.
-func (s *shard) install(units []*install, res *TransferResult) {
+// install puts checkpointed state into the shard at Start, on the shard
+// goroutine, before any connection is accepted: the shard is empty, so every
+// unit is taken as it is. Record counters are seeded from the sequence
+// numbers, so the observability surface survives the restart.
+func (s *shard) install(units []*install) {
 	for _, u := range units {
-		cur, closed := s.seqs[u.device], s.ledger[u.device]
-		if u.seq <= cur || (closed != nil && (u.closed == nil || u.closed.seq != closed.seq)) {
-			res.SkippedStale++
-			continue
+		if u.seq == 0 {
+			continue // holds no record
 		}
-		if closed == nil && u.closed != nil {
+		if u.closed != nil {
 			s.retired.Merge(u.res)
 			s.ledger[u.device] = u.closed
 		}
-		// Whatever this shard accumulated live is a strict subset of the
-		// unit; it is superseded, not merged.
 		if u.acc != nil {
 			s.live[u.device] = u.acc
-		} else {
-			delete(s.live, u.device)
 		}
-		delete(s.saved, u.device)
 		s.touched[u.device] = struct{}{}
 		s.seqs[u.device] = u.seq
-		s.counters.records.Add(u.seq - cur)
-		s.reg.get(u.device).records.Add(u.seq - cur)
-		res.AcceptedDevices++
-		res.Records += u.seq - cur
+		s.counters.records.Add(u.seq)
+		s.reg.get(u.device).records.Add(u.seq)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // GoExit enforces goroutine lifecycle hygiene in the serving tier: every
-// `go` statement in internal/ingest, internal/cluster and cmd/* must be
-// tied to a shutdown path, so prober/aggregator/shard goroutines provably
-// terminate when the process drains. A goroutine qualifies when its body
+// `go` statement in internal/ingest and cmd/* must be tied to a shutdown
+// path, so shard, checkpoint and connection goroutines provably terminate
+// when the process drains. A goroutine qualifies when its body
 // (a function literal, or a same-package function resolved one level deep)
 // shows one of the recognized ties:
 //
@@ -36,8 +36,7 @@ var GoExit = &Analyzer{
 
 // goExitPkgs holds the exact-match scope; cmd/* is matched by prefix.
 var goExitPkgs = map[string]bool{
-	"netenergy/internal/ingest":  true,
-	"netenergy/internal/cluster": true,
+	"netenergy/internal/ingest": true,
 }
 
 const goExitCmdPrefix = "netenergy/cmd/"

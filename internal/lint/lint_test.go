@@ -193,10 +193,6 @@ func TestSeverErr(t *testing.T) {
 	runCase(t, SeverErr, "severerr", "netenergy/internal/ingest")
 }
 
-func TestSeverErrCluster(t *testing.T) {
-	runCase(t, SeverErr, "severerr_cluster", "netenergy/internal/cluster")
-}
-
 func TestSeverErrOutOfScope(t *testing.T) {
 	runCase(t, SeverErr, "severerr_out", "netenergy/internal/flows")
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // LockHold forbids holding a mutex across a blocking operation — the
-// deadlock shape the cluster handoff/fence paths are most exposed to: a
+// deadlock shape the checkpoint and drain paths are most exposed to: a
 // goroutine parks on a channel or a network round trip while holding the
 // lock another goroutine needs to make the awaited event happen.
 //
@@ -29,12 +29,11 @@ var LockHold = &Analyzer{
 	Run:  runLockHold,
 }
 
-// lockHoldPkgs is the scope: the serving tier, where shard workers,
-// checkpoint saves and cluster pulls mix locks with channels and sockets.
+// lockHoldPkgs is the scope: the serving tier, where shard workers and
+// checkpoint saves mix locks with channels and sockets.
 var lockHoldPkgs = map[string]bool{
 	"netenergy/internal/ingest":            true,
 	"netenergy/internal/ingest/checkpoint": true,
-	"netenergy/internal/cluster":           true,
 }
 
 func runLockHold(pass *Pass) error {

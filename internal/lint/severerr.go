@@ -31,16 +31,12 @@ var SeverErr = &Analyzer{
 }
 
 // severErrPkgs is the scope: the wire protocol, its checkpoint codec, and
-// the cluster tier (membership snapshots and checkpoint transfers cross
-// the same trust boundary — a corrupt pull or handoff must be dropped,
-// never blended into a fleet merge). PR 9 widened the scope to the trace
-// container and LZ block codecs: their block/batch decode paths consume the
-// same untrusted bytes, and a swallowed CRC or length error there silently
-// corrupts everything downstream.
+// the trace container and LZ block codecs, whose block/batch decode paths
+// consume the same untrusted bytes — a swallowed CRC or length error there
+// silently corrupts everything downstream.
 var severErrPkgs = map[string]bool{
 	"netenergy/internal/ingest":            true,
 	"netenergy/internal/ingest/checkpoint": true,
-	"netenergy/internal/cluster":           true,
 	"netenergy/internal/lz":                true,
 	"netenergy/internal/trace":             true,
 }

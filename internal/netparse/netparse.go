@@ -92,13 +92,6 @@ func NewEndpoint(typ EndpointType, raw []byte) Endpoint {
 	return e
 }
 
-// Raw returns a copy of the endpoint's address bytes.
-func (e Endpoint) Raw() []byte {
-	out := make([]byte, e.len)
-	copy(out, e.raw[:e.len])
-	return out
-}
-
 // String renders the endpoint in conventional notation.
 func (e Endpoint) String() string {
 	switch e.typ {

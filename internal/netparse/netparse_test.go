@@ -29,16 +29,6 @@ func TestEndpointString(t *testing.T) {
 	}
 }
 
-func TestEndpointRawCopy(t *testing.T) {
-	raw := []byte{1, 2, 3, 4}
-	e := NewEndpoint(EndpointIPv4, raw)
-	got := e.Raw()
-	got[0] = 99
-	if e.Raw()[0] != 1 {
-		t.Error("Raw must return a copy")
-	}
-}
-
 func TestEndpointHashable(t *testing.T) {
 	m := map[Endpoint]int{}
 	a := NewEndpoint(EndpointIPv4, []byte{1, 2, 3, 4})

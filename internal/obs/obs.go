@@ -120,71 +120,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is the exportable, mergeable form of a Histogram.
+// HistogramSnapshot is the exportable form of a Histogram.
 type HistogramSnapshot struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"` // len(Bounds)+1; last is +Inf
 	Sum    float64   `json:"sum"`
-}
-
-// Count returns the total observation count.
-func (s HistogramSnapshot) Count() int64 {
-	var n int64
-	for _, c := range s.Counts {
-		n += c
-	}
-	return n
-}
-
-// Merge adds other into s. Bucket layouts must be identical — snapshots of
-// the same registered metric always are — which makes Merge associative and
-// commutative (integer bucket adds; the float sum commutes bit-exactly
-// because both operand orders add the same two values).
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
-	if len(s.Bounds) != len(other.Bounds) || len(s.Counts) != len(other.Counts) {
-		return fmt.Errorf("obs: merge: bucket layout mismatch (%d vs %d bounds)", len(s.Bounds), len(other.Bounds))
-	}
-	for i, b := range s.Bounds {
-		if b != other.Bounds[i] {
-			return fmt.Errorf("obs: merge: bound %d differs (%g vs %g)", i, b, other.Bounds[i])
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.Sum += other.Sum
-	return nil
-}
-
-// Quantile estimates the q-th quantile (0..1) assuming a uniform
-// distribution within each bucket. The +Inf bucket reports its lower bound.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	total := s.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range s.Counts {
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		if i >= len(s.Bounds) {
-			return lo // +Inf bucket: best effort
-		}
-		hi := s.Bounds[i]
-		frac := (rank - (cum - float64(c))) / float64(c)
-		return lo + frac*(hi-lo)
-	}
-	if len(s.Bounds) == 0 {
-		return 0
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }
 
 // ExpBuckets returns n bounds starting at start, multiplying by factor:

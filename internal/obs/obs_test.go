@@ -45,6 +45,15 @@ func TestRegisterKindClashPanics(t *testing.T) {
 	r.Gauge("m", "")
 }
 
+// observations is the number of values a snapshot counts, +Inf included.
+func observations(s HistogramSnapshot) int64 {
+	var n int64
+	for _, c := range s.Counts {
+		n += c
+	}
+	return n
+}
+
 func TestHistogramObserveBuckets(t *testing.T) {
 	r := New()
 	h := r.Histogram("lat_seconds", "", []float64{0.01, 0.1, 1})
@@ -58,26 +67,11 @@ func TestHistogramObserveBuckets(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
 		}
 	}
-	if s.Count() != 5 {
-		t.Fatalf("count = %d, want 5", s.Count())
+	if n := observations(s); n != 5 {
+		t.Fatalf("count = %d, want 5", n)
 	}
 	if got, want := s.Sum, 0.005+0.01+0.05+0.5+5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sum = %v, want %v", got, want)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := New()
-	h := r.Histogram("q", "", []float64{1, 2, 4})
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // all land in the (1,2] bucket
-	}
-	q := h.Snapshot().Quantile(0.5)
-	if q < 1 || q > 2 {
-		t.Fatalf("median %v outside its bucket", q)
-	}
-	if got := (HistogramSnapshot{}).Quantile(0.9); got != 0 {
-		t.Fatalf("empty quantile = %v, want 0", got)
 	}
 }
 
@@ -147,7 +141,7 @@ func TestConcurrentObserve(t *testing.T) {
 	if got := c.Load(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := h.Snapshot().Count(); got != 8000 {
+	if got := observations(h.Snapshot()); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }

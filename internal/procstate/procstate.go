@@ -201,42 +201,3 @@ func (c *Cursor) LastForegroundEnd(ts trace.Timestamp) (trace.Timestamp, bool) {
 	}
 	return ts, true // still foreground at ts
 }
-
-// TimeInState sums, per state, the duration the app spent in each state
-// over [start, end).
-func (t *Tracker) TimeInState(app uint32, start, end trace.Timestamp) map[trace.ProcState]float64 {
-	out := make(map[trace.ProcState]float64)
-	for _, iv := range t.Timeline(app, end) {
-		s, e := iv.Start, iv.End
-		if s < start {
-			s = start
-		}
-		if e > end {
-			e = end
-		}
-		if e > s {
-			out[iv.State] += e.Sub(s)
-		}
-	}
-	return out
-}
-
-// ForegroundDays returns the set of day indices (Timestamp.Day) on which
-// the app was in a foreground state at any point.
-func (t *Tracker) ForegroundDays(app uint32) map[int]bool {
-	days := make(map[int]bool)
-	evs := t.events[app]
-	for i, e := range evs {
-		if !e.state.IsForeground() {
-			continue
-		}
-		end := e.ts
-		if i+1 < len(evs) {
-			end = evs[i+1].ts
-		}
-		for d := e.ts.Day(); d <= end.Day(); d++ {
-			days[d] = true
-		}
-	}
-	return days
-}

@@ -120,25 +120,6 @@ func TestLastForegroundEnd(t *testing.T) {
 	}
 }
 
-func TestTimeInState(t *testing.T) {
-	tr := buildTracker()
-	m := tr.TimeInState(1, 0, 500*us)
-	if m[trace.StateForeground] != 190 { // 90 + 100 seconds
-		t.Errorf("foreground time = %v", m[trace.StateForeground])
-	}
-	if m[trace.StateBackground] != 200 { // 100 + 100
-		t.Errorf("background time = %v", m[trace.StateBackground])
-	}
-	if m[trace.StateService] != 100 {
-		t.Errorf("service time = %v", m[trace.StateService])
-	}
-	// Clamped window.
-	m2 := tr.TimeInState(1, 150*us, 250*us)
-	if m2[trace.StateBackground] != 50 || m2[trace.StateService] != 50 {
-		t.Errorf("clamped = %v", m2)
-	}
-}
-
 func TestOutOfOrderObservations(t *testing.T) {
 	tr := NewTracker()
 	tr.Observe(1, 100*us, trace.StateBackground)
@@ -198,9 +179,6 @@ func TestConcurrentReadsAfterOutOfOrder(t *testing.T) {
 			if got := len(tr.Timeline(1, 2000*us)); got != 40 {
 				t.Errorf("%d timeline intervals, want 40", got)
 			}
-			if got := len(tr.ForegroundDays(1)); got != 1 {
-				t.Errorf("%d foreground days, want 1", got)
-			}
 		}()
 	}
 	wg.Wait()
@@ -211,25 +189,6 @@ func TestApps(t *testing.T) {
 	apps := tr.Apps()
 	if len(apps) != 2 || apps[0] != 1 || apps[1] != 2 {
 		t.Errorf("Apps = %v", apps)
-	}
-}
-
-func TestForegroundDays(t *testing.T) {
-	tr := NewTracker()
-	day := trace.Timestamp(86400 * 1_000_000)
-	tr.Observe(1, 0, trace.StateForeground)
-	tr.Observe(1, 10*us, trace.StateBackground)
-	// Foreground again spanning a day boundary: day 2 into day 3.
-	tr.Observe(1, 2*day+10*us, trace.StateForeground)
-	tr.Observe(1, 3*day+10*us, trace.StateBackground)
-	days := tr.ForegroundDays(1)
-	for _, d := range []int{0, 2, 3} {
-		if !days[d] {
-			t.Errorf("day %d missing: %v", d, days)
-		}
-	}
-	if days[1] {
-		t.Error("day 1 should have no foreground")
 	}
 }
 

@@ -100,14 +100,6 @@ func (r *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using the swap function.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bool returns true with probability p (clamped to [0,1]).
 func (r *Source) Bool(p float64) bool {
 	if p <= 0 {
@@ -186,16 +178,6 @@ func (r *Source) Poisson(lambda float64) int {
 		}
 		k++
 	}
-}
-
-// Pareto returns a bounded Pareto-ish heavy-tailed sample with the given
-// minimum value and shape alpha (>0). Larger alpha means lighter tail.
-func (r *Source) Pareto(xmin, alpha float64) float64 {
-	u := r.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return xmin / math.Pow(u, 1/alpha)
 }
 
 // Categorical samples indexes with the given (unnormalised) weights.

@@ -101,66 +101,6 @@ func Sum(xs []float64) float64 {
 // Median returns the median of xs without mutating it.
 func Median(xs []float64) float64 { return NewCDF(xs).Quantile(0.5) }
 
-// Histogram is a fixed-width histogram over [Min, Max) with uniform bins.
-type Histogram struct {
-	Min, Max float64
-	Counts   []uint64
-	// Under and Over count samples outside [Min, Max).
-	Under, Over uint64
-	total       uint64
-}
-
-// NewHistogram creates a histogram with nbins uniform bins covering
-// [min, max). It panics if nbins <= 0 or max <= min.
-func NewHistogram(min, max float64, nbins int) *Histogram {
-	if nbins <= 0 {
-		panic("stats: NewHistogram with non-positive bin count")
-	}
-	if max <= min {
-		panic("stats: NewHistogram with max <= min")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]uint64, nbins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Min:
-		h.Under++
-	case x >= h.Max:
-		h.Over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i >= len(h.Counts) { // guard float rounding at the upper edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BinWidth returns the width of each bin.
-func (h *Histogram) BinWidth() float64 { return (h.Max - h.Min) / float64(len(h.Counts)) }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Min + (float64(i)+0.5)*h.BinWidth()
-}
-
-// MaxBin returns the index of the fullest bin (-1 if all bins are empty).
-func (h *Histogram) MaxBin() int {
-	best, idx := uint64(0), -1
-	for i, c := range h.Counts {
-		if c > best {
-			best, idx = c, i
-		}
-	}
-	return idx
-}
-
 // TimeBins accumulates a value series into fixed-duration bins indexed from
 // a shared origin. It is used for "bytes per 10-second bin since event X"
 // style figures.

@@ -129,72 +129,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under=%d Over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.BinWidth() != 2 {
-		t.Errorf("BinWidth = %v", h.BinWidth())
-	}
-	if h.BinCenter(0) != 1 {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-	if h.MaxBin() != 0 {
-		t.Errorf("MaxBin = %d", h.MaxBin())
-	}
-}
-
-func TestHistogramConservationProperty(t *testing.T) {
-	src := rng.New(2)
-	f := func(n uint16) bool {
-		h := NewHistogram(-5, 5, 10)
-		k := int(n % 500)
-		for i := 0; i < k; i++ {
-			h.Add(src.Norm(0, 3))
-		}
-		var sum uint64 = h.Under + h.Over
-		for _, c := range h.Counts {
-			sum += c
-		}
-		return sum == h.Total() && h.Total() == uint64(k)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestTimeBins(t *testing.T) {
 	tb := NewTimeBins(10, 6) // 60 seconds in 10 s bins
 	tb.Add(0, 5)

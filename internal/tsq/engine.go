@@ -60,8 +60,8 @@ func (e Engine) QueryDir(dir string, q Query) (*Result, error) {
 }
 
 // QueryFiles runs q over an explicit file list. The result is finalized
-// (sorted, top-N applied); callers that merge further (the aggregator)
-// re-finalize after merging.
+// (sorted, top-N applied); a caller that merges further re-finalizes after
+// merging.
 func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 	res := &Result{
 		FromUS:   int64(q.From),

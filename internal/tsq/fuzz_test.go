@@ -10,8 +10,7 @@ import (
 // FuzzQueryParse throws arbitrary query strings at ParseQuery. Accepted
 // queries must satisfy the engine's invariants (non-empty half-open
 // window, canonical sorted app list, bounded dimensions) and round-trip
-// through the canonical wire form — the property the aggregator fan-out
-// depends on.
+// through the canonical wire form, which is what a client sends.
 func FuzzQueryParse(f *testing.F) {
 	seeds := []string{
 		"",

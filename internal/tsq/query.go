@@ -6,9 +6,8 @@
 // query window [from, to).
 //
 // The package is deliberately deterministic: given the same segment
-// bytes and the same Query, every code path — ingestd's GET /query,
-// aggregatord's fleet fan-out, and the offline cmd/tsq CLI — produces
-// byte-identical results. Anything wall-clock-shaped (resolving
+// bytes and the same Query, both code paths — ingestd's GET /query and
+// the offline cmd/tsq CLI — produce byte-identical results. Anything wall-clock-shaped (resolving
 // "last=1h") happens at the edges: ParseQuery takes the reference time
 // as an argument.
 package tsq
@@ -236,10 +235,10 @@ func dedupU32(s []uint32) []uint32 {
 }
 
 // Values renders q in the canonical wire form ParseQuery accepts —
-// integer microsecond bounds, microsecond window — used by the
-// aggregator fan-out and the CLI so every tier speaks one grammar.
-// TopN is intentionally omittable: fan-out requests raw (untruncated)
-// rows and applies TopN after merging.
+// integer microsecond bounds, microsecond window — so a client asks
+// /query in the one grammar (FuzzQueryParse round-trips it). includeTopN
+// false leaves the rows untruncated, for a caller that merges results and
+// cuts after the merge.
 func (q Query) Values(includeTopN bool) url.Values {
 	v := url.Values{}
 	v.Set("from", strconv.FormatInt(int64(q.From), 10))

@@ -113,7 +113,7 @@ func TestParseQueryAppCap(t *testing.T) {
 }
 
 // TestQueryValuesRoundTrip: the canonical wire form re-parses to the
-// same query — the contract the aggregator fan-out relies on.
+// same query, so a client that sends it asks what it meant.
 func TestQueryValuesRoundTrip(t *testing.T) {
 	queries := []Query{
 		{From: 1000, To: 2000},

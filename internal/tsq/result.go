@@ -80,10 +80,6 @@ func (s *ScanStats) add(o ScanStats) {
 // Result is one query's answer. Rows are sorted by energy descending
 // (app ID ascending on ties) — deterministic for identical inputs.
 type Result struct {
-	// Node attributes the result to one cluster member (empty offline;
-	// the aggregator stamps its merged document "fleet").
-	Node string `json:"node_id,omitempty"`
-
 	FromUS   int64 `json:"from_us"`
 	ToUS     int64 `json:"to_us"`
 	WindowUS int64 `json:"window_us,omitempty"`
@@ -105,10 +101,9 @@ type Result struct {
 }
 
 // Merge folds other into r: app rows merge by ID, windows by start,
-// counters add. Used by the aggregator to combine per-node results —
-// window boundaries are epoch-aligned on every node, so rows line up
-// without re-bucketing. Call Finalize afterwards to re-sort and apply
-// top-N.
+// counters add. Results over disjoint device sets combine this way —
+// window boundaries are epoch-aligned, so rows line up without
+// re-bucketing. Call Finalize afterwards to re-sort and apply top-N.
 func (r *Result) Merge(other *Result) {
 	if other.FromUS < r.FromUS {
 		r.FromUS = other.FromUS

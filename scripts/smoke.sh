@@ -10,7 +10,7 @@
 #      listens;
 #   2. clean: stream a 200-device synthetic fleet into a local ingestd and
 #      require zero dropped records and a clean SIGTERM drain (the final
-#      headline is kept as the cluster phase's reference);
+#      headline is kept as the kill phase's reference);
 #   2b. query: same fleet into an ingestd running -segment-dir; the admin
 #      /query over the whole span must report the same record count and
 #      attributed total energy as /headline (two independent paths: shard
@@ -23,30 +23,21 @@
 #      streams from sequence 0) through the fault injector — drops and bit
 #      corruption on the wire — and require the sever/resume/dedup loop to
 #      still deliver every record exactly once;
-#   4. cluster: same fleet across a three-node cluster behind aggregatord,
-#      with one node kill -9'd as soon as it has accepted records and
-#      written a checkpoint: a base and a delta frame after it, and every
-#      device has reached its owner — each member must then hold 20-50 % of
-#      the devices (placement, end to end). The
-#      probers must declare it dead, its checkpoint must hand off to the
-#      survivors, the sessions must walk their ring preference and resume,
-#      and the merged fleet headline must equal the single-node reference
-#      from phase 2 — ints exactly, floats within 1e-6 relative;
-#   5. chaos-cluster: same fleet across a fresh three-node -durable-fin
-#      cluster, with one node SIGSTOP'd mid-run — the partition analogue: the
-#      process stays alive holding its state while the fleet routes around
-#      it. Its checkpoint, again a base with frames after it, hands off to
-#      the survivors; on SIGCONT the zombie resurfaces and the aggregator
-#      must fence it (not merge it twice). The settled fleet headline must
-#      again equal the phase-2 reference, and the fenced node must still
-#      drain cleanly.
+#   4. kill: same fleet, paced, into one ingestd running -checkpoint-dir
+#      -durable-fin -segment-dir, kill -9'd as soon as it has accepted
+#      records and its checkpoint directory holds a base and a delta frame
+#      after it, then restarted on the same directories and ports. It must
+#      say which checkpoint generation it recovered, the sessions must resume
+#      through their retry and backoff with zero dropped records, the
+#      restarted node must have acked at least one FIN durably, and its final
+#      headline must equal the phase-2 reference — ints exactly, floats
+#      within 1e-6 relative.
 # Run via `make smoke` (needs ./bin built).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR=${SMOKE_ADDR:-127.0.0.1:19909}
 ADMIN=${SMOKE_ADMIN:-127.0.0.1:19910}
-AGG=${SMOKE_AGG:-127.0.0.1:19920}
 DEVICES=${SMOKE_DEVICES:-200}
 DAYS=${SMOKE_DAYS:-1}
 
@@ -112,14 +103,14 @@ jfield() { # file key
   grep -o "\"$2\":[[:space:]]*[-0-9.eE+]*" "$1" | head -1 | sed 's/.*:[[:space:]]*//'
 }
 
-# require_headline_match compares a fleet headline against the phase-2
-# single-node reference: ints exactly, floats within 1e-6 relative.
-require_headline_match() { # fleet headline file
+# require_headline_match compares a headline against the phase-2 reference:
+# ints exactly, floats within 1e-6 relative.
+require_headline_match() { # headline file
   local f=$1 k a b
   for k in devices records; do
     a=$(jfield "$WORK/ref.json" "$k"); b=$(jfield "$f" "$k")
     if [ "$a" != "$b" ]; then
-      echo "smoke: fleet headline $k = $b, single-node reference $a" >&2
+      echo "smoke: headline $k = $b, phase-2 reference $a" >&2
       exit 1
     fi
   done
@@ -130,14 +121,14 @@ require_headline_match() { # fleet headline file
       m = a; if (m < 0) m = -m
       exit (d <= 1e-6 * (1 + m) ? 0 : 1)
     }'; then
-      echo "smoke: fleet headline $k = $b, single-node reference $a (>1e-6 relative)" >&2
+      echo "smoke: headline $k = $b, phase-2 reference $a (>1e-6 relative)" >&2
       exit 1
     fi
   done
 }
 
 # has_delta_frame: the checkpoint directory holds a delta log with something
-# in it, so what a restart or a handoff reads from it is a base plus frames.
+# in it, so what a restart reads from it is a base plus frames.
 has_delta_frame() { # dir
   [ -n "$(find "$1" -maxdepth 1 -name 'ck-*.log' -size +0c 2>/dev/null)" ]
 }
@@ -245,49 +236,27 @@ run_query() {
   echo "smoke: query phase ok ($recs records, $skipped blocks pruned on the narrow window, $memoised windows memoised)"
 }
 
-run_cluster() {
-  local cluster="n1=127.0.0.1:19911/127.0.0.1:19912,n2=127.0.0.1:19913/127.0.0.1:19914,n3=127.0.0.1:19915/127.0.0.1:19916"
-  local streams="127.0.0.1:19911,127.0.0.1:19913,127.0.0.1:19915"
-  local dirs=("$WORK/n1" "$WORK/n2" "$WORK/n3")
-  mkdir -p "${dirs[@]}"
+# run_kill: process-level crash recovery on one node. The restart reuses the
+# directories and ports, so fleetsim's sessions, which retry the dial with
+# backoff, reconnect to it and resume from the sequence it recovered.
+run_kill() {
+  local ckdir="$WORK/kill-ck" segdir="$WORK/kill-seg" log="$WORK/kill.log"
+  local node=(./bin/ingestd -listen "$ADDR" -admin "$ADMIN" -shards 4
+    -checkpoint-dir "$ckdir" -checkpoint-interval 250ms -durable-fin -segment-dir "$segdir")
+  mkdir -p "$ckdir" "$segdir"
+  "${node[@]}" > "$WORK/kill-first.log" 2>&1 &
+  pid=$!
 
-  # -handoff-on-drain=false: this phase exercises the crash handoff (the
-  # aggregator ships the dead node's checkpoint); the survivors' graceful
-  # drain at the end has no live peers left to ship to.
-  local i
-  for i in 1 2 3; do
-    ./bin/ingestd -listen "127.0.0.1:199$((9 + 2 * i))" -admin "127.0.0.1:199$((10 + 2 * i))" \
-      -node-id "n$i" -cluster "$cluster" -shards 4 \
-      -checkpoint-dir "${dirs[$((i - 1))]}" -checkpoint-interval 250ms \
-      -heartbeat 250ms -fail-threshold 2 -handoff-on-drain=false &
-    pids+=($!)
-  done
-  local victim=${pids[1]} # n2, admin 127.0.0.1:19914
-  ./bin/aggregatord -listen "$AGG" -cluster "$cluster" \
-    -handoff-dirs "n1=${dirs[0]},n2=${dirs[1]},n3=${dirs[2]}" \
-    -interval 400ms -heartbeat 250ms -fail-threshold 2 &
-  pids+=($!)
-
-  # Chaos step: pull n2's plug (SIGKILL, no drain) the moment it has
-  # accepted records AND written a durable checkpoint — a base and at least
-  # one delta frame after it, or the handoff below never folds a log — so
-  # the death lands mid-run with state on disk to hand off. The kill also
-  # waits until every device has said hello to its owner (the members'
-  # /stats device counts sum to $DEVICES) and records those counts: the
-  # last moment all three members are up is the one placement reading.
+  # Pull the plug (SIGKILL, no drain) the moment the node has accepted
+  # records and made a checkpoint durable as a base with at least one delta
+  # frame after it, so the restart folds a log.
   (
     for _ in $(seq 1 600); do
-      st=$(curl -fsS "http://127.0.0.1:19914/stats" 2>/dev/null || true)
+      st=$(curl -fsS "http://$ADMIN/stats" 2>/dev/null || true)
       recs=$(printf '%s' "$st" | grep -o '"records":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
       gen=$(printf '%s' "$st" | grep -o '"generation":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
-      held=()
-      for admin in 19912 19914 19916; do
-        held+=("$(curl -fsS "http://127.0.0.1:$admin/stats" 2>/dev/null | grep -o '"devices":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)")
-      done
-      if [ -n "${recs:-}" ] && [ "$recs" -gt 0 ] && [ -n "${gen:-}" ] && [ "$gen" -ge 1 ] && has_delta_frame "${dirs[1]}" &&
-        [ $((${held[0]:-0} + ${held[1]:-0} + ${held[2]:-0})) -ge "$DEVICES" ]; then
-        kill -9 "$victim"
-        echo "${held[0]:-0} ${held[1]:-0} ${held[2]:-0}" > "$WORK/placement"
+      if [ -n "${recs:-}" ] && [ "$recs" -gt 0 ] && [ -n "${gen:-}" ] && [ "$gen" -ge 1 ] && has_delta_frame "$ckdir"; then
+        kill -9 "$pid"
         exit 0
       fi
       sleep 0.05
@@ -295,189 +264,58 @@ run_cluster() {
     exit 1
   ) &
   local killer=$!
+  pids+=("$killer")
 
-  # fleetsim routes every session by the shared ring, follows redirect
-  # acks, and reconciles its acked-record counters against the
-  # aggregator's merged exposition — exactly-once across the node death.
-  # -speedup paces each device's day over ~10s of wall time so the kill
-  # lands while every stream is still active: an active session
-  # retransmits what the dead node acked past its last checkpoint,
-  # whereas a completed session's records in that window are gone with
-  # the node (FIN ack ≠ durable — durability is the checkpoint; see
-  # DESIGN.md). Unpaced, small devices finish inside the first
-  # checkpoint interval and the kill loses their tail nondeterministically.
-  ./bin/fleetsim -nodes "$streams" -aggregator "http://$AGG" \
-    -devices "$DEVICES" -days "$DAYS" -seed 7 -deadline 5m -speedup 8640
+  # -speedup paces each device's day over ~10 s of wall time, so the kill
+  # lands while sessions are open. With -durable-fin a FIN acked before the
+  # kill is in the checkpoint, and an open session resumes from the
+  # recovered sequence, so the restarted node must hold every record once.
+  ./bin/fleetsim -addr "$ADDR" -admin "http://$ADMIN" \
+    -devices "$DEVICES" -days "$DAYS" -seed 7 -deadline 5m -speedup 8640 \
+    -headline-json "$WORK/kill.json" > "$WORK/kill-fleetsim.log" 2>&1 &
+  local fleet=$!
+  pids+=("$fleet")
 
   if ! wait "$killer"; then
-    echo "smoke: victim node was never killed (n2 never held records, a checkpoint base and a delta frame after it with all $DEVICES devices placed)" >&2
+    cat "$WORK/kill-first.log" >&2
+    echo "smoke: ingestd was never killed (no records, or no checkpoint base with a delta frame after it)" >&2
     exit 1
   fi
+  wait "$pid" 2>/dev/null || true
+  "${node[@]}" > "$log" 2>&1 &
+  pid=$!
 
-  # Placement, end to end: at the kill every member held 20-50 % of the
-  # fleet (a fair share is 33 %). The parent's bare-FNV ring put 0 devices
-  # on n1 and 100 each on n2 and n3, and nothing else in `make ci` sees it.
-  local held
-  read -r -a held < "$WORK/placement"
-  for i in 0 1 2; do
-    if [ $((100 * ${held[$i]})) -lt $((20 * DEVICES)) ] || [ $((100 * ${held[$i]})) -gt $((50 * DEVICES)) ]; then
-      echo "smoke: n$((i + 1)) held ${held[$i]} of $DEVICES devices, want 20-50 % (n1/n2/n3: ${held[*]})" >&2
-      exit 1
-    fi
-  done
-  echo "smoke: placement ok (n1/n2/n3 held ${held[*]} of $DEVICES devices)"
-
-  # The kill can land after fleetsim's reconcile; settle again so the
-  # comparison below always sees the post-death, post-handoff fleet.
-  local want_records live recs
-  want_records=$(jfield "$WORK/ref.json" records)
-  for _ in $(seq 1 300); do
-    m=$(curl -fsS "http://$AGG/metrics" 2>/dev/null || true)
-    live=$(printf '%s' "$m" | awk '/^aggregator_nodes_live /{print int($2)}')
-    recs=$(printf '%s' "$m" | awk '/^aggregator_records /{print int($2)}')
-    if [ "${live:-3}" -eq 2 ] && [ "${recs:-0}" -eq "$want_records" ]; then break; fi
-    sleep 0.1
-  done
-  if [ "${live:-3}" -ne 2 ] || [ "${recs:-0}" -ne "$want_records" ]; then
-    echo "smoke: cluster did not settle after kill (nodes_live=${live:-?} records=${recs:-?}, want 2/$want_records)" >&2
+  if ! wait "$fleet"; then
+    cat "$WORK/kill-fleetsim.log" "$log" >&2
+    echo "smoke: fleetsim did not deliver every record across the kill" >&2
     exit 1
   fi
-  curl -fsS "http://$AGG/headline" > "$WORK/fleet.json"
-
-  require_headline_match "$WORK/fleet.json"
-  echo "smoke: fleet headline matches single-node reference ($want_records records across survivors)"
-
-  # Graceful drain of the survivors and the aggregator: all must exit 0.
-  local p
-  for p in "${pids[@]}"; do
-    [ "$p" = "$victim" ] && continue
-    kill -TERM "$p" 2>/dev/null || true
-  done
-  for p in "${pids[@]}"; do
-    [ "$p" = "$victim" ] && continue
-    if ! wait "$p"; then
-      echo "smoke: cluster process $p did not drain cleanly" >&2
-      exit 1
-    fi
-  done
   pids=()
-  echo "smoke: cluster phase ok"
-}
-
-run_chaos_cluster() {
-  local cluster="n1=127.0.0.1:19911/127.0.0.1:19912,n2=127.0.0.1:19913/127.0.0.1:19914,n3=127.0.0.1:19915/127.0.0.1:19916"
-  local streams="127.0.0.1:19911,127.0.0.1:19913,127.0.0.1:19915"
-  local dirs=("$WORK/c1" "$WORK/c2" "$WORK/c3")
-  mkdir -p "${dirs[@]}"
-
-  local i
-  for i in 1 2 3; do
-    ./bin/ingestd -listen "127.0.0.1:199$((9 + 2 * i))" -admin "127.0.0.1:199$((10 + 2 * i))" \
-      -node-id "n$i" -cluster "$cluster" -shards 4 \
-      -checkpoint-dir "${dirs[$((i - 1))]}" -checkpoint-interval 250ms -durable-fin \
-      -heartbeat 250ms -fail-threshold 2 -handoff-on-drain=false &
-    pids+=($!)
-  done
-  local victim=${pids[1]} # n2, admin 127.0.0.1:19914
-  ./bin/aggregatord -listen "$AGG" -cluster "$cluster" \
-    -handoff-dirs "n1=${dirs[0]},n2=${dirs[1]},n3=${dirs[2]}" \
-    -interval 400ms -heartbeat 250ms -fail-threshold 2 \
-    -pull-attempts 3 -handoff-attempts 4 &
-  pids+=($!)
-
-  # Partition step: freeze n2 (SIGSTOP, sockets stay open, state stays in
-  # memory) the moment it has accepted records and written a checkpoint, a
-  # delta frame after its base included.
-  # Unlike the kill phase's SIGKILL, the process survives to resurface
-  # later holding already-handed-off state — the zombie the fence exists for.
-  (
-    for _ in $(seq 1 600); do
-      st=$(curl -fsS "http://127.0.0.1:19914/stats" 2>/dev/null || true)
-      recs=$(printf '%s' "$st" | grep -o '"records":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
-      gen=$(printf '%s' "$st" | grep -o '"generation":[[:space:]]*[0-9]*' | head -1 | tr -dc 0-9)
-      if [ -n "${recs:-}" ] && [ "$recs" -gt 0 ] && [ -n "${gen:-}" ] && [ "$gen" -ge 1 ] && has_delta_frame "${dirs[1]}"; then
-        kill -STOP "$victim"
-        exit 0
-      fi
-      sleep 0.05
-    done
-    exit 1
-  ) &
-  local freezer=$!
-
-  # With -durable-fin every FIN ack is backed by a checkpoint, so even the
-  # frozen node's completed sessions survive intact through the handoff:
-  # the fleet must reconcile exactly, not just approximately.
-  ./bin/fleetsim -nodes "$streams" -aggregator "http://$AGG" \
-    -devices "$DEVICES" -days "$DAYS" -seed 7 -deadline 5m -speedup 8640
-
-  if ! wait "$freezer"; then
-    echo "smoke: victim node was never frozen (n2 never held records, a checkpoint base and a delta frame after it)" >&2
+  cat "$WORK/kill-fleetsim.log"
+  local recovered findur
+  recovered=$(grep -o 'recovered checkpoint generation [0-9]*.*' "$log" || true)
+  if [ -z "$recovered" ]; then
+    cat "$log" >&2
+    echo "smoke: the restarted ingestd recovered no checkpoint generation" >&2
     exit 1
   fi
-
-  # Wait for the frozen node's checkpoint to hand off to the survivors,
-  # then heal the partition: the zombie resurfaces and must be fenced
-  # before its stale snapshot can re-enter a merge.
-  local m handoffs fenced
-  for _ in $(seq 1 300); do
-    m=$(curl -fsS "http://$AGG/metrics" 2>/dev/null || true)
-    handoffs=$(printf '%s' "$m" | awk '/^aggregator_handoffs_total /{print int($2)}')
-    if [ "${handoffs:-0}" -ge 1 ]; then break; fi
-    sleep 0.1
-  done
-  if [ "${handoffs:-0}" -lt 1 ]; then
-    echo "smoke: frozen node's checkpoint never handed off" >&2
-    exit 1
-  fi
-  kill -CONT "$victim"
-
-  # Settle: the fenced zombie is excluded from the live merge (nodes_live
-  # drops to 2 even though all three processes answer /healthz) and the
-  # record count must hold at the reference — no double count.
-  local want_records live recs
-  want_records=$(jfield "$WORK/ref.json" records)
-  for _ in $(seq 1 300); do
-    m=$(curl -fsS "http://$AGG/metrics" 2>/dev/null || true)
-    live=$(printf '%s' "$m" | awk '/^aggregator_nodes_live /{print int($2)}')
-    recs=$(printf '%s' "$m" | awk '/^aggregator_records /{print int($2)}')
-    fenced=$(printf '%s' "$m" | awk '/^aggregator_fenced_skips_total /{print int($2)}')
-    if [ "${live:-3}" -eq 2 ] && [ "${recs:-0}" -eq "$want_records" ] && [ "${fenced:-0}" -ge 1 ]; then break; fi
-    sleep 0.1
-  done
-  if [ "${live:-3}" -ne 2 ] || [ "${recs:-0}" -ne "$want_records" ] || [ "${fenced:-0}" -lt 1 ]; then
-    echo "smoke: cluster did not settle after heal (nodes_live=${live:-?} records=${recs:-?} fenced_skips=${fenced:-?}, want 2/$want_records/>=1)" >&2
-    exit 1
-  fi
-
-  # Durable FIN must have actually engaged on the survivors.
-  local findur
-  findur=$(curl -fsS "http://127.0.0.1:19912/metrics" "http://127.0.0.1:19916/metrics" 2>/dev/null |
-    awk '/^ingest_fin_durable_total /{n += $2} END {print int(n)}')
+  echo "smoke: $recovered"
+  findur=$(curl -fsS "http://$ADMIN/metrics" | awk '/^ingest_fin_durable_total /{print int($2)}')
   if [ "${findur:-0}" -lt 1 ]; then
-    echo "smoke: ingest_fin_durable_total = ${findur:-0} across survivors, want >= 1 (-durable-fin not engaged)" >&2
+    echo "smoke: ingest_fin_durable_total = ${findur:-0} after the restart, want >= 1 (-durable-fin not engaged)" >&2
     exit 1
   fi
+  require_headline_match "$WORK/kill.json"
+  echo "smoke: headline after kill -9 and restart matches the phase-2 reference ($(jfield "$WORK/kill.json" records) records, $findur durable FINs)"
 
-  curl -fsS "http://$AGG/headline" > "$WORK/fleet-chaos.json"
-  require_headline_match "$WORK/fleet-chaos.json"
-  echo "smoke: fleet headline matches single-node reference through freeze + fence ($want_records records)"
-
-  # Graceful drain: every process — including the fenced zombie — must
-  # exit 0. A fenced node skips its final checkpoint (the archive already
-  # holds its history) but still drains its shards cleanly.
-  local p
-  for p in "${pids[@]}"; do
-    kill -TERM "$p" 2>/dev/null || true
-  done
-  for p in "${pids[@]}"; do
-    if ! wait "$p"; then
-      echo "smoke: chaos-cluster process $p did not drain cleanly" >&2
-      exit 1
-    fi
-  done
-  pids=()
-  echo "smoke: chaos-cluster phase ok"
+  kill -TERM "$pid"
+  if ! wait "$pid"; then
+    cat "$log" >&2
+    echo "smoke: restarted ingestd did not drain cleanly (kill phase)" >&2
+    exit 1
+  fi
+  pid=
+  echo "smoke: kill phase ok"
 }
 
 # Golden end-to-end check: batch and streamed analysis of the fixed-seed
@@ -512,8 +350,7 @@ run_early_signal
 run_phase clean -headline-json "$WORK/ref.json"
 run_query
 run_phase chaos -chaos-drop 0.05 -chaos-corrupt 0.01 -chaos-seed 7 -deadline 5m
-run_cluster
-run_chaos_cluster
+run_kill
 trap - EXIT
 rm -rf "$WORK"
 echo "smoke: ok"
