@@ -1,6 +1,6 @@
 // Benchmarks for the bounded-memory streaming analyzer: the per-record
-// Feed hot path and the checkpoint state round-trip. scripts/bench.sh runs
-// these alongside the ingest and obs benchmarks.
+// Feed hot path and the checkpoint state round-trip; run them with
+// `go test -run '^$' -bench . ./internal/analysis/`.
 package analysis
 
 import (

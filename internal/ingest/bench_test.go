@@ -1,6 +1,7 @@
 // Benchmarks for the wire protocol, the shard apply path, the checkpoint
-// store and the full TCP ingest loop. scripts/bench.sh runs these (with the
-// analysis-side benchmarks) and records the results as BENCH_<date>.json.
+// store and the full TCP ingest loop; run them with
+// `go test -run '^$' -bench . ./internal/ingest/`. The repository benchmark
+// (bench/, BENCHMARK.json) measures the same paths against a real ingestd.
 //
 // TestApplyAllocFree is the zero-allocation policy guard from DESIGN.md:
 // the instrumented shard apply path must not allocate in steady state, so
@@ -375,8 +376,8 @@ func BenchmarkFinDurable(b *testing.B)  { benchFIN(b, true) }
 func BenchmarkFinVolatile(b *testing.B) { benchFIN(b, false) }
 
 // BenchmarkIngestE2E measures whole-system throughput: 4 concurrent device
-// sessions over real TCP into a 4-shard server, per iteration. The
-// records/s metric is the fleet ingest rate scripts/bench.sh tracks.
+// sessions over real TCP into a 4-shard server, per iteration, reported as
+// records/s; bench/'s ingest_bulk workload is the tracked ingest rate.
 func BenchmarkIngestE2E(b *testing.B) {
 	fleet := synthgen.GenerateInMemory(synthgen.Small(4, 1))
 	var total int64

@@ -540,9 +540,6 @@ func decodeImage(b []byte) (snap *Snapshot, n int, err error) {
 type Loaded struct {
 	// Gen is the base's generation plus the whole frames after it.
 	Gen uint64
-	// File is Snap as one checkpoint-file image. For a base with no frames
-	// after it these are the bytes on disk (Snap aliases them).
-	File []byte
 	// Snap is the base with every whole frame folded over it.
 	Snap *Snapshot
 	// Skipped says what newer state LoadLatest could not restore: bases
@@ -603,7 +600,7 @@ func (s *Store) load(gen uint64, validate func(*Snapshot) error) (*Loaded, error
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	ld := &Loaded{Gen: gen, File: file, Snap: snap}
+	ld := &Loaded{Gen: gen, Snap: snap}
 
 	frames, err := loadLog(lp)
 	for i := range frames {
@@ -624,9 +621,6 @@ func (s *Store) load(gen uint64, validate func(*Snapshot) error) (*Loaded, error
 	if len(frames) > 0 {
 		ld.Gen += uint64(len(frames))
 		ld.Snap = fold(snap, frames)
-		if ld.File, err = EncodeFile(ld.Snap); err != nil {
-			return nil, fmt.Errorf("%s: %w", lp, err)
-		}
 	}
 	if err := validate(ld.Snap); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)

@@ -86,8 +86,10 @@ func TestSaveLoadGenerations(t *testing.T) {
 	if ck.Gen != 5 || ck.Snap.Devices[0].Seq != 5 {
 		t.Fatalf("loaded gen %d seq %d", ck.Gen, ck.Snap.Devices[0].Seq)
 	}
-	if onDisk, err := os.ReadFile(genPath(dir, 5)); err != nil || !bytes.Equal(ck.File, onDisk) {
-		t.Fatalf("File is not the generation's bytes (%v)", err)
+	if onDisk, err := os.ReadFile(genPath(dir, 5)); err != nil {
+		t.Fatal(err)
+	} else if want, err := DecodeFile(onDisk); err != nil || !reflect.DeepEqual(ck.Snap, want) {
+		t.Fatalf("Snap is not the generation's snapshot (%v)", err)
 	}
 
 	// Reopen (simulated restart): generation counter must continue, not

@@ -1,6 +1,6 @@
 // Package netparse is a small, allocation-free packet layer codec in the
 // style of gopacket: packets are decoded layer by layer into preallocated
-// structs, and flows are identified by hashable Endpoint/Flow values.
+// structs, and flows are identified by hashable Endpoint/FiveTuple values.
 //
 // The synthetic trace generator serialises real IPv4/IPv6 + TCP/UDP headers
 // with this package, and the analysis pipeline decodes those bytes back —
@@ -114,27 +114,6 @@ func (e Endpoint) String() string {
 	}
 	return "invalid"
 }
-
-// Flow is an ordered (src, dst) pair of Endpoints; like gopacket's Flow it
-// is hashable and comparable, so it can key maps directly.
-type Flow struct {
-	src, dst Endpoint
-}
-
-// NewFlow builds a Flow from src to dst.
-func NewFlow(src, dst Endpoint) Flow { return Flow{src: src, dst: dst} }
-
-// Src returns the flow's source endpoint.
-func (f Flow) Src() Endpoint { return f.src }
-
-// Dst returns the flow's destination endpoint.
-func (f Flow) Dst() Endpoint { return f.dst }
-
-// Reverse returns the flow with src and dst swapped.
-func (f Flow) Reverse() Flow { return Flow{src: f.dst, dst: f.src} }
-
-// String renders "src->dst".
-func (f Flow) String() string { return f.src.String() + "->" + f.dst.String() }
 
 // FiveTuple is the canonical bidirectional flow key: the (addr, port)
 // pairs are ordered so that both directions of a connection map to the

@@ -39,19 +39,6 @@ func TestEndpointHashable(t *testing.T) {
 	}
 }
 
-func TestFlowReverse(t *testing.T) {
-	a := NewEndpoint(EndpointIPv4, []byte{1, 1, 1, 1})
-	b := NewEndpoint(EndpointIPv4, []byte{2, 2, 2, 2})
-	f := NewFlow(a, b)
-	r := f.Reverse()
-	if r.Src() != b || r.Dst() != a {
-		t.Error("Reverse did not swap endpoints")
-	}
-	if f.String() != "1.1.1.1->2.2.2.2" {
-		t.Errorf("flow string = %q", f.String())
-	}
-}
-
 func TestFiveTupleCanonicalSymmetric(t *testing.T) {
 	a := NewEndpoint(EndpointIPv4, []byte{10, 0, 0, 1})
 	b := NewEndpoint(EndpointIPv4, []byte{93, 184, 216, 34})
