@@ -165,8 +165,11 @@ func (s *Server) adminMux() http.Handler {
 		s.counters.queries.Add(1)
 		s.counters.queryBlocksSkipped.Add(int64(res.Scan.BlocksSkipped))
 		s.counters.queryWindowsMemoised.Add(int64(res.Scan.WindowsMemoised))
+		s.counters.queryWindowsComputed.Add(int64(res.Scan.WindowsComputed))
 		s.counters.queryBlocksCached.Add(int64(res.Scan.BlocksCached))
+		s.counters.queryBlocksRefused.Add(int64(res.Scan.BlocksRefused))
 		s.counters.queryMemoBytes.Set(s.memo.Bytes())
+		s.counters.queryMemoBlockBytes.Set(s.memo.BlockBytes())
 		WriteJSON(w, res)
 	})
 	mux.HandleFunc("/device", func(w http.ResponseWriter, r *http.Request) {

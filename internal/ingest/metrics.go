@@ -56,11 +56,15 @@ type counters struct {
 	queryErrors        *obs.Counter // GET /query requests rejected or failed
 	queryBlocksSkipped *obs.Counter // blocks pruned by the seek index across queries
 	// The query memo (tsq.Memo): settled device-windows answered without a
-	// scan, scanned blocks served from memory, and the heap the memo held
-	// after the last query.
+	// scan and those computed because it did not hold them, scanned blocks
+	// served from memory and decoded ones it refused, and the heap it held
+	// after the last query, all of it and its kept blocks'.
 	queryWindowsMemoised *obs.Counter
+	queryWindowsComputed *obs.Counter
 	queryBlocksCached    *obs.Counter
+	queryBlocksRefused   *obs.Counter
 	queryMemoBytes       *obs.Gauge
+	queryMemoBlockBytes  *obs.Gauge
 
 	// Hot-path distributions. frameSeconds is the per-frame record-decode
 	// latency; applySeconds is the enqueue→apply latency through a shard
@@ -117,8 +121,11 @@ func newCounters() *counters {
 		queryBlocksSkipped: reg.Counter("ingest_query_blocks_skipped_total", "blocks pruned by the segment seek index across queries"),
 
 		queryWindowsMemoised: reg.Counter("ingest_query_windows_memoised_total", "settled device-windows answered from the query memo instead of a scan"),
+		queryWindowsComputed: reg.Counter("ingest_query_windows_computed_total", "settled device-windows a query computed because the query memo did not hold them"),
 		queryBlocksCached:    reg.Counter("ingest_query_blocks_cached_total", "scanned blocks served from the query memo instead of read and decoded"),
+		queryBlocksRefused:   reg.Counter("ingest_query_blocks_refused_total", "blocks a query decoded whole that the query memo did not keep"),
 		queryMemoBytes:       reg.Gauge("ingest_query_memo_bytes", "estimated heap held by the query memo (windows, segment indexes and kept blocks) after the last query"),
+		queryMemoBlockBytes:  reg.Gauge("ingest_query_memo_block_bytes", "of ingest_query_memo_bytes, the heap held by kept blocks"),
 
 		frameSeconds:     reg.Histogram("ingest_frame_decode_seconds", "per-frame record decode latency", obs.DurationBuckets()),
 		applySeconds:     reg.Histogram("ingest_apply_latency_seconds", "shard enqueue-to-apply latency per batch", obs.DurationBuckets()),

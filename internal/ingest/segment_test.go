@@ -170,6 +170,12 @@ func TestQueryTwiceAnswersTheSame(t *testing.T) {
 	if got := metricValue(t, base, "ingest_query_memo_bytes"); got == 0 {
 		t.Fatal("ingest_query_memo_bytes is 0 with windows memoised")
 	}
+	if got := metricValue(t, base, "ingest_query_memo_block_bytes"); got == 0 || got >= metricValue(t, base, "ingest_query_memo_bytes") {
+		t.Fatalf("ingest_query_memo_block_bytes = %g after a wide query kept blocks beside its windows", got)
+	}
+	if got := metricValue(t, base, "ingest_query_windows_computed_total"); got == 0 || got < float64(before.Scan.WindowsMemoised) {
+		t.Fatalf("ingest_query_windows_computed_total = %g, %d windows memoised since", got, before.Scan.WindowsMemoised)
+	}
 	// The wide first query decoded every sealed block whole, so an
 	// unwindowed query over the same range — which no window memo serves —
 	// is trimmed from the blocks it kept, opening no file.

@@ -213,28 +213,31 @@ type blockScratch struct {
 	// so both are overwritten by the next decode — whatever a caller keeps
 	// of a delivered batch (an app name, say) it must copy. A scan writes
 	// raw only through the last row it delivers; a block it wrote whole it
-	// may hand to a BlockCache instead (see handOff). The parallel reader
-	// decodes into its own arena and leaves raw alone.
+	// offers to a BlockCache, and hands off only if the cache takes it (see
+	// handOff). The parallel reader decodes into its own arena and leaves
+	// raw alone.
 	raw   []byte
 	batch RecordBatch
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
-// handOff gives up the block just decoded, for a BlockCache to keep: the
-// batch and the payload buffer its Blob aliases leave the scratch, and the
-// next decode allocates its own. Nothing of the scratch refers to them
-// afterwards. It returns the batch and the heap the two
-// hold, by capacity.
-func (sc *blockScratch) handOff() (*RecordBatch, int64) {
-	b := new(RecordBatch)
-	*b = sc.batch
-	// Seven slice headers, then what they hold.
-	size := 7*24 + int64(cap(sc.raw)+cap(b.Types)+cap(b.Flags)+cap(b.Aux)) +
+// heldBytes is the heap the block just decoded holds, by capacity: the
+// batch's seven slice headers, what they hold, and the payload buffer its
+// Blob aliases. It is what a BlockCache is told a kept block costs.
+func (sc *blockScratch) heldBytes() int64 {
+	b := &sc.batch
+	return 7*24 + int64(cap(sc.raw)+cap(b.Types)+cap(b.Flags)+cap(b.Aux)) +
 		8*int64(cap(b.TS)) + 4*int64(cap(b.App)+cap(b.Off))
+}
+
+// handOff gives up the block just decoded, once a BlockCache has taken
+// it: the batch's buffers and the payload buffer its Blob aliases leave the
+// scratch, and the next decode allocates its own. Nothing of the scratch
+// refers to them afterwards.
+func (sc *blockScratch) handOff() {
 	sc.batch, sc.raw = RecordBatch{}, nil
-	sc.lz.Reset(nil, nil) // nor may the decoder keep it alive past an eviction
-	return b, size
+	sc.lz.Reset(nil, nil) // nor may the decoder keep them alive past an eviction
 }
 
 // verifyPayload checks comp against the header's CRC32C, before a byte of

@@ -372,7 +372,11 @@ type mapCache map[int]*RecordBatch
 
 func (c mapCache) Block(i int) *RecordBatch { return c[i] }
 
-func (c mapCache) Keep(i int, b *RecordBatch, size int64) { c[i] = b }
+func (c mapCache) Keep(i int, b *RecordBatch, size int64) bool {
+	kept := *b
+	c[i] = &kept
+	return true
+}
 
 // appendRecords appends b's records to dst, payloads copied.
 func appendRecords(dst []Record, b *RecordBatch) []Record {

@@ -49,13 +49,16 @@ func (t TimeRange) overlapsBlock(first, last Timestamp) bool {
 // window. BytesDecompressed is the proof the rest of the pushdown did:
 // of the blocks scanned, only the payload bytes through the last row
 // delivered are written. BlocksCached is the proof a BlockCache did: of
-// the blocks scanned, those served from memory, neither read nor decoded.
+// the blocks scanned, those served from memory, neither read nor decoded;
+// BlocksRefused counts the blocks it was offered, decoded whole, and did
+// not take.
 type ScanStats struct {
 	Files             int   // files opened
 	BlocksTotal       int   // index entries examined (indexed files only)
 	BlocksSkipped     int   // blocks pruned by the [From, To) overlap test
 	BlocksScanned     int   // blocks decoded or served from a BlockCache
 	BlocksCached      int   // of BlocksScanned, those served from a BlockCache
+	BlocksRefused     int   // blocks decoded whole that a BlockCache did not take
 	BytesDecompressed int64 // uncompressed payload bytes written (indexed files only)
 	RecordsScanned    int64 // records decoded before trimming/filtering
 	RecordsMatched    int64 // records delivered to the callback
@@ -68,6 +71,7 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.BlocksSkipped += o.BlocksSkipped
 	s.BlocksScanned += o.BlocksScanned
 	s.BlocksCached += o.BlocksCached
+	s.BlocksRefused += o.BlocksRefused
 	s.BytesDecompressed += o.BytesDecompressed
 	s.RecordsScanned += o.RecordsScanned
 	s.RecordsMatched += o.RecordsMatched
@@ -194,10 +198,12 @@ func scanStream(f *os.File, opt ScanOptions, stats *ScanStats, fn func(*RecordBa
 type BlockCache interface {
 	// Block returns block i as kept, or nil when it is not.
 	Block(i int) *RecordBatch
-	// Keep offers block i, decoded whole. size is the heap it holds. The
-	// batch is read-only from then on, to the cache and to every scan it
-	// is served to.
-	Keep(i int, b *RecordBatch, size int64)
+	// Keep offers block i, decoded whole into b, whose buffers hold size
+	// bytes of heap, and reports whether the cache took it. A cache that
+	// takes it keeps a copy of *b: b's buffers are then the cache's,
+	// read-only from then on to it and to every scan it serves them to, and
+	// the caller writes them no more. A refused b stays the caller's.
+	Keep(i int, b *RecordBatch, size int64) bool
 }
 
 // Scan is ScanFile over the file ix was read from, which ra holds: it
@@ -214,8 +220,10 @@ type BlockCache interface {
 // kept, when not nil, is the file's BlockCache. A block it holds is
 // trimmed and filtered from memory, with no byte of it read through ra.
 // A block decoded here whose staged decode turned out whole — the rows
-// delivered ran to its end, as on a wide query — is handed to it rather
-// than overwritten by the next: the scan never decodes a byte just to
+// delivered ran to its end, as on a wide query — is offered to it once its
+// rows are delivered. A block the cache takes is not overwritten by the
+// next decode, which gets fresh buffers; a refused one is, so a cache that
+// refuses costs the scan nothing. The scan never decodes a byte just to
 // fill the cache. Either way the block delivers the same sub-batches.
 func (ix *Index) Scan(ra io.ReaderAt, kept BlockCache, opt ScanOptions, stats *ScanStats, fn func(*RecordBatch) error) error {
 	filter := newAppFilter(opt.Apps)
@@ -253,14 +261,16 @@ func (ix *Index) Scan(ra io.ReaderAt, kept BlockCache, opt ScanOptions, stats *S
 				return err
 			}
 			stats.BytesDecompressed += int64(sc.lz.Filled())
-			if kept != nil && sc.lz.Filled() == len(sc.raw) {
-				var size int64
-				b, size = sc.handOff()
-				kept.Keep(i, b, size)
-			}
 		}
 		if err := emit(b, lo, end, filter, &out, stats, fn); err != nil {
 			return err
+		}
+		if decoded && kept != nil && sc.lz.Filled() == len(sc.raw) {
+			if kept.Keep(i, b, sc.heldBytes()) {
+				sc.handOff()
+			} else {
+				stats.BlocksRefused++
+			}
 		}
 	}
 	return nil

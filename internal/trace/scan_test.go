@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -567,4 +568,45 @@ func keptBytes(kept mapCache, blocks []BlockInfo) int64 {
 		n += int64(blocks[i].UncompLen)
 	}
 	return n
+}
+
+// refusingCache is a BlockCache that keeps nothing it is offered.
+type refusingCache struct{ offered int }
+
+func (c *refusingCache) Block(int) *RecordBatch { return nil }
+
+func (c *refusingCache) Keep(int, *RecordBatch, int64) bool {
+	c.offered++
+	return false
+}
+
+// TestScanRefusedBlockStaysWithScratch: a block the cache refuses stays
+// the scan's, whose next decode reuses its buffers, so a scan through a
+// cache that refuses everything allocates no more than one without a
+// cache, and counts each block it offered as refused.
+func TestScanRefusedBlockStaysWithScratch(t *testing.T) {
+	data := synthMETR3(t)
+	ix, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil || len(ix.Blocks()) < 3 {
+		t.Fatalf("fixture: %v, %d blocks", err, len(ix.Blocks()))
+	}
+	opt := ScanOptions{Range: TimeRange{From: math.MinInt64, To: math.MaxInt64}}
+	ra := bytes.NewReader(data)
+	scan := func(kept BlockCache) ScanStats {
+		var stats ScanStats
+		if err := ix.Scan(ra, kept, opt, &stats, func(*RecordBatch) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	refusing := &refusingCache{}
+	if stats := scan(refusing); refusing.offered != len(ix.Blocks()) || stats.BlocksRefused != refusing.offered {
+		t.Fatalf("whole-range scan offered %d of %d blocks, counted %d refused", refusing.offered, len(ix.Blocks()), stats.BlocksRefused)
+	}
+	plain := testing.AllocsPerRun(20, func() { scan(nil) })
+	refused := testing.AllocsPerRun(20, func() { scan(refusing) })
+	// A hand-off allocates at least a payload buffer for the next block.
+	if refused >= plain+float64(len(ix.Blocks())) {
+		t.Fatalf("scan through a refusing cache: %.0f allocations, %.0f without a cache", refused, plain)
+	}
 }

@@ -134,3 +134,41 @@ func benchQueryPushdown(b *testing.B, next func() Engine, wide bool) {
 		}
 	}
 }
+
+// BenchmarkQueryRepeatOverBudget repeats the unwindowed whole-span query
+// on one memo whose budget (16 MiB) holds only part of the fixture's
+// blocks: each repeat is served the blocks the memo kept and decodes the
+// rest, which the memo refuses rather than evicting what the repeat
+// itself touched. Every repeat must be served the same number of kept
+// blocks; reports blocks_cached and decompressed_MB per query.
+func BenchmarkQueryRepeatOverBudget(b *testing.B) {
+	dir, span := benchFixture(b)
+	q := Query{From: span[0], To: span[1] + 1}
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	eng.Memo.budget = 16 << 20
+	first, err := eng.QueryDir(dir, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if first.Scan.BlocksRefused == 0 {
+		b.Fatalf("the budget held every block: %+v", first.Scan)
+	}
+	cached := -1
+	var decompressed int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.QueryDir(dir, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cached >= 0 && res.Scan.BlocksCached != cached {
+			b.Fatalf("repeat %d served %d kept blocks, the one before %d", i, res.Scan.BlocksCached, cached)
+		}
+		cached = res.Scan.BlocksCached
+		decompressed += res.Scan.BytesDecompressed
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cached), "blocks_cached")
+	b.ReportMetric(float64(decompressed)/float64(b.N)/1e6, "decompressed_MB")
+}

@@ -1,6 +1,7 @@
 package tsq
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -71,11 +72,20 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 
 	// Pass 1: group files by device. Each file is opened once, for its
 	// header and its index (or, unsealed, its first block) — unless the
-	// Memo holds its index, when a stat is all it takes.
+	// Memo holds its index, when a stat is all it takes. An empty file
+	// holds no record: it is one created a moment ago, its header not yet
+	// written, or one a crash left so.
+	var query uint64
+	if e.Memo != nil {
+		query = e.Memo.begin()
+	}
 	byDevice := map[string][]segment{}
 	var devices []string
 	for _, path := range paths {
-		seg, err := e.segment(path)
+		seg, err := e.segment(path, query)
+		if errors.Is(err, errEmptyFile) {
+			continue
+		}
 		if err != nil {
 			return nil, fmt.Errorf("tsq: %s: %w", path, err)
 		}
@@ -90,16 +100,17 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 	// the order the float sums are defined in, whether a window was
 	// scanned just now or memoised by an earlier query.
 	var stats trace.ScanStats
-	memoised := 0
+	memoised, computed := 0, 0
 	params := e.memoParams(q)
 	f := newFold(res)
 	names := map[uint32]string{}
 	for _, device := range devices {
-		parts, hits, err := e.deviceWindows(device, byDevice[device], q, params, &stats)
+		parts, hits, misses, err := e.deviceWindows(device, byDevice[device], q, params, &stats)
 		if err != nil {
 			return nil, err
 		}
 		memoised += hits
+		computed += misses
 		before := res.Records
 		for _, p := range parts {
 			if p.records == 0 {
@@ -131,6 +142,7 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 	}
 	res.Scan = statsOf(stats)
 	res.Scan.WindowsMemoised = memoised
+	res.Scan.WindowsComputed = computed
 	fillNames(res, names)
 	res.Finalize(q.TopN)
 	return res, nil
@@ -217,17 +229,17 @@ func (r readerAt) ReadAt(p []byte, off int64) (int, error) {
 	return s.f.ReadAt(p, off)
 }
 
-// segment is pass 1 over one file. With a Memo, a sealed file whose
-// identity it knows is not opened: its index comes from the Memo. Any
-// other file is read by statSegment, and the Memo keeps its index if it
-// is sealed.
-func (e Engine) segment(path string) (segment, error) {
+// segment is pass 1 over one file for the query the Memo numbered query.
+// With a Memo, a sealed file whose identity it knows is not opened: its
+// index comes from the Memo. Any other file is read by statSegment, and
+// the Memo keeps its index if it is sealed.
+func (e Engine) segment(path string, query uint64) (segment, error) {
 	if e.Memo == nil {
 		return statSegment(path)
 	}
 	if st, err := os.Stat(path); err == nil {
 		seg := segment{path: path, size: st.Size(), mtime: st.ModTime().UnixNano()}
-		if ix, kept := e.Memo.index(seg.id()); ix != nil {
+		if ix, kept := e.Memo.index(seg.id(), query); ix != nil {
 			seg = sealedSegment(path, ix, seg.size, seg.mtime)
 			seg.kept = kept
 			return seg, nil
@@ -235,10 +247,13 @@ func (e Engine) segment(path string) (segment, error) {
 	}
 	seg, err := statSegment(path)
 	if err == nil && seg.sealed() {
-		seg.kept = e.Memo.keepIndex(seg.id(), seg.ix)
+		seg.kept = e.Memo.keepIndex(seg.id(), seg.ix, query)
 	}
 	return seg, err
 }
+
+// errEmptyFile is statSegment's answer for a file of no bytes.
+var errEmptyFile = errors.New("empty file")
 
 func statSegment(path string) (segment, error) {
 	seg := segment{path: path, first: math.MinInt64, last: math.MaxInt64}
@@ -250,6 +265,9 @@ func statSegment(path string) (segment, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return seg, err
+	}
+	if st.Size() == 0 {
+		return seg, errEmptyFile
 	}
 	ix, err := trace.ReadIndex(f, st.Size())
 	if err != nil {
@@ -371,13 +389,14 @@ func settledWindows(segs []segment, q Query) []settled {
 }
 
 // deviceWindows returns one device's finished windows over q, in window
-// order, and how many of them the Memo answered. Settled windows the
+// order, how many of them the Memo answered, and how many settled windows
+// it computed because the Memo did not hold them. Settled windows the
 // Memo holds are served from it; the rest of the range — runs of windows
 // it does not hold, windows the range cuts, windows an unsealed file
 // reaches, or (params == "") simply everything — is scanned, each run
 // restricted to its span by the block pushdown, and what a run settles
 // is memoised on the way out.
-func (e Engine) deviceWindows(device string, segs []segment, q Query, params string, stats *trace.ScanStats) (parts []*partial, hits int, err error) {
+func (e Engine) deviceWindows(device string, segs []segment, q Query, params string, stats *trace.ScanStats) (parts []*partial, hits, computed int, err error) {
 	// Replay order within a device: (start timestamp, path).
 	sort.Slice(segs, func(i, j int) bool {
 		if segs[i].start != segs[j].start {
@@ -448,7 +467,7 @@ func (e Engine) deviceWindows(device string, segs []segment, q Query, params str
 				if e.Memo != nil && segs[i].sealed() {
 					e.Memo.forget(segs[i].id())
 				}
-				return nil, 0, fmt.Errorf("tsq: %s: %w", segs[i].path, err)
+				return nil, 0, 0, fmt.Errorf("tsq: %s: %w", segs[i].path, err)
 			}
 		}
 	}
@@ -478,7 +497,7 @@ func (e Engine) deviceWindows(device string, segs []segment, q Query, params str
 		e.Memo.store(params, misses)
 	}
 	sort.Slice(parts, func(i, j int) bool { return parts[i].start < parts[j].start })
-	return parts, hits, nil
+	return parts, hits, len(misses), nil
 }
 
 // newPartial reduces a finished window to what a result keeps of it.

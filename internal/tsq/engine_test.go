@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -337,6 +338,46 @@ func TestApplyRetention(t *testing.T) {
 	}
 	if rep2.FilesRemoved != 0 {
 		t.Fatalf("second retention pass removed %d files", rep2.FilesRemoved)
+	}
+}
+
+// TestQueryDirEmptySegment: a zero-length segment file — one the segment
+// store created a moment ago, its header not yet written, or one a crash
+// left so — holds no record, so a directory holding one answers exactly
+// as the directory without it, with or without a memo; a non-empty file
+// that is not a segment still fails the query by name.
+func TestQueryDirEmptySegment(t *testing.T) {
+	dir, traces := writeSegmentDir(t, 2, 1)
+	span := traceSpan(traces)
+	queries := []Query{
+		{From: span[0], To: span[1] + 1},
+		{From: span[0], To: span[1] + 1, Window: 3600 * 1e6},
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = answer(t, mustQuery(t, Engine{Opts: energy.DefaultOptions()}, dir, q))
+	}
+	empty := filepath.Join(dir, "zz-000000.metr3")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	memo := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	for _, eng := range []Engine{{Opts: energy.DefaultOptions()}, memo, memo} {
+		for i, q := range queries {
+			res, err := eng.QueryDir(dir, q)
+			if err != nil {
+				t.Fatalf("memo %v, window %d, with an empty file: %v", eng.Memo != nil, q.Window, err)
+			}
+			if got := answer(t, res); got != want[i] {
+				t.Fatalf("memo %v, window %d: an empty file changed the answer:\n%s\nwant\n%s", eng.Memo != nil, q.Window, got, want[i])
+			}
+		}
+	}
+	if err := os.WriteFile(empty, []byte("METR"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := memo.QueryDir(dir, queries[0]); err == nil || !strings.Contains(err.Error(), empty) {
+		t.Fatalf("a 4-byte file that is no segment: %v", err)
 	}
 }
 

@@ -37,14 +37,14 @@ func (p *partial) size() int64 {
 // memoBudget bounds what a Memo holds, all three kinds of entry together.
 // An hour window of a busy device is ~1.5 KiB, so this is some 40 000
 // device-hours; a kept block costs ~110 bytes a record, so it is also some
-// 600 000 records of decoded blocks. Past it the least recently used
-// entry goes — a contributor set's windows, or a file's index with its
-// kept blocks — and costs one rescan of that part of the range to get
-// back.
+// 600 000 records of decoded blocks. Past it kept blocks go first, one at a
+// time, least recently used first: one costs a decode to get back. Only
+// once none is left does the least recently used window set or index go,
+// which costs a rescan of that part of the range.
 const memoBudget = 64 << 20
 
 // Memo remembers, between queries, what is a pure function of sealed
-// files, under one budget and one least-recently-used order:
+// files, under one budget:
 //
 //   - settled windows. A window of a device is settled for a query when it
 //     lies wholly inside the query range and every file of the device that
@@ -57,6 +57,12 @@ const memoBudget = 64 << 20
 //     a later scan then trims and filters from memory without opening the
 //     file (see trace.BlockCache). Nothing is decoded just to be kept.
 //
+// Window sets and indexes share one least-recently-used order; kept blocks
+// have their own, block by block, and are shed before any window set or
+// index. A block never displaces a window set, an index, or a block its own
+// query has touched: when other blocks cannot make room for it, it is
+// refused, and its scan decodes the next block into the same buffers.
+//
 // Every entry is keyed by its files' identities — path, size and mtime —
 // so a file that changes is a new key, and the budget evicts what is no
 // longer asked for. The Memo holds only values this process computed from
@@ -65,9 +71,15 @@ const memoBudget = 64 << 20
 type Memo struct {
 	mu      sync.Mutex
 	budget  int64
-	bytes   int64
+	bytes   int64                     // everything held, kept blocks included
 	entries map[memoKey]*list.Element // of *memoEntry
-	lru     *list.List                // front = most recently used
+	lru     *list.List                // window sets and indexes; front = most recently used
+	blocks  *list.List                // of *keptBlock; front = most recently used
+	// blockBytes is what of bytes the kept blocks hold.
+	blockBytes int64
+	// queries numbers the queries begun: a kept block carries the number of
+	// the last query that kept it or was served it.
+	queries uint64
 }
 
 // memoKey names the windows of one contributor set: the files whose
@@ -81,20 +93,29 @@ type memoKey struct {
 }
 
 // memoEntry is a contributor set's windows, or one sealed file's index
-// and kept blocks.
+// and the slots of its kept blocks.
 type memoEntry struct {
 	key   memoKey
-	bytes int64
+	bytes int64 // its windows, or its index; kept blocks count apart
 
 	wins map[trace.Timestamp]*partial
 
 	ix     *trace.Index
-	blocks []*trace.RecordBatch // by block number; nil = not kept
+	blocks []*list.Element // of *keptBlock, by block number; nil = not kept
+}
+
+// keptBlock is one kept block of a sealed file's entry.
+type keptBlock struct {
+	batch trace.RecordBatch
+	size  int64
+	file  *memoEntry
+	i     int    // block number in file
+	query uint64 // the last query that kept it or was served it
 }
 
 // NewMemo returns an empty Memo bounded by memoBudget.
 func NewMemo() *Memo {
-	return &Memo{budget: memoBudget, entries: map[memoKey]*list.Element{}, lru: list.New()}
+	return &Memo{budget: memoBudget, entries: map[memoKey]*list.Element{}, lru: list.New(), blocks: list.New()}
 }
 
 // Bytes is the estimated heap the Memo holds now.
@@ -102,6 +123,22 @@ func (m *Memo) Bytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.bytes
+}
+
+// BlockBytes is what of Bytes its kept blocks hold.
+func (m *Memo) BlockBytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.blockBytes
+}
+
+// begin numbers a new query, whose scans keep and are served blocks under
+// that number.
+func (m *Memo) begin() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.queries++
+	return m.queries
 }
 
 // lookup fills in the partial of every window of ws the Memo holds.
@@ -138,8 +175,9 @@ func (m *Memo) store(params string, ws []settled) {
 }
 
 // index returns the parsed index of the sealed file with identity id, and
-// the file's kept blocks, or a nil index when the Memo does not hold it.
-func (m *Memo) index(id string) (*trace.Index, trace.BlockCache) {
+// the file's kept blocks as query sees them, or a nil index when the Memo
+// does not hold it. It refreshes the index, not the blocks.
+func (m *Memo) index(id string, query uint64) (*trace.Index, trace.BlockCache) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	el := m.entries[memoKey{files: id}]
@@ -147,26 +185,27 @@ func (m *Memo) index(id string) (*trace.Index, trace.BlockCache) {
 		return nil, nil
 	}
 	m.lru.MoveToFront(el)
-	return el.Value.(*memoEntry).ix, &keptBlocks{m, el}
+	return el.Value.(*memoEntry).ix, &keptBlocks{m, el, query}
 }
 
 // keepIndex keeps ix as the index of the sealed file with identity id, and
-// returns the file's kept blocks: nil when the Memo already holds another
-// index for id, whose block numbers need not be ix's (a concurrent query
-// read the file first, or a rewrite kept its size and mtime).
-func (m *Memo) keepIndex(id string, ix *trace.Index) trace.BlockCache {
+// returns the file's kept blocks as query sees them: nil when the Memo
+// already holds another index for id, whose block numbers need not be
+// ix's (a concurrent query read the file first, or a rewrite kept its size
+// and mtime).
+func (m *Memo) keepIndex(id string, ix *trace.Index, query uint64) trace.BlockCache {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	el := m.entries[memoKey{files: id}]
 	if el == nil {
 		// The index's entries, each with a slot for a kept block.
 		size := int64(256 + len(id) + len(ix.Device()) + (48+8)*len(ix.Blocks()))
-		el = m.push(&memoEntry{key: memoKey{files: id}, ix: ix, blocks: make([]*trace.RecordBatch, len(ix.Blocks())), bytes: size})
+		el = m.push(&memoEntry{key: memoKey{files: id}, ix: ix, blocks: make([]*list.Element, len(ix.Blocks())), bytes: size})
 		m.evict()
 	} else if el.Value.(*memoEntry).ix != ix {
 		return nil
 	}
-	return &keptBlocks{m, el}
+	return &keptBlocks{m, el, query}
 }
 
 // forget drops the entry of the sealed file with identity id, kept blocks
@@ -187,45 +226,93 @@ func (m *Memo) push(e *memoEntry) *list.Element {
 	return el
 }
 
-// remove drops el's entry. m.mu is held.
+// remove drops el's entry, and its kept blocks. m.mu is held.
 func (m *Memo) remove(el *list.Element) {
 	e := m.lru.Remove(el).(*memoEntry)
+	for _, b := range e.blocks {
+		if b != nil {
+			m.drop(b)
+		}
+	}
 	delete(m.entries, e.key)
 	m.bytes -= e.bytes
 }
 
-// evict drops least-recently-used entries until the budget holds again.
+// drop sheds one kept block. Its memory is left to the collector: a scan
+// it was served to may still be reading it. m.mu is held.
+func (m *Memo) drop(el *list.Element) {
+	kb := m.blocks.Remove(el).(*keptBlock)
+	kb.file.blocks[kb.i] = nil
+	m.bytes -= kb.size
+	m.blockBytes -= kb.size
+}
+
+// evict sheds kept blocks, least recently used first, and then window sets
+// and indexes, least recently used first, until the budget holds again.
 // m.mu is held.
 func (m *Memo) evict() {
+	for m.bytes > m.budget && m.blocks.Len() > 0 {
+		m.drop(m.blocks.Back())
+	}
 	for m.bytes > m.budget && m.lru.Len() > 0 {
 		m.remove(m.lru.Back())
 	}
 }
 
-// keptBlocks is one sealed file's entry as the trace.BlockCache its scans
-// run on. A scan that holds it after the entry is evicted still reads what
-// the entry kept, but keeps nothing more in it.
+// room sheds least recently used kept blocks until size more bytes fit the
+// budget, and reports whether they do. It sheds nothing when they cannot
+// be made to fit from blocks that query has not touched. m.mu is held.
+func (m *Memo) room(size int64, query uint64) bool {
+	need := m.bytes + size - m.budget
+	for el := m.blocks.Back(); need > 0; el = el.Prev() {
+		if el == nil {
+			return false
+		}
+		kb := el.Value.(*keptBlock)
+		if kb.query == query {
+			return false
+		}
+		need -= kb.size
+	}
+	for m.bytes+size > m.budget {
+		m.drop(m.blocks.Back())
+	}
+	return true
+}
+
+// keptBlocks is one sealed file's entry as the trace.BlockCache one query's
+// scans run on. A scan that holds it after the entry is evicted is served
+// nothing more from it, and keeps nothing more in it.
 type keptBlocks struct {
-	m  *Memo
-	el *list.Element
+	m     *Memo
+	el    *list.Element
+	query uint64
 }
 
 func (k *keptBlocks) Block(i int) *trace.RecordBatch {
-	k.m.mu.Lock()
-	defer k.m.mu.Unlock()
-	return k.el.Value.(*memoEntry).blocks[i]
+	m := k.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el := k.el.Value.(*memoEntry).blocks[i]
+	if el == nil {
+		return nil
+	}
+	m.blocks.MoveToFront(el)
+	kb := el.Value.(*keptBlock)
+	kb.query = k.query
+	return &kb.batch
 }
 
-func (k *keptBlocks) Keep(i int, b *trace.RecordBatch, size int64) {
+func (k *keptBlocks) Keep(i int, b *trace.RecordBatch, size int64) bool {
 	m := k.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := k.el.Value.(*memoEntry)
-	if m.entries[e.key] != k.el || e.blocks[i] != nil {
-		return // evicted, or a concurrent scan kept the block first
+	if m.entries[e.key] != k.el || e.blocks[i] != nil || !m.room(size, k.query) {
+		return false // evicted, kept first by a concurrent scan, or no room
 	}
-	e.blocks[i] = b
-	e.bytes += size
+	e.blocks[i] = m.blocks.PushFront(&keptBlock{batch: *b, size: size, file: e, i: i, query: k.query})
 	m.bytes += size
-	m.evict()
+	m.blockBytes += size
+	return true
 }

@@ -56,13 +56,15 @@ func sameAsScan(t testing.TB, memo Engine, dir string, q Query, when string) *Re
 }
 
 // memoCensus counts what m holds — contributor sets, sealed files and
-// their kept blocks — and checks that its byte count is its entries' sum
-// and that every file entry holds its index: an entry is evicted whole.
+// their kept blocks — and checks that its byte counts are its entries' and
+// kept blocks' sums, that every file entry holds its index, and that every
+// kept block sits in its file's slot.
 func memoCensus(t testing.TB, m *Memo) (sets, files, blocks int) {
 	t.Helper()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var sum int64
+	var sum, blockSum int64
+	slots := 0
 	for el := m.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*memoEntry)
 		sum += e.bytes
@@ -76,14 +78,37 @@ func memoCensus(t testing.TB, m *Memo) (sets, files, blocks int) {
 		}
 		for _, b := range e.blocks {
 			if b != nil {
-				blocks++
+				slots++
 			}
 		}
 	}
-	if sum != m.bytes || len(m.entries) != m.lru.Len() {
-		t.Errorf("memo counts %d bytes in %d entries; its LRU holds %d bytes in %d", m.bytes, len(m.entries), sum, m.lru.Len())
+	for el := m.blocks.Front(); el != nil; el = el.Next() {
+		kb := el.Value.(*keptBlock)
+		blockSum += kb.size
+		blocks++
+		if kb.file.blocks[kb.i] != el || m.entries[kb.file.key] == nil {
+			t.Errorf("kept block %d of %q is not in its file's slot", kb.i, kb.file.key.files)
+		}
+	}
+	if sum+blockSum != m.bytes || blockSum != m.blockBytes || len(m.entries) != m.lru.Len() || slots != blocks {
+		t.Errorf("memo counts %d bytes (%d of blocks) in %d entries; it holds %d bytes of entries and %d of %d blocks (%d slots) in %d",
+			m.bytes, m.blockBytes, len(m.entries), sum, blockSum, blocks, slots, m.lru.Len())
 	}
 	return sets, files, blocks
+}
+
+// heldWindows is every window m holds, by contributor set and start.
+func heldWindows(m *Memo) map[string]*partial {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	held := map[string]*partial{}
+	for key, el := range m.entries {
+		for start, p := range el.Value.(*memoEntry).wins {
+			width, _, _ := strings.Cut(key.params, " ")
+			held[fmt.Sprintf("width %s, files %q, window %d", width, key.files, start)] = p
+		}
+	}
+	return held
 }
 
 // holdsFile reports whether m holds an entry for any identity of path.
@@ -177,9 +202,10 @@ func TestMemoMatchesScan(t *testing.T) {
 	}
 }
 
-// TestMemoBudget: the memo never holds more than its budget, what goes
-// first is the least recently used file's windows, and the next query
-// recomputes them to the same answer.
+// TestMemoBudget: the memo never holds more than its budget, and kept
+// blocks go before any window set or index: at half budget every window
+// and index is still held, some blocks are not, and the repeat is answered
+// from the memoised windows, byte for byte.
 func TestMemoBudget(t *testing.T) {
 	dir, traces := writeSegmentDir(t, 3, 3)
 	span := traceSpan(traces)
@@ -188,10 +214,9 @@ func TestMemoBudget(t *testing.T) {
 	first := mustQuery(t, eng, dir, q)
 	want := answer(t, first)
 	whole := eng.Memo.Bytes()
-	sets := len(eng.Memo.entries)
 	winSets, files, blocks := memoCensus(t, eng.Memo)
-	if winSets < 6 || whole == 0 {
-		t.Fatalf("fixture memoised %d contributor sets in %d bytes", winSets, whole)
+	if winSets < 6 || whole == 0 || first.Scan.WindowsComputed == 0 {
+		t.Fatalf("fixture memoised %d contributor sets in %d bytes: %+v", winSets, whole, first.Scan)
 	}
 	// A whole-span query decodes every block whole, so it keeps them all,
 	// and every file's index: all of it under the one budget.
@@ -199,37 +224,132 @@ func TestMemoBudget(t *testing.T) {
 		t.Fatalf("whole-span query kept %d indexes and %d blocks; scanned 6 files, %d blocks",
 			files, blocks, first.Scan.BlocksScanned)
 	}
-	oldest := eng.Memo.lru.Back().Value.(*memoEntry).key
+	if rest := whole - eng.Memo.BlockBytes(); rest > whole/2 {
+		t.Fatalf("fixture: windows and indexes hold %d of %d bytes, more than half", rest, whole)
+	}
 
-	// Room for about half: storing past it evicts from the cold end.
+	// Room for about half: the windows and indexes, and some of the blocks.
 	eng.Memo = NewMemo()
 	eng.Memo.budget = whole / 2
-	if got := answer(t, mustQuery(t, eng, dir, q)); got != want {
+	res := mustQuery(t, eng, dir, q)
+	if got := answer(t, res); got != want {
 		t.Fatalf("answer changed under a half budget:\n%s\nwant\n%s", got, want)
 	}
 	if got := eng.Memo.Bytes(); got > eng.Memo.budget {
 		t.Fatalf("memo holds %d bytes, budget %d", got, eng.Memo.budget)
 	}
-	if n := len(eng.Memo.entries); n == 0 || n >= sets {
-		t.Fatalf("half budget keeps %d of %d entries", n, sets)
+	s, f, b := memoCensus(t, eng.Memo)
+	if s != winSets || f != files {
+		t.Fatalf("half budget holds %d of %d window sets and %d of %d indexes", s, winSets, f, files)
 	}
-	if _, f, b := memoCensus(t, eng.Memo); f == files && b == blocks {
-		t.Fatalf("half budget evicted no file: %d indexes, %d kept blocks", f, b)
+	if b == 0 || b >= blocks || res.Scan.BlocksRefused != blocks-b {
+		t.Fatalf("half budget keeps %d of %d blocks, refused %d", b, blocks, res.Scan.BlocksRefused)
 	}
-	if _, held := eng.Memo.entries[oldest]; held {
-		t.Fatal("the least recently used file's windows survived eviction")
+	nonEmpty := 0
+	for _, p := range heldWindows(eng.Memo) {
+		if p.records > 0 {
+			nonEmpty++
+		}
 	}
 	again := mustQuery(t, eng, dir, q)
 	if got := answer(t, again); got != want {
-		t.Fatalf("answer changed after eviction:\n%s\nwant\n%s", got, want)
+		t.Fatalf("answer changed on the repeat:\n%s\nwant\n%s", got, want)
 	}
-	if again.Scan.RecordsScanned == 0 || again.Scan.BlocksCached == again.Scan.BlocksScanned {
-		t.Fatalf("evicted windows were answered without a rescan: %+v", again.Scan)
+	if again.Scan.WindowsComputed != 0 || again.Scan.WindowsMemoised != nonEmpty {
+		t.Fatalf("repeat under a half budget: %+v, want all %d settled windows memoised", again.Scan, nonEmpty)
 	}
 	if got := eng.Memo.Bytes(); got > eng.Memo.budget {
 		t.Fatalf("memo holds %d bytes, budget %d", got, eng.Memo.budget)
 	}
 	memoCensus(t, eng.Memo)
+}
+
+// TestMemoWindowsOutliveBlocks: sealed files keep arriving while wide
+// windowed, narrow and wide unwindowed queries alternate, under a budget
+// that holds every window and index but not every block. Blocks are shed
+// and refused instead of windows and indexes: no settled window is
+// computed twice, every index stays, the memo never holds more than its
+// budget, and every answer is the scan's.
+func TestMemoWindowsOutliveBlocks(t *testing.T) {
+	dir := t.TempDir()
+	traces := synthgen.GenerateInMemory(synthgen.Small(3, 4))
+	span := traceSpan(traces)
+	const rounds = 4
+	// Round r seals the r-th quarter of every device's records as a file of
+	// its own; the queries ask over what has arrived so far.
+	arrive := func(dir string, r int) [2]trace.Timestamp {
+		for _, dt := range traces {
+			lo, hi := r*len(dt.Records)/rounds, (r+1)*len(dt.Records)/rounds
+			writeSegment(t, filepath.Join(dir, fmt.Sprintf("%s-%04d.metr3", dt.Device, r)), dt.Device, dt.Records[lo].TS, dt.Records[lo:hi])
+		}
+		return [2]trace.Timestamp{span[0], span[0] + (span[1]-span[0])*trace.Timestamp(r+1)/rounds}
+	}
+	queries := func(seen [2]trace.Timestamp) []Query {
+		mid := (seen[0] + seen[1]) / 2
+		// The unwindowed wide query fills the budget with blocks; the
+		// quarter-hour one then stores windows into a full memo.
+		return []Query{
+			{From: span[0], To: span[1] + 1, Window: hourUS},
+			{From: mid, To: mid + hourUS},
+			{From: span[0], To: span[1] + 1},
+			{From: span[0], To: span[1] + 1, Window: hourUS / 4},
+			{From: span[0], To: span[1] + 1, Window: hourUS},
+			{From: mid - 2*hourUS, To: mid - hourUS, Apps: []uint32{0, 1}},
+		}
+	}
+
+	// A dry run on an unbounded memo sizes the budget: past the most the
+	// windows and indexes ever hold, short of the whole.
+	dry := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	dry.Memo.budget = math.MaxInt64
+	dryDir := t.TempDir()
+	var rest, whole int64
+	for r := 0; r < rounds; r++ {
+		for _, q := range queries(arrive(dryDir, r)) {
+			mustQuery(t, dry, dryDir, q)
+			rest = max(rest, dry.Memo.Bytes()-dry.Memo.BlockBytes())
+			whole = max(whole, dry.Memo.Bytes())
+		}
+	}
+	budget := rest + (whole-rest)/3
+	if whole-rest < 4*rest {
+		t.Fatalf("fixture: windows and indexes %d bytes of %d, too few blocks to shed", rest, whole)
+	}
+
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	eng.Memo.budget = budget
+	last, ever := map[string]*partial{}, map[string]*partial{}
+	computed, refused := 0, 0
+	for r := 0; r < rounds; r++ {
+		for i, q := range queries(arrive(dir, r)) {
+			when := fmt.Sprintf("round %d query %d", r, i)
+			res := sameAsScan(t, eng, dir, q, when)
+			computed += res.Scan.WindowsComputed
+			refused += res.Scan.BlocksRefused
+			if got := eng.Memo.Bytes(); got > budget {
+				t.Fatalf("%s: memo holds %d bytes, budget %d", when, got, budget)
+			}
+			// A window held now and not after the last query was computed
+			// by this one; one held before that was computed twice.
+			now := heldWindows(eng.Memo)
+			for k := range now {
+				if last[k] == nil && ever[k] != nil {
+					t.Fatalf("%s: a settled window was computed again: %s", when, k)
+				}
+				ever[k] = now[k]
+			}
+			last = now
+			if _, files, _ := memoCensus(t, eng.Memo); files != len(traces)*(r+1) {
+				t.Fatalf("%s: memo holds %d indexes of the %d sealed files", when, files, len(traces)*(r+1))
+			}
+		}
+	}
+	if computed != len(ever) {
+		t.Fatalf("%d settled windows computed, %d distinct", computed, len(ever))
+	}
+	if refused == 0 {
+		t.Fatal("no block was refused: the budget was never short")
+	}
 }
 
 // shifted copies recs with every timestamp moved by delta.
@@ -408,10 +528,11 @@ func TestMemoFileReplaced(t *testing.T) {
 
 // TestMemoConcurrentQueries: one memo under identical and differing
 // queries at once (run with -race): every answer is the scan's. Under a
-// budget so small that stores evict while others look up, then under the
-// whole budget after a wide query, when every scan shares the same kept
-// blocks: a write into one is a race, and no kept block may read
-// differently afterwards.
+// budget so small that stores evict while others look up; under one that
+// holds the windows and a quarter of the blocks, so blocks are shed and
+// refused while others are served; then under the whole budget after a
+// wide query, when every scan shares the same kept blocks: a write into
+// one is a race, and no kept block may read differently afterwards.
 func TestMemoConcurrentQueries(t *testing.T) {
 	dir, traces := writeSegmentDir(t, 2, 1)
 	span := traceSpan(traces)
@@ -420,7 +541,14 @@ func TestMemoConcurrentQueries(t *testing.T) {
 	for i, q := range queries {
 		want[i] = answer(t, mustQuery(t, Engine{Opts: energy.DefaultOptions()}, dir, q))
 	}
-	for _, budget := range []int64{24 << 10, memoBudget} {
+	// A budget that holds every window and index and a quarter of the
+	// blocks: blocks are shed and refused while windows are served.
+	dry := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	for _, q := range queries {
+		mustQuery(t, dry, dir, q)
+	}
+	short := dry.Memo.Bytes() - dry.Memo.BlockBytes()*3/4
+	for _, budget := range []int64{24 << 10, short, memoBudget} {
 		eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
 		eng.Memo.budget = budget
 		var kept string
@@ -428,7 +556,7 @@ func TestMemoConcurrentQueries(t *testing.T) {
 			mustQuery(t, eng, dir, queries[0])
 			kept = keptBlocksJSON(t, eng.Memo)
 		}
-		var cached atomic.Int64
+		var cached, refused atomic.Int64
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
 		for g := 0; g < 8; g++ {
@@ -444,6 +572,7 @@ func TestMemoConcurrentQueries(t *testing.T) {
 							return
 						}
 						cached.Add(int64(res.Scan.BlocksCached))
+						refused.Add(int64(res.Scan.BlocksRefused))
 						c := *res
 						c.Scan = ScanStats{}
 						got, err := json.Marshal(&c)
@@ -464,6 +593,12 @@ func TestMemoConcurrentQueries(t *testing.T) {
 		for err := range errs {
 			t.Error(err)
 		}
+		if got := eng.Memo.Bytes(); got > budget {
+			t.Fatalf("budget %d: memo holds %d bytes", budget, got)
+		}
+		if budget == short && (refused.Load() == 0 || cached.Load() == 0) {
+			t.Fatalf("budget %d of %d: %d blocks refused, %d served", budget, dry.Memo.Bytes(), refused.Load(), cached.Load())
+		}
 		if budget == memoBudget {
 			if cached.Load() == 0 {
 				t.Fatal("no query was served a kept block")
@@ -483,7 +618,13 @@ func keptBlocksJSON(t testing.TB, m *Memo) string {
 	byFile := map[string][]*trace.RecordBatch{}
 	for key, el := range m.entries {
 		if key.params == "" {
-			byFile[key.files] = el.Value.(*memoEntry).blocks
+			blocks := make([]*trace.RecordBatch, len(el.Value.(*memoEntry).blocks))
+			for i, b := range el.Value.(*memoEntry).blocks {
+				if b != nil {
+					blocks[i] = &b.Value.(*keptBlock).batch
+				}
+			}
+			byFile[key.files] = blocks
 		}
 	}
 	return mustJSON(t, byFile)
@@ -546,7 +687,7 @@ func TestSegmentChangedBeforeScan(t *testing.T) {
 	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records[:len(dt.Records)/2])
 	q := Query{From: math.MinInt64 / 4, To: math.MaxInt64 / 4}
 	var stats trace.ScanStats
-	_, _, err = Engine{}.deviceWindows(dt.Device, []segment{seg}, q, "", &stats)
+	_, _, _, err = Engine{}.deviceWindows(dt.Device, []segment{seg}, q, "", &stats)
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "changed since its index was read") {
 		t.Fatalf("scan of a file replaced after pass 1: %v", err)
 	}
@@ -563,17 +704,17 @@ func TestSegmentChangedBeforeScanMemo(t *testing.T) {
 	path := filepath.Join(dir, "swap-0000.metr3")
 	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records)
 	eng := Engine{Memo: NewMemo()}
-	if _, err := eng.segment(path); err != nil { // reads the index, and keeps it
+	if _, err := eng.segment(path, 1); err != nil { // reads the index, and keeps it
 		t.Fatal(err)
 	}
-	seg, err := eng.segment(path)
+	seg, err := eng.segment(path, 2)
 	if err != nil || seg.kept == nil || !seg.sealed() {
 		t.Fatalf("second pass 1 over a sealed file: %+v, %v", seg, err)
 	}
 	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records[:len(dt.Records)/2])
 	q := Query{From: math.MinInt64 / 4, To: math.MaxInt64 / 4}
 	var stats trace.ScanStats
-	_, _, err = eng.deviceWindows(dt.Device, []segment{seg}, q, "", &stats)
+	_, _, _, err = eng.deviceWindows(dt.Device, []segment{seg}, q, "", &stats)
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "changed since its index was read") {
 		t.Fatalf("scan of a file replaced after pass 1: %v", err)
 	}

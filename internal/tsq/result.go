@@ -50,6 +50,12 @@ type ScanStats struct {
 	// Memo rather than from blocks: with it, a result whose blocks_scanned
 	// is 0 still says where its records came from.
 	WindowsMemoised int `json:"windows_memoised,omitempty"`
+	// WindowsComputed counts the settled device-windows the query computed
+	// because the Memo did not hold them, and kept there.
+	WindowsComputed int `json:"windows_computed,omitempty"`
+	// BlocksRefused counts the blocks the scan decoded whole that the Memo
+	// did not keep, as a rule for want of room (see Memo).
+	BlocksRefused int `json:"blocks_refused,omitempty"`
 }
 
 func statsOf(s trace.ScanStats) ScanStats {
@@ -59,6 +65,7 @@ func statsOf(s trace.ScanStats) ScanStats {
 		BlocksSkipped:     s.BlocksSkipped,
 		BlocksScanned:     s.BlocksScanned,
 		BlocksCached:      s.BlocksCached,
+		BlocksRefused:     s.BlocksRefused,
 		BytesDecompressed: s.BytesDecompressed,
 		RecordsScanned:    s.RecordsScanned,
 		RecordsMatched:    s.RecordsMatched,
@@ -75,6 +82,8 @@ func (s *ScanStats) add(o ScanStats) {
 	s.RecordsScanned += o.RecordsScanned
 	s.RecordsMatched += o.RecordsMatched
 	s.WindowsMemoised += o.WindowsMemoised
+	s.WindowsComputed += o.WindowsComputed
+	s.BlocksRefused += o.BlocksRefused
 }
 
 // Result is one query's answer. Rows are sorted by energy descending

@@ -195,7 +195,7 @@ run_query() {
     exit 1
   fi
   metrics=$(curl -fsS "http://$ADMIN/metrics")
-  for k in ingest_query_windows_memoised_total ingest_query_memo_bytes; do
+  for k in ingest_query_windows_memoised_total ingest_query_memo_bytes ingest_query_memo_block_bytes; do
     if ! echo "$metrics" | grep -Eq "^$k [1-9]"; then
       echo "smoke: $k did not move: $(echo "$metrics" | grep "^$k")" >&2
       exit 1
