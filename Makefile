@@ -84,7 +84,7 @@ smoke: build
 # scan incl. torn tails and against a full decode, LZ codec incl. staged
 # decode, pcap
 # reader, packet parser, ingest frame decoder, checkpoint decoder, checkpoint delta
-# log, tsq query parser).
+# log, tsq query parser, tsq result encoder against encoding/json).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/trace/
@@ -99,20 +99,22 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointDecoder -fuzztime=$(FUZZTIME) ./internal/ingest/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointLog -fuzztime=$(FUZZTIME) ./internal/ingest/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzQueryParse -fuzztime=$(FUZZTIME) ./internal/tsq/
+	$(GO) test -run=NONE -fuzz=FuzzResultJSON -fuzztime=$(FUZZTIME) ./internal/tsq/
 
 # The ci gate fuzzes the most network-exposed decoder, the indexed file
 # reader every trace.ReadFile now goes through (at one worker and at four),
 # the pushdown scan against a full decode of the blocks it reads (the one
-# reader that decompresses part of a block) and the LZ encoder's round
-# trip, the one encoder under a fuzzer, briefly; run `make fuzz` for the
-# full set. -fuzzminimizetime=1x keeps the engine executing for its 10 s
-# instead of minimising each new multi-block input; `make fuzz` keeps the
-# default, so a crasher is still minimised there.
+# reader that decompresses part of a block), the LZ encoder's round trip
+# and the /query result encoder against encoding/json's bytes, briefly;
+# run `make fuzz` for the full set. -fuzzminimizetime=1x keeps the engine
+# executing for its 10 s instead of minimising each new multi-block input;
+# `make fuzz` keeps the default, so a crasher is still minimised there.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrameDecoder -fuzztime=10s -fuzzminimizetime=1x ./internal/ingest/
 	$(GO) test -run=NONE -fuzz=FuzzReadFileParallel -fuzztime=10s -fuzzminimizetime=1x ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzScanFile -fuzztime=10s -fuzzminimizetime=1x ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip -fuzztime=10s -fuzzminimizetime=1x ./internal/lz/
+	$(GO) test -run=NONE -fuzz=FuzzResultJSON -fuzztime=10s -fuzzminimizetime=1x ./internal/tsq/
 
 # Non-test, non-generated Go lines per package against a base commit
 # (LOC_BASE, default: the merge-base with main) — the figure ROADMAP's

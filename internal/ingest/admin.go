@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"netenergy/internal/analysis"
@@ -168,9 +169,11 @@ func (s *Server) adminMux() http.Handler {
 		s.counters.queryWindowsComputed.Add(int64(res.Scan.WindowsComputed))
 		s.counters.queryBlocksCached.Add(int64(res.Scan.BlocksCached))
 		s.counters.queryBlocksRefused.Add(int64(res.Scan.BlocksRefused))
-		s.counters.queryMemoBytes.Set(s.memo.Bytes())
-		s.counters.queryMemoBlockBytes.Set(s.memo.BlockBytes())
-		WriteJSON(w, res)
+		memo := s.memo.Stats()
+		s.counters.queryMemoBytes.Set(memo.Bytes)
+		s.counters.queryMemoIndexBytes.Set(memo.IndexBytes)
+		s.counters.queryMemoBlockBytes.Set(memo.BlockBytes)
+		writeResult(w, res)
 	})
 	mux.HandleFunc("/device", func(w http.ResponseWriter, r *http.Request) {
 		id := r.URL.Query().Get("id")
@@ -197,6 +200,24 @@ func (s *Server) adminMux() http.Handler {
 		WriteJSON(w, s.Stats(false).Checkpoint)
 	})
 	return mux
+}
+
+// resultBufs holds /query's response buffers between requests.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeResult answers /query with res as compact JSON, the bytes WriteJSON
+// would write, encoded into a buffer reused across requests.
+func writeResult(w http.ResponseWriter, res *tsq.Result) {
+	buf := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(buf)
+	b, err := res.AppendJSON((*buf)[:0])
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	*buf = append(b, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(*buf) //nolint:errcheck // client went away
 }
 
 // WriteJSON answers an admin request with v as compact JSON. It encodes

@@ -58,12 +58,14 @@ type counters struct {
 	// The query memo (tsq.Memo): settled device-windows answered without a
 	// scan and those computed because it did not hold them, scanned blocks
 	// served from memory and decoded ones it refused, and the heap it held
-	// after the last query, all of it and its kept blocks'.
+	// after the last query: all of it, its segment indexes' and its kept
+	// blocks'. What it evicted is read from it at scrape time (NewServer).
 	queryWindowsMemoised *obs.Counter
 	queryWindowsComputed *obs.Counter
 	queryBlocksCached    *obs.Counter
 	queryBlocksRefused   *obs.Counter
 	queryMemoBytes       *obs.Gauge
+	queryMemoIndexBytes  *obs.Gauge
 	queryMemoBlockBytes  *obs.Gauge
 
 	// Hot-path distributions. frameSeconds is the per-frame record-decode
@@ -125,6 +127,7 @@ func newCounters() *counters {
 		queryBlocksCached:    reg.Counter("ingest_query_blocks_cached_total", "scanned blocks served from the query memo instead of read and decoded"),
 		queryBlocksRefused:   reg.Counter("ingest_query_blocks_refused_total", "blocks a query decoded whole that the query memo did not keep"),
 		queryMemoBytes:       reg.Gauge("ingest_query_memo_bytes", "estimated heap held by the query memo (windows, segment indexes and kept blocks) after the last query"),
+		queryMemoIndexBytes:  reg.Gauge("ingest_query_memo_index_bytes", "of ingest_query_memo_bytes, the heap held by sealed segments' parsed indexes"),
 		queryMemoBlockBytes:  reg.Gauge("ingest_query_memo_block_bytes", "of ingest_query_memo_bytes, the heap held by kept blocks"),
 
 		frameSeconds:     reg.Histogram("ingest_frame_decode_seconds", "per-frame record decode latency", obs.DurationBuckets()),

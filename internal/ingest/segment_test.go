@@ -173,6 +173,23 @@ func TestQueryTwiceAnswersTheSame(t *testing.T) {
 	if got := metricValue(t, base, "ingest_query_memo_block_bytes"); got == 0 || got >= metricValue(t, base, "ingest_query_memo_bytes") {
 		t.Fatalf("ingest_query_memo_block_bytes = %g after a wide query kept blocks beside its windows", got)
 	}
+	if got := metricValue(t, base, "ingest_query_memo_index_bytes"); got == 0 || got >= metricValue(t, base, "ingest_query_memo_bytes") {
+		t.Fatalf("ingest_query_memo_index_bytes = %g after a wide query kept indexes beside its windows", got)
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"ingest_query_memo_windows_evicted_total", "ingest_query_memo_indexes_evicted_total", "ingest_query_memo_blocks_evicted_total"} {
+		if !strings.Contains(string(exposition), "\n# TYPE "+k+" counter\n"+k+" 0\n") {
+			t.Fatalf("/metrics does not show counter %s at 0 inside the memo's budget", k)
+		}
+	}
 	if got := metricValue(t, base, "ingest_query_windows_computed_total"); got == 0 || got < float64(before.Scan.WindowsMemoised) {
 		t.Fatalf("ingest_query_windows_computed_total = %g, %d windows memoised since", got, before.Scan.WindowsMemoised)
 	}

@@ -201,6 +201,12 @@ func NewServer(cfg Config) *Server {
 		reg.GaugeFunc(fmt.Sprintf("ingest_shard_queue_depth{shard=%q}", strconv.Itoa(i)),
 			"instantaneous shard queue occupancy", func() float64 { return float64(sh.depth()) })
 	}
+	reg.CounterFunc("ingest_query_memo_windows_evicted_total", "settled device-windows the query memo evicted to stay inside its budget",
+		func() int64 { return s.memo.Stats().WindowsEvicted })
+	reg.CounterFunc("ingest_query_memo_indexes_evicted_total", "sealed segments' parsed indexes the query memo evicted to stay inside its budget",
+		func() int64 { return s.memo.Stats().IndexesEvicted })
+	reg.CounterFunc("ingest_query_memo_blocks_evicted_total", "kept blocks the query memo shed to stay inside its budget",
+		func() int64 { return s.memo.Stats().BlocksEvicted })
 	return s
 }
 

@@ -151,6 +151,7 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
@@ -161,10 +162,11 @@ type metric struct {
 	help string
 	kind metricKind
 
-	counter *Counter
-	gauge   *Gauge
-	gaugeFn func() float64
-	hist    *Histogram
+	counter   *Counter
+	counterFn func() int64
+	gauge     *Gauge
+	gaugeFn   func() float64
+	hist      *Histogram
 }
 
 // Registry is a named collection of metrics. Registration is idempotent:
@@ -213,6 +215,13 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		m.gauge = &Gauge{}
 	}
 	return m.gauge
+}
+
+// CounterFunc registers a counter whose value is read at scrape time from
+// a monotonic count that already lives elsewhere.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	m := r.register(name, help, kindCounterFunc)
+	m.counterFn = fn
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time — for
@@ -267,6 +276,8 @@ func (r *Registry) Snapshot() Snapshot {
 		switch m.kind {
 		case kindCounter:
 			s.Counters[m.name] = m.counter.Load()
+		case kindCounterFunc:
+			s.Counters[m.name] = m.counterFn()
 		case kindGauge:
 			s.Gauges[m.name] = float64(m.gauge.Load())
 		case kindGaugeFunc:
@@ -329,6 +340,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 		switch m.kind {
 		case kindCounter:
 			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.counter.Load())
+		case kindCounterFunc:
+			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.counterFn())
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.gauge.Load())
 		case kindGaugeFunc:

@@ -27,9 +27,10 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("gauge = %d, want 4", got)
 	}
 	r.GaugeFunc("computed", "", func() float64 { return 2.5 })
+	r.CounterFunc("read_total", "", func() int64 { return 9 })
 
 	snap := r.Snapshot()
-	if snap.Counters["x_total"] != 5 || snap.Gauges["depth"] != 4 || snap.Gauges["computed"] != 2.5 {
+	if snap.Counters["x_total"] != 5 || snap.Gauges["depth"] != 4 || snap.Gauges["computed"] != 2.5 || snap.Counters["read_total"] != 9 {
 		t.Fatalf("snapshot mismatch: %+v", snap)
 	}
 }
@@ -81,6 +82,7 @@ func TestWriteTextAndParseRoundtrip(t *testing.T) {
 	r.Counter(`ingest_errors_total{kind="crc"}`, "errors").Add(7)
 	r.Gauge("ingest_conns_active", "open connections").Set(3)
 	r.GaugeFunc("ingest_uptime_seconds", "uptime", func() float64 { return 1.5 })
+	r.CounterFunc("ingest_evicted_total", "evicted", func() int64 { return 4 })
 	h := r.Histogram("ingest_apply_latency_seconds", "queue latency", []float64{0.001, 0.01})
 	h.Observe(0.0005)
 	h.Observe(0.5)
@@ -97,6 +99,8 @@ func TestWriteTextAndParseRoundtrip(t *testing.T) {
 		"# TYPE ingest_conns_active gauge",
 		"ingest_conns_active 3",
 		"ingest_uptime_seconds 1.5",
+		"# TYPE ingest_evicted_total counter",
+		"ingest_evicted_total 4",
 		"# TYPE ingest_apply_latency_seconds histogram",
 		`ingest_apply_latency_seconds_bucket{le="0.001"} 1`,
 		`ingest_apply_latency_seconds_bucket{le="+Inf"} 2`,

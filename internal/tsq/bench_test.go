@@ -77,6 +77,24 @@ func benchQueryWindow(b *testing.B, eng Engine) {
 	b.ReportMetric(durs[len(durs)/2].Seconds()*1e3, "query_p50_ms")
 }
 
+// TestQueryWindowWarmAllocs holds BenchmarkQueryWindowWarm's query — the
+// warm wide query, on its fixture — to at most 600 allocations: the fold,
+// Finalize and the Memo lookups allocate per query, not per window or per
+// row.
+func TestQueryWindowWarmAllocs(t *testing.T) {
+	dir, traces := writeSegmentDir(t, 4, 4)
+	span := traceSpan(traces)
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	q := Query{From: span[0], To: span[1] + 1, Window: trace.Timestamp(3600 * 1e6), TopN: 10}
+	res := mustQuery(t, eng, dir, q)
+	if res.Scan.WindowsComputed == 0 || len(res.Windows) < 90 {
+		t.Fatalf("fixture: %d windows, scan %+v", len(res.Windows), res.Scan)
+	}
+	if n := testing.AllocsPerRun(10, func() { mustQuery(t, eng, dir, q) }); n > 600 {
+		t.Fatalf("warm wide query: %v allocations, want at most 600", n)
+	}
+}
+
 // BenchmarkQueryPushdown measures the narrow-window case the seek index
 // exists for: one hour out of four days, most blocks skipped.
 func BenchmarkQueryPushdown(b *testing.B) {

@@ -1,12 +1,15 @@
 package tsq
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"netenergy/internal/analysis"
@@ -53,10 +56,12 @@ func (e Engine) QueryDir(dir string, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := mergeRollup(res, dir, q); err != nil {
+	// QueryFiles finalized res; only rollup rows need it again.
+	if merged, err := mergeRollup(res, dir, q); err != nil {
 		return nil, err
+	} else if merged {
+		res.Finalize(q.TopN)
 	}
-	res.Finalize(q.TopN)
 	return res, nil
 }
 
@@ -96,21 +101,36 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 	}
 	sort.Strings(devices)
 
-	// Pass 2: every device's windows, folded in device-then-window order —
-	// the order the float sums are defined in, whether a window was
-	// scanned just now or memoised by an earlier query.
+	// Pass 2: every device's windows, in window order, whether a window
+	// was scanned just now or memoised by an earlier query.
 	var stats trace.ScanStats
 	memoised, computed := 0, 0
 	params := e.memoParams(q)
-	f := newFold(res)
-	names := map[uint32]string{}
-	for _, device := range devices {
+	all := make([][]*partial, len(devices))
+	wins, rows := 0, 0
+	for i, device := range devices {
 		parts, hits, misses, err := e.deviceWindows(device, byDevice[device], q, params, &stats)
 		if err != nil {
 			return nil, err
 		}
 		memoised += hits
 		computed += misses
+		all[i] = parts
+		for _, p := range parts {
+			if p.records > 0 {
+				wins++
+				rows += len(p.rows)
+			}
+		}
+	}
+
+	// The fold, in device-then-window order: the order the float sums are
+	// defined in.
+	if q.Window == 0 {
+		wins = 0
+	}
+	f := newFold(res, wins, rows)
+	for _, parts := range all {
 		before := res.Records
 		for _, p := range parts {
 			if p.records == 0 {
@@ -119,31 +139,28 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 			res.Records += p.records
 			res.TotalEnergyJ += p.energy
 			res.TotalBytes += p.bytes
-			f.addApps(p.rows)
-			if q.Window > 0 {
-				f.addWindow(WindowRow{
-					StartUS: int64(p.start),
-					EndUS:   int64(p.start + q.Window),
-					EnergyJ: p.energy,
-					Bytes:   p.bytes,
-					Apps:    p.rows,
-				})
-			}
+			f.add(WindowRow{
+				StartUS: int64(p.start),
+				EndUS:   int64(p.start + q.Window),
+				EnergyJ: p.energy,
+				Bytes:   p.bytes,
+				Apps:    p.rows,
+			}, true, q.Window > 0)
 			// Only names registered inside the query range are visible —
 			// resolution is best-effort, rows without one carry the
 			// numeric ID alone — and the last registration wins.
 			for _, r := range p.names {
-				names[r.app] = r.name
+				f.name(r.app, r.name)
 			}
 		}
 		if res.Records > before {
 			res.Devices++
 		}
 	}
+	f.finish()
 	res.Scan = statsOf(stats)
 	res.Scan.WindowsMemoised = memoised
 	res.Scan.WindowsComputed = computed
-	fillNames(res, names)
 	res.Finalize(q.TopN)
 	return res, nil
 }
@@ -168,8 +185,10 @@ type segment struct {
 	// through: a stat of the path could describe a file sealed since.
 	size, mtime int64
 
-	kept trace.BlockCache // nil without a Memo, or when it holds another index for the file
-	f    *os.File         // pass 2's descriptor of a sealed file, from its first read on
+	// ident is id(), kept from pass 1 of a sealed file with a Memo.
+	ident string
+	kept  trace.BlockCache // nil without a Memo, or when it holds another index for the file
+	f     *os.File         // pass 2's descriptor of a sealed file, from its first read on
 }
 
 // sealed reports whether the file has a footer index, so will never change.
@@ -178,7 +197,11 @@ func (s *segment) sealed() bool { return s.ix != nil }
 // id is the file's identity: what the Memo keys it by, alone or in a
 // contributor set.
 func (s *segment) id() string {
-	return fmt.Sprintf("%s\x00%d\x00%d\x00", s.path, s.size, s.mtime)
+	b := make([]byte, 0, len(s.path)+48)
+	b = append(append(b, s.path...), 0)
+	b = append(strconv.AppendInt(b, s.size, 10), 0)
+	b = append(strconv.AppendInt(b, s.mtime, 10), 0)
+	return string(b)
 }
 
 // overlaps reports whether the file can hold a record inside r.
@@ -239,15 +262,17 @@ func (e Engine) segment(path string, query uint64) (segment, error) {
 	}
 	if st, err := os.Stat(path); err == nil {
 		seg := segment{path: path, size: st.Size(), mtime: st.ModTime().UnixNano()}
-		if ix, kept := e.Memo.index(seg.id(), query); ix != nil {
+		id := seg.id()
+		if ix, kept := e.Memo.index(id, query); ix != nil {
 			seg = sealedSegment(path, ix, seg.size, seg.mtime)
-			seg.kept = kept
+			seg.ident, seg.kept = id, kept
 			return seg, nil
 		}
 	}
 	seg, err := statSegment(path)
 	if err == nil && seg.sealed() {
-		seg.kept = e.Memo.keepIndex(seg.id(), seg.ix, query)
+		seg.ident = seg.id()
+		seg.kept = e.Memo.keepIndex(seg.ident, seg.ix, query)
 	}
 	return seg, err
 }
@@ -365,25 +390,37 @@ func settledWindows(segs []segment, q Query) []settled {
 			touches = append(touches, touch{s, i})
 		}
 	}
-	sort.SliceStable(touches, func(i, j int) bool { return touches[i].start < touches[j].start })
-	ids := make([]string, len(segs))
-	var out []settled
+	slices.SortFunc(touches, func(a, b touch) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
+		}
+		return cmp.Compare(a.seg, b.seg)
+	})
+	out := make([]settled, 0, len(touches))
+	var prev []touch // the run of touches of the window before
 	for i := 0; i < len(touches); {
-		j := i
+		j := i + 1
+		for j < len(touches) && touches[j].start == touches[i].start {
+			j++
+		}
+		run := touches[i:j]
+		same := len(run) == len(prev)
+		for k := 0; same && k < len(run); k++ {
+			same = run[k].seg == prev[k].seg
+		}
 		var files string
-		for ; j < len(touches) && touches[j].start == touches[i].start; j++ {
-			s := touches[j].seg
-			if ids[s] == "" {
-				ids[s] = segs[s].id()
-			}
-			if j == i {
-				files = ids[s] // the common case shares one string per file
-			} else {
-				files += ids[s]
+		switch {
+		case same:
+			files = out[len(out)-1].files // one string per run of one set
+		case len(run) == 1:
+			files = segs[run[0].seg].ident
+		default:
+			for _, t := range run {
+				files += segs[t.seg].ident
 			}
 		}
 		out = append(out, settled{start: touches[i].start, files: files})
-		i = j
+		prev, i = run, j
 	}
 	return out
 }
@@ -398,11 +435,11 @@ func settledWindows(segs []segment, q Query) []settled {
 // is memoised on the way out.
 func (e Engine) deviceWindows(device string, segs []segment, q Query, params string, stats *trace.ScanStats) (parts []*partial, hits, computed int, err error) {
 	// Replay order within a device: (start timestamp, path).
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].start != segs[j].start {
-			return segs[i].start < segs[j].start
+	slices.SortFunc(segs, func(a, b segment) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
 		}
-		return segs[i].path < segs[j].path
+		return strings.Compare(a.path, b.path)
 	})
 
 	// Cut the memoised windows out of [From, To): runs is what is left,
@@ -465,7 +502,7 @@ func (e Engine) deviceWindows(device string, segs []segment, q Query, params str
 				return nil
 			}); err != nil {
 				if e.Memo != nil && segs[i].sealed() {
-					e.Memo.forget(segs[i].id())
+					e.Memo.forget(segs[i].ident)
 				}
 				return nil, 0, 0, fmt.Errorf("tsq: %s: %w", segs[i].path, err)
 			}
@@ -496,7 +533,7 @@ func (e Engine) deviceWindows(device string, segs []segment, q Query, params str
 		}
 		e.Memo.store(params, misses)
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].start < parts[j].start })
+	slices.SortFunc(parts, func(a, b *partial) int { return cmp.Compare(a.start, b.start) })
 	return parts, hits, len(misses), nil
 }
 
@@ -517,22 +554,4 @@ func newPartial(win analysis.WindowResult) *partial {
 		p.bytes += b
 	}
 	return p
-}
-
-// fillNames labels rows from the harvested name table.
-func fillNames(res *Result, names map[uint32]string) {
-	if len(names) == 0 {
-		return
-	}
-	label := func(rows []AppRow) {
-		for i := range rows {
-			if rows[i].Name == "" {
-				rows[i].Name = names[rows[i].App]
-			}
-		}
-	}
-	label(res.Apps)
-	for i := range res.Windows {
-		label(res.Windows[i].Apps)
-	}
 }

@@ -1,11 +1,13 @@
 package tsq
 
 import (
+	"cmp"
 	"encoding/json"
 	"math"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -328,6 +330,23 @@ func TestApplyRetention(t *testing.T) {
 		if !relClose(after.Windows[i].EnergyJ, before.Windows[i].EnergyJ) {
 			t.Fatalf("retained window %d energy %g, want %g",
 				after.Windows[i].StartUS, after.Windows[i].EnergyJ, before.Windows[i].EnergyJ)
+		}
+	}
+
+	// The rollup's rows are finalized with the query's: by energy, cut to
+	// its top-N, in window order.
+	top, err := eng.QueryDir(dir, Query{From: span[0], To: span[1] + 1, Window: window, TopN: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finalized := func(rows []AppRow) bool { return len(rows) <= 2 && slices.IsSortedFunc(rows, byEnergy) }
+	if !finalized(top.Apps) || len(top.Windows) != len(after.Windows) ||
+		!slices.IsSortedFunc(top.Windows, func(a, b WindowRow) int { return cmp.Compare(a.StartUS, b.StartUS) }) {
+		t.Fatalf("top-2 query over the rollup is not finalized: apps %+v, %d windows", top.Apps, len(top.Windows))
+	}
+	for _, w := range top.Windows {
+		if !finalized(w.Apps) {
+			t.Fatalf("top-2 query over the rollup: window %d rows %+v", w.StartUS, w.Apps)
 		}
 	}
 

@@ -75,8 +75,11 @@ type Memo struct {
 	entries map[memoKey]*list.Element // of *memoEntry
 	lru     *list.List                // window sets and indexes; front = most recently used
 	blocks  *list.List                // of *keptBlock; front = most recently used
-	// blockBytes is what of bytes the kept blocks hold.
-	blockBytes int64
+	// blockBytes and indexBytes are what of bytes the kept blocks and the
+	// file entries hold.
+	blockBytes, indexBytes int64
+	// evicted counts what evict and room shed for want of room.
+	evicted struct{ windows, indexes, blocks int64 }
 	// queries numbers the queries begun: a kept block carries the number of
 	// the last query that kept it or was served it.
 	queries uint64
@@ -125,11 +128,21 @@ func (m *Memo) Bytes() int64 {
 	return m.bytes
 }
 
-// BlockBytes is what of Bytes its kept blocks hold.
-func (m *Memo) BlockBytes() int64 {
+// MemoStats is what a Memo holds, and what it has evicted to stay inside
+// its budget: windows and indexes with their entries, and kept blocks.
+type MemoStats struct {
+	Bytes, IndexBytes, BlockBytes                 int64
+	WindowsEvicted, IndexesEvicted, BlocksEvicted int64
+}
+
+// Stats reports what the Memo holds now and has evicted so far.
+func (m *Memo) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.blockBytes
+	return MemoStats{
+		Bytes: m.bytes, IndexBytes: m.indexBytes, BlockBytes: m.blockBytes,
+		WindowsEvicted: m.evicted.windows, IndexesEvicted: m.evicted.indexes, BlocksEvicted: m.evicted.blocks,
+	}
 }
 
 // begin numbers a new query, whose scans keep and are served blocks under
@@ -141,13 +154,20 @@ func (m *Memo) begin() uint64 {
 	return m.queries
 }
 
-// lookup fills in the partial of every window of ws the Memo holds.
+// lookup fills in the partial of every window of ws the Memo holds. A
+// run of windows with one contributor set, the common case, costs one
+// lookup of the set.
 func (m *Memo) lookup(params string, ws []settled) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var el *list.Element
 	for i := range ws {
-		if el := m.entries[memoKey{params, ws[i].files}]; el != nil {
-			m.lru.MoveToFront(el)
+		if i == 0 || ws[i].files != ws[i-1].files {
+			if el = m.entries[memoKey{params, ws[i].files}]; el != nil {
+				m.lru.MoveToFront(el)
+			}
+		}
+		if el != nil {
 			ws[i].part = el.Value.(*memoEntry).wins[ws[i].start]
 		}
 	}
@@ -157,9 +177,12 @@ func (m *Memo) lookup(params string, ws []settled) {
 func (m *Memo) store(params string, ws []settled) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var el *list.Element
 	for i := range ws {
 		key := memoKey{params, ws[i].files}
-		el := m.entries[key]
+		if i == 0 || ws[i].files != ws[i-1].files {
+			el = m.entries[key]
+		}
 		if el == nil {
 			el = m.push(&memoEntry{key: key, wins: map[trace.Timestamp]*partial{}, bytes: int64(128 + len(key.params) + len(key.files))})
 		}
@@ -223,6 +246,9 @@ func (m *Memo) push(e *memoEntry) *list.Element {
 	el := m.lru.PushFront(e)
 	m.entries[e.key] = el
 	m.bytes += e.bytes
+	if e.ix != nil {
+		m.indexBytes += e.bytes
+	}
 	return el
 }
 
@@ -236,6 +262,9 @@ func (m *Memo) remove(el *list.Element) {
 	}
 	delete(m.entries, e.key)
 	m.bytes -= e.bytes
+	if e.ix != nil {
+		m.indexBytes -= e.bytes
+	}
 }
 
 // drop sheds one kept block. Its memory is left to the collector: a scan
@@ -253,8 +282,14 @@ func (m *Memo) drop(el *list.Element) {
 func (m *Memo) evict() {
 	for m.bytes > m.budget && m.blocks.Len() > 0 {
 		m.drop(m.blocks.Back())
+		m.evicted.blocks++
 	}
 	for m.bytes > m.budget && m.lru.Len() > 0 {
+		if e := m.lru.Back().Value.(*memoEntry); e.ix != nil {
+			m.evicted.indexes++
+		} else {
+			m.evicted.windows += int64(len(e.wins))
+		}
 		m.remove(m.lru.Back())
 	}
 }
@@ -276,6 +311,7 @@ func (m *Memo) room(size int64, query uint64) bool {
 	}
 	for m.bytes+size > m.budget {
 		m.drop(m.blocks.Back())
+		m.evicted.blocks++
 	}
 	return true
 }

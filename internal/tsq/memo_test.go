@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"netenergy/internal/analysis"
 	"netenergy/internal/energy"
 	"netenergy/internal/synthgen"
 	"netenergy/internal/trace"
@@ -63,7 +64,7 @@ func memoCensus(t testing.TB, m *Memo) (sets, files, blocks int) {
 	t.Helper()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var sum, blockSum int64
+	var sum, blockSum, indexSum int64
 	slots := 0
 	for el := m.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*memoEntry)
@@ -73,6 +74,7 @@ func memoCensus(t testing.TB, m *Memo) (sets, files, blocks int) {
 			continue
 		}
 		files++
+		indexSum += e.bytes
 		if e.ix == nil || len(e.blocks) != len(e.ix.Blocks()) {
 			t.Errorf("file entry %q holds no index, or the wrong number of block slots", e.key.files)
 		}
@@ -90,9 +92,9 @@ func memoCensus(t testing.TB, m *Memo) (sets, files, blocks int) {
 			t.Errorf("kept block %d of %q is not in its file's slot", kb.i, kb.file.key.files)
 		}
 	}
-	if sum+blockSum != m.bytes || blockSum != m.blockBytes || len(m.entries) != m.lru.Len() || slots != blocks {
-		t.Errorf("memo counts %d bytes (%d of blocks) in %d entries; it holds %d bytes of entries and %d of %d blocks (%d slots) in %d",
-			m.bytes, m.blockBytes, len(m.entries), sum, blockSum, blocks, slots, m.lru.Len())
+	if sum+blockSum != m.bytes || blockSum != m.blockBytes || indexSum != m.indexBytes || len(m.entries) != m.lru.Len() || slots != blocks {
+		t.Errorf("memo counts %d bytes (%d of blocks, %d of indexes) in %d entries; it holds %d bytes of entries (%d of indexes) and %d of %d blocks (%d slots) in %d",
+			m.bytes, m.blockBytes, m.indexBytes, len(m.entries), sum, indexSum, blockSum, blocks, slots, m.lru.Len())
 	}
 	return sets, files, blocks
 }
@@ -224,7 +226,7 @@ func TestMemoBudget(t *testing.T) {
 		t.Fatalf("whole-span query kept %d indexes and %d blocks; scanned 6 files, %d blocks",
 			files, blocks, first.Scan.BlocksScanned)
 	}
-	if rest := whole - eng.Memo.BlockBytes(); rest > whole/2 {
+	if rest := whole - eng.Memo.Stats().BlockBytes; rest > whole/2 {
 		t.Fatalf("fixture: windows and indexes hold %d of %d bytes, more than half", rest, whole)
 	}
 
@@ -262,6 +264,42 @@ func TestMemoBudget(t *testing.T) {
 		t.Fatalf("memo holds %d bytes, budget %d", got, eng.Memo.budget)
 	}
 	memoCensus(t, eng.Memo)
+}
+
+// TestMemoStats: Stats splits what the memo holds by kind, and counts what
+// it evicts for want of room by kind: kept blocks first, then, at a zero
+// budget, every window and index it held.
+func TestMemoStats(t *testing.T) {
+	dir, traces := writeSegmentDir(t, 2, 2)
+	span := traceSpan(traces)
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	mustQuery(t, eng, dir, Query{From: span[0], To: span[1] + 1, Window: hourUS})
+	_, files, blocks := memoCensus(t, eng.Memo)
+	st := eng.Memo.Stats()
+	if st.Bytes != eng.Memo.Bytes() || st.IndexBytes == 0 || st.BlockBytes == 0 || st.Bytes <= st.IndexBytes+st.BlockBytes ||
+		st.WindowsEvicted != 0 || st.IndexesEvicted != 0 || st.BlocksEvicted != 0 {
+		t.Fatalf("after one wide query within budget: %+v", st)
+	}
+
+	// Room for the windows and indexes and half the blocks: storing the
+	// windows of another width sheds blocks, and nothing else.
+	eng.Memo.budget = st.Bytes - st.BlockBytes/2
+	mustQuery(t, eng, dir, Query{From: span[0], To: span[1] + 1, Window: dayUS})
+	st = eng.Memo.Stats()
+	_, _, kept := memoCensus(t, eng.Memo)
+	if st.BlocksEvicted == 0 || st.BlocksEvicted != int64(blocks-kept) || st.WindowsEvicted != 0 || st.IndexesEvicted != 0 {
+		t.Fatalf("%d of %d blocks kept under a tighter budget: %+v", kept, blocks, st)
+	}
+
+	// No room at all: everything goes, counted.
+	held := len(heldWindows(eng.Memo))
+	eng.Memo.budget = 0
+	mustQuery(t, eng, dir, Query{From: span[0], To: span[1] + 1, Window: 2 * hourUS})
+	st = eng.Memo.Stats()
+	if st.Bytes != 0 || st.IndexBytes != 0 || st.BlockBytes != 0 ||
+		st.WindowsEvicted < int64(held) || st.IndexesEvicted < int64(files) || st.BlocksEvicted < int64(blocks) {
+		t.Fatalf("zero budget after %d windows, %d indexes and %d blocks: %+v", held, files, blocks, st)
+	}
 }
 
 // TestMemoWindowsOutliveBlocks: sealed files keep arriving while wide
@@ -307,7 +345,7 @@ func TestMemoWindowsOutliveBlocks(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		for _, q := range queries(arrive(dryDir, r)) {
 			mustQuery(t, dry, dryDir, q)
-			rest = max(rest, dry.Memo.Bytes()-dry.Memo.BlockBytes())
+			rest = max(rest, dry.Memo.Bytes()-dry.Memo.Stats().BlockBytes)
 			whole = max(whole, dry.Memo.Bytes())
 		}
 	}
@@ -415,6 +453,54 @@ func TestMemoOverlappingFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAsScan(t, eng, dir, q, "after the first file is gone")
+}
+
+// TestSettledWindowsKeys: every settled window is filed under exactly the
+// files that can hold its records, in replay order — also where one file's
+// last window is followed directly by another file's first, so that
+// consecutive windows have one contributor each but not the same one.
+func TestSettledWindowsKeys(t *testing.T) {
+	dir := t.TempDir()
+	dt := synthgen.GenerateDevice(synthgen.Small(1, 3), 0)
+	n := len(dt.Records)
+	paths := []string{filepath.Join(dir, "gap-0000.metr3"), filepath.Join(dir, "gap-0001.metr3"), filepath.Join(dir, "gap-0002.metr3")}
+	writeSegment(t, paths[0], dt.Device, dt.Records[0].TS, dt.Records[:n/3])
+	writeSegment(t, paths[1], dt.Device, dt.Records[n/2].TS, dt.Records[n/2:5*n/6])
+	writeSegment(t, paths[2], dt.Device, dt.Records[5*n/6].TS, dt.Records[5*n/6-n/50:])
+	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+	var segs []segment
+	for _, path := range paths {
+		seg, err := eng.segment(path, eng.Memo.begin())
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, seg)
+	}
+	span := traceSpan([]*trace.DeviceTrace{dt})
+	ws := settledWindows(segs, Query{From: span[0], To: span[1] + 1, Window: hourUS})
+	singles, overlaps := 0, 0
+	for i, w := range ws {
+		var want string
+		var n int
+		for _, s := range segs {
+			if analysis.WindowStart(s.first, hourUS) <= w.start && w.start <= analysis.WindowStart(s.last, hourUS) {
+				want += s.ident
+				n++
+			}
+		}
+		if w.files != want {
+			t.Fatalf("window %d filed under %q, want %q", w.start, w.files, want)
+		}
+		if i > 0 && n == 1 && ws[i-1].files != w.files && !strings.Contains(ws[i-1].files, w.files) {
+			singles++
+		}
+		if n > 1 {
+			overlaps++
+		}
+	}
+	if singles == 0 || overlaps == 0 {
+		t.Fatalf("fixture: %d windows, %d after another file's, %d with two files", len(ws), singles, overlaps)
+	}
 }
 
 // TestMemoLiveTail follows one device through a segment's life: its last
@@ -547,7 +633,7 @@ func TestMemoConcurrentQueries(t *testing.T) {
 	for _, q := range queries {
 		mustQuery(t, dry, dir, q)
 	}
-	short := dry.Memo.Bytes() - dry.Memo.BlockBytes()*3/4
+	short := dry.Memo.Bytes() - dry.Memo.Stats().BlockBytes*3/4
 	for _, budget := range []int64{24 << 10, short, memoBudget} {
 		eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
 		eng.Memo.budget = budget

@@ -102,10 +102,11 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 		}
 		// writeRollup re-sorts the rows, so each device folds afresh.
 		folded := Result{Windows: roll.Windows}
-		f := newFold(&folded)
+		f := newFold(&folded, len(res.Windows), 0)
 		for _, w := range res.Windows {
-			f.addWindow(w)
+			f.add(w, false, true)
 		}
+		f.finish()
 		roll.Windows = folded.Windows
 		roll.Devices += res.Devices
 		roll.Records += res.Records
@@ -165,23 +166,22 @@ func writeRollup(dir string, roll *rollupFile) error {
 }
 
 // mergeRollup folds the directory rollup's overlapping windows into a
-// fresh query result. Contributions are window-granular: a query bound
-// cutting through a rollup window includes the whole window, and the
-// result is marked Downsampled.
-func mergeRollup(res *Result, dir string, q Query) error {
+// fresh query result, and reports whether any overlapped. Contributions
+// are window-granular: a query bound cutting through a rollup window
+// includes the whole window, and the result is marked Downsampled.
+func mergeRollup(res *Result, dir string, q Query) (bool, error) {
 	roll, err := readRollup(dir)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if roll == nil {
-		return nil
+		return false, nil
 	}
 	filter := map[uint32]bool{}
 	for _, a := range q.Apps {
 		filter[a] = true
 	}
-	touched := false
-	f := newFold(res)
+	var f *fold // made at the first window the range overlaps
 	for _, w := range roll.Windows {
 		if w.StartUS >= int64(q.To) || w.EndUS <= int64(q.From) {
 			continue
@@ -205,16 +205,18 @@ func mergeRollup(res *Result, dir string, q Query) error {
 			energy = w.EnergyJ // includes tail energy of unattributed rows, if any
 			bytes = w.Bytes
 		}
-		touched = true
+		if f == nil {
+			f = newFold(res, 0, 0)
+		}
 		res.TotalEnergyJ += energy
 		res.TotalBytes += bytes
-		f.addApps(rows)
-		if q.Window > 0 && int64(q.Window) == roll.WindowUS {
-			f.addWindow(WindowRow{StartUS: w.StartUS, EndUS: w.EndUS, EnergyJ: energy, Bytes: bytes, Apps: rows})
-		}
+		f.add(WindowRow{StartUS: w.StartUS, EndUS: w.EndUS, EnergyJ: energy, Bytes: bytes, Apps: rows},
+			true, q.Window > 0 && int64(q.Window) == roll.WindowUS)
 	}
-	if touched {
-		res.Downsampled = true
+	if f == nil {
+		return false, nil
 	}
-	return nil
+	f.finish()
+	res.Downsampled = true
+	return true, nil
 }

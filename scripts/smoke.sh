@@ -195,9 +195,16 @@ run_query() {
     exit 1
   fi
   metrics=$(curl -fsS "http://$ADMIN/metrics")
-  for k in ingest_query_windows_memoised_total ingest_query_memo_bytes ingest_query_memo_block_bytes; do
+  for k in ingest_query_windows_memoised_total ingest_query_memo_bytes ingest_query_memo_index_bytes ingest_query_memo_block_bytes; do
     if ! echo "$metrics" | grep -Eq "^$k [1-9]"; then
       echo "smoke: $k did not move: $(echo "$metrics" | grep "^$k")" >&2
+      exit 1
+    fi
+  done
+  # Nothing is evicted inside the budget, but the counters must be there.
+  for k in ingest_query_memo_windows_evicted_total ingest_query_memo_indexes_evicted_total ingest_query_memo_blocks_evicted_total; do
+    if ! echo "$metrics" | grep -Eq "^$k [0-9]+$"; then
+      echo "smoke: /metrics has no $k" >&2
       exit 1
     fi
   done
