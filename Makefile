@@ -12,9 +12,9 @@ vet:
 	$(GO) vet ./...
 
 # Static-analysis gate: `gofmt -l` names nothing, plain `go vet` (copylocks
-# is what keeps obs metric handles from being copied), and the six repolint
-# analyzers (determinism, noalloc, severerr, wiresize, goexit, lockhold —
-# see DESIGN.md "Statically enforced invariants") in one whole-module pass.
+# is what keeps obs metric handles from being copied), and the four repolint
+# analyzers (determinism, severerr, wiresize, lockhold — see DESIGN.md
+# "Statically enforced invariants") in one whole-module pass.
 lint: vet repolint
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 	  echo "gofmt -l names:" >&2; echo "$$unformatted" >&2; exit 1; fi

@@ -1,5 +1,5 @@
 // Command repolint runs the repo's static-analysis suite (internal/lint):
-// determinism, noalloc, severerr, wiresize, goexit and lockhold.
+// determinism, severerr, wiresize and lockhold.
 //
 //	repolint [packages]    load the packages through the go command
 //	                       (default ./...) and analyze them

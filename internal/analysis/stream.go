@@ -200,8 +200,6 @@ func (a *StreamAccumulator) Feed(rec *trace.Record) {
 // FeedBatch advances the accumulator over every record of a batch, reading
 // the columns directly — no Record materialisation. Equivalent to calling
 // Feed on each record in order.
-//
-//repolint:noalloc
 func (a *StreamAccumulator) FeedBatch(b *trace.RecordBatch) {
 	n := b.Len()
 	a.records += int64(n)
@@ -219,7 +217,6 @@ func (a *StreamAccumulator) FeedBatch(b *trace.RecordBatch) {
 	}
 }
 
-//repolint:noalloc
 func (a *StreamAccumulator) feedProcState(ts trace.Timestamp, app uint32, state trace.ProcState) {
 	if a.inFg[app] && !state.IsForeground() {
 		a.lastFgEnd[app] = ts
@@ -230,12 +227,10 @@ func (a *StreamAccumulator) feedProcState(ts trace.Timestamp, app uint32, state 
 	}
 }
 
-//repolint:noalloc
 func (a *StreamAccumulator) feedScreen(on bool) {
 	a.screenOn = on
 }
 
-//repolint:noalloc
 func (a *StreamAccumulator) feedPacket(ts trace.Timestamp, app uint32, dir trace.Direction,
 	net trace.Network, state trace.ProcState, payload []byte) {
 	res := a.res

@@ -397,8 +397,6 @@ func NewReplay(opts Options, l *Ledger) *Replay {
 // caused (promotion + transfer) and the gap tail it just charged to the
 // previous packet. d is nil, and nothing was charged, for a packet on
 // another network or one that does not parse (counted in DecodeErrors).
-//
-//repolint:noalloc
 func (k *Replay) Packet(ts trace.Timestamp, app uint32, dir trace.Direction, net trace.Network,
 	state trace.ProcState, payload []byte) (d *netparse.Decoded, own, gapTail float64) {
 	if net != k.network {

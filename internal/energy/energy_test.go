@@ -441,10 +441,9 @@ func TestReplayPacketReturns(t *testing.T) {
 	}
 }
 
-// TestReplayPacketAllocFree is the dynamic half of Packet's
-// //repolint:noalloc: once the ledger holds the (app, state, day) triples,
-// a packet costs no allocation whether it is accounted, on the other
-// network, or undecodable.
+// TestReplayPacketAllocFree: once the ledger holds the (app, state, day)
+// triples, a packet costs no allocation whether it is accounted, on the
+// other network, or undecodable.
 func TestReplayPacketAllocFree(t *testing.T) {
 	dt := newTrace()
 	addPacket(dt, 0, 1, trace.DirUp, trace.StateService, 100, 1000)

@@ -159,6 +159,14 @@ func TestFrameDecodeAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, pass); allocs > budget {
 		t.Fatalf("decoding %d records in %d-record frames allocates %.0f times, want <= %.0f", n, maxBatch, allocs, budget)
 	}
+
+	// The frame encoder appends into a buffer that has room without
+	// allocating.
+	body := bytes.Repeat([]byte{0xa5}, 4096)
+	frame := appendFrame(nil, 1, body)
+	if allocs := testing.AllocsPerRun(100, func() { frame = appendFrame(frame[:0], 1, body) }); allocs > 0 {
+		t.Fatalf("appendFrame into a buffer with room allocates %.0f times, want 0", allocs)
+	}
 }
 
 // benchApplyShard returns a shard and a cycling batch feeder that mirrors

@@ -259,8 +259,6 @@ func readAck(r *bufio.Reader) (arg int64, err error) {
 
 // appendFrame appends one framed body (sequence number, length prefix,
 // body, CRC over all three) to dst.
-//
-//repolint:noalloc
 func appendFrame(dst []byte, seq int64, body []byte) []byte {
 	head := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(seq))
@@ -360,8 +358,6 @@ func openBatch(body []byte) batchBody {
 // next advances to the next record. It returns false at the end of the
 // batch — clean only if the declared count used up the body exactly — and at
 // a record whose length prefix is malformed or runs past the body.
-//
-//repolint:noalloc
 func (b *batchBody) next() bool {
 	if b.err != nil {
 		return false
@@ -404,8 +400,6 @@ func newFrameReader(r *bufio.Reader) *frameReader {
 // must sever the connection and rely on resume. The body buffer grows to
 // the actual bytes read, never to an attacker-claimed length beyond
 // MaxFrame.
-//
-//repolint:noalloc
 func (f *frameReader) next() (seq int64, body []byte, err error) {
 	f.head = f.head[:0]
 	s, err := readUvarintInto(f.r, &f.head)

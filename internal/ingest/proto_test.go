@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +133,14 @@ func TestHelloCRCDetected(t *testing.T) {
 	// Truncated hello (CRC trailer missing).
 	if _, _, _, err := readHello(bufio.NewReader(bytes.NewReader(good[:len(good)-2]))); !errors.Is(err, ErrBadHello) {
 		t.Fatalf("truncated hello: %v", err)
+	}
+	// A device identifier past the cap, in an otherwise intact hello.
+	buf.Reset()
+	if err := writeHello(&buf, strings.Repeat("d", maxDeviceID+1), 500, 42); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := readHello(bufio.NewReader(&buf)); !errors.Is(err, ErrBadHello) {
+		t.Fatalf("%d-byte device id: %v", maxDeviceID+1, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"net/http"
 	"os"
@@ -109,6 +110,30 @@ func TestStartRefusesShippedCheckpointDir(t *testing.T) {
 	}
 	if len(after) != len(before) {
 		t.Errorf("directory held %d entries, now %d", len(before), len(after))
+	}
+}
+
+// TestStartRefusesUndecodableLedgerBlob: a generation that is well framed,
+// its retired device's blob intact under its CRC, but whose blob is not a
+// stream result, is refused. Start fails naming the device rather than
+// restoring it with no closed sessions.
+func TestStartRefusesUndecodableLedgerBlob(t *testing.T) {
+	dir := t.TempDir()
+	st, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := []byte("not a stream result")
+	ledger := []checkpoint.RetiredRecord{{Device: "dev-garbled", Seq: 3, CRC: crc32.ChecksumIEEE(blob), Blob: blob}}
+	if _, _, err := st.Save(&checkpoint.Snapshot{Ledger: ledger}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{Addr: "127.0.0.1:0", Shards: 1, CheckpointDir: dir})
+	if err := s.Start(); err == nil {
+		s.Kill()
+		t.Fatal("Start restored a retired device whose blob does not decode")
+	} else if !strings.Contains(err.Error(), `"dev-garbled"`) {
+		t.Fatalf("Start error %q: want it to name the device", err)
 	}
 }
 

@@ -269,7 +269,6 @@ func (s *Server) Start() error {
 	}
 	if s.adminLn != nil {
 		s.admin = &http.Server{Handler: s.adminMux()}
-		//repolint:allow goexit — external http.Server body; Shutdown/Kill close it via s.admin.Shutdown/Close, which makes Serve return
 		go s.admin.Serve(s.adminLn) //nolint:errcheck // closed via Shutdown
 	}
 	if s.ckpt != nil {

@@ -288,7 +288,9 @@ func TestMalformedBodySevers(t *testing.T) {
 // server must count it, sever the connection (the timestamp chain past the
 // bad frame cannot be trusted), and hand the accepted prefix back as the
 // resume point, so a reconnecting client retransmits the damaged record and
-// nothing is lost.
+// nothing is lost. The corrupt frame is followed at once by its intact
+// retransmission, which a server that skipped the bad frame instead of
+// severing would accept, and the frames after it.
 func TestCRCSeversAndResumes(t *testing.T) {
 	s := startServer(t, Config{Shards: 1, QueueDepth: 4, BatchSize: 4})
 	defer func() {
@@ -306,15 +308,17 @@ func TestCRCSeversAndResumes(t *testing.T) {
 	}
 	enc := trace.NewRecordEncoder(0)
 	recs := sampleRecords()
+	var frames [][]byte
 	for i := range recs {
 		body, err := enc.Encode(&recs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame := batchFrame(int64(i), body)
-		if i == 1 {
-			frame[len(frame)-1] ^= 0xff // corrupt the CRC
-		}
+		frames = append(frames, batchFrame(int64(i), body))
+	}
+	bad := bytes.Clone(frames[1])
+	bad[len(bad)-1] ^= 0xff // corrupt the CRC
+	for i, frame := range append([][]byte{frames[0], bad}, frames[1:]...) {
 		if _, err := conn.Write(frame); err != nil {
 			if i > 1 {
 				break // the sever below can beat the remaining writes

@@ -261,8 +261,6 @@ func (s *shard) retire(dev string) {
 // the apply path allocation-free and the overhead inside the noise floor
 // (BenchmarkApplyInstrumented vs BenchmarkApplyBare, which calls applyBatch
 // directly).
-//
-//repolint:noalloc
 func (s *shard) feed(b *recordBatch) {
 	if b.enqueuedNS > 0 {
 		s.counters.applySeconds.Observe(float64(time.Now().UnixNano()-b.enqueuedNS) / 1e9)
@@ -281,8 +279,6 @@ func (s *shard) feed(b *recordBatch) {
 // to window arithmetic — everything before the high-water mark is a
 // replay, everything from it on feeds the accumulator in one FeedBatch
 // call. The batch goes back to batchPool afterwards.
-//
-//repolint:noalloc
 func (s *shard) applyBatch(b *recordBatch) {
 	n := b.cols.Len()
 	exp := s.seqs[b.device]

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the control-flow half of the dataflow engine behind the
-// wiresize, goexit and lockhold analyzers: it lowers one function body
+// wiresize and lockhold analyzers: it lowers one function body
 // (FuncDecl or FuncLit) into a graph of basic blocks with branch-labelled
 // edges. The lowering is intraprocedural and deliberately small — no SSA,
 // no interprocedural summaries — because the invariants it feeds

@@ -1,9 +1,9 @@
 // Package lint is the repo's static-analysis suite: a small go/analysis-style
-// framework plus the six repolint analyzers that machine-check invariants
+// framework plus the four repolint analyzers that machine-check invariants
 // neither the compiler, `go vet` nor a tier-1 test holds — determinism of the
-// fixed-seed pipeline, zero-allocation hot paths, sever-on-error ingest
-// semantics, bounds on wire-derived allocation sizes, goroutine exit paths,
-// and no blocking under a lock. cmd/repolint is its one driver.
+// fixed-seed pipeline, sever-on-error ingest semantics, bounds on
+// wire-derived allocation sizes, and no blocking under a lock. cmd/repolint
+// is its one driver.
 //
 // The framework is deliberately dependency-free: golang.org/x/tools is not a
 // module dependency, so Analyzer/Pass/Diagnostic are re-declared here with
@@ -80,7 +80,7 @@ func (p *Pass) SourceFiles() []*ast.File {
 }
 
 // HasDirective reports whether the line containing pos, or the line above
-// it, carries the named repolint directive (e.g. "ordered", "noalloc").
+// it, carries the named repolint directive (e.g. "ordered").
 func (p *Pass) HasDirective(pos token.Pos, name string) bool {
 	return p.dirs.at(p.Fset, pos, name) != nil
 }
@@ -97,8 +97,6 @@ func (p *Pass) HasDirective(pos token.Pos, name string) bool {
 //	                  (or the line directly below the comment)
 //	ordered           assert a map-range loop is intentionally emitting in
 //	                  map order or is order-insensitive (determinism)
-//	noalloc           mark a function as a zero-allocation hot path,
-//	                  enabling the noalloc analyzer on its body
 //
 // A suppression without a written justification is itself a diagnostic:
 // the acceptance bar is that every escape hatch carries a reason a
@@ -107,7 +105,7 @@ func (p *Pass) HasDirective(pos token.Pos, name string) bool {
 // directive is one parsed //repolint: comment.
 type directive struct {
 	pos  token.Pos
-	name string // "allow", "ordered", "noalloc"
+	name string // "allow" or "ordered"
 	arg  string // analyzer name for "allow", "" otherwise
 	why  string // justification text
 }
@@ -146,7 +144,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 	return idx
 }
 
-// parseDirective splits "//repolint:allow goexit closed by Shutdown" into
+// parseDirective splits "//repolint:allow severerr peer already gone" into
 // its directive name, argument and justification.
 func parseDirective(pos token.Pos, text string) *directive {
 	body := strings.TrimPrefix(text, directivePrefix)
@@ -227,9 +225,6 @@ func (idx *directiveIndex) validate(known map[string]bool) []Diagnostic {
 				out = append(out, Diagnostic{Pos: d.pos, Analyzer: "repolint",
 					Message: "repolint:ordered needs a written justification"})
 			}
-		case "noalloc":
-			// The annotation is its own statement of intent; no
-			// justification required to opt in to stricter checking.
 		default:
 			out = append(out, Diagnostic{Pos: d.pos, Analyzer: "repolint",
 				Message: fmt.Sprintf("unknown repolint directive %q", d.name)})
@@ -238,16 +233,14 @@ func (idx *directiveIndex) validate(known map[string]bool) []Diagnostic {
 	return out
 }
 
-// All returns the full repolint analyzer suite: three AST-level analyzers
-// and the three dataflow analyzers (wiresize, goexit, lockhold) built on
-// the cfg.go/dataflow.go engine.
+// All returns the full repolint analyzer suite: two AST-level analyzers
+// (determinism, severerr) and the two dataflow analyzers (wiresize,
+// lockhold) built on the cfg.go/dataflow.go engine.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
-		Noalloc,
 		SeverErr,
 		WireSize,
-		GoExit,
 		LockHold,
 	}
 }

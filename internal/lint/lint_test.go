@@ -20,8 +20,8 @@ import (
 // analyzer must report there. The harness type-checks the package under a
 // chosen (possibly fake) import path — so path-scoped analyzers like
 // determinism and severerr can be pointed into or out of their scope — runs
-// one analyzer, and requires an exact match: every want satisfied, no
-// unexpected diagnostics.
+// the chosen analyzers, and requires an exact match: every want satisfied,
+// no unexpected diagnostics.
 
 // repoRoot is the module root relative to this package.
 const repoRoot = "../.."
@@ -38,8 +38,8 @@ func testExports(t *testing.T) map[string]string {
 	t.Helper()
 	exportsOnce.Do(func() {
 		pkgs, err := goList(repoRoot, []string{
-			"bytes", "context", "encoding/binary", "errors", "fmt", "io",
-			"log", "math/rand", "sync", "time",
+			"bytes", "encoding/binary", "errors", "io", "log", "math/rand",
+			"sync", "time",
 		})
 		if err != nil {
 			exportsErr = err
@@ -104,9 +104,9 @@ func parseWants(t *testing.T, files []string) []*expectation {
 }
 
 // checkCase type-checks testdata/src/<dir> under importPath, runs the
-// analyzer and returns the fixture's files with the diagnostics no
+// analyzers and returns the fixture's files with the diagnostics no
 // directive suppresses — what cmd/repolint would print.
-func checkCase(t *testing.T, a *Analyzer, dir, importPath string) (*token.FileSet, []string, []Diagnostic) {
+func checkCase(t *testing.T, analyzers []*Analyzer, dir, importPath string) (*token.FileSet, []string, []Diagnostic) {
 	t.Helper()
 	srcDir := filepath.Join("testdata", "src", dir)
 	matches, err := filepath.Glob(filepath.Join(srcDir, "*.go"))
@@ -120,7 +120,7 @@ func checkCase(t *testing.T, a *Analyzer, dir, importPath string) (*token.FileSe
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", srcDir, err)
 	}
-	diags, err := CheckPackage(fset, pkg.Files, pkg.Types, pkg.Info, []*Analyzer{a})
+	diags, err := CheckPackage(fset, pkg.Files, pkg.Types, pkg.Info, analyzers)
 	if err != nil {
 		t.Fatalf("analyze %s: %v", srcDir, err)
 	}
@@ -133,11 +133,11 @@ func checkCase(t *testing.T, a *Analyzer, dir, importPath string) (*token.FileSe
 	return fset, matches, active
 }
 
-// runCase checks the analyzer's unsuppressed diagnostics over
+// runCase checks the analyzers' unsuppressed diagnostics over
 // testdata/src/<dir> against the package's want annotations.
-func runCase(t *testing.T, a *Analyzer, dir, importPath string) {
+func runCase(t *testing.T, analyzers []*Analyzer, dir, importPath string) {
 	t.Helper()
-	fset, matches, diags := checkCase(t, a, dir, importPath)
+	fset, matches, diags := checkCase(t, analyzers, dir, importPath)
 	wants := parseWants(t, matches)
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
@@ -165,9 +165,9 @@ func runCase(t *testing.T, a *Analyzer, dir, importPath string) {
 
 // runCaseNoWants re-checks a fixture under an out-of-scope import path and
 // requires zero diagnostics, ignoring the in-scope want annotations.
-func runCaseNoWants(t *testing.T, a *Analyzer, dir, importPath string) {
+func runCaseNoWants(t *testing.T, analyzers []*Analyzer, dir, importPath string) {
 	t.Helper()
-	fset, _, diags := checkCase(t, a, dir, importPath)
+	fset, _, diags := checkCase(t, analyzers, dir, importPath)
 	for _, d := range diags {
 		t.Errorf("%s: unexpected out-of-scope diagnostic: [%s] %s", fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
@@ -176,59 +176,46 @@ func runCaseNoWants(t *testing.T, a *Analyzer, dir, importPath string) {
 func TestDeterminism(t *testing.T) {
 	// In scope: the fake import path is one of the deterministic pipeline
 	// packages, so the wall-clock/rand/map-order rules apply.
-	runCase(t, Determinism, "determinism", "netenergy/internal/synthgen")
+	runCase(t, []*Analyzer{Determinism}, "determinism", "netenergy/internal/synthgen")
 }
 
 func TestDeterminismOutOfScope(t *testing.T) {
 	// The same kind of code under a non-pipeline import path is clean:
 	// ingest and obs are wall-clock subsystems by design.
-	runCase(t, Determinism, "determinism_out", "netenergy/internal/obsworker")
-}
-
-func TestNoalloc(t *testing.T) {
-	runCase(t, Noalloc, "noalloc", "netenergy/internal/nalloc")
+	runCase(t, []*Analyzer{Determinism}, "determinism_out", "netenergy/internal/obsworker")
 }
 
 func TestSeverErr(t *testing.T) {
-	runCase(t, SeverErr, "severerr", "netenergy/internal/ingest")
+	runCase(t, []*Analyzer{SeverErr}, "severerr", "netenergy/internal/ingest")
 }
 
 func TestSeverErrOutOfScope(t *testing.T) {
-	runCase(t, SeverErr, "severerr_out", "netenergy/internal/flows")
+	runCase(t, []*Analyzer{SeverErr}, "severerr_out", "netenergy/internal/flows")
 }
 
 func TestSeverErrLZ(t *testing.T) {
-	runCase(t, SeverErr, "severerr_lz", "netenergy/internal/lz")
+	runCase(t, []*Analyzer{SeverErr}, "severerr_lz", "netenergy/internal/lz")
 }
 
 func TestSeverErrTrace(t *testing.T) {
-	runCase(t, SeverErr, "severerr_trace", "netenergy/internal/trace")
+	runCase(t, []*Analyzer{SeverErr}, "severerr_trace", "netenergy/internal/trace")
 }
 
 func TestWireSize(t *testing.T) {
-	runCase(t, WireSize, "wiresize", "netenergy/internal/trace")
+	runCase(t, []*Analyzer{WireSize}, "wiresize", "netenergy/internal/trace")
 }
 
 func TestWireSizeOutOfScope(t *testing.T) {
 	// The same unguarded shape outside the decoder packages is clean.
-	runCase(t, WireSize, "wiresize_out", "netenergy/internal/analysis")
-}
-
-func TestGoExit(t *testing.T) {
-	runCase(t, GoExit, "goexit", "netenergy/internal/ingest")
-}
-
-func TestGoExitOutOfScope(t *testing.T) {
-	// Outside the serving tier the same launches are nobody's business.
-	runCaseNoWants(t, GoExit, "goexit", "netenergy/internal/flows")
+	runCase(t, []*Analyzer{WireSize}, "wiresize_out", "netenergy/internal/analysis")
 }
 
 func TestLockHold(t *testing.T) {
-	runCase(t, LockHold, "lockhold", "netenergy/internal/ingest")
+	runCase(t, []*Analyzer{LockHold}, "lockhold", "netenergy/internal/ingest")
 }
 
 func TestLockHoldOutOfScope(t *testing.T) {
-	runCaseNoWants(t, LockHold, "lockhold", "netenergy/internal/flows")
+	runCaseNoWants(t, []*Analyzer{LockHold}, "lockhold", "netenergy/internal/flows")
 }
 
 // TestSuiteCleanAtHead is the acceptance gate: the full analyzer suite
@@ -297,21 +284,21 @@ func TestRepolintBinarySmoke(t *testing.T) {
 		t.Errorf("repolint ./... on a clean tree: exit %d, output:\n%s", code, out)
 	}
 
-	// noalloc is annotation-driven, not path-scoped, so a package anywhere
-	// in the module will do; under testdata/ it stays out of ./... for every
-	// other run.
+	// Directive validation is not path-scoped, so a package anywhere in the
+	// module will do; under testdata/ it stays out of ./... for every other
+	// run.
 	dir, err := os.MkdirTemp("testdata", "smoke")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.RemoveAll(dir) })
-	src := "package smoke\n\nimport \"fmt\"\n\n//repolint:noalloc\nfunc Hot(n int) string { return fmt.Sprintf(\"%d\", n) }\n"
+	src := "package smoke\n\n//repolint:allow determinism\nvar N = 1\n"
 	if err := os.WriteFile(filepath.Join(dir, "smoke.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, out := repolint("./internal/lint/" + filepath.ToSlash(dir))
-	if code != 1 || !strings.Contains(out, "smoke.go:6:") || !strings.Contains(out, "[noalloc]") {
-		t.Errorf("repolint over a noalloc function calling fmt.Sprintf: exit %d, want 1 and a [noalloc] line at smoke.go:6; output:\n%s", code, out)
+	if code != 1 || !strings.Contains(out, "smoke.go:3:") || !strings.Contains(out, "[repolint]") {
+		t.Errorf("repolint over an allow directive with no reason: exit %d, want 1 and a [repolint] line at smoke.go:3; output:\n%s", code, out)
 	}
 
 	if code, out := repolint("-json", "./..."); code != 2 {
@@ -320,7 +307,8 @@ func TestRepolintBinarySmoke(t *testing.T) {
 }
 
 // TestDirectiveValidation: escape hatches without justifications are
-// themselves diagnostics, and unknown directives are rejected.
+// themselves diagnostics, and directives the full suite does not know are
+// rejected.
 func TestDirectiveValidation(t *testing.T) {
-	runCase(t, Determinism, "directives", "netenergy/internal/synthgen")
+	runCase(t, All(), "directives", "netenergy/internal/synthgen")
 }

@@ -31,3 +31,10 @@ func WellFormed(m map[string]int) {
 //repolint:allow nosuchanalyzer the reason is recorded but the name is wrong // want "unknown analyzer"
 
 //repolint:bogus scratch note // want "unknown repolint directive"
+
+// Directives of analyzers that were deleted are unknown too, so a stale
+// annotation cannot outlive its analyzer.
+
+//repolint:noalloc // want "unknown repolint directive \"noalloc\""
+
+//repolint:allow goexit closed by Shutdown // want "unknown analyzer \"goexit\""

@@ -56,8 +56,6 @@ type Appender struct {
 // only its second and second-to-last positions entered into the table.
 // Which matches it picks is not part of the stream format; any stream
 // Decompress accepts is a valid encoding.
-//
-//repolint:noalloc
 func (a *Appender) Compress(dst, src []byte) []byte {
 	clear(a.table[:])
 	n := len(src)
@@ -115,8 +113,6 @@ func (a *Appender) Compress(dst, src []byte) []byte {
 // probe enters position p, whose 4-byte sequence is seq, into the table
 // and returns the slot's previous occupant when it is a match candidate:
 // in range and holding the same four bytes. Otherwise it returns -1.
-//
-//repolint:noalloc
 func (a *Appender) probe(src []byte, p int, seq uint32) int {
 	slot := hash4(seq)
 	c := int(a.table[slot]) - 1
@@ -130,8 +126,6 @@ func (a *Appender) probe(src []byte, p int, seq uint32) int {
 // appendSeq encodes one sequence: token, length extensions, literals,
 // and (when mlen > 0) the 2-byte offset. mlen == 0 marks the
 // terminal literal-only sequence.
-//
-//repolint:noalloc
 func appendSeq(dst, lits []byte, dist, mlen int) []byte {
 	llen := len(lits)
 	tok := byte(0)
@@ -162,7 +156,6 @@ func appendSeq(dst, lits []byte, dist, mlen int) []byte {
 	return dst
 }
 
-//repolint:noalloc
 func appendExt(dst []byte, v int) []byte {
 	for v >= 255 {
 		dst = append(dst, 255)
@@ -177,8 +170,6 @@ func appendExt(dst []byte, v int) []byte {
 // only buffer written, so decompression cost is bounded by len(dst) +
 // len(src) regardless of stream contents. It is a Decoder run to the
 // terminal sequence in one call.
-//
-//repolint:noalloc
 func Decompress(dst, src []byte) error {
 	var z Decoder
 	z.Reset(dst, src)
@@ -215,8 +206,6 @@ func (z *Decoder) Filled() int { return z.d }
 // stream. It returns ErrCorrupt for a stream Decompress would refuse in
 // what it decoded, and every later call returns it too. Fill after Walk
 // writes nothing more.
-//
-//repolint:noalloc
 func (z *Decoder) Fill(need int) error {
 	if z.err != nil || z.done || z.d >= need {
 		return z.err
@@ -230,8 +219,6 @@ func (z *Decoder) Fill(need int) error {
 // so far, lengths within len(dst), and a terminal sequence that ends the
 // stream with dst exactly full. It costs a pass over the remaining
 // sequence headers, not over the bytes they would write.
-//
-//repolint:noalloc
 func (z *Decoder) Walk() error {
 	if z.err != nil || z.done {
 		return z.err
@@ -245,8 +232,6 @@ func (z *Decoder) Walk() error {
 // boundary s, with d bytes of dst written, until d >= need or the
 // terminal sequence, and returns where it stopped and whether that was
 // the terminal sequence.
-//
-//repolint:noalloc
 func decode(dst, src []byte, d, s, need int) (int, int, bool, error) {
 	for d < need {
 		if s >= len(src) {
@@ -380,8 +365,6 @@ func decode(dst, src []byte, d, s, need int) (int, int, bool, error) {
 
 // walk is decode with nothing written: the same grammar and the same
 // checks, over an output of n bytes of which d are already produced.
-//
-//repolint:noalloc
 func walk(n int, src []byte, d, s int) error {
 	for {
 		if s >= len(src) {
@@ -428,8 +411,6 @@ func walk(n int, src []byte, d, s int) error {
 }
 
 // readExt accumulates 255-run extension bytes onto base.
-//
-//repolint:noalloc
 func readExt(src []byte, s, base int) (int, int, error) {
 	for {
 		if s >= len(src) {

@@ -275,9 +275,18 @@ func TestCompressAllocFree(t *testing.T) {
 	comp := a.Compress(nil, src)
 	dst := make([]byte, len(src))
 	buf := comp[:0]
+	var z Decoder
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = a.Compress(buf[:0], src)
 		if err := Decompress(dst, buf); err != nil {
+			t.Fatal(err)
+		}
+		// The staged decode: half the output, then a parse of the rest.
+		z.Reset(dst, buf)
+		if err := z.Fill(len(dst) / 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := z.Walk(); err != nil {
 			t.Fatal(err)
 		}
 	})

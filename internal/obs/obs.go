@@ -31,14 +31,10 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//repolint:noalloc
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (n must be >= 0 for the counter to stay monotonic; this is not
 // enforced so restore paths can seed recovered totals in one call).
-//
-//repolint:noalloc
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load returns the current total.
@@ -51,13 +47,9 @@ type Gauge struct {
 }
 
 // Set stores n.
-//
-//repolint:noalloc
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adds n (may be negative).
-//
-//repolint:noalloc
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Load returns the current value.
@@ -68,7 +60,6 @@ type atomicF64 struct {
 	bits atomic.Uint64
 }
 
-//repolint:noalloc
 func (a *atomicF64) Add(v float64) {
 	for {
 		old := a.bits.Load()
@@ -92,8 +83,6 @@ type Histogram struct {
 }
 
 // Observe records one value.
-//
-//repolint:noalloc
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	// Linear scan: bucket counts are small (<= ~20) and the branch

@@ -3,6 +3,7 @@ package pcapio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 
@@ -124,16 +125,20 @@ func TestTruncatedRecord(t *testing.T) {
 	}
 }
 
+// TestImplausibleLength: a capture length past 64 MiB is refused as such,
+// before a buffer is sized from it, not read as a truncated record.
 func TestImplausibleLength(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 0)
-	w.Flush()
-	rec := make([]byte, 16)
-	binary.LittleEndian.PutUint32(rec[8:], 1<<30) // absurd incl_len
-	buf.Write(rec)
-	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
-	if _, err := r.Next(); err == nil {
-		t.Error("absurd length accepted")
+	for _, incl := range []uint32{1 << 30, 1<<26 + 1} {
+		var buf bytes.Buffer
+		w, _ := NewWriter(&buf, 0)
+		w.Flush()
+		rec := make([]byte, 16)
+		binary.LittleEndian.PutUint32(rec[8:], incl)
+		buf.Write(rec)
+		r, _ := NewReader(bytes.NewReader(buf.Bytes()))
+		if _, err := r.Next(); err == nil || errors.Is(err, ErrTruncated) {
+			t.Errorf("incl_len %d: %v, want it refused as implausible", incl, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -468,6 +469,16 @@ func TestBlockedDeviceNameBoundary(t *testing.T) {
 		}
 		if _, err := open(io.Discard, past); err == nil {
 			t.Fatalf("%v: writer accepted %d-byte name the reader would refuse", format, len(past))
+		}
+		// The same file with the name one byte longer: only the cap
+		// refuses it.
+		data := buf.Bytes()
+		at := bytes.Index(data, []byte(atCap))
+		n := len(binary.AppendUvarint(nil, maxDeviceName))
+		long := binary.AppendUvarint(bytes.Clone(data[:at-n]), uint64(len(past)))
+		long = append(append(long, past...), data[at+len(atCap):]...)
+		if _, err := NewReader(bytes.NewReader(long)); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%v: reader given a %d-byte name: %v, want ErrBadMagic", format, len(past), err)
 		}
 	}
 }

@@ -41,8 +41,6 @@ func zigzagDec(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // bit order. Every value must be < 1<<w (w == 64 admits all). Values
 // gather in a 64-bit accumulator that is appended a whole word at a time;
 // the last partial word contributes only the bytes its bits reach.
-//
-//repolint:noalloc
 func packBits(dst []byte, vals []uint64, w uint) []byte {
 	if w == 0 {
 		return dst
@@ -67,8 +65,6 @@ func packBits(dst []byte, vals []uint64, w uint) []byte {
 
 // unpackBits fills dst with len(dst) w-bit values from src, which must
 // hold exactly (len(dst)*w+7)/8 bytes.
-//
-//repolint:noalloc
 func unpackBits(dst []uint64, src []byte, w uint) {
 	if w == 0 {
 		for i := range dst {
@@ -100,8 +96,6 @@ func unpackBits(dst []uint64, src []byte, w uint) {
 // gatherBits extracts w bits starting at bit offset bit from src,
 // byte-at-a-time (used near the end of the packed region, where an
 // 8-byte load would run past the slice).
-//
-//repolint:noalloc
 func gatherBits(src []byte, bit int, w uint) uint64 {
 	var v uint64
 	var got uint
@@ -120,8 +114,6 @@ func gatherBits(src []byte, bit int, w uint) uint64 {
 }
 
 // maxWidth returns the bit width needed for the widest value.
-//
-//repolint:noalloc
 func maxWidth(vals []uint64) uint {
 	w := 0
 	for _, v := range vals {

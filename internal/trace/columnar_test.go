@@ -317,7 +317,9 @@ func TestColumnarRejectsCorrupt(t *testing.T) {
 // the columnar block decode: once the reused batch and scratch have grown
 // to the block's shape, decompressing and decoding a block must not
 // allocate at all — this is what lets the streaming decoder and the ingest
-// hot path recycle one RecordBatch per connection indefinitely.
+// hot path recycle one RecordBatch per connection indefinitely. The column
+// image's encoder, which the segment writer runs per block, is held to the
+// same bar once its output and staging buffers have grown.
 func TestColumnDecodeAllocFree(t *testing.T) {
 	recs := genRecords(2000)
 	var src RecordBatch
@@ -325,7 +327,12 @@ func TestColumnDecodeAllocFree(t *testing.T) {
 		src.Append(&recs[i])
 	}
 	first := recs[0].TS
-	raw, _ := appendColumns(nil, &src, first, nil)
+	raw, scratch := appendColumns(nil, &src, first, nil)
+	if allocs := testing.AllocsPerRun(100, func() {
+		raw, scratch = appendColumns(raw[:0], &src, first, scratch)
+	}); allocs > 0 {
+		t.Fatalf("steady-state column encode allocates %.2f times per block, want 0", allocs)
+	}
 	h := blockHeader{
 		ulen: len(raw), count: src.Len(),
 		first: first, lastTS: recs[len(recs)-1].TS,

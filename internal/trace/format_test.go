@@ -184,6 +184,15 @@ func TestCorruptRecordDetected(t *testing.T) {
 			}
 		}
 	}
+	// A record longer than the cap, its bytes and CRC all present.
+	data = writeAll(t, []Record{{Type: RecPacket, TS: 2500, Net: NetCellular, Payload: make([]byte, maxRecordLen)}})
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != ErrCorrupt {
+		t.Fatalf("record past maxRecordLen: err = %v, want ErrCorrupt", err)
+	}
 }
 
 func TestTruncatedFileDetected(t *testing.T) {

@@ -52,16 +52,23 @@ func (e Engine) QueryDir(dir string, q Query) (*Result, error) {
 		paths = append(paths, filepath.Join(dir, name))
 	}
 	sort.Strings(paths)
-	res, err := e.QueryFiles(paths, q)
+	roll, err := readRollup(dir)
 	if err != nil {
 		return nil, err
 	}
-	// QueryFiles finalized res; only rollup rows need it again.
-	if merged, err := mergeRollup(res, dir, q); err != nil {
-		return nil, err
-	} else if merged {
-		res.Finalize(q.TopN)
+	if !roll.overlaps(q) {
+		return e.QueryFiles(paths, q)
 	}
+	// Rows are cut to the top N once, after the rollup's rows are merged:
+	// an app cut before the merge would keep only its rollup energy.
+	all := q
+	all.TopN = 0
+	res, err := e.QueryFiles(paths, all)
+	if err != nil {
+		return nil, err
+	}
+	mergeRollup(res, roll, q)
+	res.Finalize(q.TopN)
 	return res, nil
 }
 

@@ -265,6 +265,59 @@ func TestQueryTopNAndNames(t *testing.T) {
 	}
 }
 
+// TestQueryTopNAfterRollup: a top-N answer is the first N rows of the
+// whole answer, globally and in every window, whether rows come from
+// segments alone, from segments and the retention rollup, or from a warm
+// memo beside the rollup. Rows are cut once, after the rollup merge.
+func TestQueryTopNAfterRollup(t *testing.T) {
+	const topn = 5
+	const day = trace.Timestamp(24 * 3600 * 1e6)
+	plain, traces := writeSegmentDir(t, 3, 3)
+	span := traceSpan(traces)
+	retained, _ := writeSegmentDir(t, 3, 3)
+	eng := Engine{Opts: energy.DefaultOptions()}
+	if rep, err := eng.ApplyRetention(retained, span[0]+day*3/2, day); err != nil || rep.FilesRemoved == 0 {
+		t.Fatalf("retention: %+v, %v", rep, err)
+	}
+	tests := []struct {
+		name string
+		dir  string
+		memo bool
+	}{
+		{"no rollup", plain, false},
+		{"rollup", retained, false},
+		{"rollup, warm memo", retained, true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			e := eng
+			if tt.memo {
+				e.Memo = NewMemo()
+			}
+			q := Query{From: span[0], To: span[1] + 1, Window: day}
+			full := mustQuery(t, e, tt.dir, q)
+			if full.Downsampled != (tt.dir == retained) || len(full.Apps) <= topn {
+				t.Fatalf("fixture: downsampled %v, %d apps", full.Downsampled, len(full.Apps))
+			}
+			q.TopN = topn
+			top := mustQuery(t, e, tt.dir, q)
+			if !slices.Equal(top.Apps, full.Apps[:topn]) {
+				t.Errorf("top %d apps %+v, want %+v", topn, top.Apps, full.Apps[:topn])
+			}
+			if len(top.Windows) != len(full.Windows) {
+				t.Fatalf("top %d: %d windows, want %d", topn, len(top.Windows), len(full.Windows))
+			}
+			for i, w := range top.Windows {
+				want := full.Windows[i].Apps
+				want = want[:min(topn, len(want))]
+				if w.StartUS != full.Windows[i].StartUS || !slices.Equal(w.Apps, want) {
+					t.Errorf("window %d: top %d apps %+v, want %+v", w.StartUS, topn, w.Apps, want)
+				}
+			}
+		})
+	}
+}
+
 // TestQueryDeterministic: identical queries over identical bytes give
 // identical JSON — the repolint-clean determinism the tentpole demands.
 func TestQueryDeterministic(t *testing.T) {

@@ -165,25 +165,37 @@ func writeRollup(dir string, roll *rollupFile) error {
 	return os.Rename(tmpPath, filepath.Join(dir, rollupName))
 }
 
-// mergeRollup folds the directory rollup's overlapping windows into a
-// fresh query result, and reports whether any overlapped. Contributions
-// are window-granular: a query bound cutting through a rollup window
-// includes the whole window, and the result is marked Downsampled.
-func mergeRollup(res *Result, dir string, q Query) (bool, error) {
-	roll, err := readRollup(dir)
-	if err != nil {
-		return false, err
-	}
+// overlaps reports whether any window of the rollup (nil: none) meets
+// q's range.
+func (roll *rollupFile) overlaps(q Query) bool {
 	if roll == nil {
-		return false, nil
+		return false
 	}
+	for _, w := range roll.Windows {
+		if w.meets(q) {
+			return true
+		}
+	}
+	return false
+}
+
+// meets reports whether the window intersects q's range.
+func (w *WindowRow) meets(q Query) bool {
+	return w.StartUS < int64(q.To) && w.EndUS > int64(q.From)
+}
+
+// mergeRollup folds the rollup's windows that meet q's range into a query
+// result, unfinalized, and marks it Downsampled. Contributions are
+// window-granular: a query bound cutting through a rollup window includes
+// the whole window.
+func mergeRollup(res *Result, roll *rollupFile, q Query) {
 	filter := map[uint32]bool{}
 	for _, a := range q.Apps {
 		filter[a] = true
 	}
-	var f *fold // made at the first window the range overlaps
+	f := newFold(res, 0, 0)
 	for _, w := range roll.Windows {
-		if w.StartUS >= int64(q.To) || w.EndUS <= int64(q.From) {
+		if !w.meets(q) {
 			continue
 		}
 		rows := w.Apps
@@ -205,18 +217,11 @@ func mergeRollup(res *Result, dir string, q Query) (bool, error) {
 			energy = w.EnergyJ // includes tail energy of unattributed rows, if any
 			bytes = w.Bytes
 		}
-		if f == nil {
-			f = newFold(res, 0, 0)
-		}
 		res.TotalEnergyJ += energy
 		res.TotalBytes += bytes
 		f.add(WindowRow{StartUS: w.StartUS, EndUS: w.EndUS, EnergyJ: energy, Bytes: bytes, Apps: rows},
 			true, q.Window > 0 && int64(q.Window) == roll.WindowUS)
 	}
-	if f == nil {
-		return false, nil
-	}
 	f.finish()
 	res.Downsampled = true
-	return true, nil
 }
