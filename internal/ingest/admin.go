@@ -157,7 +157,7 @@ func (s *Server) adminMux() http.Handler {
 		// this request arrived; sync errors only cost tail freshness (the
 		// affected device's persistence is already disabled and counted).
 		s.SyncSegments() //nolint:errcheck // counted in segErrors
-		res, err := tsq.Engine{Opts: s.cfg.Opts, Memo: s.memo}.QueryDir(s.cfg.SegmentDir, q)
+		res, err := tsq.Engine{Opts: s.cfg.Opts, Memo: s.memo}.QueryCatalog(s.catalog, q)
 		if err != nil {
 			s.counters.queryErrors.Add(1)
 			http.Error(w, err.Error(), http.StatusInternalServerError)

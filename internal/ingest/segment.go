@@ -9,6 +9,7 @@ import (
 
 	"netenergy/internal/obs"
 	"netenergy/internal/trace"
+	"netenergy/internal/tsq"
 )
 
 // Segment store: with Config.SegmentDir set, every accepted record is
@@ -34,6 +35,7 @@ import (
 // segmentWriter is one device's open segment file.
 type segmentWriter struct {
 	f     *os.File
+	path  string
 	w     *trace.ColumnWriter
 	n     int64           // bytes written so far (roll trigger)
 	last  trace.Timestamp // newest appended timestamp (drop gate)
@@ -52,13 +54,16 @@ type segmentStore struct {
 	dir      string
 	maxBytes int64
 	counters *counters
+	// cat, when set, is told of every file the store opens and seals: it
+	// is the list of live files /query runs on.
+	cat *tsq.Catalog
 
 	open map[string]*segmentWriter
 	seq  map[string]int  // next file sequence per sanitized device name
 	bad  map[string]bool // devices whose persistence failed and is disabled
 }
 
-func newSegmentStore(dir string, maxBytes int64, seqs map[string]int, c *counters) *segmentStore {
+func newSegmentStore(dir string, maxBytes int64, seqs map[string]int, cat *tsq.Catalog, c *counters) *segmentStore {
 	seq := make(map[string]int, len(seqs))
 	for k, v := range seqs {
 		seq[k] = v
@@ -67,25 +72,31 @@ func newSegmentStore(dir string, maxBytes int64, seqs map[string]int, c *counter
 		dir:      dir,
 		maxBytes: maxBytes,
 		counters: c,
+		cat:      cat,
 		open:     map[string]*segmentWriter{},
 		seq:      seq,
 		bad:      map[string]bool{},
 	}
 }
 
-// seedSegmentSeqs scans dir once at startup so a restarted node continues
-// each device's file numbering instead of overwriting sealed history.
-func seedSegmentSeqs(dir string) (map[string]int, error) {
+// openCatalog lists dir once at startup, creating it if need be: the
+// catalog /query runs on, which also seeds the numbering (see
+// seedSegmentSeqs).
+func openCatalog(dir string) (*tsq.Catalog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
+	return tsq.OpenCatalog(dir)
+}
+
+// seedSegmentSeqs continues each device's file numbering past every name
+// in names — the directory's files and the segments its rollup folded —
+// so a restarted node neither overwrites sealed history nor gives new
+// records a name a rollup lists.
+func seedSegmentSeqs(names []string) map[string]int {
 	seqs := map[string]int{}
-	for _, ent := range entries {
-		name, ok := strings.CutSuffix(ent.Name(), segmentExt)
+	for _, name := range names {
+		name, ok := strings.CutSuffix(name, segmentExt)
 		if !ok {
 			continue
 		}
@@ -101,7 +112,7 @@ func seedSegmentSeqs(dir string) (map[string]int, error) {
 			seqs[name[:i]] = n + 1
 		}
 	}
-	return seqs, nil
+	return seqs
 }
 
 const segmentExt = ".metr3"
@@ -168,10 +179,13 @@ func (st *segmentStore) openSegment(device string, start trace.Timestamp) (*segm
 	if err != nil {
 		return nil, err
 	}
-	sw := &segmentWriter{f: f}
+	sw := &segmentWriter{f: f, path: path}
 	if sw.w, err = trace.NewColumnWriter(sw, device, start); err != nil {
 		f.Close()
 		return nil, err
+	}
+	if st.cat != nil {
+		st.cat.Add(path, device, start)
 	}
 	st.open[device] = sw
 	return sw, nil
@@ -186,12 +200,19 @@ func (st *segmentStore) seal(device string) {
 	}
 	delete(st.open, device)
 	err := sw.w.Flush()
+	var fi os.FileInfo
+	if err == nil && st.cat != nil {
+		fi, err = sw.f.Stat()
+	}
 	if cerr := sw.f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		st.disable(device, err)
 		return
+	}
+	if fi != nil {
+		st.cat.Seal(sw.path, fi.Size(), fi.ModTime().UnixNano())
 	}
 	st.counters.segSealed.Add(1)
 	st.counters.segBytes.Add(sw.n)

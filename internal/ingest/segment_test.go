@@ -495,7 +495,7 @@ func TestSegmentStoreMatchesRecordAtATime(t *testing.T) {
 
 			dir := t.TempDir()
 			c := newCounters()
-			st := newSegmentStore(dir, tc.maxBytes, nil, c)
+			st := newSegmentStore(dir, tc.maxBytes, nil, nil, c)
 			var b trace.RecordBatch
 			for lo := 0; lo < len(recs); lo += chunk {
 				if syncBefore(lo) {

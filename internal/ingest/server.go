@@ -133,6 +133,10 @@ type Server struct {
 	// memo keeps /query's settled windows between requests; it is the only
 	// state a query leaves behind, and nothing on the ingest path sees it.
 	memo *tsq.Memo
+	// catalog is the segment directory's live files, which the shards'
+	// segment stores keep current and /query runs on; nil without a
+	// segment directory.
+	catalog *tsq.Catalog
 
 	ckpt *checkpoint.Store
 	// ckptMu makes collecting the shards' state and writing it one critical
@@ -169,19 +173,22 @@ func NewServer(cfg Config) *Server {
 	var segSeqs map[string]int
 	if cfg.SegmentDir != "" {
 		var err error
-		// Persistence is best-effort: an unusable segment dir disables
-		// segments (and /query) but never blocks ingest — clearing
-		// SegmentDir below abandons the whole subsystem, not just one item.
-		//repolint:allow severerr — clearing SegmentDir abandons the segment subsystem entirely; ingest must start regardless
-		if segSeqs, err = seedSegmentSeqs(cfg.SegmentDir); err != nil {
+		// Persistence is best-effort: an unusable segment dir — or a
+		// rollup that does not parse, without whose folded list new files
+		// could take a name it lists — disables segments (and /query) but
+		// never blocks ingest: clearing SegmentDir below abandons the whole
+		// subsystem, not just one item.
+		if s.catalog, err = openCatalog(cfg.SegmentDir); err != nil {
 			s.counters.events.Logf(obs.LevelError, "segment dir unusable, segments disabled: %v", err)
 			s.cfg.SegmentDir = ""
+		} else {
+			segSeqs = seedSegmentSeqs(s.catalog.Names())
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		var seg *segmentStore
 		if s.cfg.SegmentDir != "" {
-			seg = newSegmentStore(s.cfg.SegmentDir, s.cfg.SegmentMaxBytes, segSeqs, s.counters)
+			seg = newSegmentStore(s.cfg.SegmentDir, s.cfg.SegmentMaxBytes, segSeqs, s.catalog, s.counters)
 		}
 		s.shard = append(s.shard, newShard(i, cfg.QueueDepth, cfg.Opts, s.counters, s.devices, seg))
 	}

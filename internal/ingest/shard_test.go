@@ -30,7 +30,7 @@ func TestApplyBatchTrimsOverlap(t *testing.T) {
 
 	dir := t.TempDir()
 	c := newCounters()
-	sh := newShard(0, 1, batchOpts(), c, newDeviceRegistry(), newSegmentStore(dir, 0, nil, c))
+	sh := newShard(0, 1, batchOpts(), c, newDeviceRegistry(), newSegmentStore(dir, 0, nil, nil, c))
 	sh.applyBatch(batch(0, 100))
 	sh.applyBatch(batch(50, 150))
 

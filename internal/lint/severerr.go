@@ -91,10 +91,11 @@ func guardedCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 
 // isGuardedName matches the decode/CRC/seq function families named by the
 // ingest contract, plus the read* wire helpers and the frame reader's
-// next() which surface CRC and framing errors.
+// next() which surface CRC and framing errors, and the restore family,
+// which decodes checkpointed state (analysis.RestoreStreamAccumulator).
 func isGuardedName(name string) bool {
 	lower := strings.ToLower(name)
-	for _, frag := range []string{"decode", "crc", "seq"} {
+	for _, frag := range []string{"decode", "crc", "seq", "restore"} {
 		if strings.Contains(lower, frag) {
 			return true
 		}

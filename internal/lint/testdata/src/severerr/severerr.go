@@ -1,6 +1,7 @@
 // Test fixture for the severerr analyzer, type-checked under the fake
-// import path netenergy/internal/ingest (in scope). decodeRec, readHeader
-// and checkCRC match the guarded decode/read/CRC name families.
+// import path netenergy/internal/ingest (in scope). decodeRec, readHeader,
+// checkCRC and restoreAcc match the guarded decode/read/CRC/restore name
+// families.
 package ingest
 
 import (
@@ -31,6 +32,10 @@ func checkCRC(b []byte) error {
 	}
 	return nil
 }
+
+// restoreAcc stands for analysis.RestoreStreamAccumulator: it decodes
+// checkpointed state, so its error is a decode error.
+func restoreAcc(b []byte) (int, error) { return decodeRec(b) }
 
 func use(v int) {}
 
@@ -71,6 +76,23 @@ func LoggedAndContinued(b []byte) {
 func EqNilWithoutElse(b []byte) {
 	v, err := decodeRec(b)
 	if err == nil { // want "error from decodeRec checked with == nil but the failure case is missing"
+		use(v)
+	}
+}
+
+// RestoreDropped keeps a device whose checkpointed state did not decode.
+func RestoreDropped(b []byte) {
+	v, _ := restoreAcc(b) // want "error from restoreAcc assigned to _"
+	use(v)
+}
+
+// RestoreSevered abandons the device, as Server.restore does.
+func RestoreSevered(bs [][]byte) {
+	for _, b := range bs {
+		v, err := restoreAcc(b)
+		if err != nil {
+			continue
+		}
 		use(v)
 	}
 }

@@ -516,7 +516,8 @@ type Index struct {
 	device  string
 	start   Timestamp
 	blocks  []BlockInfo
-	dataEnd int64 // offset of the index tag: where the last block ends
+	dataEnd int64  // offset of the index tag: where the last block ends
+	crc     uint32 // the footer's CRC32C of the index
 }
 
 // Device is the device named by the file header.
@@ -528,6 +529,10 @@ func (ix *Index) Start() Timestamp { return ix.start }
 // Blocks is the per-block index, in file order. It is the Index's own:
 // callers must not modify it.
 func (ix *Index) Blocks() []BlockInfo { return ix.blocks }
+
+// CRC is the footer's CRC32C of the index bytes: with the file's size, what
+// tells one sealed file from another of the same name.
+func (ix *Index) CRC() uint32 { return ix.crc }
 
 // ReadBlockIndex reads the footer index of a METR-3 container via ra. It
 // returns the device, start timestamp and per-block index, or ok=false if
@@ -589,7 +594,7 @@ func ReadIndex(ra io.ReaderAt, size int64) (*Index, error) {
 		return nil, ErrCorrupt
 	}
 	p = p[n:]
-	ix := &Index{dataEnd: size - footerLen - idxLen, blocks: make([]BlockInfo, 0, count)}
+	ix := &Index{dataEnd: size - footerLen - idxLen, blocks: make([]BlockInfo, 0, count), crc: wantCRC}
 	prev := int64(0)
 	prevLast := Timestamp(math.MinInt64)
 	for i := uint64(0); i < count; i++ {

@@ -98,7 +98,9 @@ func TestQueryWindowWarmAllocs(t *testing.T) {
 // BenchmarkQueryPushdown measures the narrow-window case the seek index
 // exists for: one hour out of four days, most blocks skipped.
 func BenchmarkQueryPushdown(b *testing.B) {
-	benchQueryPushdown(b, func() Engine { return Engine{Opts: energy.DefaultOptions()} }, false)
+	benchQueryPushdown(b, func(dir string, q Query) (*Result, error) {
+		return Engine{Opts: energy.DefaultOptions()}.QueryDir(dir, q)
+	}, false)
 }
 
 // BenchmarkQueryPushdownWarm is the same narrow query on a node's memo
@@ -106,7 +108,7 @@ func BenchmarkQueryPushdown(b *testing.B) {
 // are kept, so pass 1 stats the files and pass 2 filters kept blocks.
 func BenchmarkQueryPushdownWarm(b *testing.B) {
 	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
-	benchQueryPushdown(b, func() Engine { return eng }, true)
+	benchQueryPushdown(b, eng.QueryDir, true)
 }
 
 // BenchmarkQueryPushdownNarrowOnly is the same narrow query on a memo that
@@ -115,24 +117,37 @@ func BenchmarkQueryPushdownWarm(b *testing.B) {
 // on one memo, which then holds the indexes and the blocks the narrow
 // query happens to decode whole. Both hold the memo to DESIGN §11's rule
 // that a cold query decodes no more than the zero-value engine's.
+// "catalog" is "steady" on the catalog a node keeps of the directory, as
+// /query runs: pass 1 lists nothing and stats no segment file.
 func BenchmarkQueryPushdownNarrowOnly(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
-		benchQueryPushdown(b, func() Engine { return Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()} }, false)
+		benchQueryPushdown(b, func(dir string, q Query) (*Result, error) {
+			return Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}.QueryDir(dir, q)
+		}, false)
 	})
 	b.Run("steady", func(b *testing.B) {
 		eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
-		benchQueryPushdown(b, func() Engine { return eng }, false)
+		benchQueryPushdown(b, eng.QueryDir, false)
+	})
+	b.Run("catalog", func(b *testing.B) {
+		dir, _ := benchFixture(b)
+		cat, err := OpenCatalog(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
+		benchQueryPushdown(b, func(_ string, q Query) (*Result, error) { return eng.QueryCatalog(cat, q) }, false)
 	})
 }
 
-// benchQueryPushdown times the narrow query on the engine next returns for
-// each, after a wide one when wide is set.
-func benchQueryPushdown(b *testing.B, next func() Engine, wide bool) {
+// benchQueryPushdown times the narrow query over the fixture through
+// query, after a wide one when wide is set.
+func benchQueryPushdown(b *testing.B, query func(dir string, q Query) (*Result, error), wide bool) {
 	dir, span := benchFixture(b)
 	from := span[0] + (span[1]-span[0])/2
 	q := Query{From: from, To: from + 3600*1e6}
 	if wide {
-		if _, err := next().QueryDir(dir, Query{From: span[0], To: span[1] + 1, Window: 3600 * 1e6}); err != nil {
+		if _, err := query(dir, Query{From: span[0], To: span[1] + 1, Window: 3600 * 1e6}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,7 +155,7 @@ func benchQueryPushdown(b *testing.B, next func() Engine, wide bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := next().QueryDir(dir, q)
+		res, err := query(dir, q)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -33,37 +32,27 @@ type Engine struct {
 // merging the directory's retention rollup (rollup.json) when its
 // windows intersect the query range. Files are grouped by device and
 // scanned in start-timestamp order, so multi-segment devices replay as
-// one stream per window.
+// one stream per window. It lists dir once; a process that writes dir
+// keeps a Catalog instead (see QueryCatalog).
 func (e Engine) QueryDir(dir string, q Query) (*Result, error) {
-	entries, err := os.ReadDir(dir)
+	files, roll, _, err := listDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var paths []string
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		name := ent.Name()
-		if strings.HasPrefix(name, ".") || strings.HasSuffix(name, ".json") ||
-			strings.HasSuffix(name, ".tmp") {
-			continue
-		}
-		paths = append(paths, filepath.Join(dir, name))
-	}
-	sort.Strings(paths)
-	roll, err := readRollup(dir)
-	if err != nil {
-		return nil, err
-	}
+	return e.queryRollup(nil, files, roll, q)
+}
+
+// queryRollup runs q over files and merges roll (nil: none). What pass 1
+// learns of a sealed file goes back into c, when there is one.
+func (e Engine) queryRollup(c *Catalog, files []catFile, roll *rollupFile, q Query) (*Result, error) {
 	if !roll.overlaps(q) {
-		return e.QueryFiles(paths, q)
+		return e.queryListed(c, files, q)
 	}
 	// Rows are cut to the top N once, after the rollup's rows are merged:
 	// an app cut before the merge would keep only its rollup energy.
 	all := q
 	all.TopN = 0
-	res, err := e.QueryFiles(paths, all)
+	res, err := e.queryListed(c, files, all)
 	if err != nil {
 		return nil, err
 	}
@@ -76,15 +65,23 @@ func (e Engine) QueryDir(dir string, q Query) (*Result, error) {
 // (sorted, top-N applied); a caller that merges further re-finalizes after
 // merging.
 func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
+	files := make([]catFile, len(paths))
+	for i, path := range paths {
+		files[i].path = path
+	}
+	return e.queryListed(nil, files, q)
+}
+
+// queryListed is QueryFiles over listed files; what pass 1 learns of a
+// sealed file goes back into c, when there is one.
+func (e Engine) queryListed(c *Catalog, files []catFile, q Query) (*Result, error) {
 	res := &Result{
 		FromUS:   int64(q.From),
 		ToUS:     int64(q.To),
 		WindowUS: int64(q.Window),
 	}
 
-	// Pass 1: group files by device. Each file is opened once, for its
-	// header and its index (or, unsealed, its first block) — unless the
-	// Memo holds its index, when a stat is all it takes. An empty file
+	// Pass 1: group files by device (see Engine.segment). An empty file
 	// holds no record: it is one created a moment ago, its header not yet
 	// written, or one a crash left so.
 	var query uint64
@@ -93,13 +90,13 @@ func (e Engine) QueryFiles(paths []string, q Query) (*Result, error) {
 	}
 	byDevice := map[string][]segment{}
 	var devices []string
-	for _, path := range paths {
-		seg, err := e.segment(path, query)
+	for i := range files {
+		seg, err := e.segment(c, &files[i], query)
 		if errors.Is(err, errEmptyFile) {
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("tsq: %s: %w", path, err)
+			return nil, fmt.Errorf("tsq: %s: %w", files[i].path, err)
 		}
 		if _, ok := byDevice[seg.device]; !ok {
 			devices = append(devices, seg.device)
@@ -192,7 +189,8 @@ type segment struct {
 	// through: a stat of the path could describe a file sealed since.
 	size, mtime int64
 
-	// ident is id(), kept from pass 1 of a sealed file with a Memo.
+	// ident is id(), from the catalog or pass 1 of a sealed file with a
+	// Memo.
 	ident string
 	kept  trace.BlockCache // nil without a Memo, or when it holds another index for the file
 	f     *os.File         // pass 2's descriptor of a sealed file, from its first read on
@@ -259,27 +257,26 @@ func (r readerAt) ReadAt(p []byte, off int64) (int, error) {
 	return s.f.ReadAt(p, off)
 }
 
-// segment is pass 1 over one file for the query the Memo numbered query.
-// With a Memo, a sealed file whose identity it knows is not opened: its
-// index comes from the Memo. Any other file is read by statSegment, and
-// the Memo keeps its index if it is sealed.
-func (e Engine) segment(path string, query uint64) (segment, error) {
-	if e.Memo == nil {
-		return statSegment(path)
+// segment is pass 1 over one listed file for the query the Memo numbered
+// query. A file the writer still has open is not opened: its header is
+// the catalog's. Nor is a sealed file the catalog knows, when the Memo
+// holds its index under the catalog's identity. Any other file is read by
+// statSegment, and what that finds of a sealed one goes back into c, when
+// there is one.
+func (e Engine) segment(c *Catalog, cf *catFile, query uint64) (segment, error) {
+	if cf.open() {
+		return segment{path: cf.path, device: cf.device, start: cf.start, first: cf.start, last: math.MaxInt64}, nil
 	}
-	if st, err := os.Stat(path); err == nil {
-		seg := segment{path: path, size: st.Size(), mtime: st.ModTime().UnixNano()}
-		id := seg.id()
-		if ix, kept := e.Memo.index(id, query); ix != nil {
-			seg = sealedSegment(path, ix, seg.size, seg.mtime)
-			seg.ident, seg.kept = id, kept
+	if cf.sealed && e.Memo != nil {
+		if ix, kept := e.Memo.index(cf.ident, query); ix != nil {
+			seg := sealedSegment(cf.path, ix, cf.size, cf.mtime)
+			seg.ident, seg.kept = cf.ident, kept
 			return seg, nil
 		}
 	}
-	seg, err := statSegment(path)
-	if err == nil && seg.sealed() {
-		seg.ident = seg.id()
-		seg.kept = e.Memo.keepIndex(seg.ident, seg.ix, query)
+	seg, err := e.statSegment(cf.path, query)
+	if err == nil && c != nil && seg.ident != cf.ident {
+		c.learn(&seg)
 	}
 	return seg, err
 }
@@ -287,7 +284,11 @@ func (e Engine) segment(path string, query uint64) (segment, error) {
 // errEmptyFile is statSegment's answer for a file of no bytes.
 var errEmptyFile = errors.New("empty file")
 
-func statSegment(path string) (segment, error) {
+// statSegment reads the file at path through one descriptor, whose fstat
+// is the identity a sealed file is known by. With a Memo, the file's index
+// comes from the Memo when it holds one under that identity, and is kept
+// there when it is read.
+func (e Engine) statSegment(path string, query uint64) (segment, error) {
 	seg := segment{path: path, first: math.MinInt64, last: math.MaxInt64}
 	f, err := os.Open(path)
 	if err != nil {
@@ -301,12 +302,26 @@ func statSegment(path string) (segment, error) {
 	if st.Size() == 0 {
 		return seg, errEmptyFile
 	}
-	ix, err := trace.ReadIndex(f, st.Size())
+	size, mtime := st.Size(), st.ModTime().UnixNano()
+	var id string
+	if e.Memo != nil {
+		id = (&segment{path: path, size: size, mtime: mtime}).id()
+		if ix, kept := e.Memo.index(id, query); ix != nil {
+			seg = sealedSegment(path, ix, size, mtime)
+			seg.ident, seg.kept = id, kept
+			return seg, nil
+		}
+	}
+	ix, err := trace.ReadIndex(f, size)
 	if err != nil {
 		return seg, err
 	}
 	if ix != nil {
-		return sealedSegment(path, ix, st.Size(), st.ModTime().UnixNano()), nil
+		seg = sealedSegment(path, ix, size, mtime)
+		if e.Memo != nil {
+			seg.ident, seg.kept = id, e.Memo.keepIndex(id, ix, query)
+		}
+		return seg, nil
 	}
 	// The index probe only used ReadAt: f is still at offset 0.
 	br, err := trace.NewBatchReader(f)

@@ -470,7 +470,7 @@ func TestSettledWindowsKeys(t *testing.T) {
 	eng := Engine{Opts: energy.DefaultOptions(), Memo: NewMemo()}
 	var segs []segment
 	for _, path := range paths {
-		seg, err := eng.segment(path, eng.Memo.begin())
+		seg, err := eng.segment(nil, &catFile{path: path}, eng.Memo.begin())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -766,7 +766,7 @@ func TestSegmentChangedBeforeScan(t *testing.T) {
 	dt := synthgen.GenerateDevice(synthgen.Small(1, 1), 0)
 	path := filepath.Join(dir, "swap-0000.metr3")
 	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records)
-	seg, err := statSegment(path)
+	seg, err := Engine{}.statSegment(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,7 +780,7 @@ func TestSegmentChangedBeforeScan(t *testing.T) {
 }
 
 // TestSegmentChangedBeforeScanMemo is TestSegmentChangedBeforeScan with a
-// Memo: pass 1 takes the index from the Memo without opening the file, and
+// Memo: pass 1 takes the index from the Memo without reading it again, and
 // pass 2 opens it only at a block the Memo does not keep — where fstat
 // must still refuse a file that is no longer the one the index came from.
 // The refused file is dropped from the Memo.
@@ -790,10 +790,10 @@ func TestSegmentChangedBeforeScanMemo(t *testing.T) {
 	path := filepath.Join(dir, "swap-0000.metr3")
 	writeSegment(t, path, dt.Device, dt.Records[0].TS, dt.Records)
 	eng := Engine{Memo: NewMemo()}
-	if _, err := eng.segment(path, 1); err != nil { // reads the index, and keeps it
+	if _, err := eng.segment(nil, &catFile{path: path}, 1); err != nil { // reads the index, and keeps it
 		t.Fatal(err)
 	}
-	seg, err := eng.segment(path, 2)
+	seg, err := eng.segment(nil, &catFile{path: path}, 2)
 	if err != nil || seg.kept == nil || !seg.sealed() {
 		t.Fatalf("second pass 1 over a sealed file: %+v, %v", seg, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -20,11 +21,11 @@ import (
 // index) are never retained: they are still being written.
 
 // rollupName is the sidecar file QueryDir merges and ApplyRetention
-// maintains. It is atomically replaced (tmp + rename), so a crashed
-// retention pass leaves either the old or the new rollup, never a torn
-// one — though it may leave an already-folded segment on disk, which is
-// benign double-retention work, not data loss, because folding happens
-// before deletion.
+// maintains. It is replaced whole (see writeRollup), and it lists every
+// segment it folded before any of them is removed: a query skips a
+// listed segment still on disk, and the next retention pass removes it
+// without folding it again, so a pass that stops anywhere neither drops
+// nor double-counts a record.
 const rollupName = "rollup.json"
 
 // rollupFile is the on-disk schema.
@@ -34,6 +35,31 @@ type rollupFile struct {
 	Devices  int         `json:"devices"`
 	Records  int64       `json:"records"`
 	Windows  []WindowRow `json:"windows"`
+	// Folded is every segment the windows hold, in the order it was
+	// folded. A name is never given to a second segment (a writer numbers
+	// its files past every name here), so it is what queries and later
+	// passes go by; size and index CRC are what a pass checks before it
+	// removes a file of that name.
+	Folded []foldedSegment `json:"folded,omitempty"`
+}
+
+// foldedSegment is one segment a rollup holds.
+type foldedSegment struct {
+	Name string `json:"name"`
+	Size int64  `json:"size"`
+	CRC  uint32 `json:"index_crc32c"`
+}
+
+// folded is the segments roll (nil: none) folded, by name, or nil.
+func (roll *rollupFile) folded() map[string]foldedSegment {
+	if roll == nil || len(roll.Folded) == 0 {
+		return nil
+	}
+	byName := make(map[string]foldedSegment, len(roll.Folded))
+	for _, f := range roll.Folded {
+		byName[f.Name] = f
+	}
+	return byName
 }
 
 // RetentionReport summarises one ApplyRetention pass.
@@ -43,16 +69,22 @@ type RetentionReport struct {
 	RecordsFolded int64 `json:"records_folded"`
 }
 
+// removeSegment removes a folded segment file: os.Remove, but for tests
+// that stop a pass part way.
+var removeSegment = os.Remove
+
 // ApplyRetention folds every sealed segment in dir whose newest record
 // is older than cutoff into the directory rollup at the given window
-// width, then removes the segment. The width must match an existing
-// rollup's (mixing widths would mis-bucket history).
+// width, then removes the segment. A segment the rollup already lists —
+// one an earlier pass folded and stopped before removing — is removed
+// without being folded again. The width must match an existing rollup's
+// (mixing widths would mis-bucket history).
 func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (RetentionReport, error) {
 	var rep RetentionReport
 	if window <= 0 {
 		return rep, fmt.Errorf("tsq: retention window must be positive")
 	}
-	roll, err := readRollup(dir)
+	roll, _, err := readRollup(dir)
 	if err != nil {
 		return rep, err
 	}
@@ -62,6 +94,7 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 		return rep, fmt.Errorf("tsq: rollup window %dus does not match requested %dus",
 			roll.WindowUS, int64(window))
 	}
+	folded := roll.folded()
 
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -72,14 +105,25 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 	// over several segments must replay as one ordered stream — exactly
 	// what QueryFiles does — or tail energy at each split boundary would
 	// be mis-bucketed.
-	byDevice := map[string][]string{}
+	byDevice := map[string][]segment{}
 	var devices []string
 	for _, ent := range entries {
 		if ent.IsDir() || ent.Name() == rollupName {
 			continue
 		}
 		path := filepath.Join(dir, ent.Name())
-		seg, err := statSegment(path)
+		seg, err := Engine{}.statSegment(path, 0)
+		if f, ok := folded[ent.Name()]; ok {
+			if err != nil || !seg.sealed() || seg.size != f.Size || seg.ix.CRC() != f.CRC {
+				return rep, fmt.Errorf("tsq: %s: the rollup folded a segment of this name, size %d and index CRC %08x; this is not it",
+					path, f.Size, f.CRC)
+			}
+			if err := removeSegment(path); err != nil {
+				return rep, err
+			}
+			rep.FilesRemoved++
+			continue
+		}
 		if err != nil || !seg.sealed() || seg.first > seg.last || seg.last >= cutoff {
 			rep.FilesKept++
 			continue // not a segment at all, unsealed, empty, or too new
@@ -87,11 +131,15 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 		if _, ok := byDevice[seg.device]; !ok {
 			devices = append(devices, seg.device)
 		}
-		byDevice[seg.device] = append(byDevice[seg.device], path)
+		byDevice[seg.device] = append(byDevice[seg.device], seg)
 	}
 	sort.Strings(devices)
 	for _, device := range devices {
-		paths := byDevice[device]
+		segs := byDevice[device]
+		paths := make([]string, len(segs))
+		for i := range segs {
+			paths[i] = segs[i].path
+		}
 		// Fold the device's segments at window granularity. The
 		// full-range query bound keeps every record; TopN 0 keeps every
 		// app row.
@@ -101,25 +149,27 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 			return rep, fmt.Errorf("tsq: folding %s: %w", device, err)
 		}
 		// writeRollup re-sorts the rows, so each device folds afresh.
-		folded := Result{Windows: roll.Windows}
-		f := newFold(&folded, len(res.Windows), 0)
+		fresh := Result{Windows: roll.Windows}
+		f := newFold(&fresh, len(res.Windows), 0)
 		for _, w := range res.Windows {
 			f.add(w, false, true)
 		}
 		f.finish()
-		roll.Windows = folded.Windows
+		roll.Windows = fresh.Windows
 		roll.Devices += res.Devices
 		roll.Records += res.Records
 		rep.RecordsFolded += res.Records
+		for i := range segs {
+			roll.Folded = append(roll.Folded, foldedSegment{Name: filepath.Base(segs[i].path), Size: segs[i].size, CRC: segs[i].ix.CRC()})
+		}
 
-		// Persist the rollup before deleting the segments: a crash between
-		// the two leaves double-countable segments, never lost ones — and
-		// the next pass re-folding them is detectable by the count.
+		// The rollup, naming the segments, is on disk before any of them
+		// is removed.
 		if err := writeRollup(dir, roll); err != nil {
 			return rep, err
 		}
 		for _, path := range paths {
-			if err := os.Remove(path); err != nil {
+			if err := removeSegment(path); err != nil {
 				return rep, err
 			}
 			rep.FilesRemoved++
@@ -131,38 +181,73 @@ func (e Engine) ApplyRetention(dir string, cutoff, window trace.Timestamp) (Rete
 	return rep, writeRollup(dir, roll)
 }
 
-func readRollup(dir string) (*rollupFile, error) {
-	b, err := os.ReadFile(filepath.Join(dir, rollupName))
+// readRollup reads dir's rollup, nil when there is none, and the identity
+// of the file it was read from.
+func readRollup(dir string) (*rollupFile, os.FileInfo, error) {
+	f, err := os.Open(filepath.Join(dir, rollupName))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := io.ReadAll(f)
+	if err != nil {
+		return nil, nil, err
 	}
 	var roll rollupFile
 	if err := json.Unmarshal(b, &roll); err != nil {
-		return nil, fmt.Errorf("tsq: corrupt %s: %w", rollupName, err)
+		return nil, nil, fmt.Errorf("tsq: corrupt %s: %w", rollupName, err)
 	}
 	if roll.WindowUS <= 0 {
-		return nil, fmt.Errorf("tsq: corrupt %s: non-positive window", rollupName)
+		return nil, nil, fmt.Errorf("tsq: corrupt %s: non-positive window", rollupName)
 	}
-	return &roll, nil
+	return &roll, info, nil
 }
 
+// writeRollup replaces dir's rollup with roll: it writes a temporary file,
+// syncs it, renames it into place and syncs the directory, so that a crash
+// leaves the old rollup or the new one, and the new one is on disk before
+// the caller removes what it folded.
 func writeRollup(dir string, roll *rollupFile) error {
 	// Deterministic bytes: windows sorted by start, rows by energy.
-	tmp := Result{Windows: roll.Windows}
-	tmp.Finalize(0)
-	roll.Windows = tmp.Windows
+	sorted := Result{Windows: roll.Windows}
+	sorted.Finalize(0)
+	roll.Windows = sorted.Windows
 	b, err := json.MarshalIndent(roll, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmpPath := filepath.Join(dir, rollupName+".tmp")
-	if err := os.WriteFile(tmpPath, b, 0o644); err != nil {
+	tmp, err := os.CreateTemp(dir, rollupName+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmpPath, filepath.Join(dir, rollupName))
+	defer os.Remove(tmp.Name()) // a no-op once renamed
+	if _, err := tmp.Write(b); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, rollupName)); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // overlaps reports whether any window of the rollup (nil: none) meets

@@ -17,8 +17,10 @@
 #      accumulators vs the tsq engine re-reading the METR-3 segments),
 #      the block seek index must be in play, an hourly rollup asked
 #      twice must come from the window memo the second time with the
-#      same answer, and after the drain the tsq CLI over the sealed
-#      directory must agree with the live answers;
+#      same answer, which the tsq CLI must give too; then tsq -retain
+#      folds the node's sealed history under it into day windows, and
+#      /query must still give the day-windowed total it gave before,
+#      downsampled, twice alike, as must the tsq CLI after the drain;
 #   3. chaos: same fleet against a FRESH server (the devices restart their
 #      streams from sequence 0) through the fault injector — drops and bit
 #      corruption on the wire — and require the sever/resume/dedup loop to
@@ -209,15 +211,8 @@ run_query() {
     fi
   done
 
-  kill -TERM "$pid"
-  if ! wait "$pid"; then
-    echo "smoke: ingestd did not drain cleanly (query phase)" >&2
-    exit 1
-  fi
-  pid=
-
-  # Offline: the tsq CLI, which has no memo, must give the windowed
-  # answer the live endpoint gave both times.
+  # The tsq CLI, which has no memo and lists the directory itself, must
+  # give the windowed answer the live endpoint gave both times.
   ./bin/tsq -dir "$segdir" -from "$wfrom" -to "$to" -window hour -json > "$WORK/qwin-offline.json"
   local f
   for f in qwin2 qwin-offline; do
@@ -231,16 +226,47 @@ run_query() {
     fi
   done
 
-  # Offline: the tsq CLI over the sealed directory must agree with the
-  # live endpoint's answer.
-  ./bin/tsq -dir "$segdir" -from 0 -to "$to" -json > "$WORK/query-offline.json"
-  if [ "$(jfield "$WORK/query-offline.json" records)" != "$recs" ]; then
-    echo "smoke: offline tsq saw $(jfield "$WORK/query-offline.json" records) records, want $recs" >&2
+  # Retention under the running node: the fleet's history is far older
+  # than an hour, so tsq folds every sealed segment into a rollup of day
+  # windows and deletes it. The node's catalog must then answer the whole
+  # span from the rollup — the total its day-windowed answer had before,
+  # marked downsampled — and answer it again the same (the scan block
+  # aside). Day windows, not /headline: each window is accounted on its
+  # own (analysis.WindowedAccumulator), so a tail cut at midnight makes
+  # their sum differ from the whole-stream total by ~1e-5.
+  curl -fsS "http://$ADMIN/query?from=0&to=$to&window=day" > "$WORK/qday.json"
+  local folded
+  folded=$(./bin/tsq -dir "$segdir" -retain 1h -retain-window day | grep -o 'from [0-9]* segments' | tr -dc 0-9)
+  if [ "${folded:-0}" -le 0 ]; then
+    echo "smoke: retention under the live node folded no segment" >&2
     exit 1
   fi
+  curl -fsS "http://$ADMIN/query?from=0&to=$to&window=day" > "$WORK/qret1.json"
+  curl -fsS "http://$ADMIN/query?from=0&to=$to&window=day" > "$WORK/qret2.json"
+  require_close "live day-windowed total_energy_j after retention" \
+    "$(jfield "$WORK/qday.json" total_energy_j)" "$(jfield "$WORK/qret1.json" total_energy_j)"
+  if ! grep -q '"downsampled":true' "$WORK/qret1.json"; then
+    echo "smoke: /query after retention is not marked downsampled" >&2
+    exit 1
+  fi
+  if [ "$(sed 's/"scan":{[^}]*}//' "$WORK/qret1.json")" != "$(sed 's/"scan":{[^}]*}//' "$WORK/qret2.json")" ]; then
+    echo "smoke: repeated /query after retention answered differently" >&2
+    exit 1
+  fi
+
+  kill -TERM "$pid"
+  if ! wait "$pid"; then
+    echo "smoke: ingestd did not drain cleanly (query phase)" >&2
+    exit 1
+  fi
+  pid=
+
+  # Offline: the tsq CLI over the drained directory must agree with the
+  # live endpoint's answer.
+  ./bin/tsq -dir "$segdir" -from 0 -to "$to" -window day -json > "$WORK/query-offline.json"
   require_close "offline tsq total_energy_j" \
-    "$(jfield "$WORK/query.json" total_energy_j)" "$(jfield "$WORK/query-offline.json" total_energy_j)"
-  echo "smoke: query phase ok ($recs records, $skipped blocks pruned on the narrow window, $memoised windows memoised)"
+    "$(jfield "$WORK/qday.json" total_energy_j)" "$(jfield "$WORK/query-offline.json" total_energy_j)"
+  echo "smoke: query phase ok ($recs records, $skipped blocks pruned on the narrow window, $memoised windows memoised, $folded segments retained under the live node)"
 }
 
 # run_kill: process-level crash recovery on one node. The restart reuses the
