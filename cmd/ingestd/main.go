@@ -51,7 +51,7 @@ func main() {
 	var (
 		listen  = flag.String("listen", ":9009", "TCP listen address for device streams")
 		admin   = flag.String("admin", ":9010", "HTTP admin listen address (empty: disabled)")
-		shards  = flag.Int("shards", 8, "worker shards (consistent-hashed by device ID)")
+		shards  = flag.Int("shards", 8, "worker shards (a device goes to hash(device ID) mod shards)")
 		queue   = flag.Int("queue", 256, "per-shard queue depth (bounded; full queue = backpressure)")
 		batch   = flag.Int("batch", 128, "records per shard hand-off batch")
 		timeout = flag.Duration("read-timeout", 60*time.Second, "per-frame read deadline")

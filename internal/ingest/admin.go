@@ -92,7 +92,7 @@ func (s *Server) Headline() LiveHeadline {
 
 // adminMux serves the observability surface:
 //
-//	GET  /healthz           -> 200 "ok placement=<PlacementID>"
+//	GET  /healthz           -> 200 "ok"
 //	GET  /metrics           -> Prometheus text exposition of every counter,
 //	                           gauge and histogram (scrape this)
 //	GET  /events            -> recent structured events as JSON
@@ -107,7 +107,7 @@ func (s *Server) Headline() LiveHeadline {
 func (s *Server) adminMux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok placement=" + PlacementID + "\n"))
+		w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -48,7 +48,8 @@ func adminPost(t *testing.T, url string, v any) int {
 
 // TestAdminErrorPaths exercises the admin surface's failure branches:
 // malformed and unknown /device queries, wrong-method and while-draining
-// /checkpoint, and snapshotting during shutdown.
+// /checkpoint, and snapshotting during shutdown; /healthz stays "ok" while
+// draining.
 func TestAdminErrorPaths(t *testing.T) {
 	dir := t.TempDir()
 	s := startServer(t, Config{
@@ -104,6 +105,15 @@ func TestAdminErrorPaths(t *testing.T) {
 		t.Errorf("/headline while draining: %d, want 200", code)
 	} else if h.Records != int64(len(dt.Records)) || h.TotalEnergyJ <= 0 {
 		t.Errorf("/headline while draining = %+v", h)
+	}
+	if resp, err := http.Get(base + "/healthz"); err != nil {
+		t.Errorf("/healthz while draining: %v", err)
+	} else {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != "ok\n" {
+			t.Errorf("/healthz while draining: %d %q, want 200 \"ok\\n\"", resp.StatusCode, body)
+		}
 	}
 	s.mu.Lock()
 	s.drain = false

@@ -55,9 +55,9 @@ func deliver(t *testing.T, s *Server, dt *trace.DeviceTrace, to int, fin bool) {
 	c.CloseAbort() //nolint:errcheck
 }
 
-// seqOf asks the shard the ring places device on for its high-water mark.
+// seqOf asks the shard that owns device for its high-water mark.
 func seqOf(s *Server, device string) (seq int64) {
-	sh := s.shard[s.ring.shard(device)]
+	sh := s.shard[shardOf(device, len(s.shard))]
 	sh.ask(func() { seq = sh.seqs[device] })
 	return seq
 }
@@ -83,9 +83,9 @@ func newestLogBytes(t *testing.T, dir string) int64 {
 // closes a session, not a device), a checkpoint tick, a kill and restart under
 // another shard count — and requires the two to agree whenever the first has
 // everything on disk: headline (records exactly, energy to 1e-9) and every
-// device's sequence number, found on the shard the new ring places it on. The
-// run must have restored from a delta frame and have outgrown a base, or it
-// never left the path the older tests already walk.
+// device's sequence number, found on the shard that owns it under the new
+// shard count. The run must have restored from a delta frame and have
+// outgrown a base, or it never left the path the older tests already walk.
 func TestCommitsProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) {

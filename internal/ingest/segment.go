@@ -38,8 +38,8 @@ type segmentWriter struct {
 	path  string
 	w     *trace.ColumnWriter
 	n     int64           // bytes written so far (roll trigger)
-	last  trace.Timestamp // newest appended timestamp (drop gate)
-	dirty bool            // records appended since the last sync/seal
+	last  trace.Timestamp // newest appended timestamp, the start from open (drop gate)
+	dirty bool            // records appended since the last sync
 }
 
 // Write counts bytes through to the file, feeding the roll decision.
@@ -135,7 +135,7 @@ func (st *segmentStore) appendBatch(device string, b *trace.RecordBatch) {
 				continue
 			}
 		}
-		if sw.dirty && b.TS[i] < sw.last {
+		if b.TS[i] < sw.last {
 			dropped++
 			i++
 			continue
@@ -179,7 +179,7 @@ func (st *segmentStore) openSegment(device string, start trace.Timestamp) (*segm
 	if err != nil {
 		return nil, err
 	}
-	sw := &segmentWriter{f: f, path: path}
+	sw := &segmentWriter{f: f, path: path, last: start}
 	if sw.w, err = trace.NewColumnWriter(sw, device, start); err != nil {
 		f.Close()
 		return nil, err
@@ -289,7 +289,7 @@ func sanitizeSegmentName(device string) string {
 
 // hash64 is bare FNV-64a over the bytes of s: the file-name suffix above
 // and SessionRand's seed. Both are on disk or in reproducible schedules, so
-// it never changes; placement mixes it further (placeHash).
+// it never changes; shard placement mixes it further (placeHash).
 func hash64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -412,6 +412,10 @@ func TestSanitizeSegmentName(t *testing.T) {
 		"a b":        "a%20b",
 		"per%cent":   "per%25cent",
 		"UPPER_low-": "UPPER_low-",
+		// The suffix is bare FNV-64a (hash64): files on disk keep their
+		// names whatever placement does.
+		strings.Repeat("d", 200): "dddddddddddddddddddddddddddddddddddddddd+072b04fe506fbce5",
+		"":                       "+cbf29ce484222325",
 	}
 	for in, want := range cases {
 		if got := sanitizeSegmentName(in); got != want {
@@ -448,10 +452,13 @@ func TestSegmentStoreMatchesRecordAtATime(t *testing.T) {
 	}{{1, 300}, {40 << 10, len(recs)}, {1 << 30, len(recs)}} {
 		recs := recs[:tc.n]
 		for _, chunk := range []int{1, 7, 128, len(recs)} {
-			// syncBefore reports whether a Sync lands ahead of record i. Not
-			// ahead of a backwards record: with nothing unsynced the drop gate
-			// is off and the writer refuses it, which disables the device.
-			syncBefore := func(i int) bool { return i > 0 && i%(13*chunk) == 0 && !backwards[i] }
+			// syncBefore reports whether a Sync lands ahead of record i, which
+			// starts a batch: every 13th batch, and every batch that starts
+			// with a backwards record, so the drop gate must hold with
+			// nothing unsynced.
+			syncBefore := func(i int) bool {
+				return i > 0 && i%chunk == 0 && (i%(13*chunk) == 0 || backwards[i])
+			}
 
 			var want [][]byte
 			var wantKept, wantDropped int64
@@ -469,8 +476,9 @@ func TestSegmentStoreMatchesRecordAtATime(t *testing.T) {
 				if w == nil {
 					buf = new(bytes.Buffer)
 					w, _ = trace.NewColumnWriter(buf, dt.Device, recs[i].TS)
+					last = recs[i].TS
 				}
-				if dirty && recs[i].TS < last {
+				if recs[i].TS < last {
 					wantDropped++
 					continue
 				}

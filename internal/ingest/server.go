@@ -114,11 +114,10 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the fleet-ingest daemon: a TCP accept loop, per-connection
-// frame decoders, and a consistent-hash sharded pool of analysis workers,
+// frame decoders, and a hash-sharded pool of analysis workers,
 // optionally checkpointed to disk for crash recovery.
 type Server struct {
 	cfg   Config
-	ring  *ring
 	shard []*shard
 
 	ln      net.Listener
@@ -164,7 +163,6 @@ func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		ring:     newRing(cfg.Shards),
 		counters: newCounters(),
 		devices:  newDeviceRegistry(),
 		memo:     tsq.NewMemo(),
@@ -294,7 +292,7 @@ func (s *Server) Start() error {
 var emptyAggregate = analysis.NewStreamResult("fleet").AppendBinary(nil)
 
 // decodeSnapshot turns a snapshot into install units, one per device, listed
-// per shard of THIS server's ring — the shard count may differ from the
+// per shard of THIS server — the shard count may differ from the
 // process that wrote the file. Every opaque blob is decoded and every
 // sequence number checked here, before anything is mutated: a snapshot either
 // installs cleanly or is refused whole, which also makes this the LoadLatest
@@ -317,7 +315,7 @@ func (s *Server) decodeSnapshot(snap *checkpoint.Snapshot) ([][]*install, error)
 		if u == nil {
 			u = &install{device: device}
 			at[device] = u
-			si := s.ring.shard(device)
+			si := shardOf(device, len(s.shard))
 			units[si] = append(units[si], u)
 		}
 		if seq < u.seq {
@@ -437,7 +435,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	// Resume handshake: ask the owning shard for the device's accepted
 	// count; the ack tells the client where to (re)start.
-	sh := s.shard[s.ring.shard(device)]
+	sh := s.shard[shardOf(device, len(s.shard))]
 	var next int64
 	if !sh.ask(func() { next = sh.seqs[device] }) {
 		s.writeAckTimed(conn, ackDraining, 0) //nolint:errcheck

@@ -61,59 +61,10 @@ func batchOpts() energy.Options {
 
 // TestServeFleetMatchesBatch is the acceptance check: a fleet streamed
 // concurrently over TCP must yield the same headline as the batch pipeline
-// over the same generated dataset.
+// over the same generated dataset, at every shard count.
 func TestServeFleetMatchesBatch(t *testing.T) {
 	cfg := synthgen.Small(4, 3)
 	dts := synthgen.GenerateInMemory(cfg)
-
-	s := startServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: 4, QueueDepth: 16, BatchSize: 32})
-	addr := s.Addr().String()
-
-	var wg sync.WaitGroup
-	var sent int64
-	var mu sync.Mutex
-	for _, dt := range dts {
-		wg.Add(1)
-		go func(dt *trace.DeviceTrace) {
-			defer wg.Done()
-			streamTrace(t, addr, dt)
-			mu.Lock()
-			sent += int64(len(dt.Records))
-			mu.Unlock()
-		}(dt)
-	}
-	wg.Wait()
-
-	// Wait for the shards to drain what the handlers enqueued.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.counters.records.Load() < sent && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	// Query the live headline over HTTP before shutdown.
-	var live LiveHeadline
-	resp, err := http.Get(fmt.Sprintf("http://%s/headline", s.AdminAddr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&live); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	final, err := s.Shutdown(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// No drops: every record sent was accepted.
-	if got := s.counters.records.Load(); got != sent {
-		t.Fatalf("records accepted = %d, sent = %d", got, sent)
-	}
-	if s.counters.crcErrors.Load() != 0 || s.counters.decodeErrors.Load() != 0 {
-		t.Fatalf("unexpected errors: %+v", s.Stats(false))
-	}
 
 	// Batch reference over the identical dataset (KeepPackets on: the
 	// first-minute figure walks the per-packet slice in batch mode).
@@ -123,22 +74,75 @@ func TestServeFleetMatchesBatch(t *testing.T) {
 	}
 	want := analysis.ComputeHeadline(devs)
 
-	if d := math.Abs(final.Ledger.BackgroundFraction() - want.BackgroundFraction); d > 0.01*want.BackgroundFraction {
-		t.Errorf("background fraction: ingest %v vs batch %v", final.Ledger.BackgroundFraction(), want.BackgroundFraction)
-	}
-	if d := math.Abs(final.Ledger.Total - want.TotalEnergyJ); d > 1e-6*(1+want.TotalEnergyJ) {
-		t.Errorf("total energy: ingest %v vs batch %v", final.Ledger.Total, want.TotalEnergyJ)
-	}
-	if d := math.Abs(final.FirstMinuteFraction(0.8) - want.FirstMinute.Fraction); d > 1e-9 {
-		t.Errorf("first minute: ingest %v vs batch %v", final.FirstMinuteFraction(0.8), want.FirstMinute.Fraction)
-	}
-	// The mid-stream HTTP headline was taken after all conns closed, so it
-	// must already match (every stream finalised by then).
-	if d := math.Abs(live.BackgroundFraction - want.BackgroundFraction); d > 0.01*want.BackgroundFraction {
-		t.Errorf("live headline background fraction: %v vs batch %v", live.BackgroundFraction, want.BackgroundFraction)
-	}
-	if live.Records != sent {
-		t.Errorf("live headline records = %d, sent %d", live.Records, sent)
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
+			s := startServer(t, Config{AdminAddr: "127.0.0.1:0", Shards: shards, QueueDepth: 16, BatchSize: 32})
+			addr := s.Addr().String()
+
+			var wg sync.WaitGroup
+			var sent int64
+			var mu sync.Mutex
+			for _, dt := range dts {
+				wg.Add(1)
+				go func(dt *trace.DeviceTrace) {
+					defer wg.Done()
+					streamTrace(t, addr, dt)
+					mu.Lock()
+					sent += int64(len(dt.Records))
+					mu.Unlock()
+				}(dt)
+			}
+			wg.Wait()
+
+			// Wait for the shards to drain what the handlers enqueued.
+			deadline := time.Now().Add(10 * time.Second)
+			for s.counters.records.Load() < sent && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			// Query the live headline over HTTP before shutdown.
+			var live LiveHeadline
+			resp, err := http.Get(fmt.Sprintf("http://%s/headline", s.AdminAddr()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&live); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			final, err := s.Shutdown(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// No drops: every record sent was accepted.
+			if got := s.counters.records.Load(); got != sent {
+				t.Fatalf("records accepted = %d, sent = %d", got, sent)
+			}
+			if s.counters.crcErrors.Load() != 0 || s.counters.decodeErrors.Load() != 0 {
+				t.Fatalf("unexpected errors: %+v", s.Stats(false))
+			}
+
+			if d := math.Abs(final.Ledger.BackgroundFraction() - want.BackgroundFraction); d > 0.01*want.BackgroundFraction {
+				t.Errorf("background fraction: ingest %v vs batch %v", final.Ledger.BackgroundFraction(), want.BackgroundFraction)
+			}
+			if d := math.Abs(final.Ledger.Total - want.TotalEnergyJ); d > 1e-6*(1+want.TotalEnergyJ) {
+				t.Errorf("total energy: ingest %v vs batch %v", final.Ledger.Total, want.TotalEnergyJ)
+			}
+			if d := math.Abs(final.FirstMinuteFraction(0.8) - want.FirstMinute.Fraction); d > 1e-9 {
+				t.Errorf("first minute: ingest %v vs batch %v", final.FirstMinuteFraction(0.8), want.FirstMinute.Fraction)
+			}
+			// The mid-stream HTTP headline was taken after all conns closed, so it
+			// must already match (every stream finalised by then).
+			if d := math.Abs(live.BackgroundFraction - want.BackgroundFraction); d > 0.01*want.BackgroundFraction {
+				t.Errorf("live headline background fraction: %v vs batch %v", live.BackgroundFraction, want.BackgroundFraction)
+			}
+			if live.Records != sent {
+				t.Errorf("live headline records = %d, sent %d", live.Records, sent)
+			}
+		})
 	}
 }
 

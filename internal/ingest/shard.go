@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"hash/crc32"
-	"strconv"
 	"sync"
 	"time"
 
@@ -13,29 +12,26 @@ import (
 	"netenergy/internal/trace"
 )
 
-// ring is the in-process consistent-hash placement mapping device IDs to
-// shards: a NodeRing over synthetic "shard-<i>" names. No checkpoint stores a
-// placement — decodeSnapshot re-places every restored device through the
-// current ring — so a restart under another shard count or placement hash
-// re-places everything and loses nothing (TestCommitsProperty,
-// TestCrashRecovery).
-type ring struct {
-	nr  *NodeRing
-	idx map[string]int
-}
+// shardOf is the shard of n that owns device. Placement is fixed while a
+// process runs and no checkpoint stores one — decodeSnapshot re-places every
+// restored device — so a restart under another shard count re-places
+// everything and loses nothing (TestCommitsProperty, TestCrashRecovery).
+func shardOf(device string, n int) int { return int(placeHash(device) % uint64(n)) }
 
-func newRing(shards int) *ring {
-	names := make([]string, shards)
-	idx := make(map[string]int, shards)
-	for s := 0; s < shards; s++ {
-		names[s] = "shard-" + strconv.Itoa(s)
-		idx[names[s]] = s
-	}
-	return &ring{nr: NewNodeRing(names), idx: idx}
+// placeHash is the placement hash: FNV-64a over the bytes of s, then
+// murmur3's fmix64 finaliser. Multiplying by an odd constant carries only
+// upwards, so bare FNV-64a modulo 2^k depends on nothing but the low k bits
+// of each byte, and sequential names (dev-0001, st-u03-r17) pile onto a few
+// shards; the finaliser folds the high bits back down.
+func placeHash(s string) uint64 {
+	h := hash64(s)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
-
-// shard returns the shard index owning device.
-func (r *ring) shard(device string) int { return r.idx[r.nr.Owner(device)] }
 
 // recordBatch is a chunk of decoded records for one device, with payloads
 // copied out of the connection's frame buffer so they survive the channel

@@ -28,7 +28,8 @@
 #   4. kill: same fleet, paced, into one ingestd running -checkpoint-dir
 #      -durable-fin -segment-dir, kill -9'd as soon as it has accepted
 #      records and its checkpoint directory holds a base and a delta frame
-#      after it, then restarted on the same directories and ports. It must
+#      after it, then restarted on the same directories and ports with
+#      -shards 3 instead of 4, so every recovered device is re-placed. It must
 #      say which checkpoint generation it recovered, the sessions must resume
 #      through their retry and backoff with zero dropped records, the
 #      restarted node must have acked at least one FIN durably, and its final
@@ -271,13 +272,14 @@ run_query() {
 
 # run_kill: process-level crash recovery on one node. The restart reuses the
 # directories and ports, so fleetsim's sessions, which retry the dial with
-# backoff, reconnect to it and resume from the sequence it recovered.
+# backoff, reconnect to it and resume from the sequence it recovered. It runs
+# 3 shards where the first process ran 4, so restore re-places every device.
 run_kill() {
   local ckdir="$WORK/kill-ck" segdir="$WORK/kill-seg" log="$WORK/kill.log"
-  local node=(./bin/ingestd -listen "$ADDR" -admin "$ADMIN" -shards 4
+  local node=(./bin/ingestd -listen "$ADDR" -admin "$ADMIN"
     -checkpoint-dir "$ckdir" -checkpoint-interval 250ms -durable-fin -segment-dir "$segdir")
   mkdir -p "$ckdir" "$segdir"
-  "${node[@]}" > "$WORK/kill-first.log" 2>&1 &
+  "${node[@]}" -shards 4 > "$WORK/kill-first.log" 2>&1 &
   pid=$!
 
   # Pull the plug (SIGKILL, no drain) the moment the node has accepted
@@ -315,7 +317,7 @@ run_kill() {
     exit 1
   fi
   wait "$pid" 2>/dev/null || true
-  "${node[@]}" > "$log" 2>&1 &
+  "${node[@]}" -shards 3 > "$log" 2>&1 &
   pid=$!
 
   if ! wait "$fleet"; then
